@@ -1,7 +1,8 @@
 //! Shared machinery for the figure/table regeneration binaries.
 //!
 //! Every binary in this crate regenerates one exhibit of the paper's
-//! evaluation (see DESIGN.md §5 for the index). Each binary *declares*
+//! evaluation (see docs/ARCHITECTURE.md, "Producing and regenerating
+//! `results/*.csv`", for the index). Each binary *declares*
 //! an [`Exhibit`] — locks × grid × scenario × tables × self-checks —
 //! and the single [`exhibit::run_exhibit`] driver does the sweeping,
 //! progress reporting, table rendering ([`Grid`]), CSV writing, and

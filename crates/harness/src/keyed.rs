@@ -42,6 +42,7 @@
 //! channels, the scenario's modelled [`CostModel`](coherence_sim::CostModel)
 //! prices nothing on this path — the factory decides the model.
 
+use crate::modelled::TimeQueue;
 use crate::pace::{kappa_for, spin_wall};
 use crate::registry::AnyLockKind;
 use crate::runner::LBenchConfig;
@@ -418,7 +419,9 @@ pub(crate) fn run_keyed(
 /// The deterministic substrate (see the module docs): logical threads'
 /// ops execute sequentially in (clock, thread-id) order against the real
 /// service; per-shard FIFO queueing emerges from the service's handoff
-/// channels. Bit-reproducible run to run.
+/// channels. Bit-reproducible run to run. The order comes from a
+/// `(clock, tid)` min-heap — O(log clients) per op, never a pass over
+/// the thread table.
 fn run_keyed_modelled(
     kind: AnyLockKind,
     spec: &KeyedSpec,
@@ -429,10 +432,8 @@ fn run_keyed_modelled(
     struct Th {
         cluster: ClusterId,
         rng: StdRng,
-        clock: u64,
         reads: u64,
         writes: u64,
-        done: bool,
     }
     let started = Instant::now();
     // The sim drives the caller's thread-local clock; save and restore
@@ -447,40 +448,37 @@ fn run_keyed_modelled(
         .map(|i| Th {
             cluster: cluster_for(i, cfg),
             rng: StdRng::seed_from_u64(spec.seed ^ i as u64),
-            clock: 0,
             reads: 0,
             writes: 0,
-            done: false,
         })
         .collect();
+    // Each live logical thread has exactly one entry, keyed by its clock;
+    // a thread popped at or past the window is retired by not going back.
+    let mut ready = TimeQueue::with_capacity(cfg.threads);
+    for t in 0..cfg.threads {
+        ready.push(0, t);
+    }
     let mut lat = LatReservoir::for_config(cfg);
     // Livelock guard: a service op that charges zero virtual time would
     // otherwise spin here forever.
     let stall_cap = cfg.threads as u64 * 64 + 1024;
     let mut stalls = 0u64;
-    while let Some(t) = ths
-        .iter()
-        .enumerate()
-        .filter(|(_, th)| !th.done)
-        .min_by_key(|(i, th)| (th.clock, *i))
-        .map(|(i, _)| i)
-    {
+    while let Some((clock, t)) = ready.pop() {
+        if clock >= cfg.window_ns {
+            continue;
+        }
+        if let Some(gap) = scenario.shape.off_gap(clock) {
+            ready.push(clock + gap, t);
+            continue;
+        }
         let th = &mut ths[t];
-        if th.clock >= cfg.window_ns {
-            th.done = true;
-            continue;
-        }
-        if let Some(gap) = scenario.shape.off_gap(th.clock) {
-            th.clock += gap;
-            continue;
-        }
-        vclock::set(th.clock);
+        vclock::set(clock);
         let key = if spec.keyspace > 0 {
             spec.dist.sample(&mut th.rng, spec.keyspace)
         } else {
             0
         };
-        let cur_pct = scenario.shape.read_pct_at(th.clock, scenario.read_pct);
+        let cur_pct = scenario.shape.read_pct_at(clock, scenario.read_pct);
         let is_read = draws_coin && th.rng.gen_range(0u32..100) < cur_pct;
         let op = KeyedOp {
             key,
@@ -504,7 +502,7 @@ fn run_keyed_modelled(
             vclock::advance(spec.parse_ns);
         }
         let now = vclock::now();
-        if now == th.clock {
+        if now == clock {
             stalls += 1;
             assert!(
                 stalls < stall_cap,
@@ -514,7 +512,7 @@ fn run_keyed_modelled(
         } else {
             stalls = 0;
         }
-        th.clock = now;
+        ready.push(now, t);
     }
     let stats = take_thread_stats();
     vclock::set(saved_clock);

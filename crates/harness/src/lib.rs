@@ -17,7 +17,8 @@
 //!   kinds can also be built with any [`PolicySpec`]-described handoff
 //!   policy ([`LockKind::make_with_policy`]);
 //! * [`run_lbench`] — the measurement loop, in virtual-time mode
-//!   (hardware-independent, see DESIGN.md §2) or wall mode (for real
+//!   (hardware-independent, see docs/ARCHITECTURE.md, "Virtual time, in
+//!   one paragraph") or wall mode (for real
 //!   NUMA boxes). Cohort runs additionally report per-tenure handoff
 //!   statistics (tenures, migrations per tenure, mean/max streak) from
 //!   the policy's counters.

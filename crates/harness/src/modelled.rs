@@ -53,6 +53,32 @@
 //! the simulator for batched kinds with the same invariant the real
 //! cohort locks pin in tests: `tenures + local_handoffs == acquisitions`.
 //! FIFO kinds report zeros, mirroring `cohort_stats() == None`.
+//!
+//! # Cost per event
+//!
+//! Every event costs O(log T) host time in the T logical threads, so a
+//! sweep is linear in its simulated acquisitions and thread counts in
+//! the thousands are affordable:
+//!
+//! * The event queue is a binary heap of 16-byte `(time, key)` entries
+//!   (see `EventQueue` for the packing).
+//! * The waiting set is indexed (`Admission`): one ordered set per
+//!   cluster keyed `(arrival, tid)`, entered where `on_start` queues a
+//!   thread and left on grant or abort. The FIFO pick is the minimum of
+//!   the cluster heads, the cohort-local pick the head of the tenure
+//!   cluster's set, the succession census a sum of set lengths, and a
+//!   reciprocating detach drains the sets (each waiter once per
+//!   segment). No handler walks the thread table; `ths` is iterated at
+//!   construction and at result assembly only. The obviously-right
+//!   form — a linear scan per question — is the test module's
+//!   `ScanAdmission` oracle, which a seeded differential test holds the
+//!   index to.
+//! * Per-thread latency reservoirs start empty (`LatReservoir::lazy`).
+//!   The real-time engine pre-sizes them because a reallocation there
+//!   is a pause inside somebody's measured acquisition; here it is host
+//!   time nobody measures, while the pre-sized form costs 256 KiB per
+//!   *logical* thread — most of a 4096-thread cell's memory and set-up
+//!   time for threads that record a few samples each.
 
 use crate::bench_rwlock::BenchRwLock;
 use crate::registry::{AnyLockKind, ModelledAdmission, TenureLimit};
@@ -65,38 +91,87 @@ use numa_topology::{vclock, ClusterId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::time::Instant;
 
-/// A simulation event. Variant order matters only through the derived
-/// `Ord` used as the heap's final tie-breaker; the `seq` counter makes
-/// every queue entry unique before that, so ordering is deterministic
-/// regardless.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// What a simulation event asks of the logical thread it names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
-    /// Thread begins its next op at its current clock.
-    Start(usize),
+    /// The thread begins its next op at its current clock.
+    Start,
     /// The holder finishes its critical section.
-    Release(usize),
-    /// A waiting writer's patience expires (stale if `epoch` mismatches).
-    Abort { tid: usize, epoch: u64 },
+    Release,
+    /// A waiting writer's patience expires (stale unless the thread's
+    /// `live_abort` still names this event).
+    Abort,
 }
 
-/// Min-heap of events ordered by `(time, push order)`.
-#[derive(Default)]
+/// Min-heap keyed `(time, tie)`: pops the earliest time first and, among
+/// equal times, the smallest `tie`. The one queue type of the modelled
+/// substrate — the event queue below breaks ties by push order, the keyed
+/// loop (`keyed.rs`) by logical-thread id.
+pub(crate) struct TimeQueue<T: Ord> {
+    heap: BinaryHeap<Reverse<(u64, T)>>,
+}
+
+impl<T: Ord> TimeQueue<T> {
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        TimeQueue {
+            heap: BinaryHeap::with_capacity(n),
+        }
+    }
+
+    pub(crate) fn push(&mut self, time: u64, tie: T) {
+        self.heap.push(Reverse((time, tie)));
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<(u64, T)> {
+        self.heap.pop().map(|Reverse(entry)| entry)
+    }
+}
+
+/// Bits of an event key that hold the thread id; the two above them hold
+/// the [`Ev`], the 40 above those the push sequence number.
+const TID_BITS: u32 = 22;
+const EV_BITS: u32 = 2;
+
+/// Events ordered by `(time, push order)`, 16 bytes each: a heap entry is
+/// `(time, (seq << 2 | ev) << 22 | tid)`, so the push sequence number
+/// decides among equal times and the event and its thread ride in low
+/// bits that never decide. The packing is measured, not taste: a
+/// `(time, seq, enum)` entry is 40 bytes and simulated 11–25 % fewer
+/// acquisitions per host second at 64 logical threads (ROADMAP, "Spend
+/// the ledger").
 struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+    q: TimeQueue<u64>,
     seq: u64,
 }
 
 impl EventQueue {
-    fn push(&mut self, time: u64, ev: Ev) {
+    /// Schedules `ev` for thread `tid` at `time` and returns the event's
+    /// sequence number (≥ 1, unique within the run).
+    fn push(&mut self, time: u64, ev: Ev, tid: usize) -> u64 {
         self.seq += 1;
-        self.heap.push(Reverse((time, self.seq, ev)));
+        assert!(
+            self.seq < 1 << (64 - EV_BITS - TID_BITS),
+            "modelled run exhausted its 2^40 event sequence numbers"
+        );
+        let key = (self.seq << EV_BITS | ev as u64) << TID_BITS | tid as u64;
+        self.q.push(time, key);
+        self.seq
     }
 
-    fn pop(&mut self) -> Option<(u64, Ev)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e))
+    /// The earliest event: `(time, sequence number, event, tid)`.
+    fn pop(&mut self) -> Option<(u64, u64, Ev, usize)> {
+        self.q.pop().map(|(time, key)| {
+            let ev = match (key >> TID_BITS) & ((1 << EV_BITS) - 1) {
+                0 => Ev::Start,
+                1 => Ev::Release,
+                _ => Ev::Abort,
+            };
+            let tid = (key & ((1 << TID_BITS) - 1)) as usize;
+            (time, key >> (EV_BITS + TID_BITS), ev, tid)
+        })
     }
 }
 
@@ -118,8 +193,9 @@ struct Th {
     lat: LatReservoir,
     noncs_max: u64,
     waiting: Option<Waiting>,
-    /// Bumped on grant/abort so a stale `Ev::Abort` is recognized.
-    epoch: u64,
+    /// Sequence number of the one `Ev::Abort` that may still fire for
+    /// this thread; 0 once its wait has ended (grant or abort).
+    live_abort: u64,
     done: bool,
 }
 
@@ -164,19 +240,17 @@ impl TenureBook {
     }
 }
 
-struct Sim<'a> {
-    cfg: &'a LBenchConfig,
-    scenario: &'a Scenario,
-    dir: Directory,
-    handoff: HandoffChannel,
-    q: EventQueue,
-    ths: Vec<Th>,
-    /// `Some((tid, is_read))` while a serialized op's CS is in flight.
-    holder: Option<(usize, bool)>,
-    admission: ModelledAdmission,
-    serial_reads: bool,
-    abortable: bool,
-    draws_coin: bool,
+/// Who waits for the lock and who is admitted next: the kind's admission
+/// class over a **waiting index** — one ordered set per cluster keyed
+/// `(arrival, tid)`. Every question a grant asks is a head or a length
+/// of those sets (see "Cost per event" in the module docs), so no event
+/// handler ever walks the thread table.
+struct Admission {
+    class: ModelledAdmission,
+    /// `waiting[c]` holds cluster `c`'s queued serialized ops. A waiter
+    /// enters in `enqueue` and leaves through `pick` (granted, or frozen
+    /// into a reciprocating segment) or `withdraw` (patience expired).
+    waiting: Vec<BTreeSet<(u64, usize)>>,
     book: TenureBook,
     /// [`ModelledAdmission::ReciprocatingStack`] only: the detached
     /// segment, sorted ascending by `(arrival, tid)` and admitted from
@@ -186,6 +260,130 @@ struct Sim<'a> {
     /// True between a segment detach and the grant that consumes it:
     /// that grant touched the shared arrivals word as well as the gate.
     recip_detached: bool,
+}
+
+impl Admission {
+    fn new(class: ModelledAdmission, clusters: usize) -> Self {
+        Admission {
+            class,
+            waiting: vec![BTreeSet::new(); clusters],
+            book: TenureBook::default(),
+            recip_segment: Vec::new(),
+            recip_detached: false,
+        }
+    }
+
+    fn enqueue(&mut self, cluster: ClusterId, arrival: u64, tid: usize) {
+        let fresh = self.waiting[cluster.as_usize()].insert((arrival, tid));
+        debug_assert!(fresh, "thread {tid} queued twice");
+    }
+
+    /// Removes a waiter whose patience expired, wherever in its
+    /// cluster's set it sits.
+    fn withdraw(&mut self, cluster: ClusterId, arrival: u64, tid: usize) {
+        let was_waiting = self.waiting[cluster.as_usize()].remove(&(arrival, tid));
+        debug_assert!(was_waiting, "thread {tid} withdrew without waiting");
+    }
+
+    /// Picks the next waiter under the kind's admission order and takes
+    /// it out of the waiting set: `(arrival, tid, via_local)`, or `None`
+    /// when nobody waits (the lock goes free, ending the tenure).
+    fn pick(&mut self, release_time: u64) -> Option<(u64, usize, bool)> {
+        let (pick, via_local) = match self.class {
+            ModelledAdmission::Fifo => (self.pop_earliest(), false),
+            ModelledAdmission::ReciprocatingStack => {
+                // Palindromic schedule: when the current segment runs
+                // dry, freeze the whole waiting set into the next one
+                // and admit it newest-first. Nobody already waiting can
+                // be overtaken by a later arrival more than once per
+                // segment flip — the bounded-bypass invariant.
+                if self.recip_segment.is_empty() {
+                    for set in &mut self.waiting {
+                        self.recip_segment.extend(std::mem::take(set));
+                    }
+                    self.recip_segment.sort_unstable();
+                    self.recip_detached = !self.recip_segment.is_empty();
+                }
+                (self.recip_segment.pop(), false)
+            }
+            ModelledAdmission::ClusterBatched(limit) => {
+                let may_pass = self.book.active
+                    && match limit {
+                        TenureLimit::Count(n) => self.book.cur_streak < n,
+                        TenureLimit::TimeNs(b) => {
+                            release_time.saturating_sub(self.book.cur_start) < b
+                        }
+                        TenureLimit::Unbounded => true,
+                        TenureLimit::Never => false,
+                    };
+                let local = if may_pass {
+                    self.waiting[self.book.cur_cluster as usize].pop_first()
+                } else {
+                    None
+                };
+                match local {
+                    Some(local) => (Some(local), true),
+                    None => (self.pop_earliest(), false),
+                }
+            }
+        };
+        if pick.is_none() {
+            self.book.close();
+        }
+        pick.map(|(arrival, tid)| (arrival, tid, via_local))
+    }
+
+    /// Removes and returns the earliest `(arrival, tid)` over all
+    /// clusters: the minimum of the per-cluster heads.
+    fn pop_earliest(&mut self) -> Option<(u64, usize)> {
+        let set = self
+            .waiting
+            .iter_mut()
+            .filter(|set| !set.is_empty())
+            .min_by_key(|set| set.first().copied())?;
+        set.pop_first()
+    }
+
+    /// Books a grant to a thread of `cluster` at `now` and returns its
+    /// succession census (accounting only — no vclock effect): how many
+    /// lines the grant decision fans out to. A FIFO/centralized
+    /// mechanism exposes its succession word to every spinning waiter;
+    /// cluster batching confines the fan-out to the tenure's cluster;
+    /// the reciprocating gate touches exactly one waiter's line, plus
+    /// the arrivals word when this grant detached a fresh segment.
+    fn on_grant(&mut self, cluster: ClusterId, now: u64, via_local: bool) -> u64 {
+        match self.class {
+            ModelledAdmission::Fifo => {
+                1 + self.waiting.iter().map(|set| set.len() as u64).sum::<u64>()
+            }
+            ModelledAdmission::ClusterBatched(_) => {
+                if via_local {
+                    self.book.local_pass();
+                } else {
+                    self.book.open(cluster, now);
+                }
+                1 + self.waiting[cluster.as_usize()].len() as u64
+            }
+            ModelledAdmission::ReciprocatingStack => {
+                1 + u64::from(std::mem::take(&mut self.recip_detached))
+            }
+        }
+    }
+}
+
+struct Sim<'a> {
+    cfg: &'a LBenchConfig,
+    scenario: &'a Scenario,
+    dir: Directory,
+    handoff: HandoffChannel,
+    q: EventQueue,
+    ths: Vec<Th>,
+    /// `Some((tid, is_read))` while a serialized op's CS is in flight.
+    holder: Option<(usize, bool)>,
+    adm: Admission,
+    serial_reads: bool,
+    abortable: bool,
+    draws_coin: bool,
     /// Succession census: coherence transitions the release-side
     /// admission decisions fan out to, summed over serialized grants
     /// (see [`ScenarioResult::succ_transitions`]). Accounting only —
@@ -203,7 +401,7 @@ impl Sim<'_> {
         let stall_cap = self.cfg.threads as u64 * 8 + 64;
         let mut last_t = u64::MAX;
         let mut same_t = 0u64;
-        while let Some((t, ev)) = self.q.pop() {
+        while let Some((t, seq, ev, tid)) = self.q.pop() {
             if t == last_t {
                 same_t += 1;
                 assert!(
@@ -216,13 +414,13 @@ impl Sim<'_> {
                 same_t = 0;
             }
             match ev {
-                Ev::Start(tid) => self.on_start(tid),
-                Ev::Release(tid) => self.on_release(tid),
-                Ev::Abort { tid, epoch } => self.on_abort(tid, epoch),
+                Ev::Start => self.on_start(tid),
+                Ev::Release => self.on_release(tid),
+                Ev::Abort => self.on_abort(tid, seq),
             }
         }
         debug_assert!(self.holder.is_none());
-        self.book.close();
+        self.adm.book.close();
     }
 
     fn on_start(&mut self, tid: usize) {
@@ -240,7 +438,7 @@ impl Sim<'_> {
                     th.done = true;
                 } else {
                     let t = th.clock;
-                    self.q.push(t, Ev::Start(tid));
+                    self.q.push(t, Ev::Start, tid);
                 }
                 return;
             }
@@ -265,7 +463,7 @@ impl Sim<'_> {
             let idle = th.rng.gen_range(0..=th.noncs_max);
             th.clock += idle;
             let t = th.clock;
-            self.q.push(t, Ev::Start(tid));
+            self.q.push(t, Ev::Start, tid);
             return;
         }
 
@@ -276,13 +474,14 @@ impl Sim<'_> {
             // so this is an immediate grant opening a fresh tenure.
             self.grant(tid, arrival, is_read, false);
         } else {
-            self.ths[tid].waiting = Some(Waiting { arrival, is_read });
+            let th = &mut self.ths[tid];
+            th.waiting = Some(Waiting { arrival, is_read });
+            self.adm.enqueue(th.cluster, arrival, tid);
             // Patience applies to writes only, and only where the lock
             // can actually abort — same gate as the real-time path.
             if !is_read && self.abortable {
                 if let Some(p) = self.scenario.patience_ns {
-                    let epoch = self.ths[tid].epoch;
-                    self.q.push(arrival + p, Ev::Abort { tid, epoch });
+                    th.live_abort = self.q.push(arrival + p, Ev::Abort, tid);
                 }
             }
         }
@@ -300,40 +499,7 @@ impl Sim<'_> {
         self.handoff.on_acquire(cluster);
         let now = vclock::now();
         self.ths[tid].lat.record(now.saturating_sub(arrival));
-        // Succession census (accounting only — no vclock effect): how
-        // many lines the grant decision fans out to. A FIFO/centralized
-        // mechanism exposes its succession word to every spinning
-        // waiter; cluster batching confines the fan-out to the tenure's
-        // cluster; the reciprocating gate touches exactly one waiter's
-        // line, plus the arrivals word when this grant detached a fresh
-        // segment.
-        self.succ_transitions += match self.admission {
-            ModelledAdmission::Fifo => {
-                1 + self.ths.iter().filter(|t| t.waiting.is_some()).count() as u64
-            }
-            ModelledAdmission::ClusterBatched(_) => {
-                1 + self
-                    .ths
-                    .iter()
-                    .filter(|t| t.waiting.is_some() && t.cluster == cluster)
-                    .count() as u64
-            }
-            ModelledAdmission::ReciprocatingStack => {
-                if self.recip_detached {
-                    2
-                } else {
-                    1
-                }
-            }
-        };
-        self.recip_detached = false;
-        if let ModelledAdmission::ClusterBatched(_) = self.admission {
-            if via_local {
-                self.book.local_pass();
-            } else {
-                self.book.open(cluster, now);
-            }
-        }
+        self.succ_transitions += self.adm.on_grant(cluster, now, via_local);
         for line in 0..self.cfg.cs_lines {
             if is_read {
                 self.dir.read(line, cluster);
@@ -346,7 +512,7 @@ impl Sim<'_> {
         self.handoff.on_release(cluster);
         self.ths[tid].clock = end;
         self.holder = Some((tid, is_read));
-        self.q.push(end, Ev::Release(tid));
+        self.q.push(end, Ev::Release, tid);
     }
 
     fn on_release(&mut self, tid: usize) {
@@ -363,92 +529,31 @@ impl Sim<'_> {
             let idle = th.rng.gen_range(0..=th.noncs_max);
             th.clock += idle;
             let t = th.clock;
-            self.q.push(t, Ev::Start(tid));
+            self.q.push(t, Ev::Start, tid);
         }
-        self.hand_next(release_time);
-    }
-
-    /// Picks the next waiter under the kind's admission order, or lets
-    /// the lock go free (ending the tenure).
-    fn hand_next(&mut self, release_time: u64) {
-        let mut best: Option<(u64, usize)> = None;
-        let mut best_local: Option<(u64, usize)> = None;
-        let tenure_cluster = self.book.cur_cluster;
-        for (i, th) in self.ths.iter().enumerate() {
-            if let Some(w) = th.waiting {
-                let key = (w.arrival, i);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-                if th.cluster.as_u32() == tenure_cluster && best_local.is_none_or(|b| key < b) {
-                    best_local = Some(key);
-                }
-            }
-        }
-        let (pick, via_local) = match self.admission {
-            ModelledAdmission::Fifo => (best, false),
-            ModelledAdmission::ReciprocatingStack => {
-                // Palindromic schedule: when the current segment runs
-                // dry, freeze the whole waiting set into the next one
-                // and admit it newest-first. Nobody already waiting can
-                // be overtaken by a later arrival more than once per
-                // segment flip — the bounded-bypass invariant.
-                if self.recip_segment.is_empty() {
-                    let mut seg: Vec<(u64, usize)> = self
-                        .ths
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, th)| th.waiting.map(|w| (w.arrival, i)))
-                        .collect();
-                    seg.sort_unstable();
-                    if !seg.is_empty() {
-                        self.recip_detached = true;
-                    }
-                    self.recip_segment = seg;
-                }
-                (self.recip_segment.pop(), false)
-            }
-            ModelledAdmission::ClusterBatched(limit) => {
-                let may_pass = self.book.active
-                    && match limit {
-                        TenureLimit::Count(n) => self.book.cur_streak < n,
-                        TenureLimit::TimeNs(b) => {
-                            release_time.saturating_sub(self.book.cur_start) < b
-                        }
-                        TenureLimit::Unbounded => true,
-                        TenureLimit::Never => false,
-                    };
-                match (may_pass, best_local) {
-                    (true, Some(local)) => (Some(local), true),
-                    _ => (best, false),
-                }
-            }
-        };
-        match pick {
-            None => self.book.close(), // lock goes free
-            Some((arrival, tid)) => {
-                let w = self.ths[tid].waiting.take().expect("picked a non-waiter");
-                self.ths[tid].epoch += 1; // invalidate any pending abort
-                debug_assert_eq!(w.arrival, arrival);
-                self.grant(tid, arrival, w.is_read, via_local);
-            }
+        if let Some((arrival, next, via_local)) = self.adm.pick(release_time) {
+            let w = self.ths[next].waiting.take().expect("picked a non-waiter");
+            self.ths[next].live_abort = 0;
+            debug_assert_eq!(w.arrival, arrival);
+            self.grant(next, arrival, w.is_read, via_local);
         }
     }
 
-    fn on_abort(&mut self, tid: usize, epoch: u64) {
+    fn on_abort(&mut self, tid: usize, seq: u64) {
         let th = &mut self.ths[tid];
-        if th.done || th.epoch != epoch || th.waiting.is_none() {
+        if th.done || th.live_abort != seq || th.waiting.is_none() {
             return; // stale: the waiter was granted (or already gone)
         }
         let w = th.waiting.take().expect("checked above");
-        th.epoch += 1;
+        self.adm.withdraw(th.cluster, w.arrival, tid);
+        th.live_abort = 0;
         th.aborts += 1;
         // The wait consumed the patience — mirrors the real-time runner,
         // which advances the aborter's vclock by `p` (and, like it, draws
         // no idle after an abort, keeping the RNG program identical).
         th.clock = w.arrival + self.scenario.patience_ns.unwrap_or(0);
         let t = th.clock;
-        self.q.push(t, Ev::Start(tid));
+        self.q.push(t, Ev::Start, tid);
     }
 }
 
@@ -471,12 +576,19 @@ pub(crate) fn run_modelled(
     vclock::reset();
     let _ = take_thread_stats();
 
+    assert!(
+        cfg.threads <= 1 << TID_BITS,
+        "the modelled substrate packs thread ids into {TID_BITS} bits"
+    );
     let mut sim = Sim {
         cfg,
         scenario,
         dir: Directory::new(cfg.cs_lines.max(1), model),
         handoff: HandoffChannel::new(model),
-        q: EventQueue::default(),
+        q: EventQueue {
+            q: TimeQueue::with_capacity(cfg.threads),
+            seq: 0,
+        },
         ths: (0..cfg.threads)
             .map(|i| Th {
                 cluster: cluster_for(i, cfg),
@@ -485,25 +597,22 @@ pub(crate) fn run_modelled(
                 reads: 0,
                 writes: 0,
                 aborts: 0,
-                lat: LatReservoir::for_config(cfg),
+                lat: LatReservoir::lazy(),
                 noncs_max: scenario.noncs_max_for(i, cfg.threads, cfg.noncs_max_ns),
                 waiting: None,
-                epoch: 0,
+                live_abort: 0,
                 done: false,
             })
             .collect(),
         holder: None,
-        admission: kind.modelled_admission(cfg.policy),
+        adm: Admission::new(kind.modelled_admission(cfg.policy), cfg.clusters),
         serial_reads: lock.read_is_exclusive(),
         abortable: lock.is_abortable(),
         draws_coin: scenario.draws_coin(kind),
-        book: TenureBook::default(),
-        recip_segment: Vec::new(),
-        recip_detached: false,
         succ_transitions: 0,
     };
     for i in 0..cfg.threads {
-        sim.q.push(0, Ev::Start(i));
+        sim.q.push(0, Ev::Start, i);
     }
     sim.run();
 
@@ -531,8 +640,8 @@ pub(crate) fn run_modelled(
     let remote_misses = run_stats.remote_misses;
     let window_s = cfg.window_ns as f64 / 1e9;
     let (_, stddev_pct) = crate::stats::mean_stddev_pct(&per_thread_ops);
-    let book = sim.book;
-    let batched = matches!(sim.admission, ModelledAdmission::ClusterBatched(_));
+    let book = sim.adm.book;
+    let batched = matches!(sim.adm.class, ModelledAdmission::ClusterBatched(_));
     let (tenures, local_handoffs) = if batched {
         (book.tenures, book.local_handoffs)
     } else {
@@ -611,6 +720,207 @@ mod tests {
 
     fn modelled() -> Scenario {
         Scenario::steady().modelled(CostModel::disaggregated())
+    }
+
+    /// The oracle for [`Admission`]: the same admission rules answered by
+    /// a linear scan over every logical thread per question — obviously
+    /// right, O(threads) per grant, and so test-only. A thread frozen
+    /// into a reciprocating segment stays `waiting` here until granted.
+    struct ScanAdmission {
+        class: ModelledAdmission,
+        /// Per tid: its cluster and, while it waits, its arrival.
+        ths: Vec<(ClusterId, Option<u64>)>,
+        book: TenureBook,
+        recip_segment: Vec<(u64, usize)>,
+        recip_detached: bool,
+    }
+
+    impl ScanAdmission {
+        fn enqueue(&mut self, arrival: u64, tid: usize) {
+            self.ths[tid].1 = Some(arrival);
+        }
+
+        fn withdraw(&mut self, tid: usize) {
+            self.ths[tid].1 = None;
+        }
+
+        fn pick(&mut self, release_time: u64) -> Option<(u64, usize, bool)> {
+            let mut best: Option<(u64, usize)> = None;
+            let mut best_local: Option<(u64, usize)> = None;
+            let tenure_cluster = self.book.cur_cluster;
+            for (i, (cluster, waiting)) in self.ths.iter().enumerate() {
+                if let Some(arrival) = *waiting {
+                    let key = (arrival, i);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                    if cluster.as_u32() == tenure_cluster && best_local.is_none_or(|b| key < b) {
+                        best_local = Some(key);
+                    }
+                }
+            }
+            let (pick, via_local) = match self.class {
+                ModelledAdmission::Fifo => (best, false),
+                ModelledAdmission::ReciprocatingStack => {
+                    if self.recip_segment.is_empty() {
+                        let mut seg: Vec<(u64, usize)> = self
+                            .ths
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(i, (_, w))| w.map(|arrival| (arrival, i)))
+                            .collect();
+                        seg.sort_unstable();
+                        if !seg.is_empty() {
+                            self.recip_detached = true;
+                        }
+                        self.recip_segment = seg;
+                    }
+                    (self.recip_segment.pop(), false)
+                }
+                ModelledAdmission::ClusterBatched(limit) => {
+                    let may_pass = self.book.active
+                        && match limit {
+                            TenureLimit::Count(n) => self.book.cur_streak < n,
+                            TenureLimit::TimeNs(b) => {
+                                release_time.saturating_sub(self.book.cur_start) < b
+                            }
+                            TenureLimit::Unbounded => true,
+                            TenureLimit::Never => false,
+                        };
+                    match (may_pass, best_local) {
+                        (true, Some(local)) => (Some(local), true),
+                        _ => (best, false),
+                    }
+                }
+            };
+            match pick {
+                None => self.book.close(),
+                Some((_, tid)) => self.ths[tid].1 = None,
+            }
+            pick.map(|(arrival, tid)| (arrival, tid, via_local))
+        }
+
+        fn on_grant(&mut self, cluster: ClusterId, now: u64, via_local: bool) -> u64 {
+            let waiters = |only: Option<ClusterId>| {
+                self.ths
+                    .iter()
+                    .filter(|(c, w)| w.is_some() && only.is_none_or(|o| *c == o))
+                    .count() as u64
+            };
+            let census = match self.class {
+                ModelledAdmission::Fifo => 1 + waiters(None),
+                ModelledAdmission::ClusterBatched(_) => 1 + waiters(Some(cluster)),
+                ModelledAdmission::ReciprocatingStack => {
+                    if self.recip_detached {
+                        2
+                    } else {
+                        1
+                    }
+                }
+            };
+            self.recip_detached = false;
+            if let ModelledAdmission::ClusterBatched(_) = self.class {
+                if via_local {
+                    self.book.local_pass();
+                } else {
+                    self.book.open(cluster, now);
+                }
+            }
+            census
+        }
+    }
+
+    /// Differential test of the waiting index against the scan oracle:
+    /// random enqueue / abort / release sequences — arrivals that tie,
+    /// aborts from anywhere in a set — must produce the same
+    /// `(arrival, tid, via_local)` pick and the same census at every
+    /// grant, for every admission class.
+    #[test]
+    fn waiting_index_matches_the_linear_scan_oracle() {
+        #[derive(Clone, Copy, PartialEq)]
+        enum St {
+            Idle,
+            Waiting(u64),
+            Holding,
+        }
+        let classes = [
+            ModelledAdmission::Fifo,
+            ModelledAdmission::ReciprocatingStack,
+            ModelledAdmission::ClusterBatched(TenureLimit::Count(3)),
+            ModelledAdmission::ClusterBatched(TenureLimit::TimeNs(40)),
+            ModelledAdmission::ClusterBatched(TenureLimit::Unbounded),
+            ModelledAdmission::ClusterBatched(TenureLimit::Never),
+        ];
+        for seed in 0..256u64 {
+            for class in classes {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let clusters = rng.gen_range(1usize..=8);
+                let threads = rng.gen_range(1usize..=32);
+                let cluster_of: Vec<ClusterId> = (0..threads)
+                    .map(|_| ClusterId::new(rng.gen_range(0..clusters) as u32))
+                    .collect();
+                let mut index = Admission::new(class, clusters);
+                let mut scan = ScanAdmission {
+                    class,
+                    ths: cluster_of.iter().map(|&c| (c, None)).collect(),
+                    book: TenureBook::default(),
+                    recip_segment: Vec::new(),
+                    recip_detached: false,
+                };
+                let mut st = vec![St::Idle; threads];
+                let mut holder: Option<usize> = None;
+                let mut now = 0u64;
+                let ctx = |step: usize| format!("seed {seed}, {class:?}, step {step}");
+                for step in 0..400 {
+                    // Mostly no advance, so arrivals tie and tid decides.
+                    now += rng.gen_range(0u64..3) / 2 * rng.gen_range(1u64..30);
+                    let tid = rng.gen_range(0..threads);
+                    match (rng.gen_range(0u32..8), st[tid]) {
+                        // A thread arrives: granted at once on a free
+                        // lock, queued behind the holder otherwise.
+                        (0..=3, St::Idle) => match holder {
+                            None => {
+                                let census = index.on_grant(cluster_of[tid], now, false);
+                                let expect = scan.on_grant(cluster_of[tid], now, false);
+                                assert_eq!(census, expect, "free-lock census: {}", ctx(step));
+                                st[tid] = St::Holding;
+                                holder = Some(tid);
+                            }
+                            Some(_) => {
+                                index.enqueue(cluster_of[tid], now, tid);
+                                scan.enqueue(now, tid);
+                                st[tid] = St::Waiting(now);
+                            }
+                        },
+                        // A waiter's patience expires (one frozen into a
+                        // reciprocating segment is past aborting).
+                        (4, St::Waiting(arrival))
+                            if !scan.recip_segment.contains(&(arrival, tid)) =>
+                        {
+                            index.withdraw(cluster_of[tid], arrival, tid);
+                            scan.withdraw(tid);
+                            st[tid] = St::Idle;
+                        }
+                        // The holder releases; the next waiter is granted.
+                        (5..=7, _) => {
+                            let Some(h) = holder.take() else { continue };
+                            st[h] = St::Idle;
+                            let pick = index.pick(now);
+                            assert_eq!(pick, scan.pick(now), "pick: {}", ctx(step));
+                            if let Some((_, next, via_local)) = pick {
+                                now += rng.gen_range(0u64..20);
+                                let census = index.on_grant(cluster_of[next], now, via_local);
+                                let expect = scan.on_grant(cluster_of[next], now, via_local);
+                                assert_eq!(census, expect, "census: {}", ctx(step));
+                                st[next] = St::Holding;
+                                holder = Some(next);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! period (up to 4 µs). The run ends when any thread's **virtual clock**
 //! crosses the measurement window (or a wall-clock safety net fires).
 //!
-//! Time accounting (virtual mode — see DESIGN.md §2): critical-section
+//! Time accounting (virtual mode — see docs/ARCHITECTURE.md, "Virtual
+//! time, in one paragraph"): critical-section
 //! data accesses are charged through the coherence [`Directory`], the lock
 //! handoff through the [`HandoffChannel`], and the non-critical section as
 //! a plain clock advance. The lock algorithms themselves run for real on

@@ -15,7 +15,8 @@
 //!
 //! Time accounting is unchanged from the original runner (virtual
 //! clocks plus the coherence cost model, wall pacing on oversubscribed
-//! hosts — see `runner.rs` and DESIGN.md §2). The engine additionally
+//! hosts — see `runner.rs` and docs/ARCHITECTURE.md, "Virtual time, in
+//! one paragraph"). The engine additionally
 //! samples **acquisition latency** in modelled nanoseconds: the virtual
 //! time from starting an exclusive acquisition to clearing the handoff
 //! channel's queue-wait catch-up, reported as p50/p99 per run. Shared
@@ -606,9 +607,11 @@ pub(crate) fn cluster_for(i: usize, cfg: &LBenchConfig) -> ClusterId {
 const LAT_RESERVOIR: usize = 32 * 1024;
 
 /// Reservoir-capped latency sampler (see [`LAT_RESERVOIR`]): records
-/// every `stride`-th sample, decimating once full. The `Vec` is
-/// pre-sized from the scenario's op budget so steady-state measurement
-/// never reallocates.
+/// every `stride`-th sample, decimating once full. The real-time engine
+/// pre-sizes the `Vec` from the scenario's op budget
+/// ([`for_config`](Self::for_config)) so steady-state measurement never
+/// reallocates; the modelled substrate starts it empty
+/// ([`lazy`](Self::lazy)).
 pub(crate) struct LatReservoir {
     samples: Vec<u64>,
     stride: u64,
@@ -626,6 +629,20 @@ impl LatReservoir {
         let budget = (cfg.window_ns / per_op_floor_ns) as usize;
         LatReservoir {
             samples: Vec::with_capacity(budget.clamp(1, LAT_RESERVOIR)),
+            stride: 1,
+            ticks: 0,
+        }
+    }
+
+    /// Starts empty and grows on demand — for the modelled substrate,
+    /// where a reallocation costs host time only (nothing there reads
+    /// the wall clock) while `for_config`'s reservation, made once per
+    /// *logical* thread, is 256 KiB × thousands of threads that each
+    /// record a handful of samples. Same stride, decimation and merge
+    /// rules, so percentiles are unaffected.
+    pub(crate) fn lazy() -> Self {
+        LatReservoir {
+            samples: Vec::new(),
             stride: 1,
             ticks: 0,
         }
@@ -670,10 +687,14 @@ impl LatReservoir {
 /// of the whole run's acquisition stream.
 pub(crate) fn merge_lat_reservoirs(parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
     let max_stride = parts.iter().map(|(_, s)| *s).max().unwrap_or(1);
-    let mut merged = Vec::new();
+    let step_of = |stride: u64| (max_stride / stride.max(1)).max(1) as usize;
+    let total = parts
+        .iter()
+        .map(|(samples, stride)| samples.len().div_ceil(step_of(*stride)))
+        .sum();
+    let mut merged = Vec::with_capacity(total);
     for (samples, stride) in parts {
-        let step = (max_stride / stride.max(1)).max(1) as usize;
-        merged.extend(samples.into_iter().step_by(step));
+        merged.extend(samples.into_iter().step_by(step_of(stride)));
     }
     merged
 }

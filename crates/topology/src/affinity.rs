@@ -7,8 +7,9 @@
 //! `sched_setaffinity(2)`.
 //!
 //! We deliberately declare the two syscall wrappers ourselves instead of
-//! pulling in the `libc` crate: the suite's dependency policy (DESIGN.md §3)
-//! keeps the third-party surface to the approved offline set, and these two
+//! pulling in the `libc` crate: the suite's dependency policy (the `shims/`
+//! row of docs/ARCHITECTURE.md's "Crate map", and shims/README.md) keeps
+//! the third-party surface to the approved offline set, and these two
 //! symbols are part of every Linux libc the Rust std already links against.
 
 #![allow(unsafe_code)]

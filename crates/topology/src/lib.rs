@@ -25,7 +25,8 @@
 //!    gap, and [`Topology::measured`]/[`Topology::pinned`] turn the
 //!    cluster map into a placement domain whose workers can bind to
 //!    physical CPUs. Affinity syscalls use a single `extern "C"`
-//!    declaration instead of a `libc` dependency (see DESIGN.md §3).
+//!    declaration instead of a `libc` dependency (see the `shims/` row
+//!    of docs/ARCHITECTURE.md's "Crate map").
 //!
 //! The crate also hosts the **virtual clock** ([`vclock`]) used by the
 //! benchmark harness to measure time in a hardware-independent way.

@@ -7,7 +7,8 @@
 //! evaluation reproducible on hardware that has nothing in common with the
 //! 256-way NUMA machine the paper used: the *algorithms* execute for real
 //! (real threads, real atomics), while *time* is accounted according to the
-//! modelled machine. See DESIGN.md §2 for the full argument.
+//! modelled machine. See docs/ARCHITECTURE.md, "Virtual time, in one
+//! paragraph", for the argument.
 //!
 //! The clock is deliberately a plain thread-local `Cell<u64>`: reading and
 //! advancing it is a handful of instructions and never synchronizes. Clock

@@ -14,11 +14,17 @@
 //! On failure the assertions print the **first diverging field**
 //! ([`lbench::ScenarioResult::first_divergence`]) rather than a blob of
 //! two full results.
+//!
+//! Re-run identity cannot see a change that moves *both* runs, so one
+//! test also pins absolute numbers: the benchmark's `des_4096` cell
+//! (4096 logical threads) for four lock kinds.
 
+use coherence_sim::CostModel;
 use cohort_bench::{
     measure_model_cell, model_cells_at, model_csv_row, model_locks, schema, Grid, Measurement,
     ModelCell,
 };
+use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario};
 
 /// Runs the full exhibit sweep at one contended thread count.
 fn sweep(contended_threads: usize) -> Vec<Measurement<ModelCell>> {
@@ -98,6 +104,54 @@ fn determinism_holds_across_thread_counts() {
         per_count_ops.len() > 1,
         "thread counts should produce distinct measurements: {per_count_ops:?}"
     );
+}
+
+/// The simulated numbers of the 4096-thread / 4-cluster / 1 ms /
+/// `noncs = 0` disaggregated cell, one row per admission class plus an
+/// abortable kind whose 20 µs patience withdraws ~200 k waiters from the
+/// middle of the waiting set. A change to the simulator's data
+/// structures must leave every one of them where it is; the C-BO-MCS row
+/// is the cell `benchmark/golden/des_4096.json` pins.
+#[test]
+fn des_4096_cells_match_their_pinned_numbers() {
+    // (kind, patience, acquisitions, migrations, total_ops, aborts,
+    //  succ_transitions, lat_p50_ns, lat_p99_ns)
+    #[rustfmt::skip]
+    let golden = [
+        (LockKind::Mcs,     None,         4252, 4251, 4252,      0, 9_025_381, 13_632_000, 26_275_920),
+        (LockKind::CBoMcs,  None,         7781,  120, 7781,      0, 5_867_988,  1_054_700,  1_128_588),
+        (LockKind::Recip,   None,         4252, 4250, 4252,      0,     4_254, 13_632_000, 26_725_216),
+        (LockKind::ACBoClh, Some(20_000), 3764,   57, 3764, 201_232, 3_773_639,     19_996,     22_368),
+    ];
+    let cfg = LBenchConfig {
+        threads: 4096,
+        clusters: 4,
+        window_ns: 1_000_000,
+        noncs_max_ns: 0,
+        ..Default::default()
+    };
+    for (kind, patience, acquisitions, migrations, total_ops, aborts, succ, p50, p99) in golden {
+        let mut scenario = Scenario::steady().modelled(CostModel::disaggregated());
+        if let Some(p) = patience {
+            scenario = scenario.with_patience(p);
+        }
+        let r = run_scenario(AnyLockKind::Excl(kind), &scenario, &cfg);
+        assert_eq!(
+            (
+                r.acquisitions,
+                r.migrations,
+                r.total_ops,
+                r.aborts,
+                r.succ_transitions,
+                r.lat_p50_ns,
+                r.lat_p99_ns
+            ),
+            (acquisitions, migrations, total_ops, aborts, succ, p50, p99),
+            "[{} t=4096] (acquisitions, migrations, total_ops, aborts, \
+             succ_transitions, lat_p50_ns, lat_p99_ns)",
+            kind.name()
+        );
+    }
 }
 
 #[test]
