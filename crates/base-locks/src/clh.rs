@@ -7,11 +7,14 @@
 //! abortable variant, of the paper's novel A-C-BO-CLH cohort lock.
 //!
 //! Node recycling follows the classic discipline: after acquiring, a
-//! thread takes *its predecessor's* node as its spare (here: returns it to
-//! the per-lock pool), and its own node is recycled by whichever thread
-//! next observes it released.
+//! thread takes *its predecessor's* node as its spare (here: puts it in its
+//! per-thread [`pool`](crate::pool) cache, where its next `lock` finds
+//! it), and its own node is recycled by whichever thread next observes it
+//! released. The node resident at the tail of an idle lock goes back to
+//! the pool when the lock is dropped.
 
-use crate::pool::NodePool;
+use crate::backoff::SpinWait;
+use crate::pool;
 use crate::raw::RawLock;
 use crossbeam_utils::CachePadded;
 use std::ptr::NonNull;
@@ -31,6 +34,8 @@ impl ClhNode {
     }
 }
 
+crate::pooled_node!(ClhNode, ClhNode::new);
+
 /// Acquisition token: the node this thread published to the queue.
 #[derive(Debug)]
 pub struct ClhToken(NonNull<ClhNode>);
@@ -38,20 +43,29 @@ pub struct ClhToken(NonNull<ClhNode>);
 /// CLH queue lock.
 pub struct ClhLock {
     tail: CachePadded<AtomicPtr<ClhNode>>,
-    pool: NodePool<ClhNode>,
 }
 
 impl ClhLock {
     /// Creates an unlocked instance (the queue starts with one released
     /// dummy node, per the classic construction).
     pub fn new() -> Self {
-        let pool = NodePool::new(ClhNode::new);
-        let dummy = pool.acquire();
+        let dummy = pool::acquire::<ClhNode>();
         // SAFETY: fresh node, unpublished.
         unsafe { dummy.as_ref().pending.store(false, Ordering::Relaxed) };
         ClhLock {
             tail: CachePadded::new(AtomicPtr::new(dummy.as_ptr())),
-            pool,
+        }
+    }
+}
+
+impl Drop for ClhLock {
+    /// Hands the resident tail node back: nodes are immortal, so a lock
+    /// that kept its node would leak one per lock ever constructed.
+    fn drop(&mut self) {
+        if let Some(tail) = NonNull::new(*self.tail.get_mut()) {
+            // SAFETY: `&mut self` — no queue, no waiter; the last holder
+            // released through this node and nobody else can reach it.
+            unsafe { pool::release(tail) };
         }
     }
 }
@@ -72,36 +86,33 @@ unsafe impl RawLock for ClhLock {
     type Token = ClhToken;
 
     fn lock(&self) -> ClhToken {
-        let node = self.pool.acquire();
+        let node = pool::acquire::<ClhNode>();
         // SAFETY: node is ours until published by the swap below.
         unsafe { node.as_ref().pending.store(true, Ordering::Relaxed) };
         let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         debug_assert!(!pred.is_null(), "CLH tail always points at a node");
-        let mut spins = 0u32;
+        let mut wait = SpinWait::new();
         // SAFETY: pred remains valid until we recycle it — only the direct
         // successor (us) may do that.
         while unsafe { (*pred).pending.load(Ordering::Acquire) } {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            wait.snooze();
         }
         // Predecessor released and nobody else references its node: it
         // becomes our spare.
-        unsafe { self.pool.release(NonNull::new_unchecked(pred)) };
+        unsafe { pool::release(NonNull::new_unchecked(pred)) };
         ClhToken(node)
     }
 
     fn try_lock(&self) -> Option<ClhToken> {
         let t = self.tail.load(Ordering::Acquire);
-        // SAFETY: nodes are never deallocated while the lock lives, so the
-        // read below is always in-bounds even if `t` was recycled.
+        // SAFETY: nodes are never deallocated and never change type, so
+        // the read below finds a live `ClhNode` even if `t` was recycled
+        // (into this queue or another lock's) since the load above.
         if unsafe { (*t).pending.load(Ordering::Acquire) } {
             return None;
         }
-        let node = self.pool.acquire();
+        let node = pool::acquire::<ClhNode>();
+        // SAFETY: ours until the CAS below publishes it.
         unsafe { node.as_ref().pending.store(true, Ordering::Relaxed) };
         match self
             .tail
@@ -120,12 +131,12 @@ unsafe impl RawLock for ClhLock {
                 while unsafe { (*t).pending.load(Ordering::Acquire) } {
                     std::thread::yield_now();
                 }
-                unsafe { self.pool.release(NonNull::new_unchecked(t)) };
+                unsafe { pool::release(NonNull::new_unchecked(t)) };
                 Some(ClhToken(node))
             }
             Err(_) => {
                 // SAFETY: never published.
-                unsafe { self.pool.release(node) };
+                unsafe { pool::release(node) };
                 None
             }
         }
@@ -151,12 +162,24 @@ mod tests {
     #[test]
     fn single_thread_reuses_two_nodes() {
         let l = ClhLock::new();
-        for _ in 0..100 {
+        for _ in 0..1_000 {
             let t = l.lock();
             unsafe { l.unlock(t) };
         }
         // Steady state: my node + dummy circulating.
-        assert!(l.pool.allocated() <= 2, "allocated {}", l.pool.allocated());
+        let fresh = pool::fresh_allocations::<ClhNode>();
+        assert!(fresh <= 2, "allocated {fresh}");
+    }
+
+    #[test]
+    fn dropped_locks_hand_their_node_back() {
+        for _ in 0..10_000 {
+            let l = ClhLock::new();
+            let t = l.lock();
+            unsafe { l.unlock(t) };
+        }
+        let fresh = pool::fresh_allocations::<ClhNode>();
+        assert!(fresh <= 2, "10 000 locks allocated {fresh} nodes");
     }
 
     #[test]
@@ -180,16 +203,14 @@ mod tests {
                         let t = l.lock();
                         unsafe { l.unlock(t) };
                     }
+                    pool::fresh_allocations::<ClhNode>()
                 })
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            // Every acquisition takes one node and recycles one (the
+            // predecessor's): balanced, whoever's node it was.
+            assert!(h.join().unwrap() <= 1, "one node per thread");
         }
-        assert!(
-            l.pool.allocated() <= 10,
-            "allocated {} nodes",
-            l.pool.allocated()
-        );
     }
 }

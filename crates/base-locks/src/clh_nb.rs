@@ -18,7 +18,8 @@
 //! thread — its direct successor at the moment it becomes `AVAILABLE` or
 //! aborted (or a later `lock` arrival when it sat at the tail).
 
-use crate::pool::NodePool;
+use crate::backoff::SpinWait;
+use crate::pool;
 use crate::raw::{Patience, RawAbortableLock, RawLock};
 use crossbeam_utils::CachePadded;
 use std::ptr::NonNull;
@@ -45,6 +46,8 @@ impl ClhNbNode {
     }
 }
 
+crate::pooled_node!(ClhNbNode, ClhNbNode::new);
+
 /// Acquisition token: the node this thread published.
 #[derive(Debug)]
 pub struct ClhNbToken(NonNull<ClhNbNode>);
@@ -52,19 +55,16 @@ pub struct ClhNbToken(NonNull<ClhNbNode>);
 /// Scott's abortable (non-blocking-timeout) CLH lock.
 pub struct AbortableClhLock {
     tail: CachePadded<AtomicPtr<ClhNbNode>>,
-    pool: NodePool<ClhNbNode>,
 }
 
 impl AbortableClhLock {
     /// Creates an unlocked instance.
     pub fn new() -> Self {
-        let pool = NodePool::new(ClhNbNode::new);
-        let dummy = pool.acquire();
+        let dummy = pool::acquire::<ClhNbNode>();
         // SAFETY: fresh, unpublished.
         unsafe { dummy.as_ref().prev.store(AVAILABLE, Ordering::Relaxed) };
         AbortableClhLock {
             tail: CachePadded::new(AtomicPtr::new(dummy.as_ptr())),
-            pool,
         }
     }
 
@@ -73,7 +73,7 @@ impl AbortableClhLock {
     fn wait(&self, node: NonNull<ClhNbNode>, mut patience: Option<Patience>) -> Option<ClhNbToken> {
         let mut pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         debug_assert!(!pred.is_null());
-        let mut spins = 0u32;
+        let mut spin = SpinWait::new();
         loop {
             // SAFETY: `pred` is only recycled by its direct successor;
             // until we either take the lock or abort, that successor is us.
@@ -81,7 +81,7 @@ impl AbortableClhLock {
             match s {
                 AVAILABLE => {
                     // Lock granted: predecessor's node becomes our spare.
-                    unsafe { self.pool.release(NonNull::new_unchecked(pred)) };
+                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
                     return Some(ClhNbToken(node));
                 }
                 WAITING => {
@@ -94,21 +94,35 @@ impl AbortableClhLock {
                             return None;
                         }
                     }
-                    spins = spins.wrapping_add(1);
-                    if spins.is_multiple_of(64) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
+                    spin.snooze();
                 }
                 abandoned => {
                     // Predecessor aborted; bypass it and adopt its
                     // predecessor. We are its unique successor → recycle.
                     let pp = abandoned as *mut ClhNbNode;
-                    unsafe { self.pool.release(NonNull::new_unchecked(pred)) };
+                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
                     pred = pp;
                 }
             }
+        }
+    }
+}
+
+impl Drop for AbortableClhLock {
+    /// Hands the nodes still reachable from the tail back to the pool: the
+    /// node the last holder released through, preceded by the nodes of
+    /// waiters that aborted behind it and that no successor ever bypassed.
+    fn drop(&mut self) {
+        let mut node = *self.tail.get_mut();
+        while let Some(n) = NonNull::new(node) {
+            // SAFETY: `&mut self` — no holder, no waiter: every node still
+            // reachable from the tail is quiescent, and each is reachable
+            // through exactly one `prev` link, so it is released once.
+            node = match unsafe { n.as_ref().prev.load(Ordering::Relaxed) } {
+                WAITING | AVAILABLE => std::ptr::null_mut(),
+                pred => pred as *mut ClhNbNode,
+            };
+            unsafe { pool::release(n) };
         }
     }
 }
@@ -129,7 +143,7 @@ unsafe impl RawLock for AbortableClhLock {
     type Token = ClhNbToken;
 
     fn lock(&self) -> ClhNbToken {
-        let node = self.pool.acquire();
+        let node = pool::acquire::<ClhNbNode>();
         unsafe { node.as_ref().prev.store(WAITING, Ordering::Relaxed) };
         self.wait(node, None)
             .expect("infinite patience cannot abort")
@@ -150,7 +164,7 @@ unsafe impl RawLock for AbortableClhLock {
 
 unsafe impl RawAbortableLock for AbortableClhLock {
     fn lock_with_patience(&self, patience_ns: u64) -> Option<ClhNbToken> {
-        let node = self.pool.acquire();
+        let node = pool::acquire::<ClhNbNode>();
         unsafe { node.as_ref().prev.store(WAITING, Ordering::Relaxed) };
         self.wait(node, Some(Patience::new(patience_ns)))
     }

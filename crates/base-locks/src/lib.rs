@@ -26,10 +26,15 @@
 //!   escalates from `spin_loop` hints to `thread::yield_now`. The paper ran
 //!   on 256 hardware threads; this repository's test environment has one
 //!   CPU, where a non-yielding spin lock would live-lock the suite.
-//! * **Queue-node memory.** MCS/CLH family locks hand out queue nodes from
-//!   a [`pool::NodePool`] owned by the lock itself. Nodes circulate between
-//!   threads (the paper's §3.4 does the same for its thread-oblivious
-//!   global MCS lock) and are freed when the lock is dropped.
+//! * **Queue-node memory.** MCS/CLH family locks take their queue nodes
+//!   from per-thread caches ([`pool`]), one per node type, as §3.4 of the
+//!   paper does for its thread-oblivious global MCS lock: an acquire pops
+//!   the calling thread's cache, a release pushes onto the releasing
+//!   thread's, and neither executes an atomic instruction. Nodes are
+//!   immortal, type-stable and alone in a 128-byte block; a lock owns no
+//!   node memory, and one that keeps a resident dummy node (the CLH
+//!   family) hands it back when dropped. A cold per-type overflow list
+//!   balances threads that release more than they acquire.
 
 #![warn(missing_docs)]
 

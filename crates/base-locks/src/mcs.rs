@@ -9,11 +9,15 @@
 //!   with the tri-state release field, lives in the `cohort` crate;
 //! * **global** lock of C-MCS-MCS, which requires thread-obliviousness:
 //!   the node a thread enqueues must be releasable by a *different* thread.
-//!   §3.4 solves this by circulating nodes through pools; this
-//!   implementation allocates nodes from a per-lock [`NodePool`], so its
-//!   token (and therefore the release capability) can cross threads.
+//!   §3.4 solves this by circulating nodes through thread-local pools, and
+//!   so does this implementation: `lock` takes a node from the calling
+//!   thread's [`pool`](crate::pool) cache and `unlock` returns it to the
+//!   cache of whichever thread releases, so the token (and therefore the
+//!   release capability) can cross threads. Nodes are immortal, so a
+//!   waiter's `pred` and a releaser's `next` never dangle.
 
-use crate::pool::NodePool;
+use crate::backoff::SpinWait;
+use crate::pool;
 use crate::raw::RawLock;
 use crossbeam_utils::CachePadded;
 use std::ptr;
@@ -26,6 +30,8 @@ pub struct McsNode {
     next: AtomicPtr<McsNode>,
     locked: AtomicBool,
 }
+
+crate::pooled_node!(McsNode, McsNode::new);
 
 impl McsNode {
     fn new() -> Self {
@@ -50,7 +56,6 @@ unsafe impl Send for McsToken {}
 /// MCS queue lock.
 pub struct McsLock {
     tail: CachePadded<AtomicPtr<McsNode>>,
-    pool: NodePool<McsNode>,
 }
 
 impl McsLock {
@@ -58,7 +63,6 @@ impl McsLock {
     pub fn new() -> Self {
         McsLock {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            pool: NodePool::new(McsNode::new),
         }
     }
 
@@ -86,7 +90,7 @@ unsafe impl RawLock for McsLock {
     type Token = McsToken;
 
     fn lock(&self) -> McsToken {
-        let node = self.pool.acquire();
+        let node = pool::acquire::<McsNode>();
         // SAFETY: freshly acquired node, not yet published.
         unsafe {
             node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
@@ -97,21 +101,22 @@ unsafe impl RawLock for McsLock {
             // SAFETY: pred stays valid until *we* are granted the lock —
             // its owner cannot complete `unlock` before writing our flag.
             unsafe { (*pred).next.store(node.as_ptr(), Ordering::Release) };
-            let mut spins = 0u32;
+            let mut wait = SpinWait::new();
             while unsafe { node.as_ref().locked.load(Ordering::Acquire) } {
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
+                wait.snooze();
             }
         }
         McsToken(node)
     }
 
     fn try_lock(&self) -> Option<McsToken> {
-        let node = self.pool.acquire();
+        // Look before taking: a visibly non-empty queue costs one shared
+        // read — no node, no read-for-ownership of the tail line.
+        if !self.tail.load(Ordering::Relaxed).is_null() {
+            return None;
+        }
+        let node = pool::acquire::<McsNode>();
+        // SAFETY: freshly acquired node, not yet published.
         unsafe {
             node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
             node.as_ref().locked.store(true, Ordering::Relaxed);
@@ -125,7 +130,7 @@ unsafe impl RawLock for McsLock {
             Ok(_) => Some(McsToken(node)),
             Err(_) => {
                 // SAFETY: never published.
-                unsafe { self.pool.release(node) };
+                unsafe { pool::release(node) };
                 None
             }
         }
@@ -146,22 +151,25 @@ unsafe impl RawLock for McsLock {
                 )
                 .is_ok()
             {
-                self.pool.release(node);
+                pool::release(node);
                 return;
             }
-            // A successor swapped tail but has not linked yet: wait for it.
+            // A successor swapped tail but has not linked yet: wait for
+            // it, yielding once the spin budget is spent — on a shared CPU
+            // the successor was preempted between its swap and its link.
+            let mut wait = SpinWait::new();
             loop {
                 next = node.as_ref().next.load(Ordering::Acquire);
                 if !next.is_null() {
                     break;
                 }
-                std::hint::spin_loop();
+                wait.snooze();
             }
         }
         (*next).locked.store(false, Ordering::Release);
         // Our node is quiescent: the successor linked to it already and
         // spins on its own node from here on.
-        self.pool.release(node);
+        pool::release(node);
     }
 }
 
@@ -179,11 +187,14 @@ mod tests {
     #[test]
     fn uncontended_lock_unlock_recycles_node() {
         let l = McsLock::new();
-        for _ in 0..10 {
+        for _ in 0..1_000 {
             let t = l.lock();
             unsafe { l.unlock(t) };
         }
-        assert!(l.pool.allocated() <= 1, "single thread needs one node");
+        assert!(
+            pool::fresh_allocations::<McsNode>() <= 1,
+            "single thread needs one node"
+        );
     }
 
     #[test]
@@ -192,10 +203,31 @@ mod tests {
         let t = l.lock();
         assert!(l.try_lock().is_none());
         unsafe { l.unlock(t) };
+        let cached = pool::cached::<McsNode>();
         let t2 = l.try_lock().expect("free after unlock");
         unsafe { l.unlock(t2) };
-        // The failed try_lock must not have leaked its node.
-        assert_eq!(l.pool.allocated(), l.pool.free_count());
+        // Neither try_lock leaked its node.
+        assert_eq!(pool::cached::<McsNode>(), cached);
+    }
+
+    #[test]
+    fn failing_try_lock_touches_no_node() {
+        let l = Arc::new(McsLock::new());
+        let t = l.lock();
+        let l2 = Arc::clone(&l);
+        // A new thread starts with an empty cache: had try_lock taken a
+        // node it would have allocated one or refilled from the overflow
+        // list, and put it back into the cache afterwards.
+        std::thread::spawn(move || {
+            for _ in 0..100 {
+                assert!(l2.try_lock().is_none());
+            }
+            assert_eq!(pool::fresh_allocations::<McsNode>(), 0);
+            assert_eq!(pool::cached::<McsNode>(), 0);
+        })
+        .join()
+        .unwrap();
+        unsafe { l.unlock(t) };
     }
 
     #[test]
@@ -219,6 +251,37 @@ mod tests {
     }
 
     #[test]
+    fn release_only_thread_keeps_allocations_bounded() {
+        // The global lock of C-MCS-MCS at its most lopsided: every token
+        // is taken on this thread and released on another, which never
+        // takes one. Its cache must spill to the overflow list and this
+        // thread's refills must find the nodes there.
+        const ROUNDS: usize = 100_000;
+        let l = Arc::new(McsLock::new());
+        let (tx, rx) = std::sync::mpsc::sync_channel::<McsToken>(1);
+        let l2 = Arc::clone(&l);
+        let releaser = std::thread::spawn(move || {
+            for t in rx {
+                unsafe { l2.unlock(t) };
+            }
+            pool::fresh_allocations::<McsNode>()
+        });
+        for _ in 0..ROUNDS {
+            tx.send(l.lock()).unwrap();
+        }
+        drop(tx);
+        assert_eq!(releaser.join().unwrap(), 0, "the releaser never acquires");
+        // Alone: one cache-full plus what is in flight. Other tests of
+        // this binary share the overflow list, and each of their threads
+        // may take one batch from it.
+        let fresh = pool::fresh_allocations::<McsNode>();
+        assert!(
+            fresh <= 4 * pool::CACHE_CAP,
+            "{fresh} fresh nodes for {ROUNDS} rounds"
+        );
+    }
+
+    #[test]
     fn pool_stays_bounded_under_stress() {
         let l = Arc::new(McsLock::new());
         let handles: Vec<_> = (0..4)
@@ -229,16 +292,13 @@ mod tests {
                         let t = l.lock();
                         unsafe { l.unlock(t) };
                     }
+                    pool::fresh_allocations::<McsNode>()
                 })
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            // An MCS holder releases the node it enqueued: balanced.
+            assert!(h.join().unwrap() <= 1, "one node per thread");
         }
-        assert!(
-            l.pool.allocated() <= 8,
-            "allocated {} nodes for 4 threads",
-            l.pool.allocated()
-        );
     }
 }

@@ -30,8 +30,7 @@
 //! local stream can starve the secondary queue indefinitely. Every
 //! bounded policy re-splices it after finitely many local handoffs.
 
-use base_locks::pool::NodePool;
-use base_locks::{RawLock, SpinWait};
+use base_locks::{pool, RawLock, SpinWait};
 use cohort::{CohortStats, CountBound, HandoffPolicy};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, ClusterId, Topology};
@@ -78,6 +77,8 @@ impl CnaNode {
     }
 }
 
+base_locks::pooled_node!(CnaNode, CnaNode::new);
+
 /// Acquisition token of a [`CnaLock`]: the queue node enqueued by `lock`.
 ///
 /// `Send` because the release path consults only node state (the
@@ -113,7 +114,6 @@ unsafe impl Send for CnaToken {}
 /// ```
 pub struct CnaLock<P: HandoffPolicy = CountBound> {
     tail: CachePadded<AtomicPtr<CnaNode>>,
-    pool: NodePool<CnaNode>,
     topo: Arc<Topology>,
     policy: P,
     /// How many main-queue waiters a release may inspect while looking
@@ -149,7 +149,6 @@ impl<P: HandoffPolicy> CnaLock<P> {
         policy.bind(topo.clusters());
         CnaLock {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            pool: NodePool::new(CnaNode::new),
             topo,
             policy,
             scan_limit: CnaLock::DEFAULT_SCAN_LIMIT,
@@ -279,7 +278,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
 
     fn lock(&self) -> CnaToken {
         let cluster = current_cluster_in(&self.topo);
-        let node = self.pool.acquire();
+        let node = pool::acquire::<CnaNode>();
         // SAFETY: freshly acquired node, not yet published.
         unsafe {
             let n = node.as_ref();
@@ -314,7 +313,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
 
     fn try_lock(&self) -> Option<CnaToken> {
         let cluster = current_cluster_in(&self.topo);
-        let node = self.pool.acquire();
+        let node = pool::acquire::<CnaNode>();
         // SAFETY: freshly acquired node, not yet published.
         unsafe {
             let n = node.as_ref();
@@ -336,7 +335,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
             }
             Err(_) => {
                 // SAFETY: never published.
-                unsafe { self.pool.release(node) };
+                unsafe { pool::release(node) };
                 None
             }
         }
@@ -360,7 +359,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
                     .is_ok()
                 {
                     self.policy.on_global_release(cluster, streak);
-                    self.pool.release(NonNull::new_unchecked(me));
+                    pool::release(NonNull::new_unchecked(me));
                     return;
                 }
             } else {
@@ -376,7 +375,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
                 {
                     self.policy.on_global_release(cluster, streak);
                     self.grant(sec_head, SPIN_GRANTED, 0);
-                    self.pool.release(NonNull::new_unchecked(me));
+                    pool::release(NonNull::new_unchecked(me));
                     return;
                 }
             }
@@ -398,7 +397,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
             if let Some(local) = self.find_local_successor(cluster.as_u32(), next, &mut sec) {
                 self.policy.on_local_handoff(cluster, streak);
                 self.grant(local, sec, streak + 1);
-                self.pool.release(NonNull::new_unchecked(me));
+                pool::release(NonNull::new_unchecked(me));
                 return;
             }
         }
@@ -416,7 +415,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
             next
         };
         self.grant(succ, SPIN_GRANTED, 0);
-        self.pool.release(NonNull::new_unchecked(me));
+        pool::release(NonNull::new_unchecked(me));
     }
 }
 
@@ -482,13 +481,16 @@ mod tests {
     #[test]
     fn uncontended_roundtrip_recycles_node_and_counts_one_tenure() {
         let l = CnaLock::new(topo());
-        for _ in 0..10 {
+        for _ in 0..1_000 {
             let t = l.lock();
             unsafe { l.unlock(t) };
         }
-        assert!(l.pool.allocated() <= 1, "single thread needs one node");
+        assert!(
+            pool::fresh_allocations::<CnaNode>() <= 1,
+            "single thread needs one node"
+        );
         let s = l.cohort_stats();
-        assert_eq!(s.tenures(), 10);
+        assert_eq!(s.tenures(), 1_000);
         assert_eq!(s.local_handoffs(), 0);
     }
 
@@ -498,9 +500,10 @@ mod tests {
         let t = l.lock();
         assert!(l.try_lock().is_none());
         unsafe { l.unlock(t) };
+        let cached = pool::cached::<CnaNode>();
         let t2 = l.try_lock().expect("free after unlock");
         unsafe { l.unlock(t2) };
-        assert_eq!(l.pool.allocated(), l.pool.free_count(), "no node leaked");
+        assert_eq!(pool::cached::<CnaNode>(), cached, "no node leaked");
     }
 
     #[test]

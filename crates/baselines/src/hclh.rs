@@ -24,8 +24,7 @@
 //! thread that consumed its grant (intra-batch successor, or the master
 //! spinning on it from the global queue).
 
-use base_locks::pool::NodePool;
-use base_locks::RawLock;
+use base_locks::{pool, RawLock, SpinWait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, Topology};
 use std::ptr;
@@ -41,7 +40,7 @@ fn pack(must_wait: bool, spliced: bool, cluster: u32) -> u64 {
     (cluster as u64) | if must_wait { MUST_WAIT } else { 0 } | if spliced { SPLICED } else { 0 }
 }
 
-/// One HCLH queue node (lives in the per-lock pool).
+/// One HCLH queue node (pool-owned, recycled by its grant's consumer).
 #[derive(Debug)]
 pub struct HclhNode {
     state: AtomicU64,
@@ -55,6 +54,8 @@ impl HclhNode {
     }
 }
 
+base_locks::pooled_node!(HclhNode, HclhNode::new);
+
 /// Acquisition token: the thread's node, released through `unlock`.
 #[derive(Debug)]
 pub struct HclhToken(NonNull<HclhNode>);
@@ -63,7 +64,6 @@ pub struct HclhToken(NonNull<HclhNode>);
 pub struct HclhLock {
     local_tails: Box<[CachePadded<AtomicPtr<HclhNode>>]>,
     global_tail: CachePadded<AtomicPtr<HclhNode>>,
-    pool: NodePool<HclhNode>,
     topo: Arc<Topology>,
     /// Spin budget the master spends letting the local queue grow before
     /// splicing (the original's "combining delay").
@@ -73,9 +73,8 @@ pub struct HclhLock {
 impl HclhLock {
     /// Creates an HCLH lock over `topo`.
     pub fn new(topo: Arc<Topology>) -> Self {
-        let pool = NodePool::new(HclhNode::new);
         // Global queue starts with one released dummy.
-        let dummy = pool.acquire();
+        let dummy = pool::acquire::<HclhNode>();
         // SAFETY: fresh node, unpublished.
         unsafe {
             dummy
@@ -89,7 +88,6 @@ impl HclhLock {
         HclhLock {
             local_tails,
             global_tail: CachePadded::new(AtomicPtr::new(dummy.as_ptr())),
-            pool,
             topo,
             combine_spins: 0,
         }
@@ -122,18 +120,26 @@ impl HclhLock {
         // predecessor to pass the lock.
         let gpred = self.global_tail.swap(batch_tail, Ordering::AcqRel);
         debug_assert!(!gpred.is_null());
-        let mut spins = 0u32;
+        let mut wait = SpinWait::new();
         while (*gpred).state.load(Ordering::Acquire) & MUST_WAIT != 0 {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            wait.snooze();
         }
         // We consumed gpred's grant: recycle it.
-        self.pool.release(NonNull::new_unchecked(gpred));
+        pool::release(NonNull::new_unchecked(gpred));
         HclhToken(node)
+    }
+}
+
+impl Drop for HclhLock {
+    /// Hands the node resident at the global tail back to the pool (the
+    /// local tails of an idle lock are null: every master detaches its
+    /// batch).
+    fn drop(&mut self) {
+        if let Some(tail) = NonNull::new(*self.global_tail.get_mut()) {
+            // SAFETY: `&mut self` — no holder, no waiter; the last holder
+            // released through this node and nobody else can reach it.
+            unsafe { pool::release(tail) };
+        }
     }
 }
 
@@ -153,7 +159,7 @@ unsafe impl RawLock for HclhLock {
 
     fn lock(&self) -> HclhToken {
         let cluster = current_cluster_in(&self.topo).as_usize();
-        let node = self.pool.acquire();
+        let node = pool::acquire::<HclhNode>();
         // SAFETY: ours until published.
         unsafe {
             node.as_ref()
@@ -166,7 +172,7 @@ unsafe impl RawLock for HclhLock {
             // SAFETY: node is published as that queue's head.
             return unsafe { self.master_splice(node, cluster) };
         }
-        let mut spins = 0u32;
+        let mut wait = SpinWait::new();
         loop {
             // SAFETY: pred is recycled only by the unique consumer of its
             // grant, which (while we spin on it) can only be us.
@@ -182,15 +188,10 @@ unsafe impl RawLock for HclhLock {
             if s & MUST_WAIT == 0 && (s as u32) as usize == cluster {
                 // Intra-batch grant from a cluster-mate.
                 // SAFETY: we are pred's unique grant consumer.
-                unsafe { self.pool.release(NonNull::new_unchecked(pred)) };
+                unsafe { pool::release(NonNull::new_unchecked(pred)) };
                 return HclhToken(node);
             }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            wait.snooze();
         }
     }
 
@@ -296,13 +297,26 @@ mod tests {
                         let t = l.lock();
                         unsafe { l.unlock(t) };
                     }
+                    pool::fresh_allocations::<HclhNode>()
                 })
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            // Every acquisition takes one node and recycles one (the local
+            // or the global predecessor's): balanced.
+            assert!(h.join().unwrap() <= 1, "one node per thread");
         }
-        // 4 threads × (1 active + 1 circulating) + dummy + slack.
-        assert!(l.pool.allocated() <= 16, "allocated {}", l.pool.allocated());
+    }
+
+    #[test]
+    fn dropped_locks_hand_their_node_back() {
+        let topo = topo();
+        for _ in 0..10_000 {
+            let l = HclhLock::new(Arc::clone(&topo));
+            let t = l.lock();
+            unsafe { l.unlock(t) };
+        }
+        let fresh = pool::fresh_allocations::<HclhNode>();
+        assert!(fresh <= 2, "10 000 locks allocated {fresh} nodes");
     }
 }

@@ -25,7 +25,7 @@
 //! `AVAIL_GLOBAL` (the §3.6.2 ordering).
 
 use crate::traits::{AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, Release};
-use base_locks::pool::NodePool;
+use base_locks::{pool, SpinWait};
 use crossbeam_utils::CachePadded;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -57,6 +57,8 @@ impl AClhNode {
     }
 }
 
+base_locks::pooled_node!(AClhNode, AClhNode::new);
+
 /// Acquisition token: the thread's queue node.
 #[derive(Debug)]
 pub struct AClhToken(NonNull<AClhNode>);
@@ -64,43 +66,40 @@ pub struct AClhToken(NonNull<AClhNode>);
 /// The abortable local CLH lock of A-C-BO-CLH.
 pub struct LocalAClhLock {
     tail: CachePadded<AtomicPtr<AClhNode>>,
-    pool: NodePool<AClhNode>,
 }
 
 impl LocalAClhLock {
     /// Creates a free lock. The queue starts with a dummy node in
     /// `AVAIL_GLOBAL` state: the first acquirer must take the global lock.
     pub fn new() -> Self {
-        let pool = NodePool::new(AClhNode::new);
-        let dummy = pool.acquire();
+        let dummy = pool::acquire::<AClhNode>();
         // SAFETY: fresh, unpublished.
         unsafe { dummy.as_ref().word.store(AVAIL_GLOBAL, Ordering::Relaxed) };
         LocalAClhLock {
             tail: CachePadded::new(AtomicPtr::new(dummy.as_ptr())),
-            pool,
         }
     }
 
     /// Shared wait loop. `deadline == None` blocks forever.
     fn acquire(&self, deadline: Option<Instant>) -> LocalAbortResult<AClhToken> {
-        let node = self.pool.acquire();
+        let node = pool::acquire::<AClhNode>();
         // SAFETY: recycled nodes may carry stale words; reset before
         // publishing (fresh WAITING, successor-aborted clear).
         unsafe { node.as_ref().word.store(WAITING, Ordering::Relaxed) };
         let mut pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         debug_assert!(!pred.is_null());
-        let mut spins = 0u32;
+        let mut wait = SpinWait::new();
         loop {
             // SAFETY: a node is recycled only by its unique direct
             // successor; until we acquire or abort, that is us.
             let w = unsafe { (*pred).word.load(Ordering::Acquire) };
             match base_of(w) {
                 AVAIL_LOCAL => {
-                    unsafe { self.pool.release(NonNull::new_unchecked(pred)) };
+                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
                     return LocalAbortResult::Acquired(AClhToken(node), Release::Local);
                 }
                 AVAIL_GLOBAL => {
-                    unsafe { self.pool.release(NonNull::new_unchecked(pred)) };
+                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
                     return LocalAbortResult::Acquired(AClhToken(node), Release::Global);
                 }
                 WAITING => {
@@ -133,21 +132,35 @@ impl LocalAClhLock {
                             }
                         }
                     }
-                    spins = spins.wrapping_add(1);
-                    if spins.is_multiple_of(64) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
+                    wait.snooze();
                 }
                 abandoned => {
                     // Predecessor aborted; adopt *its* predecessor and
                     // recycle the abandoned node (we are its only reader).
                     let pp = abandoned as *mut AClhNode;
-                    unsafe { self.pool.release(NonNull::new_unchecked(pred)) };
+                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
                     pred = pp;
                 }
             }
+        }
+    }
+}
+
+impl Drop for LocalAClhLock {
+    /// Hands the nodes still reachable from the tail back to the pool: the
+    /// node the last holder released through, preceded by the nodes of
+    /// waiters that aborted behind it and that no successor ever bypassed.
+    fn drop(&mut self) {
+        let mut node = *self.tail.get_mut();
+        while let Some(n) = NonNull::new(node) {
+            // SAFETY: `&mut self` — no holder, no waiter: every node still
+            // reachable from the tail is quiescent, and each is reachable
+            // through exactly one predecessor link, so it is released once.
+            node = match base_of(unsafe { n.as_ref().word.load(Ordering::Relaxed) }) {
+                WAITING | AVAIL_LOCAL | AVAIL_GLOBAL => std::ptr::null_mut(),
+                pred => pred as *mut AClhNode,
+            };
+            unsafe { pool::release(n) };
         }
     }
 }

@@ -10,7 +10,7 @@
 //! global lock.
 
 use crate::traits::{LocalCohortLock, Release};
-use base_locks::pool::NodePool;
+use base_locks::{pool, SpinWait};
 use crossbeam_utils::CachePadded;
 use std::ptr;
 use std::ptr::NonNull;
@@ -36,6 +36,8 @@ impl CohortMcsNode {
     }
 }
 
+base_locks::pooled_node!(CohortMcsNode, CohortMcsNode::new);
+
 /// Acquisition token: the thread's queue node.
 #[derive(Debug)]
 pub struct CohortMcsToken(NonNull<CohortMcsNode>);
@@ -43,7 +45,6 @@ pub struct CohortMcsToken(NonNull<CohortMcsNode>);
 /// The local MCS lock of C-BO-MCS, C-TKT-MCS and C-MCS-MCS.
 pub struct LocalMcsLock {
     tail: CachePadded<AtomicPtr<CohortMcsNode>>,
-    pool: NodePool<CohortMcsNode>,
 }
 
 impl LocalMcsLock {
@@ -51,7 +52,6 @@ impl LocalMcsLock {
     pub fn new() -> Self {
         LocalMcsLock {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            pool: NodePool::new(CohortMcsNode::new),
         }
     }
 }
@@ -75,7 +75,7 @@ unsafe impl LocalCohortLock for LocalMcsLock {
     type Token = CohortMcsToken;
 
     fn lock_local(&self) -> (CohortMcsToken, Release) {
-        let node = self.pool.acquire();
+        let node = pool::acquire::<CohortMcsNode>();
         // SAFETY: fresh/recycled node, unpublished.
         unsafe {
             node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
@@ -89,8 +89,9 @@ unsafe impl LocalCohortLock for LocalMcsLock {
         }
         // SAFETY: pred is valid until its owner hands off to us.
         unsafe { (*pred).next.store(node.as_ptr(), Ordering::Release) };
-        let mut spins = 0u32;
+        let mut wait = SpinWait::new();
         loop {
+            // SAFETY: our own node; spinning on our private flag.
             let s = unsafe { node.as_ref().state.load(Ordering::Acquire) };
             if s != BUSY {
                 let rel = if s == RELEASE_LOCAL {
@@ -100,17 +101,18 @@ unsafe impl LocalCohortLock for LocalMcsLock {
                 };
                 return (CohortMcsToken(node), rel);
             }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            wait.snooze();
         }
     }
 
     fn try_lock_local(&self) -> Option<(CohortMcsToken, Release)> {
-        let node = self.pool.acquire();
+        // Look before taking: a visibly non-empty queue costs one shared
+        // read — no node, no read-for-ownership of the tail line.
+        if !self.tail.load(Ordering::Relaxed).is_null() {
+            return None;
+        }
+        let node = pool::acquire::<CohortMcsNode>();
+        // SAFETY: fresh/recycled node, unpublished.
         unsafe {
             node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
             node.as_ref().state.store(BUSY, Ordering::Relaxed);
@@ -124,7 +126,7 @@ unsafe impl LocalCohortLock for LocalMcsLock {
             Ok(_) => Some((CohortMcsToken(node), Release::Global)),
             Err(_) => {
                 // SAFETY: never published.
-                unsafe { self.pool.release(node) };
+                unsafe { pool::release(node) };
                 None
             }
         }
@@ -147,7 +149,7 @@ unsafe impl LocalCohortLock for LocalMcsLock {
         if pass_local && !next.is_null() {
             // Intra-cluster handoff: successor inherits the global lock.
             (*next).state.store(RELEASE_LOCAL, Ordering::Release);
-            self.pool.release(node);
+            pool::release(node);
             return;
         }
 
@@ -167,24 +169,27 @@ unsafe impl LocalCohortLock for LocalMcsLock {
             {
                 // Queue empty: the next arriver will see a null tail and
                 // go claim the global lock itself.
-                self.pool.release(node);
+                pool::release(node);
                 return;
             }
-            // A late successor is linking; wait for the pointer.
+            // A late successor is linking; wait for the pointer, yielding
+            // once the spin budget is spent — on a shared CPU the
+            // successor was preempted between its swap and its link.
+            let mut wait = SpinWait::new();
             let mut n;
             loop {
                 n = node.as_ref().next.load(Ordering::Acquire);
                 if !n.is_null() {
                     break;
                 }
-                std::hint::spin_loop();
+                wait.snooze();
             }
             (*n).state.store(RELEASE_GLOBAL, Ordering::Release);
-            self.pool.release(node);
+            pool::release(node);
             return;
         }
         (*next).state.store(RELEASE_GLOBAL, Ordering::Release);
-        self.pool.release(node);
+        pool::release(node);
     }
 }
 
@@ -269,12 +274,33 @@ mod tests {
                         let (t, _) = l.lock_local();
                         unsafe { l.unlock_local(t, true, || {}) };
                     }
+                    pool::fresh_allocations::<CohortMcsNode>()
                 })
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            // A holder releases the node it enqueued: balanced.
+            assert!(h.join().unwrap() <= 1, "one node per thread");
         }
-        assert!(l.pool.allocated() <= 8);
+    }
+
+    #[test]
+    fn failing_try_lock_local_touches_no_node() {
+        let l = Arc::new(LocalMcsLock::new());
+        let (t, _) = l.lock_local();
+        let l2 = Arc::clone(&l);
+        // A new thread starts with an empty cache: had try_lock_local
+        // taken a node it would have allocated one or refilled from the
+        // overflow list, and put it back into the cache afterwards.
+        std::thread::spawn(move || {
+            for _ in 0..100 {
+                assert!(l2.try_lock_local().is_none());
+            }
+            assert_eq!(pool::fresh_allocations::<CohortMcsNode>(), 0);
+            assert_eq!(pool::cached::<CohortMcsNode>(), 0);
+        })
+        .join()
+        .unwrap();
+        unsafe { l.unlock_local(t, false, || {}) };
     }
 }
