@@ -45,6 +45,14 @@ pub struct MmicroWorkload {
     pub clusters: usize,
     /// Allocation size (the paper uses 64 bytes, which bypasses the small
     /// lists and exercises the splay tree).
+    ///
+    /// Keep it a multiple of 64: blocks are then whole cache lines, and
+    /// the thread initialising a block outside the lock is the only one
+    /// touching its line, which the plain-store [`Directory::write`]
+    /// relies on. At any other size a block's first line is also a
+    /// neighbour's, the allocator may write it under the lock at the same
+    /// moment, and one of the two transitions is lost from the cost books
+    /// (nothing worse).
     pub alloc_size: u64,
     /// Words written into each fresh block (the paper writes 4).
     pub init_words: usize,
@@ -225,7 +233,9 @@ impl KeyedService for MmicroService {
 
         // --- initialize the block (application, outside the lock): the
         // paper writes the first 4 words. One 64-B block = one line;
-        // charge it once per word batch.
+        // charge it once per word batch. A plain store in the directory:
+        // nobody else touches this line while `alloc_size` is a multiple
+        // of 64 (see `MmicroWorkload::alloc_size`).
         self.dir.write((addr / 64) as usize, ctx.cluster);
         vclock::advance(self.init_words as u64 * 2);
 

@@ -8,6 +8,16 @@ const CLUSTER_NONE: u64 = 0xFF;
 // Packed: bits 0..56 release timestamp (ns), bits 56..64 releasing cluster.
 const TS_MASK: u64 = (1 << 56) - 1;
 
+/// `counter += 1` by its only writer. Every counter in this file is
+/// written by the current lock holder alone (the [`HandoffChannel`]
+/// protocol), and the lock's own release/acquire edge carries the value to
+/// the next holder, so a plain load and store replace the locked
+/// read-modify-write.
+#[inline]
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
 /// Histogram of cohort *batch lengths*: how many consecutive acquisitions a
 /// lock served from the same cluster before migrating.
 ///
@@ -15,7 +25,11 @@ const TS_MASK: u64 = (1 << 56) - 1;
 /// `[2^i, 2^(i+1))`; the last bucket is open-ended. Section 4.1.2 of the
 /// paper attributes cohort locks' low miss rates to these batches growing
 /// dynamically under contention.
+///
+/// Single-writer like the rest of the channel: only the lock holder
+/// records into it.
 #[derive(Debug)]
+#[repr(transparent)]
 pub struct BatchHistogram {
     buckets: [AtomicU64; Self::BUCKETS],
 }
@@ -32,7 +46,7 @@ impl BatchHistogram {
 
     fn record(&self, len: u64) {
         let b = (63 - len.max(1).leading_zeros() as usize).min(Self::BUCKETS - 1);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
+        bump(&self.buckets[b]);
     }
 
     /// Snapshot of bucket counts.
@@ -74,22 +88,32 @@ pub struct AcquireInfo {
 /// Usage protocol (enforced by the harness, not the type): the owner calls
 /// [`on_acquire`](Self::on_acquire) right after acquiring the underlying
 /// lock and [`on_release`](Self::on_release) right before releasing it.
-/// Because both calls happen while holding the lock, the packed word is
-/// never written concurrently; `Acquire`/`Release` orderings make the
+/// Because both calls happen while holding the lock, nothing in the
+/// channel is ever written concurrently: the packed word, the counters and
+/// the histogram all have the holder as their single writer and are
+/// updated with plain loads and stores — the channel issues no locked
+/// instruction. `Acquire`/`Release` orderings on the packed word make the
 /// timestamp transfer well-defined across the real lock's own fences.
+///
+/// Layout: everything an acquisition writes — the packed word, the three
+/// counters and the histogram buckets for batches shorter than 16 — sits
+/// on the first 64 bytes of a 128-byte-aligned block, so a handoff moves
+/// one line of channel state between clusters; the read-only model comes
+/// last.
 ///
 /// The channel is deliberately **algorithm-agnostic**: it wraps any lock
 /// without touching its internals, so every lock in the suite — ours, the
 /// baselines, and `std::sync::Mutex` — is costed identically.
 #[derive(Debug)]
+#[repr(C, align(128))]
 pub struct HandoffChannel {
     state: AtomicU64,
-    model: CostModel,
     acquisitions: AtomicU64,
     migrations: AtomicU64,
-    /// Length of the current same-cluster run (only the holder updates it).
+    /// Length of the current same-cluster run.
     run: AtomicU64,
     batches: BatchHistogram,
+    model: CostModel,
 }
 
 impl HandoffChannel {
@@ -97,11 +121,11 @@ impl HandoffChannel {
     pub fn new(model: CostModel) -> Self {
         HandoffChannel {
             state: AtomicU64::new(CLUSTER_NONE << 56),
-            model,
             acquisitions: AtomicU64::new(0),
             migrations: AtomicU64::new(0),
             run: AtomicU64::new(0),
             batches: BatchHistogram::new(),
+            model,
         }
     }
 
@@ -112,7 +136,7 @@ impl HandoffChannel {
         let packed = self.state.load(Ordering::Acquire);
         let prev_cluster = packed >> 56;
         let prev_ts = packed & TS_MASK;
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        bump(&self.acquisitions);
 
         let first = prev_cluster == CLUSTER_NONE;
         let migrated = !first && prev_cluster != cluster.as_u32() as u64;
@@ -128,13 +152,14 @@ impl HandoffChannel {
         };
 
         if migrated {
-            self.migrations.fetch_add(1, Ordering::Relaxed);
-            let run = self.run.swap(1, Ordering::Relaxed);
+            bump(&self.migrations);
+            let run = self.run.load(Ordering::Relaxed);
+            self.run.store(1, Ordering::Relaxed);
             if run > 0 {
                 self.batches.record(run);
             }
         } else {
-            self.run.fetch_add(1, Ordering::Relaxed);
+            bump(&self.run);
         }
 
         AcquireInfo {
@@ -258,6 +283,20 @@ mod tests {
         assert_eq!(snap[2], 1);
         assert_eq!(c.acquisitions(), 6);
         vclock::reset();
+    }
+
+    #[test]
+    fn an_acquisition_writes_one_line() {
+        use std::mem::{align_of, offset_of};
+        assert_eq!(align_of::<HandoffChannel>(), 128);
+        assert!(offset_of!(HandoffChannel, state) < 64);
+        assert!(offset_of!(HandoffChannel, acquisitions) < 64);
+        assert!(offset_of!(HandoffChannel, migrations) < 64);
+        assert!(offset_of!(HandoffChannel, run) < 64);
+        // Buckets 0..4 (batches shorter than 16) share that line; the
+        // read-only model is past everything that is written.
+        assert_eq!(offset_of!(HandoffChannel, batches), 32);
+        assert!(offset_of!(HandoffChannel, model) >= 32 + 8 * BatchHistogram::BUCKETS);
     }
 
     #[test]

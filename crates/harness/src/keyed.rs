@@ -65,11 +65,13 @@ pub enum KeyDist {
     /// Every key equally likely (the legacy `run_kv` behaviour; exactly
     /// one RNG draw per sample, which the parity contract depends on).
     Uniform,
-    /// Zipf-like rank skew: rank `k` gets mass `∝ (k/N)^(1-θ)` via the
-    /// continuous inverse-CDF approximation `key = ⌊N · v^(1/(1-θ))⌋`
-    /// over one uniform draw — O(1) per sample, no per-keyspace tables.
-    /// `θ = 0` degenerates to uniform; `θ → 1` concentrates everything
-    /// on the lowest ranks. Requires `0 ≤ θ < 1`.
+    /// Zipf-like rank skew via the continuous inverse-CDF approximation
+    /// `key = ⌊N · v^(1/(1-θ))⌋` over one uniform draw — O(1) per sample,
+    /// no per-keyspace tables. The *cumulative* mass of the `k` lowest
+    /// keys is `(k/N)^(1-θ)`, so key 0 alone receives `N^-(1-θ)`: at
+    /// `θ = 0.99` over 10⁶ keys that is 0.871 — one key takes 87 % of the
+    /// draws. `θ = 0` degenerates to uniform; `θ → 1` concentrates
+    /// everything on key 0. Requires `0 ≤ θ < 1`.
     Zipfian {
         /// Skew parameter, in `[0, 1)`.
         theta: f64,

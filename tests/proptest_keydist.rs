@@ -49,6 +49,30 @@ proptest! {
         }
     }
 
+    /// Zipfian head-key mass. The cumulative form above puts
+    /// `P(key < x) = (x/N)^(1-θ)`, so key 0 *alone* receives
+    /// `N^-(1-θ)`: 0.1% at θ=0.5 over 10⁶ keys, 25% at θ=0.9 and 87% at
+    /// θ=0.99 — at the skew the wall-clock KV workload runs, nearly every
+    /// operation is for one entry.
+    #[test]
+    fn zipfian_head_key_mass_matches_the_closed_form(
+        theta in prop_oneof![Just(0.5f64), Just(0.9f64), Just(0.99f64)],
+        seed in any::<u64>(),
+    ) {
+        let keyspace = 1_000_000u64;
+        let n = 40_000usize;
+        let head = samples(&KeyDist::Zipfian { theta }, keyspace, n, seed)
+            .iter()
+            .filter(|&&k| k == 0)
+            .count();
+        let frac = head as f64 / n as f64;
+        let expected = (keyspace as f64).powf(-(1.0 - theta));
+        prop_assert!(
+            (frac - expected).abs() < 0.01,
+            "theta {theta}: head-key mass {frac:.4}, analytic {expected:.4}"
+        );
+    }
+
     /// HotSet hit fraction. Exactly `pct`% of draws take the hot branch
     /// (keys `0..keys`), the rest the cold branch (`keys..keyspace`) —
     /// the two never overlap, so the observed hot fraction is Binomial

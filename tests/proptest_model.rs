@@ -3,7 +3,9 @@
 //! *jointly* under random acquire/access/release interleavings (the op
 //! stream the modelled cost mode drives), and the pass policy.
 
-use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel, LineState};
+use coherence_sim::{
+    take_thread_stats, CostModel, Directory, HandoffChannel, LineState, ThreadStats,
+};
 use cohort::PassPolicy;
 use numa_topology::{vclock, ClusterId};
 use proptest::prelude::*;
@@ -36,6 +38,10 @@ proptest! {
     ) {
         let dir = Directory::new(8, CostModel::t5440());
         let mut model: Vec<Ref> = vec![None; 8];
+        // What the charges must add up to in the two side channels.
+        let mut stats = ThreadStats::default();
+        vclock::reset();
+        let _ = take_thread_stats();
         for a in accesses {
             let cl = ClusterId::new(a.cluster);
             let ns = if a.write { dir.write(a.line, cl) } else { dir.read(a.line, cl) };
@@ -61,6 +67,11 @@ proptest! {
                 }
             };
             prop_assert_eq!(ns, expected, "line {} cluster {} write {}", a.line, a.cluster, a.write);
+            stats.accesses += 1;
+            stats.remote_misses += (expected == m.remote_ns) as u64;
+            stats.cold_misses += (expected == m.cold_ns) as u64;
+            stats.charged_ns += expected;
+            prop_assert_eq!(vclock::now(), stats.charged_ns);
             // Apply reference transition.
             model[a.line] = Some(match (model[a.line].take(), a.write) {
                 (None, true) => Err(a.cluster),
@@ -91,6 +102,8 @@ proptest! {
                 (m, s) => prop_assert!(false, "state mismatch: model {m:?} vs dir {s:?}"),
             }
         }
+        prop_assert_eq!(take_thread_stats(), stats);
+        vclock::reset();
     }
 
     #[test]
