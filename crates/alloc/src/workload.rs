@@ -22,7 +22,7 @@ use crate::allocator::{MiniAlloc, MiniAllocConfig};
 use coherence_sim::{CostModel, Directory, HandoffChannel};
 use lbench::pace::spin_wall;
 use lbench::{
-    run_scenario, AnyLockKind, BenchLock, CohortStats, KeyDist, KeyedCtx, KeyedOp, KeyedService,
+    run_scenario, AnyLockKind, BenchRwLock, CohortStats, KeyDist, KeyedCtx, KeyedOp, KeyedService,
     KeyedServiceFactory, KeyedSpec, LBenchConfig, LockKind, Scenario,
 };
 use numa_topology::{vclock, Topology};
@@ -138,7 +138,7 @@ pub struct MmicroResult {
 }
 
 struct SharedAlloc {
-    lock: Arc<dyn BenchLock>,
+    lock: Arc<dyn BenchRwLock>,
     inner: UnsafeCell<MiniAlloc>,
 }
 
@@ -148,10 +148,10 @@ unsafe impl Sync for SharedAlloc {}
 
 impl SharedAlloc {
     fn with_lock<R>(&self, f: impl FnOnce(&mut MiniAlloc) -> R) -> R {
-        self.lock.acquire();
+        self.lock.acquire_write();
         // SAFETY: serialized by the allocator lock.
         let r = f(unsafe { &mut *self.inner.get() });
-        self.lock.release();
+        self.lock.release_write();
         r
     }
 }

@@ -31,7 +31,7 @@
 //! bounded policy re-splices it after finitely many local handoffs.
 
 use base_locks::{pool, RawLock, SpinWait};
-use cohort::{CohortStats, CountBound, HandoffPolicy};
+use cohort::{CohortStats, CountBound, HandoffPolicy, Introspect};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, ClusterId, Topology};
 use std::ptr::{self, NonNull};
@@ -254,6 +254,18 @@ impl<P: HandoffPolicy + Default> CnaLock<P> {
     /// A CNA lock with the policy's default configuration.
     pub fn with_default_policy(topo: Arc<Topology>) -> Self {
         Self::with_handoff_policy(topo, P::default())
+    }
+}
+
+// CNA drives its local-handoff threshold through the cohort policy layer,
+// so it reports the same per-cluster streak statistics.
+impl<P: HandoffPolicy> Introspect for CnaLock<P> {
+    fn tenure_stats(&self) -> Option<CohortStats> {
+        Some(self.cohort_stats())
+    }
+
+    fn policy_label(&self) -> Option<String> {
+        Some(self.policy.label())
     }
 }
 

@@ -200,6 +200,8 @@ impl std::fmt::Debug for FcMcsLock {
     }
 }
 
+impl cohort::Introspect for FcMcsLock {}
+
 // SAFETY: the global queue is a standard MCS queue (one grant in flight);
 // combiners only move *pending* requests into it, each exactly once
 // (PENDING→ENQUEUED under the per-cluster combiner lock).

@@ -157,6 +157,8 @@ impl HboLock {
     }
 }
 
+impl cohort::Introspect for HboLock {}
+
 // SAFETY: single-word CAS lock; release store pairs with acquire CAS.
 unsafe impl RawLock for HboLock {
     type Token = ();

@@ -151,6 +151,8 @@ impl std::fmt::Debug for HclhLock {
     }
 }
 
+impl cohort::Introspect for HclhLock {}
+
 // SAFETY: the global CLH queue admits one holder at a time; intra-batch
 // grants only occur for nodes already ordered within the global queue
 // (they were spliced as a contiguous segment).

@@ -27,8 +27,9 @@
 //! configured threshold.
 
 use cohort_bench::{
-    base_config, exhibit_main, knob_or_die, long_table, metric_table, schema, thread_grid, Cell,
-    Check, Exhibit, Measure, Measurement, TableSpec,
+    base_config, cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail,
+    schema, throughput_floor_check, throughput_table, Cell, Check, ClusterThreads, Exhibit,
+    Measure, Measurement, TableSpec,
 };
 use lbench::env::env_positive_usize_list;
 use lbench::{AnyLockKind, LockKind, Scenario};
@@ -37,33 +38,10 @@ fn cna_clusters() -> Vec<usize> {
     knob_or_die(env_positive_usize_list("LBENCH_CNA_CLUSTERS")).unwrap_or_else(|| vec![1, 2, 4])
 }
 
-/// Thread grid for one cluster count: the global grid plus the
-/// `2 × clusters` check cell, deduplicated and sorted.
-fn grid_for(clusters: usize) -> Vec<usize> {
-    let mut grid = thread_grid();
-    grid.push(2 * clusters);
-    grid.sort_unstable();
-    grid.dedup();
-    grid
-}
-
-/// One grid cell: a (cluster count, thread count) pair.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct CnaCell {
-    clusters: usize,
-    threads: usize,
-}
-
-impl std::fmt::Display for CnaCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "c={} t={}", self.clusters, self.threads)
-    }
-}
-
 /// Self-check 1: the CNA fairness threshold really bounds streaks
 /// (thresholds come from the registry, the single source of truth).
-fn streak_check() -> Check<CnaCell> {
-    Box::new(|ms: &[Measurement<CnaCell>]| {
+fn streak_check() -> Check<ClusterThreads> {
+    Box::new(|ms: &[Measurement<ClusterThreads>]| {
         for m in ms {
             let kind = match m.result.kind {
                 AnyLockKind::Excl(k) => k,
@@ -87,44 +65,18 @@ fn streak_check() -> Check<CnaCell> {
 /// Self-check 2: compaction must not trail plain MCS once there is
 /// locality to exploit (clusters >= 2), measured where every cluster has
 /// a cohort-mate.
-fn cna_vs_mcs_check(clusters: usize) -> Check<CnaCell> {
-    Box::new(move |ms: &[Measurement<CnaCell>]| {
-        let threads = 2 * clusters;
-        let cell = |kind: LockKind| {
-            &ms.iter()
-                .find(|m| {
-                    m.cell == CnaCell { clusters, threads }
-                        && m.result.kind == AnyLockKind::Excl(kind)
-                })
-                .expect("check cell present")
-                .result
-        };
-        let mcs = cell(LockKind::Mcs);
-        let cna = cell(LockKind::Cna);
-        let msg = format!(
-            "CNA vs MCS at c={clusters} t={threads}: {:.2}x ({} vs {} migrations)",
-            cna.throughput / mcs.throughput.max(1.0),
-            cna.migrations,
-            mcs.migrations
-        );
-        if cna.throughput >= mcs.throughput {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
-    })
+fn cna_vs_mcs_check(clusters: usize) -> Check<ClusterThreads> {
+    let cell = ClusterThreads {
+        clusters,
+        threads: 2 * clusters,
+    };
+    throughput_floor_check(cell, LockKind::Cna, LockKind::Mcs, 1.0, migrations_detail)
 }
 
 fn main() {
     let cluster_counts = cna_clusters();
-    let grid: Vec<CnaCell> = cluster_counts
-        .iter()
-        .flat_map(|&clusters| {
-            grid_for(clusters)
-                .into_iter()
-                .map(move |threads| CnaCell { clusters, threads })
-        })
-        .collect();
+    // The `2 × clusters` check cell rides along with the global grid.
+    let grid = cluster_thread_grid(&cluster_counts, |clusters| vec![2 * clusters]);
     exhibit_main(Exhibit {
         name: "fig_cna",
         banner: format!(
@@ -138,27 +90,18 @@ fn main() {
             .map(AnyLockKind::Excl)
             .collect(),
         grid,
-        measure: Measure::Scenario(Box::new(|cell: &CnaCell| {
+        measure: Measure::Scenario(Box::new(|cell: &ClusterThreads| {
             let mut cfg = base_config(cell.threads);
             cfg.clusters = cell.clusters;
             (Scenario::steady(), cfg)
         })),
         unit: "ops/s",
         tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: metric_table(
-                    "Exhibit CNA: throughput (ops/s) by clusters x threads".into(),
-                    "cell",
-                    0,
-                    |r| r.throughput,
-                ),
-            },
+            throughput_table("Exhibit CNA: throughput (ops/s) by clusters x threads"),
             TableSpec {
                 csv: Some("fig_cna".into()),
                 text: false,
-                build: long_table(schema::FIG_CNA_HEADER, |m: &Measurement<CnaCell>| {
+                build: long_table(schema::FIG_CNA_HEADER, |m: &Measurement<ClusterThreads>| {
                     let r = &m.result;
                     vec![
                         Cell::text(r.kind.name()),

@@ -43,13 +43,14 @@
 
 use cohort::{CountBound, FisBoMcs, FisTktMcs, FissileTuning};
 use cohort_bench::{
-    base_config, exhibit_main, knob_or_die, long_table, metric_table, schema, thread_grid, Cell,
-    Check, Exhibit, Measure, Measurement, TableSpec, FISSILE_UNCONTENDED_FLOOR,
+    base_config, cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail,
+    saturation_threads, schema, throughput_floor_check, throughput_table, Cell, Check,
+    ClusterThreads, Exhibit, Measure, Measurement, TableSpec, FISSILE_UNCONTENDED_FLOOR,
 };
 use lbench::env::{env_positive_usize_list, env_range_u64};
 use lbench::{
-    run_scenario, run_scenario_on, AnyLockKind, BenchLock, CohortAdapter, LockKind, MutexAsRw,
-    Scenario, ScenarioResult,
+    run_scenario, run_scenario_on, AnyLockKind, BenchRwLock, LockKind, RawAdapter, Scenario,
+    ScenarioResult,
 };
 use numa_topology::Topology;
 use std::sync::Arc;
@@ -77,45 +78,11 @@ fn tuning() -> FissileTuning {
     }
 }
 
-/// Thread grid for one cluster count: the global grid plus the
-/// uncontended cell (1) and the saturation check cell
-/// ([`saturation_threads`]), deduplicated and sorted.
-fn grid_for(clusters: usize) -> Vec<usize> {
-    let mut grid = thread_grid();
-    grid.push(1);
-    grid.push(saturation_threads(clusters));
-    grid.sort_unstable();
-    grid.dedup();
-    grid
-}
-
-/// The saturation check cell: `8 × clusters`. Below that the offered
-/// load does not reliably saturate the lock in this harness — at
-/// `2 × clusters` even C-BO-MCS holds no edge over TATAS, so the
-/// fissile-vs-TATAS comparison there measures noise rather than the
-/// design.
-fn saturation_threads(clusters: usize) -> usize {
-    8 * clusters
-}
-
-/// One grid cell: a (cluster count, thread count) pair.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct FisCell {
-    clusters: usize,
-    threads: usize,
-}
-
-impl std::fmt::Display for FisCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "c={} t={}", self.clusters, self.threads)
-    }
-}
-
 /// Measures one (lock, cell) pair. Non-fissile kinds go through the
 /// plain registry path; the fissile row honors the `LBENCH_FISSILE_*`
 /// tuning knobs by building its lock directly when they deviate from
 /// the library defaults (the registry constructs defaults only).
-fn measure(kind: AnyLockKind, cell: &FisCell) -> ScenarioResult {
+fn measure(kind: AnyLockKind, cell: &ClusterThreads) -> ScenarioResult {
     let mut cfg = base_config(cell.threads);
     cfg.clusters = cell.clusters;
     let scenario = Scenario::steady();
@@ -125,89 +92,64 @@ fn measure(kind: AnyLockKind, cell: &FisCell) -> ScenarioResult {
         // exactly what the row is labeled as, even if FIG_FISSILE ever
         // grows a second fissile composition.
         let topo = Arc::new(Topology::new(cfg.clusters));
-        let bench: Option<Arc<dyn BenchLock>> = match kind {
-            AnyLockKind::Excl(LockKind::FisBoMcs) => Some(Arc::new(CohortAdapter::new(
+        let lock: Option<Arc<dyn BenchRwLock>> = match kind {
+            AnyLockKind::Excl(LockKind::FisBoMcs) => Some(Arc::new(RawAdapter::new(
                 FisBoMcs::with_tuning(Arc::clone(&topo), CountBound::default(), tuned),
             ))),
-            AnyLockKind::Excl(LockKind::FisTktMcs) => Some(Arc::new(CohortAdapter::new(
+            AnyLockKind::Excl(LockKind::FisTktMcs) => Some(Arc::new(RawAdapter::new(
                 FisTktMcs::with_tuning(Arc::clone(&topo), CountBound::default(), tuned),
             ))),
             _ => None,
         };
-        if let Some(bench) = bench {
-            return run_scenario_on(kind, Arc::new(MutexAsRw::new(bench)), topo, &scenario, &cfg);
+        if let Some(lock) = lock {
+            return run_scenario_on(kind, lock, topo, &scenario, &cfg);
         }
     }
     run_scenario(kind, &scenario, &cfg)
 }
 
-fn find(ms: &[Measurement<FisCell>], cell: FisCell, kind: LockKind) -> &ScenarioResult {
-    &ms.iter()
-        .find(|m| m.cell == cell && m.result.kind == AnyLockKind::Excl(kind))
-        .expect("check cell present")
-        .result
-}
-
 /// Self-check 1: the fast path erases the uncontended two-level tax
 /// (floor shared with the `fig_scenarios` fissile row:
 /// [`FISSILE_UNCONTENDED_FLOOR`]).
-fn uncontended_check(clusters: usize) -> Check<FisCell> {
-    const FLOOR: f64 = FISSILE_UNCONTENDED_FLOOR;
-    Box::new(move |ms: &[Measurement<FisCell>]| {
-        let cell = FisCell {
-            clusters,
-            threads: 1,
-        };
-        let fissile = find(ms, cell, LockKind::FisBoMcs);
-        let mcs = find(ms, cell, LockKind::Mcs);
-        let ratio = fissile.throughput / mcs.throughput.max(1.0);
-        let msg = format!(
-            "Fis-BO-MCS uncontended vs MCS at c={clusters}: {ratio:.3}x (floor {FLOOR}x, \
-             {} fast / {} slow acquisitions)",
-            fissile.fast_acquisitions, fissile.slow_acquisitions
-        );
-        if ratio >= FLOOR {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
-    })
+fn uncontended_check(clusters: usize) -> Check<ClusterThreads> {
+    let cell = ClusterThreads {
+        clusters,
+        threads: 1,
+    };
+    throughput_floor_check(
+        cell,
+        LockKind::FisBoMcs,
+        LockKind::Mcs,
+        FISSILE_UNCONTENDED_FLOOR,
+        |fissile, _| {
+            format!(
+                "{} fast / {} slow acquisitions",
+                fissile.fast_acquisitions, fissile.slow_acquisitions
+            )
+        },
+    )
 }
 
 /// Self-check 2: the slow path buys cohort locality under saturation.
-fn saturation_check(clusters: usize) -> Check<FisCell> {
-    Box::new(move |ms: &[Measurement<FisCell>]| {
-        let cell = FisCell {
-            clusters,
-            threads: saturation_threads(clusters),
-        };
-        let fissile = find(ms, cell, LockKind::FisBoMcs);
-        let tatas = find(ms, cell, LockKind::Tatas);
-        let msg = format!(
-            "Fis-BO-MCS vs TATAS at c={clusters} t={}: {:.2}x ({} vs {} migrations)",
-            cell.threads,
-            fissile.throughput / tatas.throughput.max(1.0),
-            fissile.migrations,
-            tatas.migrations
-        );
-        if fissile.throughput >= tatas.throughput {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
-    })
+fn saturation_check(clusters: usize) -> Check<ClusterThreads> {
+    let cell = ClusterThreads {
+        clusters,
+        threads: saturation_threads(clusters),
+    };
+    throughput_floor_check(
+        cell,
+        LockKind::FisBoMcs,
+        LockKind::Tatas,
+        1.0,
+        migrations_detail,
+    )
 }
 
 fn main() {
     let cluster_counts = fissile_clusters();
-    let grid: Vec<FisCell> = cluster_counts
-        .iter()
-        .flat_map(|&clusters| {
-            grid_for(clusters)
-                .into_iter()
-                .map(move |threads| FisCell { clusters, threads })
-        })
-        .collect();
+    // The uncontended cell and the saturation check cell ride along with
+    // the global grid.
+    let grid = cluster_thread_grid(&cluster_counts, |c| vec![1, saturation_threads(c)]);
     exhibit_main(Exhibit {
         name: "fig_fissile",
         banner: format!(
@@ -222,41 +164,35 @@ fn main() {
             .map(AnyLockKind::Excl)
             .collect(),
         grid,
-        measure: Measure::Custom(Box::new(|kind, cell: &FisCell| measure(kind, cell))),
+        measure: Measure::Custom(Box::new(|kind, cell: &ClusterThreads| measure(kind, cell))),
         unit: "ops/s",
         tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: metric_table(
-                    "Exhibit Fissile: throughput (ops/s) by clusters x threads".into(),
-                    "cell",
-                    0,
-                    |r| r.throughput,
-                ),
-            },
+            throughput_table("Exhibit Fissile: throughput (ops/s) by clusters x threads"),
             TableSpec {
                 csv: Some("fig_fissile".into()),
                 text: false,
-                build: long_table(schema::FIG_FISSILE_HEADER, |m: &Measurement<FisCell>| {
-                    let r = &m.result;
-                    vec![
-                        Cell::text(r.kind.name()),
-                        Cell::Int(m.cell.clusters as u64),
-                        Cell::Int(r.threads as u64),
-                        Cell::num(r.throughput, 0),
-                        Cell::Int(r.acquisitions),
-                        Cell::Int(r.migrations),
-                        Cell::num(r.misses_per_cs, 4),
-                        Cell::Int(r.tenures),
-                        Cell::Int(r.local_handoffs),
-                        Cell::num(r.mean_streak, 2),
-                        Cell::Int(r.max_streak),
-                        Cell::Int(r.fast_acquisitions),
-                        Cell::Int(r.slow_acquisitions),
-                        Cell::text(r.policy.as_deref().unwrap_or("-")),
-                    ]
-                }),
+                build: long_table(
+                    schema::FIG_FISSILE_HEADER,
+                    |m: &Measurement<ClusterThreads>| {
+                        let r = &m.result;
+                        vec![
+                            Cell::text(r.kind.name()),
+                            Cell::Int(m.cell.clusters as u64),
+                            Cell::Int(r.threads as u64),
+                            Cell::num(r.throughput, 0),
+                            Cell::Int(r.acquisitions),
+                            Cell::Int(r.migrations),
+                            Cell::num(r.misses_per_cs, 4),
+                            Cell::Int(r.tenures),
+                            Cell::Int(r.local_handoffs),
+                            Cell::num(r.mean_streak, 2),
+                            Cell::Int(r.max_streak),
+                            Cell::Int(r.fast_acquisitions),
+                            Cell::Int(r.slow_acquisitions),
+                            Cell::text(r.policy.as_deref().unwrap_or("-")),
+                        ]
+                    },
+                ),
             },
         ],
         checks: cluster_counts

@@ -43,13 +43,13 @@
 use base_locks::McsLock;
 use cohort::{CBoMcs, FisBoMcs, GcrLock, GcrTuning};
 use cohort_bench::{
-    base_config, exhibit_main, knob_or_die, long_table, metric_table, schema, Cell, Check, Exhibit,
-    Measure, Measurement, TableSpec,
+    base_config, exhibit_main, find, knob_or_die, long_table, schema, throughput_floor_check,
+    throughput_table, verdict, Cell, Check, Exhibit, Measure, Measurement, TableSpec,
 };
 use lbench::env::{env_positive_usize, env_range_u64};
 use lbench::{
-    run_scenario, run_scenario_on, AnyLockKind, BenchLock, CohortAdapter, LockKind, MutexAsRw,
-    Scenario, ScenarioResult,
+    run_scenario, run_scenario_on, AnyLockKind, BenchRwLock, LockKind, RawAdapter, Scenario,
+    ScenarioResult,
 };
 use numa_topology::Topology;
 use std::sync::Arc;
@@ -134,30 +134,23 @@ fn measure(kind: AnyLockKind, cell: &GcrCell) -> ScenarioResult {
         // Dispatch on the *concrete* kind: the measured lock must be
         // exactly what the row is labeled as.
         let topo = Arc::new(Topology::new(cfg.clusters));
-        let bench: Option<Arc<dyn BenchLock>> = match kind {
-            AnyLockKind::Excl(LockKind::GcrMcs) => Some(Arc::new(CohortAdapter::new(
+        let lock: Option<Arc<dyn BenchRwLock>> = match kind {
+            AnyLockKind::Excl(LockKind::GcrMcs) => Some(Arc::new(RawAdapter::new(
                 GcrLock::with_tuning(Arc::clone(&topo), McsLock::new(), tuned),
             ))),
-            AnyLockKind::Excl(LockKind::GcrCBoMcs) => Some(Arc::new(CohortAdapter::new(
+            AnyLockKind::Excl(LockKind::GcrCBoMcs) => Some(Arc::new(RawAdapter::new(
                 GcrLock::with_tuning(Arc::clone(&topo), CBoMcs::new(Arc::clone(&topo)), tuned),
             ))),
-            AnyLockKind::Excl(LockKind::GcrFisBoMcs) => Some(Arc::new(CohortAdapter::new(
+            AnyLockKind::Excl(LockKind::GcrFisBoMcs) => Some(Arc::new(RawAdapter::new(
                 GcrLock::with_tuning(Arc::clone(&topo), FisBoMcs::new(Arc::clone(&topo)), tuned),
             ))),
             _ => None,
         };
-        if let Some(bench) = bench {
-            return run_scenario_on(kind, Arc::new(MutexAsRw::new(bench)), topo, &scenario, &cfg);
+        if let Some(lock) = lock {
+            return run_scenario_on(kind, lock, topo, &scenario, &cfg);
         }
     }
     run_scenario(kind, &scenario, &cfg)
-}
-
-fn find(ms: &[Measurement<GcrCell>], cell: GcrCell, kind: LockKind) -> &ScenarioResult {
-    &ms.iter()
-        .find(|m| m.cell == cell && m.result.kind == AnyLockKind::Excl(kind))
-        .expect("check cell present")
-        .result
 }
 
 /// Self-check 1: the admission layer keeps the curve flat — the 4×
@@ -188,37 +181,19 @@ fn collapse_check(kind: LockKind, base: usize) -> Check<GcrCell> {
             checked.passive_parks,
             checked.promotions
         );
-        if ratio >= GCR_COLLAPSE_FLOOR {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(ratio >= GCR_COLLAPSE_FLOOR, msg)
     })
 }
 
 /// Self-check 2: disengaged, the wrapper costs one inner `try_lock` —
 /// near-parity with the bare inner lock at a single thread.
 fn uncontended_check(wrapped: LockKind, bare: LockKind) -> Check<GcrCell> {
-    Box::new(move |ms: &[Measurement<GcrCell>]| {
-        let cell = GcrCell {
-            oversub: 0,
-            threads: 1,
-        };
-        let gcr = find(ms, cell, wrapped);
-        let inner = find(ms, cell, bare);
-        let ratio = gcr.throughput / inner.throughput.max(1.0);
-        let msg = format!(
-            "{} single-thread vs {}: {ratio:.3}x (floor {GCR_UNCONTENDED_FLOOR}x, \
-             {} parks)",
-            wrapped.name(),
-            bare.name(),
-            gcr.passive_parks
-        );
-        if ratio >= GCR_UNCONTENDED_FLOOR {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+    let cell = GcrCell {
+        oversub: 0,
+        threads: 1,
+    };
+    throughput_floor_check(cell, wrapped, bare, GCR_UNCONTENDED_FLOOR, |gcr, _| {
+        format!("{} parks", gcr.passive_parks)
     })
 }
 
@@ -251,16 +226,7 @@ fn main() {
         measure: Measure::Custom(Box::new(|kind, cell: &GcrCell| measure(kind, cell))),
         unit: "ops/s",
         tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: metric_table(
-                    "Exhibit GCR: throughput (ops/s) by oversubscription".into(),
-                    "cell",
-                    0,
-                    |r| r.throughput,
-                ),
-            },
+            throughput_table("Exhibit GCR: throughput (ops/s) by oversubscription"),
             TableSpec {
                 csv: Some("fig_gcr".into()),
                 text: false,

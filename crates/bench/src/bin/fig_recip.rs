@@ -57,13 +57,13 @@
 
 use coherence_sim::CostModel;
 use cohort_bench::{
-    base_config, exhibit_main, knob_or_die, long_table, metric_table, schema, thread_grid, Cell,
-    Check, Exhibit, Measure, Measurement, TableSpec, FISSILE_UNCONTENDED_FLOOR,
+    base_config, cluster_thread_grid, exhibit_main, find, knob_or_die, long_table,
+    saturation_threads, schema, throughput_floor_check, throughput_table, verdict, Cell, Check,
+    Exhibit, Measure, Measurement, TableSpec, FISSILE_UNCONTENDED_FLOOR,
 };
 use lbench::env::{env_positive_usize_list, env_range_u64};
 use lbench::{
-    run_scenario, run_scenario_on, AnyLockKind, BenchLock, LockKind, MutexAsRw, RawAdapter,
-    Scenario, ScenarioResult,
+    run_scenario, run_scenario_on, AnyLockKind, LockKind, RawAdapter, Scenario, ScenarioResult,
 };
 use numa_topology::Topology;
 use std::sync::Arc;
@@ -78,20 +78,14 @@ fn era_bound() -> Option<usize> {
     knob_or_die(env_range_u64("LBENCH_RECIP_ERA_BOUND", 1..=u64::MAX)).map(|v| v as usize)
 }
 
-/// Thread grid for one cluster count: the global grid plus the
-/// uncontended cell (1) and the saturation check cell (`8 × clusters`,
-/// same rationale as `fig_fissile`), deduplicated and sorted.
+/// Thread counts swept at one cluster count: the global grid plus the
+/// uncontended cell (1) and the saturation check cell (same rationale
+/// as `fig_fissile`).
 fn grid_for(clusters: usize) -> Vec<usize> {
-    let mut grid = thread_grid();
-    grid.push(1);
-    grid.push(saturation_threads(clusters));
-    grid.sort_unstable();
-    grid.dedup();
-    grid
-}
-
-fn saturation_threads(clusters: usize) -> usize {
-    8 * clusters
+    cluster_thread_grid(&[clusters], |c| vec![1, saturation_threads(c)])
+        .into_iter()
+        .map(|cell| cell.threads)
+        .collect()
 }
 
 /// One grid cell: (cluster count, thread count), in real-time or
@@ -136,20 +130,13 @@ fn measure(kind: AnyLockKind, cell: &RecipCell) -> ScenarioResult {
     if !cell.modelled && kind == AnyLockKind::Excl(LockKind::Recip) {
         if let Some(bound) = era_bound() {
             let topo = Arc::new(Topology::new(cfg.clusters));
-            let bench: Arc<dyn BenchLock> = Arc::new(RawAdapter::new(
+            let lock = Arc::new(RawAdapter::new(
                 base_locks::ReciprocatingLock::with_era_bound(bound),
             ));
-            return run_scenario_on(kind, Arc::new(MutexAsRw::new(bench)), topo, &scenario, &cfg);
+            return run_scenario_on(kind, lock, topo, &scenario, &cfg);
         }
     }
     run_scenario(kind, &scenario, &cfg)
-}
-
-fn find(ms: &[Measurement<RecipCell>], cell: RecipCell, kind: LockKind) -> &ScenarioResult {
-    &ms.iter()
-        .find(|m| m.cell == cell && m.result.kind == AnyLockKind::Excl(kind))
-        .expect("check cell present")
-        .result
 }
 
 /// Succession transitions per acquisition of one modelled cell.
@@ -214,11 +201,7 @@ fn fifo_growth_check(clusters: usize) -> Check<RecipCell> {
             "MCS census grows at c={clusters}: {mcs_lo:.2}/acq at t={lo} -> {mcs_hi:.2}/acq \
              at t={hi} (Recip stays at {recip_hi:.2})"
         );
-        if mcs_hi > mcs_lo + 1.0 && mcs_hi > recip_hi {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(mcs_hi > mcs_lo + 1.0 && mcs_hi > recip_hi, msg)
     })
 }
 
@@ -239,11 +222,7 @@ fn cohortized_check(clusters: usize) -> Check<RecipCell> {
              ({} vs {} migrations)",
             cell.threads, crecip.total_ops, recip.total_ops, crecip.migrations, recip.migrations
         );
-        if crecip.total_ops >= recip.total_ops {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(crecip.total_ops >= recip.total_ops, msg)
     })
 }
 
@@ -251,23 +230,18 @@ fn cohortized_check(clusters: usize) -> Check<RecipCell> {
 /// uncontended Recip must hold the same floor the fissile fast path is
 /// held to.
 fn uncontended_check(clusters: usize) -> Check<RecipCell> {
-    const FLOOR: f64 = FISSILE_UNCONTENDED_FLOOR;
-    Box::new(move |ms: &[Measurement<RecipCell>]| {
-        let cell = RecipCell {
-            clusters,
-            threads: 1,
-            modelled: false,
-        };
-        let recip = find(ms, cell, LockKind::Recip);
-        let mcs = find(ms, cell, LockKind::Mcs);
-        let ratio = recip.throughput / mcs.throughput.max(1.0);
-        let msg = format!("Recip uncontended vs MCS at c={clusters}: {ratio:.3}x (floor {FLOOR}x)");
-        if ratio >= FLOOR {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
-    })
+    let cell = RecipCell {
+        clusters,
+        threads: 1,
+        modelled: false,
+    };
+    throughput_floor_check(
+        cell,
+        LockKind::Recip,
+        LockKind::Mcs,
+        FISSILE_UNCONTENDED_FLOOR,
+        |recip, mcs| format!("{:.0} vs {:.0} ops/s", recip.throughput, mcs.throughput),
+    )
 }
 
 /// Self-check 5 (realtime): the palindromic queue must beat the
@@ -300,11 +274,7 @@ fn saturation_check(clusters: usize) -> Check<RecipCell> {
             "Recip vs TATAS at c={clusters} t={}: {ratio:.2}x (trial {trial}/{TRIALS})",
             cell.threads,
         );
-        if ratio >= 1.0 {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(ratio >= 1.0, msg)
     })
 }
 
@@ -339,16 +309,7 @@ fn main() {
         measure: Measure::Custom(Box::new(|kind, cell: &RecipCell| measure(kind, cell))),
         unit: "ops/s",
         tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: metric_table(
-                    "Exhibit Recip: throughput (ops/s) by mode x clusters x threads".into(),
-                    "cell",
-                    0,
-                    |r| r.throughput,
-                ),
-            },
+            throughput_table("Exhibit Recip: throughput (ops/s) by mode x clusters x threads"),
             TableSpec {
                 csv: Some("fig_recip".into()),
                 text: false,

@@ -29,7 +29,7 @@
 
 use cohort_bench::{
     ablation_threads, base_config, exhibit_main, knob_or_die, long_table, metric_table, schema,
-    Cell, Check, Exhibit, Measure, Measurement, TableSpec,
+    verdict, Cell, Check, Exhibit, Measure, Measurement, TableSpec,
 };
 use lbench::env::env_positive_usize;
 use lbench::{AnyLockKind, RwLockKind, Scenario};
@@ -58,11 +58,7 @@ fn crw_check(kind: RwLockKind, read_pct: u32) -> Check<u32> {
             RwLockKind::MutexCBoMcs,
             crw.throughput / baseline.throughput.max(1.0)
         );
-        if crw.throughput >= baseline.throughput {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(crw.throughput >= baseline.throughput, msg)
     })
 }
 

@@ -52,8 +52,9 @@
 
 use coherence_sim::CostModel;
 use cohort_bench::{
-    ablation_threads, base_config, clusters, cost_mode, exhibit_main, knob_or_die, long_table,
-    metric_table, schema, Cell, Check, Exhibit, Measure, Measurement, TableSpec,
+    ablation_threads, base_config, clusters, cost_mode, exhibit_main, find_where, knob_or_die,
+    long_table, metric_table, schema, verdict, Cell, Check, Exhibit, Measure, Measurement,
+    TableSpec,
 };
 use lbench::env::{env_choice_list, env_positive_u64, env_positive_usize};
 use lbench::{run_scenario, AnyLockKind, LockKind, Phase, RwLockKind, Scenario};
@@ -139,15 +140,15 @@ fn cells() -> Vec<ScenCell> {
         .collect()
 }
 
-/// Finds one measured cell (`None` when `LBENCH_SCENARIO` filtered the
-/// scenario out — checks skip rather than fail).
+/// The result of `kind` in scenario `name` (`None` when
+/// `LBENCH_SCENARIO` filtered the scenario out — checks skip rather than
+/// fail).
 fn find<'m>(
     ms: &'m [Measurement<ScenCell>],
     name: &str,
     kind: LockKind,
-) -> Option<&'m Measurement<ScenCell>> {
-    ms.iter()
-        .find(|m| m.cell.name == name && m.result.kind == AnyLockKind::Excl(kind))
+) -> Option<&'m lbench::ScenarioResult> {
+    find_where(ms, kind, |cell| cell.name == name)
 }
 
 /// Self-check 1: cohorting keeps its edge under bursty arrival whenever
@@ -161,7 +162,7 @@ fn bursty_edge_check() -> Check<ScenCell> {
             find(ms, "bursty", LockKind::CBoMcs),
             find(ms, "bursty", LockKind::Mcs),
         ) {
-            (Some(c), Some(m)) => (&c.result, &m.result),
+            (Some(c), Some(m)) => (c, m),
             _ => return Ok("bursty cohort edge skipped (scenario filtered out)".into()),
         };
         let msg = format!(
@@ -171,11 +172,7 @@ fn bursty_edge_check() -> Check<ScenCell> {
             cohort.migrations,
             mcs.migrations
         );
-        if cohort.throughput >= mcs.throughput {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(cohort.throughput >= mcs.throughput, msg)
     })
 }
 
@@ -247,7 +244,7 @@ fn uncontended_floor_check(kind: LockKind, floor: f64) -> Check<ScenCell> {
             find(ms, "uncontended", kind),
             find(ms, "uncontended", LockKind::Mcs),
         ) {
-            (Some(c), Some(m)) => (&c.result, &m.result),
+            (Some(c), Some(m)) => (c, m),
             _ => {
                 return Ok(format!(
                     "{} uncontended floor skipped (scenario filtered out)",
@@ -263,11 +260,7 @@ fn uncontended_floor_check(kind: LockKind, floor: f64) -> Check<ScenCell> {
             lock.fast_acquisitions,
             lock.slow_acquisitions
         );
-        if ratio >= floor {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(ratio >= floor, msg)
     })
 }
 

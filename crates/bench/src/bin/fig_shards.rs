@@ -36,12 +36,12 @@
 //! throughput.
 
 use cohort_bench::{
-    clusters, exhibit_main, knob_or_die, long_table, metric_table, schema, window_ns, Cell, Check,
-    Exhibit, Measure, Measurement, TableSpec,
+    clusters, exhibit_main, find_where, knob_or_die, long_table, metric_table, schema, verdict,
+    window_ns, Cell, Check, Exhibit, Measure, Measurement, TableSpec,
 };
 use cohort_kvstore::workload::KvWorkload;
 use lbench::env::{env_key_dist_list, env_positive_usize_list};
-use lbench::{AnyLockKind, KeyDist, LockKind, RwLockKind};
+use lbench::{AnyLockKind, KeyDist, LockKind, RwLockKind, ScenarioResult};
 use std::time::Duration;
 
 /// One grid cell: a shard count × closed-loop client count × key
@@ -109,18 +109,16 @@ fn cells() -> Vec<ShardCell> {
     v
 }
 
-/// Finds one measured cell on the cohort (exclusive) column.
+/// The cohort (exclusive) column's result at one cell (`None` when the
+/// knobs filtered the cell out).
 fn find<'m>(
     ms: &'m [Measurement<ShardCell>],
     shards: usize,
     clients: usize,
     dist: &KeyDist,
-) -> Option<&'m Measurement<ShardCell>> {
-    ms.iter().find(|m| {
-        m.cell.shards == shards
-            && m.cell.clients == clients
-            && m.cell.dist == *dist
-            && m.result.kind == AnyLockKind::Excl(LockKind::CBoMcs)
+) -> Option<&'m ScenarioResult> {
+    find_where(ms, LockKind::CBoMcs, |cell| {
+        cell.shards == shards && cell.clients == clients && cell.dist == *dist
     })
 }
 
@@ -140,13 +138,9 @@ fn tail_slo_check(shards_max: usize, clients_max: usize) -> Check<ShardCell> {
         let slo_ns = (clients_max as u64 / shards_max as u64 + 1) * 4_000 + 100_000;
         let msg = format!(
             "tail SLO at {}sh/{}cl/uniform: p99 {} ns vs bound {} ns (p50 {} ns)",
-            shards_max, clients_max, m.result.lat_p99_ns, slo_ns, m.result.lat_p50_ns
+            shards_max, clients_max, m.lat_p99_ns, slo_ns, m.lat_p50_ns
         );
-        if m.result.lat_p99_ns <= slo_ns {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(m.lat_p99_ns <= slo_ns, msg)
     })
 }
 
@@ -174,7 +168,7 @@ fn sharding_speedup_check(
             find(ms, shards_max, clients_max, dist),
             find(ms, shards_min, clients_max, dist),
         ) {
-            (Some(w), Some(n)) => (&w.result, &n.result),
+            (Some(w), Some(n)) => (w, n),
             _ => return Ok("sharding speedup skipped (cells filtered out)".into()),
         };
         let ratio = wide.throughput / narrow.throughput.max(1.0);
@@ -188,11 +182,7 @@ fn sharding_speedup_check(
             wide.throughput,
             narrow.throughput
         );
-        if ratio >= 2.0 {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(ratio >= 2.0, msg)
     })
 }
 

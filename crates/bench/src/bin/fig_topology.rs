@@ -29,7 +29,9 @@
 //! `RESULTS_DIR`.
 
 use coherence_sim::CostModel;
-use cohort_bench::{base_config, clusters, emit, knob_or_die, schema, topology_mode, Cell, Grid};
+use cohort_bench::{
+    base_config, clusters, emit, knob_or_die, schema, topology_mode, verdict, Cell, Grid,
+};
 use lbench::env::env_bool;
 use lbench::phys::measured_topology;
 use lbench::{run_scenario, AnyLockKind, LockKind, Scenario, TopologyMode};
@@ -113,11 +115,7 @@ fn measured_saturation_check(m: &MeasuredTopology) -> Result<String, String> {
         cohort.migrations,
         mcs.migrations
     );
-    if cohort.throughput >= mcs.throughput {
-        Ok(msg)
-    } else {
-        Err(msg)
-    }
+    verdict(cohort.throughput >= mcs.throughput, msg)
 }
 
 fn main() {

@@ -21,7 +21,7 @@
 //! header), and [`policy_table`] (the policy-ablation text layout).
 
 use crate::grid::{emit, Cell, Grid};
-use lbench::{run_scenario, AnyLockKind, LBenchConfig, Scenario, ScenarioResult};
+use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
 use std::fmt::Display;
 
 /// One measured cell of an exhibit: the grid cell it came from plus the
@@ -50,9 +50,112 @@ pub enum Measure<C> {
     /// The default: build a [`Scenario`] + [`LBenchConfig`] from the
     /// grid cell and run the scenario engine.
     Scenario(ScenarioBuilder<C>),
-    /// A custom workload driver (kvstore, allocator) returning a result
-    /// shell (see [`ScenarioResult::external`]).
+    /// A custom driver over the scenario engine, for cells that build
+    /// their own lock or re-measure (tuning knobs, per-cell cost modes).
     Custom(CustomMeasure<C>),
+}
+
+/// The result exclusive kind `kind` measured at the first grid cell `at`
+/// accepts — `None` when no such cell was swept (a knob filtered it out),
+/// which checks report as skipped rather than failed.
+pub fn find_where<C>(
+    ms: &[Measurement<C>],
+    kind: LockKind,
+    at: impl Fn(&C) -> bool,
+) -> Option<&ScenarioResult> {
+    ms.iter()
+        .find(|m| m.result.kind == AnyLockKind::Excl(kind) && at(&m.cell))
+        .map(|m| &m.result)
+}
+
+/// The result `kind` measured at `cell`, for checks whose cells the
+/// exhibit's grid always contains (panics otherwise).
+pub fn find<C: PartialEq>(ms: &[Measurement<C>], cell: C, kind: LockKind) -> &ScenarioResult {
+    find_where(ms, kind, |c| *c == cell).expect("check cell present")
+}
+
+/// The self-check the comparison exhibits share: at `cell`, `kind` must
+/// hold at least `floor` × the throughput of `baseline`. `detail` picks
+/// the counters worth printing next to the ratio, from `kind`'s result
+/// and `baseline`'s.
+pub fn throughput_floor_check<C>(
+    cell: C,
+    kind: LockKind,
+    baseline: LockKind,
+    floor: f64,
+    detail: fn(&ScenarioResult, &ScenarioResult) -> String,
+) -> Check<C>
+where
+    C: Copy + PartialEq + Display + 'static,
+{
+    Box::new(move |ms| {
+        let (lock, base) = (find(ms, cell, kind), find(ms, cell, baseline));
+        let ratio = lock.throughput / base.throughput.max(1.0);
+        let msg = format!(
+            "{kind} vs {baseline} at {cell}: {ratio:.3}x (floor {floor}x, {})",
+            detail(lock, base)
+        );
+        verdict(ratio >= floor, msg)
+    })
+}
+
+/// `detail` for [`throughput_floor_check`]: both locks' migration counts.
+pub fn migrations_detail(lock: &ScenarioResult, base: &ScenarioResult) -> String {
+    format!("{} vs {} migrations", lock.migrations, base.migrations)
+}
+
+/// The printed (not written) table of the comparison exhibits:
+/// throughput in ops/s, one row per grid cell, one column per lock.
+pub fn throughput_table<C: Display + 'static>(title: &str) -> TableSpec<C> {
+    TableSpec {
+        csv: None,
+        text: true,
+        build: metric_table(title.into(), "cell", 0, |r| r.throughput),
+    }
+}
+
+/// One grid cell of the clusters × threads exhibits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ClusterThreads {
+    /// NUMA clusters of the cell.
+    pub clusters: usize,
+    /// Worker threads of the cell.
+    pub threads: usize,
+}
+
+impl Display for ClusterThreads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "c={} t={}", self.clusters, self.threads)
+    }
+}
+
+/// The grid of a clusters × threads exhibit: for every cluster count,
+/// the `LBENCH_THREADS` grid plus the exhibit's check cells for that
+/// count (`extra_threads`), deduplicated and sorted.
+pub fn cluster_thread_grid(
+    cluster_counts: &[usize],
+    extra_threads: impl Fn(usize) -> Vec<usize>,
+) -> Vec<ClusterThreads> {
+    cluster_counts
+        .iter()
+        .flat_map(|&clusters| {
+            let mut threads = crate::thread_grid();
+            threads.extend(extra_threads(clusters));
+            threads.sort_unstable();
+            threads.dedup();
+            threads
+                .into_iter()
+                .map(move |threads| ClusterThreads { clusters, threads })
+        })
+        .collect()
+}
+
+/// The saturation check cell of a cluster count: `8 × clusters` threads.
+/// Below that the offered load does not reliably saturate the lock in
+/// this harness — at `2 × clusters` even C-BO-MCS holds no edge over
+/// TATAS, so a comparison there measures noise rather than the design.
+pub fn saturation_threads(clusters: usize) -> usize {
+    8 * clusters
 }
 
 /// One table of an exhibit: how to build the [`Grid`] and where it goes.
@@ -69,6 +172,15 @@ pub struct TableSpec<C> {
 /// `check: <msg> ok`, `Err(msg)` prints `check: <msg> FAILED` and fails
 /// the exhibit.
 pub type Check<C> = Box<dyn Fn(&[Measurement<C>]) -> Result<String, String>>;
+
+/// The tail of a [`Check`]: `msg` as a pass or as a failure.
+pub fn verdict(pass: bool, msg: String) -> Result<String, String> {
+    if pass {
+        Ok(msg)
+    } else {
+        Err(msg)
+    }
+}
 
 /// A declarative exhibit (see the module docs).
 pub struct Exhibit<C> {
@@ -284,13 +396,22 @@ pub fn policy_csv_row<C: Display>(m: &Measurement<C>) -> Vec<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbench::LockKind;
-    use std::time::Duration;
+    use coherence_sim::CostModel;
 
+    /// A measurement with a chosen throughput: a short modelled cell
+    /// supplies the rest of the result.
     fn fake(kind: AnyLockKind, threads: usize, thr: f64) -> Measurement<usize> {
+        let cfg = LBenchConfig {
+            threads,
+            window_ns: 10_000,
+            ..Default::default()
+        };
+        let scenario = Scenario::steady().modelled(CostModel::t5440());
+        let mut result = run_scenario(kind, &scenario, &cfg);
+        result.throughput = thr;
         Measurement {
             cell: threads,
-            result: ScenarioResult::external(kind, threads, thr, Duration::ZERO),
+            result,
         }
     }
 

@@ -36,8 +36,10 @@ pub mod model_exhibit;
 pub mod schema;
 
 pub use exhibit::{
-    exhibit_main, long_table, metric_table, policy_csv_row, policy_table, run_exhibit, Check,
-    Exhibit, Measure, Measurement, TableSpec,
+    cluster_thread_grid, exhibit_main, find, find_where, long_table, metric_table,
+    migrations_detail, policy_csv_row, policy_table, run_exhibit, saturation_threads,
+    throughput_floor_check, throughput_table, verdict, Check, ClusterThreads, Exhibit, Measure,
+    Measurement, TableSpec,
 };
 pub use grid::{emit, Cell, Grid};
 pub use model_exhibit::{

@@ -25,15 +25,16 @@
 //!   irrelevant, so every *exclusive* kind produces the identical op
 //!   count, throughput bits, and latency percentiles. (The C-RW row is
 //!   excluded: RW kinds draw the per-op read/write coin even at
-//!   `read_pct = 0` — a legacy-parity rule — which shifts the RNG
-//!   program, not the semantics.)
+//!   `read_pct = 0` — the rule the committed `results/fig_model.csv`
+//!   was generated under, and now pins — which shifts the RNG program,
+//!   not the semantics.)
 //!
 //! The module lives in the library (rather than the binary) so the
 //! `modelled_determinism` integration test drives the *same* cells and
 //! row builder the binary emits — the committed `results/fig_model.csv`
 //! and the test can never diverge.
 
-use crate::exhibit::{long_table, metric_table};
+use crate::exhibit::{long_table, metric_table, verdict};
 use crate::{base_config, clusters, schema, Cell, Check, Exhibit, Measure, Measurement, TableSpec};
 use coherence_sim::CostModel;
 use lbench::{run_scenario, AnyLockKind, LockKind, RwLockKind, Scenario, ScenarioResult};
@@ -216,11 +217,7 @@ fn saturated_separation_check() -> Check<ModelCell> {
         let ok = cbo.migrations * 32 < cbo.acquisitions
             && mcs.migrations * 2 > mcs.acquisitions
             && cbo.total_ops > 10 * mcs.total_ops;
-        if ok {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(ok, msg)
     })
 }
 
@@ -239,11 +236,7 @@ fn batch_bound_check() -> Check<ModelCell> {
         let bound = cohort::CountBound::PAPER_BOUND;
         let p50 = cbo.batch_p50_floor();
         let msg = format!("saturated C-BO-MCS batch p50 floor {p50} vs pass bound {bound}");
-        if p50 >= bound {
-            Ok(msg)
-        } else {
-            Err(msg)
-        }
+        verdict(p50 >= bound, msg)
     })
 }
 

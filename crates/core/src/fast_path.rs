@@ -39,7 +39,7 @@
 //! because fast-path acquisitions never touch the policy layer.
 
 use crate::lock::{CohortLock, CohortToken};
-use crate::policy::{CohortStats, CountBound, HandoffPolicy};
+use crate::policy::{CohortStats, CountBound, HandoffPolicy, Introspect};
 use crate::traits::{GlobalLock, LocalCohortLock};
 use base_locks::{RawLock, SpinWait};
 use crossbeam_utils::CachePadded;
@@ -355,6 +355,16 @@ unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> RawLock for Fis
                 self.slow.release(inner);
             }
         }
+    }
+}
+
+impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Introspect for FissileLock<G, L, P> {
+    fn tenure_stats(&self) -> Option<CohortStats> {
+        Some(self.cohort_stats())
+    }
+
+    fn policy_label(&self) -> Option<String> {
+        Some(self.policy().label())
     }
 }
 

@@ -53,7 +53,7 @@
 //!
 //! Park/promotion accounting is surfaced through the ordinary
 //! [`CohortStats`] snapshot (`passive_parks` / `promotions`); the inner
-//! lock's own counters pass through via [`GcrInner`].
+//! lock's own counters pass through via [`Introspect`].
 //!
 //! Two usage caveats follow from the sticky-grant design. Tokens should
 //! be released on the thread that acquired them — an off-thread release
@@ -63,10 +63,7 @@
 //! acquisitions keeps competing under its *original* cluster's budget
 //! until a rotation re-admits it where it now runs.
 
-use crate::fast_path::FissileLock;
-use crate::lock::CohortLock;
-use crate::policy::{CohortStats, HandoffPolicy};
-use crate::traits::{GlobalLock, LocalCohortLock};
+use crate::policy::{CohortStats, Introspect};
 use base_locks::{RawLock, SpinWait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, vclock, ClusterId, Topology};
@@ -144,46 +141,6 @@ impl Default for GcrTuning {
             promotion_budget: Self::DEFAULT_PROMOTION_BUDGET,
             passive_spins: Self::DEFAULT_PASSIVE_SPINS,
         }
-    }
-}
-
-/// Statistics pass-through glue for [`GcrLock`]: how an inner lock
-/// surfaces its own [`CohortStats`] snapshot and policy label, so the
-/// wrapper can fold its park/promotion counters into whatever the
-/// wrapped lock already reports. Plain locks use the defaults (empty
-/// snapshot, no policy).
-pub trait GcrInner: RawLock {
-    /// The inner lock's own statistics snapshot (empty by default).
-    fn inner_stats(&self) -> CohortStats {
-        CohortStats::default()
-    }
-
-    /// The inner lock's handoff-policy label, if it has one.
-    fn inner_policy_label(&self) -> Option<String> {
-        None
-    }
-}
-
-impl GcrInner for base_locks::McsLock {}
-impl GcrInner for base_locks::TatasLock {}
-
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> GcrInner for CohortLock<G, L, P> {
-    fn inner_stats(&self) -> CohortStats {
-        self.cohort_stats()
-    }
-
-    fn inner_policy_label(&self) -> Option<String> {
-        Some(self.policy().label())
-    }
-}
-
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> GcrInner for FissileLock<G, L, P> {
-    fn inner_stats(&self) -> CohortStats {
-        self.cohort_stats()
-    }
-
-    fn inner_policy_label(&self) -> Option<String> {
-        Some(self.policy().label())
     }
 }
 
@@ -736,11 +693,12 @@ impl<K: RawLock> GcrLock<K> {
     }
 }
 
-impl<K: GcrInner> GcrLock<K> {
-    /// The inner lock's statistics snapshot with the admission layer's
-    /// park/promotion counters folded in.
+impl<K: RawLock + Introspect> GcrLock<K> {
+    /// The inner lock's statistics snapshot (empty for a plain inner
+    /// lock) with the admission layer's park/promotion counters folded
+    /// in.
     pub fn cohort_stats(&self) -> CohortStats {
-        let mut stats = self.inner.inner_stats();
+        let mut stats = self.inner.tenure_stats().unwrap_or_default();
         stats.passive_parks = self.passive_parks();
         stats.promotions = self.promotions();
         stats
@@ -748,7 +706,19 @@ impl<K: GcrInner> GcrLock<K> {
 
     /// The inner lock's handoff-policy label, if it has one.
     pub fn policy_label(&self) -> Option<String> {
-        self.inner.inner_policy_label()
+        self.inner.policy_label()
+    }
+}
+
+/// The wrapper always has counters of its own to report, and labels a
+/// policy-less inner lock `"-"`.
+impl<K: RawLock + Introspect> Introspect for GcrLock<K> {
+    fn tenure_stats(&self) -> Option<CohortStats> {
+        Some(self.cohort_stats())
+    }
+
+    fn policy_label(&self) -> Option<String> {
+        Some(self.inner.policy_label().unwrap_or_else(|| "-".into()))
     }
 }
 
@@ -833,7 +803,7 @@ impl<K> std::fmt::Debug for GcrLock<K> {
 mod tests {
     use super::*;
     use crate::policy::PolicySpec;
-    use crate::{CBoMcs, FisBoMcs};
+    use crate::{CBoMcs, CohortLock, FisBoMcs};
     use base_locks::McsLock;
     use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;

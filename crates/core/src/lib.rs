@@ -109,7 +109,7 @@ pub mod rwlock;
 mod traits;
 
 pub use fast_path::{FissileLock, FissileToken, FissileTuning};
-pub use gcr::{GcrInner, GcrLock, GcrToken, GcrTuning};
+pub use gcr::{GcrLock, GcrToken, GcrTuning};
 pub use global::GlobalBoLock;
 pub use local_abo::LocalAboLock;
 pub use local_aclh::{AClhToken, LocalAClhLock};
@@ -119,7 +119,7 @@ pub use local_ticket::LocalTicketLock;
 pub use lock::{CohortLock, CohortToken};
 pub use policy::{
     AdaptiveBound, ClusterStats, CohortStats, CountBound, DynPolicy, HandoffPolicy, HandoffTracker,
-    NeverPass, PassPolicy, PolicyParseError, PolicySpec, TenureClock, TimeBound, Unbounded,
+    Introspect, NeverPass, PolicyParseError, PolicySpec, TenureClock, TimeBound, Unbounded,
 };
 pub use rwlock::{CohortRwLock, RwFairness, RwReadGuard, RwReadToken, RwWriteGuard, RwWriteToken};
 pub use traits::{
@@ -442,10 +442,11 @@ mod tests {
 
     #[test]
     fn never_pass_policy_forces_global_every_time() {
-        // With NeverPass (via the PassPolicy compat shim), consecutive
-        // acquisitions from one thread must each re-acquire the global
-        // lock: every tenure ends after zero local handoffs.
-        let l = CBoMcs::with_policy(topo(), PassPolicy::NeverPass);
+        // With NeverPass, consecutive acquisitions from one thread must
+        // each re-acquire the global lock: every tenure ends after zero
+        // local handoffs.
+        let l: CohortLock<GlobalBoLock, LocalMcsLock, NeverPass> =
+            CohortLock::with_handoff_policy(topo(), NeverPass::default());
         for _ in 0..100 {
             let t = l.lock();
             unsafe { l.unlock(t) };
@@ -458,8 +459,7 @@ mod tests {
 
     #[test]
     fn pass_policy_accessor() {
-        // The compat shim converts the old enum into CountBound.
-        let l = CBoBo::with_policy(topo(), PassPolicy::Count { bound: 7 });
+        let l = CBoBo::with_handoff_policy(topo(), CountBound::new(7));
         assert_eq!(l.policy().bound(), 7);
     }
 

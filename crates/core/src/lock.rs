@@ -1,6 +1,6 @@
 //! The generic cohort lock — the paper's §2 transformation as one type.
 
-use crate::policy::{CohortStats, CountBound, HandoffPolicy};
+use crate::policy::{CohortStats, CountBound, HandoffPolicy, Introspect};
 use crate::traits::{GlobalLock, LocalCohortLock, Release};
 use base_locks::RawLock;
 use crossbeam_utils::CachePadded;
@@ -106,18 +106,6 @@ where
         Self::with_handoff_policy(topo, P::default())
     }
 
-    /// Creates a cohort lock with an explicit fairness policy value.
-    ///
-    /// This is the compat shim for pre-trait call sites: anything
-    /// convertible into `P` is accepted, and [`PassPolicy`] converts into
-    /// the default [`CountBound`], so `with_policy(topo,
-    /// PassPolicy::Count { bound })` keeps working unchanged.
-    ///
-    /// [`PassPolicy`]: crate::PassPolicy
-    pub fn with_policy(topo: Arc<Topology>, policy: impl Into<P>) -> Self {
-        Self::with_handoff_policy(topo, policy.into())
-    }
-
     /// Creates a cohort lock with an explicit [`HandoffPolicy`] instance.
     pub fn with_handoff_policy(topo: Arc<Topology>, mut policy: P) -> Self {
         let locals = (0..topo.clusters())
@@ -146,6 +134,16 @@ where
     /// Uses the process-wide [`global_topology`].
     fn default() -> Self {
         Self::new(global_topology())
+    }
+}
+
+impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Introspect for CohortLock<G, L, P> {
+    fn tenure_stats(&self) -> Option<CohortStats> {
+        Some(self.cohort_stats())
+    }
+
+    fn policy_label(&self) -> Option<String> {
+        Some(self.policy.label())
     }
 }
 

@@ -28,10 +28,6 @@
 //!   demand, shrinks it when clusters run dry early; stays in `[min, max]`.
 //! * [`Unbounded`] / [`NeverPass`] — the two degenerate corners (§3.7's
 //!   "deeply unfair" variant, and every-release-goes-global).
-//!
-//! [`PassPolicy`] — the original closed enum — remains as a plain
-//! configuration value convertible into [`CountBound`], so pre-existing
-//! `with_policy` call sites keep working unchanged.
 
 use crossbeam_utils::CachePadded;
 use numa_topology::{vclock, ClusterId};
@@ -160,6 +156,34 @@ impl fmt::Display for CohortStats {
         )
     }
 }
+
+/// What a lock can say about its own handoff behaviour: the one
+/// introspection surface harnesses and wrappers read, whatever the lock
+/// type. Plain locks take the defaults (`impl Introspect for L {}`);
+/// policy-driven locks report their [`CohortStats`] snapshot and the
+/// installed policy's label, and wrappers ([`GcrLock`](crate::GcrLock))
+/// fold their own counters into whatever the wrapped lock reports.
+pub trait Introspect {
+    /// Tenure statistics (`None` for locks without a tenure notion).
+    fn tenure_stats(&self) -> Option<CohortStats> {
+        None
+    }
+
+    /// Label of the installed handoff policy, e.g. `"count(64)"` (`None`
+    /// for locks without one).
+    fn policy_label(&self) -> Option<String> {
+        None
+    }
+}
+
+impl Introspect for base_locks::TatasLock {}
+impl Introspect for base_locks::BackoffLock {}
+impl Introspect for base_locks::FibBackoffLock {}
+impl Introspect for base_locks::TicketLock {}
+impl Introspect for base_locks::McsLock {}
+impl Introspect for base_locks::ClhLock {}
+impl Introspect for base_locks::AbortableClhLock {}
+impl Introspect for base_locks::ReciprocatingLock {}
 
 /// The cache-padded per-cluster counters behind [`CohortStats`]. Policies
 /// embed one tracker and forward their lifecycle hooks to it.
@@ -1118,76 +1142,6 @@ impl fmt::Display for PolicySpec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// PassPolicy — the original closed enum, kept as a configuration value
-
-/// The original closed policy enum, kept for source compatibility. It is a
-/// plain value convertible into [`CountBound`] (`Unbounded` ⇒ bound
-/// `u64::MAX`, `NeverPass` ⇒ bound `0`), which is what the compat
-/// `with_policy` constructor consumes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PassPolicy {
-    /// Allow up to `bound` consecutive local handoffs, then force a global
-    /// release. The paper's policy, with `bound = 64`.
-    Count {
-        /// Maximum consecutive local handoffs per cohort tenure.
-        bound: u64,
-    },
-    /// Never bound the cohort (the "deeply unfair" variant of §3.7; used
-    /// by the handoff ablation).
-    Unbounded,
-    /// Never pass locally: every release is a global release. Degenerates
-    /// the cohort lock into its global lock plus overhead; useful as a
-    /// sanity baseline.
-    NeverPass,
-}
-
-impl PassPolicy {
-    /// The paper's configuration (bound of 64 local handoffs).
-    pub const fn paper_default() -> Self {
-        PassPolicy::Count {
-            bound: CountBound::PAPER_BOUND,
-        }
-    }
-
-    /// May a releaser hand off locally after `streak` consecutive local
-    /// handoffs in the current tenure?
-    #[inline]
-    pub fn may_pass_local(&self, streak: u64) -> bool {
-        match *self {
-            PassPolicy::Count { bound } => streak < bound,
-            PassPolicy::Unbounded => true,
-            PassPolicy::NeverPass => false,
-        }
-    }
-}
-
-impl Default for PassPolicy {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-impl From<PassPolicy> for CountBound {
-    fn from(p: PassPolicy) -> CountBound {
-        CountBound::new(match p {
-            PassPolicy::Count { bound } => bound,
-            PassPolicy::Unbounded => u64::MAX,
-            PassPolicy::NeverPass => 0,
-        })
-    }
-}
-
-impl From<PassPolicy> for PolicySpec {
-    fn from(p: PassPolicy) -> PolicySpec {
-        match p {
-            PassPolicy::Count { bound } => PolicySpec::Count { bound },
-            PassPolicy::Unbounded => PolicySpec::Unbounded,
-            PassPolicy::NeverPass => PolicySpec::NeverPass,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1198,34 +1152,24 @@ mod tests {
 
     #[test]
     fn count_policy_bounds_streak() {
-        let p = PassPolicy::Count { bound: 3 };
-        assert!(p.may_pass_local(0));
-        assert!(p.may_pass_local(2));
-        assert!(!p.may_pass_local(3));
-        assert!(!p.may_pass_local(100));
+        let p = CountBound::new(3);
+        assert!(p.may_pass_local(c(0), 0));
+        assert!(p.may_pass_local(c(0), 2));
+        assert!(!p.may_pass_local(c(0), 3));
+        assert!(!p.may_pass_local(c(0), 100));
     }
 
     #[test]
     fn default_is_paper_bound() {
-        assert_eq!(PassPolicy::default(), PassPolicy::Count { bound: 64 });
-        assert!(PassPolicy::default().may_pass_local(63));
-        assert!(!PassPolicy::default().may_pass_local(64));
+        assert_eq!(CountBound::default().bound(), 64);
+        assert!(CountBound::default().may_pass_local(c(0), 63));
+        assert!(!CountBound::default().may_pass_local(c(0), 64));
     }
 
     #[test]
     fn degenerate_policies() {
-        assert!(PassPolicy::Unbounded.may_pass_local(u64::MAX));
-        assert!(!PassPolicy::NeverPass.may_pass_local(0));
-    }
-
-    #[test]
-    fn pass_policy_converts_to_count_bound() {
-        let p: CountBound = PassPolicy::Count { bound: 7 }.into();
-        assert_eq!(p.bound(), 7);
-        let u: CountBound = PassPolicy::Unbounded.into();
-        assert!(u.may_pass_local(c(0), u64::MAX - 1));
-        let n: CountBound = PassPolicy::NeverPass.into();
-        assert!(!n.may_pass_local(c(0), 0));
+        assert!(Unbounded::default().may_pass_local(c(0), u64::MAX));
+        assert!(!NeverPass::default().may_pass_local(c(0), 0));
     }
 
     #[test]

@@ -1,52 +1,21 @@
-//! Object-safe lock interface for the benchmark harness.
+//! The exclusive implementors of [`BenchRwLock`].
 //!
-//! The evaluation sweeps ~19 lock algorithms with heterogeneous token
-//! types. [`BenchLock`] erases the token: the adapter stashes it in a slot
-//! that only the current holder touches (the same holder-private-state
-//! argument the cohort lock itself uses for its global token).
+//! The evaluation sweeps 28 lock algorithms with heterogeneous token
+//! types. An adapter erases the token by stashing it in a slot that only
+//! the current holder touches (the same holder-private-state argument the
+//! cohort lock itself uses for its global token), implements the write
+//! side of [`BenchRwLock`], and inherits the read side from the trait's
+//! defaults — a read *is* a write here. Cohort statistics and the policy
+//! label reach the trait through [`cohort::Introspect`], which plain
+//! locks answer with `None`.
 
+use crate::bench_rwlock::BenchRwLock;
 use base_locks::{RawAbortableLock, RawLock};
-use cohort::CohortStats;
+use cohort::{CohortStats, Introspect};
 use std::cell::UnsafeCell;
 
-/// A lock as the benchmark harness sees it: acquire/release, optionally
-/// with a timeout.
-pub trait BenchLock: Send + Sync {
-    /// Acquires the lock (blocking).
-    fn acquire(&self);
-
-    /// Releases the lock (must be called by the current holder).
-    fn release(&self);
-
-    /// Tries to acquire with a timeout; `true` on success. Locks without
-    /// abort support simply block (and return `true`).
-    fn acquire_with_patience(&self, patience_ns: u64) -> bool {
-        let _ = patience_ns;
-        self.acquire();
-        true
-    }
-
-    /// Whether `acquire_with_patience` can actually time out.
-    fn is_abortable(&self) -> bool {
-        false
-    }
-
-    /// Tenure statistics, for cohort locks (`None` for every other
-    /// algorithm). Routed through the policy's per-cluster counters; see
-    /// [`cohort::CohortStats`].
-    fn cohort_stats(&self) -> Option<CohortStats> {
-        None
-    }
-
-    /// Label of the handoff policy actually installed (`None` for
-    /// non-cohort locks) — e.g. `"count(64)"`.
-    fn policy_label(&self) -> Option<String> {
-        None
-    }
-}
-
-/// Adapts any [`RawLock`] to [`BenchLock`].
-pub struct RawAdapter<L: RawLock> {
+/// Adapts any [`RawLock`] to [`BenchRwLock`].
+pub struct RawAdapter<L: RawLock + Introspect> {
     lock: L,
     /// Token of the in-flight acquisition. Only the holder reads/writes
     /// it, bracketed by the lock's own acquire/release fences.
@@ -54,10 +23,10 @@ pub struct RawAdapter<L: RawLock> {
 }
 
 // SAFETY: the slot is holder-private (see field docs).
-unsafe impl<L: RawLock> Send for RawAdapter<L> {}
-unsafe impl<L: RawLock> Sync for RawAdapter<L> {}
+unsafe impl<L: RawLock + Introspect> Send for RawAdapter<L> {}
+unsafe impl<L: RawLock + Introspect> Sync for RawAdapter<L> {}
 
-impl<L: RawLock> RawAdapter<L> {
+impl<L: RawLock + Introspect> RawAdapter<L> {
     /// Wraps `lock`.
     pub fn new(lock: L) -> Self {
         RawAdapter {
@@ -65,39 +34,42 @@ impl<L: RawLock> RawAdapter<L> {
             slot: UnsafeCell::new(None),
         }
     }
-
-    /// The wrapped lock (for instrumentation).
-    pub fn inner(&self) -> &L {
-        &self.lock
-    }
 }
 
-impl<L: RawLock> BenchLock for RawAdapter<L> {
-    fn acquire(&self) {
+impl<L: RawLock + Introspect> BenchRwLock for RawAdapter<L> {
+    fn acquire_write(&self) {
         let token = self.lock.lock();
         // SAFETY: we hold the lock; the slot is ours.
         unsafe { *self.slot.get() = Some(token) };
     }
 
-    fn release(&self) {
+    fn release_write(&self) {
         // SAFETY: holder-private slot; token present by protocol.
         let token = unsafe { (*self.slot.get()).take() }.expect("release without acquire");
         // SAFETY: token from our own lock().
         unsafe { self.lock.unlock(token) };
     }
+
+    fn cohort_stats(&self) -> Option<CohortStats> {
+        self.lock.tenure_stats()
+    }
+
+    fn policy_label(&self) -> Option<String> {
+        self.lock.policy_label()
+    }
 }
 
-/// Adapts any [`RawAbortableLock`] to an abortable [`BenchLock`].
-pub struct AbortableAdapter<L: RawAbortableLock> {
+/// Adapts any [`RawAbortableLock`] to an abortable [`BenchRwLock`].
+pub struct AbortableAdapter<L: RawAbortableLock + Introspect> {
     lock: L,
     slot: UnsafeCell<Option<L::Token>>,
 }
 
 // SAFETY: as RawAdapter.
-unsafe impl<L: RawAbortableLock> Send for AbortableAdapter<L> {}
-unsafe impl<L: RawAbortableLock> Sync for AbortableAdapter<L> {}
+unsafe impl<L: RawAbortableLock + Introspect> Send for AbortableAdapter<L> {}
+unsafe impl<L: RawAbortableLock + Introspect> Sync for AbortableAdapter<L> {}
 
-impl<L: RawAbortableLock> AbortableAdapter<L> {
+impl<L: RawAbortableLock + Introspect> AbortableAdapter<L> {
     /// Wraps `lock`.
     pub fn new(lock: L) -> Self {
         AbortableAdapter {
@@ -107,21 +79,21 @@ impl<L: RawAbortableLock> AbortableAdapter<L> {
     }
 }
 
-impl<L: RawAbortableLock> BenchLock for AbortableAdapter<L> {
-    fn acquire(&self) {
+impl<L: RawAbortableLock + Introspect> BenchRwLock for AbortableAdapter<L> {
+    fn acquire_write(&self) {
         let token = self.lock.lock();
         // SAFETY: holder-private slot.
         unsafe { *self.slot.get() = Some(token) };
     }
 
-    fn release(&self) {
+    fn release_write(&self) {
         // SAFETY: holder-private slot.
         let token = unsafe { (*self.slot.get()).take() }.expect("release without acquire");
         // SAFETY: token from our own lock.
         unsafe { self.lock.unlock(token) };
     }
 
-    fn acquire_with_patience(&self, patience_ns: u64) -> bool {
+    fn acquire_write_with_patience(&self, patience_ns: u64) -> bool {
         match self.lock.lock_with_patience(patience_ns) {
             Some(token) => {
                 // SAFETY: holder-private slot.
@@ -135,150 +107,13 @@ impl<L: RawAbortableLock> BenchLock for AbortableAdapter<L> {
     fn is_abortable(&self) -> bool {
         true
     }
-}
-
-/// Locks that expose cohort tenure statistics — implemented for every
-/// [`cohort::CohortLock`] composition, whatever its policy.
-pub trait HasCohortStats {
-    /// Snapshot of the per-cluster tenure counters.
-    fn stats(&self) -> CohortStats;
-
-    /// Label of the installed policy (e.g. `"count(64)"`).
-    fn policy_label(&self) -> String;
-}
-
-impl<G, L, P> HasCohortStats for cohort::CohortLock<G, L, P>
-where
-    G: cohort::GlobalLock,
-    L: cohort::LocalCohortLock,
-    P: cohort::HandoffPolicy,
-{
-    fn stats(&self) -> CohortStats {
-        self.cohort_stats()
-    }
-
-    fn policy_label(&self) -> String {
-        self.policy().label()
-    }
-}
-
-// The CNA lock drives its local-handoff threshold through the same policy
-// layer, so it reports the same per-cluster streak statistics (a "tenure"
-// being a maximal run of deliberate local handoffs).
-impl<P: cohort::HandoffPolicy> HasCohortStats for numa_baselines::CnaLock<P> {
-    fn stats(&self) -> CohortStats {
-        self.cohort_stats()
-    }
-
-    fn policy_label(&self) -> String {
-        self.policy().label()
-    }
-}
-
-// The fissile wrapper reports its slow path's tenure counters with the
-// fast-vs-slow acquisition split folded into the snapshot (fast-path
-// acquisitions never touch the policy layer, so they appear only in the
-// `fast_acquisitions` field, not in any per-cluster counter).
-impl<G, L, P> HasCohortStats for cohort::FissileLock<G, L, P>
-where
-    G: cohort::GlobalLock,
-    L: cohort::LocalCohortLock,
-    P: cohort::HandoffPolicy,
-{
-    fn stats(&self) -> CohortStats {
-        self.cohort_stats()
-    }
-
-    fn policy_label(&self) -> String {
-        self.policy().label()
-    }
-}
-
-// The GCR admission wrapper reports whatever its inner lock reports
-// (via `cohort::GcrInner`), with its own passive-park and promotion
-// counters folded into the snapshot; plain inner locks contribute an
-// empty snapshot and no policy label.
-impl<K: cohort::GcrInner> HasCohortStats for cohort::GcrLock<K> {
-    fn stats(&self) -> CohortStats {
-        self.cohort_stats()
-    }
-
-    fn policy_label(&self) -> String {
-        self.policy_label().unwrap_or_else(|| "-".into())
-    }
-}
-
-/// [`RawAdapter`] for cohort locks: additionally surfaces
-/// [`BenchLock::cohort_stats`].
-pub struct CohortAdapter<L: RawLock + HasCohortStats> {
-    inner: RawAdapter<L>,
-}
-
-impl<L: RawLock + HasCohortStats> CohortAdapter<L> {
-    /// Wraps `lock`.
-    pub fn new(lock: L) -> Self {
-        CohortAdapter {
-            inner: RawAdapter::new(lock),
-        }
-    }
-}
-
-impl<L: RawLock + HasCohortStats> BenchLock for CohortAdapter<L> {
-    fn acquire(&self) {
-        self.inner.acquire();
-    }
-
-    fn release(&self) {
-        self.inner.release();
-    }
 
     fn cohort_stats(&self) -> Option<CohortStats> {
-        Some(self.inner.inner().stats())
+        self.lock.tenure_stats()
     }
 
     fn policy_label(&self) -> Option<String> {
-        Some(self.inner.inner().policy_label())
-    }
-}
-
-/// [`AbortableAdapter`] for abortable cohort locks: additionally surfaces
-/// [`BenchLock::cohort_stats`].
-pub struct CohortAbortableAdapter<L: RawAbortableLock + HasCohortStats> {
-    inner: AbortableAdapter<L>,
-}
-
-impl<L: RawAbortableLock + HasCohortStats> CohortAbortableAdapter<L> {
-    /// Wraps `lock`.
-    pub fn new(lock: L) -> Self {
-        CohortAbortableAdapter {
-            inner: AbortableAdapter::new(lock),
-        }
-    }
-}
-
-impl<L: RawAbortableLock + HasCohortStats> BenchLock for CohortAbortableAdapter<L> {
-    fn acquire(&self) {
-        self.inner.acquire();
-    }
-
-    fn release(&self) {
-        self.inner.release();
-    }
-
-    fn acquire_with_patience(&self, patience_ns: u64) -> bool {
-        self.inner.acquire_with_patience(patience_ns)
-    }
-
-    fn is_abortable(&self) -> bool {
-        true
-    }
-
-    fn cohort_stats(&self) -> Option<CohortStats> {
-        Some(self.inner.lock.stats())
-    }
-
-    fn policy_label(&self) -> Option<String> {
-        Some(self.inner.lock.policy_label())
+        self.lock.policy_label()
     }
 }
 
@@ -306,13 +141,13 @@ impl PthreadLock {
     }
 }
 
-impl BenchLock for PthreadLock {
-    fn acquire(&self) {
+impl BenchRwLock for PthreadLock {
+    fn acquire_write(&self) {
         use parking_lot::lock_api::RawMutex as _;
         self.raw.lock();
     }
 
-    fn release(&self) {
+    fn release_write(&self) {
         use parking_lot::lock_api::RawMutex as _;
         // SAFETY: harness protocol — release only by the holder.
         unsafe { self.raw.unlock() };
@@ -326,7 +161,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn hammer(lock: Arc<dyn BenchLock>, threads: usize, iters: u64) -> u64 {
+    fn hammer(lock: Arc<dyn BenchRwLock>, threads: usize, iters: u64) -> u64 {
         let counter = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -334,10 +169,10 @@ mod tests {
                 let counter = Arc::clone(&counter);
                 std::thread::spawn(move || {
                     for _ in 0..iters {
-                        lock.acquire();
+                        lock.acquire_write();
                         let v = counter.load(Ordering::Relaxed);
                         counter.store(v + 1, Ordering::Relaxed);
-                        lock.release();
+                        lock.release_write();
                     }
                 })
             })
@@ -363,11 +198,11 @@ mod tests {
     #[test]
     fn abortable_adapter_times_out() {
         let a = Arc::new(AbortableAdapter::new(BackoffLock::new()));
-        a.acquire();
-        assert!(!a.acquire_with_patience(100_000));
-        a.release();
-        assert!(a.acquire_with_patience(1_000_000_000));
-        a.release();
+        a.acquire_write();
+        assert!(!a.acquire_write_with_patience(100_000));
+        a.release_write();
+        assert!(a.acquire_write_with_patience(1_000_000_000));
+        a.release_write();
         assert!(a.is_abortable());
     }
 
@@ -375,7 +210,7 @@ mod tests {
     fn non_abortable_default_blocks_and_succeeds() {
         let a = RawAdapter::new(McsLock::new());
         assert!(!a.is_abortable());
-        assert!(a.acquire_with_patience(1));
-        a.release();
+        assert!(a.acquire_write_with_patience(1));
+        a.release_write();
     }
 }

@@ -1,53 +1,57 @@
-//! Object-safe **reader-writer** lock interface for the benchmark
-//! harness, mirroring [`BenchLock`](crate::BenchLock) for the C-RW
-//! family.
+//! The one object-safe lock interface of the benchmark harness.
 //!
-//! Three adapters cover the comparison set of the `fig_rw` exhibit:
+//! Every lock of the evaluation — mutual-exclusion or reader-writer,
+//! abortable or not — is driven through [`BenchRwLock`]. An exclusive
+//! lock implements the write side only and inherits a read side that
+//! *is* the write side; the two genuinely shared implementations live
+//! here:
 //!
 //! * [`CohortRwAdapter`] — any [`cohort::CohortRwLock`] composition;
 //! * [`StdRwAdapter`] — `std::sync::RwLock`, the NUMA-oblivious OS-level
-//!   baseline;
-//! * [`MutexAsRw`] — any [`BenchLock`] with reads taken exclusively: the
-//!   *single-writer* baseline that shows what routing reads through the
-//!   shared path buys.
+//!   baseline.
+//!
+//! The exclusive adapters ([`RawAdapter`](crate::RawAdapter),
+//! [`AbortableAdapter`](crate::AbortableAdapter),
+//! [`PthreadLock`](crate::PthreadLock)) are in `bench_lock.rs`.
 
-use crate::bench_lock::BenchLock;
 use cohort::{CohortRwLock, CohortStats, GlobalLock, HandoffPolicy, LocalCohortLock, RwWriteToken};
 use numa_topology::current_cluster_in;
 use std::cell::{RefCell, UnsafeCell};
 use std::sync::Arc;
 
-/// A reader-writer lock as the benchmark harness sees it.
+/// A lock as the benchmark harness sees it.
 ///
-/// Protocol (the same holder-private contract as [`BenchLock`]): every
-/// `acquire_*` is matched by the corresponding `release_*` **on the same
-/// thread**, and a thread holds at most one acquisition of one harness
-/// lock at a time.
+/// Protocol (the holder-private contract every adapter's token slot
+/// relies on): each `acquire_*` is matched by the corresponding
+/// `release_*` **on the same thread**, and a thread holds at most one
+/// acquisition of one harness lock at a time.
 pub trait BenchRwLock: Send + Sync {
-    /// Acquires the shared (read) side.
-    fn acquire_read(&self);
-
-    /// Releases the shared side (same thread as the acquire).
-    fn release_read(&self);
-
     /// Acquires the exclusive (write) side.
     fn acquire_write(&self);
 
     /// Releases the exclusive side (same thread as the acquire).
     fn release_write(&self);
 
-    /// Whether `acquire_read` is secretly exclusive (the [`MutexAsRw`]
-    /// baseline). Runners use this to charge reader serialization through
-    /// the handoff channel, which genuinely-shared read paths skip.
+    /// Acquires the shared (read) side. A lock without one takes the
+    /// exclusive side.
+    fn acquire_read(&self) {
+        self.acquire_write();
+    }
+
+    /// Releases the shared side (same thread as the acquire).
+    fn release_read(&self) {
+        self.release_write();
+    }
+
+    /// Whether `acquire_read` is the exclusive side in disguise. Runners
+    /// use this to charge reader serialization through the handoff
+    /// channel, which genuinely shared read paths skip.
     fn read_is_exclusive(&self) -> bool {
-        false
+        true
     }
 
     /// Tries the exclusive side with a timeout; `true` on success. Locks
-    /// without abort support simply block (and return `true`) — the same
-    /// contract as [`BenchLock::acquire_with_patience`], which this
-    /// subsumes now that every lock flows through the [`BenchRwLock`]
-    /// interface.
+    /// without abort support simply block (and return `true`).
     fn acquire_write_with_patience(&self, patience_ns: u64) -> bool {
         let _ = patience_ns;
         self.acquire_write();
@@ -59,14 +63,14 @@ pub trait BenchRwLock: Send + Sync {
         false
     }
 
-    /// Writer-tenure statistics, for cohort-based locks (`None`
-    /// otherwise).
+    /// Tenure statistics, for policy-driven locks (`None` otherwise);
+    /// see [`cohort::CohortStats`].
     fn cohort_stats(&self) -> Option<CohortStats> {
         None
     }
 
-    /// Label of the handoff policy bounding writer tenures (`None` for
-    /// non-cohort locks).
+    /// Label of the handoff policy actually installed (`None` for locks
+    /// without one) — e.g. `"count(64)"`.
     fn policy_label(&self) -> Option<String> {
         None
     }
@@ -95,11 +99,6 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwAdapter<G, L, 
             write_slot: UnsafeCell::new(None),
         }
     }
-
-    /// The wrapped lock (for instrumentation).
-    pub fn inner(&self) -> &CohortRwLock<G, L, P> {
-        &self.lock
-    }
 }
 
 impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> BenchRwLock for CohortRwAdapter<G, L, P> {
@@ -115,6 +114,10 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> BenchRwLock for Cohort
         // SAFETY: harness protocol — this thread holds a read acquisition
         // taken on this thread, hence counted on `cluster`.
         unsafe { self.lock.unlock_read_on(cluster) };
+    }
+
+    fn read_is_exclusive(&self) -> bool {
+        false
     }
 
     fn acquire_write(&self) {
@@ -196,6 +199,10 @@ impl BenchRwLock for StdRwAdapter {
         drop(guard);
     }
 
+    fn read_is_exclusive(&self) -> bool {
+        false
+    }
+
     fn acquire_write(&self) {
         let guard = self.lock.write().expect("std rwlock poisoned");
         // SAFETY: as acquire_read (write guards additionally stay on the
@@ -210,66 +217,6 @@ impl BenchRwLock for StdRwAdapter {
         let guard =
             unsafe { (*self.write_slot.get()).take() }.expect("release_write without acquire");
         drop(guard);
-    }
-}
-
-/// The blanket adapter through which [`BenchRwLock`] subsumes
-/// [`BenchLock`]: any exclusive lock worn as a reader-writer lock, with
-/// reads taken **exclusively**. It forwards the *entire* `BenchLock`
-/// surface — abortable acquisition, cohort statistics, policy label — so
-/// the scenario engine only ever drives one erased interface. Doubles as
-/// the single-writer baseline of the RW exhibits (what every workload in
-/// this repository did before the C-RW layer existed).
-///
-/// Generic over the wrapped lock (`dyn BenchLock` by default, so
-/// `MutexAsRw::new(kind.make(&topo))` keeps working); a concrete `L`
-/// avoids the second indirection when the type is statically known.
-pub struct MutexAsRw<L: BenchLock + ?Sized = dyn BenchLock> {
-    inner: Arc<L>,
-}
-
-impl<L: BenchLock + ?Sized> MutexAsRw<L> {
-    /// Wraps `lock`.
-    pub fn new(lock: Arc<L>) -> Self {
-        MutexAsRw { inner: lock }
-    }
-}
-
-impl<L: BenchLock + ?Sized> BenchRwLock for MutexAsRw<L> {
-    fn acquire_read(&self) {
-        self.inner.acquire();
-    }
-
-    fn release_read(&self) {
-        self.inner.release();
-    }
-
-    fn acquire_write(&self) {
-        self.inner.acquire();
-    }
-
-    fn release_write(&self) {
-        self.inner.release();
-    }
-
-    fn read_is_exclusive(&self) -> bool {
-        true
-    }
-
-    fn acquire_write_with_patience(&self, patience_ns: u64) -> bool {
-        self.inner.acquire_with_patience(patience_ns)
-    }
-
-    fn is_abortable(&self) -> bool {
-        self.inner.is_abortable()
-    }
-
-    fn cohort_stats(&self) -> Option<CohortStats> {
-        self.inner.cohort_stats()
-    }
-
-    fn policy_label(&self) -> Option<String> {
-        self.inner.policy_label()
     }
 }
 
@@ -357,11 +304,34 @@ mod tests {
     }
 
     #[test]
-    fn mutex_as_rw_is_exclusive_everywhere() {
+    fn exclusive_kind_read_side_is_the_write_side() {
+        // The default-method path: an exclusive kind never overrides the
+        // read side, so a counter that only the lock protects — plain
+        // load, add, store — must stay exact when every thread takes the
+        // "read" side.
         let topo = Arc::new(Topology::new(4));
-        let lock: Arc<dyn BenchRwLock> = Arc::new(MutexAsRw::new(LockKind::CBoMcs.make(&topo)));
-        hammer(Arc::clone(&lock), 4, 800);
+        let lock = LockKind::CBoMcs.make(&topo);
+        let counter = Arc::new(AtomicU64::new(0));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let lock = Arc::clone(&lock);
+                let counter = Arc::clone(&counter);
+                std::thread::spawn(move || {
+                    for _ in 0..1_000 {
+                        lock.acquire_read();
+                        let v = counter.load(Ordering::Relaxed);
+                        counter.store(v + 1, Ordering::Relaxed);
+                        lock.release_read();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 4_000);
         assert!(lock.read_is_exclusive());
-        assert!(lock.cohort_stats().is_some(), "stats pass through");
+        let stats = lock.cohort_stats().expect("stats reach the trait");
+        assert_eq!(stats.tenures() + stats.local_handoffs(), 4_000);
     }
 }

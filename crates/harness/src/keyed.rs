@@ -45,18 +45,18 @@
 use crate::modelled::TimeQueue;
 use crate::pace::{kappa_for, spin_wall};
 use crate::registry::AnyLockKind;
-use crate::runner::LBenchConfig;
 use crate::scenario::{
-    cluster_for, merge_lat_reservoirs, percentile, CostMode, LatReservoir, Scenario, ScenarioResult,
+    assemble, cluster_for, run_workers, CostMode, Counts, LBenchConfig, LatReservoir, LockReport,
+    Scenario, ScenarioResult,
 };
 use coherence_sim::take_thread_stats;
 use cohort::CohortStats;
-use numa_topology::{bind_current_thread, vclock, ClusterId, Topology};
+use numa_topology::{vclock, ClusterId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How clients pick keys — the "internet-shaped traffic" axis.
@@ -136,23 +136,15 @@ impl KeyDist {
     /// `keys ≥ 1` and `pct ≤ 100`. Case-insensitive; `None` on anything
     /// else.
     pub fn parse(s: &str) -> Option<KeyDist> {
-        let s = s.trim();
-        if s.eq_ignore_ascii_case("uniform") {
+        let s = s.trim().to_ascii_lowercase();
+        if s == "uniform" {
             return Some(KeyDist::Uniform);
         }
-        if let Some(rest) = s
-            .strip_prefix("zipf:")
-            .or_else(|| s.strip_prefix("ZIPF:"))
-            .or_else(|| s.strip_prefix("Zipf:"))
-        {
+        if let Some(rest) = s.strip_prefix("zipf:") {
             let theta: f64 = rest.trim().parse().ok()?;
             return ((0.0..1.0).contains(&theta)).then_some(KeyDist::Zipfian { theta });
         }
-        if let Some(rest) = s
-            .strip_prefix("hot:")
-            .or_else(|| s.strip_prefix("HOT:"))
-            .or_else(|| s.strip_prefix("Hot:"))
-        {
+        if let Some(rest) = s.strip_prefix("hot:") {
             let (keys, pct) = rest.split_once(':')?;
             let keys: u64 = keys.trim().parse().ok()?;
             let pct: u32 = pct.trim().parse().ok()?;
@@ -292,130 +284,85 @@ pub(crate) fn run_keyed(
         return run_keyed_modelled(kind, spec, scenario, cfg, &*service);
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(cfg.threads));
     let started = Instant::now();
     // The legacy drivers paced unconditionally at kappa_for(threads)
     // (never consulting pace_wall/pace_scale); parity keeps that.
     let kappa = kappa_for(cfg.threads);
     let draws_coin = scenario.draws_coin(kind);
-    let pin_report = crate::phys::PinReport::new();
-    let mut cluster_ranks = vec![0usize; cfg.clusters];
 
-    let handles: Vec<_> = (0..cfg.threads)
-        .map(|i| {
-            let topo = Arc::clone(&topo);
-            let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
-            let barrier = Arc::clone(&barrier);
-            let pin_report = Arc::clone(&pin_report);
-            let cfg = cfg.clone();
-            let scenario = scenario.clone();
-            let spec = spec.clone();
-            let rank = {
-                let c = cluster_for(i, &cfg).as_usize();
-                let r = cluster_ranks[c];
-                cluster_ranks[c] += 1;
-                r
-            };
-            std::thread::spawn(move || {
-                let my_cluster = cluster_for(i, &cfg);
-                bind_current_thread(&topo, my_cluster);
-                pin_report.pin_worker(&topo, my_cluster, rank);
-                vclock::reset();
-                take_thread_stats();
-                let mut rng = StdRng::seed_from_u64(spec.seed ^ i as u64);
-                let mut reads = 0u64;
-                let mut writes = 0u64;
-                let mut lat = LatReservoir::for_config(&cfg);
-                let ctx = KeyedCtx {
-                    cluster: my_cluster,
-                    kappa,
-                    window_ns: cfg.window_ns,
-                    stop: &stop,
-                };
-                barrier.wait();
-                let wall_start = Instant::now();
-                let mut check = 0u32;
-                while !stop.load(Ordering::Relaxed) {
-                    // Load-shape gating (hot-key flash crowds compose a
-                    // skewed KeyDist with Bursty); a no-op under Steady,
-                    // so legacy RNG sequences are untouched.
-                    if let Some(gap) = scenario.shape.off_gap(vclock::now()) {
-                        vclock::advance(gap);
-                        spin_wall((gap * kappa).min(200_000), true);
-                        if vclock::now() >= cfg.window_ns {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        check = check.wrapping_add(1);
-                        if check.is_multiple_of(256) && wall_start.elapsed() > cfg.max_wall {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        continue;
-                    }
-
-                    // Legacy draw order: key first, then the coin.
-                    let key = if spec.keyspace > 0 {
-                        spec.dist.sample(&mut rng, spec.keyspace)
-                    } else {
-                        0
-                    };
-                    let cur_pct = scenario.shape.read_pct_at(vclock::now(), scenario.read_pct);
-                    let is_read = draws_coin && rng.gen_range(0u32..100) < cur_pct;
-                    let op = KeyedOp {
-                        key,
-                        is_read,
-                        stamp: reads + writes,
-                    };
-                    let lat_from = vclock::now();
-                    if service.op(&op, &ctx, &mut rng) {
-                        lat.record(vclock::now().saturating_sub(lat_from));
-                        if is_read {
-                            reads += 1;
-                        } else {
-                            writes += 1;
-                        }
-                        // Out-of-lock request handling (parallel fraction).
-                        vclock::advance(spec.parse_ns);
-                        spin_wall(spec.parse_ns * kappa, true);
-                    }
-
-                    check = check.wrapping_add(1);
-                    if check.is_multiple_of(256) && wall_start.elapsed() > cfg.max_wall {
-                        stop.store(true, Ordering::Relaxed);
-                    }
+    let counts = run_workers(&topo, cfg, spec.seed, |w| {
+        let stop = w.stop;
+        let mut reads = 0u64;
+        let mut writes = 0u64;
+        let ctx = KeyedCtx {
+            cluster: w.cluster,
+            kappa,
+            window_ns: cfg.window_ns,
+            stop,
+        };
+        while !stop.load(Ordering::Relaxed) {
+            // Load-shape gating (hot-key flash crowds compose a skewed
+            // KeyDist with Bursty); a no-op under Steady, so legacy RNG
+            // sequences are untouched.
+            if let Some(gap) = scenario.shape.off_gap(vclock::now()) {
+                vclock::advance(gap);
+                spin_wall((gap * kappa).min(200_000), true);
+                if vclock::now() >= cfg.window_ns {
+                    stop.store(true, Ordering::Relaxed);
                 }
-                (reads, writes, lat.into_parts(), take_thread_stats())
-            })
-        })
-        .collect();
+                w.check_wall_net();
+                continue;
+            }
 
-    let mut per_thread_ops = Vec::with_capacity(cfg.threads);
-    let mut read_ops = 0u64;
-    let mut write_ops = 0u64;
-    let mut remote_misses = 0u64;
-    let mut lat_parts = Vec::with_capacity(cfg.threads);
-    for h in handles {
-        let (r, w, thread_lat, stats) = h.join().expect("keyed worker panicked");
-        per_thread_ops.push(r + w);
-        read_ops += r;
-        write_ops += w;
-        remote_misses += stats.remote_misses;
-        lat_parts.push(thread_lat);
-    }
-    pin_report.log();
+            // Legacy draw order: key first, then the coin.
+            let key = if spec.keyspace > 0 {
+                spec.dist.sample(&mut w.rng, spec.keyspace)
+            } else {
+                0
+            };
+            let cur_pct = scenario.shape.read_pct_at(vclock::now(), scenario.read_pct);
+            let is_read = draws_coin && w.rng.gen_range(0u32..100) < cur_pct;
+            let op = KeyedOp {
+                key,
+                is_read,
+                stamp: reads + writes,
+            };
+            let lat_from = vclock::now();
+            if service.op(&op, &ctx, &mut w.rng) {
+                w.lat.record(vclock::now().saturating_sub(lat_from));
+                if is_read {
+                    reads += 1;
+                } else {
+                    writes += 1;
+                }
+                // Out-of-lock request handling (parallel fraction).
+                vclock::advance(spec.parse_ns);
+                spin_wall(spec.parse_ns * kappa, true);
+            }
+            w.check_wall_net();
+        }
+        (reads, writes, 0)
+    });
     assemble(
         kind,
         scenario,
         cfg,
-        &*service,
-        per_thread_ops,
-        read_ops,
-        write_ops,
-        remote_misses,
-        lat_parts,
+        counts,
+        service_report(&*service),
         started,
     )
+}
+
+/// The lock side of a keyed run, as the service's shards report it.
+fn service_report(service: &dyn KeyedService) -> LockReport {
+    LockReport {
+        acquisitions: service.acquisitions(),
+        migrations: service.migrations(),
+        batch_hist: service.batch_hist(),
+        policy: service.policy_label(),
+        cohort: service.cohort_stats(),
+        succ_transitions: 0,
+    }
 }
 
 /// The deterministic substrate (see the module docs): logical threads'
@@ -519,99 +466,20 @@ fn run_keyed_modelled(
     let stats = take_thread_stats();
     vclock::set(saved_clock);
 
-    let per_thread_ops: Vec<u64> = ths.iter().map(|t| t.reads + t.writes).collect();
-    let read_ops: u64 = ths.iter().map(|t| t.reads).sum();
-    let write_ops: u64 = ths.iter().map(|t| t.writes).sum();
+    let counts = Counts {
+        per_thread: ths.iter().map(|t| (t.reads, t.writes)).collect(),
+        aborts: 0,
+        remote_misses: stats.remote_misses,
+        lat_parts: vec![lat.into_parts()],
+    };
     assemble(
         kind,
         scenario,
         cfg,
-        service,
-        per_thread_ops,
-        read_ops,
-        write_ops,
-        stats.remote_misses,
-        vec![lat.into_parts()],
+        counts,
+        service_report(service),
         started,
     )
-}
-
-/// Shared result assembly — the same formulas as the core engine's.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    kind: AnyLockKind,
-    scenario: &Scenario,
-    cfg: &LBenchConfig,
-    service: &dyn KeyedService,
-    per_thread_ops: Vec<u64>,
-    read_ops: u64,
-    write_ops: u64,
-    remote_misses: u64,
-    lat_parts: Vec<(Vec<u64>, u64)>,
-    started: Instant,
-) -> ScenarioResult {
-    let mut lat = merge_lat_reservoirs(lat_parts);
-    lat.sort_unstable();
-    let total_ops = read_ops + write_ops;
-    let acquisitions = service.acquisitions();
-    let migrations = service.migrations();
-    let window_s = cfg.window_ns as f64 / 1e9;
-    let (_, stddev_pct) = crate::stats::mean_stddev_pct(&per_thread_ops);
-    let cstats = service.cohort_stats();
-    let (tenures, local_handoffs, mean_streak, max_streak) = match &cstats {
-        Some(s) => (
-            s.tenures(),
-            s.local_handoffs(),
-            s.mean_streak(),
-            s.max_streak(),
-        ),
-        None => (0, 0, 0.0, 0),
-    };
-    ScenarioResult {
-        kind,
-        threads: cfg.threads,
-        read_pct: scenario.read_pct,
-        read_ops,
-        write_ops,
-        total_ops,
-        throughput: total_ops as f64 / window_s,
-        acquisitions,
-        migrations,
-        remote_misses,
-        misses_per_cs: if acquisitions > 0 {
-            (remote_misses + migrations) as f64 / acquisitions as f64
-        } else {
-            0.0
-        },
-        mean_batch: if migrations > 0 {
-            acquisitions as f64 / migrations as f64
-        } else {
-            acquisitions as f64
-        },
-        aborts: 0,
-        abort_rate: 0.0,
-        stddev_pct,
-        policy: service.policy_label(),
-        tenures,
-        local_handoffs,
-        mean_streak,
-        max_streak,
-        migrations_per_tenure: if tenures > 0 {
-            migrations as f64 / tenures as f64
-        } else {
-            0.0
-        },
-        fast_acquisitions: cstats.as_ref().map_or(0, |s| s.fast_acquisitions),
-        slow_acquisitions: cstats.as_ref().map_or(0, |s| s.slow_acquisitions),
-        passive_parks: cstats.as_ref().map_or(0, |s| s.passive_parks),
-        promotions: cstats.as_ref().map_or(0, |s| s.promotions),
-        succ_transitions: 0,
-        batch_hist: service.batch_hist(),
-        lat_p50_ns: percentile(&lat, 50.0),
-        lat_p99_ns: percentile(&lat, 99.0),
-        per_thread_ops,
-        wall: started.elapsed(),
-    }
 }
 
 #[cfg(test)]
@@ -709,6 +577,15 @@ mod tests {
         assert_eq!(
             KeyDist::parse("zipf:0.99"),
             Some(KeyDist::Zipfian { theta: 0.99 })
+        );
+        // Any case, like every `env_choice` knob.
+        assert_eq!(
+            KeyDist::parse("zIPF:0.9"),
+            Some(KeyDist::Zipfian { theta: 0.9 })
+        );
+        assert_eq!(
+            KeyDist::parse("hOt:8:50"),
+            Some(KeyDist::HotSet { keys: 8, pct: 50 })
         );
         for bad in [
             "",

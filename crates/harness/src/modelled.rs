@@ -82,11 +82,11 @@
 
 use crate::bench_rwlock::BenchRwLock;
 use crate::registry::{AnyLockKind, ModelledAdmission, TenureLimit};
-use crate::runner::LBenchConfig;
 use crate::scenario::{
-    cluster_for, merge_lat_reservoirs, percentile, LatReservoir, Scenario, ScenarioResult,
+    assemble, cluster_for, Counts, LBenchConfig, LatReservoir, LockReport, Scenario, ScenarioResult,
 };
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
+use cohort::{ClusterStats, CohortStats};
 use numa_topology::{vclock, ClusterId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -140,8 +140,8 @@ const EV_BITS: u32 = 2;
 /// decides among equal times and the event and its thread ride in low
 /// bits that never decide. The packing is measured, not taste: a
 /// `(time, seq, enum)` entry is 40 bytes and simulated 11–25 % fewer
-/// acquisitions per host second at 64 logical threads (ROADMAP, "Spend
-/// the ledger").
+/// acquisitions per host second at 64 logical threads (see
+/// docs/ARCHITECTURE.md, "Cost per event").
 struct EventQueue {
     q: TimeQueue<u64>,
     seq: u64,
@@ -619,89 +619,40 @@ pub(crate) fn run_modelled(
     let run_stats = take_thread_stats();
     vclock::set(saved_clock);
 
-    let mut per_thread_ops = Vec::with_capacity(cfg.threads);
-    let mut read_ops = 0u64;
-    let mut write_ops = 0u64;
-    let mut aborts = 0u64;
-    let mut lat_parts = Vec::with_capacity(cfg.threads);
+    let mut counts = Counts {
+        per_thread: Vec::with_capacity(cfg.threads),
+        aborts: 0,
+        remote_misses: run_stats.remote_misses,
+        lat_parts: Vec::with_capacity(cfg.threads),
+    };
     for th in sim.ths {
-        per_thread_ops.push(th.reads + th.writes);
-        read_ops += th.reads;
-        write_ops += th.writes;
-        aborts += th.aborts;
-        lat_parts.push(th.lat.into_parts());
+        counts.per_thread.push((th.reads, th.writes));
+        counts.aborts += th.aborts;
+        counts.lat_parts.push(th.lat.into_parts());
     }
-    let mut lat = merge_lat_reservoirs(lat_parts);
-    lat.sort_unstable();
-
-    let total_ops = read_ops + write_ops;
-    let acquisitions = sim.handoff.acquisitions();
-    let migrations = sim.handoff.migrations();
-    let remote_misses = run_stats.remote_misses;
-    let window_s = cfg.window_ns as f64 / 1e9;
-    let (_, stddev_pct) = crate::stats::mean_stddev_pct(&per_thread_ops);
+    // The simulator's own tenure book stands in for the lock's counters
+    // (every tenure is closed by now, so releases equal tenures); FIFO
+    // and reciprocating kinds report none, mirroring `cohort_stats() ==
+    // None`. The fast-path word and the GCR admission layer are not part
+    // of the modelled mechanism abstraction (see module docs), so those
+    // counters stay 0.
     let book = sim.adm.book;
     let batched = matches!(sim.adm.class, ModelledAdmission::ClusterBatched(_));
-    let (tenures, local_handoffs) = if batched {
-        (book.tenures, book.local_handoffs)
-    } else {
-        (0, 0)
-    };
-    ScenarioResult {
-        kind,
-        threads: cfg.threads,
-        read_pct: scenario.read_pct,
-        read_ops,
-        write_ops,
-        total_ops,
-        throughput: total_ops as f64 / window_s,
-        acquisitions,
-        migrations,
-        remote_misses,
-        misses_per_cs: if acquisitions > 0 {
-            (remote_misses + migrations) as f64 / acquisitions as f64
-        } else {
-            0.0
-        },
-        mean_batch: if migrations > 0 {
-            acquisitions as f64 / migrations as f64
-        } else {
-            acquisitions as f64
-        },
-        aborts,
-        abort_rate: if total_ops + aborts > 0 {
-            aborts as f64 / (total_ops + aborts) as f64
-        } else {
-            0.0
-        },
-        stddev_pct,
-        policy: lock.policy_label(),
-        tenures,
-        local_handoffs,
-        mean_streak: if batched && tenures > 0 {
-            book.sum_streak as f64 / tenures as f64
-        } else {
-            0.0
-        },
-        max_streak: if batched { book.max_streak } else { 0 },
-        migrations_per_tenure: if tenures > 0 {
-            migrations as f64 / tenures as f64
-        } else {
-            0.0
-        },
-        // The fast-path word and the GCR admission layer are not part of
-        // the modelled mechanism abstraction (see module docs).
-        fast_acquisitions: 0,
-        slow_acquisitions: 0,
-        passive_parks: 0,
-        promotions: 0,
+    let report = LockReport {
+        cohort: batched.then(|| CohortStats {
+            per_cluster: vec![ClusterStats {
+                tenures: book.tenures,
+                local_handoffs: book.local_handoffs,
+                global_releases: book.tenures,
+                max_streak: book.max_streak,
+                sum_streak: book.sum_streak,
+            }],
+            ..CohortStats::default()
+        }),
         succ_transitions: sim.succ_transitions,
-        batch_hist: sim.handoff.batches().snapshot().to_vec(),
-        lat_p50_ns: percentile(&lat, 50.0),
-        lat_p99_ns: percentile(&lat, 99.0),
-        per_thread_ops,
-        wall: started.elapsed(),
-    }
+        ..LockReport::of(&sim.handoff, lock)
+    };
+    assemble(kind, scenario, cfg, counts, report, started)
 }
 
 #[cfg(test)]

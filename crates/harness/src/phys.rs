@@ -20,7 +20,7 @@
 //! run reports the count and the first typed [`AffinityError`].
 
 use crate::env::{env_bool, env_choice, EnvKnobError};
-use crate::runner::LBenchConfig;
+use crate::scenario::LBenchConfig;
 use numa_topology::{affinity, AffinityError, ClusterId, MeasuredTopology, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -117,10 +117,6 @@ pub(crate) struct PinReport {
 }
 
 impl PinReport {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// Physically binds the calling worker to a CPU of its cluster when
     /// `topo` carries a pinned map (no-op otherwise). `rank` is the
     /// worker's index *within its cluster*, used to spread a cluster's
@@ -183,7 +179,7 @@ mod tests {
 
     #[test]
     fn pin_report_ignores_virtual_topologies() {
-        let report = PinReport::new();
+        let report = PinReport::default();
         let topo = Topology::new(2);
         report.pin_worker(&topo, ClusterId::new(0), 0);
         assert_eq!(report.failed.load(Ordering::Relaxed), 0);
@@ -193,7 +189,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn pin_report_counts_failures_once_per_worker() {
-        let report = PinReport::new();
+        let report = PinReport::default();
         // CPU 5000 cannot be expressed in the affinity mask.
         let topo = Topology::pinned(vec![vec![5000]]);
         report.pin_worker(&topo, ClusterId::new(0), 0);

@@ -1,23 +1,267 @@
-//! The lock registry: every algorithm of the evaluation behind one name.
+//! The lock registry: every algorithm of the evaluation behind one name,
+//! **one row per kind**.
+//!
+//! A kind's [`Row`] holds everything the harness knows about it — the
+//! name the exhibits print, its family, the admission class (with its
+//! default bound) the modelled substrate simulates for it, and its
+//! constructor — and `name()`, `has_policy_knob()`, `cna_threshold()`,
+//! `modelled_admission()` and the `make*` constructors all read that
+//! row. The tables are `match`es, so the compiler rejects a variant
+//! without a row; see docs/ARCHITECTURE.md, "One row per kind", for how
+//! a kind is added.
 
-use crate::bench_lock::{
-    AbortableAdapter, BenchLock, CohortAbortableAdapter, CohortAdapter, PthreadLock, RawAdapter,
+use crate::bench_lock::{AbortableAdapter, PthreadLock, RawAdapter};
+use crate::bench_rwlock::{BenchRwLock, CohortRwAdapter, StdRwAdapter};
+use base_locks::{
+    AbortableClhLock, ClhLock, FibBackoffLock, McsLock, RawAbortableLock, RawLock,
+    ReciprocatingLock, TatasLock, TicketLock,
 };
-use crate::bench_rwlock::{BenchRwLock, CohortRwAdapter, MutexAsRw, StdRwAdapter};
 use cohort::{
-    AcBoBo, AcBoClh, CBoBo, CBoMcs, CMcsMcs, CRecipMcs, CTktMcs, CTktTkt, CohortLock, CohortRwLock,
-    DynPolicy, FisBoMcs, FisTktMcs, FissileLock, GcrLock, GlobalBoLock, LocalAClhLock,
-    LocalAboLock, LocalBoLock, LocalMcsLock, LocalTicketLock, PolicySpec, RwFairness,
+    AbortableGlobalLock, AbortableLocalCohortLock, CohortLock, CohortRwLock, CountBound, DynPolicy,
+    FissileLock, GcrLock, GlobalBoLock, GlobalLock, Introspect, LocalAClhLock, LocalAboLock,
+    LocalBoLock, LocalCohortLock, LocalMcsLock, LocalTicketLock, PolicySpec, RwFairness,
 };
 use numa_baselines::{CnaLock, FcMcsLock, HboLock, HboParams, HclhLock};
 use numa_topology::Topology;
 use std::sync::Arc;
 
-/// Every lock algorithm the paper's evaluation mentions, by its name
-/// there.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum LockKind {
+/// Builds a kind's lock over a topology: `None` installs the kind's
+/// default handoff policy, `Some(spec)` the described one (ignored by
+/// kinds without a policy knob).
+type Ctor = fn(&Arc<Topology>, Option<PolicySpec>) -> Arc<dyn BenchRwLock>;
+
+/// The algorithm family a kind belongs to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Family {
+    /// NUMA-oblivious and prior NUMA-aware locks, abortable or not, and
+    /// `std::sync::RwLock`.
+    Baseline,
+    /// Compact NUMA-aware locks: policy-driven, but one MCS-shaped word.
+    Cna,
+    /// A [`CohortLock`] composition (the paper's contribution), including
+    /// the abortable and the reciprocating-global ones, or a
+    /// [`CohortRwLock`] over one.
+    Cohort,
+    /// A TATAS fast path over a cohort slow path.
+    Fissile,
+    /// A GCR admission layer over some inner lock.
+    Gcr,
+}
+
+/// Everything the harness knows about one kind.
+struct Row {
+    /// The name used in the paper's figures and tables.
+    name: &'static str,
+    family: Family,
+    /// Admission order the modelled substrate simulates, carrying the
+    /// kind's **default** tenure bound where it batches. A kind has the
+    /// handoff-policy knob exactly when this is `ClusterBatched`: the
+    /// constructor honors a [`PolicySpec`] for the same kinds the model
+    /// projects one for.
+    admission: ModelledAdmission,
+    make: Ctor,
+    /// The reader-writer stand-in of [`LockKind::make_rw_cache_lock`],
+    /// for kinds that have a shared read side to offer.
+    make_rw: Option<Ctor>,
+}
+
+impl Row {
+    fn new(name: &'static str, family: Family, admission: ModelledAdmission, make: Ctor) -> Row {
+        Row {
+            name,
+            family,
+            admission,
+            make,
+            make_rw: None,
+        }
+    }
+
+    fn with_rw(self, make_rw: Ctor) -> Row {
+        Row {
+            make_rw: Some(make_rw),
+            ..self
+        }
+    }
+}
+
+/// Batched admission at a default bound of `n` local handoffs.
+const fn batched(n: u64) -> ModelledAdmission {
+    ModelledAdmission::ClusterBatched(TenureLimit::Count(n))
+}
+
+/// Batched admission at the paper's bound, the cohort family's default.
+const PAPER: ModelledAdmission = batched(CountBound::PAPER_BOUND);
+
+// ---------------------------------------------------------------------------
+// Constructor helpers, named after what they compose
+
+/// Erases a mutual-exclusion lock.
+fn erase<L: RawLock + Introspect + 'static>(lock: L) -> Arc<dyn BenchRwLock> {
+    Arc::new(RawAdapter::new(lock))
+}
+
+/// Erases an abortable mutual-exclusion lock.
+fn erase_abortable<L: RawAbortableLock + Introspect + 'static>(lock: L) -> Arc<dyn BenchRwLock> {
+    Arc::new(AbortableAdapter::new(lock))
+}
+
+/// A topology-oblivious lock `L`, as it comes.
+fn raw<L>(_: &Arc<Topology>, _: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
+where
+    L: RawLock + Introspect + Default + 'static,
+{
+    erase(L::default())
+}
+
+/// Evaluates `$build` with `$p` bound to the handoff policy `$policy`
+/// selects. `None` is the static paper default — the `CountBound` type
+/// the `cohort` aliases (`CBoMcs`, `FisBoMcs`, …) name, with no dynamic
+/// dispatch on the release path; `Some(spec)` is the spec's `DynPolicy`.
+/// Two policy types, hence a macro: each arm monomorphises `$build`.
+macro_rules! either_policy {
+    ($policy:expr, |$p:ident| $build:expr) => {
+        match $policy {
+            None => {
+                let $p = CountBound::default();
+                $build
+            }
+            Some(spec) => {
+                let $p = PolicySpec::build(spec);
+                $build
+            }
+        }
+    };
+}
+
+/// C-G-L: global lock `G` over per-cluster local locks `L`.
+fn cohort<G, L>(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
+where
+    G: GlobalLock + Default + 'static,
+    L: LocalCohortLock + Default + 'static,
+{
+    either_policy!(policy, |p| erase(
+        CohortLock::<G, L, _>::with_handoff_policy(Arc::clone(topo), p)
+    ))
+}
+
+/// A-C-G-L: the abortable cohort compositions.
+fn abortable<G, L>(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
+where
+    G: AbortableGlobalLock + Default + 'static,
+    L: AbortableLocalCohortLock + Default + 'static,
+{
+    either_policy!(policy, |p| erase_abortable(
+        CohortLock::<G, L, _>::with_handoff_policy(Arc::clone(topo), p)
+    ))
+}
+
+/// Fis-G-L: a TATAS word tried first, C-G-L underneath.
+fn fissile<G, L>(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
+where
+    G: GlobalLock + Default + 'static,
+    L: LocalCohortLock + Default + 'static,
+{
+    either_policy!(policy, |p| erase(
+        FissileLock::<G, L, _>::with_handoff_policy(Arc::clone(topo), p)
+    ))
+}
+
+/// GCR over `inner`.
+fn gcr_over<K: RawLock + Introspect + 'static>(
+    topo: &Arc<Topology>,
+    inner: K,
+) -> Arc<dyn BenchRwLock> {
+    erase(GcrLock::over(Arc::clone(topo), inner))
+}
+
+/// GCR-C-BO-MCS.
+fn gcr_c_bo_mcs(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock> {
+    type Inner<P> = CohortLock<GlobalBoLock, LocalMcsLock, P>;
+    either_policy!(policy, |p| gcr_over(
+        topo,
+        Inner::with_handoff_policy(Arc::clone(topo), p)
+    ))
+}
+
+/// GCR-Fis-BO-MCS.
+fn gcr_fis_bo_mcs(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock> {
+    type Inner<P> = FissileLock<GlobalBoLock, LocalMcsLock, P>;
+    either_policy!(policy, |p| gcr_over(
+        topo,
+        Inner::with_handoff_policy(Arc::clone(topo), p)
+    ))
+}
+
+/// CNA with `threshold` consecutive local handoffs by default.
+fn cna(topo: &Arc<Topology>, policy: Option<PolicySpec>, threshold: u64) -> Arc<dyn BenchRwLock> {
+    match policy {
+        None => erase(CnaLock::with_threshold(Arc::clone(topo), threshold)),
+        Some(spec) => erase(CnaLock::with_handoff_policy(Arc::clone(topo), spec.build())),
+    }
+}
+
+/// HBO (also A-HBO's lock) with the microbenchmark tuning.
+fn hbo(topo: &Arc<Topology>) -> HboLock {
+    HboLock::with_params(Arc::clone(topo), HboParams::microbench_tuned())
+}
+
+/// C-RW-G-L at the given fairness: writers through C-G-L, readers
+/// through per-cluster counters. Always a `DynPolicy` (the paper default
+/// when `policy` is `None`).
+fn cohort_rw_at<G, L>(
+    topo: &Arc<Topology>,
+    policy: Option<PolicySpec>,
+    fairness: RwFairness,
+) -> Arc<dyn BenchRwLock>
+where
+    G: GlobalLock + Default + 'static,
+    L: LocalCohortLock + Default + 'static,
+{
+    Arc::new(CohortRwAdapter::new(
+        CohortRwLock::<G, L, DynPolicy>::with_policy_and_fairness(
+            Arc::clone(topo),
+            policy.unwrap_or_else(PolicySpec::paper_default).build(),
+            fairness,
+        ),
+    ))
+}
+
+/// C-RW-WP-G-L: [`cohort_rw_at`] under writer preference.
+fn cohort_rw<G, L>(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
+where
+    G: GlobalLock + Default + 'static,
+    L: LocalCohortLock + Default + 'static,
+{
+    cohort_rw_at::<G, L>(topo, policy, RwFairness::WriterPreference)
+}
+
+// ---------------------------------------------------------------------------
+// The exclusive kinds
+
+/// Declares [`LockKind`] together with [`LockKind::ALL`], so the sweep
+/// set lists every variant by construction.
+macro_rules! lock_kinds {
+    ($($variant:ident),* $(,)?) => {
+        /// Every lock algorithm the paper's evaluation mentions, by its
+        /// name there.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)]
+        pub enum LockKind {
+            $($variant),*
+        }
+
+        impl LockKind {
+            /// Every registered kind, in registry order — the sweep set
+            /// of the benchmark's per-kind layer cells (uncontended
+            /// overhead is measured per lock, so a kind missing here
+            /// would escape regression tracking).
+            pub const ALL: [LockKind; [$(LockKind::$variant),*].len()] =
+                [$(LockKind::$variant),*];
+        }
+    };
+}
+
+lock_kinds! {
     // NUMA-oblivious baselines.
     Pthread,
     Tatas,
@@ -64,273 +308,143 @@ pub enum LockKind {
 }
 
 impl LockKind {
-    /// The name used in the paper's figures and tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockKind::Pthread => "pthread",
-            LockKind::Tatas => "TATAS",
-            LockKind::FibBo => "Fib-BO",
-            LockKind::Ticket => "Ticket",
-            LockKind::Mcs => "MCS",
-            LockKind::Clh => "CLH",
-            LockKind::Hbo => "HBO",
-            LockKind::HboTuned => "HBO (tuned)",
-            LockKind::Hclh => "HCLH",
-            LockKind::FcMcs => "FC-MCS",
-            LockKind::Cna => "CNA",
-            LockKind::CnaTight => "CNA (t=4)",
-            LockKind::CBoBo => "C-BO-BO",
-            LockKind::CTktTkt => "C-TKT-TKT",
-            LockKind::CBoMcs => "C-BO-MCS",
-            LockKind::CTktMcs => "C-TKT-MCS",
-            LockKind::CMcsMcs => "C-MCS-MCS",
-            LockKind::FisBoMcs => "Fis-BO-MCS",
-            LockKind::FisTktMcs => "Fis-TKT-MCS",
-            LockKind::GcrMcs => "GCR-MCS",
-            LockKind::GcrCBoMcs => "GCR-C-BO-MCS",
-            LockKind::GcrFisBoMcs => "GCR-Fis-BO-MCS",
-            LockKind::Recip => "Recip",
-            LockKind::CRecipMcs => "C-Recip-MCS",
-            LockKind::AClh => "A-CLH",
-            LockKind::AHbo => "A-HBO",
-            LockKind::ACBoBo => "A-C-BO-BO",
-            LockKind::ACBoClh => "A-C-BO-CLH",
-        }
-    }
-
-    /// Whether this is one of the paper's cohort locks.
-    pub fn is_cohort(self) -> bool {
-        matches!(
-            self,
-            LockKind::CBoBo
-                | LockKind::CTktTkt
-                | LockKind::CBoMcs
-                | LockKind::CTktMcs
-                | LockKind::CMcsMcs
-                | LockKind::CRecipMcs
-                | LockKind::ACBoBo
-                | LockKind::ACBoClh
-        )
-    }
-
-    /// Whether this kind's admission order is the Reciprocating lock's
-    /// palindromic segment schedule (plain, or in the global position of
-    /// a cohort composition).
-    pub fn is_recip(self) -> bool {
-        matches!(self, LockKind::Recip | LockKind::CRecipMcs)
-    }
-
     /// Fairness threshold of the [`LockKind::CnaTight`] variant (also
     /// baked into its `"CNA (t=4)"` display name — keep the two in sync).
     pub const CNA_TIGHT_THRESHOLD: u64 = 4;
 
-    /// Whether this is a CNA lock (not a cohort lock, but policy-driven
-    /// all the same).
-    pub fn is_cna(self) -> bool {
-        matches!(self, LockKind::Cna | LockKind::CnaTight)
+    /// The table: one row per kind.
+    ///
+    /// What the admission column claims: queue and backoff baselines,
+    /// and also the *prior* NUMA-aware locks (HBO/HCLH/FC-MCS, whose
+    /// locality preference is emergent rather than policy-bounded), book
+    /// as `Fifo`; so does GCR over a plain queue lock. The cohort family,
+    /// CNA (whose secondary queue is cluster batching by another name),
+    /// the fissile wrappers (slow path is a cohort lock) and GCR over
+    /// those book as `ClusterBatched` at their default bound. The plain
+    /// Reciprocating lock has no policy knob yet is anything but FIFO.
+    fn row(self) -> Row {
+        use Family::*;
+        use ModelledAdmission::{Fifo, ReciprocatingStack};
+        type Bo = GlobalBoLock;
+        type Tkt = TicketLock;
+        type Mcs = LocalMcsLock;
+        const TIGHT: u64 = LockKind::CNA_TIGHT_THRESHOLD;
+        match self {
+            LockKind::Pthread => Row::new("pthread", Baseline, Fifo, |_, _| {
+                Arc::new(PthreadLock::new())
+            })
+            .with_rw(|_, _| Arc::new(StdRwAdapter::new())),
+            LockKind::Tatas => Row::new("TATAS", Baseline, Fifo, raw::<TatasLock>),
+            LockKind::FibBo => Row::new("Fib-BO", Baseline, Fifo, raw::<FibBackoffLock>),
+            LockKind::Ticket => Row::new("Ticket", Baseline, Fifo, raw::<TicketLock>),
+            LockKind::Mcs => Row::new("MCS", Baseline, Fifo, raw::<McsLock>),
+            LockKind::Clh => Row::new("CLH", Baseline, Fifo, raw::<ClhLock>),
+            LockKind::Hbo => Row::new("HBO", Baseline, Fifo, |t, _| erase(hbo(t))),
+            LockKind::HboTuned => Row::new("HBO (tuned)", Baseline, Fifo, |t, _| {
+                erase(HboLock::with_params(
+                    Arc::clone(t),
+                    HboParams::kvstore_tuned(),
+                ))
+            }),
+            LockKind::Hclh => Row::new("HCLH", Baseline, Fifo, |t, _| {
+                erase(HclhLock::new(Arc::clone(t)))
+            }),
+            LockKind::FcMcs => Row::new("FC-MCS", Baseline, Fifo, |t, _| {
+                erase(FcMcsLock::new(Arc::clone(t)))
+            }),
+            LockKind::Cna => Row::new("CNA", Cna, PAPER, |t, p| cna(t, p, CountBound::PAPER_BOUND)),
+            LockKind::CnaTight => {
+                Row::new("CNA (t=4)", Cna, batched(TIGHT), |t, p| cna(t, p, TIGHT))
+            }
+            LockKind::CBoBo => Row::new("C-BO-BO", Cohort, PAPER, cohort::<Bo, LocalBoLock>)
+                .with_rw(cohort_rw::<Bo, LocalBoLock>),
+            LockKind::CTktTkt => {
+                Row::new("C-TKT-TKT", Cohort, PAPER, cohort::<Tkt, LocalTicketLock>)
+                    .with_rw(cohort_rw::<Tkt, LocalTicketLock>)
+            }
+            LockKind::CBoMcs => {
+                Row::new("C-BO-MCS", Cohort, PAPER, cohort::<Bo, Mcs>).with_rw(cohort_rw::<Bo, Mcs>)
+            }
+            LockKind::CTktMcs => Row::new("C-TKT-MCS", Cohort, PAPER, cohort::<Tkt, Mcs>)
+                .with_rw(cohort_rw::<Tkt, Mcs>),
+            LockKind::CMcsMcs => Row::new("C-MCS-MCS", Cohort, PAPER, cohort::<McsLock, Mcs>)
+                .with_rw(cohort_rw::<McsLock, Mcs>),
+            LockKind::FisBoMcs => Row::new("Fis-BO-MCS", Fissile, PAPER, fissile::<Bo, Mcs>),
+            LockKind::FisTktMcs => Row::new("Fis-TKT-MCS", Fissile, PAPER, fissile::<Tkt, Mcs>),
+            LockKind::GcrMcs => Row::new("GCR-MCS", Gcr, Fifo, |t, _| gcr_over(t, McsLock::new())),
+            LockKind::GcrCBoMcs => Row::new("GCR-C-BO-MCS", Gcr, PAPER, gcr_c_bo_mcs),
+            LockKind::GcrFisBoMcs => Row::new("GCR-Fis-BO-MCS", Gcr, PAPER, gcr_fis_bo_mcs),
+            LockKind::Recip => Row::new(
+                "Recip",
+                Baseline,
+                ReciprocatingStack,
+                raw::<ReciprocatingLock>,
+            ),
+            LockKind::CRecipMcs => Row::new(
+                "C-Recip-MCS",
+                Cohort,
+                PAPER,
+                cohort::<ReciprocatingLock, Mcs>,
+            ),
+            LockKind::AClh => Row::new("A-CLH", Baseline, Fifo, |_, _| {
+                erase_abortable(AbortableClhLock::new())
+            }),
+            LockKind::AHbo => Row::new("A-HBO", Baseline, Fifo, |t, _| erase_abortable(hbo(t))),
+            LockKind::ACBoBo => Row::new("A-C-BO-BO", Cohort, PAPER, abortable::<Bo, LocalAboLock>),
+            LockKind::ACBoClh => {
+                Row::new("A-C-BO-CLH", Cohort, PAPER, abortable::<Bo, LocalAClhLock>)
+            }
+        }
     }
 
-    /// Whether this is a fissile fast-path lock (a TATAS word over a
-    /// cohort slow path — policy-driven through the wrapped cohort
-    /// lock, with fast-vs-slow accounting in its `CohortStats`).
-    pub fn is_fissile(self) -> bool {
-        matches!(self, LockKind::FisBoMcs | LockKind::FisTktMcs)
+    /// The name used in the paper's figures and tables.
+    pub fn name(self) -> &'static str {
+        self.row().name
+    }
+
+    /// Whether this is one of the paper's cohort locks.
+    pub fn is_cohort(self) -> bool {
+        self.row().family == Family::Cohort
     }
 
     /// The CNA fairness threshold this kind is registered with (`None`
     /// for non-CNA kinds) — the single source the `fig_cna` self-check
     /// asserts streaks against.
     pub fn cna_threshold(self) -> Option<u64> {
-        match self {
-            LockKind::Cna => Some(cohort::CountBound::PAPER_BOUND),
-            LockKind::CnaTight => Some(Self::CNA_TIGHT_THRESHOLD),
+        match self.row() {
+            Row {
+                family: Family::Cna,
+                admission: ModelledAdmission::ClusterBatched(TenureLimit::Count(n)),
+                ..
+            } => Some(n),
             _ => None,
         }
     }
 
-    /// Whether this is a GCR admission wrapper (a concurrency-restriction
-    /// layer over some inner lock — see `cohort::gcr`; park/promotion
-    /// accounting shows up in its `CohortStats`).
-    pub fn is_gcr(self) -> bool {
-        matches!(
-            self,
-            LockKind::GcrMcs | LockKind::GcrCBoMcs | LockKind::GcrFisBoMcs
-        )
+    /// Instantiates the lock over `topo` with the kind's default policy.
+    pub fn make(self, topo: &Arc<Topology>) -> Arc<dyn BenchRwLock> {
+        (self.row().make)(topo, None)
     }
 
-    /// Whether a [`PolicySpec`] applies to this kind — the cohort locks,
-    /// the CNA family, the fissile wrappers (whose slow path is a cohort
-    /// lock), and the GCR wrappers over policy-driven inner locks share
-    /// the handoff-policy knob.
-    pub fn has_policy_knob(self) -> bool {
-        self.is_cohort()
-            || self.is_cna()
-            || self.is_fissile()
-            || matches!(self, LockKind::GcrCBoMcs | LockKind::GcrFisBoMcs)
-    }
-
-    /// Instantiates the lock over `topo`.
-    pub fn make(self, topo: &Arc<Topology>) -> Arc<dyn BenchLock> {
-        match self {
-            LockKind::Pthread => Arc::new(PthreadLock::new()),
-            LockKind::Tatas => Arc::new(RawAdapter::new(base_locks::TatasLock::new())),
-            LockKind::FibBo => Arc::new(RawAdapter::new(base_locks::FibBackoffLock::new())),
-            LockKind::Ticket => Arc::new(RawAdapter::new(base_locks::TicketLock::new())),
-            LockKind::Mcs => Arc::new(RawAdapter::new(base_locks::McsLock::new())),
-            LockKind::Clh => Arc::new(RawAdapter::new(base_locks::ClhLock::new())),
-            LockKind::Hbo => Arc::new(RawAdapter::new(HboLock::with_params(
-                Arc::clone(topo),
-                HboParams::microbench_tuned(),
-            ))),
-            LockKind::HboTuned => Arc::new(RawAdapter::new(HboLock::with_params(
-                Arc::clone(topo),
-                HboParams::kvstore_tuned(),
-            ))),
-            LockKind::Hclh => Arc::new(RawAdapter::new(HclhLock::new(Arc::clone(topo)))),
-            LockKind::FcMcs => Arc::new(RawAdapter::new(FcMcsLock::new(Arc::clone(topo)))),
-            LockKind::Cna => Arc::new(CohortAdapter::new(CnaLock::new(Arc::clone(topo)))),
-            LockKind::CnaTight => Arc::new(CohortAdapter::new(CnaLock::with_threshold(
-                Arc::clone(topo),
-                Self::CNA_TIGHT_THRESHOLD,
-            ))),
-            LockKind::CBoBo => Arc::new(CohortAdapter::new(CBoBo::new(Arc::clone(topo)))),
-            LockKind::CTktTkt => Arc::new(CohortAdapter::new(CTktTkt::new(Arc::clone(topo)))),
-            LockKind::CBoMcs => Arc::new(CohortAdapter::new(CBoMcs::new(Arc::clone(topo)))),
-            LockKind::CTktMcs => Arc::new(CohortAdapter::new(CTktMcs::new(Arc::clone(topo)))),
-            LockKind::CMcsMcs => Arc::new(CohortAdapter::new(CMcsMcs::new(Arc::clone(topo)))),
-            LockKind::FisBoMcs => Arc::new(CohortAdapter::new(FisBoMcs::new(Arc::clone(topo)))),
-            LockKind::FisTktMcs => Arc::new(CohortAdapter::new(FisTktMcs::new(Arc::clone(topo)))),
-            LockKind::GcrMcs => Arc::new(CohortAdapter::new(GcrLock::over(
-                Arc::clone(topo),
-                base_locks::McsLock::new(),
-            ))),
-            LockKind::GcrCBoMcs => Arc::new(CohortAdapter::new(GcrLock::over(
-                Arc::clone(topo),
-                CBoMcs::new(Arc::clone(topo)),
-            ))),
-            LockKind::GcrFisBoMcs => Arc::new(CohortAdapter::new(GcrLock::over(
-                Arc::clone(topo),
-                FisBoMcs::new(Arc::clone(topo)),
-            ))),
-            LockKind::Recip => Arc::new(RawAdapter::new(base_locks::ReciprocatingLock::new())),
-            LockKind::CRecipMcs => Arc::new(CohortAdapter::new(CRecipMcs::new(Arc::clone(topo)))),
-            LockKind::AClh => Arc::new(AbortableAdapter::new(base_locks::AbortableClhLock::new())),
-            LockKind::AHbo => Arc::new(AbortableAdapter::new(HboLock::with_params(
-                Arc::clone(topo),
-                HboParams::microbench_tuned(),
-            ))),
-            LockKind::ACBoBo => {
-                Arc::new(CohortAbortableAdapter::new(AcBoBo::new(Arc::clone(topo))))
-            }
-            LockKind::ACBoClh => {
-                Arc::new(CohortAbortableAdapter::new(AcBoClh::new(Arc::clone(topo))))
-            }
-        }
-    }
-
-    /// Instantiates the lock over `topo`, honoring `policy` when set and
-    /// applicable — the one-stop constructor for harnesses with an
-    /// optional policy knob.
-    pub fn make_with_optional_policy(
+    /// Builds the **reader-writer cache lock** standing in for this kind
+    /// when a workload runs in RW mode (the `KV_RW=1` path of `table1`):
+    ///
+    /// * the five non-abortable cohort kinds of the paper map to the
+    ///   corresponding [`CohortRwLock`] under writer preference (their
+    ///   writer side *is* this kind, so the Table-1 column keeps its
+    ///   meaning);
+    /// * `Pthread` maps to `std::sync::RwLock` (the OS-level RW lock);
+    /// * every other kind has no shared read path here and is built as
+    ///   itself, honoring `policy` where it applies — reads stay
+    ///   exclusive, which the runners detect via
+    ///   [`BenchRwLock::read_is_exclusive`].
+    pub fn make_rw_cache_lock(
         self,
         topo: &Arc<Topology>,
         policy: Option<PolicySpec>,
-    ) -> Arc<dyn BenchLock> {
-        match policy {
-            Some(spec) if self.has_policy_knob() => self.make_with_policy(topo, spec),
-            _ => self.make(topo),
-        }
-    }
-
-    /// Instantiates the lock over `topo` with an explicit handoff policy.
-    ///
-    /// Cohort locks are built as `CohortLock<G, L, DynPolicy>` and CNA
-    /// kinds as `CnaLock<DynPolicy>`, each carrying `policy.build()`; for
-    /// every other kind the policy does not apply and plain
-    /// [`make`](Self::make) is used.
-    pub fn make_with_policy(self, topo: &Arc<Topology>, policy: PolicySpec) -> Arc<dyn BenchLock> {
-        fn cohort<G, L>(topo: &Arc<Topology>, policy: PolicySpec) -> Arc<dyn BenchLock>
-        where
-            G: cohort::GlobalLock + Default + 'static,
-            L: cohort::LocalCohortLock + Default + 'static,
-        {
-            Arc::new(CohortAdapter::new(
-                CohortLock::<G, L, DynPolicy>::with_handoff_policy(
-                    Arc::clone(topo),
-                    policy.build(),
-                ),
-            ))
-        }
-        fn abortable<G, L>(topo: &Arc<Topology>, policy: PolicySpec) -> Arc<dyn BenchLock>
-        where
-            G: cohort::AbortableGlobalLock + Default + 'static,
-            L: cohort::AbortableLocalCohortLock + Default + 'static,
-        {
-            Arc::new(CohortAbortableAdapter::new(
-                CohortLock::<G, L, DynPolicy>::with_handoff_policy(
-                    Arc::clone(topo),
-                    policy.build(),
-                ),
-            ))
-        }
-        fn fissile<G, L>(topo: &Arc<Topology>, policy: PolicySpec) -> Arc<dyn BenchLock>
-        where
-            G: cohort::GlobalLock + Default + 'static,
-            L: cohort::LocalCohortLock + Default + 'static,
-        {
-            Arc::new(CohortAdapter::new(
-                FissileLock::<G, L, DynPolicy>::with_handoff_policy(
-                    Arc::clone(topo),
-                    policy.build(),
-                ),
-            ))
-        }
-        fn gcr_cohort<G, L>(topo: &Arc<Topology>, policy: PolicySpec) -> Arc<dyn BenchLock>
-        where
-            G: cohort::GlobalLock + Default + 'static,
-            L: cohort::LocalCohortLock + Default + 'static,
-        {
-            Arc::new(CohortAdapter::new(GcrLock::over(
-                Arc::clone(topo),
-                CohortLock::<G, L, DynPolicy>::with_handoff_policy(
-                    Arc::clone(topo),
-                    policy.build(),
-                ),
-            )))
-        }
-        fn gcr_fissile<G, L>(topo: &Arc<Topology>, policy: PolicySpec) -> Arc<dyn BenchLock>
-        where
-            G: cohort::GlobalLock + Default + 'static,
-            L: cohort::LocalCohortLock + Default + 'static,
-        {
-            Arc::new(CohortAdapter::new(GcrLock::over(
-                Arc::clone(topo),
-                FissileLock::<G, L, DynPolicy>::with_handoff_policy(
-                    Arc::clone(topo),
-                    policy.build(),
-                ),
-            )))
-        }
-        match self {
-            LockKind::CBoBo => cohort::<GlobalBoLock, LocalBoLock>(topo, policy),
-            LockKind::CTktTkt => cohort::<base_locks::TicketLock, LocalTicketLock>(topo, policy),
-            LockKind::CBoMcs => cohort::<GlobalBoLock, LocalMcsLock>(topo, policy),
-            LockKind::CTktMcs => cohort::<base_locks::TicketLock, LocalMcsLock>(topo, policy),
-            LockKind::CMcsMcs => cohort::<base_locks::McsLock, LocalMcsLock>(topo, policy),
-            LockKind::CRecipMcs => {
-                cohort::<base_locks::ReciprocatingLock, LocalMcsLock>(topo, policy)
-            }
-            LockKind::FisBoMcs => fissile::<GlobalBoLock, LocalMcsLock>(topo, policy),
-            LockKind::FisTktMcs => fissile::<base_locks::TicketLock, LocalMcsLock>(topo, policy),
-            LockKind::GcrCBoMcs => gcr_cohort::<GlobalBoLock, LocalMcsLock>(topo, policy),
-            LockKind::GcrFisBoMcs => gcr_fissile::<GlobalBoLock, LocalMcsLock>(topo, policy),
-            LockKind::ACBoBo => abortable::<GlobalBoLock, LocalAboLock>(topo, policy),
-            LockKind::ACBoClh => abortable::<GlobalBoLock, LocalAClhLock>(topo, policy),
-            LockKind::Cna | LockKind::CnaTight => Arc::new(CohortAdapter::new(
-                CnaLock::<DynPolicy>::with_handoff_policy(Arc::clone(topo), policy.build()),
-            )),
-            _ => self.make(topo),
-        }
+    ) -> Arc<dyn BenchRwLock> {
+        let row = self.row();
+        (row.make_rw.unwrap_or(row.make))(topo, policy)
     }
 
     /// The nine locks of Figures 2–5.
@@ -399,40 +513,6 @@ impl LockKind {
         LockKind::CRecipMcs,
     ];
 
-    /// Every registered kind, in registry order — the sweep set of the
-    /// `lock_latency` criterion bench (uncontended overhead is measured
-    /// per lock, so a kind missing here escapes regression tracking).
-    pub const ALL: [LockKind; 28] = [
-        LockKind::Pthread,
-        LockKind::Tatas,
-        LockKind::FibBo,
-        LockKind::Ticket,
-        LockKind::Mcs,
-        LockKind::Clh,
-        LockKind::Hbo,
-        LockKind::HboTuned,
-        LockKind::Hclh,
-        LockKind::FcMcs,
-        LockKind::Cna,
-        LockKind::CnaTight,
-        LockKind::CBoBo,
-        LockKind::CTktTkt,
-        LockKind::CBoMcs,
-        LockKind::CTktMcs,
-        LockKind::CMcsMcs,
-        LockKind::FisBoMcs,
-        LockKind::FisTktMcs,
-        LockKind::GcrMcs,
-        LockKind::GcrCBoMcs,
-        LockKind::GcrFisBoMcs,
-        LockKind::Recip,
-        LockKind::CRecipMcs,
-        LockKind::AClh,
-        LockKind::AHbo,
-        LockKind::ACBoBo,
-        LockKind::ACBoClh,
-    ];
-
     /// The eleven lock columns of Tables 1 and 2.
     pub const TABLES: [LockKind; 11] = [
         LockKind::Pthread,
@@ -449,63 +529,8 @@ impl LockKind {
     ];
 }
 
-/// Builds a [`CohortRwLock`] composition behind the [`BenchRwLock`]
-/// interface — the one constructor shared by [`RwLockKind::make`] and
-/// [`LockKind::make_rw_cache_lock`], so both paths stay in lockstep.
-fn make_cohort_rw<G, L>(
-    topo: &Arc<Topology>,
-    policy: Option<PolicySpec>,
-    fairness: RwFairness,
-) -> Arc<dyn BenchRwLock>
-where
-    G: cohort::GlobalLock + Default + 'static,
-    L: cohort::LocalCohortLock + Default + 'static,
-{
-    Arc::new(CohortRwAdapter::new(
-        CohortRwLock::<G, L, DynPolicy>::with_policy_and_fairness(
-            Arc::clone(topo),
-            policy.unwrap_or_else(PolicySpec::paper_default).build(),
-            fairness,
-        ),
-    ))
-}
-
-impl LockKind {
-    /// Builds the **reader-writer cache lock** standing in for this kind
-    /// when a workload runs in RW mode (the `KV_RW=1` path of `table1`):
-    ///
-    /// * the five non-abortable cohort kinds map to the corresponding
-    ///   [`CohortRwLock`] under writer preference (their writer side *is*
-    ///   this kind, so the Table-1 column keeps its meaning);
-    /// * `Pthread` maps to `std::sync::RwLock` (the OS-level RW lock);
-    /// * every other kind has no shared read path here and falls back to
-    ///   [`MutexAsRw`] — reads stay exclusive, which the runners detect
-    ///   via [`BenchRwLock::read_is_exclusive`].
-    pub fn make_rw_cache_lock(
-        self,
-        topo: &Arc<Topology>,
-        policy: Option<PolicySpec>,
-    ) -> Arc<dyn BenchRwLock> {
-        const WP: RwFairness = RwFairness::WriterPreference;
-        match self {
-            LockKind::CBoBo => make_cohort_rw::<GlobalBoLock, LocalBoLock>(topo, policy, WP),
-            LockKind::CTktTkt => {
-                make_cohort_rw::<base_locks::TicketLock, LocalTicketLock>(topo, policy, WP)
-            }
-            LockKind::CBoMcs => make_cohort_rw::<GlobalBoLock, LocalMcsLock>(topo, policy, WP),
-            LockKind::CTktMcs => {
-                make_cohort_rw::<base_locks::TicketLock, LocalMcsLock>(topo, policy, WP)
-            }
-            LockKind::CMcsMcs => {
-                make_cohort_rw::<base_locks::McsLock, LocalMcsLock>(topo, policy, WP)
-            }
-            LockKind::Pthread => Arc::new(StdRwAdapter::new()),
-            other => Arc::new(MutexAsRw::new(
-                other.make_with_optional_policy(topo, policy),
-            )),
-        }
-    }
-}
+// ---------------------------------------------------------------------------
+// The reader-writer kinds
 
 /// The reader-writer locks of the `fig_rw` exhibit, by name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -524,55 +549,44 @@ pub enum RwLockKind {
 }
 
 impl RwLockKind {
-    /// The name used in the `fig_rw` exhibit.
-    pub fn name(self) -> &'static str {
+    /// The table: one row per kind. A policy bounds the cohort RW locks'
+    /// writer tenures, and reaches the single-writer baseline's C-BO-MCS
+    /// like any cohort kind (its `fig_rw.csv` rows carry the label).
+    fn row(self) -> Row {
+        use Family::*;
+        type Bo = GlobalBoLock;
+        type Tkt = TicketLock;
+        type Mcs = LocalMcsLock;
         match self {
-            RwLockKind::StdRw => "std-RwLock",
-            RwLockKind::CRwWpBoMcs => "C-RW-WP-BO-MCS",
-            RwLockKind::CRwNeutralBoMcs => "C-RW-N-BO-MCS",
-            RwLockKind::CRwWpTktMcs => "C-RW-WP-TKT-MCS",
-            RwLockKind::MutexCBoMcs => "C-BO-MCS (excl)",
+            RwLockKind::StdRw => {
+                Row::new("std-RwLock", Baseline, ModelledAdmission::Fifo, |_, _| {
+                    Arc::new(StdRwAdapter::new())
+                })
+            }
+            RwLockKind::CRwWpBoMcs => {
+                Row::new("C-RW-WP-BO-MCS", Cohort, PAPER, cohort_rw::<Bo, Mcs>)
+            }
+            RwLockKind::CRwNeutralBoMcs => Row::new("C-RW-N-BO-MCS", Cohort, PAPER, |t, p| {
+                cohort_rw_at::<Bo, Mcs>(t, p, RwFairness::Neutral)
+            }),
+            RwLockKind::CRwWpTktMcs => {
+                Row::new("C-RW-WP-TKT-MCS", Cohort, PAPER, cohort_rw::<Tkt, Mcs>)
+            }
+            RwLockKind::MutexCBoMcs => {
+                Row::new("C-BO-MCS (excl)", Cohort, PAPER, cohort::<Bo, Mcs>)
+            }
         }
     }
 
-    /// Whether this is one of the cohort reader-writer locks.
-    pub fn is_cohort_rw(self) -> bool {
-        matches!(
-            self,
-            RwLockKind::CRwWpBoMcs | RwLockKind::CRwNeutralBoMcs | RwLockKind::CRwWpTktMcs
-        )
-    }
-
-    /// Whether a [`PolicySpec`] applies to this kind: the cohort RW
-    /// locks (it bounds their writer tenures) *and* the single-writer
-    /// baseline (whose wrapped C-BO-MCS honors it — its `fig_rw.csv`
-    /// rows carry the policy label).
-    pub fn has_policy_knob(self) -> bool {
-        self.is_cohort_rw() || matches!(self, RwLockKind::MutexCBoMcs)
+    /// The name used in the `fig_rw` exhibit.
+    pub fn name(self) -> &'static str {
+        self.row().name
     }
 
     /// Instantiates the lock over `topo`, honoring `policy` (writer-tenure
     /// bound) where it applies.
     pub fn make(self, topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock> {
-        match self {
-            RwLockKind::StdRw => Arc::new(StdRwAdapter::new()),
-            RwLockKind::CRwWpBoMcs => make_cohort_rw::<GlobalBoLock, LocalMcsLock>(
-                topo,
-                policy,
-                RwFairness::WriterPreference,
-            ),
-            RwLockKind::CRwNeutralBoMcs => {
-                make_cohort_rw::<GlobalBoLock, LocalMcsLock>(topo, policy, RwFairness::Neutral)
-            }
-            RwLockKind::CRwWpTktMcs => make_cohort_rw::<base_locks::TicketLock, LocalMcsLock>(
-                topo,
-                policy,
-                RwFairness::WriterPreference,
-            ),
-            RwLockKind::MutexCBoMcs => Arc::new(MutexAsRw::new(
-                LockKind::CBoMcs.make_with_optional_policy(topo, policy),
-            )),
-        }
+        (self.row().make)(topo, policy)
     }
 
     /// The comparison set of the `fig_rw` exhibit.
@@ -591,16 +605,18 @@ impl std::fmt::Display for RwLockKind {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Both, behind one surface
+
 /// Every lock in the repository — exclusive and reader-writer — behind
 /// **one** registry surface, the one the scenario engine
 /// ([`run_scenario`](crate::run_scenario)) consumes.
 ///
-/// Exclusive kinds are erased through [`MutexAsRw`] (reads taken
-/// exclusively, which the engine detects via
+/// Either way the product is an `Arc<dyn BenchRwLock>` — the single
+/// erased interface every exhibit drives. An exclusive kind's read side
+/// is its write side, which the engine detects via
 /// [`BenchRwLock::read_is_exclusive`] and charges through the handoff
-/// channel); RW kinds construct as themselves. Either way the product is
-/// an `Arc<dyn BenchRwLock>` — the single erased interface every
-/// exhibit drives.
+/// channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AnyLockKind {
     /// A mutual-exclusion lock from [`LockKind`].
@@ -610,50 +626,42 @@ pub enum AnyLockKind {
 }
 
 impl AnyLockKind {
-    /// The name used in the exhibits (delegates to the wrapped registry).
-    pub fn name(self) -> &'static str {
+    fn row(self) -> Row {
         match self {
-            AnyLockKind::Excl(k) => k.name(),
-            AnyLockKind::Rw(k) => k.name(),
+            AnyLockKind::Excl(k) => k.row(),
+            AnyLockKind::Rw(k) => k.row(),
         }
+    }
+
+    /// The name used in the exhibits.
+    pub fn name(self) -> &'static str {
+        self.row().name
     }
 
     /// Instantiates the lock over `topo`, honoring `policy` where it
     /// applies — the one constructor behind every scenario run.
     pub fn make(self, topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock> {
-        match self {
-            AnyLockKind::Excl(k) => {
-                Arc::new(MutexAsRw::new(k.make_with_optional_policy(topo, policy)))
-            }
-            AnyLockKind::Rw(k) => k.make(topo, policy),
-        }
+        (self.row().make)(topo, policy)
     }
 
-    /// Instantiates the lock over `topo` with an explicit handoff policy
-    /// (kinds without a policy knob ignore it, as in
-    /// [`LockKind::make_with_policy`]).
-    pub fn make_with_policy(
-        self,
-        topo: &Arc<Topology>,
-        policy: PolicySpec,
-    ) -> Arc<dyn BenchRwLock> {
-        self.make(topo, Some(policy))
-    }
-
-    /// Whether a [`PolicySpec`] applies to this kind.
+    /// Whether a [`PolicySpec`] applies to this kind — the cohort locks
+    /// (exclusive and RW, and the single-writer baseline's C-BO-MCS),
+    /// the CNA family, the fissile wrappers (whose slow path is a cohort
+    /// lock), and the GCR wrappers over policy-driven inner locks share
+    /// the handoff-policy knob.
     pub fn has_policy_knob(self) -> bool {
-        match self {
-            AnyLockKind::Excl(k) => k.has_policy_knob(),
-            AnyLockKind::Rw(k) => k.has_policy_knob(),
-        }
+        matches!(self.row().admission, ModelledAdmission::ClusterBatched(_))
     }
 
-    /// Whether this kind belongs to the cohort family (exclusive cohort
-    /// compositions or the cohort RW locks).
-    pub fn is_cohort_family(self) -> bool {
-        match self {
-            AnyLockKind::Excl(k) => k.is_cohort(),
-            AnyLockKind::Rw(k) => k.is_cohort_rw(),
+    /// The admission order the modelled runner simulates for this kind,
+    /// honoring `policy` exactly where the real constructor would
+    /// ([`AnyLockKind::make`] ignores the knob for non-policy kinds).
+    pub fn modelled_admission(self, policy: Option<PolicySpec>) -> ModelledAdmission {
+        match (self.row().admission, policy) {
+            (ModelledAdmission::ClusterBatched(_), Some(spec)) => {
+                ModelledAdmission::ClusterBatched(TenureLimit::from_policy(spec))
+            }
+            (class, _) => class,
         }
     }
 }
@@ -724,50 +732,6 @@ pub enum ModelledAdmission {
     ReciprocatingStack,
 }
 
-impl AnyLockKind {
-    /// The admission order the modelled runner simulates for this kind,
-    /// honoring `policy` exactly where the real constructor would
-    /// ([`AnyLockKind::make`] ignores the knob for non-policy kinds).
-    pub fn modelled_admission(self, policy: Option<PolicySpec>) -> ModelledAdmission {
-        // The plain Reciprocating lock has no policy knob yet is anything
-        // but FIFO: its admission order is the detached-segment reversal.
-        // (C-Recip-MCS is a cohort composition and books as
-        // ClusterBatched below, like every other cohort kind.)
-        if let AnyLockKind::Excl(LockKind::Recip) = self {
-            return ModelledAdmission::ReciprocatingStack;
-        }
-        if !self.has_policy_knob() {
-            return ModelledAdmission::Fifo;
-        }
-        let default_bound = match self {
-            // CNA kinds carry their threshold in the registry.
-            AnyLockKind::Excl(k) if k.is_cna() => {
-                k.cna_threshold().unwrap_or(cohort::CountBound::PAPER_BOUND)
-            }
-            // Cohort compositions (incl. fissile/GCR wrappers and the
-            // cohort RW kinds) default to the paper's count(64).
-            _ => cohort::CountBound::PAPER_BOUND,
-        };
-        let limit = match policy {
-            Some(spec) => TenureLimit::from_policy(spec),
-            None => TenureLimit::Count(default_bound),
-        };
-        ModelledAdmission::ClusterBatched(limit)
-    }
-}
-
-impl From<LockKind> for AnyLockKind {
-    fn from(k: LockKind) -> Self {
-        AnyLockKind::Excl(k)
-    }
-}
-
-impl From<RwLockKind> for AnyLockKind {
-    fn from(k: RwLockKind) -> Self {
-        AnyLockKind::Rw(k)
-    }
-}
-
 impl std::fmt::Display for AnyLockKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -784,61 +748,33 @@ impl std::fmt::Display for LockKind {
 mod tests {
     use super::*;
 
+    fn knob(kind: LockKind) -> bool {
+        AnyLockKind::Excl(kind).has_policy_knob()
+    }
+
     #[test]
     fn every_kind_constructs_and_locks() {
         let topo = Arc::new(Topology::new(4));
         for kind in LockKind::ALL {
             let lock = kind.make(&topo);
-            lock.acquire();
-            lock.release();
+            lock.acquire_write();
+            lock.release_write();
             assert!(!kind.name().is_empty());
         }
     }
 
     #[test]
     fn all_is_exhaustive_and_duplicate_free() {
-        // Compiler guard for LockKind::ALL: this wildcard-free match
-        // fails to compile the moment a variant is added to the enum —
-        // the fix is to add it BOTH here and to ALL, which the
-        // membership assertion below then verifies.
-        fn member_of_all(k: LockKind) {
-            match k {
-                LockKind::Pthread
-                | LockKind::Tatas
-                | LockKind::FibBo
-                | LockKind::Ticket
-                | LockKind::Mcs
-                | LockKind::Clh
-                | LockKind::Hbo
-                | LockKind::HboTuned
-                | LockKind::Hclh
-                | LockKind::FcMcs
-                | LockKind::Cna
-                | LockKind::CnaTight
-                | LockKind::CBoBo
-                | LockKind::CTktTkt
-                | LockKind::CBoMcs
-                | LockKind::CTktMcs
-                | LockKind::CMcsMcs
-                | LockKind::FisBoMcs
-                | LockKind::FisTktMcs
-                | LockKind::GcrMcs
-                | LockKind::GcrCBoMcs
-                | LockKind::GcrFisBoMcs
-                | LockKind::Recip
-                | LockKind::CRecipMcs
-                | LockKind::AClh
-                | LockKind::AHbo
-                | LockKind::ACBoBo
-                | LockKind::ACBoClh => {
-                    assert!(LockKind::ALL.contains(&k), "{k} missing from ALL")
-                }
-            }
+        // `lock_kinds!` lists every variant in `ALL` by construction;
+        // what is left to check is that the list is the declaration
+        // order and that no two rows — of either table — share a name.
+        let mut names = std::collections::HashSet::new();
+        for (i, kind) in LockKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind} out of declaration order in ALL");
+            assert!(names.insert(kind.name()), "{kind}: name used twice");
         }
-        let mut seen = std::collections::HashSet::new();
-        for kind in LockKind::ALL {
-            member_of_all(kind);
-            assert!(seen.insert(kind), "{kind} listed twice in ALL");
+        for kind in RwLockKind::FIG_RW {
+            assert!(names.insert(kind.name()), "{kind}: name used twice");
         }
     }
 
@@ -858,43 +794,33 @@ mod tests {
         assert!(!LockKind::Hbo.is_cohort());
         // CNA is policy-driven but not a cohort lock.
         assert!(!LockKind::Cna.is_cohort());
-        assert!(LockKind::Cna.is_cna());
-        assert!(LockKind::CnaTight.has_policy_knob());
-        assert!(LockKind::CBoMcs.has_policy_knob());
-        assert!(!LockKind::Mcs.has_policy_knob());
+        assert!(knob(LockKind::CnaTight));
+        assert!(knob(LockKind::CBoMcs));
+        assert!(!knob(LockKind::Mcs));
         // Fissile wrappers are policy-driven through their slow path but
-        // are neither plain cohort locks nor CNA.
-        assert!(LockKind::FisBoMcs.is_fissile());
-        assert!(LockKind::FisTktMcs.has_policy_knob());
+        // are not plain cohort locks.
+        assert!(knob(LockKind::FisTktMcs));
         assert!(!LockKind::FisBoMcs.is_cohort());
-        assert!(!LockKind::FisBoMcs.is_cna());
-        assert!(!LockKind::Tatas.is_fissile());
         // GCR wrappers are their own family: the policy knob applies
         // only where the wrapped lock is policy-driven.
-        assert!(LockKind::GcrMcs.is_gcr());
-        assert!(LockKind::GcrCBoMcs.is_gcr());
-        assert!(!LockKind::GcrMcs.has_policy_knob());
-        assert!(LockKind::GcrCBoMcs.has_policy_knob());
-        assert!(LockKind::GcrFisBoMcs.has_policy_knob());
+        assert!(!knob(LockKind::GcrMcs));
+        assert!(knob(LockKind::GcrCBoMcs));
+        assert!(knob(LockKind::GcrFisBoMcs));
         assert!(!LockKind::GcrCBoMcs.is_cohort());
-        assert!(!LockKind::GcrFisBoMcs.is_fissile());
-        assert!(!LockKind::Mcs.is_gcr());
         // The reciprocating family: the plain lock has no policy knob
         // (its admission order is structural, not tunable), while the
         // cohortized form is a full cohort composition.
-        assert!(LockKind::Recip.is_recip());
-        assert!(LockKind::CRecipMcs.is_recip());
         assert!(!LockKind::Recip.is_cohort());
-        assert!(!LockKind::Recip.has_policy_knob());
+        assert!(!knob(LockKind::Recip));
         assert!(LockKind::CRecipMcs.is_cohort());
-        assert!(LockKind::CRecipMcs.has_policy_knob());
-        assert!(!LockKind::Mcs.is_recip());
+        assert!(knob(LockKind::CRecipMcs));
         assert_eq!(LockKind::Cna.cna_threshold(), Some(64));
         assert_eq!(
             LockKind::CnaTight.cna_threshold(),
             Some(LockKind::CNA_TIGHT_THRESHOLD)
         );
         assert_eq!(LockKind::Mcs.cna_threshold(), None);
+        assert_eq!(LockKind::CBoMcs.cna_threshold(), None);
     }
 
     #[test]
@@ -909,8 +835,8 @@ mod tests {
             LockKind::CnaTight,
         ] {
             let lock = kind.make(&topo);
-            lock.acquire();
-            lock.release();
+            lock.acquire_write();
+            lock.release_write();
             let stats = lock
                 .cohort_stats()
                 .expect("policy-driven locks expose stats");
@@ -927,8 +853,8 @@ mod tests {
         let topo = Arc::new(Topology::new(4));
         for kind in [LockKind::FisBoMcs, LockKind::FisTktMcs] {
             let lock = kind.make(&topo);
-            lock.acquire();
-            lock.release();
+            lock.acquire_write();
+            lock.release_write();
             let stats = lock.cohort_stats().expect("fissile locks expose stats");
             assert_eq!(stats.fast_acquisitions, 1, "{kind}: uncontended = fast");
             assert_eq!(stats.slow_acquisitions, 0, "{kind}");
@@ -936,8 +862,8 @@ mod tests {
             assert_eq!(lock.policy_label().as_deref(), Some("count(64)"), "{kind}");
         }
         // The policy knob reaches the fissile slow path like any cohort kind.
-        let lock = LockKind::FisBoMcs
-            .make_with_optional_policy(&topo, Some(PolicySpec::Time { budget_ns: 7 }));
+        let lock = AnyLockKind::Excl(LockKind::FisBoMcs)
+            .make(&topo, Some(PolicySpec::Time { budget_ns: 7 }));
         assert_eq!(lock.policy_label().as_deref(), Some("time(7ns)"));
     }
 
@@ -946,16 +872,16 @@ mod tests {
         let topo = Arc::new(Topology::new(4));
         for kind in [LockKind::GcrMcs, LockKind::GcrCBoMcs, LockKind::GcrFisBoMcs] {
             let lock = kind.make(&topo);
-            lock.acquire();
-            lock.release();
+            lock.acquire_write();
+            lock.release_write();
             let stats = lock.cohort_stats().expect("GCR kinds expose stats");
             assert_eq!(stats.passive_parks, 0, "{kind}: uncontended never parks");
             assert_eq!(stats.promotions, 0, "{kind}");
         }
         // The inner lock's own accounting passes through the wrapper.
         let lock = LockKind::GcrCBoMcs.make(&topo);
-        lock.acquire();
-        lock.release();
+        lock.acquire_write();
+        lock.release_write();
         let stats = lock.cohort_stats().unwrap();
         assert_eq!(stats.tenures(), 1, "inner cohort tenure visible");
         assert_eq!(lock.policy_label().as_deref(), Some("count(64)"));
@@ -965,8 +891,8 @@ mod tests {
             Some("-")
         );
         // The policy knob reaches the wrapped lock like any cohort kind.
-        let lock = LockKind::GcrFisBoMcs
-            .make_with_optional_policy(&topo, Some(PolicySpec::Time { budget_ns: 5 }));
+        let lock = AnyLockKind::Excl(LockKind::GcrFisBoMcs)
+            .make(&topo, Some(PolicySpec::Time { budget_ns: 5 }));
         assert_eq!(lock.policy_label().as_deref(), Some("time(5ns)"));
     }
 
@@ -984,7 +910,7 @@ mod tests {
         );
         // The policy knob reaches CNA exactly as it reaches cohort kinds.
         let lock =
-            LockKind::Cna.make_with_optional_policy(&topo, Some(PolicySpec::Time { budget_ns: 9 }));
+            AnyLockKind::Excl(LockKind::Cna).make(&topo, Some(PolicySpec::Time { budget_ns: 9 }));
         assert_eq!(lock.policy_label().as_deref(), Some("time(9ns)"));
     }
 
@@ -999,8 +925,8 @@ mod tests {
                 lock.acquire_write();
                 lock.release_write();
                 assert!(!kind.name().is_empty());
-                if kind.is_cohort_rw() {
-                    let stats = lock.cohort_stats().expect("cohort RW exposes stats");
+                if kind != RwLockKind::StdRw {
+                    let stats = lock.cohort_stats().expect("cohort kinds expose stats");
                     assert!(stats.tenures() >= 1, "{kind}: write acquisitions counted");
                     if policy.is_some() {
                         assert_eq!(lock.policy_label().as_deref(), Some("count(4)"), "{kind}");
@@ -1038,9 +964,9 @@ mod tests {
     #[test]
     fn any_kind_unifies_both_registries() {
         let topo = Arc::new(Topology::new(4));
-        // Exclusive kinds flow through MutexAsRw: reads are exclusive,
-        // the full BenchLock surface (stats, abortability) passes through.
-        let excl = AnyLockKind::from(LockKind::CBoMcs).make(&topo, None);
+        // Exclusive kinds: reads are exclusive, and stats and
+        // abortability reach the one trait.
+        let excl = AnyLockKind::Excl(LockKind::CBoMcs).make(&topo, None);
         assert!(excl.read_is_exclusive());
         assert!(!excl.is_abortable());
         excl.acquire_write();
@@ -1056,7 +982,7 @@ mod tests {
         abortable.release_write();
 
         // RW kinds construct as themselves: genuinely shared reads.
-        let rw = AnyLockKind::from(RwLockKind::CRwWpBoMcs).make(&topo, None);
+        let rw = AnyLockKind::Rw(RwLockKind::CRwWpBoMcs).make(&topo, None);
         assert!(!rw.read_is_exclusive());
         assert!(!rw.is_abortable());
         rw.acquire_read();
@@ -1072,11 +998,9 @@ mod tests {
             "the single-writer baseline's wrapped cohort lock honors the knob"
         );
         assert!(!AnyLockKind::Rw(RwLockKind::StdRw).has_policy_knob());
-        assert!(AnyLockKind::Rw(RwLockKind::CRwWpBoMcs).is_cohort_family());
-        assert!(!AnyLockKind::Excl(LockKind::Cna).is_cohort_family());
-        let with_policy = AnyLockKind::Excl(LockKind::CTktMcs)
-            .make_with_policy(&topo, PolicySpec::Count { bound: 2 });
-        assert_eq!(with_policy.policy_label().as_deref(), Some("count(2)"));
+        let bounded =
+            AnyLockKind::Excl(LockKind::CTktMcs).make(&topo, Some(PolicySpec::Count { bound: 2 }));
+        assert_eq!(bounded.policy_label().as_deref(), Some("count(2)"));
     }
 
     #[test]
@@ -1154,42 +1078,63 @@ mod tests {
     }
 
     #[test]
-    fn make_with_policy_builds_every_cohort_kind() {
+    fn rw_cache_lock_without_a_read_side_is_the_kind_itself() {
+        // No second constructor in the row: the cache lock is the plain
+        // constructor's product, policy included.
         let topo = Arc::new(Topology::new(4));
-        let cohorts = [
-            LockKind::CBoBo,
-            LockKind::CTktTkt,
-            LockKind::CBoMcs,
-            LockKind::CTktMcs,
-            LockKind::CMcsMcs,
-            LockKind::CRecipMcs,
-            LockKind::FisBoMcs,
-            LockKind::FisTktMcs,
-            LockKind::GcrCBoMcs,
-            LockKind::GcrFisBoMcs,
-            LockKind::ACBoBo,
-            LockKind::ACBoClh,
-            LockKind::Cna,
-            LockKind::CnaTight,
-        ];
-        for kind in cohorts {
+        let lock = LockKind::Cna.make_rw_cache_lock(&topo, Some(PolicySpec::Count { bound: 5 }));
+        assert!(lock.read_is_exclusive());
+        assert_eq!(lock.policy_label().as_deref(), Some("count(5)"));
+    }
+
+    #[test]
+    fn every_kind_reports_its_default_label_and_honors_the_knob() {
+        // The merged constructor's two arms, for all 28 rows: `None`
+        // installs the kind's default policy, `Some` reaches exactly the
+        // kinds whose row says they have the knob.
+        let topo = Arc::new(Topology::new(4));
+        let bound3 = Some(PolicySpec::Count { bound: 3 });
+        for kind in LockKind::ALL {
+            let default_label = match kind {
+                LockKind::CnaTight => Some("count(4)"),
+                LockKind::GcrMcs => Some("-"),
+                k if knob(k) => Some("count(64)"),
+                _ => None,
+            };
+            let lock = kind.make(&topo);
+            assert_eq!(lock.policy_label().as_deref(), default_label, "{kind}");
+            let lock = AnyLockKind::Excl(kind).make(&topo, bound3);
+            if knob(kind) {
+                assert_eq!(lock.policy_label().as_deref(), Some("count(3)"), "{kind}");
+                lock.acquire_write();
+                lock.release_write();
+                assert!(lock.cohort_stats().is_some(), "{kind}");
+            } else {
+                assert_eq!(lock.policy_label().as_deref(), default_label, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_policy_spec_builds_every_policy_driven_kind() {
+        let topo = Arc::new(Topology::new(4));
+        for kind in LockKind::ALL.into_iter().filter(|&k| knob(k)) {
             for policy in [
-                PolicySpec::Count { bound: 3 },
                 PolicySpec::Time { budget_ns: 10_000 },
                 PolicySpec::Adaptive { min: 2, max: 8 },
                 PolicySpec::Unbounded,
                 PolicySpec::NeverPass,
             ] {
-                let lock = kind.make_with_policy(&topo, policy);
-                lock.acquire();
-                lock.release();
+                let lock = AnyLockKind::Excl(kind).make(&topo, Some(policy));
+                lock.acquire_write();
+                lock.release_write();
                 assert!(lock.cohort_stats().is_some(), "{kind} under {policy}");
             }
         }
-        // Non-cohort kinds fall back to the plain constructor.
-        let mcs = LockKind::Mcs.make_with_policy(&topo, PolicySpec::NeverPass);
-        mcs.acquire();
-        mcs.release();
+        // Kinds without the knob ignore it.
+        let mcs = AnyLockKind::Excl(LockKind::Mcs).make(&topo, Some(PolicySpec::NeverPass));
+        mcs.acquire_write();
+        mcs.release_write();
         assert!(mcs.cohort_stats().is_none());
     }
 }

@@ -1,38 +1,153 @@
 //! The scenario engine: ONE measurement loop behind every exhibit.
 //!
-//! The paper's evaluation (§4) is a fixed grid of steady-state workloads;
-//! this repository's exhibits kept growing past it (read/write mixes,
-//! abortable acquisition, policy sweeps) and each extension used to cost
-//! a parallel driver — `run_lbench` and `run_rw_lbench` were ~200-line
-//! near-duplicates. This module collapses them: a [`Scenario`] *describes*
-//! the per-thread op mix (exclusive / shared-read / abortable-with-
-//! patience) and its [`LoadShape`] over time (steady, bursty on/off,
-//! phased read-ratio schedule, thread-asymmetric idling), and
-//! [`run_scenario`] is the single driver that executes any of them over
-//! any [`AnyLockKind`]. The legacy entry points survive as thin wrappers
-//! (see `runner.rs`), bit-for-bit reproducible against the engine — the
-//! `scenario_parity` integration test pins that.
+//! The paper's LBench (§4.1) is a fixed grid of steady-state workloads:
+//! each thread loops acquire → write the shared cache lines (two, in the
+//! paper) → release → idle for a random non-critical period (up to
+//! 4 µs), and the run ends when any thread's clock crosses the
+//! measurement window. This repository's exhibits kept growing past it
+//! (read/write mixes, abortable acquisition, policy sweeps, load shapes),
+//! so the loop is written once: a [`Scenario`] *describes* the per-thread
+//! op mix (exclusive / shared-read / abortable-with-patience) and its
+//! [`LoadShape`] over time (steady, bursty on/off, phased read-ratio
+//! schedule, thread-asymmetric idling), an [`LBenchConfig`] the grid
+//! cell it runs at (threads, clusters, window, cost model, placement),
+//! and [`run_scenario`] is the single driver that executes any of them
+//! over any [`AnyLockKind`].
 //!
-//! Time accounting is unchanged from the original runner (virtual
-//! clocks plus the coherence cost model, wall pacing on oversubscribed
-//! hosts — see `runner.rs` and docs/ARCHITECTURE.md, "Virtual time, in
-//! one paragraph"). The engine additionally
-//! samples **acquisition latency** in modelled nanoseconds: the virtual
-//! time from starting an exclusive acquisition to clearing the handoff
-//! channel's queue-wait catch-up, reported as p50/p99 per run. Shared
-//! read acquisitions serialize on nothing and are not sampled.
+//! Time accounting (virtual mode — see docs/ARCHITECTURE.md, "Virtual
+//! time, in one paragraph"): critical-section data accesses are charged
+//! through the coherence [`Directory`], the lock handoff through the
+//! [`HandoffChannel`], and the non-critical section as a plain clock
+//! advance. The lock algorithms themselves run for real on real threads;
+//! only *time* is modelled, which is what lets a 1-CPU CI container
+//! reproduce a 256-thread NUMA machine's throughput *shapes*. In wall
+//! mode the same loop runs with real time everywhere (for use on actual
+//! multi-socket hardware). The engine additionally samples **acquisition
+//! latency** in modelled nanoseconds: the virtual time from starting an
+//! exclusive acquisition to clearing the handoff channel's queue-wait
+//! catch-up, reported as p50/p99 per run. Shared read acquisitions
+//! serialize on nothing and are not sampled.
+//!
+//! Two pieces here are shared by all three substrates (this file's real
+//! threads, the DES in `modelled.rs`, the keyed loops in `keyed.rs`):
+//! [`run_workers`], the real-thread scaffold, and [`assemble`], the one
+//! place a [`ScenarioResult`] is built.
 
 use crate::bench_rwlock::BenchRwLock;
 use crate::pace::{kappa_for, spin_wall};
 use crate::registry::AnyLockKind;
-use crate::runner::{LBenchConfig, LBenchResult, Placement, RwBenchResult, TimeMode};
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
+use cohort::{CohortStats, PolicySpec};
 use numa_topology::{bind_current_thread, vclock, ClusterId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+/// How threads are laid out over clusters.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Placement {
+    /// Thread `i` on cluster `i % clusters` (spread, the default — matches
+    /// an OS scheduler distributing threads over sockets).
+    RoundRobin,
+    /// Fill cluster 0 first, then cluster 1, … (taskset-style packing).
+    Blocked,
+}
+
+/// Whether time is modelled (virtual) or measured (wall).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimeMode {
+    /// Virtual clocks + coherence cost model (default; hardware-independent).
+    Virtual,
+    /// Real time; requires actually-parallel hardware to be meaningful.
+    Wall,
+}
+
+/// The grid cell a scenario runs at. Defaults reproduce the paper's
+/// setup: 2 cache lines written per critical section, ≤4 µs non-critical
+/// work, 4 clusters.
+#[derive(Clone, Debug)]
+pub struct LBenchConfig {
+    /// Worker threads.
+    pub threads: usize,
+    /// NUMA clusters (virtual).
+    pub clusters: usize,
+    /// Measurement window in (virtual or wall) nanoseconds.
+    pub window_ns: u64,
+    /// Shared cache lines written inside the critical section.
+    pub cs_lines: usize,
+    /// Extra modelled compute inside the critical section (the 8 counter
+    /// increments of the paper, beyond the line transfers themselves).
+    pub cs_extra_ns: u64,
+    /// Upper bound of the uniformly-random non-critical section.
+    pub noncs_max_ns: u64,
+    /// Extra scheduler yields performed *while holding* the lock (virtual
+    /// mode only); rarely needed once `pace_wall` is on. Set to 0 on
+    /// really-parallel hardware.
+    pub cs_yields: u32,
+    /// Wall-pacing (virtual mode only, default on): every virtual delay —
+    /// the critical section and the non-critical section — is also waited
+    /// out for the same number of *wall* nanoseconds (yielding while
+    /// waiting). This keeps the real execution's arrival order consistent
+    /// with virtual ready times, which matters twice on an oversubscribed
+    /// host: (a) FIFO queue locks otherwise admit threads whose virtual
+    /// non-critical section has not elapsed yet, stalling the virtual
+    /// handoff chain on order inversions, and (b) a TATAS releaser
+    /// otherwise instantly re-wins the acquisition race and degenerates
+    /// into single-thread lock hogging. With pacing, contention (queue
+    /// depth, batch composition) forms in real time exactly when the
+    /// modelled load would form it.
+    pub pace_wall: bool,
+    /// Multiplier applied to every paced duration (`None` = auto-scale
+    /// with the thread count). Pacing must out-scale the host's scheduler
+    /// round — with T yielding threads on one CPU a "round" costs roughly
+    /// T×switch-latency — or the paced waits all collapse to one round and
+    /// the modelled utilization ratio is lost. Scaling CS and non-CS by
+    /// the same κ preserves the ratio that determines queue depth.
+    pub pace_scale: Option<u64>,
+    /// Memory-system latency model.
+    pub cost: CostModel,
+    /// Thread layout.
+    pub placement: Placement,
+    /// Handoff policy for cohort locks (`None` = each lock's default,
+    /// i.e. the paper's `CountBound(64)`). Ignored by non-cohort locks.
+    pub policy: Option<PolicySpec>,
+    /// Wall-clock safety net: the run is cut off after this much real time
+    /// regardless of virtual progress.
+    pub max_wall: Duration,
+    /// Virtual or wall time.
+    pub mode: TimeMode,
+    /// Topology backend: virtual clusters (the default) or the measured
+    /// cluster map with physical worker pinning (`LBENCH_TOPOLOGY`, see
+    /// [`crate::phys`]). With `Measured`, the probe's cluster count
+    /// overrides `clusters` for the run; on single-CPU machines or when
+    /// probing fails, the run falls back to virtual clusters with one
+    /// logged warning.
+    pub topology: crate::phys::TopologyMode,
+}
+
+impl Default for LBenchConfig {
+    fn default() -> Self {
+        LBenchConfig {
+            threads: 4,
+            clusters: 4,
+            window_ns: 20_000_000, // 20 ms virtual
+            cs_lines: 2,
+            cs_extra_ns: 16,
+            noncs_max_ns: 4_000,
+            cs_yields: 0,
+            pace_wall: true,
+            pace_scale: None,
+            cost: CostModel::t5440(),
+            placement: Placement::RoundRobin,
+            policy: None,
+            max_wall: Duration::from_secs(20),
+            mode: TimeMode::Virtual,
+            topology: crate::phys::TopologyMode::Virtual,
+        }
+    }
+}
 
 /// How a scenario's *costs* are accounted: against real threads racing
 /// in real time (with virtual-clock charging), or against the
@@ -267,24 +382,6 @@ impl Scenario {
         self
     }
 
-    /// The wrapper scenario [`run_lbench`](crate::run_lbench) submits:
-    /// exclusive-only, steady, patience from the legacy config field.
-    pub fn from_exclusive_config(cfg: &LBenchConfig) -> Self {
-        Scenario {
-            patience_ns: cfg.patience_ns,
-            ..Scenario::default()
-        }
-    }
-
-    /// The wrapper scenario [`run_rw_lbench`](crate::run_rw_lbench)
-    /// submits: steady `read_pct` mix from the legacy config field.
-    pub fn from_rw_config(cfg: &LBenchConfig) -> Self {
-        Scenario {
-            read_pct: cfg.read_pct,
-            ..Scenario::default()
-        }
-    }
-
     /// Whether any part of the scenario can produce a read op.
     fn uses_reads(&self) -> bool {
         self.read_pct > 0
@@ -293,10 +390,10 @@ impl Scenario {
     }
 
     /// Whether the worker draws the per-op read/write coin. RW kinds
-    /// always draw (the legacy RW driver did, even at `read_pct = 0` —
-    /// parity demands the identical RNG sequence); exclusive kinds draw
-    /// only when the scenario can actually produce reads, preserving the
-    /// legacy exclusive driver's RNG sequence.
+    /// always draw, even at `read_pct = 0`; exclusive kinds draw only
+    /// when the scenario can actually produce reads. The rule fixes each
+    /// thread's RNG program and is therefore baked into every committed
+    /// modelled number (`results/fig_model.csv` pins it).
     pub(crate) fn draws_coin(&self, kind: AnyLockKind) -> bool {
         matches!(kind, AnyLockKind::Rw(_)) || self.uses_reads()
     }
@@ -311,11 +408,9 @@ impl Scenario {
     }
 }
 
-/// Everything one scenario run measures: the union of the legacy
-/// exclusive and RW result surfaces, plus modelled acquisition-latency
-/// percentiles. Convert to the legacy structs with
-/// [`into_lbench`](ScenarioResult::into_lbench) /
-/// [`into_rw`](ScenarioResult::into_rw).
+/// Everything one scenario run measures, exclusive and reader-writer
+/// alike, plus modelled acquisition-latency percentiles. Built in one
+/// place: `assemble`.
 #[derive(Clone, Debug)]
 pub struct ScenarioResult {
     /// Lock under test.
@@ -385,8 +480,7 @@ pub struct ScenarioResult {
     /// FIFO/centralized mechanisms, `1 + same-cluster waiters` for
     /// cluster-batched kinds, at most `2` for the reciprocating
     /// schedule. Booked only by the modelled runner (see the
-    /// `modelled` module docs); 0 in real-time, keyed, and external
-    /// results.
+    /// `modelled` module docs); 0 in real-time and keyed results.
     pub succ_transitions: u64,
     /// Power-of-two histogram of same-cluster batch lengths.
     pub batch_hist: Vec<u64>,
@@ -482,108 +576,9 @@ impl ScenarioResult {
         }
         0
     }
-
-    /// Converts to the legacy exclusive result (panics on an RW kind —
-    /// the legacy struct cannot name those).
-    pub fn into_lbench(self) -> LBenchResult {
-        let kind = match self.kind {
-            AnyLockKind::Excl(k) => k,
-            AnyLockKind::Rw(k) => panic!("into_lbench on RW kind {k}"),
-        };
-        LBenchResult {
-            kind,
-            threads: self.threads,
-            per_thread_ops: self.per_thread_ops,
-            total_ops: self.total_ops,
-            throughput: self.throughput,
-            acquisitions: self.acquisitions,
-            migrations: self.migrations,
-            misses_per_cs: self.misses_per_cs,
-            mean_batch: self.mean_batch,
-            aborts: self.aborts,
-            abort_rate: self.abort_rate,
-            stddev_pct: self.stddev_pct,
-            policy: self.policy,
-            tenures: self.tenures,
-            local_handoffs: self.local_handoffs,
-            mean_streak: self.mean_streak,
-            max_streak: self.max_streak,
-            migrations_per_tenure: self.migrations_per_tenure,
-            batch_hist: self.batch_hist,
-            wall: self.wall,
-        }
-    }
-
-    /// Converts to the legacy RW result (panics on an exclusive kind).
-    pub fn into_rw(self) -> RwBenchResult {
-        let kind = match self.kind {
-            AnyLockKind::Rw(k) => k,
-            AnyLockKind::Excl(k) => panic!("into_rw on exclusive kind {k}"),
-        };
-        RwBenchResult {
-            kind,
-            threads: self.threads,
-            read_pct: self.read_pct,
-            read_ops: self.read_ops,
-            write_ops: self.write_ops,
-            total_ops: self.total_ops,
-            per_thread_ops: self.per_thread_ops,
-            throughput: self.throughput,
-            exclusive_acquisitions: self.acquisitions,
-            migrations: self.migrations,
-            stddev_pct: self.stddev_pct,
-            policy: self.policy,
-            tenures: self.tenures,
-            local_handoffs: self.local_handoffs,
-            mean_streak: self.mean_streak,
-            max_streak: self.max_streak,
-            wall: self.wall,
-        }
-    }
-
-    /// A result shell for exhibits whose measurements come from an
-    /// external workload driver (kvstore, allocator): only identity,
-    /// throughput, and wall time are meaningful; every modelled counter
-    /// is zero.
-    pub fn external(kind: AnyLockKind, threads: usize, throughput: f64, wall: Duration) -> Self {
-        ScenarioResult {
-            kind,
-            threads,
-            read_pct: 0,
-            per_thread_ops: Vec::new(),
-            read_ops: 0,
-            write_ops: 0,
-            total_ops: 0,
-            throughput,
-            acquisitions: 0,
-            migrations: 0,
-            remote_misses: 0,
-            misses_per_cs: 0.0,
-            mean_batch: 0.0,
-            aborts: 0,
-            abort_rate: 0.0,
-            stddev_pct: 0.0,
-            policy: None,
-            tenures: 0,
-            local_handoffs: 0,
-            mean_streak: 0.0,
-            max_streak: 0,
-            migrations_per_tenure: 0.0,
-            fast_acquisitions: 0,
-            slow_acquisitions: 0,
-            passive_parks: 0,
-            promotions: 0,
-            succ_transitions: 0,
-            batch_hist: Vec::new(),
-            lat_p50_ns: 0,
-            lat_p99_ns: 0,
-            wall,
-        }
-    }
 }
 
-/// Thread → cluster assignment under `cfg.placement` (shared with the
-/// legacy wrappers' tests).
+/// Thread → cluster assignment under `cfg.placement`.
 pub(crate) fn cluster_for(i: usize, cfg: &LBenchConfig) -> ClusterId {
     match cfg.placement {
         Placement::RoundRobin => ClusterId::new((i % cfg.clusters) as u32),
@@ -685,7 +680,7 @@ impl LatReservoir {
 /// maximum stride first (strides are powers of two, so each set is
 /// re-decimated by an integer step) keeps the pool a uniform subsample
 /// of the whole run's acquisition stream.
-pub(crate) fn merge_lat_reservoirs(parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
+fn merge_lat_reservoirs(parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
     let max_stride = parts.iter().map(|(_, s)| *s).max().unwrap_or(1);
     let step_of = |stride: u64| (max_stride / stride.max(1)).max(1) as usize;
     let total = parts
@@ -701,7 +696,7 @@ pub(crate) fn merge_lat_reservoirs(parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
 
 /// Nearest-rank percentile of an ascending-sorted sample set (0 for an
 /// empty set).
-pub(crate) fn percentile(sorted: &[u64], pct: f64) -> u64 {
+fn percentile(sorted: &[u64], pct: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -709,11 +704,215 @@ pub(crate) fn percentile(sorted: &[u64], pct: f64) -> u64 {
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
+/// What the threads of a run counted — real workers or the simulators'
+/// logical threads — before any formula is applied.
+pub(crate) struct Counts {
+    /// `(reads, writes)` completed, per thread.
+    pub(crate) per_thread: Vec<(u64, u64)>,
+    /// Timed-out acquisitions, summed over threads.
+    pub(crate) aborts: u64,
+    /// Cross-cluster data transfers the directory charged, summed over
+    /// threads.
+    pub(crate) remote_misses: u64,
+    /// Latency reservoirs with the strides they were sampled at (see
+    /// [`merge_lat_reservoirs`]).
+    pub(crate) lat_parts: Vec<(Vec<u64>, u64)>,
+}
+
+/// What the lock side of a run reports: the handoff channel's census and
+/// the lock's own introspection.
+pub(crate) struct LockReport {
+    pub(crate) acquisitions: u64,
+    pub(crate) migrations: u64,
+    pub(crate) batch_hist: Vec<u64>,
+    pub(crate) policy: Option<String>,
+    /// Tenure statistics (`None` for locks without a tenure notion).
+    pub(crate) cohort: Option<CohortStats>,
+    /// See [`ScenarioResult::succ_transitions`].
+    pub(crate) succ_transitions: u64,
+}
+
+impl LockReport {
+    /// The report of a run that charged one channel for one lock, with
+    /// no succession census.
+    pub(crate) fn of(handoff: &HandoffChannel, lock: &dyn BenchRwLock) -> Self {
+        LockReport {
+            acquisitions: handoff.acquisitions(),
+            migrations: handoff.migrations(),
+            batch_hist: handoff.batches().snapshot().to_vec(),
+            policy: lock.policy_label(),
+            cohort: lock.cohort_stats(),
+            succ_transitions: 0,
+        }
+    }
+}
+
+/// Builds the [`ScenarioResult`] of a run from what its threads counted
+/// and what its lock side reports — every substrate ends here, so every
+/// derived field has one formula.
+pub(crate) fn assemble(
+    kind: AnyLockKind,
+    scenario: &Scenario,
+    cfg: &LBenchConfig,
+    counts: Counts,
+    lock: LockReport,
+    started: Instant,
+) -> ScenarioResult {
+    let per_thread_ops: Vec<u64> = counts.per_thread.iter().map(|(r, w)| r + w).collect();
+    let read_ops: u64 = counts.per_thread.iter().map(|(r, _)| r).sum();
+    let write_ops: u64 = counts.per_thread.iter().map(|(_, w)| w).sum();
+    let total_ops = read_ops + write_ops;
+    let mut lat = merge_lat_reservoirs(counts.lat_parts);
+    lat.sort_unstable();
+    let (acquisitions, migrations) = (lock.acquisitions, lock.migrations);
+    let (aborts, remote_misses) = (counts.aborts, counts.remote_misses);
+    let window_s = cfg.window_ns as f64 / 1e9;
+    let (_, stddev_pct) = crate::stats::mean_stddev_pct(&per_thread_ops);
+    // Zeros for locks without a tenure notion.
+    let cstats = lock.cohort.unwrap_or_default();
+    let tenures = cstats.tenures();
+    let ratio_or_zero = |num: u64, den: u64| {
+        if den > 0 {
+            num as f64 / den as f64
+        } else {
+            0.0
+        }
+    };
+    ScenarioResult {
+        kind,
+        threads: cfg.threads,
+        read_pct: scenario.read_pct,
+        read_ops,
+        write_ops,
+        total_ops,
+        throughput: total_ops as f64 / window_s,
+        acquisitions,
+        migrations,
+        remote_misses,
+        // Data-line misses plus the lock-word transfer on each migration.
+        misses_per_cs: ratio_or_zero(remote_misses + migrations, acquisitions),
+        mean_batch: if migrations > 0 {
+            acquisitions as f64 / migrations as f64
+        } else {
+            acquisitions as f64
+        },
+        aborts,
+        abort_rate: ratio_or_zero(aborts, total_ops + aborts),
+        stddev_pct,
+        policy: lock.policy,
+        tenures,
+        local_handoffs: cstats.local_handoffs(),
+        mean_streak: cstats.mean_streak(),
+        max_streak: cstats.max_streak(),
+        migrations_per_tenure: ratio_or_zero(migrations, tenures),
+        fast_acquisitions: cstats.fast_acquisitions,
+        slow_acquisitions: cstats.slow_acquisitions,
+        passive_parks: cstats.passive_parks,
+        promotions: cstats.promotions,
+        succ_transitions: lock.succ_transitions,
+        batch_hist: lock.batch_hist,
+        lat_p50_ns: percentile(&lat, 50.0),
+        lat_p99_ns: percentile(&lat, 99.0),
+        per_thread_ops,
+        wall: started.elapsed(),
+    }
+}
+
+/// One real worker thread's state, handed to the per-thread body by
+/// [`run_workers`].
+pub(crate) struct Worker<'a> {
+    /// Worker index, `0..cfg.threads`.
+    pub(crate) i: usize,
+    /// The cluster the worker is bound to.
+    pub(crate) cluster: ClusterId,
+    /// Seeded `seed ^ i`.
+    pub(crate) rng: StdRng,
+    /// Pre-sized from the run's op budget.
+    pub(crate) lat: LatReservoir,
+    /// The run's shared stop flag: the body loops until it is raised and
+    /// raises it when its clock crosses the window.
+    pub(crate) stop: &'a AtomicBool,
+    /// Taken when the start barrier opened.
+    pub(crate) wall_start: Instant,
+    max_wall: Duration,
+    check: u32,
+}
+
+impl Worker<'_> {
+    /// The wall-clock safety net, called once per loop iteration: every
+    /// 512th call reads the clock and stops the run past `cfg.max_wall`,
+    /// whatever virtual progress it made.
+    pub(crate) fn check_wall_net(&mut self) {
+        self.check = self.check.wrapping_add(1);
+        if self.check.is_multiple_of(512) && self.wall_start.elapsed() > self.max_wall {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The real-thread scaffold: spawns `cfg.threads` workers, binds each to
+/// its cluster (and pins it, on a measured topology), zeroes its virtual
+/// clock and coherence counters, seeds its RNG with `seed ^ i`, releases
+/// all of them through one barrier, runs `body` on each — it returns the
+/// worker's `(reads, writes, aborts)` — and merges what they counted.
+pub(crate) fn run_workers<F>(topo: &Topology, cfg: &LBenchConfig, seed: u64, body: F) -> Counts
+where
+    F: Fn(&mut Worker<'_>) -> (u64, u64, u64) + Sync,
+{
+    let stop = AtomicBool::new(false);
+    let barrier = Barrier::new(cfg.threads);
+    let pin_report = crate::phys::PinReport::default();
+    // Worker index within its own cluster, for spreading a cluster's
+    // threads over the cluster's physical CPUs (pinned topologies only).
+    let mut cluster_ranks = vec![0usize; cfg.clusters];
+    let mut counts = Counts {
+        per_thread: Vec::with_capacity(cfg.threads),
+        aborts: 0,
+        remote_misses: 0,
+        lat_parts: Vec::with_capacity(cfg.threads),
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..cfg.threads)
+            .map(|i| {
+                let cluster = cluster_for(i, cfg);
+                let rank = cluster_ranks[cluster.as_usize()];
+                cluster_ranks[cluster.as_usize()] += 1;
+                let (stop, barrier, pin_report, body) = (&stop, &barrier, &pin_report, &body);
+                s.spawn(move || {
+                    bind_current_thread(topo, cluster);
+                    pin_report.pin_worker(topo, cluster, rank);
+                    vclock::reset();
+                    take_thread_stats();
+                    let mut worker = Worker {
+                        i,
+                        cluster,
+                        rng: StdRng::seed_from_u64(seed ^ i as u64),
+                        lat: LatReservoir::for_config(cfg),
+                        stop,
+                        wall_start: Instant::now(),
+                        max_wall: cfg.max_wall,
+                        check: 0,
+                    };
+                    barrier.wait();
+                    worker.wall_start = Instant::now();
+                    let ops = body(&mut worker);
+                    (ops, worker.lat.into_parts(), take_thread_stats())
+                })
+            })
+            .collect();
+        for h in handles {
+            let ((reads, writes, aborts), lat, stats) = h.join().expect("scenario worker panicked");
+            counts.per_thread.push((reads, writes));
+            counts.aborts += aborts;
+            counts.remote_misses += stats.remote_misses;
+            counts.lat_parts.push(lat);
+        }
+    });
+    pin_report.log();
+    counts
+}
+
 /// Runs `scenario` for `kind` under `cfg` — the single sweep engine.
-///
-/// The op mix, patience, and load shape come from `scenario`; the
-/// legacy `cfg.read_pct` / `cfg.patience_ns` fields are wrapper inputs
-/// and are **not** consulted here.
 pub fn run_scenario(kind: AnyLockKind, scenario: &Scenario, cfg: &LBenchConfig) -> ScenarioResult {
     // Keyed scenarios own their lock construction (the factory builds one
     // lock per shard), so they branch before any lock exists here.
@@ -761,304 +960,175 @@ pub fn run_scenario_on(
         LoadShape::Steady => {}
     }
     // Modelled mode swaps the execution substrate entirely: no threads,
-    // no stop-flag race, no wall clock — see `modelled.rs`. The real-time
-    // path below is byte-for-byte the historical engine.
+    // no stop-flag race, no wall clock — see `modelled.rs`.
     if let CostMode::Modelled(model) = scenario.cost_mode {
         return crate::modelled::run_modelled(kind, &*lock, scenario, cfg, model);
     }
-    let dir = Arc::new(Directory::new(cfg.cs_lines.max(1), cfg.cost));
-    let handoff = Arc::new(HandoffChannel::new(cfg.cost));
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(cfg.threads));
+    let dir = Directory::new(cfg.cs_lines.max(1), cfg.cost);
+    let handoff = HandoffChannel::new(cfg.cost);
     let started = Instant::now();
     let serial_reads = lock.read_is_exclusive();
     let draws_coin = scenario.draws_coin(kind);
-    let pin_report = crate::phys::PinReport::new();
-    // Worker index within its own cluster, for spreading a cluster's
-    // threads over the cluster's physical CPUs (pinned topologies only).
-    let mut cluster_ranks = vec![0usize; cfg.clusters];
 
-    let handles: Vec<_> = (0..cfg.threads)
-        .map(|i| {
-            let topo = Arc::clone(&topo);
-            let lock = Arc::clone(&lock);
-            let dir = Arc::clone(&dir);
-            let handoff = Arc::clone(&handoff);
-            let stop = Arc::clone(&stop);
-            let barrier = Arc::clone(&barrier);
-            let pin_report = Arc::clone(&pin_report);
-            let cfg = cfg.clone();
-            let scenario = scenario.clone();
-            let rank = {
-                let c = cluster_for(i, &cfg).as_usize();
-                let r = cluster_ranks[c];
-                cluster_ranks[c] += 1;
-                r
+    let counts = run_workers(&topo, cfg, 0x5EED, |w| {
+        let (my_cluster, stop) = (w.cluster, w.stop);
+        // Pacing multiplier (see `LBenchConfig::pace_scale`).
+        let kappa = if cfg.pace_wall && cfg.mode == TimeMode::Virtual {
+            cfg.pace_scale.unwrap_or_else(|| kappa_for(cfg.threads))
+        } else {
+            1
+        };
+        let noncs_max = scenario.noncs_max_for(w.i, cfg.threads, cfg.noncs_max_ns);
+        let mut reads = 0u64;
+        let mut writes = 0u64;
+        let mut aborts = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            // ----- load-shape gating (virtual mode) -----
+            if cfg.mode == TimeMode::Virtual {
+                if let Some(gap) = scenario.shape.off_gap(vclock::now()) {
+                    vclock::advance(gap);
+                    if cfg.pace_wall {
+                        // Stay silent for the paced gap (capped: exact
+                        // pacing matters less while not interacting with
+                        // the lock).
+                        spin_wall((gap * kappa).min(200_000), true);
+                    }
+                    if vclock::now() >= cfg.window_ns {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    w.check_wall_net();
+                    continue;
+                }
+            }
+
+            // ----- per-op mix decision -----
+            let cur_pct = if cfg.mode == TimeMode::Virtual {
+                scenario.shape.read_pct_at(vclock::now(), scenario.read_pct)
+            } else {
+                scenario.read_pct
             };
-            std::thread::spawn(move || {
-                let my_cluster = cluster_for(i, &cfg);
-                bind_current_thread(&topo, my_cluster);
-                pin_report.pin_worker(&topo, my_cluster, rank);
-                vclock::reset();
-                take_thread_stats();
-                let mut rng = StdRng::seed_from_u64(0x5EED ^ i as u64);
-                // Pacing multiplier (see `LBenchConfig::pace_scale`).
-                let kappa = if cfg.pace_wall && cfg.mode == TimeMode::Virtual {
-                    cfg.pace_scale.unwrap_or_else(|| kappa_for(cfg.threads))
-                } else {
-                    1
-                };
-                let noncs_max = scenario.noncs_max_for(i, cfg.threads, cfg.noncs_max_ns);
-                let mut reads = 0u64;
-                let mut writes = 0u64;
-                let mut aborts = 0u64;
-                let mut lat = LatReservoir::for_config(&cfg);
-                barrier.wait();
-                let wall_start = Instant::now();
-                let mut check = 0u32;
-                while !stop.load(Ordering::Relaxed) {
-                    // ----- load-shape gating (virtual mode) -----
-                    if cfg.mode == TimeMode::Virtual {
-                        if let Some(gap) = scenario.shape.off_gap(vclock::now()) {
-                            vclock::advance(gap);
-                            if cfg.pace_wall {
-                                // Stay silent for the paced gap (capped:
-                                // exact pacing matters less while not
-                                // interacting with the lock).
-                                spin_wall((gap * kappa).min(200_000), true);
-                            }
-                            if vclock::now() >= cfg.window_ns {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                            check = check.wrapping_add(1);
-                            if check.is_multiple_of(512) && wall_start.elapsed() > cfg.max_wall {
-                                stop.store(true, Ordering::Relaxed);
+            let is_read = draws_coin && w.rng.gen_range(0u32..100) < cur_pct;
+
+            // ----- acquire (possibly abortable) -----
+            let lat_from = vclock::now();
+            if is_read {
+                lock.acquire_read();
+            } else {
+                match scenario.patience_ns {
+                    None => lock.acquire_write(),
+                    Some(p) => {
+                        // Patience is virtual; scale it into the paced
+                        // wall-time frame waiters live in.
+                        if !lock.acquire_write_with_patience(p * kappa) {
+                            aborts += 1;
+                            if cfg.mode == TimeMode::Virtual {
+                                // The wait consumed the patience.
+                                vclock::advance(p);
+                                if vclock::now() >= cfg.window_ns {
+                                    stop.store(true, Ordering::Relaxed);
+                                }
                             }
                             continue;
                         }
                     }
+                }
+            }
 
-                    // ----- per-op mix decision -----
-                    let cur_pct = if cfg.mode == TimeMode::Virtual {
-                        scenario.shape.read_pct_at(vclock::now(), scenario.read_pct)
-                    } else {
-                        scenario.read_pct
-                    };
-                    let is_read = draws_coin && rng.gen_range(0u32..100) < cur_pct;
+            // Serialization is modelled through the handoff channel only
+            // where the lock actually serializes.
+            let charge_handoff = !is_read || serial_reads;
 
-                    // ----- acquire (possibly abortable) -----
-                    let lat_from = vclock::now();
-                    if is_read {
-                        lock.acquire_read();
-                    } else {
-                        match scenario.patience_ns {
-                            None => lock.acquire_write(),
-                            Some(p) => {
-                                // Patience is virtual; scale it into the
-                                // paced wall-time frame waiters live in.
-                                if !lock.acquire_write_with_patience(p * kappa) {
-                                    aborts += 1;
-                                    if cfg.mode == TimeMode::Virtual {
-                                        // The wait consumed the patience.
-                                        vclock::advance(p);
-                                        if vclock::now() >= cfg.window_ns {
-                                            stop.store(true, Ordering::Relaxed);
-                                        }
-                                    }
-                                    continue;
-                                }
-                            }
+            // ----- critical section -----
+            match cfg.mode {
+                TimeMode::Virtual => {
+                    if charge_handoff {
+                        handoff.on_acquire(my_cluster);
+                        // Queue wait + handoff transfer, in modelled ns:
+                        // the acquisition latency.
+                        w.lat.record(vclock::now().saturating_sub(lat_from));
+                    }
+                    // Measure only the critical-section work, not the
+                    // catch-up on_acquire applied.
+                    let cs_start = vclock::now();
+                    for line in 0..cfg.cs_lines {
+                        if is_read {
+                            dir.read(line, my_cluster);
+                        } else {
+                            dir.write(line, my_cluster);
                         }
                     }
-
-                    // Serialization is modelled through the handoff
-                    // channel only where the lock actually serializes.
-                    let charge_handoff = !is_read || serial_reads;
-
-                    // ----- critical section -----
-                    match cfg.mode {
-                        TimeMode::Virtual => {
-                            if charge_handoff {
-                                handoff.on_acquire(my_cluster);
-                                // Queue wait + handoff transfer, in
-                                // modelled ns: the acquisition latency.
-                                lat.record(vclock::now().saturating_sub(lat_from));
-                            }
-                            // Measure only the critical-section work, not
-                            // the catch-up on_acquire applied.
-                            let cs_start = vclock::now();
-                            for line in 0..cfg.cs_lines {
-                                if is_read {
-                                    dir.read(line, my_cluster);
-                                } else {
-                                    dir.write(line, my_cluster);
-                                }
-                            }
-                            vclock::advance(cfg.cs_extra_ns);
-                            if cfg.pace_wall {
-                                // Hold the lock for κ× the modelled CS
-                                // duration of wall time, yielding while
-                                // holding: the window in which peers run,
-                                // observe the held lock, and enqueue.
-                                let charged = vclock::now().saturating_sub(cs_start);
-                                spin_wall((charged * kappa).min(50_000), true);
-                            }
-                            for _ in 0..cfg.cs_yields {
-                                std::thread::yield_now();
-                            }
-                            if vclock::now() >= cfg.window_ns {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                            if charge_handoff {
-                                handoff.on_release(my_cluster);
-                            }
-                        }
-                        TimeMode::Wall => {
-                            if charge_handoff {
-                                handoff.on_acquire(my_cluster);
-                            }
-                            // Touch real shared state so the hardware
-                            // does the coherence work.
-                            for line in 0..cfg.cs_lines {
-                                if is_read {
-                                    dir.read(line, my_cluster);
-                                } else {
-                                    dir.write(line, my_cluster);
-                                }
-                            }
-                            if charge_handoff {
-                                handoff.on_release(my_cluster);
-                            }
+                    vclock::advance(cfg.cs_extra_ns);
+                    if cfg.pace_wall {
+                        // Hold the lock for κ× the modelled CS duration of
+                        // wall time, yielding while holding: the window in
+                        // which peers run, observe the held lock, and
+                        // enqueue.
+                        let charged = vclock::now().saturating_sub(cs_start);
+                        spin_wall((charged * kappa).min(50_000), true);
+                    }
+                    for _ in 0..cfg.cs_yields {
+                        std::thread::yield_now();
+                    }
+                    if vclock::now() >= cfg.window_ns {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    if charge_handoff {
+                        handoff.on_release(my_cluster);
+                    }
+                }
+                TimeMode::Wall => {
+                    if charge_handoff {
+                        handoff.on_acquire(my_cluster);
+                    }
+                    // Touch real shared state so the hardware does the
+                    // coherence work.
+                    for line in 0..cfg.cs_lines {
+                        if is_read {
+                            dir.read(line, my_cluster);
+                        } else {
+                            dir.write(line, my_cluster);
                         }
                     }
-                    if is_read {
-                        lock.release_read();
-                        reads += 1;
-                    } else {
-                        lock.release_write();
-                        writes += 1;
+                    if charge_handoff {
+                        handoff.on_release(my_cluster);
                     }
+                }
+            }
+            if is_read {
+                lock.release_read();
+                reads += 1;
+            } else {
+                lock.release_write();
+                writes += 1;
+            }
 
-                    // ----- non-critical section -----
-                    let idle = rng.gen_range(0..=noncs_max);
-                    match cfg.mode {
-                        TimeMode::Virtual => {
-                            vclock::advance(idle);
-                            if cfg.pace_wall {
-                                // Stay away from the lock for the paced
-                                // duration (yield so peers run meanwhile).
-                                spin_wall(idle * kappa, true);
-                            }
-                        }
-                        TimeMode::Wall => {
-                            let t0 = Instant::now();
-                            while (t0.elapsed().as_nanos() as u64) < idle {
-                                std::hint::spin_loop();
-                            }
-                            if wall_start.elapsed().as_nanos() >= cfg.window_ns as u128 {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
+            // ----- non-critical section -----
+            let idle = w.rng.gen_range(0..=noncs_max);
+            match cfg.mode {
+                TimeMode::Virtual => {
+                    vclock::advance(idle);
+                    if cfg.pace_wall {
+                        // Stay away from the lock for the paced duration
+                        // (yield so peers run meanwhile).
+                        spin_wall(idle * kappa, true);
                     }
-
-                    // Wall-clock safety net.
-                    check = check.wrapping_add(1);
-                    if check.is_multiple_of(512) && wall_start.elapsed() > cfg.max_wall {
+                }
+                TimeMode::Wall => {
+                    let t0 = Instant::now();
+                    while (t0.elapsed().as_nanos() as u64) < idle {
+                        std::hint::spin_loop();
+                    }
+                    if w.wall_start.elapsed().as_nanos() >= cfg.window_ns as u128 {
                         stop.store(true, Ordering::Relaxed);
                     }
                 }
-                (reads, writes, aborts, lat.into_parts(), take_thread_stats())
-            })
-        })
-        .collect();
-
-    let mut per_thread_ops = Vec::with_capacity(cfg.threads);
-    let mut read_ops = 0u64;
-    let mut write_ops = 0u64;
-    let mut aborts = 0u64;
-    let mut remote_misses = 0u64;
-    let mut lat_parts = Vec::with_capacity(cfg.threads);
-    for h in handles {
-        let (r, w, ab, thread_lat, stats) = h.join().expect("scenario worker panicked");
-        per_thread_ops.push(r + w);
-        read_ops += r;
-        write_ops += w;
-        aborts += ab;
-        remote_misses += stats.remote_misses;
-        lat_parts.push(thread_lat);
-    }
-    pin_report.log();
-    let mut lat = merge_lat_reservoirs(lat_parts);
-    lat.sort_unstable();
-
-    let total_ops = read_ops + write_ops;
-    let acquisitions = handoff.acquisitions();
-    let migrations = handoff.migrations();
-    let window_s = cfg.window_ns as f64 / 1e9;
-    let (_, stddev_pct) = crate::stats::mean_stddev_pct(&per_thread_ops);
-    // Tenure statistics from the policy's counters (zeros for locks
-    // without a tenure notion).
-    let cstats = lock.cohort_stats();
-    let (tenures, local_handoffs, mean_streak, max_streak) = match &cstats {
-        Some(s) => (
-            s.tenures(),
-            s.local_handoffs(),
-            s.mean_streak(),
-            s.max_streak(),
-        ),
-        None => (0, 0, 0.0, 0),
-    };
-    ScenarioResult {
-        kind,
-        threads: cfg.threads,
-        read_pct: scenario.read_pct,
-        read_ops,
-        write_ops,
-        total_ops,
-        throughput: total_ops as f64 / window_s,
-        acquisitions,
-        migrations,
-        remote_misses,
-        // Data-line misses plus the lock-word transfer on each migration.
-        misses_per_cs: if acquisitions > 0 {
-            (remote_misses + migrations) as f64 / acquisitions as f64
-        } else {
-            0.0
-        },
-        mean_batch: if migrations > 0 {
-            acquisitions as f64 / migrations as f64
-        } else {
-            acquisitions as f64
-        },
-        aborts,
-        abort_rate: if total_ops + aborts > 0 {
-            aborts as f64 / (total_ops + aborts) as f64
-        } else {
-            0.0
-        },
-        stddev_pct,
-        policy: lock.policy_label(),
-        tenures,
-        local_handoffs,
-        mean_streak,
-        max_streak,
-        migrations_per_tenure: if tenures > 0 {
-            migrations as f64 / tenures as f64
-        } else {
-            0.0
-        },
-        fast_acquisitions: cstats.as_ref().map_or(0, |s| s.fast_acquisitions),
-        slow_acquisitions: cstats.as_ref().map_or(0, |s| s.slow_acquisitions),
-        passive_parks: cstats.as_ref().map_or(0, |s| s.passive_parks),
-        promotions: cstats.as_ref().map_or(0, |s| s.promotions),
-        // The succession census is a modelled-runner quantity.
-        succ_transitions: 0,
-        batch_hist: handoff.batches().snapshot().to_vec(),
-        lat_p50_ns: percentile(&lat, 50.0),
-        lat_p99_ns: percentile(&lat, 99.0),
-        per_thread_ops,
-        wall: started.elapsed(),
-    }
+            }
+            w.check_wall_net();
+        }
+        (reads, writes, aborts)
+    });
+    let report = LockReport::of(&handoff, &*lock);
+    assemble(kind, scenario, cfg, counts, report, started)
 }
 
 #[cfg(test)]
@@ -1268,12 +1338,10 @@ mod tests {
 
         // Shared reads serialize on nothing and are not sampled: a
         // read-only RW run reports zero acquisition latency.
-        let mut cfg = quick_cfg(2);
-        cfg.read_pct = 100; // legacy field unused by the engine...
         let ro = run_scenario(
             AnyLockKind::Rw(RwLockKind::CRwNeutralBoMcs),
-            &Scenario::steady().with_read_pct(100), // ...the scenario rules
-            &cfg,
+            &Scenario::steady().with_read_pct(100),
+            &quick_cfg(2),
         );
         assert_eq!(ro.acquisitions, 0);
         assert_eq!(ro.lat_p50_ns, 0);

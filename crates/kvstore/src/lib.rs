@@ -16,9 +16,9 @@
 //!   operation depends on *which cluster touched the structures last* —
 //!   the effect cohort locks exploit.
 //! * [`SharedKvStore`] — the store behind an injected
-//!   [`BenchLock`](lbench::BenchLock), mirroring the paper's interpose
-//!   library (the application code is oblivious to which lock it runs
-//!   under).
+//!   [`BenchRwLock`](lbench::BenchRwLock), mirroring the paper's
+//!   interpose library (the application code is oblivious to which lock
+//!   it runs under).
 //! * [`ShardedKvStore`] — the production-scale layer: N independent
 //!   [`SharedKvStore`] shards behind a key hash, each with its own cache
 //!   lock, directory, and handoff channel; [`KvServiceFactory`] plugs

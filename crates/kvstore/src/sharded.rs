@@ -77,7 +77,7 @@ impl ShardedKvStore {
                     let kv = KvStore::new(store_cfg, dir);
                     let store = match lock {
                         ShardLockSpec::Excl(k) => {
-                            SharedKvStore::new(k.make_with_optional_policy(topo, policy), kv)
+                            SharedKvStore::new(AnyLockKind::Excl(k).make(topo, policy), kv)
                         }
                         ShardLockSpec::ExclAsRw(k) => {
                             SharedKvStore::with_rw_lock(k.make_rw_cache_lock(topo, policy), kv)

@@ -1,104 +1,89 @@
 //! The store behind an injected lock — the paper's interpose library.
 
 use crate::store::{KvStats, KvStore};
-use lbench::{BenchLock, BenchRwLock};
+use lbench::BenchRwLock;
 use numa_topology::ClusterId;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The cache lock guarding the store: either a mutual-exclusion lock
-/// (every operation exclusive — the paper's setup) or a reader-writer
-/// lock (`get`s share, `set`s exclude — the C-RW extension).
-enum CacheLock {
-    Mutex(Arc<dyn BenchLock>),
-    Rw(Arc<dyn BenchRwLock>),
-}
-
-/// [`KvStore`] guarded by any [`BenchLock`] — the paper swapped the lock
-/// under memcached via `LD_PRELOAD`; here the lock is a constructor
+/// [`KvStore`] guarded by any [`BenchRwLock`] — the paper swapped the
+/// lock under memcached via `LD_PRELOAD`; here the lock is a constructor
 /// argument and the store code is identical for all 11 lock columns of
 /// Table 1.
 ///
-/// [`with_rw_lock`](Self::with_rw_lock) instead injects a
-/// [`BenchRwLock`]: `get`s then run under the shared side (via the
-/// LRU-free [`KvStore::peek`], with hit/miss counts kept in atomics) and
-/// everything else under the exclusive side.
+/// The constructor picks how `get`s run. [`new`](Self::new) is the
+/// paper's setup: every operation takes the exclusive side.
+/// [`with_rw_lock`](Self::with_rw_lock) is the C-RW extension: `get`s
+/// run under the read side (via the LRU-free [`KvStore::peek`], with
+/// hit/miss counts kept in atomics) and everything else under the write
+/// side.
 pub struct SharedKvStore {
-    lock: CacheLock,
+    lock: Arc<dyn BenchRwLock>,
+    /// Whether `get`s take the read side (fixed at construction).
+    gets_read: bool,
     store: UnsafeCell<KvStore>,
-    /// Read-path hit/miss counts (RW mode only; `peek` cannot touch the
-    /// store's own counters from under a shared lock).
+    /// Read-path hit/miss counts (`gets_read` only; `peek` cannot touch
+    /// the store's own counters from under a shared lock).
     rw_hits: AtomicU64,
     rw_misses: AtomicU64,
 }
 
-// SAFETY: `store` is touched exclusively (&mut) only under the mutex or
-// the write side of the RW lock, and shared (&) only under the read side.
+// SAFETY: `store` is touched exclusively (&mut) only under the write side
+// of the lock, and shared (&) only under the read side.
 unsafe impl Send for SharedKvStore {}
 unsafe impl Sync for SharedKvStore {}
 
 impl SharedKvStore {
-    /// Wraps `store` behind a mutual-exclusion cache lock.
-    pub fn new(lock: Arc<dyn BenchLock>, store: KvStore) -> Self {
-        SharedKvStore {
-            lock: CacheLock::Mutex(lock),
-            store: UnsafeCell::new(store),
-            rw_hits: AtomicU64::new(0),
-            rw_misses: AtomicU64::new(0),
-        }
+    /// Wraps `store` behind a cache lock every operation takes
+    /// exclusively.
+    pub fn new(lock: Arc<dyn BenchRwLock>, store: KvStore) -> Self {
+        Self::build(lock, false, store)
     }
 
     /// Wraps `store` behind a reader-writer cache lock: `get`s take the
     /// read side, everything else the write side.
     pub fn with_rw_lock(lock: Arc<dyn BenchRwLock>, store: KvStore) -> Self {
+        Self::build(lock, true, store)
+    }
+
+    fn build(lock: Arc<dyn BenchRwLock>, gets_read: bool, store: KvStore) -> Self {
         SharedKvStore {
-            lock: CacheLock::Rw(lock),
+            lock,
+            gets_read,
             store: UnsafeCell::new(store),
             rw_hits: AtomicU64::new(0),
             rw_misses: AtomicU64::new(0),
         }
     }
 
-    /// Runs `f` on the store while holding the cache lock exclusively
-    /// (the mutex, or the write side of the RW lock).
+    /// Runs `f` on the store while holding the cache lock exclusively.
     pub fn with_lock<R>(&self, f: impl FnOnce(&mut KvStore) -> R) -> R {
-        match &self.lock {
-            CacheLock::Mutex(lock) => {
-                lock.acquire();
-                // SAFETY: the cache lock serializes all access.
-                let r = f(unsafe { &mut *self.store.get() });
-                lock.release();
-                r
-            }
-            CacheLock::Rw(lock) => {
-                lock.acquire_write();
-                // SAFETY: the write side excludes readers and writers.
-                let r = f(unsafe { &mut *self.store.get() });
-                lock.release_write();
-                r
-            }
-        }
+        self.lock.acquire_write();
+        // SAFETY: the write side excludes readers and writers.
+        let r = f(unsafe { &mut *self.store.get() });
+        self.lock.release_write();
+        r
     }
 
     /// `get` under the cache lock: the full LRU-touching [`KvStore::get`]
-    /// in mutex mode, the shared-lock [`KvStore::peek`] in RW mode.
+    /// under the exclusive side, or the shared-lock [`KvStore::peek`]
+    /// under the read side of a store built by
+    /// [`with_rw_lock`](Self::with_rw_lock).
     pub fn get(&self, key: u64, cluster: ClusterId) -> Option<u64> {
-        match &self.lock {
-            CacheLock::Mutex(_) => self.with_lock(|s| s.get(key, cluster)),
-            CacheLock::Rw(lock) => {
-                lock.acquire_read();
-                // SAFETY: the read side excludes writers; `peek` takes
-                // `&KvStore`, so concurrent readers are fine.
-                let r = unsafe { (*self.store.get()).peek(key, cluster) };
-                lock.release_read();
-                match r {
-                    Some(_) => self.rw_hits.fetch_add(1, Ordering::Relaxed),
-                    None => self.rw_misses.fetch_add(1, Ordering::Relaxed),
-                };
-                r
-            }
+        if !self.gets_read {
+            return self.with_lock(|s| s.get(key, cluster));
         }
+        self.lock.acquire_read();
+        // SAFETY: the read side excludes writers; `peek` takes
+        // `&KvStore`, so concurrent readers are fine.
+        let r = unsafe { (*self.store.get()).peek(key, cluster) };
+        self.lock.release_read();
+        match r {
+            Some(_) => self.rw_hits.fetch_add(1, Ordering::Relaxed),
+            None => self.rw_misses.fetch_add(1, Ordering::Relaxed),
+        };
+        r
     }
 
     /// `set` under the cache lock (always exclusive).
@@ -108,7 +93,7 @@ impl SharedKvStore {
 
     /// Statistics snapshot: the store's own counters merged (via
     /// [`KvStats::merge`]) with the read-path hit/miss counts kept
-    /// outside the store when running under a reader-writer lock.
+    /// outside the store when `get`s run under the read side.
     pub fn stats(&self) -> KvStats {
         let mut stats = self.with_lock(|s| s.stats());
         stats.merge(&KvStats {
@@ -119,30 +104,21 @@ impl SharedKvStore {
         stats
     }
 
-    /// Whether `get`s genuinely share the cache lock (RW mode with a
-    /// concurrent read side). Workload drivers use this to decide whether
-    /// read operations must be charged through the handoff channel.
+    /// Whether `get`s genuinely share the cache lock (read side in use,
+    /// and concurrent). Workload drivers use this to decide whether read
+    /// operations must be charged through the handoff channel.
     pub fn reads_are_shared(&self) -> bool {
-        match &self.lock {
-            CacheLock::Mutex(_) => false,
-            CacheLock::Rw(lock) => !lock.read_is_exclusive(),
-        }
+        self.gets_read && !self.lock.read_is_exclusive()
     }
 
     /// Tenure statistics of the cache lock, for cohort(-RW) locks.
     pub fn cohort_stats(&self) -> Option<lbench::CohortStats> {
-        match &self.lock {
-            CacheLock::Mutex(lock) => lock.cohort_stats(),
-            CacheLock::Rw(lock) => lock.cohort_stats(),
-        }
+        self.lock.cohort_stats()
     }
 
     /// Handoff-policy label of the cache lock, for cohort(-RW) locks.
     pub fn policy_label(&self) -> Option<String> {
-        match &self.lock {
-            CacheLock::Mutex(lock) => lock.policy_label(),
-            CacheLock::Rw(lock) => lock.policy_label(),
-        }
+        self.lock.policy_label()
     }
 }
 
@@ -172,7 +148,7 @@ mod tests {
         KvStore::new(cfg, dir)
     }
 
-    fn shared(lock: Arc<dyn BenchLock>) -> Arc<SharedKvStore> {
+    fn shared(lock: Arc<dyn BenchRwLock>) -> Arc<SharedKvStore> {
         Arc::new(SharedKvStore::new(lock, kv_store()))
     }
 
@@ -241,6 +217,9 @@ mod tests {
 
     #[test]
     fn rw_mode_with_exclusive_fallback_reports_itself() {
+        // MCS has no shared read side, but the store was built in RW
+        // mode: `get` still runs `peek` under the (exclusive) read side
+        // and counts hits and misses outside the store, as before.
         let topo = Arc::new(Topology::new(4));
         let s =
             SharedKvStore::with_rw_lock(LockKind::Mcs.make_rw_cache_lock(&topo, None), kv_store());
@@ -248,7 +227,11 @@ mod tests {
         let cl = ClusterId::new(0);
         s.set(1, 2, cl);
         assert_eq!(s.get(1, cl), Some(2));
-        assert_eq!(s.stats().hits, 1);
+        assert_eq!(s.get(7, cl), None);
+        assert_eq!(s.rw_hits.load(Ordering::Relaxed), 1, "served by peek");
+        assert_eq!(s.rw_misses.load(Ordering::Relaxed), 1);
+        let stats = s.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
                     // Threads of the same cluster hand the lock to each
                     // other at local cost; the global lock is released
                     // only when the cluster runs dry or after 64
-                    // consecutive local handoffs (PassPolicy).
+                    // consecutive local handoffs (`CountBound`).
                     *counter.lock() += 1;
                 }
             })

@@ -3,13 +3,13 @@
 
 use coherence_sim::{CostModel, Directory};
 use cohort_alloc::{MiniAlloc, MiniAllocConfig};
-use lbench::{BenchLock, LockKind};
+use lbench::{BenchRwLock, LockKind};
 use numa_topology::{current_cluster_in, Topology};
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 
 struct Guarded {
-    lock: Arc<dyn BenchLock>,
+    lock: Arc<dyn BenchRwLock>,
     alloc: UnsafeCell<MiniAlloc>,
 }
 unsafe impl Send for Guarded {}
@@ -17,9 +17,9 @@ unsafe impl Sync for Guarded {}
 
 impl Guarded {
     fn with<R>(&self, f: impl FnOnce(&mut MiniAlloc) -> R) -> R {
-        self.lock.acquire();
+        self.lock.acquire_write();
         let r = f(unsafe { &mut *self.alloc.get() });
-        self.lock.release();
+        self.lock.release_write();
         r
     }
 }

@@ -1,23 +1,29 @@
 //! Integration: the may-pass-local policy bounds cohort tenures.
 
-use cohort::{CohortLock, GlobalBoLock, LocalMcsLock, PassPolicy, PolicySpec};
-use lbench::{run_lbench, run_lbench_on, LBenchConfig, LockKind, RawAdapter};
+use cohort::{
+    CohortLock, CountBound, GlobalBoLock, HandoffPolicy, LocalMcsLock, NeverPass, PolicySpec,
+};
+use lbench::{
+    run_scenario, run_scenario_on, AnyLockKind, LBenchConfig, LockKind, RawAdapter, Scenario,
+};
 use numa_topology::Topology;
 use std::sync::Arc;
 
-fn run_with_bound(policy: PassPolicy) -> f64 {
+/// Mean batch of a hand-built C-BO-MCS under `policy`.
+fn run_with_policy<P: HandoffPolicy + 'static>(policy: P) -> f64 {
     let topo = Arc::new(Topology::new(4));
-    let lock: CohortLock<GlobalBoLock, LocalMcsLock> =
-        CohortLock::with_policy(Arc::clone(&topo), policy);
+    let lock: CohortLock<GlobalBoLock, LocalMcsLock, P> =
+        CohortLock::with_handoff_policy(Arc::clone(&topo), policy);
     let cfg = LBenchConfig {
         threads: 16,
         window_ns: 3_000_000,
         ..Default::default()
     };
-    let r = run_lbench_on(
-        LockKind::CBoMcs,
+    let r = run_scenario_on(
+        AnyLockKind::Excl(LockKind::CBoMcs),
         Arc::new(RawAdapter::new(lock)),
         topo,
+        &Scenario::steady(),
         &cfg,
     );
     r.mean_batch
@@ -25,8 +31,8 @@ fn run_with_bound(policy: PassPolicy) -> f64 {
 
 #[test]
 fn tighter_bound_means_shorter_batches() {
-    let tight = run_with_bound(PassPolicy::Count { bound: 4 });
-    let loose = run_with_bound(PassPolicy::Count { bound: 64 });
+    let tight = run_with_policy(CountBound::new(4));
+    let loose = run_with_policy(CountBound::new(64));
     assert!(
         tight < loose,
         "bound 4 gave batch {tight:.1}, bound 64 gave {loose:.1}"
@@ -41,7 +47,7 @@ fn tighter_bound_means_shorter_batches() {
 
 #[test]
 fn never_pass_policy_disables_batching() {
-    let batch = run_with_bound(PassPolicy::NeverPass);
+    let batch = run_with_policy(NeverPass::default());
     // Without local handoffs every release goes global; batches form only
     // when one cluster re-wins the global race.
     assert!(
@@ -57,7 +63,7 @@ fn run_cna_with_bound(bound: u64) -> (f64, u64) {
         policy: Some(PolicySpec::Count { bound }),
         ..Default::default()
     };
-    let r = run_lbench(LockKind::Cna, &cfg);
+    let r = run_scenario(AnyLockKind::Excl(LockKind::Cna), &Scenario::steady(), &cfg);
     (r.mean_batch, r.max_streak)
 }
 

@@ -113,10 +113,10 @@ fn every_registry_lock_supports_nested_distinct_instances() {
     ] {
         let a = kind.make(&topo);
         let b = kind.make(&topo);
-        a.acquire();
-        b.acquire(); // must not deadlock on a's being held
-        b.release();
-        a.release();
+        a.acquire_write();
+        b.acquire_write(); // must not deadlock on a's being held
+        b.release_write();
+        a.release_write();
     }
 }
 

@@ -18,6 +18,10 @@
 //! Re-run identity cannot see a change that moves *both* runs, so one
 //! test also pins absolute numbers: the benchmark's `des_4096` cell
 //! (4096 logical threads) for four lock kinds.
+//!
+//! Two single-thread cells close the file: the one regime where the
+//! real-time engine, too, is reproducible (one seeded RNG, virtual time
+//! only, nothing to race), next to the modelled twin of the same cell.
 
 use coherence_sim::CostModel;
 use cohort_bench::{
@@ -25,6 +29,7 @@ use cohort_bench::{
     ModelCell,
 };
 use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario};
+use std::time::Duration;
 
 /// Runs the full exhibit sweep at one contended thread count.
 fn sweep(contended_threads: usize) -> Vec<Measurement<ModelCell>> {
@@ -179,4 +184,43 @@ fn full_sweep_writes_byte_identical_csv() {
     let head = String::from_utf8_lossy(&b1);
     assert_eq!(head.lines().next(), Some(schema::FIG_MODEL_HEADER));
     let _ = std::fs::remove_dir_all(base);
+}
+
+/// One thread over a 2 ms virtual window.
+fn single_thread_cfg() -> LBenchConfig {
+    LBenchConfig {
+        threads: 1,
+        window_ns: 2_000_000,
+        max_wall: Duration::from_secs(30),
+        ..Default::default()
+    }
+}
+
+#[test]
+fn single_thread_runs_are_reproducible_at_all() {
+    // Real threads, real lock: the same seed really does reproduce the
+    // same run when one thread eliminates scheduling.
+    let c = single_thread_cfg();
+    let kind = AnyLockKind::Excl(LockKind::Ticket);
+    let a = run_scenario(kind, &Scenario::steady(), &c);
+    let b = run_scenario(kind, &Scenario::steady(), &c);
+    assert_eq!(a.total_ops, b.total_ops);
+    assert_eq!(a.throughput, b.throughput);
+}
+
+#[test]
+fn modelled_single_thread_is_bit_exact_across_repeats() {
+    // The modelled cost mode's determinism contract at the same cell
+    // size: every repeat is a bit-identical twin — not just total_ops,
+    // but every deterministic field (first_divergence compares floats by
+    // to_bits and covers the whole result surface except the diagnostic
+    // wall field).
+    for kind in [LockKind::Mcs, LockKind::CBoMcs, LockKind::Cna] {
+        let c = single_thread_cfg();
+        let s = Scenario::steady().modelled(CostModel::disaggregated());
+        let a = run_scenario(AnyLockKind::Excl(kind), &s, &c);
+        let b = run_scenario(AnyLockKind::Excl(kind), &s, &c);
+        assert_eq!(a.first_divergence(&b), None, "{kind}");
+        assert!(a.total_ops > 0, "{kind}");
+    }
 }

@@ -6,7 +6,7 @@
 use coherence_sim::{
     take_thread_stats, CostModel, Directory, HandoffChannel, LineState, ThreadStats,
 };
-use cohort::PassPolicy;
+use cohort::{CountBound, HandoffPolicy};
 use numa_topology::{vclock, ClusterId};
 use proptest::prelude::*;
 
@@ -108,8 +108,8 @@ proptest! {
 
     #[test]
     fn count_policy_is_a_step_function(bound in 0u64..1_000, streak in 0u64..2_000) {
-        let p = PassPolicy::Count { bound };
-        prop_assert_eq!(p.may_pass_local(streak), streak < bound);
+        let p = CountBound::new(bound);
+        prop_assert_eq!(p.may_pass_local(ClusterId::new(0), streak), streak < bound);
     }
 
     // The channel and the directory together, driven by the op stream
