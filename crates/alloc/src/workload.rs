@@ -15,15 +15,16 @@
 //! [`KeyedService`] op (keyspace 0 — the allocator is keyless, so the
 //! engine draws no key and no read/write coin, preserving the legacy
 //! driver's RNG stream of exactly two delay draws per pair), and
-//! [`run_mmicro`] is one `run_scenario` call. The `kv_scenario_parity`
-//! integration test pins that the engine reproduces the legacy numbers.
+//! [`MmicroWorkload::run`] is one `run_scenario` call. The
+//! `kv_scenario_parity` integration test pins that the engine reproduces
+//! the legacy numbers.
 
 use crate::allocator::{MiniAlloc, MiniAllocConfig};
 use coherence_sim::{CostModel, Directory, HandoffChannel};
 use lbench::pace::spin_wall;
 use lbench::{
-    run_scenario, AnyLockKind, BenchRwLock, CohortStats, KeyDist, KeyedCtx, KeyedOp, KeyedService,
-    KeyedServiceFactory, KeyedSpec, LBenchConfig, LockKind, Scenario,
+    run_scenario, AnyLockKind, BenchRwLock, KeyDist, KeyedCtx, KeyedOp, KeyedService,
+    KeyedServiceFactory, KeyedSpec, LBenchConfig, LockKind, LockReport, Scenario, ScenarioResult,
 };
 use numa_topology::{vclock, Topology};
 use rand::rngs::StdRng;
@@ -116,25 +117,17 @@ impl MmicroWorkload {
             ..Default::default()
         }
     }
-}
 
-/// One mmicro run's outcome.
-#[derive(Clone, Debug)]
-pub struct MmicroResult {
-    /// Lock guarding the allocator.
-    pub kind: LockKind,
-    /// Worker threads.
-    pub threads: usize,
-    /// malloc-free pairs completed.
-    pub pairs: u64,
-    /// Pairs per millisecond of modelled time (Table 2's metric).
-    pub pairs_per_ms: f64,
-    /// Allocator-lock migrations.
-    pub migrations: u64,
-    /// Allocator-lock acquisitions.
-    pub acquisitions: u64,
-    /// Real run time.
-    pub wall: Duration,
+    /// Runs mmicro with `kind` guarding the allocator; `total_ops` is
+    /// the malloc-free pairs completed (Table 2's metric is pairs per
+    /// millisecond of the window).
+    pub fn run(&self, kind: LockKind) -> ScenarioResult {
+        run_scenario(
+            AnyLockKind::Excl(kind),
+            &self.scenario(),
+            &self.lbench_config(),
+        )
+    }
 }
 
 struct SharedAlloc {
@@ -264,39 +257,8 @@ impl KeyedService for MmicroService {
         true
     }
 
-    fn acquisitions(&self) -> u64 {
-        self.handoff.acquisitions()
-    }
-
-    fn migrations(&self) -> u64 {
-        self.handoff.migrations()
-    }
-
-    fn batch_hist(&self) -> Vec<u64> {
-        self.handoff.batches().snapshot().to_vec()
-    }
-
-    fn cohort_stats(&self) -> Option<CohortStats> {
-        self.shared.lock.cohort_stats()
-    }
-
-    fn policy_label(&self) -> Option<String> {
-        self.shared.lock.policy_label()
-    }
-}
-
-/// Runs mmicro with `kind` guarding the allocator: one [`run_scenario`]
-/// call over the keyed scenario, narrowed to the legacy result surface.
-pub fn run_mmicro(kind: LockKind, w: &MmicroWorkload) -> MmicroResult {
-    let r = run_scenario(AnyLockKind::Excl(kind), &w.scenario(), &w.lbench_config());
-    MmicroResult {
-        kind,
-        threads: w.threads,
-        pairs: r.total_ops,
-        pairs_per_ms: r.total_ops as f64 / (w.window_ns as f64 / 1e6),
-        migrations: r.migrations,
-        acquisitions: r.acquisitions,
-        wall: r.wall,
+    fn report(&self) -> LockReport {
+        LockReport::of(&self.handoff, &*self.shared.lock)
     }
 }
 
@@ -314,8 +276,8 @@ mod tests {
 
     #[test]
     fn single_thread_mmicro() {
-        let r = run_mmicro(LockKind::Pthread, &quick(1));
-        assert!(r.pairs > 20, "pairs {}", r.pairs);
+        let r = quick(1).run(LockKind::Pthread);
+        assert!(r.total_ops > 20, "pairs {}", r.total_ops);
         assert_eq!(r.migrations, 0);
     }
 
@@ -323,15 +285,15 @@ mod tests {
     fn multithreaded_mmicro_no_leaks_or_corruption() {
         // The allocator asserts on double-free internally; completing the
         // run already proves serialization worked.
-        let r = run_mmicro(LockKind::CMcsMcs, &quick(4));
-        assert!(r.pairs > 50);
-        assert!(r.acquisitions >= 2 * r.pairs - 1);
+        let r = quick(4).run(LockKind::CMcsMcs);
+        assert!(r.total_ops > 50);
+        assert!(r.acquisitions >= 2 * r.total_ops - 1);
     }
 
     #[test]
     fn cohort_lock_keeps_allocator_metadata_local() {
-        let mcs = run_mmicro(LockKind::Mcs, &quick(8));
-        let cohort = run_mmicro(LockKind::CBoMcs, &quick(8));
+        let mcs = quick(8).run(LockKind::Mcs);
+        let cohort = quick(8).run(LockKind::CBoMcs);
         let mcs_rate = mcs.migrations as f64 / mcs.acquisitions.max(1) as f64;
         let cohort_rate = cohort.migrations as f64 / cohort.acquisitions.max(1) as f64;
         assert!(

@@ -24,7 +24,7 @@ fn main() {
     exhibit_main(Exhibit {
         name: "ablation_batching",
         banner: "ablation B: batch growth with contention".into(),
-        locks: LOCKS.iter().copied().map(AnyLockKind::Excl).collect(),
+        locks: AnyLockKind::excl(&LOCKS),
         grid,
         measure: Measure::Scenario(Box::new(|&threads| {
             (Scenario::steady(), base_config(threads))

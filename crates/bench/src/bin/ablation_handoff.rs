@@ -4,13 +4,10 @@
 //! unbounded ("deeply unfair") variant is only ~10% faster while allowing
 //! batches of hundreds of thousands. This ablation reproduces that
 //! tradeoff curve on C-BO-MCS — throughput and fairness per bound — as a
-//! policy-grid [`Exhibit`] (shared with `ablation_policy`).
+//! [`policy_exhibit`] (shared with `ablation_policy`).
 
-use cohort_bench::{
-    ablation_threads, base_config, exhibit_main, long_table, policy_csv_row, policy_table, schema,
-    Exhibit, Measure, TableSpec,
-};
-use lbench::{AnyLockKind, LockKind, PolicySpec, Scenario};
+use cohort_bench::{ablation_threads, exhibit_main, policy_exhibit};
+use lbench::{LockKind, PolicySpec};
 
 fn main() {
     let threads = ablation_threads();
@@ -19,32 +16,12 @@ fn main() {
         .map(|&bound| PolicySpec::Count { bound })
         .chain([PolicySpec::Unbounded])
         .collect();
-    exhibit_main(Exhibit {
-        name: "ablation_handoff",
-        banner: format!("ablation A: may-pass-local bound sweep on C-BO-MCS, {threads} threads"),
-        locks: vec![AnyLockKind::Excl(LockKind::CBoMcs)],
-        grid: policies,
-        measure: Measure::Scenario(Box::new(move |&policy| {
-            let mut cfg = base_config(threads);
-            cfg.policy = Some(policy);
-            (Scenario::steady(), cfg)
-        })),
-        unit: "ops/s",
-        tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: policy_table(format!(
-                    "Ablation A: handoff bound vs throughput/fairness (C-BO-MCS, {threads} threads)"
-                )),
-            },
-            TableSpec {
-                csv: Some("ablation_handoff".into()),
-                text: false,
-                build: long_table(schema::POLICY_HEADER, policy_csv_row),
-            },
-        ],
-        checks: vec![],
-        epilogue: None,
-    });
+    exhibit_main(policy_exhibit(
+        "ablation_handoff",
+        format!("ablation A: may-pass-local bound sweep on C-BO-MCS, {threads} threads"),
+        format!("Ablation A: handoff bound vs throughput/fairness (C-BO-MCS, {threads} threads)"),
+        &[LockKind::CBoMcs],
+        policies,
+        threads,
+    ));
 }

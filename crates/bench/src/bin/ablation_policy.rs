@@ -22,12 +22,9 @@
 //! [`HandoffPolicy`]: cohort::HandoffPolicy
 //! [`PolicySpec::parse`]: lbench::PolicySpec::parse
 
-use cohort_bench::{
-    ablation_threads, base_config, exhibit_main, knob_or_die, long_table, policy_csv_row,
-    policy_table, schema, Exhibit, Measure, TableSpec,
-};
+use cohort_bench::{ablation_threads, exhibit_main, knob_or_die, policy_exhibit};
 use lbench::env::env_policy_list;
-use lbench::{AnyLockKind, LockKind, PolicySpec, Scenario};
+use lbench::{LockKind, PolicySpec};
 
 fn main() {
     let threads = ablation_threads();
@@ -44,34 +41,16 @@ fn main() {
     if let Some(extra) = knob_or_die(env_policy_list("LBENCH_EXTRA_POLICIES")) {
         policies.extend(extra);
     }
-    exhibit_main(Exhibit {
-        name: "ablation_policy",
-        banner: format!(
+    exhibit_main(policy_exhibit(
+        "ablation_policy",
+        format!(
             "ablation D: handoff-policy comparison on {} locks x {} policies, {threads} threads",
             locks.len(),
             policies.len()
         ),
-        locks: locks.iter().copied().map(AnyLockKind::Excl).collect(),
-        grid: policies,
-        measure: Measure::Scenario(Box::new(move |&policy| {
-            let mut cfg = base_config(threads);
-            cfg.policy = Some(policy);
-            (Scenario::steady(), cfg)
-        })),
-        unit: "ops/s",
-        tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: policy_table(format!("Ablation D: handoff policies ({threads} threads)")),
-            },
-            TableSpec {
-                csv: Some("ablation_policy".into()),
-                text: false,
-                build: long_table(schema::POLICY_HEADER, policy_csv_row),
-            },
-        ],
-        checks: vec![],
-        epilogue: None,
-    });
+        format!("Ablation D: handoff policies ({threads} threads)"),
+        &locks,
+        policies,
+        threads,
+    ));
 }

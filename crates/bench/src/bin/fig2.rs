@@ -21,11 +21,7 @@ fn main() {
             "fig2: LBench throughput sweep ({} locks)",
             LockKind::FIG2.len()
         ),
-        locks: LockKind::FIG2
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG2),
         grid: thread_grid(),
         measure: Measure::Scenario(Box::new(|&threads| {
             (Scenario::steady(), base_config(threads))

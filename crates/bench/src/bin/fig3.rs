@@ -14,11 +14,7 @@ fn main() {
     exhibit_main(Exhibit {
         name: "fig3",
         banner: "fig3: coherence misses per critical section".into(),
-        locks: LockKind::FIG2
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG2),
         grid: thread_grid(),
         measure: Measure::Scenario(Box::new(|&threads| {
             (Scenario::steady(), base_config(threads))

@@ -12,11 +12,7 @@ fn main() {
     exhibit_main(Exhibit {
         name: "fig4",
         banner: "fig4: low-contention throughput (1..16 threads)".into(),
-        locks: LockKind::FIG2
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG2),
         grid: vec![1usize, 2, 4, 8, 12, 16],
         measure: Measure::Scenario(Box::new(|&threads| {
             (Scenario::steady(), base_config(threads))

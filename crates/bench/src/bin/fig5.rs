@@ -14,11 +14,7 @@ fn main() {
     exhibit_main(Exhibit {
         name: "fig5",
         banner: "fig5: fairness (stddev % of per-thread throughput)".into(),
-        locks: LockKind::FIG2
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG2),
         grid: thread_grid(),
         measure: Measure::Scenario(Box::new(|&threads| {
             (Scenario::steady(), base_config(threads))

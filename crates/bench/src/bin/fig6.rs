@@ -22,11 +22,7 @@ fn main() {
     exhibit_main(Exhibit {
         name: "fig6",
         banner: format!("fig6: abortable lock throughput (patience {PATIENCE_NS} ns)"),
-        locks: LockKind::FIG6
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG6),
         grid: thread_grid(),
         measure: Measure::Scenario(Box::new(|&threads| {
             let mut cfg = base_config(threads);

@@ -84,11 +84,7 @@ fn main() {
             LockKind::FIG_CNA.len(),
             cluster_counts
         ),
-        locks: LockKind::FIG_CNA
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG_CNA),
         grid,
         measure: Measure::Scenario(Box::new(|cell: &ClusterThreads| {
             let mut cfg = base_config(cell.threads);

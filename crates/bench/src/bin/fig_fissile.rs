@@ -158,11 +158,7 @@ fn main() {
             cluster_counts,
             tuning()
         ),
-        locks: LockKind::FIG_FISSILE
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG_FISSILE),
         grid,
         measure: Measure::Custom(Box::new(|kind, cell: &ClusterThreads| measure(kind, cell))),
         unit: "ops/s",

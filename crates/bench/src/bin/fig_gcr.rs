@@ -217,11 +217,7 @@ fn main() {
             base,
             tuning()
         ),
-        locks: LockKind::FIG_GCR
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG_GCR),
         grid,
         measure: Measure::Custom(Box::new(|kind, cell: &GcrCell| measure(kind, cell))),
         unit: "ops/s",

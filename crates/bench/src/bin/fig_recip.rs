@@ -300,11 +300,7 @@ fn main() {
             cluster_counts,
             era_bound().map_or("unbounded".into(), |b| b.to_string()),
         ),
-        locks: LockKind::FIG_RECIP
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::FIG_RECIP),
         grid,
         measure: Measure::Custom(Box::new(|kind, cell: &RecipCell| measure(kind, cell))),
         unit: "ops/s",

@@ -17,7 +17,7 @@ use cohort_bench::{
     clusters, knob_or_die, metric_table, run_exhibit, thread_grid, window_ns, Exhibit, Measure,
     TableSpec,
 };
-use cohort_kvstore::workload::{run_kv, KvWorkload};
+use cohort_kvstore::workload::KvWorkload;
 use lbench::env::{env_bool, env_policy};
 use lbench::{AnyLockKind, LockKind, PolicySpec};
 use std::time::Duration;
@@ -60,7 +60,7 @@ fn main() {
         (10, "10% gets / 90% sets"),
     ] {
         // Baseline: pthread at 1 thread.
-        let base = run_kv(LockKind::Pthread, &workload(get_pct, 1, policy, rw));
+        let base = workload(get_pct, 1, policy, rw).run(LockKind::Pthread);
         let base_thr = base.throughput.max(1.0);
         let policy_note = policy
             .map(|p| format!(", cohort policy {p}"))
@@ -70,11 +70,7 @@ fn main() {
         let ok = run_exhibit(&Exhibit {
             name: "table1",
             banner: format!("table1: mix {label}"),
-            locks: LockKind::TABLES
-                .iter()
-                .copied()
-                .map(AnyLockKind::Excl)
-                .collect(),
+            locks: AnyLockKind::excl(&LockKind::TABLES),
             grid: grid.clone(),
             measure: Measure::Scenario(Box::new(move |&threads| {
                 let w = workload(get_pct, threads, policy, rw);

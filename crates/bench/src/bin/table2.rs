@@ -23,11 +23,7 @@ fn main() {
     exhibit_main(Exhibit {
         name: "table2",
         banner: "table2: mmicro malloc-free pairs per millisecond".into(),
-        locks: LockKind::TABLES
-            .iter()
-            .copied()
-            .map(AnyLockKind::Excl)
-            .collect(),
+        locks: AnyLockKind::excl(&LockKind::TABLES),
         grid: thread_grid(),
         measure: Measure::Scenario(Box::new(|&threads| {
             let w = MmicroWorkload {

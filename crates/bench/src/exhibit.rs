@@ -18,10 +18,12 @@
 //! Helper builders cover the recurring table shapes: [`metric_table`]
 //! (grid-cell rows × lock columns of one metric), [`long_table`]
 //! (one CSV row per measurement under a pinned [`crate::schema`]
-//! header), and [`policy_table`] (the policy-ablation text layout).
+//! header), and [`policy_exhibit`] (the whole policy-ablation exhibit).
 
 use crate::grid::{emit, Cell, Grid};
-use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
+use lbench::{
+    run_scenario, AnyLockKind, LBenchConfig, LockKind, PolicySpec, Scenario, ScenarioResult,
+};
 use std::fmt::Display;
 
 /// One measured cell of an exhibit: the grid cell it came from plus the
@@ -334,11 +336,49 @@ where
     })
 }
 
-/// Table builder for the policy ablations (grid cells are
-/// [`lbench::PolicySpec`]s, rendered in the `policy` column): the
-/// long-form text layout the `ablation_handoff`/`ablation_policy`
-/// binaries print.
-pub fn policy_table<C: Display>(title: String) -> GridBuilder<C> {
+/// The exhibit both policy ablations declare: `locks` × `policies` on
+/// the paper's steady workload at `threads` threads, printed as the
+/// long-form policy table under `title` and written to `<name>.csv`
+/// under the pinned [`crate::schema::POLICY_HEADER`].
+pub fn policy_exhibit(
+    name: &'static str,
+    banner: String,
+    title: String,
+    locks: &[LockKind],
+    policies: Vec<PolicySpec>,
+    threads: usize,
+) -> Exhibit<PolicySpec> {
+    Exhibit {
+        name,
+        banner,
+        locks: AnyLockKind::excl(locks),
+        grid: policies,
+        measure: Measure::Scenario(Box::new(move |&policy| {
+            let mut cfg = crate::base_config(threads);
+            cfg.policy = Some(policy);
+            (Scenario::steady(), cfg)
+        })),
+        unit: "ops/s",
+        tables: vec![
+            TableSpec {
+                csv: None,
+                text: true,
+                build: policy_table(title),
+            },
+            TableSpec {
+                csv: Some(name.into()),
+                text: false,
+                build: long_table(crate::schema::POLICY_HEADER, policy_csv_row),
+            },
+        ],
+        checks: vec![],
+        epilogue: None,
+    }
+}
+
+/// The text layout of the policy ablations (grid cells are
+/// [`PolicySpec`]s, rendered in the `policy` column).
+fn policy_table<C: Display>(title: String) -> GridBuilder<C> {
     Box::new(move |ms| Grid {
         title: title.clone(),
         columns: [
@@ -375,7 +415,7 @@ pub fn policy_table<C: Display>(title: String) -> GridBuilder<C> {
 
 /// The pinned-schema CSV rows of the policy ablations
 /// ([`crate::schema::POLICY_HEADER`]).
-pub fn policy_csv_row<C: Display>(m: &Measurement<C>) -> Vec<Cell> {
+fn policy_csv_row<C: Display>(m: &Measurement<C>) -> Vec<Cell> {
     let r = &m.result;
     vec![
         Cell::text(r.kind.name()),

@@ -37,9 +37,8 @@ pub mod schema;
 
 pub use exhibit::{
     cluster_thread_grid, exhibit_main, find, find_where, long_table, metric_table,
-    migrations_detail, policy_csv_row, policy_table, run_exhibit, saturation_threads,
-    throughput_floor_check, throughput_table, verdict, Check, ClusterThreads, Exhibit, Measure,
-    Measurement, TableSpec,
+    migrations_detail, policy_exhibit, run_exhibit, saturation_threads, throughput_floor_check,
+    throughput_table, verdict, Check, ClusterThreads, Exhibit, Measure, Measurement, TableSpec,
 };
 pub use grid::{emit, Cell, Grid};
 pub use model_exhibit::{

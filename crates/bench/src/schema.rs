@@ -98,7 +98,7 @@ pub const FIG_SHARDS_HEADER: &str = "lock,shards,clients,dist,clusters,read_pct,
 pub const FIG_TOPOLOGY_HEADER: &str = "source,cpu_a,cpu_b,lat_ns,cluster_a,cluster_b";
 
 /// Header of the policy-sweep CSVs (`ablation_policy.csv`,
-/// `ablation_handoff.csv`; rows built by [`crate::policy_csv_row`]).
+/// `ablation_handoff.csv`; rows built by [`crate::policy_exhibit`]).
 pub const POLICY_HEADER: &str = "lock,policy,threads,throughput,stddev_pct,mean_batch,\
      misses_per_cs,tenures,local_handoffs,mean_streak,max_streak,migrations_per_tenure";
 

@@ -1,35 +1,32 @@
 //! Keyed-op scenarios: the scenario engine driving *service* workloads.
 //!
-//! The kvstore and allocator case studies used to bypass the engine with
-//! hand-rolled measurement loops (`run_kv`, `run_mmicro`) — the last
-//! `Measure::Custom` holdouts after PR 4 unified everything else on
-//! [`run_scenario`](crate::run_scenario). This module retires them: a
-//! [`KeyedSpec`] on a [`Scenario`] adds the *keyed-op dimension* — a
+//! A [`KeyedSpec`] on a [`Scenario`] adds the *keyed-op dimension* — a
 //! key-distribution ([`KeyDist`]: uniform, Zipfian skew, hot-set flash
 //! crowds, composable with [`LoadShape::Bursty`](crate::LoadShape)) and
 //! a [`KeyedServiceFactory`] that builds the service under test (an
-//! N-shard KV store, the allocator arena) — and [`run_keyed`] is the one
-//! driver that measures it, reporting the full [`ScenarioResult`]
-//! surface including per-op latency percentiles from the PR-5 reservoir.
+//! N-shard KV store, the allocator arena). A [`KeyedService`] is one of
+//! the op program's two bodies (see the `program` module, which also
+//! owns the draw order — `Client::draw`): the engine draws the op, the
+//! service executes it end to end, and the run reports the full
+//! [`ScenarioResult`](crate::ScenarioResult) surface including per-op
+//! latency percentiles.
 //!
-//! **Parity contract.** The engine's realtime loop replicates the legacy
-//! drivers' per-thread programs exactly — same RNG draw order (key, then
-//! the read/write coin), same unconditional `kappa_for(threads)` pacing,
-//! same out-of-lock parse advance — so the thin `run_kv`/`run_mmicro`
-//! wrappers reproduce their historical single-thread numbers to the bit
-//! (pinned by `tests/kv_scenario_parity.rs`). Two consequences worth
-//! naming: the engine performs **no window stop-checks of its own** —
-//! the service checks the window inside its critical sections exactly
-//! where the old drivers did (a driver that crossed the window during
-//! its out-of-lock delay still started one more op) — and the read/write
-//! coin is only drawn when [`Scenario::draws_coin`] says so (for
-//! exclusive kinds: when the scenario can produce reads at all), which
-//! matches every mix the legacy drivers ever ran.
+//! **Parity contract.** The program replicates the retired hand-rolled
+//! kvstore/allocator drivers' per-thread programs exactly — same draws,
+//! same unconditional `kappa_for(threads)` pacing, same out-of-lock parse
+//! advance — so their historical single-thread numbers reproduce to the
+//! bit (pinned by `tests/kv_scenario_parity.rs`). One consequence worth
+//! naming: the engine performs **no window stop-checks of its own**
+//! outside a burst gap — the service checks the window inside its
+//! critical sections exactly where the old drivers did (a driver that
+//! crossed the window during its out-of-lock delay still started one
+//! more op).
 //!
-//! **Modelled mode.** With [`CostMode::Modelled`], the run becomes a
-//! deterministic sequential simulation: logical threads' ops execute one
-//! at a time in (virtual-clock, thread-id) order, each against the real
-//! service, and per-shard serialization emerges from the service's own
+//! **Modelled mode.** With [`CostMode::Modelled`](crate::CostMode), the
+//! run becomes a deterministic sequential simulation
+//! (`run_in_clock_order`): logical threads' ops execute one at a time
+//! in (virtual-clock, thread-id) order, each against the real service,
+//! and per-shard serialization emerges from the service's own
 //! [`HandoffChannel`](coherence_sim::HandoffChannel) catch-up — the
 //! channel raises the caller's clock past the previous holder's release,
 //! which is arrival-order FIFO admission per shard. Cohort *reordering*
@@ -43,27 +40,25 @@
 //! prices nothing on this path — the factory decides the model.
 
 use crate::modelled::TimeQueue;
-use crate::pace::{kappa_for, spin_wall};
+use crate::pace::spin_wall;
+use crate::program::{step, Body, Client, Exec, Program};
 use crate::registry::AnyLockKind;
-use crate::scenario::{
-    assemble, cluster_for, run_workers, CostMode, Counts, LBenchConfig, LatReservoir, LockReport,
-    Scenario, ScenarioResult,
-};
+use crate::scenario::{Counts, LBenchConfig, LatReservoir, LockReport, Scenario};
 use coherence_sim::take_thread_stats;
-use cohort::CohortStats;
 use numa_topology::{vclock, ClusterId, Topology};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, RngCore};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// How clients pick keys — the "internet-shaped traffic" axis.
 #[derive(Clone, Debug, PartialEq)]
 pub enum KeyDist {
-    /// Every key equally likely (the legacy `run_kv` behaviour; exactly
-    /// one RNG draw per sample, which the parity contract depends on).
+    /// Every key equally likely (the retired kvstore driver's behaviour;
+    /// exactly one RNG draw per sample, which the parity contract depends
+    /// on).
     Uniform,
     /// Zipf-like rank skew via the continuous inverse-CDF approximation
     /// `key = ⌊N · v^(1/(1-θ))⌋` over one uniform draw — O(1) per sample,
@@ -184,8 +179,7 @@ pub struct KeyedCtx<'a> {
 
 /// A service the keyed engine can drive: executes one op end to end
 /// (acquiring its own locks, charging its own directory/handoff costs,
-/// pacing, and window-checking), and exposes the counters the
-/// [`ScenarioResult`] surface needs.
+/// pacing, and window-checking), and reports its lock side.
 pub trait KeyedService: Send + Sync {
     /// Executes one operation. Returns `false` when the op must not be
     /// counted (e.g. an allocator retry after arena exhaustion); the
@@ -193,23 +187,30 @@ pub trait KeyedService: Send + Sync {
     /// out-of-lock parse advance.
     fn op(&self, op: &KeyedOp, ctx: &KeyedCtx<'_>, rng: &mut StdRng) -> bool;
 
-    /// Exclusive acquisitions observed by the service's handoff
-    /// channel(s), summed across shards.
-    fn acquisitions(&self) -> u64;
+    /// What the service's locks and handoff channels saw, folded over
+    /// its shards ([`LockReport::merge`]).
+    fn report(&self) -> LockReport;
+}
 
-    /// Cross-cluster migrations, summed across shards.
-    fn migrations(&self) -> u64;
-
-    /// Power-of-two batch-length histogram, summed elementwise across
-    /// shards.
-    fn batch_hist(&self) -> Vec<u64>;
-
-    /// Cohort tenure statistics merged across shards (`None` when no
-    /// shard lock has a tenure notion).
-    fn cohort_stats(&self) -> Option<CohortStats>;
-
-    /// Handoff-policy label (`None` for non-policy locks).
-    fn policy_label(&self) -> Option<String>;
+/// Any service is a body of the op program: the op's latency is the
+/// whole service call (queueing *plus* service), and `parse_ns` of
+/// out-of-lock request handling follows every counted op.
+impl Body for dyn KeyedService + '_ {
+    fn run(&self, op: &KeyedOp, c: &mut Client, p: &Program<'_>, x: &mut Exec<'_>) {
+        let ctx = KeyedCtx {
+            cluster: c.cluster,
+            kappa: p.pace,
+            window_ns: p.cfg.window_ns,
+            stop: x.stop,
+        };
+        let lat_from = vclock::now();
+        if self.op(op, &ctx, &mut c.rng) {
+            x.lat.record(vclock::now().saturating_sub(lat_from));
+            c.complete(op.is_read);
+            vclock::advance(p.parse_ns);
+            spin_wall(p.parse_ns * p.pace, true);
+        }
+    }
 }
 
 /// Builds the [`KeyedService`] for one run. The factory — not the
@@ -259,155 +260,33 @@ impl fmt::Debug for KeyedSpec {
     }
 }
 
-/// Runs a keyed scenario — the service-workload twin of
-/// [`run_scenario_on`](crate::run_scenario_on). Dispatched automatically
-/// by [`run_scenario`](crate::run_scenario) when `scenario.keyed` is
-/// set.
-pub(crate) fn run_keyed(
-    kind: AnyLockKind,
-    spec: &KeyedSpec,
-    scenario: &Scenario,
-    cfg: &LBenchConfig,
-) -> ScenarioResult {
-    assert!(cfg.threads >= 1);
-    assert!(scenario.read_pct <= 100, "read_pct is a percentage");
-    // Same topology resolution as `run_scenario`: measured mode swaps in
-    // the probed cluster map (with physical pinning), falling back to
-    // virtual clusters with one warning per run.
-    let (topo, clusters) = crate::phys::resolve_topology(cfg);
-    let cfg = &LBenchConfig {
-        clusters,
-        ..cfg.clone()
-    };
-    let service = spec.factory.build(kind, &topo, scenario, cfg);
-    if matches!(scenario.cost_mode, CostMode::Modelled(_)) {
-        return run_keyed_modelled(kind, spec, scenario, cfg, &*service);
-    }
-
-    let started = Instant::now();
-    // The legacy drivers paced unconditionally at kappa_for(threads)
-    // (never consulting pace_wall/pace_scale); parity keeps that.
-    let kappa = kappa_for(cfg.threads);
-    let draws_coin = scenario.draws_coin(kind);
-
-    let counts = run_workers(&topo, cfg, spec.seed, |w| {
-        let stop = w.stop;
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        let ctx = KeyedCtx {
-            cluster: w.cluster,
-            kappa,
-            window_ns: cfg.window_ns,
-            stop,
-        };
-        while !stop.load(Ordering::Relaxed) {
-            // Load-shape gating (hot-key flash crowds compose a skewed
-            // KeyDist with Bursty); a no-op under Steady, so legacy RNG
-            // sequences are untouched.
-            if let Some(gap) = scenario.shape.off_gap(vclock::now()) {
-                vclock::advance(gap);
-                spin_wall((gap * kappa).min(200_000), true);
-                if vclock::now() >= cfg.window_ns {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                w.check_wall_net();
-                continue;
-            }
-
-            // Legacy draw order: key first, then the coin.
-            let key = if spec.keyspace > 0 {
-                spec.dist.sample(&mut w.rng, spec.keyspace)
-            } else {
-                0
-            };
-            let cur_pct = scenario.shape.read_pct_at(vclock::now(), scenario.read_pct);
-            let is_read = draws_coin && w.rng.gen_range(0u32..100) < cur_pct;
-            let op = KeyedOp {
-                key,
-                is_read,
-                stamp: reads + writes,
-            };
-            let lat_from = vclock::now();
-            if service.op(&op, &ctx, &mut w.rng) {
-                w.lat.record(vclock::now().saturating_sub(lat_from));
-                if is_read {
-                    reads += 1;
-                } else {
-                    writes += 1;
-                }
-                // Out-of-lock request handling (parallel fraction).
-                vclock::advance(spec.parse_ns);
-                spin_wall(spec.parse_ns * kappa, true);
-            }
-            w.check_wall_net();
-        }
-        (reads, writes, 0)
-    });
-    assemble(
-        kind,
-        scenario,
-        cfg,
-        counts,
-        service_report(&*service),
-        started,
-    )
-}
-
-/// The lock side of a keyed run, as the service's shards report it.
-fn service_report(service: &dyn KeyedService) -> LockReport {
-    LockReport {
-        acquisitions: service.acquisitions(),
-        migrations: service.migrations(),
-        batch_hist: service.batch_hist(),
-        policy: service.policy_label(),
-        cohort: service.cohort_stats(),
-        succ_transitions: 0,
-    }
-}
-
-/// The deterministic substrate (see the module docs): logical threads'
-/// ops execute sequentially in (clock, thread-id) order against the real
-/// service; per-shard FIFO queueing emerges from the service's handoff
-/// channels. Bit-reproducible run to run. The order comes from a
-/// `(clock, tid)` min-heap — O(log clients) per op, never a pass over
-/// the thread table.
-fn run_keyed_modelled(
-    kind: AnyLockKind,
-    spec: &KeyedSpec,
-    scenario: &Scenario,
-    cfg: &LBenchConfig,
-    service: &dyn KeyedService,
-) -> ScenarioResult {
-    struct Th {
-        cluster: ClusterId,
-        rng: StdRng,
-        reads: u64,
-        writes: u64,
-    }
-    let started = Instant::now();
-    // The sim drives the caller's thread-local clock; save and restore
+/// The deterministic executor of keyed runs (see the module docs): the
+/// clients' [`step`]s execute sequentially on this OS thread in (clock,
+/// thread-id) order off a min-heap — O(log clients) per op — against the
+/// real service, into ONE run-wide latency reservoir in execution order.
+/// Both choices are pinned by `results/fig_shards.csv`: the DES breaks
+/// clock ties by push order and samples per logical thread, which is why
+/// this is a driver of its own rather than a branch inside it.
+pub(crate) fn run_in_clock_order(p: &Program<'_>, body: &dyn KeyedService) -> Counts {
+    let cfg = p.cfg;
+    // The run drives the caller's thread-local clock; save and restore
     // it, and discard the factory's warm-phase coherence charges.
     let saved_clock = vclock::now();
     take_thread_stats();
-    let draws_coin = scenario.draws_coin(kind);
-    // Present for the ctx contract; the sim retires threads by clock
-    // instead of reading it.
+    // Present for the ctx contract; threads retire by clock instead.
     let stop = AtomicBool::new(false);
-    let mut ths: Vec<Th> = (0..cfg.threads)
-        .map(|i| Th {
-            cluster: cluster_for(i, cfg),
-            rng: StdRng::seed_from_u64(spec.seed ^ i as u64),
-            reads: 0,
-            writes: 0,
-        })
-        .collect();
+    let mut x = Exec {
+        stop: &stop,
+        wall_start: Instant::now(),
+        lat: LatReservoir::for_config(cfg),
+    };
+    let mut clients: Vec<Client> = (0..cfg.threads).map(|i| Client::new(p, i)).collect();
     // Each live logical thread has exactly one entry, keyed by its clock;
     // a thread popped at or past the window is retired by not going back.
     let mut ready = TimeQueue::with_capacity(cfg.threads);
     for t in 0..cfg.threads {
         ready.push(0, t);
     }
-    let mut lat = LatReservoir::for_config(cfg);
     // Livelock guard: a service op that charges zero virtual time would
     // otherwise spin here forever.
     let stall_cap = cfg.threads as u64 * 64 + 1024;
@@ -416,75 +295,30 @@ fn run_keyed_modelled(
         if clock >= cfg.window_ns {
             continue;
         }
-        if let Some(gap) = scenario.shape.off_gap(clock) {
-            ready.push(clock + gap, t);
-            continue;
-        }
-        let th = &mut ths[t];
         vclock::set(clock);
-        let key = if spec.keyspace > 0 {
-            spec.dist.sample(&mut th.rng, spec.keyspace)
-        } else {
-            0
-        };
-        let cur_pct = scenario.shape.read_pct_at(clock, scenario.read_pct);
-        let is_read = draws_coin && th.rng.gen_range(0u32..100) < cur_pct;
-        let op = KeyedOp {
-            key,
-            is_read,
-            stamp: th.reads + th.writes,
-        };
-        let ctx = KeyedCtx {
-            cluster: th.cluster,
-            kappa: 0,
-            window_ns: cfg.window_ns,
-            stop: &stop,
-        };
-        let lat_from = vclock::now();
-        if service.op(&op, &ctx, &mut th.rng) {
-            lat.record(vclock::now().saturating_sub(lat_from));
-            if is_read {
-                th.reads += 1;
-            } else {
-                th.writes += 1;
-            }
-            vclock::advance(spec.parse_ns);
-        }
+        step(&mut clients[t], body, p, &mut x);
         let now = vclock::now();
-        if now == clock {
-            stalls += 1;
-            assert!(
-                stalls < stall_cap,
-                "keyed modelled simulation stalled: the service charged \
-                 zero virtual time for {stalls} consecutive ops"
-            );
-        } else {
-            stalls = 0;
-        }
+        stalls = if now == clock { stalls + 1 } else { 0 };
+        assert!(
+            stalls < stall_cap,
+            "keyed modelled simulation stalled: the service charged \
+             zero virtual time for {stalls} consecutive ops"
+        );
         ready.push(now, t);
     }
-    let stats = take_thread_stats();
+    let mut counts = Counts::new(cfg.threads, take_thread_stats().remote_misses);
     vclock::set(saved_clock);
-
-    let counts = Counts {
-        per_thread: ths.iter().map(|t| (t.reads, t.writes)).collect(),
-        aborts: 0,
-        remote_misses: stats.remote_misses,
-        lat_parts: vec![lat.into_parts()],
-    };
-    assemble(
-        kind,
-        scenario,
-        cfg,
-        counts,
-        service_report(service),
-        started,
-    )
+    for c in &clients {
+        counts.client(c);
+    }
+    counts.lat(x.lat);
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xD157)

@@ -22,8 +22,8 @@
 //!   name, family, modelled admission class and constructor.
 //!   [`AnyLockKind::make`] builds any kind with its default handoff
 //!   policy or any [`PolicySpec`]-described one.
-//! * [`run_scenario`] — the ONE measurement loop (the `scenario`
-//!   module). A [`Scenario`] describes the per-thread op mix (exclusive /
+//! * [`run_scenario`] — the one engine (the `scenario` module). A
+//!   [`Scenario`] describes the per-thread op mix (exclusive /
 //!   shared-read / abortable-with-patience) and its [`LoadShape`] over
 //!   time (steady, bursty on/off, phased read-ratio schedule,
 //!   thread-asymmetric idling); an [`LBenchConfig`] the grid cell, in
@@ -33,16 +33,19 @@
 //!   statistics (tenures, migrations per tenure, mean/max streak) from
 //!   the policy's counters.
 //!
-//! A scenario's [`CostMode`] selects the execution substrate: `RealTime`
-//! (real threads, modelled prices) or `Modelled` (a single-threaded
-//! discrete-event simulation over the same coherence cost model,
-//! bit-reproducible run to run — see the `modelled` module docs and
-//! ARCHITECTURE.md's "Modelled coherence mode"). The admission order a
-//! kind gets in modelled mode is published as
+//! Underneath, every run is one per-thread **program** (the `program`
+//! module: draw the next op, run its body, repeat) with one of two
+//! **bodies** — the LBench critical section, or a [`KeyedService`] when a
+//! [`KeyedSpec`] on the scenario turns the run into a service workload
+//! (sharded KV store, allocator) — on one of three **executors**, picked
+//! by the scenario's [`CostMode`]: `RealTime` runs the program on real
+//! threads with modelled prices; `Modelled` runs it on one OS thread,
+//! bit-reproducibly — keyed bodies in clock order, the LBench body as a
+//! discrete-event simulation over the same coherence cost model (see the
+//! `modelled` module docs and ARCHITECTURE.md's "Modelled coherence
+//! mode"). The admission order a kind gets there is published as
 //! [`AnyLockKind::modelled_admission`] ([`ModelledAdmission`],
-//! [`TenureLimit`]). A [`KeyedSpec`] on the scenario turns the run into
-//! a service workload (sharded KV store, allocator) over the same
-//! engine.
+//! [`TenureLimit`]).
 
 #![deny(missing_docs)]
 
@@ -53,6 +56,7 @@ mod keyed;
 mod modelled;
 pub mod pace;
 pub mod phys;
+mod program;
 mod registry;
 #[cfg(test)]
 mod runner;
@@ -67,6 +71,6 @@ pub use keyed::{KeyDist, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, K
 pub use phys::TopologyMode;
 pub use registry::{AnyLockKind, LockKind, ModelledAdmission, RwLockKind, TenureLimit};
 pub use scenario::{
-    run_scenario, run_scenario_on, CostMode, LBenchConfig, LoadShape, Phase, Placement, Scenario,
-    ScenarioResult, TimeMode,
+    run_scenario, run_scenario_on, CostMode, LBenchConfig, LoadShape, LockReport, Phase, Placement,
+    Scenario, ScenarioResult, TimeMode,
 };

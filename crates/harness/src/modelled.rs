@@ -8,14 +8,16 @@
 //! instead: the whole run is a **single-OS-thread discrete-event
 //! simulation** over the same cost sources ([`Directory`],
 //! [`HandoffChannel`], the per-thread vclock) with the same per-thread
-//! RNG program (`0x5EED ^ i`, coin before the op, idle draw after it), so
-//! two runs of one cell produce bit-identical [`ScenarioResult`]s.
+//! program (its threads are `program::Client`s, drawing through
+//! `Client::draw`/`idle` and charging through `charge_cs`), so two runs
+//! of one cell produce bit-identical
+//! [`ScenarioResult`](crate::ScenarioResult)s.
 //!
 //! What is simulated, and what is abstracted:
 //!
 //! * **Logical threads** are table rows, not OS threads. Each carries its
 //!   own clock; an op is `acquire → CS (directory charges + cs_extra) →
-//!   release → idle`, exactly the real loop's virtual-time arithmetic.
+//!   release → idle`, exactly the real body's virtual-time arithmetic.
 //! * **The lock is never locked.** The constructed lock object supplies
 //!   metadata only (`read_is_exclusive`, `is_abortable`, `policy_label`);
 //!   its *admission order* is simulated from the kind's mechanism via
@@ -81,18 +83,14 @@
 //!   time for threads that record a few samples each.
 
 use crate::bench_rwlock::BenchRwLock;
+use crate::program::{charge_cs, Client, Draw, Program};
 use crate::registry::{AnyLockKind, ModelledAdmission, TenureLimit};
-use crate::scenario::{
-    assemble, cluster_for, Counts, LBenchConfig, LatReservoir, LockReport, Scenario, ScenarioResult,
-};
+use crate::scenario::{Counts, LatReservoir, LockReport};
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
 use cohort::{ClusterStats, CohortStats};
 use numa_topology::{vclock, ClusterId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
-use std::time::Instant;
 
 /// What a simulation event asks of the logical thread it names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,21 +180,16 @@ struct Waiting {
     is_read: bool,
 }
 
-/// One logical thread.
+/// One logical thread: the program's client plus where the simulation
+/// has it.
 struct Th {
-    cluster: ClusterId,
-    rng: StdRng,
+    client: Client,
     clock: u64,
-    reads: u64,
-    writes: u64,
-    aborts: u64,
     lat: LatReservoir,
-    noncs_max: u64,
     waiting: Option<Waiting>,
     /// Sequence number of the one `Ev::Abort` that may still fire for
     /// this thread; 0 once its wait has ended (grant or abort).
     live_abort: u64,
-    done: bool,
 }
 
 /// Tenure bookkeeping for cluster-batched kinds (unused for FIFO).
@@ -372,8 +365,7 @@ impl Admission {
 }
 
 struct Sim<'a> {
-    cfg: &'a LBenchConfig,
-    scenario: &'a Scenario,
+    program: &'a Program<'a>,
     dir: Directory,
     handoff: HandoffChannel,
     q: EventQueue,
@@ -383,7 +375,6 @@ struct Sim<'a> {
     adm: Admission,
     serial_reads: bool,
     abortable: bool,
-    draws_coin: bool,
     /// Succession census: coherence transitions the release-side
     /// admission decisions fan out to, summed over serialized grants
     /// (see [`ScenarioResult::succ_transitions`]). Accounting only —
@@ -398,7 +389,7 @@ impl Sim<'_> {
         // gap, zero idle draws); an unbounded run at one timestamp means
         // the scenario makes no virtual progress (zero-cost critical
         // sections with zero patience, say) and would loop forever.
-        let stall_cap = self.cfg.threads as u64 * 8 + 64;
+        let stall_cap = self.program.cfg.threads as u64 * 8 + 64;
         let mut last_t = u64::MAX;
         let mut same_t = 0u64;
         while let Some((t, seq, ev, tid)) = self.q.pop() {
@@ -424,63 +415,46 @@ impl Sim<'_> {
     }
 
     fn on_start(&mut self, tid: usize) {
-        let window = self.cfg.window_ns;
-        {
-            let th = &mut self.ths[tid];
-            if th.clock >= window {
-                th.done = true;
-                return;
-            }
+        let (cfg, th) = (self.program.cfg, &mut self.ths[tid]);
+        // A thread retires by scheduling nothing further.
+        if th.clock >= cfg.window_ns {
+            return;
+        }
+        let is_read = match th.client.draw(self.program, th.clock) {
             // Load-shape gating: idle through the off-window.
-            if let Some(gap) = self.scenario.shape.off_gap(th.clock) {
+            Draw::Gap(gap) => {
                 th.clock += gap;
-                if th.clock >= window {
-                    th.done = true;
-                } else {
-                    let t = th.clock;
-                    self.q.push(t, Ev::Start, tid);
+                if th.clock < cfg.window_ns {
+                    self.q.push(th.clock, Ev::Start, tid);
                 }
                 return;
             }
-        }
-        let pct = self
-            .scenario
-            .shape
-            .read_pct_at(self.ths[tid].clock, self.scenario.read_pct);
-        let is_read = self.draws_coin && self.ths[tid].rng.gen_range(0u32..100) < pct;
+            Draw::Op(op) => op.is_read,
+        };
 
         if is_read && !self.serial_reads {
             // Genuinely shared read: charges without queueing.
-            let (cluster, clock) = (self.ths[tid].cluster, self.ths[tid].clock);
-            vclock::set(clock);
-            for line in 0..self.cfg.cs_lines {
-                self.dir.read(line, cluster);
-            }
-            vclock::advance(self.cfg.cs_extra_ns);
-            let th = &mut self.ths[tid];
-            th.clock = vclock::now();
-            th.reads += 1;
-            let idle = th.rng.gen_range(0..=th.noncs_max);
-            th.clock += idle;
-            let t = th.clock;
-            self.q.push(t, Ev::Start, tid);
+            vclock::set(th.clock);
+            charge_cs(&self.dir, cfg, true, th.client.cluster);
+            th.client.complete(true);
+            th.clock = vclock::now() + th.client.idle();
+            self.q.push(th.clock, Ev::Start, tid);
             return;
         }
 
         // Serialized op (write, or read on an exclusive-read kind).
-        let arrival = self.ths[tid].clock;
+        let arrival = th.clock;
         if self.holder.is_none() {
             // Free lock: no waiters can exist (releases always hand off),
             // so this is an immediate grant opening a fresh tenure.
             self.grant(tid, arrival, is_read, false);
         } else {
-            let th = &mut self.ths[tid];
             th.waiting = Some(Waiting { arrival, is_read });
-            self.adm.enqueue(th.cluster, arrival, tid);
+            self.adm.enqueue(th.client.cluster, arrival, tid);
             // Patience applies to writes only, and only where the lock
             // can actually abort — same gate as the real-time path.
             if !is_read && self.abortable {
-                if let Some(p) = self.scenario.patience_ns {
+                if let Some(p) = self.program.scenario.patience_ns {
                     th.live_abort = self.q.push(arrival + p, Ev::Abort, tid);
                 }
             }
@@ -491,7 +465,7 @@ impl Sim<'_> {
     /// clock and schedules its release. `via_local` marks an
     /// intra-cluster pass within the current tenure (batched kinds).
     fn grant(&mut self, tid: usize, arrival: u64, is_read: bool, via_local: bool) {
-        let cluster = self.ths[tid].cluster;
+        let cluster = self.ths[tid].client.cluster;
         // The arrival clock, raised by the channel to the releaser's
         // publication time plus the handoff charge — causality exactly as
         // in real mode.
@@ -500,14 +474,7 @@ impl Sim<'_> {
         let now = vclock::now();
         self.ths[tid].lat.record(now.saturating_sub(arrival));
         self.succ_transitions += self.adm.on_grant(cluster, now, via_local);
-        for line in 0..self.cfg.cs_lines {
-            if is_read {
-                self.dir.read(line, cluster);
-            } else {
-                self.dir.write(line, cluster);
-            }
-        }
-        vclock::advance(self.cfg.cs_extra_ns);
+        charge_cs(&self.dir, self.program.cfg, is_read, cluster);
         let end = vclock::now();
         self.handoff.on_release(cluster);
         self.ths[tid].clock = end;
@@ -518,19 +485,11 @@ impl Sim<'_> {
     fn on_release(&mut self, tid: usize) {
         let (holder, is_read) = self.holder.take().expect("release without holder");
         debug_assert_eq!(holder, tid);
-        let release_time = self.ths[tid].clock;
-        {
-            let th = &mut self.ths[tid];
-            if is_read {
-                th.reads += 1;
-            } else {
-                th.writes += 1;
-            }
-            let idle = th.rng.gen_range(0..=th.noncs_max);
-            th.clock += idle;
-            let t = th.clock;
-            self.q.push(t, Ev::Start, tid);
-        }
+        let th = &mut self.ths[tid];
+        let release_time = th.clock;
+        th.client.complete(is_read);
+        th.clock += th.client.idle();
+        self.q.push(th.clock, Ev::Start, tid);
         if let Some((arrival, next, via_local)) = self.adm.pick(release_time) {
             let w = self.ths[next].waiting.take().expect("picked a non-waiter");
             self.ths[next].live_abort = 0;
@@ -541,34 +500,32 @@ impl Sim<'_> {
 
     fn on_abort(&mut self, tid: usize, seq: u64) {
         let th = &mut self.ths[tid];
-        if th.done || th.live_abort != seq || th.waiting.is_none() {
+        if th.live_abort != seq || th.waiting.is_none() {
             return; // stale: the waiter was granted (or already gone)
         }
         let w = th.waiting.take().expect("checked above");
-        self.adm.withdraw(th.cluster, w.arrival, tid);
+        self.adm.withdraw(th.client.cluster, w.arrival, tid);
         th.live_abort = 0;
-        th.aborts += 1;
-        // The wait consumed the patience — mirrors the real-time runner,
+        th.client.aborts += 1;
+        // The wait consumed the patience — mirrors the real-time body,
         // which advances the aborter's vclock by `p` (and, like it, draws
         // no idle after an abort, keeping the RNG program identical).
-        th.clock = w.arrival + self.scenario.patience_ns.unwrap_or(0);
-        let t = th.clock;
-        self.q.push(t, Ev::Start, tid);
+        th.clock = w.arrival + self.program.scenario.patience_ns.unwrap_or(0);
+        self.q.push(th.clock, Ev::Start, tid);
     }
 }
 
-/// Runs `scenario` as a deterministic discrete-event simulation under
-/// `model`. Called by `run_scenario_on` when the scenario's cost mode is
-/// [`CostMode::Modelled`](crate::CostMode::Modelled); `lock` supplies
-/// metadata only and is never locked.
-pub(crate) fn run_modelled(
+/// Runs `program` as a deterministic discrete-event simulation under
+/// `model` and returns what its logical threads counted and what its
+/// simulated lock reports. `lock` supplies metadata only and is never
+/// locked.
+pub(crate) fn simulate(
     kind: AnyLockKind,
     lock: &dyn BenchRwLock,
-    scenario: &Scenario,
-    cfg: &LBenchConfig,
+    program: &Program<'_>,
     model: CostModel,
-) -> ScenarioResult {
-    let started = Instant::now();
+) -> (Counts, LockReport) {
+    let cfg = program.cfg;
     // The simulation owns this OS thread's vclock and directory stats for
     // the duration; save and restore around it so callers (tests,
     // back-to-back runs) see their own clock untouched.
@@ -581,8 +538,7 @@ pub(crate) fn run_modelled(
         "the modelled substrate packs thread ids into {TID_BITS} bits"
     );
     let mut sim = Sim {
-        cfg,
-        scenario,
+        program,
         dir: Directory::new(cfg.cs_lines.max(1), model),
         handoff: HandoffChannel::new(model),
         q: EventQueue {
@@ -591,24 +547,17 @@ pub(crate) fn run_modelled(
         },
         ths: (0..cfg.threads)
             .map(|i| Th {
-                cluster: cluster_for(i, cfg),
-                rng: StdRng::seed_from_u64(0x5EED ^ i as u64),
+                client: Client::new(program, i),
                 clock: 0,
-                reads: 0,
-                writes: 0,
-                aborts: 0,
                 lat: LatReservoir::lazy(),
-                noncs_max: scenario.noncs_max_for(i, cfg.threads, cfg.noncs_max_ns),
                 waiting: None,
                 live_abort: 0,
-                done: false,
             })
             .collect(),
         holder: None,
         adm: Admission::new(kind.modelled_admission(cfg.policy), cfg.clusters),
         serial_reads: lock.read_is_exclusive(),
         abortable: lock.is_abortable(),
-        draws_coin: scenario.draws_coin(kind),
         succ_transitions: 0,
     };
     for i in 0..cfg.threads {
@@ -616,27 +565,16 @@ pub(crate) fn run_modelled(
     }
     sim.run();
 
-    let run_stats = take_thread_stats();
+    let mut counts = Counts::new(cfg.threads, take_thread_stats().remote_misses);
     vclock::set(saved_clock);
 
-    let mut counts = Counts {
-        per_thread: Vec::with_capacity(cfg.threads),
-        aborts: 0,
-        remote_misses: run_stats.remote_misses,
-        lat_parts: Vec::with_capacity(cfg.threads),
-    };
-    for th in sim.ths {
-        counts.per_thread.push((th.reads, th.writes));
-        counts.aborts += th.aborts;
-        counts.lat_parts.push(th.lat.into_parts());
-    }
     // The simulator's own tenure book stands in for the lock's counters
     // (every tenure is closed by now, so releases equal tenures); FIFO
     // and reciprocating kinds report none, mirroring `cohort_stats() ==
     // None`. The fast-path word and the GCR admission layer are not part
     // of the modelled mechanism abstraction (see module docs), so those
     // counters stay 0.
-    let book = sim.adm.book;
+    let book = &sim.adm.book;
     let batched = matches!(sim.adm.class, ModelledAdmission::ClusterBatched(_));
     let report = LockReport {
         cohort: batched.then(|| CohortStats {
@@ -652,14 +590,20 @@ pub(crate) fn run_modelled(
         succ_transitions: sim.succ_transitions,
         ..LockReport::of(&sim.handoff, lock)
     };
-    assemble(kind, scenario, cfg, counts, report, started)
+    for th in sim.ths {
+        counts.client(&th.client);
+        counts.lat(th.lat);
+    }
+    (counts, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::LockKind;
-    use crate::run_scenario;
+    use crate::{run_scenario, LBenchConfig, Scenario};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn cfg(threads: usize) -> LBenchConfig {
         LBenchConfig {

@@ -638,6 +638,12 @@ impl AnyLockKind {
         self.row().name
     }
 
+    /// A list of exclusive kinds (a figure's lock set, say) as the
+    /// engine and the exhibits take it.
+    pub fn excl(kinds: &[LockKind]) -> Vec<AnyLockKind> {
+        kinds.iter().copied().map(AnyLockKind::Excl).collect()
+    }
+
     /// Instantiates the lock over `topo`, honoring `policy` where it
     /// applies — the one constructor behind every scenario run.
     pub fn make(self, topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock> {

@@ -28,19 +28,20 @@
 //! catch-up, reported as p50/p99 per run. Shared read acquisitions
 //! serialize on nothing and are not sampled.
 //!
-//! Two pieces here are shared by all three substrates (this file's real
-//! threads, the DES in `modelled.rs`, the keyed loops in `keyed.rs`):
-//! [`run_workers`], the real-thread scaffold, and [`assemble`], the one
-//! place a [`ScenarioResult`] is built.
+//! The per-thread program itself — what a thread draws, in what order,
+//! and what an op's body is — lives in the `program` module; this file
+//! holds the description types, the LBench critical section (one of the
+//! program's two bodies), the real-thread executor [`run_workers`], and
+//! [`assemble`], the one place a [`ScenarioResult`] is built.
 
 use crate::bench_rwlock::BenchRwLock;
-use crate::pace::{kappa_for, spin_wall};
+use crate::keyed::{KeyedOp, KeyedService};
+use crate::pace::spin_wall;
+use crate::program::{charge_cs, step, Body, Client, Exec, Program};
 use crate::registry::AnyLockKind;
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
 use cohort::{CohortStats, PolicySpec};
 use numa_topology::{bind_current_thread, vclock, ClusterId, Topology};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -82,10 +83,6 @@ pub struct LBenchConfig {
     pub cs_extra_ns: u64,
     /// Upper bound of the uniformly-random non-critical section.
     pub noncs_max_ns: u64,
-    /// Extra scheduler yields performed *while holding* the lock (virtual
-    /// mode only); rarely needed once `pace_wall` is on. Set to 0 on
-    /// really-parallel hardware.
-    pub cs_yields: u32,
     /// Wall-pacing (virtual mode only, default on): every virtual delay —
     /// the critical section and the non-critical section — is also waited
     /// out for the same number of *wall* nanoseconds (yielding while
@@ -97,15 +94,11 @@ pub struct LBenchConfig {
     /// otherwise instantly re-wins the acquisition race and degenerates
     /// into single-thread lock hogging. With pacing, contention (queue
     /// depth, batch composition) forms in real time exactly when the
-    /// modelled load would form it.
+    /// modelled load would form it. Every paced duration, critical and
+    /// non-critical sections alike, is scaled by κ =
+    /// [`kappa_for`](crate::pace::kappa_for)`(threads)`, which preserves
+    /// the ratio that determines queue depth.
     pub pace_wall: bool,
-    /// Multiplier applied to every paced duration (`None` = auto-scale
-    /// with the thread count). Pacing must out-scale the host's scheduler
-    /// round — with T yielding threads on one CPU a "round" costs roughly
-    /// T×switch-latency — or the paced waits all collapse to one round and
-    /// the modelled utilization ratio is lost. Scaling CS and non-CS by
-    /// the same κ preserves the ratio that determines queue depth.
-    pub pace_scale: Option<u64>,
     /// Memory-system latency model.
     pub cost: CostModel,
     /// Thread layout.
@@ -136,9 +129,7 @@ impl Default for LBenchConfig {
             cs_lines: 2,
             cs_extra_ns: 16,
             noncs_max_ns: 4_000,
-            cs_yields: 0,
             pace_wall: true,
-            pace_scale: None,
             cost: CostModel::t5440(),
             placement: Placement::RoundRobin,
             policy: None,
@@ -380,6 +371,24 @@ impl Scenario {
     pub fn with_keyed(mut self, keyed: crate::keyed::KeyedSpec) -> Self {
         self.keyed = Some(keyed);
         self
+    }
+
+    /// Panics on a scenario or cell no run can honour. The constructors
+    /// validate too; this guards hand-built values — an over-100 phase
+    /// would silently become all-reads, an empty on-window a zero-op run.
+    fn validate(&self, cfg: &LBenchConfig) {
+        assert!(cfg.threads >= 1);
+        assert!(self.read_pct <= 100, "read_pct is a percentage");
+        match &self.shape {
+            LoadShape::Phased { phases } => assert!(
+                phases.iter().all(|p| p.read_pct <= 100),
+                "phase read_pct is a percentage"
+            ),
+            LoadShape::Bursty { on_ns, .. } => {
+                assert!(*on_ns > 0, "bursty scenarios need a non-empty on-window")
+            }
+            LoadShape::Steady => {}
+        }
     }
 
     /// Whether any part of the scenario can produce a read op.
@@ -705,37 +714,68 @@ fn percentile(sorted: &[u64], pct: f64) -> u64 {
 }
 
 /// What the threads of a run counted — real workers or the simulators'
-/// logical threads — before any formula is applied.
+/// logical threads — before any formula is applied. Executors fill it a
+/// thread at a time, so a 4096-thread table is never copied.
 pub(crate) struct Counts {
     /// `(reads, writes)` completed, per thread.
-    pub(crate) per_thread: Vec<(u64, u64)>,
+    per_thread: Vec<(u64, u64)>,
     /// Timed-out acquisitions, summed over threads.
-    pub(crate) aborts: u64,
+    aborts: u64,
     /// Cross-cluster data transfers the directory charged, summed over
     /// threads.
     pub(crate) remote_misses: u64,
     /// Latency reservoirs with the strides they were sampled at (see
     /// [`merge_lat_reservoirs`]).
-    pub(crate) lat_parts: Vec<(Vec<u64>, u64)>,
+    lat_parts: Vec<(Vec<u64>, u64)>,
+}
+
+impl Counts {
+    /// Empty counts with room for `threads` threads.
+    pub(crate) fn new(threads: usize, remote_misses: u64) -> Self {
+        Counts {
+            per_thread: Vec::with_capacity(threads),
+            aborts: 0,
+            remote_misses,
+            lat_parts: Vec::with_capacity(threads),
+        }
+    }
+
+    /// Books the next logical thread, in thread order.
+    pub(crate) fn client(&mut self, c: &Client) {
+        self.per_thread.push((c.reads, c.writes));
+        self.aborts += c.aborts;
+    }
+
+    /// Adds a reservoir an executor filled: one per thread, or one for a
+    /// whole sequential run.
+    pub(crate) fn lat(&mut self, lat: LatReservoir) {
+        self.lat_parts.push(lat.into_parts());
+    }
 }
 
 /// What the lock side of a run reports: the handoff channel's census and
-/// the lock's own introspection.
-pub(crate) struct LockReport {
-    pub(crate) acquisitions: u64,
-    pub(crate) migrations: u64,
-    pub(crate) batch_hist: Vec<u64>,
-    pub(crate) policy: Option<String>,
+/// the lock's own introspection. A [`KeyedService`](crate::KeyedService)
+/// returns one for all its locks ([`merge`](Self::merge) folds shards).
+#[derive(Clone, Debug)]
+pub struct LockReport {
+    /// Exclusive acquisitions the handoff channel observed.
+    pub acquisitions: u64,
+    /// Cross-cluster migrations of the exclusive lock.
+    pub migrations: u64,
+    /// Power-of-two histogram of same-cluster batch lengths.
+    pub batch_hist: Vec<u64>,
+    /// Handoff-policy label (`None` for non-policy locks).
+    pub policy: Option<String>,
     /// Tenure statistics (`None` for locks without a tenure notion).
-    pub(crate) cohort: Option<CohortStats>,
+    pub cohort: Option<CohortStats>,
     /// See [`ScenarioResult::succ_transitions`].
-    pub(crate) succ_transitions: u64,
+    pub succ_transitions: u64,
 }
 
 impl LockReport {
     /// The report of a run that charged one channel for one lock, with
     /// no succession census.
-    pub(crate) fn of(handoff: &HandoffChannel, lock: &dyn BenchRwLock) -> Self {
+    pub fn of(handoff: &HandoffChannel, lock: &dyn BenchRwLock) -> Self {
         LockReport {
             acquisitions: handoff.acquisitions(),
             migrations: handoff.migrations(),
@@ -744,6 +784,28 @@ impl LockReport {
             cohort: lock.cohort_stats(),
             succ_transitions: 0,
         }
+    }
+
+    /// Folds `other` — another lock of the same service — into `self`:
+    /// counters and histogram buckets add, tenure statistics go through
+    /// [`CohortStats::merge`], and the first policy label speaks for all
+    /// (a service builds every shard lock from one kind).
+    pub fn merge(mut self, other: LockReport) -> LockReport {
+        self.acquisitions += other.acquisitions;
+        self.migrations += other.migrations;
+        self.succ_transitions += other.succ_transitions;
+        for (mine, theirs) in self.batch_hist.iter_mut().zip(&other.batch_hist) {
+            *mine += theirs;
+        }
+        self.policy = self.policy.or(other.policy);
+        self.cohort = match (self.cohort, other.cohort) {
+            (Some(mut mine), Some(theirs)) => {
+                mine.merge(&theirs);
+                Some(mine)
+            }
+            (mine, theirs) => mine.or(theirs),
+        };
+        self
     }
 }
 
@@ -818,117 +880,184 @@ pub(crate) fn assemble(
     }
 }
 
-/// One real worker thread's state, handed to the per-thread body by
-/// [`run_workers`].
-pub(crate) struct Worker<'a> {
-    /// Worker index, `0..cfg.threads`.
-    pub(crate) i: usize,
-    /// The cluster the worker is bound to.
-    pub(crate) cluster: ClusterId,
-    /// Seeded `seed ^ i`.
-    pub(crate) rng: StdRng,
-    /// Pre-sized from the run's op budget.
-    pub(crate) lat: LatReservoir,
-    /// The run's shared stop flag: the body loops until it is raised and
-    /// raises it when its clock crosses the window.
-    pub(crate) stop: &'a AtomicBool,
-    /// Taken when the start barrier opened.
-    pub(crate) wall_start: Instant,
-    max_wall: Duration,
-    check: u32,
-}
-
-impl Worker<'_> {
-    /// The wall-clock safety net, called once per loop iteration: every
-    /// 512th call reads the clock and stops the run past `cfg.max_wall`,
-    /// whatever virtual progress it made.
-    pub(crate) fn check_wall_net(&mut self) {
-        self.check = self.check.wrapping_add(1);
-        if self.check.is_multiple_of(512) && self.wall_start.elapsed() > self.max_wall {
-            self.stop.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The real-thread scaffold: spawns `cfg.threads` workers, binds each to
+/// The real-thread executor: spawns `cfg.threads` workers, binds each to
 /// its cluster (and pins it, on a measured topology), zeroes its virtual
-/// clock and coherence counters, seeds its RNG with `seed ^ i`, releases
-/// all of them through one barrier, runs `body` on each — it returns the
-/// worker's `(reads, writes, aborts)` — and merges what they counted.
-pub(crate) fn run_workers<F>(topo: &Topology, cfg: &LBenchConfig, seed: u64, body: F) -> Counts
-where
-    F: Fn(&mut Worker<'_>) -> (u64, u64, u64) + Sync,
-{
+/// clock and coherence counters, releases all of them through one
+/// barrier, has each run [`step`] for its own [`Client`] until the stop
+/// flag is raised, and merges what they counted. The body raises the flag
+/// when a clock crosses the window; the loop itself only keeps the
+/// wall-clock safety net, once per iteration on every path: every 512th
+/// iteration reads the clock and stops the run past `cfg.max_wall`,
+/// whatever virtual progress it made.
+pub(crate) fn run_workers<B: Body + ?Sized>(topo: &Topology, p: &Program<'_>, body: &B) -> Counts {
+    let cfg = p.cfg;
     let stop = AtomicBool::new(false);
     let barrier = Barrier::new(cfg.threads);
     let pin_report = crate::phys::PinReport::default();
     // Worker index within its own cluster, for spreading a cluster's
     // threads over the cluster's physical CPUs (pinned topologies only).
     let mut cluster_ranks = vec![0usize; cfg.clusters];
-    let mut counts = Counts {
-        per_thread: Vec::with_capacity(cfg.threads),
-        aborts: 0,
-        remote_misses: 0,
-        lat_parts: Vec::with_capacity(cfg.threads),
-    };
-    std::thread::scope(|s| {
+    let counts = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.threads)
             .map(|i| {
-                let cluster = cluster_for(i, cfg);
+                let mut client = Client::new(p, i);
+                let cluster = client.cluster;
                 let rank = cluster_ranks[cluster.as_usize()];
                 cluster_ranks[cluster.as_usize()] += 1;
-                let (stop, barrier, pin_report, body) = (&stop, &barrier, &pin_report, &body);
+                let (stop, barrier, pin_report) = (&stop, &barrier, &pin_report);
                 s.spawn(move || {
                     bind_current_thread(topo, cluster);
                     pin_report.pin_worker(topo, cluster, rank);
                     vclock::reset();
                     take_thread_stats();
-                    let mut worker = Worker {
-                        i,
-                        cluster,
-                        rng: StdRng::seed_from_u64(seed ^ i as u64),
-                        lat: LatReservoir::for_config(cfg),
+                    let lat = LatReservoir::for_config(cfg);
+                    barrier.wait();
+                    let mut x = Exec {
                         stop,
                         wall_start: Instant::now(),
-                        max_wall: cfg.max_wall,
-                        check: 0,
+                        lat,
                     };
-                    barrier.wait();
-                    worker.wall_start = Instant::now();
-                    let ops = body(&mut worker);
-                    (ops, worker.lat.into_parts(), take_thread_stats())
+                    let mut iters = 0u32;
+                    while !stop.load(Ordering::Relaxed) {
+                        step(&mut client, body, p, &mut x);
+                        iters = iters.wrapping_add(1);
+                        if iters.is_multiple_of(512) && x.wall_start.elapsed() > cfg.max_wall {
+                            stop.store(true, Ordering::Relaxed);
+                        }
+                    }
+                    (client, x.lat, take_thread_stats().remote_misses)
                 })
             })
             .collect();
+        let mut counts = Counts::new(cfg.threads, 0);
         for h in handles {
-            let ((reads, writes, aborts), lat, stats) = h.join().expect("scenario worker panicked");
-            counts.per_thread.push((reads, writes));
-            counts.aborts += aborts;
-            counts.remote_misses += stats.remote_misses;
-            counts.lat_parts.push(lat);
+            let (client, lat, misses) = h.join().expect("scenario worker panicked");
+            counts.client(&client);
+            counts.lat(lat);
+            counts.remote_misses += misses;
         }
+        counts
     });
     pin_report.log();
     counts
 }
 
+/// The LBench critical section (§4.1) — one of the program's two bodies:
+/// acquire `lock` (abortably, under a patience), charge the shared lines
+/// through `dir` and the handoff through `handoff`, release, idle.
+struct CriticalSection<'a> {
+    lock: &'a dyn BenchRwLock,
+    dir: Directory,
+    handoff: HandoffChannel,
+    /// Whether the lock's read side excludes like its write side.
+    serial_reads: bool,
+}
+
+impl Body for CriticalSection<'_> {
+    fn run(&self, op: &KeyedOp, c: &mut Client, p: &Program<'_>, x: &mut Exec<'_>) {
+        let (cfg, lock, is_read, stop) = (p.cfg, self.lock, op.is_read, x.stop);
+        let virtual_time = cfg.mode == TimeMode::Virtual;
+        let stop_past_window = || {
+            if virtual_time && vclock::now() >= cfg.window_ns {
+                stop.store(true, Ordering::Relaxed);
+            }
+        };
+
+        // ----- acquire (possibly abortable) -----
+        let lat_from = vclock::now();
+        if is_read {
+            lock.acquire_read();
+        } else if let Some(patience) = p.scenario.patience_ns {
+            // Patience is virtual; scale it into the paced wall-time
+            // frame waiters live in.
+            if !lock.acquire_write_with_patience(patience * p.pace.max(1)) {
+                c.aborts += 1;
+                if virtual_time {
+                    // The wait consumed the patience.
+                    vclock::advance(patience);
+                }
+                stop_past_window();
+                return;
+            }
+        } else {
+            lock.acquire_write();
+        }
+
+        // ----- critical section -----
+        // Serialization is modelled through the handoff channel only
+        // where the lock actually serializes.
+        let charge_handoff = !is_read || self.serial_reads;
+        if charge_handoff {
+            self.handoff.on_acquire(c.cluster);
+            if virtual_time {
+                // Queue wait + handoff transfer, in modelled ns: the
+                // acquisition latency.
+                x.lat.record(vclock::now().saturating_sub(lat_from));
+            }
+        }
+        // In wall mode the charges only touch real shared state, so the
+        // hardware does the coherence work; nothing reads the clock they
+        // advance.
+        let cs_start = vclock::now();
+        charge_cs(&self.dir, cfg, is_read, c.cluster);
+        // Hold the lock for κ× the modelled CS duration of wall time,
+        // yielding while holding: the window in which peers run, observe
+        // the held lock, and enqueue. Only the critical-section work is
+        // measured, not the catch-up `on_acquire` applied.
+        let charged = vclock::now().saturating_sub(cs_start);
+        spin_wall((charged * p.pace).min(50_000), true);
+        stop_past_window();
+        if charge_handoff {
+            self.handoff.on_release(c.cluster);
+        }
+        if is_read {
+            lock.release_read();
+        } else {
+            lock.release_write();
+        }
+        c.complete(is_read);
+
+        // ----- non-critical section -----
+        let idle = c.idle();
+        if virtual_time {
+            vclock::advance(idle);
+            // Stay away from the lock for the paced duration (yield so
+            // peers run meanwhile).
+            spin_wall(idle * p.pace, true);
+        } else {
+            spin_wall(idle, false);
+            if x.wall_start.elapsed().as_nanos() >= cfg.window_ns as u128 {
+                stop.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// What a run measures: one lock under the LBench critical section, or a
+/// keyed service that owns its locks.
+enum Subject {
+    Lock(Arc<dyn BenchRwLock>),
+    Service(Arc<dyn KeyedService>),
+}
+
 /// Runs `scenario` for `kind` under `cfg` — the single sweep engine.
 pub fn run_scenario(kind: AnyLockKind, scenario: &Scenario, cfg: &LBenchConfig) -> ScenarioResult {
-    // Keyed scenarios own their lock construction (the factory builds one
-    // lock per shard), so they branch before any lock exists here.
-    if let Some(spec) = &scenario.keyed {
-        return crate::keyed::run_keyed(kind, spec, scenario, cfg);
-    }
+    scenario.validate(cfg);
     // Measured mode may replace the virtual geometry with the probed
     // cluster map (one warning per run on fallback); the effective
-    // cluster count then drives thread placement below.
+    // cluster count then drives thread placement.
     let (topo, clusters) = crate::phys::resolve_topology(cfg);
-    let cfg = LBenchConfig {
+    let cfg = &LBenchConfig {
         clusters,
         ..cfg.clone()
     };
-    let lock = kind.make(&topo, cfg.policy);
-    run_scenario_on(kind, lock, topo, scenario, &cfg)
+    // Keyed scenarios own their lock construction: the factory builds
+    // one lock per shard.
+    let subject = match &scenario.keyed {
+        Some(spec) => Subject::Service(spec.factory.build(kind, &topo, scenario, cfg)),
+        None => Subject::Lock(kind.make(&topo, cfg.policy)),
+    };
+    measure(kind, subject, &topo, scenario, cfg)
 }
 
 /// Runs `scenario` against an already-constructed lock (used by
@@ -940,194 +1069,49 @@ pub fn run_scenario_on(
     scenario: &Scenario,
     cfg: &LBenchConfig,
 ) -> ScenarioResult {
-    assert!(cfg.threads >= 1);
-    assert!(scenario.read_pct <= 100, "read_pct is a percentage");
     assert!(
         scenario.keyed.is_none(),
         "keyed scenarios go through run_scenario (the factory owns lock construction)"
     );
-    // Guard hand-built shapes too (the constructors already validate):
-    // an over-100 phase would silently become all-reads, an empty
-    // on-window a zero-op run.
-    match &scenario.shape {
-        LoadShape::Phased { phases } => assert!(
-            phases.iter().all(|p| p.read_pct <= 100),
-            "phase read_pct is a percentage"
-        ),
-        LoadShape::Bursty { on_ns, .. } => {
-            assert!(*on_ns > 0, "bursty scenarios need a non-empty on-window")
-        }
-        LoadShape::Steady => {}
-    }
-    // Modelled mode swaps the execution substrate entirely: no threads,
-    // no stop-flag race, no wall clock — see `modelled.rs`.
-    if let CostMode::Modelled(model) = scenario.cost_mode {
-        return crate::modelled::run_modelled(kind, &*lock, scenario, cfg, model);
-    }
-    let dir = Directory::new(cfg.cs_lines.max(1), cfg.cost);
-    let handoff = HandoffChannel::new(cfg.cost);
+    scenario.validate(cfg);
+    measure(kind, Subject::Lock(lock), &topo, scenario, cfg)
+}
+
+/// Picks the executor for `subject` under the scenario's cost mode, runs
+/// the program on it and assembles the result.
+fn measure(
+    kind: AnyLockKind,
+    subject: Subject,
+    topo: &Topology,
+    scenario: &Scenario,
+    cfg: &LBenchConfig,
+) -> ScenarioResult {
+    let program = Program::new(kind, scenario, cfg);
     let started = Instant::now();
-    let serial_reads = lock.read_is_exclusive();
-    let draws_coin = scenario.draws_coin(kind);
-
-    let counts = run_workers(&topo, cfg, 0x5EED, |w| {
-        let (my_cluster, stop) = (w.cluster, w.stop);
-        // Pacing multiplier (see `LBenchConfig::pace_scale`).
-        let kappa = if cfg.pace_wall && cfg.mode == TimeMode::Virtual {
-            cfg.pace_scale.unwrap_or_else(|| kappa_for(cfg.threads))
-        } else {
-            1
-        };
-        let noncs_max = scenario.noncs_max_for(w.i, cfg.threads, cfg.noncs_max_ns);
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        let mut aborts = 0u64;
-        while !stop.load(Ordering::Relaxed) {
-            // ----- load-shape gating (virtual mode) -----
-            if cfg.mode == TimeMode::Virtual {
-                if let Some(gap) = scenario.shape.off_gap(vclock::now()) {
-                    vclock::advance(gap);
-                    if cfg.pace_wall {
-                        // Stay silent for the paced gap (capped: exact
-                        // pacing matters less while not interacting with
-                        // the lock).
-                        spin_wall((gap * kappa).min(200_000), true);
-                    }
-                    if vclock::now() >= cfg.window_ns {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    w.check_wall_net();
-                    continue;
-                }
-            }
-
-            // ----- per-op mix decision -----
-            let cur_pct = if cfg.mode == TimeMode::Virtual {
-                scenario.shape.read_pct_at(vclock::now(), scenario.read_pct)
-            } else {
-                scenario.read_pct
-            };
-            let is_read = draws_coin && w.rng.gen_range(0u32..100) < cur_pct;
-
-            // ----- acquire (possibly abortable) -----
-            let lat_from = vclock::now();
-            if is_read {
-                lock.acquire_read();
-            } else {
-                match scenario.patience_ns {
-                    None => lock.acquire_write(),
-                    Some(p) => {
-                        // Patience is virtual; scale it into the paced
-                        // wall-time frame waiters live in.
-                        if !lock.acquire_write_with_patience(p * kappa) {
-                            aborts += 1;
-                            if cfg.mode == TimeMode::Virtual {
-                                // The wait consumed the patience.
-                                vclock::advance(p);
-                                if vclock::now() >= cfg.window_ns {
-                                    stop.store(true, Ordering::Relaxed);
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            // Serialization is modelled through the handoff channel only
-            // where the lock actually serializes.
-            let charge_handoff = !is_read || serial_reads;
-
-            // ----- critical section -----
-            match cfg.mode {
-                TimeMode::Virtual => {
-                    if charge_handoff {
-                        handoff.on_acquire(my_cluster);
-                        // Queue wait + handoff transfer, in modelled ns:
-                        // the acquisition latency.
-                        w.lat.record(vclock::now().saturating_sub(lat_from));
-                    }
-                    // Measure only the critical-section work, not the
-                    // catch-up on_acquire applied.
-                    let cs_start = vclock::now();
-                    for line in 0..cfg.cs_lines {
-                        if is_read {
-                            dir.read(line, my_cluster);
-                        } else {
-                            dir.write(line, my_cluster);
-                        }
-                    }
-                    vclock::advance(cfg.cs_extra_ns);
-                    if cfg.pace_wall {
-                        // Hold the lock for κ× the modelled CS duration of
-                        // wall time, yielding while holding: the window in
-                        // which peers run, observe the held lock, and
-                        // enqueue.
-                        let charged = vclock::now().saturating_sub(cs_start);
-                        spin_wall((charged * kappa).min(50_000), true);
-                    }
-                    for _ in 0..cfg.cs_yields {
-                        std::thread::yield_now();
-                    }
-                    if vclock::now() >= cfg.window_ns {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    if charge_handoff {
-                        handoff.on_release(my_cluster);
-                    }
-                }
-                TimeMode::Wall => {
-                    if charge_handoff {
-                        handoff.on_acquire(my_cluster);
-                    }
-                    // Touch real shared state so the hardware does the
-                    // coherence work.
-                    for line in 0..cfg.cs_lines {
-                        if is_read {
-                            dir.read(line, my_cluster);
-                        } else {
-                            dir.write(line, my_cluster);
-                        }
-                    }
-                    if charge_handoff {
-                        handoff.on_release(my_cluster);
-                    }
-                }
-            }
-            if is_read {
-                lock.release_read();
-                reads += 1;
-            } else {
-                lock.release_write();
-                writes += 1;
-            }
-
-            // ----- non-critical section -----
-            let idle = w.rng.gen_range(0..=noncs_max);
-            match cfg.mode {
-                TimeMode::Virtual => {
-                    vclock::advance(idle);
-                    if cfg.pace_wall {
-                        // Stay away from the lock for the paced duration
-                        // (yield so peers run meanwhile).
-                        spin_wall(idle * kappa, true);
-                    }
-                }
-                TimeMode::Wall => {
-                    let t0 = Instant::now();
-                    while (t0.elapsed().as_nanos() as u64) < idle {
-                        std::hint::spin_loop();
-                    }
-                    if w.wall_start.elapsed().as_nanos() >= cfg.window_ns as u128 {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-            w.check_wall_net();
+    let (counts, report) = match (&subject, scenario.cost_mode) {
+        // Modelled mode swaps the execution substrate entirely: no
+        // threads, no stop-flag race, no wall clock.
+        (Subject::Lock(lock), CostMode::Modelled(model)) => {
+            crate::modelled::simulate(kind, &**lock, &program, model)
         }
-        (reads, writes, aborts)
-    });
-    let report = LockReport::of(&handoff, &*lock);
+        (Subject::Lock(lock), CostMode::RealTime) => {
+            let body = CriticalSection {
+                lock: &**lock,
+                dir: Directory::new(cfg.cs_lines.max(1), cfg.cost),
+                handoff: HandoffChannel::new(cfg.cost),
+                serial_reads: lock.read_is_exclusive(),
+            };
+            let counts = run_workers(topo, &program, &body);
+            (counts, LockReport::of(&body.handoff, body.lock))
+        }
+        (Subject::Service(service), CostMode::Modelled(_)) => (
+            crate::keyed::run_in_clock_order(&program, &**service),
+            service.report(),
+        ),
+        (Subject::Service(service), CostMode::RealTime) => {
+            (run_workers(topo, &program, &**service), service.report())
+        }
+    };
     assemble(kind, scenario, cfg, counts, report, started)
 }
 

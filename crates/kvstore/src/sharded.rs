@@ -9,22 +9,22 @@
 //! build, cohort policies included), its own coherence directory, and
 //! its own handoff channel; keys route by a Fibonacci hash of the key.
 //! Cross-shard aggregation reuses the layers below: [`KvStats::merge`]
-//! for cache counters, [`CohortStats::merge`] for tenure statistics,
-//! elementwise sums for the batch histograms.
+//! for cache counters, [`LockReport::merge`] for what the shard locks
+//! and channels saw.
 //!
 //! [`KvServiceFactory`] adapts the store to the scenario engine's
 //! [`KeyedService`] interface, which is how `table1` and `fig_shards`
-//! drive it: one shard reproduces the legacy `run_kv` driver bit for bit
-//! (the per-op lock program below is that driver's, verbatim), and the
-//! shard count is just another grid axis.
+//! drive it: one shard reproduces the retired hand-rolled kvstore driver
+//! bit for bit (the per-op lock program below is that driver's,
+//! verbatim), and the shard count is just another grid axis.
 
 use crate::shared::SharedKvStore;
 use crate::store::{KvConfig, KvStats, KvStore};
 use coherence_sim::{CostModel, Directory, HandoffChannel};
 use lbench::pace::spin_wall;
 use lbench::{
-    AnyLockKind, CohortStats, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, LBenchConfig,
-    LockKind, PolicySpec, RwLockKind, Scenario,
+    AnyLockKind, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, LBenchConfig, LockKind,
+    LockReport, PolicySpec, RwLockKind, Scenario,
 };
 use numa_topology::{vclock, ClusterId, Topology};
 use rand::rngs::StdRng;
@@ -123,7 +123,7 @@ impl ShardedKvStore {
         }
     }
 
-    /// One client operation — the legacy `run_kv` per-op lock program,
+    /// One client operation — the retired driver's per-op lock program,
     /// against the shard `key` hashes to: shared-read path when the
     /// shard's lock genuinely shares reads, otherwise the exclusive path
     /// charged through the shard's handoff channel; either path pacing
@@ -185,52 +185,17 @@ impl ShardedKvStore {
         total
     }
 
-    /// Exclusive acquisitions summed over the shards' handoff channels.
-    pub fn acquisitions(&self) -> u64 {
-        self.shards.iter().map(|s| s.handoff.acquisitions()).sum()
-    }
-
-    /// Cross-cluster migrations summed over the shards' handoff channels.
-    pub fn migrations(&self) -> u64 {
-        self.shards.iter().map(|s| s.handoff.migrations()).sum()
-    }
-
-    /// Batch-length histogram summed elementwise across shards.
-    pub fn batch_hist(&self) -> Vec<u64> {
-        let mut total: Vec<u64> = Vec::new();
-        for shard in &self.shards {
-            let snap = shard.handoff.batches().snapshot();
-            if total.is_empty() {
-                total = snap.to_vec();
-            } else {
-                for (t, s) in total.iter_mut().zip(snap.iter()) {
-                    *t += s;
-                }
-            }
-        }
-        total
-    }
-
-    /// Cohort tenure statistics folded through [`CohortStats::merge`]
-    /// (`None` when no shard lock has a tenure notion; identity at one
-    /// shard, so single-shard parity holds exactly).
-    pub fn cohort_stats(&self) -> Option<CohortStats> {
-        let mut merged: Option<CohortStats> = None;
-        for shard in &self.shards {
-            if let Some(cs) = shard.store.cohort_stats() {
-                match &mut merged {
-                    Some(m) => m.merge(&cs),
-                    None => merged = Some(cs),
-                }
-            }
-        }
-        merged
-    }
-
-    /// Handoff-policy label (every shard runs the same lock; the first
-    /// shard speaks for all).
-    pub fn policy_label(&self) -> Option<String> {
-        self.shards[0].store.policy_label()
+    /// What the shard locks and their handoff channels saw, folded
+    /// through [`LockReport::merge`]: counters and batch histograms add,
+    /// tenure statistics merge (identity at one shard, so single-shard
+    /// parity holds exactly), and the first shard's policy label speaks
+    /// for all — every shard runs the same lock.
+    pub fn report(&self) -> LockReport {
+        self.shards
+            .iter()
+            .map(|s| LockReport::of(&s.handoff, s.store.lock()))
+            .reduce(LockReport::merge)
+            .expect("a sharded store has at least one shard")
     }
 }
 
@@ -293,24 +258,8 @@ impl KeyedService for KvService {
         true
     }
 
-    fn acquisitions(&self) -> u64 {
-        self.store.acquisitions()
-    }
-
-    fn migrations(&self) -> u64 {
-        self.store.migrations()
-    }
-
-    fn batch_hist(&self) -> Vec<u64> {
-        self.store.batch_hist()
-    }
-
-    fn cohort_stats(&self) -> Option<CohortStats> {
-        self.store.cohort_stats()
-    }
-
-    fn policy_label(&self) -> Option<String> {
-        self.store.policy_label()
+    fn report(&self) -> LockReport {
+        self.store.report()
     }
 }
 
@@ -352,7 +301,11 @@ mod tests {
         }
         let st = s.stats();
         assert_eq!(st.hits, 1000, "every warmed key is a hit");
-        assert_eq!(s.acquisitions(), 1000, "each get charged one handoff");
+        assert_eq!(
+            s.report().acquisitions,
+            1000,
+            "each get charged one handoff"
+        );
         assert!(!stop.load(Ordering::Relaxed));
     }
 
@@ -369,10 +322,11 @@ mod tests {
             s.op(k, false, k, cl, 0, u64::MAX, &stop);
         }
         assert_eq!(s.stats().updates, 100);
-        assert_eq!(s.acquisitions(), 100);
-        let cs = s.cohort_stats().expect("cohort lock has tenure stats");
+        let report = s.report();
+        assert_eq!(report.acquisitions, 100);
+        let cs = report.cohort.expect("cohort lock has tenure stats");
         assert!(cs.tenures() > 0);
-        assert_eq!(s.policy_label().as_deref(), Some("count(64)"));
+        assert_eq!(report.policy.as_deref(), Some("count(64)"));
     }
 
     #[test]
@@ -385,7 +339,7 @@ mod tests {
             s.op(k, true, 0, cl, 0, u64::MAX, &stop);
         }
         assert_eq!(s.stats().hits, 200, "rw_hits folded in via merge");
-        assert_eq!(s.acquisitions(), 0, "shared gets bypass the channel");
+        assert_eq!(s.report().acquisitions, 0, "shared gets bypass the channel");
     }
 
     #[test]
@@ -393,7 +347,7 @@ mod tests {
         let s = store(4, ShardLockSpec::Excl(LockKind::CBoMcs));
         s.warm(400);
         // warm takes one exclusive tenure per shard.
-        let cs = s.cohort_stats().expect("merged stats");
+        let cs = s.report().cohort.expect("merged stats");
         assert_eq!(cs.tenures() + cs.local_handoffs(), 4);
     }
 }

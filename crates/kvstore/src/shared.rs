@@ -111,14 +111,10 @@ impl SharedKvStore {
         self.gets_read && !self.lock.read_is_exclusive()
     }
 
-    /// Tenure statistics of the cache lock, for cohort(-RW) locks.
-    pub fn cohort_stats(&self) -> Option<lbench::CohortStats> {
-        self.lock.cohort_stats()
-    }
-
-    /// Handoff-policy label of the cache lock, for cohort(-RW) locks.
-    pub fn policy_label(&self) -> Option<String> {
-        self.lock.policy_label()
+    /// The cache lock, for its introspection (tenure statistics, policy
+    /// label).
+    pub fn lock(&self) -> &dyn BenchRwLock {
+        &*self.lock
     }
 }
 
@@ -210,9 +206,9 @@ mod tests {
         assert_eq!(st.hits, 1200, "read-path hits are counted");
         assert_eq!(st.misses, 1200, "read-path misses are counted");
         // The cache lock is a cohort-RW lock: writer tenures are visible.
-        let cs = s.cohort_stats().expect("cohort stats in RW mode");
+        let cs = s.lock().cohort_stats().expect("cohort stats in RW mode");
         assert_eq!(cs.tenures() + cs.local_handoffs(), 1200 + 1);
-        assert_eq!(s.policy_label().as_deref(), Some("count(64)"));
+        assert_eq!(s.lock().policy_label().as_deref(), Some("count(64)"));
     }
 
     #[test]
@@ -249,6 +245,6 @@ mod tests {
         s.set(1, 2, ClusterId::new(0));
         assert_eq!(s.get(1, ClusterId::new(0)), Some(2));
         assert!(!s.reads_are_shared());
-        assert!(s.cohort_stats().is_none());
+        assert!(s.lock().cohort_stats().is_none());
     }
 }

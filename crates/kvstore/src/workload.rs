@@ -7,11 +7,10 @@
 //! **thin wrapper over the scenario engine**: [`KvWorkload`] translates
 //! into a keyed [`Scenario`] (the get percentage is the read mix, the key
 //! distribution the [`KeyDist`], the store a [`KvServiceFactory`]-built
-//! [`ShardedKvStore`](crate::ShardedKvStore)), and [`run_kv`] is one
-//! `run_scenario` call. The hand-rolled measurement loop this module used
-//! to carry — the last `Measure::Custom` holdout — is gone; the
-//! `kv_scenario_parity` integration test pins that the engine reproduces
-//! its historical numbers exactly.
+//! [`ShardedKvStore`](crate::ShardedKvStore)), and [`KvWorkload::run`] is
+//! one `run_scenario` call. The hand-rolled measurement loop this module
+//! used to carry is gone; the `kv_scenario_parity` integration test pins
+//! that the engine reproduces its historical numbers exactly.
 //!
 //! One deliberate edge: at `get_pct = 0` the engine skips the read/write
 //! coin entirely (see [`Scenario`]'s coin rules) where the legacy loop
@@ -23,6 +22,7 @@ use crate::store::KvConfig;
 use coherence_sim::CostModel;
 use lbench::{
     run_scenario, AnyLockKind, KeyDist, KeyedSpec, LBenchConfig, LockKind, PolicySpec, Scenario,
+    ScenarioResult,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -94,8 +94,8 @@ impl Default for KvWorkload {
 
 impl KvWorkload {
     /// The keyed [`Scenario`] this workload describes — shared between
-    /// [`run_kv`] and the `Measure::Scenario` exhibits, so both drive
-    /// the identical engine path.
+    /// [`run`](Self::run) and the `Measure::Scenario` exhibits, so both
+    /// drive the identical engine path.
     pub fn scenario(&self) -> Scenario {
         Scenario::steady()
             .with_read_pct(self.get_pct)
@@ -127,55 +127,17 @@ impl KvWorkload {
             ..Default::default()
         }
     }
-}
 
-/// One run's outcome.
-#[derive(Clone, Debug)]
-pub struct KvRunResult {
-    /// Lock under the store.
-    pub kind: LockKind,
-    /// Worker threads.
-    pub threads: usize,
-    /// Get percentage of the mix.
-    pub get_pct: u32,
-    /// Operations completed.
-    pub total_ops: u64,
-    /// Operations per virtual second.
-    pub throughput: f64,
-    /// Cache-lock migrations observed (exclusive path only in RW mode).
-    pub migrations: u64,
-    /// Cache-lock acquisitions observed. In RW mode only *exclusive*
-    /// acquisitions are counted — shared-side gets serialize on nothing
-    /// and bypass the handoff channel, so this undercounts `total_ops`.
-    pub acquisitions: u64,
-    /// Handoff-policy label (`None` when the cache lock is not a cohort
-    /// lock).
-    pub policy: Option<String>,
-    /// Cache-lock tenures (0 for non-cohort locks).
-    pub tenures: u64,
-    /// Mean local-handoff streak per tenure (0 for non-cohort locks).
-    pub mean_streak: f64,
-    /// Real time of the run.
-    pub wall: Duration,
-}
-
-/// Runs the workload with `kind` as the cache lock: one
-/// [`run_scenario`] call over the keyed scenario, narrowed back to the
-/// legacy result surface.
-pub fn run_kv(kind: LockKind, w: &KvWorkload) -> KvRunResult {
-    let r = run_scenario(AnyLockKind::Excl(kind), &w.scenario(), &w.lbench_config());
-    KvRunResult {
-        kind,
-        threads: w.threads,
-        get_pct: w.get_pct,
-        total_ops: r.total_ops,
-        throughput: r.throughput,
-        migrations: r.migrations,
-        acquisitions: r.acquisitions,
-        policy: r.policy,
-        tenures: r.tenures,
-        mean_streak: r.mean_streak,
-        wall: r.wall,
+    /// Runs the workload with `kind` as the cache lock. In RW mode
+    /// `acquisitions` counts *exclusive* acquisitions only — shared-side
+    /// gets serialize on nothing and bypass the handoff channel, so it
+    /// undercounts `total_ops`.
+    pub fn run(&self, kind: LockKind) -> ScenarioResult {
+        run_scenario(
+            AnyLockKind::Excl(kind),
+            &self.scenario(),
+            &self.lbench_config(),
+        )
     }
 }
 
@@ -200,14 +162,14 @@ mod tests {
 
     #[test]
     fn single_thread_run_completes() {
-        let r = run_kv(LockKind::Pthread, &quick(1, 90));
+        let r = quick(1, 90).run(LockKind::Pthread);
         assert!(r.total_ops > 50, "ops {}", r.total_ops);
         assert_eq!(r.migrations, 0);
     }
 
     #[test]
     fn multithreaded_write_heavy_run() {
-        let r = run_kv(LockKind::CTktMcs, &quick(4, 10));
+        let r = quick(4, 10).run(LockKind::CTktMcs);
         assert!(r.total_ops > 100);
         assert!(r.acquisitions >= r.total_ops);
     }
@@ -216,7 +178,7 @@ mod tests {
     fn cache_lock_policy_is_selectable() {
         let mut w = quick(8, 50);
         w.policy = Some(PolicySpec::NeverPass);
-        let r = run_kv(LockKind::CBoMcs, &w);
+        let r = w.run(LockKind::CBoMcs);
         assert_eq!(r.policy.as_deref(), Some("never-pass"));
         assert!(r.total_ops > 0);
         assert_eq!(r.mean_streak, 0.0, "NeverPass forbids local handoffs");
@@ -225,12 +187,12 @@ mod tests {
         assert_eq!(r.tenures, r.acquisitions + 1);
 
         w.policy = Some(PolicySpec::Count { bound: 8 });
-        let r = run_kv(LockKind::CBoMcs, &w);
+        let r = w.run(LockKind::CBoMcs);
         assert_eq!(r.policy.as_deref(), Some("count(8)"));
         assert!(r.tenures > 0);
 
         // Non-cohort cache locks ignore the policy and report no tenures.
-        let r = run_kv(LockKind::Mcs, &w);
+        let r = w.run(LockKind::Mcs);
         assert_eq!(r.policy, None);
         assert_eq!(r.tenures, 0);
     }
@@ -239,7 +201,7 @@ mod tests {
     fn rw_mode_runs_read_heavy_mix() {
         let mut w = quick(4, 90);
         w.rw = true;
-        let r = run_kv(LockKind::CBoMcs, &w);
+        let r = w.run(LockKind::CBoMcs);
         assert!(r.total_ops > 100, "ops {}", r.total_ops);
         // The cache lock is now a cohort-RW lock: only the exclusive
         // side flows through the handoff channel, so acquisitions trail
@@ -258,10 +220,10 @@ mod tests {
     fn rw_mode_beats_mutex_mode_on_read_heavy_mix() {
         // The whole point of the C-RW layer: at 90% gets, routing reads
         // through the shared side must not lose to fully-exclusive ops.
-        let mutex = run_kv(LockKind::CBoMcs, &quick(8, 90));
+        let mutex = quick(8, 90).run(LockKind::CBoMcs);
         let mut w = quick(8, 90);
         w.rw = true;
-        let rw = run_kv(LockKind::CBoMcs, &w);
+        let rw = w.run(LockKind::CBoMcs);
         assert!(
             rw.throughput >= mutex.throughput,
             "rw {:.0} ops/s vs mutex {:.0} ops/s",
@@ -274,7 +236,7 @@ mod tests {
     fn rw_mode_falls_back_to_exclusive_for_non_rw_kinds() {
         let mut w = quick(2, 90);
         w.rw = true;
-        let r = run_kv(LockKind::Mcs, &w);
+        let r = w.run(LockKind::Mcs);
         assert!(r.total_ops > 0);
         assert!(
             r.acquisitions >= r.total_ops,
@@ -285,8 +247,8 @@ mod tests {
 
     #[test]
     fn cohort_lock_batches_kv_critical_sections() {
-        let mcs = run_kv(LockKind::Mcs, &quick(8, 50));
-        let cohort = run_kv(LockKind::CBoMcs, &quick(8, 50));
+        let mcs = quick(8, 50).run(LockKind::Mcs);
+        let cohort = quick(8, 50).run(LockKind::CBoMcs);
         let mcs_rate = mcs.migrations as f64 / mcs.acquisitions.max(1) as f64;
         let cohort_rate = cohort.migrations as f64 / cohort.acquisitions.max(1) as f64;
         assert!(
@@ -299,7 +261,7 @@ mod tests {
     fn sharded_run_spreads_load_and_keeps_counters_coherent() {
         let mut w = quick(8, 50);
         w.shards = 4;
-        let r = run_kv(LockKind::CBoMcs, &w);
+        let r = w.run(LockKind::CBoMcs);
         assert!(r.total_ops > 100, "ops {}", r.total_ops);
         assert!(
             r.acquisitions >= r.total_ops,
@@ -313,7 +275,7 @@ mod tests {
         let mut w = quick(4, 90);
         w.shards = 2;
         w.dist = KeyDist::Zipfian { theta: 0.9 };
-        let r = run_kv(LockKind::CBoMcs, &w);
+        let r = w.run(LockKind::CBoMcs);
         assert!(r.total_ops > 100, "ops {}", r.total_ops);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example kv_cache`
 
-use lock_cohorting::cohort_kvstore::workload::{run_kv, KvWorkload};
+use lock_cohorting::cohort_kvstore::workload::KvWorkload;
 use lock_cohorting::lbench::LockKind;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     );
     let mut baseline = None;
     for kind in [LockKind::Pthread, LockKind::Mcs, LockKind::CTktMcs] {
-        let r = run_kv(kind, &base);
+        let r = base.run(kind);
         let migration_pct = 100.0 * r.migrations as f64 / r.acquisitions.max(1) as f64;
         let speedup = baseline.map(|b: f64| r.throughput / b);
         println!(

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example malloc_arena`
 
-use lock_cohorting::cohort_alloc::workload::{run_mmicro, MmicroWorkload};
+use lock_cohorting::cohort_alloc::workload::MmicroWorkload;
 use lock_cohorting::lbench::LockKind;
 
 fn main() {
@@ -26,11 +26,12 @@ fn main() {
         LockKind::FcMcs,
         LockKind::CBoMcs,
     ] {
-        let r = run_mmicro(kind, &w);
+        let r = w.run(kind);
         println!(
             "  {:>10}: {:>7.0} pairs/ms   ({} migrations over {} acquisitions)",
             kind.name(),
-            r.pairs_per_ms,
+            // The engine's throughput channel is pairs per *second*.
+            r.throughput / 1e3,
             r.migrations,
             r.acquisitions,
         );

@@ -1,8 +1,10 @@
 //! Integration: abortable cohort locks under abort storms — the §3.6
-//! deadlock scenarios must be impossible.
+//! deadlock scenarios must be impossible — and the engine's own way out
+//! of a run whose acquisitions all time out.
 
 use base_locks::{RawAbortableLock, RawLock};
 use cohort::{AcBoBo, AcBoClh};
+use lbench::{run_scenario_on, AnyLockKind, LBenchConfig, LockKind, Scenario};
 use numa_topology::Topology;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -77,4 +79,26 @@ fn aborts_never_strand_the_global_lock() {
         let t = lock.lock();
         unsafe { lock.unlock(t) };
     }
+}
+
+#[test]
+fn zero_patience_on_a_held_lock_stops_at_max_wall() {
+    // The lock is held from outside for the whole run and patience is
+    // zero: every acquisition times out at once, no virtual time ever
+    // passes, and only the engine's wall-clock net can end the run — at
+    // its first reading, with no wall time allowed.
+    let topo = Arc::new(Topology::new(4));
+    let kind = AnyLockKind::Excl(LockKind::ACBoClh);
+    let lock = kind.make(&topo, None);
+    lock.acquire_write();
+    let cfg = LBenchConfig {
+        threads: 1,
+        max_wall: std::time::Duration::ZERO,
+        ..Default::default()
+    };
+    let scenario = Scenario::steady().with_patience(0);
+    let r = run_scenario_on(kind, Arc::clone(&lock), topo, &scenario, &cfg);
+    lock.release_write();
+    assert_eq!(r.total_ops, 0, "the lock was never free");
+    assert_eq!(r.aborts, 512, "the net is read every 512th iteration");
 }

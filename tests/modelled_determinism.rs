@@ -17,18 +17,28 @@
 //!
 //! Re-run identity cannot see a change that moves *both* runs, so one
 //! test also pins absolute numbers: the benchmark's `des_4096` cell
-//! (4096 logical threads) for four lock kinds.
+//! (4096 logical threads) for four lock kinds,
+//! and the 126 modelled rows of the committed `results/fig_recip.csv`
+//! are re-simulated (the other two modelled CSVs are `cmp`'d in CI).
 //!
-//! Two single-thread cells close the file: the one regime where the
+//! Single-thread cells close the file: the one regime where the
 //! real-time engine, too, is reproducible (one seeded RNG, virtual time
-//! only, nothing to race), next to the modelled twin of the same cell.
+//! only, nothing to race). There the real threads and the modelled
+//! executors run the same op program, so 50 cells hold them to each
+//! other: a draw-order drift on either side shows up as a diverging
+//! count or percentile.
 
 use coherence_sim::CostModel;
+use cohort_alloc::workload::MmicroWorkload;
 use cohort_bench::{
     measure_model_cell, model_cells_at, model_csv_row, model_locks, schema, Grid, Measurement,
     ModelCell,
 };
-use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario};
+use cohort_kvstore::workload::KvWorkload;
+use cohort_kvstore::KvConfig;
+use lbench::{
+    run_scenario, AnyLockKind, KeyDist, LBenchConfig, LockKind, Phase, RwLockKind, Scenario,
+};
 use std::time::Duration;
 
 /// Runs the full exhibit sweep at one contended thread count.
@@ -159,6 +169,65 @@ fn des_4096_cells_match_their_pinned_numbers() {
     }
 }
 
+/// Re-simulates every `,modelled,` row of the committed
+/// `results/fig_recip.csv` — the third modelled pin; `fig_model.csv` and
+/// `fig_shards.csv` are `cmp`'d whole in CI, but `fig_recip.csv` also
+/// carries real-time rows, which no two runs reproduce. Each cell is
+/// built as `fig_recip`'s `measure` builds it at default knobs (10 ms
+/// window, saturated, disaggregated model) and must print the committed
+/// fields.
+#[test]
+fn committed_fig_recip_modelled_rows_resimulate_exactly() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fig_recip.csv");
+    let csv = std::fs::read_to_string(path).unwrap();
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+    let col = |name: &str| header.iter().position(|h| *h == name).unwrap();
+    let mut rows = 0;
+    for line in lines {
+        let field: Vec<&str> = line.split(',').collect();
+        if field[col("mode")] != "modelled" {
+            continue;
+        }
+        rows += 1;
+        let name = field[col("lock")];
+        let kind = LockKind::ALL.into_iter().find(|k| k.name() == name);
+        let cfg = LBenchConfig {
+            threads: field[col("threads")].parse().unwrap(),
+            clusters: field[col("clusters")].parse().unwrap(),
+            window_ns: 10_000_000,
+            noncs_max_ns: 0,
+            ..Default::default()
+        };
+        let r = run_scenario(
+            AnyLockKind::Excl(kind.expect("a registry name")),
+            &Scenario::steady().modelled(CostModel::disaggregated()),
+            &cfg,
+        );
+        let resimulated = [
+            ("throughput", format!("{:.0}", r.throughput)),
+            ("acquisitions", r.acquisitions.to_string()),
+            ("migrations", r.migrations.to_string()),
+            ("succ_transitions", r.succ_transitions.to_string()),
+            ("tenures", r.tenures.to_string()),
+            ("local_handoffs", r.local_handoffs.to_string()),
+            ("max_streak", r.max_streak.to_string()),
+            ("lat_p50_ns", r.lat_p50_ns.to_string()),
+            ("lat_p99_ns", r.lat_p99_ns.to_string()),
+        ];
+        for (column, value) in resimulated {
+            assert_eq!(
+                value,
+                field[col(column)],
+                "[{name} c={} t={}] {column}",
+                cfg.clusters,
+                cfg.threads
+            );
+        }
+    }
+    assert_eq!(rows, 126, "modelled rows of {path}");
+}
+
 #[test]
 fn full_sweep_writes_byte_identical_csv() {
     let base = std::env::temp_dir().join(format!("modelled-determinism-{}", std::process::id()));
@@ -222,5 +291,129 @@ fn modelled_single_thread_is_bit_exact_across_repeats() {
         let b = run_scenario(AnyLockKind::Excl(kind), &s, &c);
         assert_eq!(a.first_divergence(&b), None, "{kind}");
         assert!(a.total_ops > 0, "{kind}");
+    }
+}
+
+/// What a real-thread run and the modelled run of the same single-thread
+/// cell must agree on. One thread has nothing to race, so both execute
+/// the same op program on the same seeded RNG and differ only in the
+/// *boundary op*: a real thread never checks the window before starting
+/// an op, a modelled one retires on `clock >= window`. That op takes the
+/// lock `acquisitions_per_op` times at most (an allocator pair twice).
+fn assert_modelled_plus_the_boundary_op(
+    cell: &str,
+    real: &lbench::ScenarioResult,
+    modelled: &lbench::ScenarioResult,
+    acquisitions_per_op: u64,
+) {
+    assert_eq!(real.total_ops, modelled.total_ops + 1, "[{cell}] total_ops");
+    assert_eq!(real.lat_p50_ns, modelled.lat_p50_ns, "[{cell}] lat_p50_ns");
+    assert_eq!(real.lat_p99_ns, modelled.lat_p99_ns, "[{cell}] lat_p99_ns");
+    assert_eq!(
+        real.remote_misses, modelled.remote_misses,
+        "[{cell}] remote_misses"
+    );
+    assert_eq!(real.aborts, modelled.aborts, "[{cell}] aborts");
+    for (field, real, modelled, boundary) in [
+        (
+            "acquisitions",
+            real.acquisitions,
+            modelled.acquisitions,
+            acquisitions_per_op,
+        ),
+        ("read_ops", real.read_ops, modelled.read_ops, 1),
+    ] {
+        assert!(
+            (modelled..=modelled + boundary).contains(&real),
+            "[{cell}] {field}: {real} vs {modelled}"
+        );
+    }
+}
+
+#[test]
+fn single_thread_realtime_is_the_modelled_run_plus_the_boundary_op() {
+    // 40 LBench cells: 4 kinds x 5 scenarios x 2 cost models. The burst
+    // period is chosen so the window ends inside an on-window (a run that
+    // ends in a gap has no boundary op on either executor).
+    let kinds = [
+        AnyLockKind::Excl(LockKind::Mcs),
+        AnyLockKind::Excl(LockKind::CBoMcs),
+        AnyLockKind::Excl(LockKind::ACBoClh),
+        AnyLockKind::Rw(RwLockKind::CRwWpBoMcs),
+    ];
+    let phases =
+        [(200_000, 90), (130_000, 10)].map(|(dur_ns, read_pct)| Phase { dur_ns, read_pct });
+    let scenarios = [
+        ("steady", Scenario::steady()),
+        ("read-50", Scenario::steady().with_read_pct(50)),
+        ("bursty", Scenario::bursty(200_000, 130_000)),
+        ("phased", Scenario::phased(phases.to_vec())),
+        ("patience", Scenario::steady().with_patience(50_000)),
+    ];
+    let models = [
+        ("t5440", CostModel::t5440()),
+        ("disaggregated", CostModel::disaggregated()),
+    ];
+    for kind in kinds {
+        for (shape, scenario) in &scenarios {
+            for (model_name, model) in models {
+                let cfg = LBenchConfig {
+                    pace_wall: false,
+                    cost: model,
+                    ..single_thread_cfg()
+                };
+                let real = run_scenario(kind, scenario, &cfg);
+                let modelled = run_scenario(kind, &scenario.clone().modelled(model), &cfg);
+                let cell = format!("{} {shape} {model_name}", kind.name());
+                assert_modelled_plus_the_boundary_op(&cell, &real, &modelled, 1);
+            }
+        }
+    }
+
+    // 10 keyed cells: 8 over the KV store (key distributions, shard
+    // counts, RW mode) and 2 over the allocator.
+    let kv = |get_pct, shards, dist, rw| KvWorkload {
+        threads: 1,
+        get_pct,
+        shards,
+        dist,
+        rw,
+        window_ns: 1_500_000,
+        keyspace: 512,
+        store: KvConfig {
+            buckets: 256,
+            capacity: 1024,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let zipf = KeyDist::Zipfian { theta: 0.9 };
+    let hot = KeyDist::HotSet { keys: 16, pct: 90 };
+    let kv_cells = [
+        (LockKind::CBoMcs, kv(90, 1, KeyDist::Uniform, false)),
+        (LockKind::CBoMcs, kv(50, 1, KeyDist::Uniform, false)),
+        (LockKind::Pthread, kv(90, 1, KeyDist::Uniform, false)),
+        (LockKind::CBoMcs, kv(90, 4, zipf.clone(), false)),
+        (LockKind::CBoMcs, kv(10, 8, hot.clone(), false)),
+        (LockKind::CBoMcs, kv(90, 1, KeyDist::Uniform, true)),
+        (LockKind::CBoMcs, kv(50, 2, hot, true)),
+        (LockKind::Mcs, kv(90, 4, zipf, true)),
+    ];
+    for (i, (kind, w)) in kv_cells.iter().enumerate() {
+        let kind = AnyLockKind::Excl(*kind);
+        let real = run_scenario(kind, &w.scenario(), &w.lbench_config());
+        let modelled = run_scenario(kind, &w.scenario().modelled(w.cost), &w.lbench_config());
+        assert_modelled_plus_the_boundary_op(&format!("kv cell {i}"), &real, &modelled, 1);
+    }
+    let mm = MmicroWorkload {
+        threads: 1,
+        window_ns: 1_500_000,
+        ..Default::default()
+    };
+    for kind in [LockKind::Pthread, LockKind::CMcsMcs] {
+        let any = AnyLockKind::Excl(kind);
+        let real = run_scenario(any, &mm.scenario(), &mm.lbench_config());
+        let modelled = run_scenario(any, &mm.scenario().modelled(mm.cost), &mm.lbench_config());
+        assert_modelled_plus_the_boundary_op(&format!("mmicro {kind}"), &real, &modelled, 2);
     }
 }
