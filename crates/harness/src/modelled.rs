@@ -58,29 +58,26 @@
 //!
 //! # Cost per event
 //!
-//! Every event costs O(log T) host time in the T logical threads, so a
-//! sweep is linear in its simulated acquisitions and thread counts in
-//! the thousands are affordable:
+//! An event costs O(1) host time at any number of logical threads: a
+//! saturated C-BO-MCS acquisition takes ~50 ns at 64 of them and ~80 ns
+//! at 4096 (cache footprint, not queue depth) on the 2.1 GHz reference
+//! host. Two invariants make that legal without moving a simulated number:
 //!
-//! * The event queue is a binary heap of 16-byte `(time, key)` entries
-//!   (see `EventQueue` for the packing).
-//! * The waiting set is indexed (`Admission`): one ordered set per
-//!   cluster keyed `(arrival, tid)`, entered where `on_start` queues a
-//!   thread and left on grant or abort. The FIFO pick is the minimum of
-//!   the cluster heads, the cohort-local pick the head of the tenure
-//!   cluster's set, the succession census a sum of set lengths, and a
-//!   reciprocating detach drains the sets (each waiter once per
-//!   segment). No handler walks the thread table; `ths` is iterated at
-//!   construction and at result assembly only. The obviously-right
-//!   form — a linear scan per question — is the test module's
-//!   `ScanAdmission` oracle, which a seeded differential test holds the
-//!   index to.
-//! * Per-thread latency reservoirs start empty (`LatReservoir::lazy`).
-//!   The real-time engine pre-sizes them because a reallocation there
-//!   is a pause inside somebody's measured acquisition; here it is host
-//!   time nobody measures, while the pre-sized form costs 256 KiB per
-//!   *logical* thread — most of a 4096-thread cell's memory and set-up
-//!   time for threads that record a few samples each.
+//! * **Arrivals enter in time order** — a thread queues at the time of
+//!   the event being handled, and events pop in time order — so each
+//!   cluster's waiting queue (`Admission`) is a deque that stays sorted
+//!   by `(arrival, tid)` under pushes at the back. Picks are fronts, the
+//!   succession census a sum of lengths, a reciprocating detach a drain;
+//!   only a patience abort, and a newcomer that ties with the back under
+//!   a smaller tid, binary-search.
+//! * **An event scheduled at `now` is younger than every heap entry at
+//!   `now`**, so `EventQueue` serves it from a FIFO lane and keeps the
+//!   heap for the future.
+//!
+//! No handler walks the thread table. The obviously-right forms — a
+//! linear scan per question, one heap keyed `(time, push order)` — are
+//! the references of seeded differential tests in the test module.
+//! Per-thread latency reservoirs start empty (see `LatReservoir::lazy`).
 
 use crate::bench_rwlock::BenchRwLock;
 use crate::program::{charge_cs, Client, Draw, Program};
@@ -90,7 +87,7 @@ use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
 use cohort::{ClusterStats, CohortStats};
 use numa_topology::{vclock, ClusterId};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What a simulation event asks of the logical thread it names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,43 +130,76 @@ impl<T: Ord> TimeQueue<T> {
 const TID_BITS: u32 = 22;
 const EV_BITS: u32 = 2;
 
-/// Events ordered by `(time, push order)`, 16 bytes each: a heap entry is
-/// `(time, (seq << 2 | ev) << 22 | tid)`, so the push sequence number
-/// decides among equal times and the event and its thread ride in low
-/// bits that never decide. The packing is measured, not taste: a
-/// `(time, seq, enum)` entry is 40 bytes and simulated 11–25 % fewer
-/// acquisitions per host second at 64 logical threads (see
-/// docs/ARCHITECTURE.md, "Cost per event").
+/// Events ordered by `(time, push order)`. An event's key is
+/// `(seq << 2 | ev) << 22 | tid`: the push sequence number decides among
+/// equal times, the event and its thread ride in low bits that never
+/// decide. Future events wait in a heap of 16-byte `(time, key)` entries
+/// — measured, not taste: a `(time, seq, enum)` entry is 40 bytes and
+/// simulated 11–25 % fewer acquisitions per host second at 64 logical
+/// threads (see docs/ARCHITECTURE.md, "Cost per event").
+///
+/// Events scheduled **at the current timestamp** — every other one in a
+/// saturated cell, where each release restarts its thread "now" — skip
+/// the heap for a FIFO lane. The order survives exactly: time never runs
+/// backwards (`push` checks), so a heap entry at `now` was pushed while
+/// `now` was earlier, before everything in the lane, and the heap's
+/// entries at `now` drain first; the lane is in push order by
+/// construction, and empty whenever `now` advances.
 struct EventQueue {
-    q: TimeQueue<u64>,
+    future: TimeQueue<u64>,
+    /// Keys of the events pushed at `now`, oldest first.
+    lane: VecDeque<u64>,
+    /// Timestamp of the latest popped event.
+    now: u64,
     seq: u64,
 }
 
 impl EventQueue {
-    /// Schedules `ev` for thread `tid` at `time` and returns the event's
-    /// sequence number (≥ 1, unique within the run).
+    fn with_capacity(threads: usize) -> Self {
+        EventQueue {
+            future: TimeQueue::with_capacity(threads),
+            lane: VecDeque::with_capacity(threads),
+            now: 0,
+            seq: 0,
+        }
+    }
+
+    /// Schedules `ev` for thread `tid` at `time ≥ now` and returns the
+    /// event's sequence number (≥ 1, unique within the run).
     fn push(&mut self, time: u64, ev: Ev, tid: usize) -> u64 {
+        assert!(time >= self.now, "event scheduled into the past");
         self.seq += 1;
         assert!(
             self.seq < 1 << (64 - EV_BITS - TID_BITS),
             "modelled run exhausted its 2^40 event sequence numbers"
         );
         let key = (self.seq << EV_BITS | ev as u64) << TID_BITS | tid as u64;
-        self.q.push(time, key);
+        if time == self.now {
+            self.lane.push_back(key);
+        } else {
+            self.future.push(time, key);
+        }
         self.seq
     }
 
     /// The earliest event: `(time, sequence number, event, tid)`.
     fn pop(&mut self) -> Option<(u64, u64, Ev, usize)> {
-        self.q.pop().map(|(time, key)| {
-            let ev = match (key >> TID_BITS) & ((1 << EV_BITS) - 1) {
-                0 => Ev::Start,
-                1 => Ev::Release,
-                _ => Ev::Abort,
-            };
-            let tid = (key & ((1 << TID_BITS) - 1)) as usize;
-            (time, key >> (EV_BITS + TID_BITS), ev, tid)
-        })
+        let heap_is_due =
+            || matches!(self.future.heap.peek(), Some(Reverse((t, _))) if *t == self.now);
+        let key = if self.lane.is_empty() || heap_is_due() {
+            let (time, key) = self.future.pop()?;
+            self.now = time;
+            key
+        } else {
+            self.lane.pop_front()?
+        };
+        let ev = match (key >> TID_BITS) & ((1 << EV_BITS) - 1) {
+            0 => Ev::Start,
+            1 => Ev::Release,
+            _ => Ev::Abort,
+        };
+        let tid = (key & ((1 << TID_BITS) - 1)) as usize;
+        Some((self.now, key >> (EV_BITS + TID_BITS), ev, tid))
     }
 }
 
@@ -234,16 +264,16 @@ impl TenureBook {
 }
 
 /// Who waits for the lock and who is admitted next: the kind's admission
-/// class over a **waiting index** — one ordered set per cluster keyed
-/// `(arrival, tid)`. Every question a grant asks is a head or a length
-/// of those sets (see "Cost per event" in the module docs), so no event
-/// handler ever walks the thread table.
+/// class over a **waiting index** — one queue per cluster, ascending by
+/// `(arrival, tid)`. Every question a grant asks is a front or a length
+/// of those queues (see "Cost per event" in the module docs), so no
+/// event handler ever walks the thread table.
 struct Admission {
     class: ModelledAdmission,
     /// `waiting[c]` holds cluster `c`'s queued serialized ops. A waiter
     /// enters in `enqueue` and leaves through `pick` (granted, or frozen
     /// into a reciprocating segment) or `withdraw` (patience expired).
-    waiting: Vec<BTreeSet<(u64, usize)>>,
+    waiting: Vec<VecDeque<(u64, usize)>>,
     book: TenureBook,
     /// [`ModelledAdmission::ReciprocatingStack`] only: the detached
     /// segment, sorted ascending by `(arrival, tid)` and admitted from
@@ -259,23 +289,38 @@ impl Admission {
     fn new(class: ModelledAdmission, clusters: usize) -> Self {
         Admission {
             class,
-            waiting: vec![BTreeSet::new(); clusters],
+            waiting: vec![VecDeque::new(); clusters],
             book: TenureBook::default(),
             recip_segment: Vec::new(),
             recip_detached: false,
         }
     }
 
+    /// Queues a waiter at the back — arrivals come in time order — or,
+    /// where it ties with the back under a smaller `tid`, inside the run
+    /// of waiters that arrived at the same instant.
     fn enqueue(&mut self, cluster: ClusterId, arrival: u64, tid: usize) {
-        let fresh = self.waiting[cluster.as_usize()].insert((arrival, tid));
-        debug_assert!(fresh, "thread {tid} queued twice");
+        let queue = &mut self.waiting[cluster.as_usize()];
+        let key = (arrival, tid);
+        debug_assert!(
+            queue.back().is_none_or(|b| b.0 <= arrival),
+            "arrival out of order"
+        );
+        if queue.back().is_none_or(|&back| back < key) {
+            queue.push_back(key);
+        } else {
+            let at = queue.partition_point(|&waiter| waiter < key);
+            debug_assert!(queue.get(at) != Some(&key), "thread {tid} queued twice");
+            queue.insert(at, key);
+        }
     }
 
     /// Removes a waiter whose patience expired, wherever in its
-    /// cluster's set it sits.
+    /// cluster's queue it sits.
     fn withdraw(&mut self, cluster: ClusterId, arrival: u64, tid: usize) {
-        let was_waiting = self.waiting[cluster.as_usize()].remove(&(arrival, tid));
-        debug_assert!(was_waiting, "thread {tid} withdrew without waiting");
+        let queue = &mut self.waiting[cluster.as_usize()];
+        let at = queue.binary_search(&(arrival, tid));
+        queue.remove(at.expect("a withdrawing thread waits in its cluster's queue"));
     }
 
     /// Picks the next waiter under the kind's admission order and takes
@@ -291,8 +336,8 @@ impl Admission {
                 // be overtaken by a later arrival more than once per
                 // segment flip — the bounded-bypass invariant.
                 if self.recip_segment.is_empty() {
-                    for set in &mut self.waiting {
-                        self.recip_segment.extend(std::mem::take(set));
+                    for queue in &mut self.waiting {
+                        self.recip_segment.extend(queue.drain(..));
                     }
                     self.recip_segment.sort_unstable();
                     self.recip_detached = !self.recip_segment.is_empty();
@@ -310,7 +355,7 @@ impl Admission {
                         TenureLimit::Never => false,
                     };
                 let local = if may_pass {
-                    self.waiting[self.book.cur_cluster as usize].pop_first()
+                    self.waiting[self.book.cur_cluster as usize].pop_front()
                 } else {
                     None
                 };
@@ -329,12 +374,12 @@ impl Admission {
     /// Removes and returns the earliest `(arrival, tid)` over all
     /// clusters: the minimum of the per-cluster heads.
     fn pop_earliest(&mut self) -> Option<(u64, usize)> {
-        let set = self
+        let queue = self
             .waiting
             .iter_mut()
-            .filter(|set| !set.is_empty())
-            .min_by_key(|set| set.first().copied())?;
-        set.pop_first()
+            .filter(|queue| !queue.is_empty())
+            .min_by_key(|queue| queue.front().copied())?;
+        queue.pop_front()
     }
 
     /// Books a grant to a thread of `cluster` at `now` and returns its
@@ -346,9 +391,7 @@ impl Admission {
     /// the arrivals word when this grant detached a fresh segment.
     fn on_grant(&mut self, cluster: ClusterId, now: u64, via_local: bool) -> u64 {
         match self.class {
-            ModelledAdmission::Fifo => {
-                1 + self.waiting.iter().map(|set| set.len() as u64).sum::<u64>()
-            }
+            ModelledAdmission::Fifo => 1 + self.waiting.iter().map(|q| q.len() as u64).sum::<u64>(),
             ModelledAdmission::ClusterBatched(_) => {
                 if via_local {
                     self.book.local_pass();
@@ -541,10 +584,7 @@ pub(crate) fn simulate(
         program,
         dir: Directory::new(cfg.cs_lines.max(1), model),
         handoff: HandoffChannel::new(model),
-        q: EventQueue {
-            q: TimeQueue::with_capacity(cfg.threads),
-            seq: 0,
-        },
+        q: EventQueue::with_capacity(cfg.threads),
         ths: (0..cfg.threads)
             .map(|i| Th {
                 client: Client::new(program, i),
@@ -725,6 +765,16 @@ mod tests {
         }
     }
 
+    /// Every admission class, each tenure limit included.
+    const CLASSES: [ModelledAdmission; 6] = [
+        ModelledAdmission::Fifo,
+        ModelledAdmission::ReciprocatingStack,
+        ModelledAdmission::ClusterBatched(TenureLimit::Count(3)),
+        ModelledAdmission::ClusterBatched(TenureLimit::TimeNs(40)),
+        ModelledAdmission::ClusterBatched(TenureLimit::Unbounded),
+        ModelledAdmission::ClusterBatched(TenureLimit::Never),
+    ];
+
     /// Differential test of the waiting index against the scan oracle:
     /// random enqueue / abort / release sequences — arrivals that tie,
     /// aborts from anywhere in a set — must produce the same
@@ -738,16 +788,8 @@ mod tests {
             Waiting(u64),
             Holding,
         }
-        let classes = [
-            ModelledAdmission::Fifo,
-            ModelledAdmission::ReciprocatingStack,
-            ModelledAdmission::ClusterBatched(TenureLimit::Count(3)),
-            ModelledAdmission::ClusterBatched(TenureLimit::TimeNs(40)),
-            ModelledAdmission::ClusterBatched(TenureLimit::Unbounded),
-            ModelledAdmission::ClusterBatched(TenureLimit::Never),
-        ];
         for seed in 0..256u64 {
-            for class in classes {
+            for class in CLASSES {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let clusters = rng.gen_range(1usize..=8);
                 let threads = rng.gen_range(1usize..=32);
@@ -816,6 +858,130 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The input the arrival-ordered queues are slowest on, beside the
+    /// random walk above: every idle thread arrives at the *same* instant
+    /// in *descending* tid order — the odd tids, then the even ones — so
+    /// each newcomer belongs at the front or in the interior of a long
+    /// tie run, never at the back; waiters then withdraw from the middle
+    /// of the run, and only part of it is granted before the next run
+    /// queues up behind the rest.
+    #[test]
+    fn descending_tid_tie_runs_match_the_linear_scan_oracle() {
+        const THREADS: usize = 96;
+        for class in CLASSES {
+            for clusters in [1usize, 3, 4] {
+                let cluster_of = |tid: usize| ClusterId::new((tid % clusters) as u32);
+                let mut index = Admission::new(class, clusters);
+                let mut scan = ScanAdmission {
+                    class,
+                    ths: (0..THREADS).map(|tid| (cluster_of(tid), None)).collect(),
+                    book: TenureBook::default(),
+                    recip_segment: Vec::new(),
+                    recip_detached: false,
+                };
+                let ctx = |round: u64| format!("{class:?}, {clusters} clusters, round {round}");
+                // Thread 0 takes the free lock; everybody else queues.
+                let mut now = 10u64;
+                let census = index.on_grant(cluster_of(0), now, false);
+                assert_eq!(census, scan.on_grant(cluster_of(0), now, false));
+                let mut holder = 0usize;
+                for round in 0..6u64 {
+                    now += 25;
+                    let idle: Vec<usize> = (0..THREADS)
+                        .filter(|&tid| tid != holder && scan.ths[tid].1.is_none())
+                        .collect();
+                    let (odd, even): (Vec<usize>, Vec<usize>) =
+                        idle.iter().rev().partition(|&&tid| tid % 2 == 1);
+                    for tid in odd.into_iter().chain(even) {
+                        index.enqueue(cluster_of(tid), now, tid);
+                        scan.enqueue(now, tid);
+                    }
+                    for &tid in idle.iter().skip(3).step_by(5) {
+                        index.withdraw(cluster_of(tid), now, tid);
+                        scan.withdraw(tid);
+                    }
+                    // The last round drains the queues; the others leave
+                    // waiters behind for the next run to queue behind.
+                    let grants = if round == 5 { THREADS } else { 40 };
+                    for _ in 0..grants {
+                        let pick = index.pick(now);
+                        assert_eq!(pick, scan.pick(now), "pick: {}", ctx(round));
+                        let Some((_, next, via_local)) = pick else {
+                            break;
+                        };
+                        now += 3;
+                        let census = index.on_grant(cluster_of(next), now, via_local);
+                        let expect = scan.on_grant(cluster_of(next), now, via_local);
+                        assert_eq!(census, expect, "census: {}", ctx(round));
+                        holder = next;
+                    }
+                }
+                assert!(index.waiting.iter().all(VecDeque::is_empty), "{}", ctx(5));
+            }
+        }
+    }
+
+    /// The event queue's two lanes against the single heap keyed
+    /// `(time, push order)` they replaced: random pops and pushes at
+    /// `now`, just after it and far ahead must come back in the same
+    /// order to exhaustion — in particular while the lane fills with the
+    /// heap still holding entries at `now`.
+    #[test]
+    fn two_lane_event_queue_pops_in_the_one_heap_order() {
+        let mut lane_behind_due_heap = 0u32;
+        for seed in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut q = EventQueue::with_capacity(4);
+            let mut reference = BinaryHeap::new();
+            let pop =
+                |q: &mut EventQueue| q.pop().map(|(t, seq, ev, tid)| (t, seq, ev as u64, tid));
+            let (mut now, mut seq) = (0u64, 0u64);
+            for step in 0..800 {
+                if rng.gen_range(0u32..2) == 0 {
+                    let time = now
+                        + match rng.gen_range(0u32..4) {
+                            0 | 1 => 0,
+                            2 => rng.gen_range(1u64..4),
+                            _ => rng.gen_range(1_000u64..1_000_000),
+                        };
+                    let ev = [Ev::Start, Ev::Release, Ev::Abort][rng.gen_range(0usize..3)];
+                    let tid = rng.gen_range(0usize..1 << TID_BITS);
+                    seq += 1;
+                    assert_eq!(q.push(time, ev, tid), seq, "seed {seed}, step {step}");
+                    reference.push(Reverse((time, seq, ev as u64, tid)));
+                } else {
+                    let due = matches!(q.future.heap.peek(), Some(Reverse((t, _))) if *t == now);
+                    lane_behind_due_heap += u32::from(due && !q.lane.is_empty());
+                    let expect = reference.pop().map(|Reverse(event)| event);
+                    let got = pop(&mut q);
+                    assert_eq!(got, expect, "seed {seed}, step {step}");
+                    now = got.map_or(now, |(t, ..)| t);
+                }
+            }
+            while let Some(Reverse(event)) = reference.pop() {
+                assert_eq!(pop(&mut q), Some(event), "seed {seed}, draining");
+            }
+            assert_eq!(
+                pop(&mut q),
+                None,
+                "seed {seed}: events the reference never held"
+            );
+        }
+        assert!(
+            lane_behind_due_heap > 256,
+            "the walk never interleaved the lanes"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn event_queue_refuses_a_push_into_the_past() {
+        let mut q = EventQueue::with_capacity(1);
+        q.push(10, Ev::Start, 0);
+        assert_eq!(q.pop(), Some((10, 1, Ev::Start, 0)));
+        q.push(9, Ev::Start, 0);
     }
 
     #[test]

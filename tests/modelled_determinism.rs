@@ -15,9 +15,11 @@
 //! ([`lbench::ScenarioResult::first_divergence`]) rather than a blob of
 //! two full results.
 //!
-//! Re-run identity cannot see a change that moves *both* runs, so one
-//! test also pins absolute numbers: the benchmark's `des_4096` cell
-//! (4096 logical threads) for four lock kinds,
+//! Re-run identity cannot see a change that moves *both* runs, so two
+//! tests also pin absolute numbers — the benchmark's `des_4096` cell
+//! (4096 logical threads) for four lock kinds, and thirteen cells over
+//! the regimes it never reaches (bursts, idle draws, three clusters,
+//! patience under bursts, read mixes) —
 //! and the 126 modelled rows of the committed `results/fig_recip.csv`
 //! are re-simulated (the other two modelled CSVs are `cmp`'d in CI).
 //!
@@ -165,6 +167,79 @@ fn des_4096_cells_match_their_pinned_numbers() {
             "[{} t=4096] (acquisitions, migrations, total_ops, aborts, \
              succ_transitions, lat_p50_ns, lat_p99_ns)",
             kind.name()
+        );
+    }
+}
+
+/// The regimes the simulator's waiting queues and two-lane event queue
+/// are sensitive to and the saturated cells above never reach — all
+/// disaggregated, 4 clusters unless stated, values printed by `87e0cc3`:
+///
+/// * **burst start** (`bursty(100 µs, 100 µs)`, 2 ms): every thread comes
+///   back from a gap at the same instant in *admission* order, so
+///   ~1 000-long equal-arrival runs enter each cluster's queue out of tid
+///   order;
+/// * **idle draws** (steady, `noncs` 4 µs): restarts land in the future,
+///   so future-heap and same-timestamp events interleave;
+/// * **3 clusters, 1000 threads**: the burst shape on an uneven
+///   thread-to-cluster split;
+/// * **patience under bursts**: withdrawals from the middle of tie runs;
+/// * **50 % reads**: shared reads of an RW kind go around the queue,
+///   exclusive reads of a plain kind through it.
+#[test]
+fn des_regime_cells_match_their_pinned_numbers() {
+    let excl = AnyLockKind::Excl;
+    let burst = || Scenario::bursty(100_000, 100_000);
+    let impatient = || Scenario::bursty(50_000, 150_000).with_patience(20_000);
+    let half_reads = || Scenario::steady().with_read_pct(50);
+    // (kind, scenario, threads, clusters, window_ns, noncs_max_ns,
+    //  (acquisitions, migrations, total_ops, aborts, succ_transitions,
+    //   lat_p50_ns, lat_p99_ns), (tenures, local_handoffs, max_streak))
+    #[rustfmt::skip]
+    let golden = [
+        (excl(LockKind::CBoMcs),  burst(),           4096, 4, 2_000_000,     0, (11087,  171, 11087,     0, 9_087_430,  1_063_228,  1_128_588), (172, 10915, 64)),
+        (excl(LockKind::Mcs),     burst(),           4096, 4, 2_000_000,     0, ( 4392, 4391,  4392,     0, 9_597_646, 14_081_120, 26_275_920), (  0,     0,  0)),
+        (excl(LockKind::Recip),   burst(),           4096, 4, 2_000_000,     0, ( 4392, 4378,  4392,     0,     4_394, 14_081_120, 27_535_744), (  0,     0,  0)),
+        (excl(LockKind::CBoMcs),  Scenario::steady(), 4096, 4, 1_000_000, 4_000, ( 7775,  120,  7775,     0, 5_828_206,  1_054_172,  1_127_300), (121,  7654, 64)),
+        (excl(LockKind::Mcs),     Scenario::steady(), 4096, 4, 1_000_000, 4_000, ( 4251, 4250,  4251,     0, 9_021_286, 13_632_000, 26_274_858), (  0,     0,  0)),
+        (excl(LockKind::Recip),   Scenario::steady(), 4096, 4, 1_000_000, 4_000, ( 4252, 4250,  4252,     0,     4_254, 13_632_000, 26_723_731), (  0,     0,  0)),
+        (excl(LockKind::CBoMcs),  burst(),           1000, 3, 2_000_000,   500, ( 8280,  113,  8280,     0, 2_357_503,    238_428,    307_840), (130,  8150, 64)),
+        (excl(LockKind::Mcs),     burst(),           1000, 3, 2_000_000,   500, ( 1296, 1294,  1296,     0,   794_170,  4_149_152,  6_405_719), (  0,     0,  0)),
+        (excl(LockKind::Recip),   burst(),           1000, 3, 2_000_000,   500, ( 1297, 1286,  1297,     0,     1_299,  4_149_328,  8_107_156), (  0,     0,  0)),
+        (excl(LockKind::ACBoClh), impatient(),       4096, 4, 1_000_000,     0, ( 1305,   21,  1305, 60_660, 1_166_527,     15_536,     22_368), ( 25,  1280, 64)),
+        (excl(LockKind::ACBoBo),  impatient(),       4096, 4, 1_000_000, 2_000, ( 1294,   22,  1294, 60_620, 1_138_707,     14_812,     22_131), ( 25,  1269, 64)),
+        (AnyLockKind::Rw(RwLockKind::CRwWpBoMcs), half_reads(), 4096, 4, 1_000_000, 0, (7345, 111, 14742, 0, 5_420_849, 1_082_392, 1_239_232), (114, 7231, 64)),
+        (excl(LockKind::CBoMcs),  half_reads(),       512, 4, 1_000_000, 1_000, ( 3827,   58,  3827,     0,   446_579,    155_323,    167_676), ( 59,  3768, 64)),
+    ];
+    for (kind, scenario, threads, clusters, window_ns, noncs_max_ns, counts, tenure) in golden {
+        let cfg = LBenchConfig {
+            threads,
+            clusters,
+            window_ns,
+            noncs_max_ns,
+            ..Default::default()
+        };
+        let scenario = scenario.modelled(CostModel::disaggregated());
+        let r = run_scenario(kind, &scenario, &cfg);
+        assert_eq!(
+            (
+                (
+                    r.acquisitions,
+                    r.migrations,
+                    r.total_ops,
+                    r.aborts,
+                    r.succ_transitions,
+                    r.lat_p50_ns,
+                    r.lat_p99_ns
+                ),
+                (r.tenures, r.local_handoffs, r.max_streak)
+            ),
+            (counts, tenure),
+            "[{} t={threads} c={clusters} noncs={noncs_max_ns} {:?}] (acquisitions, \
+             migrations, total_ops, aborts, succ_transitions, lat_p50_ns, lat_p99_ns), \
+             (tenures, local_handoffs, max_streak)",
+            kind.name(),
+            scenario.shape
         );
     }
 }
