@@ -19,8 +19,8 @@
 //!
 //! Dice & Kogan flip a pseudo-random coin (≈1/256) to end a local streak;
 //! this implementation instead drives the decision through the same
-//! [`HandoffPolicy`] layer as [`cohort::CohortLock`] — so
-//! `CnaLock<CountBound>` with bound 64 is knob-for-knob comparable to the
+//! [`PolicySpec`] / [`Tenures`] pair as [`cohort::CohortLock`] — so a
+//! `CnaLock` with threshold 64 is knob-for-knob comparable to the
 //! paper's cohort locks, and every policy family (count, time, adaptive,
 //! unbounded, never-pass) applies unchanged. "Tenure" maps to a maximal
 //! run of deliberate local handoffs: a streak ends when the secondary
@@ -31,7 +31,7 @@
 //! bounded policy re-splices it after finitely many local handoffs.
 
 use base_locks::{pool, RawLock, SpinWait};
-use cohort::{CohortStats, CountBound, HandoffPolicy, Introspect};
+use cohort::{CohortStats, Introspect, PolicySpec, Tenures};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, ClusterId, Topology};
 use std::ptr::{self, NonNull};
@@ -95,12 +95,14 @@ unsafe impl Send for CnaToken {}
 /// path splices remote-cluster waiters onto a secondary queue so the lock
 /// stays inside one cluster for up to a policy-bounded streak of handoffs.
 ///
-/// `P` decides when a local streak must end, exactly as it bounds cohort
-/// tenures — the default is the paper-comparable [`CountBound`] (64).
+/// A [`PolicySpec`] decides when a local streak must end, exactly as it
+/// bounds cohort tenures — the default is the paper-comparable
+/// `Count { bound: 64 }`.
 ///
 /// ```
 /// use numa_baselines::CnaLock;
 /// use base_locks::RawLock;
+/// use cohort::PolicySpec;
 /// use numa_topology::Topology;
 /// use std::sync::Arc;
 ///
@@ -110,43 +112,40 @@ unsafe impl Send for CnaToken {}
 /// // SAFETY: token from this lock's own `lock()`.
 /// unsafe { lock.unlock(t) };
 /// assert_eq!(lock.cohort_stats().tenures(), 1);
-/// assert_eq!(lock.policy().bound(), 8);
+/// assert_eq!(lock.policy().spec(), PolicySpec::Count { bound: 8 });
 /// ```
-pub struct CnaLock<P: HandoffPolicy = CountBound> {
+pub struct CnaLock {
     tail: CachePadded<AtomicPtr<CnaNode>>,
     topo: Arc<Topology>,
-    policy: P,
+    policy: Tenures,
     /// How many main-queue waiters a release may inspect while looking
     /// for a same-cluster successor (bounds release latency; waiters past
     /// the prefix are simply not spliced this round).
     scan_limit: usize,
 }
 
-impl CnaLock<CountBound> {
+impl CnaLock {
     /// The scan-prefix bound used unless overridden — generous enough to
     /// cover the paper's 256-thread queues while keeping the release path
     /// O(1) in pathological queue lengths.
     pub const DEFAULT_SCAN_LIMIT: usize = 256;
 
     /// A CNA lock over `topo` with the paper-comparable fairness
-    /// threshold ([`CountBound::PAPER_BOUND`] consecutive local handoffs).
+    /// threshold ([`PolicySpec::PAPER_BOUND`] consecutive local handoffs).
     pub fn new(topo: Arc<Topology>) -> Self {
-        Self::with_threshold(topo, CountBound::PAPER_BOUND)
+        Self::with_policy(topo, PolicySpec::paper_default())
     }
 
     /// A CNA lock allowing up to `threshold` consecutive local handoffs
     /// before the secondary queue is re-spliced.
     pub fn with_threshold(topo: Arc<Topology>, threshold: u64) -> Self {
-        Self::with_handoff_policy(topo, CountBound::new(threshold))
+        Self::with_policy(topo, PolicySpec::Count { bound: threshold })
     }
-}
 
-impl<P: HandoffPolicy> CnaLock<P> {
     /// A CNA lock whose local-streak decisions are driven by an explicit
-    /// [`HandoffPolicy`] instance (the same trait bounding cohort-lock
-    /// tenures).
-    pub fn with_handoff_policy(topo: Arc<Topology>, mut policy: P) -> Self {
-        policy.bind(topo.clusters());
+    /// handoff policy (the same value bounding cohort-lock tenures).
+    pub fn with_policy(topo: Arc<Topology>, spec: PolicySpec) -> Self {
+        let policy = Tenures::new(spec, topo.clusters());
         CnaLock {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             topo,
@@ -175,12 +174,12 @@ impl<P: HandoffPolicy> CnaLock<P> {
         &self.topo
     }
 
-    /// The policy bounding local-handoff streaks.
-    pub fn policy(&self) -> &P {
+    /// The tenure book bounding local-handoff streaks.
+    pub fn policy(&self) -> &Tenures {
         &self.policy
     }
 
-    /// Streak statistics from the policy's per-cluster counters, in the
+    /// Streak statistics from the tenure book's per-cluster slots, in the
     /// cohort vocabulary: a *tenure* is a maximal run of deliberate local
     /// handoffs, a *local handoff* one same-cluster pass within it.
     pub fn cohort_stats(&self) -> CohortStats {
@@ -250,16 +249,9 @@ impl<P: HandoffPolicy> CnaLock<P> {
     }
 }
 
-impl<P: HandoffPolicy + Default> CnaLock<P> {
-    /// A CNA lock with the policy's default configuration.
-    pub fn with_default_policy(topo: Arc<Topology>) -> Self {
-        Self::with_handoff_policy(topo, P::default())
-    }
-}
-
 // CNA drives its local-handoff threshold through the cohort policy layer,
 // so it reports the same per-cluster streak statistics.
-impl<P: HandoffPolicy> Introspect for CnaLock<P> {
+impl Introspect for CnaLock {
     fn tenure_stats(&self) -> Option<CohortStats> {
         Some(self.cohort_stats())
     }
@@ -269,7 +261,7 @@ impl<P: HandoffPolicy> Introspect for CnaLock<P> {
     }
 }
 
-impl<P: HandoffPolicy> std::fmt::Debug for CnaLock<P> {
+impl std::fmt::Debug for CnaLock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CnaLock")
             .field("busy", &self.has_waiters_or_holder())
@@ -285,7 +277,7 @@ impl<P: HandoffPolicy> std::fmt::Debug for CnaLock<P> {
 // the secondary queue is touched only by the current holder. The grant
 // store is `Release` and the spin load `Acquire`, publishing the critical
 // section (and the queue state carried in the node) to the next holder.
-unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
+unsafe impl RawLock for CnaLock {
     type Token = CnaToken;
 
     fn lock(&self) -> CnaToken {
@@ -305,7 +297,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
             // Uncontended: granted immediately, empty secondary queue.
             // SAFETY: the node is ours and unpublished to predecessors.
             unsafe { node.as_ref().spin.store(SPIN_GRANTED, Ordering::Relaxed) };
-            self.policy.on_global_acquire(cluster);
+            self.policy.began(cluster);
             return CnaToken(node);
         }
         // SAFETY: pred stays valid until *we* are granted the lock — its
@@ -318,7 +310,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
         }
         // SAFETY: granted; streak was published by the releaser's grant.
         if unsafe { node.as_ref().streak.load(Ordering::Relaxed) } == 0 {
-            self.policy.on_global_acquire(cluster);
+            self.policy.began(cluster);
         }
         CnaToken(node)
     }
@@ -342,7 +334,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
             Ordering::Relaxed,
         ) {
             Ok(_) => {
-                self.policy.on_global_acquire(cluster);
+                self.policy.began(cluster);
                 Some(CnaToken(node))
             }
             Err(_) => {
@@ -370,7 +362,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
                     .compare_exchange(me, ptr::null_mut(), Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
                 {
-                    self.policy.on_global_release(cluster, streak);
+                    self.policy.ended(cluster, streak);
                     pool::release(NonNull::new_unchecked(me));
                     return;
                 }
@@ -385,7 +377,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
                     .compare_exchange(me, sec_tail, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
                 {
-                    self.policy.on_global_release(cluster, streak);
+                    self.policy.ended(cluster, streak);
                     self.grant(sec_head, SPIN_GRANTED, 0);
                     pool::release(NonNull::new_unchecked(me));
                     return;
@@ -407,7 +399,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
         // while the policy allows the streak to continue.
         if self.policy.may_pass_local(cluster, streak) {
             if let Some(local) = self.find_local_successor(cluster.as_u32(), next, &mut sec) {
-                self.policy.on_local_handoff(cluster, streak);
+                self.policy.handed_off(cluster, streak);
                 self.grant(local, sec, streak + 1);
                 pool::release(NonNull::new_unchecked(me));
                 return;
@@ -417,7 +409,7 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
         // Streak over (threshold hit, or no local waiter in the scanned
         // prefix): re-splice the secondary queue ahead of the remaining
         // main queue and reset the streak.
-        self.policy.on_global_release(cluster, streak);
+        self.policy.ended(cluster, streak);
         let succ = if sec != SPIN_GRANTED {
             let sec_head = sec as *mut CnaNode;
             let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);
@@ -434,7 +426,6 @@ unsafe impl<P: HandoffPolicy> RawLock for CnaLock<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cohort::{NeverPass, PolicySpec, Unbounded};
     use numa_topology::{bind_current_thread, reset_thread_binding};
     use std::sync::atomic::AtomicU64 as Counter;
 
@@ -442,7 +433,7 @@ mod tests {
         Arc::new(Topology::new(4))
     }
 
-    fn hammer<P: HandoffPolicy + 'static>(lock: Arc<CnaLock<P>>, threads: usize, iters: u64) {
+    fn hammer(lock: Arc<CnaLock>, threads: usize, iters: u64) {
         let a = Arc::new(Counter::new(0));
         let b = Arc::new(Counter::new(0));
         // Start together and yield while holding: on a single-CPU host the
@@ -487,7 +478,7 @@ mod tests {
             8_000,
             "every acquisition is a streak start or a local inheritance"
         );
-        assert!(s.max_streak() <= CountBound::PAPER_BOUND);
+        assert!(s.max_streak() <= PolicySpec::PAPER_BOUND);
     }
 
     #[test]
@@ -534,7 +525,7 @@ mod tests {
 
     #[test]
     fn never_pass_forbids_local_handoffs() {
-        let lock = Arc::new(CnaLock::with_handoff_policy(topo(), NeverPass::default()));
+        let lock = Arc::new(CnaLock::with_policy(topo(), PolicySpec::NeverPass));
         hammer(Arc::clone(&lock), 4, 500);
         let s = lock.cohort_stats();
         assert_eq!(s.local_handoffs(), 0);
@@ -543,7 +534,7 @@ mod tests {
 
     #[test]
     fn unbounded_policy_keeps_counters_balanced() {
-        let lock = Arc::new(CnaLock::with_handoff_policy(topo(), Unbounded::default()));
+        let lock = Arc::new(CnaLock::with_policy(topo(), PolicySpec::Unbounded));
         hammer(Arc::clone(&lock), 4, 500);
         let s = lock.cohort_stats();
         assert_eq!(s.tenures() + s.local_handoffs(), 4 * 500);
@@ -552,10 +543,7 @@ mod tests {
 
     #[test]
     fn dyn_policy_composes() {
-        let lock = Arc::new(CnaLock::with_handoff_policy(
-            topo(),
-            PolicySpec::Count { bound: 3 }.build(),
-        ));
+        let lock = Arc::new(CnaLock::with_policy(topo(), PolicySpec::Count { bound: 3 }));
         hammer(Arc::clone(&lock), 4, 400);
         assert!(lock.cohort_stats().max_streak() <= 3);
         assert_eq!(lock.policy().label(), "count(3)");
@@ -631,6 +619,6 @@ mod tests {
     fn debug_formats() {
         let l = CnaLock::with_threshold(topo(), 7);
         let s = format!("{l:?}");
-        assert!(s.contains("CountBound(7)"), "{s}");
+        assert!(s.contains("count(7)"), "{s}");
     }
 }

@@ -17,8 +17,8 @@
 //!
 //! CNA postdates the cohorting paper; it is included because its
 //! intra-node handoff threshold is directly comparable, knob-for-knob, to
-//! the cohort locks' [`HandoffPolicy`](cohort::HandoffPolicy) layer (which
-//! [`CnaLock`] reuses outright).
+//! the cohort locks' [`PolicySpec`](cohort::PolicySpec) (whose
+//! [`Tenures`](cohort::Tenures) book [`CnaLock`] reuses outright).
 
 #![warn(missing_docs)]
 

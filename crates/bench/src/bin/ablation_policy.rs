@@ -1,8 +1,8 @@
 //! Ablation D: the handoff-*policy* space, beyond the paper's constant.
 //!
 //! The paper fixes fairness with one number — 64 consecutive local
-//! handoffs. This ablation compares the four shipped [`HandoffPolicy`]
-//! families on the paper's two best locks (C-BO-MCS and C-TKT-MCS):
+//! handoffs. This ablation compares the [`PolicySpec`] families on the
+//! paper's two best locks (C-BO-MCS and C-TKT-MCS):
 //!
 //! * `count(64)` — the paper's rule (locality bounded by handoff count);
 //! * `time(50µs)` — tenure bounded by virtual nanoseconds;
@@ -19,7 +19,7 @@
 //! extra specs via `LBENCH_EXTRA_POLICIES` (comma-separated
 //! [`PolicySpec::parse`] syntax), plus the usual `LBENCH_*` knobs.
 //!
-//! [`HandoffPolicy`]: cohort::HandoffPolicy
+//! [`PolicySpec`]: lbench::PolicySpec
 //! [`PolicySpec::parse`]: lbench::PolicySpec::parse
 
 use cohort_bench::{ablation_threads, exhibit_main, knob_or_die, policy_exhibit};

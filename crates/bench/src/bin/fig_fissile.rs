@@ -41,7 +41,7 @@
 //!    falling into the slow path must buy cohort locality, not just add
 //!    a word.
 
-use cohort::{CountBound, FisBoMcs, FisTktMcs, FissileTuning};
+use cohort::{FisBoMcs, FisTktMcs, FissileTuning, PolicySpec};
 use cohort_bench::{
     base_config, cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail,
     saturation_threads, schema, throughput_floor_check, throughput_table, Cell, Check,
@@ -94,10 +94,10 @@ fn measure(kind: AnyLockKind, cell: &ClusterThreads) -> ScenarioResult {
         let topo = Arc::new(Topology::new(cfg.clusters));
         let lock: Option<Arc<dyn BenchRwLock>> = match kind {
             AnyLockKind::Excl(LockKind::FisBoMcs) => Some(Arc::new(RawAdapter::new(
-                FisBoMcs::with_tuning(Arc::clone(&topo), CountBound::default(), tuned),
+                FisBoMcs::with_tuning(Arc::clone(&topo), PolicySpec::paper_default(), tuned),
             ))),
             AnyLockKind::Excl(LockKind::FisTktMcs) => Some(Arc::new(RawAdapter::new(
-                FisTktMcs::with_tuning(Arc::clone(&topo), CountBound::default(), tuned),
+                FisTktMcs::with_tuning(Arc::clone(&topo), PolicySpec::paper_default(), tuned),
             ))),
             _ => None,
         };

@@ -20,7 +20,7 @@
 //!   counts are not comparable;
 //! * **batching** — the saturated cohort cell's median closed batch
 //!   ([`ScenarioResult::batch_p50_floor`]) reaches the handoff policy's
-//!   pass bound ([`cohort::CountBound::PAPER_BOUND`]);
+//!   pass bound ([`cohort::PolicySpec::PAPER_BOUND`]);
 //! * **kind-invariance** — at one thread the admission order is
 //!   irrelevant, so every *exclusive* kind produces the identical op
 //!   count, throughput bits, and latency percentiles. (The C-RW row is
@@ -233,7 +233,7 @@ fn batch_bound_check() -> Check<ModelCell> {
             Some(c) => c,
             None => return Err("saturated C-BO-MCS cell missing from the sweep".into()),
         };
-        let bound = cohort::CountBound::PAPER_BOUND;
+        let bound = cohort::PolicySpec::PAPER_BOUND;
         let p50 = cbo.batch_p50_floor();
         let msg = format!("saturated C-BO-MCS batch p50 floor {p50} vs pass bound {bound}");
         verdict(p50 >= bound, msg)

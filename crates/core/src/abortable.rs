@@ -13,17 +13,15 @@
 //! like any other timeout-capable lock.
 
 use crate::lock::{CohortLock, CohortToken};
-use crate::policy::HandoffPolicy;
 use crate::traits::{AbortableGlobalLock, AbortableLocalCohortLock, LocalAbortResult, Release};
 use base_locks::RawAbortableLock;
 use numa_topology::current_cluster_in;
 use std::time::Instant;
 
-impl<G, L, P> CohortLock<G, L, P>
+impl<G, L> CohortLock<G, L>
 where
     G: AbortableGlobalLock,
     L: AbortableLocalCohortLock,
-    P: HandoffPolicy,
 {
     /// Tries to acquire the cohort lock, giving up after roughly
     /// `patience_ns` wall-clock nanoseconds in total (shared between the
@@ -88,11 +86,10 @@ where
 
 // SAFETY: delegates to the cohort protocol above; a `None` return provably
 // leaves both component locks acquirable (see the per-arm comments).
-unsafe impl<G, L, P> RawAbortableLock for CohortLock<G, L, P>
+unsafe impl<G, L> RawAbortableLock for CohortLock<G, L>
 where
     G: AbortableGlobalLock,
     L: AbortableLocalCohortLock,
-    P: HandoffPolicy,
 {
     fn lock_with_patience(&self, patience_ns: u64) -> Option<Self::Token> {
         CohortLock::lock_with_patience(self, patience_ns)

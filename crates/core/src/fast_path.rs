@@ -12,7 +12,7 @@
 //! is carried by the word alone; the cohort lock underneath only
 //! serializes and NUMA-orders the slow-path population.
 //!
-//! Protocol of [`FissileLock<G, L, P>`]:
+//! Protocol of [`FissileLock<G, L>`]:
 //!
 //! * **fast acquire** — CAS the word `FREE → FAST`. A bounded number of
 //!   probes ([`FissileTuning::fast_attempts`]) keeps the spin brief;
@@ -39,7 +39,7 @@
 //! because fast-path acquisitions never touch the policy layer.
 
 use crate::lock::{CohortLock, CohortToken};
-use crate::policy::{CohortStats, CountBound, HandoffPolicy, Introspect};
+use crate::policy::{CohortStats, Introspect, PolicySpec, Tenures};
 use crate::traits::{GlobalLock, LocalCohortLock};
 use base_locks::{RawLock, SpinWait};
 use crossbeam_utils::CachePadded;
@@ -100,7 +100,7 @@ impl<LT> FissileToken<LT> {
 }
 
 /// A NUMA-aware lock whose uncontended acquire is **one atomic**: a
-/// TATAS fast path over a [`CohortLock<G, L, P>`] slow path, after
+/// TATAS fast path over a [`CohortLock<G, L>`] slow path, after
 /// *Fissile Locks* (Dice & Kogan). See the module docs for the protocol
 /// and the anti-starvation fence.
 ///
@@ -124,7 +124,7 @@ impl<LT> FissileToken<LT> {
 /// assert_eq!(lock.cohort_stats().tenures(), 0, "fast path skips the cohort");
 /// assert_eq!(lock.tuning(), FissileTuning::default());
 /// ```
-pub struct FissileLock<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy = CountBound> {
+pub struct FissileLock<G: GlobalLock, L: LocalCohortLock> {
     /// The top-level TATAS word — the sole exclusion point.
     word: CachePadded<AtomicU32>,
     /// Anti-starvation fence: raised by a slow-path claimant that has
@@ -136,36 +136,31 @@ pub struct FissileLock<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy = Cou
     /// Slow-path acquisition count (relaxed: statistics only).
     slow_acqs: CachePadded<AtomicU64>,
     /// The NUMA-aware slow path.
-    slow: CohortLock<G, L, P>,
+    slow: CohortLock<G, L>,
     tuning: FissileTuning,
 }
 
-impl<G, L, P> FissileLock<G, L, P>
+impl<G, L> FissileLock<G, L>
 where
     G: GlobalLock + Default,
     L: LocalCohortLock + Default,
-    P: HandoffPolicy,
 {
-    /// Creates a fissile lock over `topo` with the policy's and the fast
-    /// path's default configurations.
-    pub fn new(topo: Arc<Topology>) -> Self
-    where
-        P: Default,
-    {
-        Self::with_handoff_policy(topo, P::default())
+    /// Creates a fissile lock over `topo` with the paper's handoff policy
+    /// and the fast path's default tuning.
+    pub fn new(topo: Arc<Topology>) -> Self {
+        Self::with_policy(topo, PolicySpec::paper_default())
     }
 
-    /// Creates a fissile lock with an explicit [`HandoffPolicy`] instance
-    /// bounding slow-path tenures (full policy pass-through: the inner
-    /// cohort lock is built exactly as `CohortLock::with_handoff_policy`
-    /// would build it).
-    pub fn with_handoff_policy(topo: Arc<Topology>, policy: P) -> Self {
-        Self::with_tuning(topo, policy, FissileTuning::default())
+    /// Creates a fissile lock with an explicit handoff policy bounding
+    /// slow-path tenures (full pass-through: the inner cohort lock is
+    /// built exactly as `CohortLock::with_policy` would build it).
+    pub fn with_policy(topo: Arc<Topology>, spec: PolicySpec) -> Self {
+        Self::with_tuning(topo, spec, FissileTuning::default())
     }
 
     /// Creates a fissile lock with both the policy and the fast-path
     /// tuning explicit.
-    pub fn with_tuning(topo: Arc<Topology>, policy: P, tuning: FissileTuning) -> Self {
+    pub fn with_tuning(topo: Arc<Topology>, spec: PolicySpec, tuning: FissileTuning) -> Self {
         assert!(tuning.fast_attempts >= 1, "need at least one fast probe");
         assert!(tuning.bypass_bound >= 1, "need at least one bypass round");
         FissileLock {
@@ -173,17 +168,16 @@ where
             fence: CachePadded::new(AtomicBool::new(false)),
             fast_acqs: CachePadded::new(AtomicU64::new(0)),
             slow_acqs: CachePadded::new(AtomicU64::new(0)),
-            slow: CohortLock::with_handoff_policy(topo, policy),
+            slow: CohortLock::with_policy(topo, spec),
             tuning,
         }
     }
 }
 
-impl<G, L, P> Default for FissileLock<G, L, P>
+impl<G, L> Default for FissileLock<G, L>
 where
     G: GlobalLock + Default,
     L: LocalCohortLock + Default,
-    P: HandoffPolicy + Default,
 {
     /// Uses the process-wide [`global_topology`].
     fn default() -> Self {
@@ -191,14 +185,14 @@ where
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> FissileLock<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> FissileLock<G, L> {
     /// The topology the slow path partitions threads by.
     pub fn topology(&self) -> &Arc<Topology> {
         self.slow.topology()
     }
 
-    /// The fairness policy bounding slow-path tenures.
-    pub fn policy(&self) -> &P {
+    /// The slow path's tenure book (policy and counters).
+    pub fn policy(&self) -> &Tenures {
         self.slow.policy()
     }
 
@@ -304,7 +298,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> FissileLock<G, L, P> {
 // slow path), the cohort lock is deadlock-free (§2), and the claimant's
 // CAS loop terminates because every word holder releases in finite time
 // and the fence bounds fast-path bypassing.
-unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> RawLock for FissileLock<G, L, P> {
+unsafe impl<G: GlobalLock, L: LocalCohortLock> RawLock for FissileLock<G, L> {
     type Token = FissileToken<L::Token>;
 
     fn lock(&self) -> Self::Token {
@@ -358,7 +352,7 @@ unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> RawLock for Fis
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Introspect for FissileLock<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> Introspect for FissileLock<G, L> {
     fn tenure_stats(&self) -> Option<CohortStats> {
         Some(self.cohort_stats())
     }
@@ -368,7 +362,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Introspect for Fissile
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> std::fmt::Debug for FissileLock<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> std::fmt::Debug for FissileLock<G, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FissileLock")
             .field("tuning", &self.tuning)
@@ -382,7 +376,6 @@ mod tests {
     use super::*;
     use crate::global::GlobalBoLock;
     use crate::local_mcs::LocalMcsLock;
-    use crate::policy::{CountBound, PolicySpec};
     use std::sync::atomic::AtomicU64;
 
     type Fis = FissileLock<GlobalBoLock, LocalMcsLock>;
@@ -413,7 +406,7 @@ mod tests {
         // fast holder releases — no lost waiter.
         let l = Arc::new(Fis::with_tuning(
             topo(),
-            CountBound::default(),
+            PolicySpec::paper_default(),
             FissileTuning {
                 fast_attempts: 2,
                 bypass_bound: 4,
@@ -456,7 +449,7 @@ mod tests {
         // victim completes. (The run *finishing* is the assertion.)
         let l = Arc::new(Fis::with_tuning(
             topo(),
-            CountBound::default(),
+            PolicySpec::paper_default(),
             FissileTuning {
                 fast_attempts: 1,
                 bypass_bound: 2,
@@ -503,7 +496,7 @@ mod tests {
     fn mixed_paths_keep_mutual_exclusion() {
         let l = Arc::new(Fis::with_tuning(
             topo(),
-            CountBound::new(8),
+            PolicySpec::Count { bound: 8 },
             FissileTuning {
                 fast_attempts: 4,
                 bypass_bound: 4,
@@ -545,8 +538,7 @@ mod tests {
 
     #[test]
     fn policy_passes_through_to_the_slow_path() {
-        let l: FissileLock<GlobalBoLock, LocalMcsLock, crate::policy::DynPolicy> =
-            FissileLock::with_handoff_policy(topo(), PolicySpec::Count { bound: 3 }.build());
+        let l = Fis::with_policy(topo(), PolicySpec::Count { bound: 3 });
         assert_eq!(l.policy().label(), "count(3)");
         let t = l.lock();
         unsafe { l.unlock(t) };

@@ -703,11 +703,6 @@ impl<K: RawLock + Introspect> GcrLock<K> {
         stats.promotions = self.promotions();
         stats
     }
-
-    /// The inner lock's handoff-policy label, if it has one.
-    pub fn policy_label(&self) -> Option<String> {
-        self.inner.policy_label()
-    }
 }
 
 /// The wrapper always has counters of its own to report, and labels a
@@ -803,7 +798,7 @@ impl<K> std::fmt::Debug for GcrLock<K> {
 mod tests {
     use super::*;
     use crate::policy::PolicySpec;
-    use crate::{CBoMcs, CohortLock, FisBoMcs};
+    use crate::{CBoMcs, FisBoMcs};
     use base_locks::McsLock;
     use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
@@ -1057,13 +1052,13 @@ mod tests {
     #[test]
     fn policy_label_of_dyn_policy_inner() {
         let topo = topo();
-        let inner: CohortLock<crate::GlobalBoLock, crate::LocalMcsLock, crate::policy::DynPolicy> =
-            CohortLock::with_handoff_policy(
-                Arc::clone(&topo),
-                PolicySpec::Count { bound: 3 }.build(),
-            );
-        let l = GcrLock::over(topo, inner);
-        assert_eq!(l.policy_label().as_deref(), Some("count(3)"));
+        let inner = CBoMcs::with_policy(Arc::clone(&topo), PolicySpec::Count { bound: 3 });
+        let l = GcrLock::over(Arc::clone(&topo), inner);
+        assert_eq!(Introspect::policy_label(&l).as_deref(), Some("count(3)"));
+        // The one answer for a policy-less inner lock, concrete type or not.
+        let l = Gcr::over(topo, McsLock::new());
+        assert_eq!(Introspect::policy_label(&l).as_deref(), Some("-"));
+        assert_eq!(l.policy_label().as_deref(), Some("-"));
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //! (PPoPP 2012)**: take any *thread-oblivious* lock `G` and any
 //! *cohort-detecting* lock `L`, instantiate one `L` per NUMA cluster plus
 //! a single shared `G`, and obtain a NUMA-aware lock
-//! ([`CohortLock<G, L, P>`]) that hands ownership between threads of the
+//! ([`CohortLock<G, L>`]) that hands ownership between threads of the
 //! same cluster at local-lock cost, releasing the global lock only when
-//! the cluster runs dry or the fairness policy `P` (a [`HandoffPolicy`])
-//! ends the tenure.
+//! the cluster runs dry or the fairness policy (a [`PolicySpec`]) ends
+//! the tenure.
 //!
-//! The fairness layer is pluggable (see the [`policy`] module docs and
-//! the README's selection guide): [`CountBound`] is the paper's
-//! 64-consecutive-handoffs rule and the default; [`TimeBound`] caps
-//! tenures in clock nanoseconds; [`AdaptiveBound`] adapts the bound to
-//! observed demand; [`Unbounded`] and [`NeverPass`] are the degenerate
-//! corners. Every policy feeds cache-padded per-cluster counters,
-//! exposed via [`CohortLock::cohort_stats`] as a [`CohortStats`]
-//! snapshot.
+//! The fairness policy is a value (see the [`policy`] module docs and the
+//! README's selection guide): `Count` is the paper's
+//! 64-consecutive-handoffs rule and the default; `Time` / `WallTime` cap
+//! tenures in clock nanoseconds; `Adaptive` adapts the bound to observed
+//! demand; `Unbounded` and `NeverPass` are the degenerate corners. Each
+//! lock owns one [`Tenures`] book — the spec plus cache-padded
+//! per-cluster counters — exposed via [`CohortLock::cohort_stats`] as a
+//! [`CohortStats`] snapshot.
 //!
 //! All seven compositions evaluated in the paper are provided under their
 //! paper names:
@@ -34,7 +34,7 @@
 //!
 //! Beyond the paper's compositions, the [`fast_path`] module grafts a
 //! TATAS **fast path** onto the cohort slow path in the style of
-//! *Fissile Locks* (Dice & Kogan): [`FissileLock<G, L, P>`] makes the
+//! *Fissile Locks* (Dice & Kogan): [`FissileLock<G, L>`] makes the
 //! uncontended acquire a single CAS while saturation still gets full
 //! cohort behavior (aliases [`FisBoMcs`], [`FisTktMcs`]).
 //!
@@ -57,8 +57,8 @@
 //! Beyond the paper's mutual-exclusion locks, the [`rwlock`] module
 //! applies the transformation to **reader-writer** locks in the style of
 //! the paper's follow-on work (*NUMA-Aware Reader-Writer Locks*, PPoPP
-//! 2013): [`CohortRwLock<G, L, P>`] runs writers through a cohort lock
-//! (tenures bounded by the same policy layer) and readers through
+//! 2013): [`CohortRwLock<G, L>`] runs writers through a cohort lock
+//! (tenures bounded by the same policy) and readers through
 //! cache-padded per-cluster counters, in two fairness flavors
 //! ([`RwFairness`]).
 //!
@@ -117,10 +117,7 @@ pub use local_bo::LocalBoLock;
 pub use local_mcs::{CohortMcsToken, LocalMcsLock};
 pub use local_ticket::LocalTicketLock;
 pub use lock::{CohortLock, CohortToken};
-pub use policy::{
-    AdaptiveBound, ClusterStats, CohortStats, CountBound, DynPolicy, HandoffPolicy, HandoffTracker,
-    Introspect, NeverPass, PolicyParseError, PolicySpec, TenureClock, TimeBound, Unbounded,
-};
+pub use policy::{ClusterStats, CohortStats, Introspect, PolicyParseError, PolicySpec, Tenures};
 pub use rwlock::{CohortRwLock, RwFairness, RwReadGuard, RwReadToken, RwWriteGuard, RwWriteToken};
 pub use traits::{
     AbortableGlobalLock, AbortableLocalCohortLock, GlobalLock, LocalAbortResult, LocalCohortLock,
@@ -445,8 +442,7 @@ mod tests {
         // With NeverPass, consecutive acquisitions from one thread must
         // each re-acquire the global lock: every tenure ends after zero
         // local handoffs.
-        let l: CohortLock<GlobalBoLock, LocalMcsLock, NeverPass> =
-            CohortLock::with_handoff_policy(topo(), NeverPass::default());
+        let l = CBoMcs::with_policy(topo(), PolicySpec::NeverPass);
         for _ in 0..100 {
             let t = l.lock();
             unsafe { l.unlock(t) };
@@ -459,43 +455,8 @@ mod tests {
 
     #[test]
     fn pass_policy_accessor() {
-        let l = CBoBo::with_handoff_policy(topo(), CountBound::new(7));
-        assert_eq!(l.policy().bound(), 7);
-    }
-
-    #[test]
-    fn explicit_policy_type_parameter() {
-        // Any composition can be re-parameterized over the policy.
-        let l: CohortLock<GlobalBoLock, LocalMcsLock, NeverPass> =
-            CohortLock::with_handoff_policy(topo(), NeverPass::default());
-        stress(l, 4, 500);
-
-        let l: CohortLock<TicketLock, LocalMcsLock, AdaptiveBound> =
-            CohortLock::with_handoff_policy(topo(), AdaptiveBound::with_range(2, 16));
-        let t = l.lock();
-        unsafe { l.unlock(t) };
-        assert!(l
-            .policy()
-            .current_bounds()
-            .iter()
-            .all(|&b| (2..=16).contains(&b)));
-    }
-
-    #[test]
-    fn boxed_dyn_policy_composition() {
-        // One concrete lock type, policy chosen at runtime — what the
-        // benchmark registry does.
-        for spec in [
-            PolicySpec::Count { bound: 4 },
-            PolicySpec::Time { budget_ns: 10_000 },
-            PolicySpec::Adaptive { min: 2, max: 32 },
-            PolicySpec::Unbounded,
-            PolicySpec::NeverPass,
-        ] {
-            let l: CohortLock<GlobalBoLock, LocalMcsLock, DynPolicy> =
-                CohortLock::with_handoff_policy(topo(), spec.build());
-            stress(l, 4, 300);
-        }
+        let l = CBoBo::with_policy(topo(), PolicySpec::Count { bound: 7 });
+        assert_eq!(l.policy().spec(), PolicySpec::Count { bound: 7 });
     }
 
     #[test]
@@ -523,7 +484,7 @@ mod tests {
         let s = l.cohort_stats();
         assert_eq!(s.tenures(), s.global_releases());
         assert_eq!(s.tenures() + s.local_handoffs(), threads * iters);
-        assert!(s.max_streak() <= CountBound::PAPER_BOUND);
+        assert!(s.max_streak() <= PolicySpec::PAPER_BOUND);
         assert!(s.mean_streak() >= 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! The generic cohort lock — the paper's §2 transformation as one type.
 
-use crate::policy::{CohortStats, CountBound, HandoffPolicy, Introspect};
+use crate::policy::{CohortStats, Introspect, PolicySpec, Tenures};
 use crate::traits::{GlobalLock, LocalCohortLock, Release};
 use base_locks::RawLock;
 use crossbeam_utils::CachePadded;
@@ -36,39 +36,39 @@ impl<LT> CohortToken<LT> {
 
 /// A NUMA-aware lock built from any thread-oblivious global lock `G` and
 /// any cohort-detecting local lock `L` — the lock cohorting transformation
-/// of Dice, Marathe and Shavit (PPoPP 2012), §2 — under a pluggable
-/// fairness policy `P`.
+/// of Dice, Marathe and Shavit (PPoPP 2012), §2 — under a fairness policy
+/// chosen by value ([`PolicySpec`]).
 ///
 /// One instance of `L` exists per NUMA cluster (cache-line padded); `G` is
 /// shared. A thread first acquires its cluster's local lock; the state the
 /// previous owner left there says whether the cohort still owns `G`
 /// ([`Release::Local`]) or `G` must be (re-)acquired ([`Release::Global`]).
-/// On release, the [`HandoffPolicy`] and the local lock's `alone?`
-/// predicate decide between a cheap intra-cluster handoff and a global
-/// release. `P` defaults to [`CountBound`] — the paper's
-/// 64-consecutive-handoffs rule.
+/// On release, the lock's [`Tenures`] book (`may_pass_local`) and the
+/// local lock's `alone?` predicate decide between a cheap intra-cluster
+/// handoff and a global release. The default policy is the paper's
+/// 64-consecutive-handoffs rule ([`PolicySpec::paper_default`]).
 ///
 /// Ready-made compositions carry the paper's names: [`CBoBo`],
 /// [`CTktTkt`], [`CBoMcs`], [`CTktMcs`], [`CMcsMcs`].
 ///
 /// ```
-/// use cohort::{CohortLock, CountBound, GlobalBoLock, LocalMcsLock};
+/// use cohort::{CohortLock, GlobalBoLock, LocalMcsLock, PolicySpec};
 /// use base_locks::RawLock; // lock/unlock live on the RawLock trait
 /// use numa_topology::Topology;
 /// use std::sync::Arc;
 ///
 /// let topo = Arc::new(Topology::new(4));
-/// let lock: CohortLock<GlobalBoLock, LocalMcsLock, CountBound> =
-///     CohortLock::with_handoff_policy(topo, CountBound::new(8));
+/// let lock: CohortLock<GlobalBoLock, LocalMcsLock> =
+///     CohortLock::with_policy(topo, PolicySpec::Count { bound: 8 });
 ///
 /// let token = lock.lock();
 /// assert!(lock.try_lock().is_none(), "held: mutual exclusion");
 /// // SAFETY: `token` came from this lock's own `lock()`.
 /// unsafe { lock.unlock(token) };
 ///
-/// // Tenure accounting flows through the policy's counters.
+/// // Tenure accounting flows through the lock's tenure book.
 /// assert_eq!(lock.cohort_stats().tenures(), 1);
-/// assert_eq!(lock.policy().bound(), 8);
+/// assert_eq!(lock.policy().spec(), PolicySpec::Count { bound: 8 });
 /// ```
 ///
 /// [`CBoBo`]: crate::CBoBo
@@ -76,42 +76,37 @@ impl<LT> CohortToken<LT> {
 /// [`CBoMcs`]: crate::CBoMcs
 /// [`CTktMcs`]: crate::CTktMcs
 /// [`CMcsMcs`]: crate::CMcsMcs
-pub struct CohortLock<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy = CountBound> {
+pub struct CohortLock<G: GlobalLock, L: LocalCohortLock> {
     topo: Arc<Topology>,
     global: G,
     locals: Box<[CachePadded<L>]>,
     holder: UnsafeCell<HolderState<G::Token>>,
-    policy: P,
+    policy: Tenures,
 }
 
 // SAFETY: `holder` is only accessed while holding the lock (see
-// HolderState docs); everything else is Sync by construction (P: Sync via
-// the HandoffPolicy supertraits).
-unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Send for CohortLock<G, L, P> {}
-unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Sync for CohortLock<G, L, P> {}
+// HolderState docs); everything else is Sync by construction (`policy` is
+// relaxed atomics plus a `Copy` spec).
+unsafe impl<G: GlobalLock, L: LocalCohortLock> Send for CohortLock<G, L> {}
+unsafe impl<G: GlobalLock, L: LocalCohortLock> Sync for CohortLock<G, L> {}
 
-impl<G, L, P> CohortLock<G, L, P>
+impl<G, L> CohortLock<G, L>
 where
     G: GlobalLock + Default,
     L: LocalCohortLock + Default,
-    P: HandoffPolicy,
 {
-    /// Creates a cohort lock over `topo` with the policy's default
-    /// configuration (for the default `P` this is the paper's rule: 64
-    /// consecutive local handoffs).
-    pub fn new(topo: Arc<Topology>) -> Self
-    where
-        P: Default,
-    {
-        Self::with_handoff_policy(topo, P::default())
+    /// Creates a cohort lock over `topo` under the paper's rule: 64
+    /// consecutive local handoffs.
+    pub fn new(topo: Arc<Topology>) -> Self {
+        Self::with_policy(topo, PolicySpec::paper_default())
     }
 
-    /// Creates a cohort lock with an explicit [`HandoffPolicy`] instance.
-    pub fn with_handoff_policy(topo: Arc<Topology>, mut policy: P) -> Self {
+    /// Creates a cohort lock under an explicit handoff policy.
+    pub fn with_policy(topo: Arc<Topology>, spec: PolicySpec) -> Self {
         let locals = (0..topo.clusters())
             .map(|_| CachePadded::new(L::default()))
             .collect();
-        policy.bind(topo.clusters());
+        let policy = Tenures::new(spec, topo.clusters());
         CohortLock {
             topo,
             global: G::default(),
@@ -125,11 +120,10 @@ where
     }
 }
 
-impl<G, L, P> Default for CohortLock<G, L, P>
+impl<G, L> Default for CohortLock<G, L>
 where
     G: GlobalLock + Default,
     L: LocalCohortLock + Default,
-    P: HandoffPolicy + Default,
 {
     /// Uses the process-wide [`global_topology`].
     fn default() -> Self {
@@ -137,7 +131,7 @@ where
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Introspect for CohortLock<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> Introspect for CohortLock<G, L> {
     fn tenure_stats(&self) -> Option<CohortStats> {
         Some(self.cohort_stats())
     }
@@ -147,20 +141,20 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Introspect for CohortL
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortLock<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> CohortLock<G, L> {
     /// The topology this lock partitions threads by.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo
     }
 
-    /// The fairness policy in effect.
-    pub fn policy(&self) -> &P {
+    /// The tenure book: the fairness policy in effect and its counters.
+    pub fn policy(&self) -> &Tenures {
         &self.policy
     }
 
     /// Snapshot of the lock's tenure statistics (tenures, local handoffs,
-    /// streak lengths — per cluster), maintained by the policy's
-    /// cache-padded counters.
+    /// streak lengths — per cluster), maintained in the tenure book's
+    /// cache-padded slots.
     pub fn cohort_stats(&self) -> CohortStats {
         self.policy.snapshot()
     }
@@ -232,7 +226,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortLock<G, L, P> {
         debug_assert!(holder.global_token.is_none(), "stale global token");
         holder.global_token = Some(g);
         holder.streak = 0;
-        self.policy.on_global_acquire(cluster);
+        self.policy.began(cluster);
     }
 
     /// Releases the lock; factored out so abortable variants can reuse it.
@@ -251,11 +245,11 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortLock<G, L, P> {
         local.unlock_local(token.local, pass, || {
             went_global.set(true);
             // Close the tenure with the policy *before* releasing the
-            // global lock: the next tenure's on_global_acquire (on any
-            // cluster) runs under the freshly acquired global lock, so
-            // this ordering is what serializes the acquire/release hooks
-            // (see the HandoffPolicy docs).
-            self.policy.on_global_release(token.cluster, streak);
+            // global lock: the next tenure's `began` (on any cluster)
+            // runs under the freshly acquired global lock, so this
+            // ordering is what serializes the two hooks (see the Tenures
+            // docs).
+            self.policy.ended(token.cluster, streak);
             // SAFETY: still holding; unique access to the stash. Taking a
             // fresh &mut here (rather than capturing one) keeps borrows
             // disjoint from the streak read above.
@@ -269,9 +263,9 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortLock<G, L, P> {
         if !went_global.get() {
             // A local handoff committed. The successor may already be in
             // its critical section (or even releasing), so this hook can
-            // run concurrently with same-cluster hooks — which is why the
-            // trait requires it to touch only atomic state.
-            self.policy.on_local_handoff(token.cluster, streak);
+            // run concurrently with same-cluster hooks — which is why a
+            // Tenures slot is all-atomic.
+            self.policy.handed_off(token.cluster, streak);
         }
     }
 }
@@ -281,7 +275,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortLock<G, L, P> {
 // a Release::Local inheritance (global lock retained by the cohort) or a
 // fresh global acquisition; deadlock-freedom follows from `alone?` having
 // no false negatives for non-abortable locals.
-unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> RawLock for CohortLock<G, L, P> {
+unsafe impl<G: GlobalLock, L: LocalCohortLock> RawLock for CohortLock<G, L> {
     type Token = CohortToken<L::Token>;
 
     fn lock(&self) -> Self::Token {
@@ -334,7 +328,7 @@ unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> RawLock for Coh
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> std::fmt::Debug for CohortLock<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> std::fmt::Debug for CohortLock<G, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CohortLock")
             .field("clusters", &self.locals.len())

@@ -1,4 +1,4 @@
-//! The pluggable `may-pass-local` fairness layer (§2.1, §3.7).
+//! The `may-pass-local` fairness layer (§2.1, §3.7).
 //!
 //! A cohort lock trades fairness for locality: the longer one cluster
 //! keeps the global lock, the fewer lock migrations, but the longer remote
@@ -7,27 +7,26 @@
 //! unbounded handoff buys only ~10% throughput while allowing batches of
 //! hundreds of thousands.
 //!
-//! The paper's constant is one point in a policy space. This module makes
-//! the policy itself the pluggable part, in the spirit of the tunable
-//! intra-socket threshold of *Compact NUMA-Aware Locks* (Dice & Kogan,
-//! EuroSys '19) and the admission adaptation of *Avoiding Scalability
-//! Collapse by Restricting Concurrency* (Dice & Kogan, Euro-Par '19):
+//! The paper's constant is one point in a policy space, in the spirit of
+//! the tunable intra-socket threshold of *Compact NUMA-Aware Locks* (Dice
+//! & Kogan, EuroSys '19) and the admission adaptation of *Avoiding
+//! Scalability Collapse by Restricting Concurrency* (Dice & Kogan,
+//! Euro-Par '19). Here the policy is a value and the value is the
+//! mechanism:
 //!
-//! * [`HandoffPolicy`] — the trait: per-tenure lifecycle hooks
-//!   ([`on_global_acquire`](HandoffPolicy::on_global_acquire),
-//!   [`may_pass_local`](HandoffPolicy::may_pass_local),
-//!   [`on_local_handoff`](HandoffPolicy::on_local_handoff),
-//!   [`on_global_release`](HandoffPolicy::on_global_release)) plus a
-//!   [`CohortStats`] snapshot fed by cache-padded per-cluster counters.
-//! * [`CountBound`] — the paper's policy: at most `bound` consecutive
-//!   local handoffs per tenure (64 by default).
-//! * [`TimeBound`] — tenure capped by clock nanoseconds instead of handoff
-//!   count, so fairness degrades gracefully under variable-length critical
-//!   sections.
-//! * [`AdaptiveBound`] — grows the bound while cut-off tenures show local
-//!   demand, shrinks it when clusters run dry early; stays in `[min, max]`.
-//! * [`Unbounded`] / [`NeverPass`] — the two degenerate corners (§3.7's
-//!   "deeply unfair" variant, and every-release-goes-global).
+//! * [`PolicySpec`] — which rule ends a tenure: `Count` (the paper's, 64
+//!   by default), `Time` / `WallTime` (tenure capped in clock nanoseconds,
+//!   so fairness degrades gracefully under variable-length critical
+//!   sections), `Adaptive` (a per-cluster bound that grows while cut-off
+//!   tenures show local demand and shrinks when clusters run dry early),
+//!   and the two degenerate corners `Unbounded` (§3.7's "deeply unfair"
+//!   variant) and `NeverPass` (every release goes global).
+//! * [`Tenures`] — the one tenure book every policy-driven lock owns: a
+//!   spec plus one cache-padded slot per cluster, driven through four
+//!   hooks ([`began`](Tenures::began),
+//!   [`may_pass_local`](Tenures::may_pass_local),
+//!   [`handed_off`](Tenures::handed_off), [`ended`](Tenures::ended)) and
+//!   read back as a [`CohortStats`] snapshot.
 
 use crossbeam_utils::CachePadded;
 use numa_topology::{vclock, ClusterId};
@@ -40,7 +39,7 @@ use std::time::Instant;
 // Statistics
 
 /// Per-cluster tenure counters of one cohort lock — a plain-value snapshot
-/// of the cache-padded atomics each policy maintains.
+/// of one [`Tenures`] slot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Tenures started (global-lock acquisitions by this cluster).
@@ -56,7 +55,7 @@ pub struct ClusterStats {
 }
 
 /// Snapshot of a cohort lock's handoff behaviour, taken via
-/// [`HandoffPolicy::snapshot`] (or `CohortLock::cohort_stats`).
+/// [`Tenures::snapshot`] (or `CohortLock::cohort_stats`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CohortStats {
     /// One entry per NUMA cluster.
@@ -185,66 +184,208 @@ impl Introspect for base_locks::ClhLock {}
 impl Introspect for base_locks::AbortableClhLock {}
 impl Introspect for base_locks::ReciprocatingLock {}
 
-/// The cache-padded per-cluster counters behind [`CohortStats`]. Policies
-/// embed one tracker and forward their lifecycle hooks to it.
+// ---------------------------------------------------------------------------
+// Tenures — the one tenure book
+
+/// The tenure book of one policy-driven lock: the [`PolicySpec`] in force
+/// plus one cache-padded slot per cluster holding that cluster's counters
+/// and whatever per-tenure state the spec's rule reads.
 ///
-/// Counters are only ever written by the thread currently holding the
-/// cohort lock on that cluster, so the atomics are contention-free; they
-/// are atomic (relaxed) only so concurrent [`snapshot`](Self::snapshot)
-/// readers are race-free.
-#[derive(Debug, Default)]
-pub struct HandoffTracker {
-    slots: Box<[CachePadded<TrackerSlot>]>,
+/// The lock invokes the four hooks from well-defined protocol points,
+/// always on the thread currently holding it:
+///
+/// * [`began`](Self::began) — the cluster just acquired the global lock; a
+///   tenure begins.
+/// * [`may_pass_local`](Self::may_pass_local) — the holder is releasing
+///   after `streak` consecutive local handoffs this tenure; may it hand
+///   off to a cluster-mate (if one is waiting)?
+/// * [`handed_off`](Self::handed_off) — a local handoff *committed* (a
+///   successor existed and inherited the global lock).
+/// * [`ended`](Self::ended) — the tenure ended with a global release after
+///   `streak` local handoffs.
+///
+/// Concurrency contract: in `CohortLock`, [`began`](Self::began) and
+/// [`ended`](Self::ended) both run while the global lock is held (`ended`
+/// fires *before* the global unlock), so they are totally ordered —
+/// across all clusters, not just within one. CNA calls them after its
+/// tail CAS, where an uncontended `ended` can already overlap the next
+/// holder's `began`. [`may_pass_local`](Self::may_pass_local) and
+/// [`handed_off`](Self::handed_off) run on holders whose predecessor may
+/// still be finishing its own post-handoff hook, so in either lock they
+/// can overlap same-cluster hook calls. Hence every word of a slot is
+/// atomic (relaxed), which keeps [`snapshot`](Self::snapshot) race-free
+/// too.
+///
+/// Clocks are read only inside the hooks and only by the specs that need
+/// one (`Time`: the per-thread [virtual clock](numa_topology::vclock),
+/// where handoff channels keep successive holders' clocks causally
+/// monotone; `WallTime`: monotonic wall time, per release; `Adaptive`:
+/// monotonic wall time, once per tenure end, never per handoff), so a
+/// `Count` lock's uncontended path stays clock-free.
+pub struct Tenures {
+    spec: PolicySpec,
+    slots: Box<[CachePadded<Slot>]>,
 }
 
 #[derive(Debug, Default)]
-struct TrackerSlot {
+struct Slot {
     tenures: AtomicU64,
     local_handoffs: AtomicU64,
     global_releases: AtomicU64,
     max_streak: AtomicU64,
     sum_streak: AtomicU64,
+    /// Stamp of the current tenure's start on the spec's clock (`Time`:
+    /// virtual; `WallTime`, `Adaptive`: wall). Written by `began` only.
+    started_ns: AtomicU64,
+    /// `Adaptive`: this cluster's current bound, in `[min, max]`.
+    bound: AtomicU64,
+    /// `Adaptive`: wall stamp of this cluster's last global release.
+    last_release_ns: AtomicU64,
+    /// `Adaptive`: gap between the last release and the current tenure's
+    /// start — the re-acquisition cost signal.
+    wait_ns: AtomicU64,
 }
 
-impl HandoffTracker {
-    /// Sizes the tracker for `clusters` clusters (called from
-    /// [`HandoffPolicy::bind`]).
-    pub fn bind(&mut self, clusters: usize) {
-        self.slots = (0..clusters).map(|_| CachePadded::default()).collect();
-    }
+/// Monotonic nanoseconds since a process epoch.
+fn wall_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
 
-    #[inline]
-    fn slot(&self, cluster: ClusterId) -> Option<&TrackerSlot> {
-        self.slots.get(cluster.as_usize()).map(|s| &**s)
-    }
-
-    /// Records a tenure start.
-    #[inline]
-    pub fn on_global_acquire(&self, cluster: ClusterId) {
-        if let Some(s) = self.slot(cluster) {
-            s.tenures.fetch_add(1, Ordering::Relaxed);
+impl Tenures {
+    /// A tenure book for `clusters` clusters under `spec`.
+    ///
+    /// # Panics
+    ///
+    /// On an `Adaptive` range violating `1 <= min <= max` (which
+    /// [`PolicySpec::parse`] never returns).
+    pub fn new(spec: PolicySpec, clusters: usize) -> Self {
+        let initial_bound = match spec {
+            PolicySpec::Adaptive { min, max } => {
+                assert!(min >= 1 && min <= max, "{spec} needs 1 <= min <= max");
+                PolicySpec::PAPER_BOUND.clamp(min, max)
+            }
+            _ => 0,
+        };
+        Tenures {
+            spec,
+            slots: (0..clusters)
+                .map(|_| {
+                    CachePadded::new(Slot {
+                        bound: AtomicU64::new(initial_bound),
+                        ..Slot::default()
+                    })
+                })
+                .collect(),
         }
     }
 
-    /// Records a committed local handoff; `streak` is the releaser's count
-    /// of handoffs already performed this tenure (so the new streak is
-    /// `streak + 1`).
+    /// The spec in force.
+    pub fn spec(&self) -> PolicySpec {
+        self.spec
+    }
+
+    /// Label for benchmark reports, e.g. `"count(64)"`: the spec's
+    /// [`Display`](fmt::Display) form.
+    pub fn label(&self) -> String {
+        self.spec.to_string()
+    }
+
     #[inline]
-    pub fn on_local_handoff(&self, cluster: ClusterId, streak: u64) {
-        if let Some(s) = self.slot(cluster) {
-            s.local_handoffs.fetch_add(1, Ordering::Relaxed);
-            s.max_streak.fetch_max(streak + 1, Ordering::Relaxed);
+    fn slot(&self, cluster: ClusterId) -> &Slot {
+        &self.slots[cluster.as_usize()]
+    }
+
+    /// A tenure starts on `cluster`.
+    #[inline]
+    pub fn began(&self, cluster: ClusterId) {
+        let s = self.slot(cluster);
+        match self.spec {
+            PolicySpec::Time { .. } => s.started_ns.store(vclock::now(), Ordering::Relaxed),
+            PolicySpec::WallTime { .. } => s.started_ns.store(wall_ns(), Ordering::Relaxed),
+            PolicySpec::Adaptive { .. } => {
+                let now = wall_ns();
+                let last = s.last_release_ns.load(Ordering::Relaxed);
+                s.wait_ns.store(
+                    if last == 0 {
+                        0
+                    } else {
+                        now.saturating_sub(last)
+                    },
+                    Ordering::Relaxed,
+                );
+                s.started_ns.store(now, Ordering::Relaxed);
+            }
+            PolicySpec::Count { .. } | PolicySpec::Unbounded | PolicySpec::NeverPass => {}
+        }
+        s.tenures.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// May the holder on `cluster` hand off locally after `streak`
+    /// consecutive local handoffs in the current tenure?
+    #[inline]
+    pub fn may_pass_local(&self, cluster: ClusterId, streak: u64) -> bool {
+        // Time rules: the holder's clock is causally at or past the tenure
+        // start (virtual: the handoff channel publishes the releaser's
+        // timestamp; wall: monotonic).
+        let elapsed =
+            |now: u64| now.saturating_sub(self.slot(cluster).started_ns.load(Ordering::Relaxed));
+        match self.spec {
+            PolicySpec::Count { bound } => streak < bound,
+            PolicySpec::Time { budget_ns } => elapsed(vclock::now()) < budget_ns,
+            PolicySpec::WallTime { budget_ns } => elapsed(wall_ns()) < budget_ns,
+            PolicySpec::Adaptive { .. } => {
+                streak < self.slot(cluster).bound.load(Ordering::Relaxed)
+            }
+            PolicySpec::Unbounded => true,
+            PolicySpec::NeverPass => false,
         }
     }
 
-    /// Records a tenure end after `streak` local handoffs.
+    /// A local handoff committed on `cluster`; `streak` is the releaser's
+    /// count of handoffs already performed this tenure (so the new streak
+    /// is `streak + 1`).
     #[inline]
-    pub fn on_global_release(&self, cluster: ClusterId, streak: u64) {
-        if let Some(s) = self.slot(cluster) {
-            s.global_releases.fetch_add(1, Ordering::Relaxed);
-            s.sum_streak.fetch_add(streak, Ordering::Relaxed);
-            s.max_streak.fetch_max(streak, Ordering::Relaxed);
+    pub fn handed_off(&self, cluster: ClusterId, streak: u64) {
+        let s = self.slot(cluster);
+        s.local_handoffs.fetch_add(1, Ordering::Relaxed);
+        s.max_streak.fetch_max(streak + 1, Ordering::Relaxed);
+    }
+
+    /// The tenure on `cluster` ended with a global release after `streak`
+    /// local handoffs.
+    ///
+    /// Under `Adaptive` this is where the cluster's bound moves: a tenure
+    /// **cut off by the bound** (`streak >= bound`) means local demand
+    /// outlived it, so the bound doubles (up to `max`); a cluster that
+    /// **ran dry early** (`streak * 4 < bound`) while re-acquiring the
+    /// global lock has been cheap (the previous inter-tenure gap did not
+    /// dwarf the tenure itself) halves it (down to `min`) — a long
+    /// observed global-lock wait suppresses the shrink, so a cluster that
+    /// pays dearly to reacquire keeps a bound large enough to amortize
+    /// that wait; otherwise the bound holds.
+    #[inline]
+    pub fn ended(&self, cluster: ClusterId, streak: u64) {
+        let s = self.slot(cluster);
+        if let PolicySpec::Adaptive { min, max } = self.spec {
+            let now = wall_ns();
+            let tenure_ns = now.saturating_sub(s.started_ns.load(Ordering::Relaxed));
+            let bound = s.bound.load(Ordering::Relaxed);
+            if streak >= bound {
+                s.bound
+                    .store(bound.saturating_mul(2).min(max), Ordering::Relaxed);
+            } else if streak.saturating_mul(4) < bound
+                // 10 µs of grace keeps uncontended back-to-back tenures
+                // (wait ≈ tenure ≈ noise) on the shrink path.
+                && s.wait_ns.load(Ordering::Relaxed) <= tenure_ns.saturating_add(10_000)
+            {
+                s.bound.store((bound / 2).max(min), Ordering::Relaxed);
+            }
+            s.last_release_ns.store(now, Ordering::Relaxed);
         }
+        s.global_releases.fetch_add(1, Ordering::Relaxed);
+        s.sum_streak.fetch_add(streak, Ordering::Relaxed);
+        s.max_streak.fetch_max(streak, Ordering::Relaxed);
     }
 
     /// Plain-value snapshot of all counters.
@@ -266,656 +407,72 @@ impl HandoffTracker {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The trait
-
-/// A stateful fairness policy deciding when a cohort's tenure on the
-/// global lock ends.
-///
-/// `CohortLock` invokes the lifecycle hooks from well-defined protocol
-/// points, always on the thread currently holding the lock:
-///
-/// * [`on_global_acquire`](Self::on_global_acquire) — the cluster just
-///   acquired the global lock; a tenure begins.
-/// * [`may_pass_local`](Self::may_pass_local) — the holder is releasing
-///   after `streak` consecutive local handoffs this tenure; may it hand
-///   off to a cluster-mate (if one is waiting)?
-/// * [`on_local_handoff`](Self::on_local_handoff) — a local handoff
-///   *committed* (a successor existed and inherited the global lock).
-/// * [`on_global_release`](Self::on_global_release) — the tenure ended
-///   with a global release after `streak` local handoffs.
-///
-/// Concurrency contract: [`on_global_acquire`](Self::on_global_acquire)
-/// and [`on_global_release`](Self::on_global_release) both run while the
-/// global lock is held (release fires *before* the global unlock), so
-/// they are totally ordered — across all clusters, not just within one.
-/// [`may_pass_local`](Self::may_pass_local) and
-/// [`on_local_handoff`](Self::on_local_handoff), however, run on holders
-/// whose predecessor may still be finishing its own post-handoff hook, so
-/// they can overlap same-cluster hook calls: any state they touch must be
-/// atomic. Embedding a [`HandoffTracker`] (all-atomic) and forwarding the
-/// hooks to it is the intended pattern, and keeps
-/// [`snapshot`](Self::snapshot) race-free too.
-pub trait HandoffPolicy: Send + Sync + fmt::Debug {
-    /// Sizes per-cluster state; called once by the lock constructor,
-    /// before the lock can be shared.
-    fn bind(&mut self, clusters: usize);
-
-    /// A tenure starts on `cluster`.
-    fn on_global_acquire(&self, cluster: ClusterId);
-
-    /// May the holder on `cluster` hand off locally after `streak`
-    /// consecutive local handoffs in the current tenure?
-    fn may_pass_local(&self, cluster: ClusterId, streak: u64) -> bool;
-
-    /// A local handoff committed on `cluster` (the releaser had performed
-    /// `streak` handoffs this tenure before this one).
-    fn on_local_handoff(&self, cluster: ClusterId, streak: u64);
-
-    /// The tenure on `cluster` ended with a global release after `streak`
-    /// local handoffs.
-    fn on_global_release(&self, cluster: ClusterId, streak: u64);
-
-    /// Snapshot of the per-cluster tenure counters.
-    fn snapshot(&self) -> CohortStats;
-
-    /// Short policy name for benchmark reports (e.g. `"count"`).
-    fn name(&self) -> &'static str;
-
-    /// Parameterized label for benchmark reports (e.g. `"count(64)"`),
-    /// matching [`PolicySpec`]'s display syntax where applicable.
-    fn label(&self) -> String {
-        self.name().to_string()
-    }
-}
-
-/// A boxed, dynamically chosen policy. `CohortLock<G, L, DynPolicy>` is
-/// how the benchmark registry parameterizes one lock type over policies
-/// picked at runtime.
-pub type DynPolicy = Box<dyn HandoffPolicy>;
-
-impl HandoffPolicy for DynPolicy {
-    fn bind(&mut self, clusters: usize) {
-        (**self).bind(clusters)
-    }
-
-    fn on_global_acquire(&self, cluster: ClusterId) {
-        (**self).on_global_acquire(cluster)
-    }
-
-    fn may_pass_local(&self, cluster: ClusterId, streak: u64) -> bool {
-        (**self).may_pass_local(cluster, streak)
-    }
-
-    fn on_local_handoff(&self, cluster: ClusterId, streak: u64) {
-        (**self).on_local_handoff(cluster, streak)
-    }
-
-    fn on_global_release(&self, cluster: ClusterId, streak: u64) {
-        (**self).on_global_release(cluster, streak)
-    }
-
-    fn snapshot(&self) -> CohortStats {
-        (**self).snapshot()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CountBound — the paper's policy
-
-/// At most `bound` consecutive local handoffs per tenure — the paper's
-/// policy, with `bound = 64` (§3.7).
-pub struct CountBound {
-    bound: u64,
-    tracker: HandoffTracker,
-}
-
-impl CountBound {
-    /// The bound used in all of the paper's experiments.
-    pub const PAPER_BOUND: u64 = 64;
-
-    /// A policy allowing up to `bound` consecutive local handoffs.
-    pub fn new(bound: u64) -> Self {
-        CountBound {
-            bound,
-            tracker: HandoffTracker::default(),
-        }
-    }
-
-    /// The configured bound.
-    pub fn bound(&self) -> u64 {
-        self.bound
-    }
-}
-
-impl Default for CountBound {
-    /// The paper's configuration (64).
-    fn default() -> Self {
-        Self::new(Self::PAPER_BOUND)
-    }
-}
-
-impl fmt::Debug for CountBound {
+impl fmt::Debug for Tenures {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CountBound({})", self.bound)
-    }
-}
-
-impl HandoffPolicy for CountBound {
-    fn bind(&mut self, clusters: usize) {
-        self.tracker.bind(clusters);
-    }
-
-    fn on_global_acquire(&self, cluster: ClusterId) {
-        self.tracker.on_global_acquire(cluster);
-    }
-
-    #[inline]
-    fn may_pass_local(&self, _cluster: ClusterId, streak: u64) -> bool {
-        streak < self.bound
-    }
-
-    fn on_local_handoff(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_local_handoff(cluster, streak);
-    }
-
-    fn on_global_release(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_global_release(cluster, streak);
-    }
-
-    fn snapshot(&self) -> CohortStats {
-        self.tracker.snapshot()
-    }
-
-    fn name(&self) -> &'static str {
-        "count"
-    }
-
-    fn label(&self) -> String {
-        format!("count({})", self.bound)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TimeBound — tenure capped by clock nanoseconds
-
-/// Which clock a [`TimeBound`] tenure budget is measured against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TenureClock {
-    /// The per-thread [virtual clock](numa_topology::vclock) — the right
-    /// choice under this repository's virtual-time harness, where handoff
-    /// channels keep successive holders' clocks causally monotone.
-    Virtual,
-    /// Monotonic wall time — the right choice on real hardware.
-    Wall,
-}
-
-/// Tenure capped by elapsed nanoseconds rather than handoff count.
-///
-/// A count bound makes tenure *duration* proportional to critical-section
-/// length; under mixed workloads (some holders do 100 ns, some 100 µs) a
-/// time bound keeps the starvation window of remote clusters constant
-/// instead. Outside the lock's own hooks the policy never reads clocks,
-/// so the uncontended path stays clock-free.
-pub struct TimeBound {
-    budget_ns: u64,
-    clock: TenureClock,
-    tracker: HandoffTracker,
-    /// Tenure start timestamps, one padded slot per cluster; written only
-    /// by the holder at `on_global_acquire`.
-    starts: Box<[CachePadded<AtomicU64>]>,
-}
-
-/// Process epoch for [`TenureClock::Wall`] (monotonic nanoseconds).
-fn wall_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-impl TimeBound {
-    /// Default tenure budget: 50 µs, roughly what 64 handoffs of the
-    /// paper's ~700 ns critical sections add up to.
-    pub const DEFAULT_BUDGET_NS: u64 = 50_000;
-
-    /// A tenure budget of `budget_ns` virtual nanoseconds.
-    pub fn virtual_ns(budget_ns: u64) -> Self {
-        Self::with_clock(budget_ns, TenureClock::Virtual)
-    }
-
-    /// A tenure budget of `budget_ns` wall-clock nanoseconds.
-    pub fn wall_ns(budget_ns: u64) -> Self {
-        Self::with_clock(budget_ns, TenureClock::Wall)
-    }
-
-    /// A tenure budget against an explicit clock source.
-    pub fn with_clock(budget_ns: u64, clock: TenureClock) -> Self {
-        TimeBound {
-            budget_ns,
-            clock,
-            tracker: HandoffTracker::default(),
-            starts: Box::new([]),
-        }
-    }
-
-    /// The configured budget in nanoseconds.
-    pub fn budget_ns(&self) -> u64 {
-        self.budget_ns
-    }
-
-    /// The clock the budget is measured against.
-    pub fn clock(&self) -> TenureClock {
-        self.clock
-    }
-
-    #[inline]
-    fn now(&self) -> u64 {
-        match self.clock {
-            TenureClock::Virtual => vclock::now(),
-            TenureClock::Wall => wall_ns(),
-        }
-    }
-}
-
-impl Default for TimeBound {
-    /// 50 µs of virtual time.
-    fn default() -> Self {
-        Self::virtual_ns(Self::DEFAULT_BUDGET_NS)
-    }
-}
-
-impl fmt::Debug for TimeBound {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TimeBound({}ns, {:?})", self.budget_ns, self.clock)
-    }
-}
-
-impl HandoffPolicy for TimeBound {
-    fn bind(&mut self, clusters: usize) {
-        self.tracker.bind(clusters);
-        self.starts = (0..clusters)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect();
-    }
-
-    fn on_global_acquire(&self, cluster: ClusterId) {
-        if let Some(s) = self.starts.get(cluster.as_usize()) {
-            s.store(self.now(), Ordering::Relaxed);
-        }
-        self.tracker.on_global_acquire(cluster);
-    }
-
-    #[inline]
-    fn may_pass_local(&self, cluster: ClusterId, _streak: u64) -> bool {
-        match self.starts.get(cluster.as_usize()) {
-            // The holder's clock is causally at or past the tenure start
-            // (virtual mode: the handoff channel publishes the releaser's
-            // timestamp; wall mode: monotonic).
-            Some(s) => self.now().saturating_sub(s.load(Ordering::Relaxed)) < self.budget_ns,
-            None => true,
-        }
-    }
-
-    fn on_local_handoff(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_local_handoff(cluster, streak);
-    }
-
-    fn on_global_release(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_global_release(cluster, streak);
-    }
-
-    fn snapshot(&self) -> CohortStats {
-        self.tracker.snapshot()
-    }
-
-    fn name(&self) -> &'static str {
-        "time"
-    }
-
-    fn label(&self) -> String {
-        match self.clock {
-            TenureClock::Virtual => format!("time({}ns)", self.budget_ns),
-            TenureClock::Wall => format!("wall-time({}ns)", self.budget_ns),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveBound — AIMD on the handoff bound
-
-/// A per-cluster handoff bound that adapts to observed demand, in the
-/// spirit of CNA's tunable threshold and concurrency-restriction's
-/// feedback loop (Dice & Kogan).
-///
-/// Each cluster carries its own current bound in `[min, max]`, adjusted at
-/// every tenure end:
-///
-/// * the tenure was **cut off by the bound** (`streak >= bound`) — local
-///   demand outlived the tenure, so locality is being left on the table:
-///   the bound doubles (up to `max`);
-/// * the cluster **ran dry early** (`streak * 4 < bound`) and re-acquiring
-///   the global lock has been cheap (the previous inter-tenure gap did not
-///   dwarf the tenure itself) — the large bound buys nothing: the bound
-///   halves (down to `min`). A long observed global-lock wait suppresses
-///   the shrink, so a cluster that pays dearly to reacquire keeps a bound
-///   large enough to amortize that wait;
-/// * otherwise the bound holds.
-///
-/// Inter-tenure gap and tenure length are measured on the monotonic wall
-/// clock — once per tenure, never per handoff.
-pub struct AdaptiveBound {
-    min: u64,
-    max: u64,
-    initial: u64,
-    tracker: HandoffTracker,
-    state: Box<[CachePadded<AdaptiveSlot>]>,
-}
-
-#[derive(Debug)]
-struct AdaptiveSlot {
-    bound: AtomicU64,
-    /// Wall timestamp of this cluster's last global release.
-    last_release_ns: AtomicU64,
-    /// Wall timestamp of the current tenure's start.
-    acquired_ns: AtomicU64,
-    /// Gap between last release and the current acquire (the re-acquisition
-    /// cost signal).
-    wait_ns: AtomicU64,
-}
-
-impl AdaptiveBound {
-    /// Default adaptation window floor.
-    pub const DEFAULT_MIN: u64 = 8;
-    /// Default adaptation window ceiling.
-    pub const DEFAULT_MAX: u64 = 1024;
-
-    /// Default adaptation window: bounds in
-    /// `[DEFAULT_MIN, DEFAULT_MAX]`, starting at the paper's 64.
-    pub fn new() -> Self {
-        Self::with_range(Self::DEFAULT_MIN, Self::DEFAULT_MAX)
-    }
-
-    /// Bounds confined to `[min, max]`, starting at the paper default
-    /// clamped into that range.
-    pub fn with_range(min: u64, max: u64) -> Self {
-        assert!(min >= 1 && min <= max, "need 1 <= min <= max");
-        AdaptiveBound {
-            min,
-            max,
-            initial: CountBound::PAPER_BOUND.clamp(min, max),
-            tracker: HandoffTracker::default(),
-            state: Box::new([]),
-        }
-    }
-
-    /// The configured floor.
-    pub fn min_bound(&self) -> u64 {
-        self.min
-    }
-
-    /// The configured ceiling.
-    pub fn max_bound(&self) -> u64 {
-        self.max
-    }
-
-    /// The current per-cluster bounds (diagnostics; used by the invariant
-    /// tests).
-    pub fn current_bounds(&self) -> Vec<u64> {
-        self.state
-            .iter()
-            .map(|s| s.bound.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
-impl Default for AdaptiveBound {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for AdaptiveBound {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "AdaptiveBound({}..{}, now {:?})",
-            self.min,
-            self.max,
-            self.current_bounds()
-        )
-    }
-}
-
-impl HandoffPolicy for AdaptiveBound {
-    fn bind(&mut self, clusters: usize) {
-        self.tracker.bind(clusters);
-        self.state = (0..clusters)
-            .map(|_| {
-                CachePadded::new(AdaptiveSlot {
-                    bound: AtomicU64::new(self.initial),
-                    last_release_ns: AtomicU64::new(0),
-                    acquired_ns: AtomicU64::new(0),
-                    wait_ns: AtomicU64::new(0),
-                })
-            })
-            .collect();
-    }
-
-    fn on_global_acquire(&self, cluster: ClusterId) {
-        if let Some(s) = self.state.get(cluster.as_usize()) {
-            let now = wall_ns();
-            let last = s.last_release_ns.load(Ordering::Relaxed);
-            s.wait_ns.store(
-                if last == 0 {
-                    0
-                } else {
-                    now.saturating_sub(last)
-                },
-                Ordering::Relaxed,
-            );
-            s.acquired_ns.store(now, Ordering::Relaxed);
-        }
-        self.tracker.on_global_acquire(cluster);
-    }
-
-    #[inline]
-    fn may_pass_local(&self, cluster: ClusterId, streak: u64) -> bool {
-        match self.state.get(cluster.as_usize()) {
-            Some(s) => streak < s.bound.load(Ordering::Relaxed),
-            None => streak < self.initial,
-        }
-    }
-
-    fn on_local_handoff(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_local_handoff(cluster, streak);
-    }
-
-    fn on_global_release(&self, cluster: ClusterId, streak: u64) {
-        if let Some(s) = self.state.get(cluster.as_usize()) {
-            let now = wall_ns();
-            let tenure_ns = now.saturating_sub(s.acquired_ns.load(Ordering::Relaxed));
-            let bound = s.bound.load(Ordering::Relaxed);
-            if streak >= bound {
-                s.bound
-                    .store(bound.saturating_mul(2).min(self.max), Ordering::Relaxed);
-            } else if streak.saturating_mul(4) < bound
-                // 10 µs of grace keeps uncontended back-to-back tenures
-                // (wait ≈ tenure ≈ noise) on the shrink path.
-                && s.wait_ns.load(Ordering::Relaxed) <= tenure_ns.saturating_add(10_000)
-            {
-                s.bound.store((bound / 2).max(self.min), Ordering::Relaxed);
-            }
-            s.last_release_ns.store(now, Ordering::Relaxed);
-        }
-        self.tracker.on_global_release(cluster, streak);
-    }
-
-    fn snapshot(&self) -> CohortStats {
-        self.tracker.snapshot()
-    }
-
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn label(&self) -> String {
-        format!("adaptive({}..{})", self.min, self.max)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Degenerate corners
-
-/// Never bound the cohort — §3.7's "deeply unfair" variant (used by the
-/// handoff ablation as the locality ceiling).
-#[derive(Default)]
-pub struct Unbounded {
-    tracker: HandoffTracker,
-}
-
-impl fmt::Debug for Unbounded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Unbounded")
-    }
-}
-
-impl HandoffPolicy for Unbounded {
-    fn bind(&mut self, clusters: usize) {
-        self.tracker.bind(clusters);
-    }
-
-    fn on_global_acquire(&self, cluster: ClusterId) {
-        self.tracker.on_global_acquire(cluster);
-    }
-
-    #[inline]
-    fn may_pass_local(&self, _cluster: ClusterId, _streak: u64) -> bool {
-        true
-    }
-
-    fn on_local_handoff(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_local_handoff(cluster, streak);
-    }
-
-    fn on_global_release(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_global_release(cluster, streak);
-    }
-
-    fn snapshot(&self) -> CohortStats {
-        self.tracker.snapshot()
-    }
-
-    fn name(&self) -> &'static str {
-        "unbounded"
-    }
-}
-
-/// Never pass locally: every release is a global release, degenerating the
-/// cohort lock into its global lock plus overhead (the fairness ceiling /
-/// locality floor; useful as a sanity baseline).
-#[derive(Default)]
-pub struct NeverPass {
-    tracker: HandoffTracker,
-}
-
-impl fmt::Debug for NeverPass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("NeverPass")
-    }
-}
-
-impl HandoffPolicy for NeverPass {
-    fn bind(&mut self, clusters: usize) {
-        self.tracker.bind(clusters);
-    }
-
-    fn on_global_acquire(&self, cluster: ClusterId) {
-        self.tracker.on_global_acquire(cluster);
-    }
-
-    #[inline]
-    fn may_pass_local(&self, _cluster: ClusterId, _streak: u64) -> bool {
-        false
-    }
-
-    fn on_local_handoff(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_local_handoff(cluster, streak);
-    }
-
-    fn on_global_release(&self, cluster: ClusterId, streak: u64) {
-        self.tracker.on_global_release(cluster, streak);
-    }
-
-    fn snapshot(&self) -> CohortStats {
-        self.tracker.snapshot()
-    }
-
-    fn name(&self) -> &'static str {
-        "never-pass"
+        write!(f, "Tenures({})", self.spec)
     }
 }
 
 // ---------------------------------------------------------------------------
 // PolicySpec — runtime policy selection
 
-/// A value-level description of a policy, for layers that pick policies at
-/// runtime (benchmark registries, env knobs). [`build`](Self::build) turns
-/// it into a boxed [`HandoffPolicy`].
+/// A handoff policy as a value: which rule ends a cohort's tenure on the
+/// global lock. Locks take one at construction (`with_policy`) and hand
+/// it to their [`Tenures`] book, whose hooks `match` on it; env knobs and
+/// CLI flags reach it through [`parse`](Self::parse).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicySpec {
-    /// [`CountBound`] with the given bound.
+    /// At most `bound` consecutive local handoffs per tenure — the paper's
+    /// policy, with `bound = 64` (§3.7).
     Count {
         /// Maximum consecutive local handoffs per tenure.
         bound: u64,
     },
-    /// [`TimeBound`] over the virtual clock with the given budget.
+    /// Tenure capped by elapsed nanoseconds on the per-thread
+    /// [virtual clock](numa_topology::vclock) rather than handoff count.
+    ///
+    /// A count bound makes tenure *duration* proportional to
+    /// critical-section length; under mixed workloads (some holders do
+    /// 100 ns, some 100 µs) a time bound keeps the starvation window of
+    /// remote clusters constant instead.
     Time {
         /// Tenure budget in virtual nanoseconds.
         budget_ns: u64,
     },
-    /// [`TimeBound`] over the monotonic wall clock — for real hardware,
-    /// where virtual clocks do not advance.
+    /// [`Time`](Self::Time) over the monotonic wall clock — for real
+    /// hardware, where virtual clocks do not advance.
     WallTime {
         /// Tenure budget in wall nanoseconds.
         budget_ns: u64,
     },
-    /// [`AdaptiveBound`] confined to `[min, max]`.
+    /// A per-cluster handoff bound confined to `[min, max]` that adapts
+    /// to observed demand, in the spirit of CNA's tunable threshold and
+    /// concurrency-restriction's feedback loop (Dice & Kogan): it starts
+    /// at the paper's 64 clamped into the range and moves at every tenure
+    /// end (see [`Tenures::ended`]).
     Adaptive {
-        /// Bound floor.
+        /// Bound floor (at least 1).
         min: u64,
-        /// Bound ceiling.
+        /// Bound ceiling (at least `min`).
         max: u64,
     },
-    /// [`Unbounded`].
+    /// Never bound the cohort — §3.7's "deeply unfair" variant (used by
+    /// the handoff ablation as the locality ceiling).
     Unbounded,
-    /// [`NeverPass`].
+    /// Never pass locally: every release is a global release,
+    /// degenerating the cohort lock into its global lock plus overhead
+    /// (the fairness ceiling / locality floor; a sanity baseline).
     NeverPass,
 }
 
 impl PolicySpec {
+    /// The bound used in all of the paper's experiments.
+    pub const PAPER_BOUND: u64 = 64;
+
     /// The paper's configuration: `Count { bound: 64 }`.
     pub const fn paper_default() -> Self {
         PolicySpec::Count {
-            bound: CountBound::PAPER_BOUND,
-        }
-    }
-
-    /// Builds the described policy.
-    pub fn build(self) -> DynPolicy {
-        match self {
-            PolicySpec::Count { bound } => Box::new(CountBound::new(bound)),
-            PolicySpec::Time { budget_ns } => Box::new(TimeBound::virtual_ns(budget_ns)),
-            PolicySpec::WallTime { budget_ns } => Box::new(TimeBound::wall_ns(budget_ns)),
-            PolicySpec::Adaptive { min, max } => Box::new(AdaptiveBound::with_range(min, max)),
-            PolicySpec::Unbounded => Box::new(Unbounded::default()),
-            PolicySpec::NeverPass => Box::new(NeverPass::default()),
+            bound: Self::PAPER_BOUND,
         }
     }
 
@@ -992,10 +549,8 @@ impl PolicySpec {
             ),
             "adaptive" => (
                 match parts.next() {
-                    None => PolicySpec::Adaptive {
-                        min: AdaptiveBound::DEFAULT_MIN,
-                        max: AdaptiveBound::DEFAULT_MAX,
-                    },
+                    // The default adaptation window.
+                    None => PolicySpec::Adaptive { min: 8, max: 1024 },
                     Some(min_str) => {
                         let syntax = "adaptive[:<min>:<max>]";
                         let min = min_str.parse().map_err(|_| PolicyParseError::BadNumber {
@@ -1005,8 +560,8 @@ impl PolicySpec {
                             syntax,
                         })?;
                         let max = number("adaptive", "max", syntax, parts.next())?;
-                        // Reject here what AdaptiveBound::with_range would
-                        // assert on — env input must not abort the process.
+                        // Reject here what Tenures::new would assert on —
+                        // env input must not abort the process.
                         if min < 1 || min > max {
                             return Err(PolicyParseError::InvalidRange { min, max });
                         }
@@ -1150,9 +705,21 @@ mod tests {
         ClusterId::new(id)
     }
 
+    /// A one-cluster book under `spec`.
+    fn one(spec: PolicySpec) -> Tenures {
+        Tenures::new(spec, 1)
+    }
+
+    /// The first streak cluster 0's holder would be refused at.
+    fn bound_of(p: &Tenures) -> u64 {
+        (0..)
+            .find(|&streak| !p.may_pass_local(c(0), streak))
+            .unwrap()
+    }
+
     #[test]
     fn count_policy_bounds_streak() {
-        let p = CountBound::new(3);
+        let p = one(PolicySpec::Count { bound: 3 });
         assert!(p.may_pass_local(c(0), 0));
         assert!(p.may_pass_local(c(0), 2));
         assert!(!p.may_pass_local(c(0), 3));
@@ -1161,27 +728,26 @@ mod tests {
 
     #[test]
     fn default_is_paper_bound() {
-        assert_eq!(CountBound::default().bound(), 64);
-        assert!(CountBound::default().may_pass_local(c(0), 63));
-        assert!(!CountBound::default().may_pass_local(c(0), 64));
+        assert_eq!(PolicySpec::PAPER_BOUND, 64);
+        assert!(one(PolicySpec::paper_default()).may_pass_local(c(0), 63));
+        assert!(!one(PolicySpec::paper_default()).may_pass_local(c(0), 64));
     }
 
     #[test]
     fn degenerate_policies() {
-        assert!(Unbounded::default().may_pass_local(c(0), u64::MAX));
-        assert!(!NeverPass::default().may_pass_local(c(0), 0));
+        assert!(one(PolicySpec::Unbounded).may_pass_local(c(0), u64::MAX));
+        assert!(!one(PolicySpec::NeverPass).may_pass_local(c(0), 0));
     }
 
     #[test]
     fn tracker_counts_and_snapshots() {
-        let mut t = HandoffTracker::default();
-        t.bind(2);
-        t.on_global_acquire(c(0));
-        t.on_local_handoff(c(0), 0);
-        t.on_local_handoff(c(0), 1);
-        t.on_global_release(c(0), 2);
-        t.on_global_acquire(c(1));
-        t.on_global_release(c(1), 0);
+        let t = Tenures::new(PolicySpec::paper_default(), 2);
+        t.began(c(0));
+        t.handed_off(c(0), 0);
+        t.handed_off(c(0), 1);
+        t.ended(c(0), 2);
+        t.began(c(1));
+        t.ended(c(1), 0);
         let s = t.snapshot();
         assert_eq!(s.tenures(), 2);
         assert_eq!(s.local_handoffs(), 2);
@@ -1259,74 +825,78 @@ mod tests {
     }
 
     #[test]
-    fn tracker_unbound_hooks_are_noops() {
-        let t = HandoffTracker::default();
-        t.on_global_acquire(c(3)); // must not panic
-        assert_eq!(t.snapshot().per_cluster.len(), 0);
-    }
-
-    #[test]
     fn time_bound_expires_on_virtual_clock() {
         vclock::reset();
-        let mut p = TimeBound::virtual_ns(1_000);
-        p.bind(1);
+        let p = one(PolicySpec::Time { budget_ns: 1_000 });
         vclock::set(5_000);
-        p.on_global_acquire(c(0));
+        p.began(c(0));
         assert!(p.may_pass_local(c(0), 0), "fresh tenure has budget");
         vclock::advance(999);
         assert!(p.may_pass_local(c(0), 10_000), "streak is irrelevant");
         vclock::advance(2);
         assert!(!p.may_pass_local(c(0), 0), "budget exhausted");
-        p.on_global_release(c(0), 3);
+        p.ended(c(0), 3);
         assert_eq!(p.snapshot().global_releases(), 1);
         vclock::reset();
     }
 
     #[test]
     fn time_bound_wall_clock_mode() {
-        let mut p = TimeBound::wall_ns(u64::MAX / 2);
-        p.bind(1);
-        p.on_global_acquire(c(0));
+        let p = one(PolicySpec::WallTime {
+            budget_ns: u64::MAX / 2,
+        });
+        p.began(c(0));
         assert!(p.may_pass_local(c(0), 0), "huge wall budget never expires");
-        assert_eq!(p.clock(), TenureClock::Wall);
+        assert_eq!(p.label(), format!("wall-time({}ns)", u64::MAX / 2));
     }
 
     #[test]
     fn adaptive_bound_grows_on_cutoff_and_shrinks_when_dry() {
-        let mut p = AdaptiveBound::with_range(4, 64);
-        p.bind(1);
-        assert_eq!(p.current_bounds(), vec![64], "initial clamps into range");
+        let p = one(PolicySpec::Adaptive { min: 4, max: 64 });
+        assert_eq!(bound_of(&p), 64, "initial clamps into range");
 
         // Cut off at the bound twice: stays at max (64 is already max).
-        p.on_global_acquire(c(0));
-        p.on_global_release(c(0), 64);
-        assert_eq!(p.current_bounds(), vec![64]);
+        p.began(c(0));
+        p.ended(c(0), 64);
+        assert_eq!(bound_of(&p), 64);
 
         // Run dry early repeatedly: halves down to min, never below.
         for _ in 0..10 {
-            p.on_global_acquire(c(0));
-            p.on_global_release(c(0), 0);
+            p.began(c(0));
+            p.ended(c(0), 0);
         }
-        assert_eq!(p.current_bounds(), vec![4]);
+        assert_eq!(bound_of(&p), 4);
 
         // Demand returns: doubles back up, never past max.
         for _ in 0..10 {
-            p.on_global_acquire(c(0));
-            let b = p.current_bounds()[0];
-            p.on_global_release(c(0), b);
+            p.began(c(0));
+            let b = bound_of(&p);
+            p.ended(c(0), b);
         }
-        assert_eq!(p.current_bounds(), vec![64]);
+        assert_eq!(bound_of(&p), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptive(0..4)")]
+    fn adaptive_range_is_validated_where_the_book_is_built() {
+        Tenures::new(PolicySpec::Adaptive { min: 0, max: 4 }, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptive(9..4)")]
+    fn adaptive_floor_above_ceiling_is_refused() {
+        Tenures::new(PolicySpec::Adaptive { min: 9, max: 4 }, 1);
     }
 
     #[test]
     fn policy_spec_builds_and_prints() {
         assert_eq!(PolicySpec::paper_default(), PolicySpec::Count { bound: 64 });
-        let mut p = PolicySpec::Count { bound: 5 }.build();
-        p.bind(2);
+        let p = Tenures::new(PolicySpec::Count { bound: 5 }, 2);
         assert!(p.may_pass_local(c(0), 4));
         assert!(!p.may_pass_local(c(0), 5));
-        assert_eq!(p.name(), "count");
-        assert_eq!(PolicySpec::NeverPass.build().name(), "never-pass");
+        assert_eq!(p.spec(), PolicySpec::Count { bound: 5 });
+        assert_eq!(p.label(), "count(5)");
+        assert_eq!(one(PolicySpec::NeverPass).label(), "never-pass");
         assert_eq!(
             format!("{}", PolicySpec::Adaptive { min: 8, max: 1024 }),
             "adaptive(8..1024)"
@@ -1424,7 +994,7 @@ mod tests {
 
     #[test]
     fn parse_error_invalid_range_reports_bounds() {
-        // Ranges with_range would panic on are rejected at parse time.
+        // Ranges Tenures::new would panic on are rejected at parse time.
         assert_eq!(
             PolicySpec::parse("adaptive:16:4").unwrap_err(),
             PolicyParseError::InvalidRange { min: 16, max: 4 }

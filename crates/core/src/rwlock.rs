@@ -8,9 +8,9 @@
 //! locks. The recipe, reproduced here:
 //!
 //! * **writers** synchronize among themselves through an ordinary
-//!   [`CohortLock<G, L, P>`], so consecutive writers from one cluster pass
+//!   [`CohortLock<G, L>`], so consecutive writers from one cluster pass
 //!   the write lock at local cost and writer *tenures* are bounded by the
-//!   same pluggable [`HandoffPolicy`] layer as every other cohort lock;
+//!   same [`PolicySpec`] as every other cohort lock;
 //! * **readers** never touch the write lock: each cluster owns a
 //!   cache-padded reader counter, so concurrent readers on different
 //!   clusters induce no coherence traffic at all, and readers on the same
@@ -42,7 +42,7 @@
 //! the pre-announcement gate probe entirely when no writer is around.
 
 use crate::lock::{CohortLock, CohortToken};
-use crate::policy::{CohortStats, CountBound, HandoffPolicy};
+use crate::policy::{CohortStats, PolicySpec, Tenures};
 use crate::traits::{GlobalLock, LocalCohortLock};
 use base_locks::{RawLock, SpinWait};
 use crossbeam_utils::CachePadded;
@@ -95,14 +95,14 @@ impl<LT> RwWriteToken<LT> {
 }
 
 /// A NUMA-aware reader-writer lock built on the cohorting transformation:
-/// writers go through a [`CohortLock<G, L, P>`], readers through
+/// writers go through a [`CohortLock<G, L>`], readers through
 /// cache-padded per-cluster counters.
 ///
-/// The policy `P` bounds **writer tenures** exactly as it bounds tenures
-/// of a plain cohort lock — [`cohort_stats`](Self::cohort_stats) reports
-/// the same per-cluster tenure counters, and e.g. a [`CountBound`] of 64
-/// guarantees no cluster's writer streak exceeds 64 consecutive local
-/// handoffs.
+/// The policy bounds **writer tenures** exactly as it bounds tenures of a
+/// plain cohort lock — [`cohort_stats`](Self::cohort_stats) reports the
+/// same per-cluster tenure counters, and e.g. `PolicySpec::Count` with
+/// bound 64 guarantees no cluster's writer streak exceeds 64 consecutive
+/// local handoffs.
 ///
 /// Ready-made compositions: [`CRwBoMcs`](crate::CRwBoMcs) and
 /// [`CRwTktMcs`](crate::CRwTktMcs).
@@ -131,9 +131,9 @@ impl<LT> RwWriteToken<LT> {
 /// // `try_write` above counts too: it briefly held the writer lock.)
 /// assert_eq!(rw.cohort_stats().tenures(), 2);
 /// ```
-pub struct CohortRwLock<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy = CountBound> {
+pub struct CohortRwLock<G: GlobalLock, L: LocalCohortLock> {
     /// Writer-side mutual exclusion (and the tenure/fairness machinery).
-    writer: CohortLock<G, L, P>,
+    writer: CohortLock<G, L>,
     /// Active readers per cluster; a reader only ever touches its own
     /// cluster's line.
     readers: Box<[CachePadded<AtomicU64>]>,
@@ -147,41 +147,38 @@ pub struct CohortRwLock<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy = Co
     fairness: RwFairness,
 }
 
-impl<G, L, P> CohortRwLock<G, L, P>
+impl<G, L> CohortRwLock<G, L>
 where
     G: GlobalLock + Default,
     L: LocalCohortLock + Default,
-    P: HandoffPolicy,
 {
-    /// Creates a writer-preference C-RW lock over `topo` with the
-    /// policy's default configuration.
-    pub fn new(topo: Arc<Topology>) -> Self
-    where
-        P: Default,
-    {
-        Self::with_policy_and_fairness(topo, P::default(), RwFairness::WriterPreference)
+    /// Creates a writer-preference C-RW lock over `topo` under the
+    /// paper's handoff policy.
+    pub fn new(topo: Arc<Topology>) -> Self {
+        Self::with_fairness(topo, RwFairness::WriterPreference)
     }
 
-    /// Creates a C-RW lock with an explicit fairness flavor and the
-    /// policy's default configuration.
-    pub fn with_fairness(topo: Arc<Topology>, fairness: RwFairness) -> Self
-    where
-        P: Default,
-    {
-        Self::with_policy_and_fairness(topo, P::default(), fairness)
+    /// Creates a C-RW lock with an explicit fairness flavor under the
+    /// paper's handoff policy.
+    pub fn with_fairness(topo: Arc<Topology>, fairness: RwFairness) -> Self {
+        Self::with_policy_and_fairness(topo, PolicySpec::paper_default(), fairness)
     }
 
-    /// Creates a writer-preference C-RW lock with an explicit
-    /// [`HandoffPolicy`] instance bounding writer tenures.
-    pub fn with_handoff_policy(topo: Arc<Topology>, policy: P) -> Self {
-        Self::with_policy_and_fairness(topo, policy, RwFairness::WriterPreference)
+    /// Creates a writer-preference C-RW lock with an explicit handoff
+    /// policy bounding writer tenures.
+    pub fn with_policy(topo: Arc<Topology>, spec: PolicySpec) -> Self {
+        Self::with_policy_and_fairness(topo, spec, RwFairness::WriterPreference)
     }
 
     /// Creates a C-RW lock with both knobs explicit.
-    pub fn with_policy_and_fairness(topo: Arc<Topology>, policy: P, fairness: RwFairness) -> Self {
+    pub fn with_policy_and_fairness(
+        topo: Arc<Topology>,
+        spec: PolicySpec,
+        fairness: RwFairness,
+    ) -> Self {
         let clusters = topo.clusters();
         CohortRwLock {
-            writer: CohortLock::with_handoff_policy(topo, policy),
+            writer: CohortLock::with_policy(topo, spec),
             readers: (0..clusters)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -192,7 +189,7 @@ where
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwLock<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> CohortRwLock<G, L> {
     /// The fairness flavor in effect.
     pub fn fairness(&self) -> RwFairness {
         self.fairness
@@ -203,13 +200,13 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwLock<G, L, P> 
         self.writer.topology()
     }
 
-    /// The handoff policy bounding writer tenures.
-    pub fn policy(&self) -> &P {
+    /// The writer side's tenure book (policy and counters).
+    pub fn policy(&self) -> &Tenures {
         self.writer.policy()
     }
 
     /// Writer-tenure statistics (tenures, local handoffs, streaks — per
-    /// cluster), from the policy's cache-padded counters.
+    /// cluster), from the tenure book's cache-padded slots.
     pub fn cohort_stats(&self) -> CohortStats {
         self.writer.cohort_stats()
     }
@@ -422,7 +419,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwLock<G, L, P> 
     }
 
     /// RAII read acquisition.
-    pub fn read(&self) -> RwReadGuard<'_, G, L, P> {
+    pub fn read(&self) -> RwReadGuard<'_, G, L> {
         RwReadGuard {
             lock: self,
             token: Some(self.lock_read()),
@@ -430,7 +427,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwLock<G, L, P> 
     }
 
     /// RAII read acquisition, if immediately admissible.
-    pub fn try_read(&self) -> Option<RwReadGuard<'_, G, L, P>> {
+    pub fn try_read(&self) -> Option<RwReadGuard<'_, G, L>> {
         self.try_lock_read().map(|t| RwReadGuard {
             lock: self,
             token: Some(t),
@@ -438,7 +435,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwLock<G, L, P> 
     }
 
     /// RAII write acquisition.
-    pub fn write(&self) -> RwWriteGuard<'_, G, L, P> {
+    pub fn write(&self) -> RwWriteGuard<'_, G, L> {
         RwWriteGuard {
             lock: self,
             token: Some(self.lock_write()),
@@ -446,7 +443,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwLock<G, L, P> 
     }
 
     /// RAII write acquisition, if immediately available.
-    pub fn try_write(&self) -> Option<RwWriteGuard<'_, G, L, P>> {
+    pub fn try_write(&self) -> Option<RwWriteGuard<'_, G, L>> {
         self.try_lock_write().map(|t| RwWriteGuard {
             lock: self,
             token: Some(t),
@@ -454,9 +451,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwLock<G, L, P> 
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> std::fmt::Debug
-    for CohortRwLock<G, L, P>
-{
+impl<G: GlobalLock, L: LocalCohortLock> std::fmt::Debug for CohortRwLock<G, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CohortRwLock")
             .field("clusters", &self.readers.len())
@@ -467,12 +462,12 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> std::fmt::Debug
 }
 
 /// RAII guard of a shared (read) acquisition; released on drop.
-pub struct RwReadGuard<'a, G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> {
-    lock: &'a CohortRwLock<G, L, P>,
+pub struct RwReadGuard<'a, G: GlobalLock, L: LocalCohortLock> {
+    lock: &'a CohortRwLock<G, L>,
     token: Option<RwReadToken>,
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Drop for RwReadGuard<'_, G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> Drop for RwReadGuard<'_, G, L> {
     fn drop(&mut self) {
         if let Some(t) = self.token.take() {
             // SAFETY: the token came from this lock's acquire path and is
@@ -483,12 +478,12 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Drop for RwReadGuard<'
 }
 
 /// RAII guard of an exclusive (write) acquisition; released on drop.
-pub struct RwWriteGuard<'a, G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> {
-    lock: &'a CohortRwLock<G, L, P>,
+pub struct RwWriteGuard<'a, G: GlobalLock, L: LocalCohortLock> {
+    lock: &'a CohortRwLock<G, L>,
     token: Option<RwWriteToken<L::Token>>,
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Drop for RwWriteGuard<'_, G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> Drop for RwWriteGuard<'_, G, L> {
     fn drop(&mut self) {
         if let Some(t) = self.token.take() {
             // SAFETY: token from this lock, used once, on the acquiring
@@ -503,7 +498,6 @@ mod tests {
     use super::*;
     use crate::global::GlobalBoLock;
     use crate::local_mcs::LocalMcsLock;
-    use crate::policy::{CountBound, DynPolicy, PolicySpec};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -600,17 +594,12 @@ mod tests {
         let (violations, writes) = stress(Arc::clone(&rw), 4, 500, 1);
         assert_eq!(violations, 0);
         assert_eq!(writes, 4 * 500);
-        assert!(rw.cohort_stats().max_streak() <= CountBound::PAPER_BOUND);
+        assert!(rw.cohort_stats().max_streak() <= PolicySpec::PAPER_BOUND);
     }
 
     #[test]
     fn policy_bounds_writer_streak() {
-        let rw: Arc<CohortRwLock<GlobalBoLock, LocalMcsLock, DynPolicy>> =
-            Arc::new(CohortRwLock::with_policy_and_fairness(
-                topo(),
-                PolicySpec::Count { bound: 3 }.build(),
-                RwFairness::WriterPreference,
-            ));
+        let rw = Arc::new(Rw::with_policy(topo(), PolicySpec::Count { bound: 3 }));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let rw = Arc::clone(&rw);

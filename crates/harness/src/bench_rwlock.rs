@@ -14,7 +14,7 @@
 //! [`AbortableAdapter`](crate::AbortableAdapter),
 //! [`PthreadLock`](crate::PthreadLock)) are in `bench_lock.rs`.
 
-use cohort::{CohortRwLock, CohortStats, GlobalLock, HandoffPolicy, LocalCohortLock, RwWriteToken};
+use cohort::{CohortRwLock, CohortStats, GlobalLock, LocalCohortLock, RwWriteToken};
 use numa_topology::current_cluster_in;
 use std::cell::{RefCell, UnsafeCell};
 use std::sync::Arc;
@@ -77,8 +77,8 @@ pub trait BenchRwLock: Send + Sync {
 }
 
 /// Adapts any [`cohort::CohortRwLock`] to [`BenchRwLock`].
-pub struct CohortRwAdapter<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> {
-    lock: CohortRwLock<G, L, P>,
+pub struct CohortRwAdapter<G: GlobalLock, L: LocalCohortLock> {
+    lock: CohortRwLock<G, L>,
     /// Token of the in-flight *write* acquisition; holder-private (the
     /// same argument as [`crate::RawAdapter`]). Read tokens carry no
     /// state beyond the acquiring cluster, which is re-derived at release
@@ -88,12 +88,12 @@ pub struct CohortRwAdapter<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> 
 
 // SAFETY: the write slot is holder-private (see field docs); the lock
 // itself is Sync.
-unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Send for CohortRwAdapter<G, L, P> {}
-unsafe impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> Sync for CohortRwAdapter<G, L, P> {}
+unsafe impl<G: GlobalLock, L: LocalCohortLock> Send for CohortRwAdapter<G, L> {}
+unsafe impl<G: GlobalLock, L: LocalCohortLock> Sync for CohortRwAdapter<G, L> {}
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwAdapter<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> CohortRwAdapter<G, L> {
     /// Wraps `lock`.
-    pub fn new(lock: CohortRwLock<G, L, P>) -> Self {
+    pub fn new(lock: CohortRwLock<G, L>) -> Self {
         CohortRwAdapter {
             lock,
             write_slot: UnsafeCell::new(None),
@@ -101,7 +101,7 @@ impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> CohortRwAdapter<G, L, 
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock, P: HandoffPolicy> BenchRwLock for CohortRwAdapter<G, L, P> {
+impl<G: GlobalLock, L: LocalCohortLock> BenchRwLock for CohortRwAdapter<G, L> {
     fn acquire_read(&self) {
         // The token only records the acquiring cluster; that assignment
         // is sticky per thread, so release_read re-derives it and the

@@ -17,7 +17,7 @@ use base_locks::{
     ReciprocatingLock, TatasLock, TicketLock,
 };
 use cohort::{
-    AbortableGlobalLock, AbortableLocalCohortLock, CohortLock, CohortRwLock, CountBound, DynPolicy,
+    AbortableGlobalLock, AbortableLocalCohortLock, CBoMcs, CohortLock, CohortRwLock, FisBoMcs,
     FissileLock, GcrLock, GlobalBoLock, GlobalLock, Introspect, LocalAClhLock, LocalAboLock,
     LocalBoLock, LocalCohortLock, LocalMcsLock, LocalTicketLock, PolicySpec, RwFairness,
 };
@@ -90,7 +90,7 @@ const fn batched(n: u64) -> ModelledAdmission {
 }
 
 /// Batched admission at the paper's bound, the cohort family's default.
-const PAPER: ModelledAdmission = batched(CountBound::PAPER_BOUND);
+const PAPER: ModelledAdmission = batched(PolicySpec::PAPER_BOUND);
 
 // ---------------------------------------------------------------------------
 // Constructor helpers, named after what they compose
@@ -113,24 +113,9 @@ where
     erase(L::default())
 }
 
-/// Evaluates `$build` with `$p` bound to the handoff policy `$policy`
-/// selects. `None` is the static paper default — the `CountBound` type
-/// the `cohort` aliases (`CBoMcs`, `FisBoMcs`, …) name, with no dynamic
-/// dispatch on the release path; `Some(spec)` is the spec's `DynPolicy`.
-/// Two policy types, hence a macro: each arm monomorphises `$build`.
-macro_rules! either_policy {
-    ($policy:expr, |$p:ident| $build:expr) => {
-        match $policy {
-            None => {
-                let $p = CountBound::default();
-                $build
-            }
-            Some(spec) => {
-                let $p = PolicySpec::build(spec);
-                $build
-            }
-        }
-    };
+/// The policy a cohort-family row installs: the knob's, else the paper's.
+fn or_paper(policy: Option<PolicySpec>) -> PolicySpec {
+    policy.unwrap_or(PolicySpec::paper_default())
 }
 
 /// C-G-L: global lock `G` over per-cluster local locks `L`.
@@ -139,8 +124,9 @@ where
     G: GlobalLock + Default + 'static,
     L: LocalCohortLock + Default + 'static,
 {
-    either_policy!(policy, |p| erase(
-        CohortLock::<G, L, _>::with_handoff_policy(Arc::clone(topo), p)
+    erase(CohortLock::<G, L>::with_policy(
+        Arc::clone(topo),
+        or_paper(policy),
     ))
 }
 
@@ -150,8 +136,9 @@ where
     G: AbortableGlobalLock + Default + 'static,
     L: AbortableLocalCohortLock + Default + 'static,
 {
-    either_policy!(policy, |p| erase_abortable(
-        CohortLock::<G, L, _>::with_handoff_policy(Arc::clone(topo), p)
+    erase_abortable(CohortLock::<G, L>::with_policy(
+        Arc::clone(topo),
+        or_paper(policy),
     ))
 }
 
@@ -161,8 +148,9 @@ where
     G: GlobalLock + Default + 'static,
     L: LocalCohortLock + Default + 'static,
 {
-    either_policy!(policy, |p| erase(
-        FissileLock::<G, L, _>::with_handoff_policy(Arc::clone(topo), p)
+    erase(FissileLock::<G, L>::with_policy(
+        Arc::clone(topo),
+        or_paper(policy),
     ))
 }
 
@@ -176,28 +164,24 @@ fn gcr_over<K: RawLock + Introspect + 'static>(
 
 /// GCR-C-BO-MCS.
 fn gcr_c_bo_mcs(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock> {
-    type Inner<P> = CohortLock<GlobalBoLock, LocalMcsLock, P>;
-    either_policy!(policy, |p| gcr_over(
+    gcr_over(
         topo,
-        Inner::with_handoff_policy(Arc::clone(topo), p)
-    ))
+        CBoMcs::with_policy(Arc::clone(topo), or_paper(policy)),
+    )
 }
 
 /// GCR-Fis-BO-MCS.
 fn gcr_fis_bo_mcs(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock> {
-    type Inner<P> = FissileLock<GlobalBoLock, LocalMcsLock, P>;
-    either_policy!(policy, |p| gcr_over(
+    gcr_over(
         topo,
-        Inner::with_handoff_policy(Arc::clone(topo), p)
-    ))
+        FisBoMcs::with_policy(Arc::clone(topo), or_paper(policy)),
+    )
 }
 
 /// CNA with `threshold` consecutive local handoffs by default.
 fn cna(topo: &Arc<Topology>, policy: Option<PolicySpec>, threshold: u64) -> Arc<dyn BenchRwLock> {
-    match policy {
-        None => erase(CnaLock::with_threshold(Arc::clone(topo), threshold)),
-        Some(spec) => erase(CnaLock::with_handoff_policy(Arc::clone(topo), spec.build())),
-    }
+    let spec = policy.unwrap_or(PolicySpec::Count { bound: threshold });
+    erase(CnaLock::with_policy(Arc::clone(topo), spec))
 }
 
 /// HBO (also A-HBO's lock) with the microbenchmark tuning.
@@ -206,8 +190,7 @@ fn hbo(topo: &Arc<Topology>) -> HboLock {
 }
 
 /// C-RW-G-L at the given fairness: writers through C-G-L, readers
-/// through per-cluster counters. Always a `DynPolicy` (the paper default
-/// when `policy` is `None`).
+/// through per-cluster counters.
 fn cohort_rw_at<G, L>(
     topo: &Arc<Topology>,
     policy: Option<PolicySpec>,
@@ -218,9 +201,9 @@ where
     L: LocalCohortLock + Default + 'static,
 {
     Arc::new(CohortRwAdapter::new(
-        CohortRwLock::<G, L, DynPolicy>::with_policy_and_fairness(
+        CohortRwLock::<G, L>::with_policy_and_fairness(
             Arc::clone(topo),
-            policy.unwrap_or_else(PolicySpec::paper_default).build(),
+            or_paper(policy),
             fairness,
         ),
     ))
@@ -352,7 +335,7 @@ impl LockKind {
             LockKind::FcMcs => Row::new("FC-MCS", Baseline, Fifo, |t, _| {
                 erase(FcMcsLock::new(Arc::clone(t)))
             }),
-            LockKind::Cna => Row::new("CNA", Cna, PAPER, |t, p| cna(t, p, CountBound::PAPER_BOUND)),
+            LockKind::Cna => Row::new("CNA", Cna, PAPER, |t, p| cna(t, p, PolicySpec::PAPER_BOUND)),
             LockKind::CnaTight => {
                 Row::new("CNA (t=4)", Cna, batched(TIGHT), |t, p| cna(t, p, TIGHT))
             }
@@ -674,7 +657,7 @@ impl AnyLockKind {
 
 /// Tenure bound a [`ModelledAdmission::ClusterBatched`] kind honors: the
 /// deterministic projection of a [`PolicySpec`] onto the modelled runner
-/// (which has no real policy object to consult — admission is decided by
+/// (which has no tenure book to consult — admission is decided by
 /// the simulator, not the lock).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TenureLimit {
@@ -1031,7 +1014,7 @@ mod tests {
         for k in [LockKind::CBoMcs, LockKind::FisBoMcs, LockKind::GcrCBoMcs] {
             assert_eq!(
                 AnyLockKind::Excl(k).modelled_admission(None),
-                ClusterBatched(TenureLimit::Count(cohort::CountBound::PAPER_BOUND)),
+                ClusterBatched(TenureLimit::Count(PolicySpec::PAPER_BOUND)),
                 "{k}"
             );
         }
@@ -1041,7 +1024,7 @@ mod tests {
         );
         assert_eq!(
             AnyLockKind::Rw(RwLockKind::CRwWpBoMcs).modelled_admission(None),
-            ClusterBatched(TenureLimit::Count(cohort::CountBound::PAPER_BOUND))
+            ClusterBatched(TenureLimit::Count(PolicySpec::PAPER_BOUND))
         );
         // The policy knob projects exactly where the constructor honors it.
         assert_eq!(
@@ -1079,7 +1062,7 @@ mod tests {
         );
         assert_eq!(
             AnyLockKind::Excl(LockKind::CRecipMcs).modelled_admission(None),
-            ClusterBatched(TenureLimit::Count(cohort::CountBound::PAPER_BOUND))
+            ClusterBatched(TenureLimit::Count(PolicySpec::PAPER_BOUND))
         );
     }
 
@@ -1118,6 +1101,40 @@ mod tests {
             } else {
                 assert_eq!(lock.policy_label().as_deref(), default_label, "{kind}");
             }
+        }
+    }
+
+    #[test]
+    fn none_and_the_rows_default_spec_are_the_same_lock() {
+        // One lock type per kind: the knob's `None` is nothing but the
+        // row's default spec spelled out.
+        let topo = Arc::new(Topology::new(4));
+        let kinds = AnyLockKind::excl(&LockKind::ALL)
+            .into_iter()
+            .chain(RwLockKind::FIG_RW.map(AnyLockKind::Rw))
+            .filter(|kind| kind.has_policy_knob());
+        for kind in kinds {
+            let ModelledAdmission::ClusterBatched(TenureLimit::Count(bound)) =
+                kind.modelled_admission(None)
+            else {
+                panic!("{kind}: a policy-driven row defaults to a count bound");
+            };
+            let by_default = kind.make(&topo, None);
+            let spelled_out = kind.make(&topo, Some(PolicySpec::Count { bound }));
+            assert_eq!(
+                by_default.policy_label(),
+                spelled_out.policy_label(),
+                "{kind}"
+            );
+            for lock in [&by_default, &spelled_out] {
+                for _ in 0..1_000 {
+                    lock.acquire_write();
+                    lock.release_write();
+                }
+            }
+            let stats = by_default.cohort_stats();
+            assert!(stats.is_some(), "{kind}");
+            assert_eq!(stats, spelled_out.cohort_stats(), "{kind}");
         }
     }
 

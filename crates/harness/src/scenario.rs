@@ -104,7 +104,7 @@ pub struct LBenchConfig {
     /// Thread layout.
     pub placement: Placement,
     /// Handoff policy for cohort locks (`None` = each lock's default,
-    /// i.e. the paper's `CountBound(64)`). Ignored by non-cohort locks.
+    /// i.e. the paper's `count(64)`). Ignored by non-cohort locks.
     pub policy: Option<PolicySpec>,
     /// Wall-clock safety net: the run is cut off after this much real time
     /// regardless of virtual progress.

@@ -60,7 +60,7 @@ pub struct KvWorkload {
     /// Wall-clock safety net.
     pub max_wall: Duration,
     /// Handoff policy for the cache lock when it is a cohort lock
-    /// (`None` = the lock's default, the paper's `CountBound(64)`).
+    /// (`None` = the lock's default, the paper's `count(64)`).
     /// Ignored for non-cohort cache locks.
     pub policy: Option<PolicySpec>,
     /// Run the cache lock in **reader-writer mode** (the `KV_RW=1` path):

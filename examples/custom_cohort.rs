@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example custom_cohort`
 
 use lock_cohorting::base_locks::{RawLock, TicketLock};
-use lock_cohorting::cohort::{CohortLock, CountBound, LocalBoLock};
+use lock_cohorting::cohort::{CohortLock, LocalBoLock, PolicySpec};
 use lock_cohorting::numa_topology::Topology;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,9 +21,9 @@ type CTktBo = CohortLock<TicketLock, LocalBoLock>;
 
 fn main() {
     let topo = Arc::new(Topology::new(4));
-    let lock: Arc<CTktBo> = Arc::new(CohortLock::with_handoff_policy(
+    let lock = Arc::new(CTktBo::with_policy(
         Arc::clone(&topo),
-        CountBound::new(32),
+        PolicySpec::Count { bound: 32 },
     ));
 
     let counter = Arc::new(AtomicU64::new(0));
@@ -48,5 +48,5 @@ fn main() {
     }
     assert_eq!(counter.load(Ordering::Relaxed), 400_000);
     println!("C-TKT-BO (a composition the paper never built) works: 400000 ops");
-    println!("policy = {:?}", lock.policy());
+    println!("policy = {}", lock.policy().spec());
 }

@@ -33,7 +33,7 @@ fn main() {
                     // Threads of the same cluster hand the lock to each
                     // other at local cost; the global lock is released
                     // only when the cluster runs dry or after 64
-                    // consecutive local handoffs (`CountBound`).
+                    // consecutive local handoffs (`PolicySpec::Count`).
                     *counter.lock() += 1;
                 }
             })
@@ -55,14 +55,14 @@ fn main() {
 
     // Every cohort lock reports its tenure behaviour — how often the
     // global lock changed hands vs. how often it was passed within a
-    // cluster. The fairness policy is pluggable (HandoffPolicy):
-    // CountBound(64) here, or TimeBound / AdaptiveBound / Unbounded /
-    // NeverPass via CohortLock::with_handoff_policy.
+    // cluster. The fairness policy is a value (PolicySpec): count(64)
+    // here, or Time / WallTime / Adaptive / Unbounded / NeverPass via
+    // CohortLock::with_policy.
     let lock = counter.raw();
     let stats = lock.cohort_stats();
     println!(
-        "fairness policy: {:?} — {} tenures, {} local handoffs, mean streak {:.1}, max streak {}",
-        lock.policy(),
+        "fairness policy: {} — {} tenures, {} local handoffs, mean streak {:.1}, max streak {}",
+        lock.policy().spec(),
         stats.tenures(),
         stats.local_handoffs(),
         stats.mean_streak(),

@@ -1,17 +1,16 @@
 //! Integration: the cohorting transformation works for *every* composition
 //! of the provided global and local locks — not just the seven the paper
-//! names — and under *every* shipped [`HandoffPolicy`]. Mutual exclusion
+//! names — and under *every* [`PolicySpec`] family. Mutual exclusion
 //! is validated with a torn-counter detector; policy invariants are
 //! validated against the [`CohortStats`] counters.
 
 use base_locks::{McsLock, RawLock, ReciprocatingLock, TicketLock};
 use cohort::{
-    AdaptiveBound, CohortLock, CohortStats, CountBound, FissileLock, GcrLock, GlobalBoLock,
-    GlobalLock, HandoffPolicy, LocalAClhLock, LocalAboLock, LocalBoLock, LocalCohortLock,
-    LocalMcsLock, LocalTicketLock, NeverPass, PolicySpec, TimeBound, Unbounded,
+    CBoMcs, CohortLock, CohortStats, FisBoMcs, GcrLock, GlobalBoLock, GlobalLock, LocalAClhLock,
+    LocalAboLock, LocalBoLock, LocalCohortLock, LocalMcsLock, LocalTicketLock, PolicySpec,
 };
 use numa_baselines::CnaLock;
-use numa_topology::Topology;
+use numa_topology::{ClusterId, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -81,7 +80,7 @@ matrix_test!(recip_over_mcs, ReciprocatingLock, LocalMcsLock);
 matrix_test!(recip_over_tkt, ReciprocatingLock, LocalTicketLock);
 
 // ---------------------------------------------------------------------------
-// The policy matrix: every shipped HandoffPolicy keeps mutual exclusion
+// The policy matrix: every PolicySpec family keeps mutual exclusion
 // AND respects its own invariant, observed through the CohortStats
 // counters. 8 threads over 4 clusters gives every cluster a mate, so
 // local handoffs actually occur.
@@ -90,13 +89,12 @@ matrix_test!(recip_over_tkt, ReciprocatingLock, LocalTicketLock);
 /// snapshot. Also enforces the counter-conservation invariant that holds
 /// for *any* policy at quiescence: every acquisition is either a tenure
 /// start or a local inheritance, and every tenure ends.
-fn policy_stress_on<G, L, P>(policy: P, threads: u64, iters: u64) -> CohortStats
+fn policy_stress_on<G, L>(policy: PolicySpec, threads: u64, iters: u64) -> CohortStats
 where
     G: GlobalLock + Default + 'static,
     L: LocalCohortLock + Default + 'static,
-    P: HandoffPolicy + 'static,
 {
-    let lock = Arc::new(CohortLock::<G, L, P>::with_handoff_policy(
+    let lock = Arc::new(CohortLock::<G, L>::with_policy(
         Arc::new(Topology::new(4)),
         policy,
     ));
@@ -141,15 +139,15 @@ where
 }
 
 /// The C-BO-MCS shorthand used by the single-policy invariant tests.
-fn policy_stress<P: HandoffPolicy + 'static>(policy: P, threads: u64, iters: u64) -> CohortStats {
-    policy_stress_on::<GlobalBoLock, LocalMcsLock, P>(policy, threads, iters)
+fn policy_stress(policy: PolicySpec, threads: u64, iters: u64) -> CohortStats {
+    policy_stress_on::<GlobalBoLock, LocalMcsLock>(policy, threads, iters)
 }
 
 #[test]
 fn all_seven_paper_compositions_under_every_policy_family() {
     // The acceptance matrix: each paper composition keeps mutual exclusion
-    // and balanced counters under CountBound(64), TimeBound, AdaptiveBound
-    // and NeverPass (dyn-dispatched so this stays 7×4 runs of one generic).
+    // and balanced counters under count(64), time, adaptive and
+    // never-pass.
     let specs = [
         PolicySpec::Count { bound: 64 },
         PolicySpec::Time { budget_ns: 30_000 },
@@ -159,7 +157,7 @@ fn all_seven_paper_compositions_under_every_policy_family() {
     macro_rules! under_every_policy {
         ($($g:ty, $l:ty);+ $(;)?) => {$(
             for spec in specs {
-                let stats = policy_stress_on::<$g, $l, _>(spec.build(), 4, 250);
+                let stats = policy_stress_on::<$g, $l>(spec, 4, 250);
                 if spec == (PolicySpec::Count { bound: 64 }) {
                     assert!(stats.max_streak() <= 64, "{spec}");
                 }
@@ -196,12 +194,7 @@ fn fissile_under_every_policy_family_keeps_exclusion_and_balance() {
         PolicySpec::Unbounded,
     ];
     for spec in specs {
-        let lock = Arc::new(
-            FissileLock::<GlobalBoLock, LocalMcsLock, _>::with_handoff_policy(
-                Arc::new(Topology::new(4)),
-                spec.build(),
-            ),
-        );
+        let lock = Arc::new(FisBoMcs::with_policy(Arc::new(Topology::new(4)), spec));
         let a = Arc::new(AtomicU64::new(0));
         let b = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..4u64)
@@ -268,10 +261,7 @@ fn gcr_wrapper_under_every_policy_family_keeps_exclusion_and_balance() {
         let topo = Arc::new(Topology::new(4));
         let lock = Arc::new(GcrLock::over(
             Arc::clone(&topo),
-            CohortLock::<GlobalBoLock, LocalMcsLock, _>::with_handoff_policy(
-                Arc::clone(&topo),
-                spec.build(),
-            ),
+            CBoMcs::with_policy(Arc::clone(&topo), spec),
         ));
         let a = Arc::new(AtomicU64::new(0));
         let b = Arc::new(AtomicU64::new(0));
@@ -335,10 +325,7 @@ fn cna_under_every_policy_family_keeps_exclusion_and_balance() {
         PolicySpec::Unbounded,
     ];
     for spec in specs {
-        let lock = Arc::new(CnaLock::with_handoff_policy(
-            Arc::new(Topology::new(4)),
-            spec.build(),
-        ));
+        let lock = Arc::new(CnaLock::with_policy(Arc::new(Topology::new(4)), spec));
         let a = Arc::new(AtomicU64::new(0));
         let b = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..4u64)
@@ -380,9 +367,9 @@ fn cna_under_every_policy_family_keeps_exclusion_and_balance() {
 fn count_bound_streak_never_exceeds_bound() {
     // Property over a spread of bounds: the observed max streak never
     // exceeds the configured bound (a streak of b means b consecutive
-    // local handoffs, which is exactly what CountBound(b) permits).
+    // local handoffs, which is exactly what count(b) permits).
     for bound in [1u64, 2, 3, 7, 33] {
-        let stats = policy_stress(CountBound::new(bound), 8, 800);
+        let stats = policy_stress(PolicySpec::Count { bound }, 8, 800);
         assert!(
             stats.max_streak() <= bound,
             "bound {bound} violated: max streak {}",
@@ -393,7 +380,7 @@ fn count_bound_streak_never_exceeds_bound() {
 
 #[test]
 fn never_pass_yields_zero_local_handoffs() {
-    let stats = policy_stress(NeverPass::default(), 8, 800);
+    let stats = policy_stress(PolicySpec::NeverPass, 8, 800);
     assert_eq!(stats.local_handoffs(), 0);
     assert_eq!(stats.max_streak(), 0);
     assert_eq!(stats.tenures(), 8 * 800);
@@ -402,12 +389,10 @@ fn never_pass_yields_zero_local_handoffs() {
 #[test]
 fn adaptive_bound_stays_within_configured_range() {
     let (min, max) = (2u64, 16u64);
-    let lock = Arc::new(
-        CohortLock::<GlobalBoLock, LocalMcsLock, AdaptiveBound>::with_handoff_policy(
-            Arc::new(Topology::new(4)),
-            AdaptiveBound::with_range(min, max),
-        ),
-    );
+    let lock = Arc::new(CBoMcs::with_policy(
+        Arc::new(Topology::new(4)),
+        PolicySpec::Adaptive { min, max },
+    ));
     let handles: Vec<_> = (0..8)
         .map(|_| {
             let lock = Arc::clone(&lock);
@@ -423,8 +408,14 @@ fn adaptive_bound_stays_within_configured_range() {
     for h in handles {
         h.join().unwrap();
     }
-    let bounds = lock.policy().current_bounds();
-    assert_eq!(bounds.len(), 4);
+    // A cluster's current bound is the first streak its holder is refused at.
+    let bounds: Vec<u64> = (0..4)
+        .map(|c| {
+            (0..)
+                .find(|&streak| !lock.policy().may_pass_local(ClusterId::new(c), streak))
+                .unwrap()
+        })
+        .collect();
     assert!(
         bounds.iter().all(|&b| (min..=max).contains(&b)),
         "bounds escaped [{min}, {max}]: {bounds:?}"
@@ -438,13 +429,19 @@ fn adaptive_bound_stays_within_configured_range() {
 fn unbounded_and_time_bound_conserve_counters() {
     // Unbounded has no streak invariant (that is the point); the
     // conservation checks inside policy_stress are the contract.
-    let stats = policy_stress(Unbounded::default(), 8, 800);
+    let stats = policy_stress(PolicySpec::Unbounded, 8, 800);
     assert!(stats.tenures() > 0);
 
-    // TimeBound under a plain stress loop (no virtual-clock advance): the
-    // budget never expires, so it degenerates to Unbounded — but the
+    // A time bound under a plain stress loop (no virtual-clock advance): the
+    // budget never expires, so it degenerates to unbounded — but the
     // counters must still balance and exclusion must hold.
-    let stats = policy_stress(TimeBound::virtual_ns(1_000_000), 8, 800);
+    let stats = policy_stress(
+        PolicySpec::Time {
+            budget_ns: 1_000_000,
+        },
+        8,
+        800,
+    );
     assert!(stats.tenures() > 0);
 }
 
@@ -457,7 +454,7 @@ fn every_policy_spec_composes_with_dyn_dispatch() {
         PolicySpec::Unbounded,
         PolicySpec::NeverPass,
     ] {
-        let stats = policy_stress(spec.build(), 4, 400);
+        let stats = policy_stress(spec, 4, 400);
         assert_eq!(stats.tenures() + stats.local_handoffs(), 4 * 400, "{spec}");
     }
 }

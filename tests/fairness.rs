@@ -1,8 +1,6 @@
 //! Integration: the may-pass-local policy bounds cohort tenures.
 
-use cohort::{
-    CohortLock, CountBound, GlobalBoLock, HandoffPolicy, LocalMcsLock, NeverPass, PolicySpec,
-};
+use cohort::{CBoMcs, PolicySpec};
 use lbench::{
     run_scenario, run_scenario_on, AnyLockKind, LBenchConfig, LockKind, RawAdapter, Scenario,
 };
@@ -10,10 +8,9 @@ use numa_topology::Topology;
 use std::sync::Arc;
 
 /// Mean batch of a hand-built C-BO-MCS under `policy`.
-fn run_with_policy<P: HandoffPolicy + 'static>(policy: P) -> f64 {
+fn run_with_policy(policy: PolicySpec) -> f64 {
     let topo = Arc::new(Topology::new(4));
-    let lock: CohortLock<GlobalBoLock, LocalMcsLock, P> =
-        CohortLock::with_handoff_policy(Arc::clone(&topo), policy);
+    let lock = CBoMcs::with_policy(Arc::clone(&topo), policy);
     let cfg = LBenchConfig {
         threads: 16,
         window_ns: 3_000_000,
@@ -31,8 +28,8 @@ fn run_with_policy<P: HandoffPolicy + 'static>(policy: P) -> f64 {
 
 #[test]
 fn tighter_bound_means_shorter_batches() {
-    let tight = run_with_policy(CountBound::new(4));
-    let loose = run_with_policy(CountBound::new(64));
+    let tight = run_with_policy(PolicySpec::Count { bound: 4 });
+    let loose = run_with_policy(PolicySpec::Count { bound: 64 });
     assert!(
         tight < loose,
         "bound 4 gave batch {tight:.1}, bound 64 gave {loose:.1}"
@@ -47,7 +44,7 @@ fn tighter_bound_means_shorter_batches() {
 
 #[test]
 fn never_pass_policy_disables_batching() {
-    let batch = run_with_policy(NeverPass::default());
+    let batch = run_with_policy(PolicySpec::NeverPass);
     // Without local handoffs every release goes global; batches form only
     // when one cluster re-wins the global race.
     assert!(

@@ -12,7 +12,7 @@
 //!    handoffs exceeds the configured fairness threshold.
 
 use lock_cohorting::base_locks::RawLock;
-use lock_cohorting::cohort::{DynPolicy, PolicySpec};
+use lock_cohorting::cohort::PolicySpec;
 use lock_cohorting::numa_baselines::CnaLock;
 use lock_cohorting::numa_topology::{
     bind_current_thread, reset_thread_binding, ClusterId, Topology,
@@ -30,7 +30,7 @@ struct RunOutcome {
 }
 
 fn run_contended(
-    lock: &Arc<CnaLock<DynPolicy>>,
+    lock: &Arc<CnaLock>,
     topo: &Arc<Topology>,
     threads: usize,
     clusters: usize,
@@ -98,12 +98,9 @@ proptest! {
         scan_limit in 1usize..8,
     ) {
         let topo = Arc::new(Topology::new(clusters));
-        let lock: Arc<CnaLock<DynPolicy>> = Arc::new(
-            CnaLock::with_handoff_policy(
-                Arc::clone(&topo),
-                PolicySpec::Count { bound }.build(),
-            )
-            .with_scan_limit(scan_limit),
+        let lock = Arc::new(
+            CnaLock::with_policy(Arc::clone(&topo), PolicySpec::Count { bound })
+                .with_scan_limit(scan_limit),
         );
         let out = run_contended(&lock, &topo, threads, clusters, iters);
 

@@ -21,7 +21,7 @@
 //!    layer exceed its configured fairness.
 
 use lock_cohorting::base_locks::RawLock;
-use lock_cohorting::cohort::{DynPolicy, FissileLock, FissileTuning, PolicySpec};
+use lock_cohorting::cohort::{FissileLock, FissileTuning, PolicySpec};
 use lock_cohorting::cohort::{GlobalBoLock, LocalMcsLock};
 use lock_cohorting::numa_topology::{
     bind_current_thread, reset_thread_binding, ClusterId, Topology,
@@ -30,7 +30,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-type Fis = FissileLock<GlobalBoLock, LocalMcsLock, DynPolicy>;
+type Fis = FissileLock<GlobalBoLock, LocalMcsLock>;
 
 /// Outcome of one randomized run, aggregated across its worker threads.
 struct RunOutcome {
@@ -110,7 +110,7 @@ proptest! {
         let topo = Arc::new(Topology::new(clusters));
         let lock: Arc<Fis> = Arc::new(FissileLock::with_tuning(
             Arc::clone(&topo),
-            PolicySpec::Count { bound }.build(),
+            PolicySpec::Count { bound },
             FissileTuning { fast_attempts, bypass_bound },
         ));
         let out = run_contended(&lock, &topo, threads, clusters, iters);
@@ -155,7 +155,7 @@ fn spinner_losing_the_word_fissions_and_completes() {
     let topo = Arc::new(Topology::new(2));
     let lock: Arc<Fis> = Arc::new(FissileLock::with_tuning(
         Arc::clone(&topo),
-        PolicySpec::Count { bound: 4 }.build(),
+        PolicySpec::Count { bound: 4 },
         FissileTuning {
             fast_attempts: 1,
             bypass_bound: 1,

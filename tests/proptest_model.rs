@@ -6,7 +6,7 @@
 use coherence_sim::{
     take_thread_stats, CostModel, Directory, HandoffChannel, LineState, ThreadStats,
 };
-use cohort::{CountBound, HandoffPolicy};
+use cohort::{PolicySpec, Tenures};
 use numa_topology::{vclock, ClusterId};
 use proptest::prelude::*;
 
@@ -108,7 +108,7 @@ proptest! {
 
     #[test]
     fn count_policy_is_a_step_function(bound in 0u64..1_000, streak in 0u64..2_000) {
-        let p = CountBound::new(bound);
+        let p = Tenures::new(PolicySpec::Count { bound }, 1);
         prop_assert_eq!(p.may_pass_local(ClusterId::new(0), streak), streak < bound);
     }
 

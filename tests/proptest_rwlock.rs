@@ -11,15 +11,13 @@
 //! 4. **bounded writer streaks** — no writer tenure exceeds the
 //!    configured handoff-policy bound.
 
-use lock_cohorting::cohort::{
-    CohortRwLock, DynPolicy, GlobalBoLock, LocalMcsLock, PolicySpec, RwFairness,
-};
+use lock_cohorting::cohort::{CohortRwLock, GlobalBoLock, LocalMcsLock, PolicySpec, RwFairness};
 use lock_cohorting::numa_topology::Topology;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-type Rw = CohortRwLock<GlobalBoLock, LocalMcsLock, DynPolicy>;
+type Rw = CohortRwLock<GlobalBoLock, LocalMcsLock>;
 
 /// Outcome of one randomized run, aggregated across its worker threads.
 struct RunOutcome {
@@ -113,7 +111,7 @@ proptest! {
         };
         let rw: Arc<Rw> = Arc::new(CohortRwLock::with_policy_and_fairness(
             Arc::new(Topology::new(clusters)),
-            PolicySpec::Count { bound }.build(),
+            PolicySpec::Count { bound },
             fairness,
         ));
         let out = run_mix(&rw, threads, iters, write_every);
