@@ -265,8 +265,8 @@ impl fmt::Debug for KeyedSpec {
 /// thread-id) order off a min-heap — O(log clients) per op — against the
 /// real service, into ONE run-wide latency reservoir in execution order.
 /// Both choices are pinned by `results/fig_shards.csv`: the DES breaks
-/// clock ties by push order and samples per logical thread, which is why
-/// this is a driver of its own rather than a branch inside it.
+/// clock ties by push order and decimates per logical thread, which is
+/// why this is a driver of its own rather than a branch inside it.
 pub(crate) fn run_in_clock_order(p: &Program<'_>, body: &dyn KeyedService) -> Counts {
     let cfg = p.cfg;
     // The run drives the caller's thread-local clock; save and restore
@@ -278,7 +278,7 @@ pub(crate) fn run_in_clock_order(p: &Program<'_>, body: &dyn KeyedService) -> Co
     let mut x = Exec {
         stop: &stop,
         wall_start: Instant::now(),
-        lat: LatReservoir::for_config(cfg),
+        lat: LatReservoir::lazy(),
     };
     let mut clients: Vec<Client> = (0..cfg.threads).map(|i| Client::new(p, i)).collect();
     // Each live logical thread has exactly one entry, keyed by its clock;

@@ -58,10 +58,15 @@
 //!
 //! # Cost per event
 //!
-//! An event costs O(1) host time at any number of logical threads: a
-//! saturated C-BO-MCS acquisition takes ~50 ns at 64 of them and ~80 ns
-//! at 4096 (cache footprint, not queue depth) on the 2.1 GHz reference
-//! host. Two invariants make that legal without moving a simulated number:
+//! An event costs O(1) host time at any number of logical threads and a
+//! warm cell allocates nothing per logical thread (one run-wide latency
+//! log; buffers kept per OS thread in `Scratch`): a saturated 4096-thread
+//! C-BO-MCS cell takes ~470 µs on the 2.1 GHz reference host — 365 event
+//! loop, 47 thread table, 26 collection, 20 percentiles — against ~670
+//! with a reservoir per thread (110 merging them, 56 sorting). That is
+//! 47 ns of event loop per acquisition, as at 64 threads; the rest is
+//! per-cell set-up. Two invariants make O(1) legal without moving a
+//! simulated number:
 //!
 //! * **Arrivals enter in time order** — a thread queues at the time of
 //!   the event being handled, and events pop in time order — so each
@@ -77,7 +82,6 @@
 //! No handler walks the thread table. The obviously-right forms — a
 //! linear scan per question, one heap keyed `(time, push order)` — are
 //! the references of seeded differential tests in the test module.
-//! Per-thread latency reservoirs start empty (see `LatReservoir::lazy`).
 
 use crate::bench_rwlock::BenchRwLock;
 use crate::program::{charge_cs, Client, Draw, Program};
@@ -86,6 +90,7 @@ use crate::scenario::{Counts, LatReservoir, LockReport};
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
 use cohort::{ClusterStats, CohortStats};
 use numa_topology::{vclock, ClusterId};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -105,6 +110,7 @@ enum Ev {
 /// equal times, the smallest `tie`. The one queue type of the modelled
 /// substrate — the event queue below breaks ties by push order, the keyed
 /// loop (`keyed.rs`) by logical-thread id.
+#[derive(Default)]
 pub(crate) struct TimeQueue<T: Ord> {
     heap: BinaryHeap<Reverse<(u64, T)>>,
 }
@@ -145,6 +151,7 @@ const EV_BITS: u32 = 2;
 /// `now` was earlier, before everything in the lane, and the heap's
 /// entries at `now` drain first; the lane is in push order by
 /// construction, and empty whenever `now` advances.
+#[derive(Default)]
 struct EventQueue {
     future: TimeQueue<u64>,
     /// Keys of the events pushed at `now`, oldest first.
@@ -155,15 +162,6 @@ struct EventQueue {
 }
 
 impl EventQueue {
-    fn with_capacity(threads: usize) -> Self {
-        EventQueue {
-            future: TimeQueue::with_capacity(threads),
-            lane: VecDeque::with_capacity(threads),
-            now: 0,
-            seq: 0,
-        }
-    }
-
     /// Schedules `ev` for thread `tid` at `time ≥ now` and returns the
     /// event's sequence number (≥ 1, unique within the run).
     fn push(&mut self, time: u64, ev: Ev, tid: usize) -> u64 {
@@ -215,7 +213,8 @@ struct Waiting {
 struct Th {
     client: Client,
     clock: u64,
-    lat: LatReservoir,
+    /// Latency samples offered so far (see `Sim::lat_log`).
+    ticks: u64,
     waiting: Option<Waiting>,
     /// Sequence number of the one `Ev::Abort` that may still fire for
     /// this thread; 0 once its wait has ended (grant or abort).
@@ -411,8 +410,8 @@ struct Sim<'a> {
     program: &'a Program<'a>,
     dir: Directory,
     handoff: HandoffChannel,
-    q: EventQueue,
-    ths: Vec<Th>,
+    q: &'a mut EventQueue,
+    ths: &'a mut Vec<Th>,
     /// `Some((tid, is_read))` while a serialized op's CS is in flight.
     holder: Option<(usize, bool)>,
     adm: Admission,
@@ -423,6 +422,9 @@ struct Sim<'a> {
     /// (see [`ScenarioResult::succ_transitions`]). Accounting only —
     /// never advances the vclock.
     succ_transitions: u64,
+    /// `(sample, tick)` of each thread's `tick`-th serialized grant, where
+    /// the reservoir it used to own would have retained it on arrival.
+    lat_log: &'a mut Vec<(u64, u64)>,
 }
 
 impl Sim<'_> {
@@ -515,7 +517,11 @@ impl Sim<'_> {
         vclock::set(arrival);
         self.handoff.on_acquire(cluster);
         let now = vclock::now();
-        self.ths[tid].lat.record(now.saturating_sub(arrival));
+        let tick = self.ths[tid].ticks;
+        self.ths[tid].ticks += 1;
+        if tick & (LatReservoir::stride_at(tick) - 1) == 0 {
+            self.lat_log.push((now.saturating_sub(arrival), tick));
+        }
         self.succ_transitions += self.adm.on_grant(cluster, now, via_local);
         charge_cs(&self.dir, self.program.cfg, is_read, cluster);
         let end = vclock::now();
@@ -558,6 +564,51 @@ impl Sim<'_> {
     }
 }
 
+/// A simulation's buffers, kept (empty) on the OS thread that ran it for
+/// its next cell, so a warm cell allocates nothing per logical thread and
+/// costs the same wherever the heap's trim and mmap thresholds sit. A
+/// cell above 2¹⁶ logical threads (the substrate admits 2²², 370 MB of
+/// thread table) or one that grew them past 32 MiB — three times what a
+/// 2¹⁶-thread cell touches — frees them, as every cell used to: that is
+/// the most an OS thread retains.
+#[derive(Default)]
+struct Scratch {
+    ths: Vec<Th>,
+    q: EventQueue,
+    waiting: Vec<VecDeque<(u64, usize)>>,
+    recip_segment: Vec<(u64, usize)>,
+    lat_log: Vec<(u64, u64)>,
+}
+
+thread_local! {
+    /// Taken for the length of a `simulate` call: a nested call, or the
+    /// one after a panic, finds it empty and allocates afresh.
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+impl Scratch {
+    /// Empties the buffers of a cell of `threads` logical threads and
+    /// leaves them to this OS thread's next cell, within the bound (heap,
+    /// queue, segment and log entries are 16 B pairs, lane keys 8 B).
+    fn keep(mut self, threads: usize) {
+        self.ths.clear();
+        self.q.future.heap.clear();
+        self.q.lane.clear();
+        (self.q.now, self.q.seq) = (0, 0);
+        self.waiting.iter_mut().for_each(VecDeque::clear);
+        self.recip_segment.clear();
+        self.lat_log.clear();
+        let pairs = self.q.future.heap.capacity()
+            + self.waiting.iter().map(VecDeque::capacity).sum::<usize>()
+            + self.recip_segment.capacity()
+            + self.lat_log.capacity();
+        let bytes = self.ths.capacity() * size_of::<Th>() + pairs * 16 + self.q.lane.capacity() * 8;
+        if threads <= 1 << 16 && bytes <= 32 << 20 {
+            SCRATCH.set(self);
+        }
+    }
+}
+
 /// Runs `program` as a deterministic discrete-event simulation under
 /// `model` and returns what its logical threads counted and what its
 /// simulated lock reports. `lock` supplies metadata only and is never
@@ -580,25 +631,29 @@ pub(crate) fn simulate(
         cfg.threads <= 1 << TID_BITS,
         "the modelled substrate packs thread ids into {TID_BITS} bits"
     );
+    let mut scratch = SCRATCH.take();
+    scratch.ths.extend((0..cfg.threads).map(|i| Th {
+        client: Client::new(program, i),
+        clock: 0,
+        ticks: 0,
+        waiting: None,
+        live_abort: 0,
+    }));
+    let mut adm = Admission::new(kind.modelled_admission(cfg.policy), 0);
+    (adm.waiting, adm.recip_segment) = (scratch.waiting, scratch.recip_segment);
+    adm.waiting.resize_with(cfg.clusters, VecDeque::new);
     let mut sim = Sim {
         program,
         dir: Directory::new(cfg.cs_lines.max(1), model),
         handoff: HandoffChannel::new(model),
-        q: EventQueue::with_capacity(cfg.threads),
-        ths: (0..cfg.threads)
-            .map(|i| Th {
-                client: Client::new(program, i),
-                clock: 0,
-                lat: LatReservoir::lazy(),
-                waiting: None,
-                live_abort: 0,
-            })
-            .collect(),
+        q: &mut scratch.q,
+        ths: &mut scratch.ths,
         holder: None,
-        adm: Admission::new(kind.modelled_admission(cfg.policy), cfg.clusters),
+        adm,
         serial_reads: lock.read_is_exclusive(),
         abortable: lock.is_abortable(),
         succ_transitions: 0,
+        lat_log: &mut scratch.lat_log,
     };
     for i in 0..cfg.threads {
         sim.q.push(0, Ev::Start, i);
@@ -630,10 +685,14 @@ pub(crate) fn simulate(
         succ_transitions: sim.succ_transitions,
         ..LockReport::of(&sim.handoff, lock)
     };
-    for th in sim.ths {
+    let mut most_offers = 0;
+    for th in sim.ths.iter() {
         counts.client(&th.client);
-        counts.lat(th.lat);
+        most_offers = most_offers.max(th.ticks);
     }
+    counts.lat(LatReservoir::from_log(sim.lat_log, most_offers));
+    (scratch.waiting, scratch.recip_segment) = (sim.adm.waiting, sim.adm.recip_segment);
+    scratch.keep(cfg.threads);
     (counts, report)
 }
 
@@ -933,7 +992,7 @@ mod tests {
         let mut lane_behind_due_heap = 0u32;
         for seed in 0..256u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut q = EventQueue::with_capacity(4);
+            let mut q = EventQueue::default();
             let mut reference = BinaryHeap::new();
             let pop =
                 |q: &mut EventQueue| q.pop().map(|(t, seq, ev, tid)| (t, seq, ev as u64, tid));
@@ -978,7 +1037,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "into the past")]
     fn event_queue_refuses_a_push_into_the_past() {
-        let mut q = EventQueue::with_capacity(1);
+        let mut q = EventQueue::default();
         q.push(10, Ev::Start, 0);
         assert_eq!(q.pop(), Some((10, 1, Ev::Start, 0)));
         q.push(9, Ev::Start, 0);
@@ -1131,6 +1190,85 @@ mod tests {
         // Non-abortable kinds ignore patience entirely.
         let block = run_scenario(AnyLockKind::Excl(LockKind::CBoMcs), &s, &c);
         assert_eq!(block.aborts, 0);
+    }
+
+    /// The scratch hands memory to the next cell, never state: cells of
+    /// four shapes run back to back on this OS thread — the big one
+    /// first, so every later cell runs in buffers grown for 4096 threads,
+    /// four clusters and a reciprocating segment — and each must equal
+    /// the same cell on a freshly spawned thread, whose scratch is empty.
+    /// A cell that panics mid-run loses the scratch; the next one must
+    /// not notice.
+    #[test]
+    fn scratch_carries_memory_not_state_between_cells() {
+        let excl = AnyLockKind::Excl;
+        let saturated = |threads, clusters| LBenchConfig {
+            threads,
+            clusters,
+            window_ns: 1_000_000,
+            noncs_max_ns: 0,
+            ..Default::default()
+        };
+        let cells = [
+            (
+                excl(LockKind::Recip),
+                Scenario::bursty(100_000, 100_000),
+                saturated(4096, 4),
+            ),
+            (excl(LockKind::Mcs), Scenario::steady(), cfg(3)),
+            (
+                AnyLockKind::Rw(crate::registry::RwLockKind::CRwWpBoMcs),
+                Scenario::steady().with_read_pct(50),
+                saturated(64, 1),
+            ),
+            (
+                excl(LockKind::ACBoClh),
+                Scenario::steady().with_patience(20_000),
+                saturated(512, 4),
+            ),
+        ];
+        for (kind, scenario, cfg) in cells {
+            let scenario = scenario.modelled(CostModel::disaggregated());
+            let here = run_scenario(kind, &scenario, &cfg);
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| run_scenario(kind, &scenario, &cfg))
+                    .join()
+                    .expect("the fresh thread's cell panicked")
+            });
+            assert!(here.total_ops > 0, "{kind} measured nothing");
+            assert_eq!(here.first_divergence(&fresh), None, "{kind}");
+        }
+
+        // Zero patience against a held lock: the waiter aborts and comes
+        // back at the same timestamp for ever.
+        let stuck = std::panic::catch_unwind(|| {
+            let scenario = modelled().with_patience(0);
+            run_scenario(excl(LockKind::ACBoClh), &scenario, &saturated(8, 4))
+        });
+        let why = stuck.expect_err("a cell without virtual progress must panic");
+        let why = why.downcast_ref::<String>().expect("a formatted panic");
+        assert!(why.contains("no virtual progress"), "{why}");
+
+        // A row of `tests/modelled_determinism.rs`, on the same thread.
+        let mut pinned = saturated(512, 4);
+        pinned.noncs_max_ns = 1_000;
+        let r = run_scenario(
+            excl(LockKind::CBoMcs),
+            &modelled().with_read_pct(50),
+            &pinned,
+        );
+        assert_eq!(
+            (
+                (r.acquisitions, r.migrations, r.total_ops, r.aborts),
+                (r.succ_transitions, r.lat_p50_ns, r.lat_p99_ns),
+                (r.tenures, r.local_handoffs, r.max_streak)
+            ),
+            (
+                (3827, 58, 3827, 0),
+                (446_579, 155_323, 167_676),
+                (59, 3768, 64)
+            )
+        );
     }
 
     #[test]

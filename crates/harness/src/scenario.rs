@@ -614,8 +614,9 @@ const LAT_RESERVOIR: usize = 32 * 1024;
 /// every `stride`-th sample, decimating once full. The real-time engine
 /// pre-sizes the `Vec` from the scenario's op budget
 /// ([`for_config`](Self::for_config)) so steady-state measurement never
-/// reallocates; the modelled substrate starts it empty
-/// ([`lazy`](Self::lazy)).
+/// reallocates; the keyed modelled loop starts it empty
+/// ([`lazy`](Self::lazy)); the DES keeps one log for all its threads
+/// ([`from_log`](Self::from_log)).
 pub(crate) struct LatReservoir {
     samples: Vec<u64>,
     stride: u64,
@@ -638,17 +639,43 @@ impl LatReservoir {
         }
     }
 
-    /// Starts empty and grows on demand — for the modelled substrate,
-    /// where a reallocation costs host time only (nothing there reads
-    /// the wall clock) while `for_config`'s reservation, made once per
-    /// *logical* thread, is 256 KiB × thousands of threads that each
-    /// record a handful of samples. Same stride, decimation and merge
-    /// rules, so percentiles are unaffected.
+    /// Starts empty and grows on demand — for `keyed::run_in_clock_order`,
+    /// where a reallocation costs host time only (nothing modelled reads
+    /// the wall clock) while `for_config`'s reservation is up to 256 KiB
+    /// per cell, past the allocator's mmap threshold. Same stride,
+    /// decimation and merge rules, so percentiles are unaffected.
     pub(crate) fn lazy() -> Self {
         LatReservoir {
             samples: Vec::new(),
             stride: 1,
             ticks: 0,
+        }
+    }
+
+    /// The stride — a power of two — a reservoir is at once offered its
+    /// sample number `tick` (from 0), in closed form: [`record`](Self::record)
+    /// retains that sample iff `tick` is a multiple of it.
+    #[inline]
+    pub(crate) fn stride_at(tick: u64) -> u64 {
+        match tick / LAT_RESERVOIR as u64 {
+            0 => 1,
+            fills => 2 << fills.ilog2(),
+        }
+    }
+
+    /// What [`merge_lat_reservoirs`] builds from one reservoir per thread,
+    /// from one `log` of every thread's `(sample, tick)` instead, where
+    /// `most_offers` is the most samples any thread offered: a sample
+    /// survives its thread's decimations and the merge's alignment iff
+    /// its tick is a multiple of the largest final stride.
+    pub(crate) fn from_log(log: &[(u64, u64)], most_offers: u64) -> Self {
+        let stride = most_offers.checked_sub(1).map_or(1, Self::stride_at);
+        let mut samples = Vec::with_capacity(log.len());
+        samples.extend(log.iter().filter(|e| e.1 & (stride - 1) == 0).map(|e| e.0));
+        LatReservoir {
+            samples,
+            stride,
+            ticks: most_offers,
         }
     }
 
@@ -688,8 +715,12 @@ impl LatReservoir {
 /// distribution in the run percentiles. Aligning every thread to the
 /// maximum stride first (strides are powers of two, so each set is
 /// re-decimated by an integer step) keeps the pool a uniform subsample
-/// of the whole run's acquisition stream.
-fn merge_lat_reservoirs(parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
+/// of the whole run's acquisition stream. A sequential run's single part
+/// is its own merge and is moved, not copied.
+fn merge_lat_reservoirs(mut parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part").0;
+    }
     let max_stride = parts.iter().map(|(_, s)| *s).max().unwrap_or(1);
     let step_of = |stride: u64| (max_stride / stride.max(1)).max(1) as usize;
     let total = parts
@@ -703,22 +734,27 @@ fn merge_lat_reservoirs(parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
     merged
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample set (0 for an
-/// empty set).
-fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
+/// Nearest-rank percentile of a sample set in any order (0 for an empty
+/// set), by selection: a result reads two order statistics, which is not
+/// worth a sort. Reorders `samples`.
+fn select_percentile(samples: &mut [u64], pct: f64) -> u64 {
+    if samples.is_empty() {
         return 0;
     }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    let rank = ((pct / 100.0) * samples.len() as f64).ceil() as usize;
+    let at = rank.saturating_sub(1).min(samples.len() - 1);
+    *samples.select_nth_unstable(at).1
 }
 
 /// What the threads of a run counted — real workers or the simulators'
 /// logical threads — before any formula is applied. Executors fill it a
 /// thread at a time, so a 4096-thread table is never copied.
+#[derive(Default)]
 pub(crate) struct Counts {
-    /// `(reads, writes)` completed, per thread.
-    per_thread: Vec<(u64, u64)>,
+    /// Ops completed per thread, and their read/write split over all.
+    per_thread_ops: Vec<u64>,
+    read_ops: u64,
+    write_ops: u64,
     /// Timed-out acquisitions, summed over threads.
     aborts: u64,
     /// Cross-cluster data transfers the directory charged, summed over
@@ -730,19 +766,20 @@ pub(crate) struct Counts {
 }
 
 impl Counts {
-    /// Empty counts with room for `threads` threads.
+    /// Empty counts with room for `threads` threads' op counts.
     pub(crate) fn new(threads: usize, remote_misses: u64) -> Self {
         Counts {
-            per_thread: Vec::with_capacity(threads),
-            aborts: 0,
+            per_thread_ops: Vec::with_capacity(threads),
             remote_misses,
-            lat_parts: Vec::with_capacity(threads),
+            ..Counts::default()
         }
     }
 
     /// Books the next logical thread, in thread order.
     pub(crate) fn client(&mut self, c: &Client) {
-        self.per_thread.push((c.reads, c.writes));
+        self.per_thread_ops.push(c.reads + c.writes);
+        self.read_ops += c.reads;
+        self.write_ops += c.writes;
         self.aborts += c.aborts;
     }
 
@@ -820,12 +857,10 @@ pub(crate) fn assemble(
     lock: LockReport,
     started: Instant,
 ) -> ScenarioResult {
-    let per_thread_ops: Vec<u64> = counts.per_thread.iter().map(|(r, w)| r + w).collect();
-    let read_ops: u64 = counts.per_thread.iter().map(|(r, _)| r).sum();
-    let write_ops: u64 = counts.per_thread.iter().map(|(_, w)| w).sum();
+    let (per_thread_ops, read_ops, write_ops) =
+        (counts.per_thread_ops, counts.read_ops, counts.write_ops);
     let total_ops = read_ops + write_ops;
     let mut lat = merge_lat_reservoirs(counts.lat_parts);
-    lat.sort_unstable();
     let (acquisitions, migrations) = (lock.acquisitions, lock.migrations);
     let (aborts, remote_misses) = (counts.aborts, counts.remote_misses);
     let window_s = cfg.window_ns as f64 / 1e9;
@@ -873,8 +908,8 @@ pub(crate) fn assemble(
         promotions: cstats.promotions,
         succ_transitions: lock.succ_transitions,
         batch_hist: lock.batch_hist,
-        lat_p50_ns: percentile(&lat, 50.0),
-        lat_p99_ns: percentile(&lat, 99.0),
+        lat_p50_ns: select_percentile(&mut lat, 50.0),
+        lat_p99_ns: select_percentile(&mut lat, 99.0),
         per_thread_ops,
         wall: started.elapsed(),
     }
@@ -930,6 +965,7 @@ pub(crate) fn run_workers<B: Body + ?Sized>(topo: &Topology, p: &Program<'_>, bo
             })
             .collect();
         let mut counts = Counts::new(cfg.threads, 0);
+        counts.lat_parts.reserve(cfg.threads); // the one executor with a part per thread
         for h in handles {
             let (client, lat, misses) = h.join().expect("scenario worker panicked");
             counts.client(&client);
@@ -1225,12 +1261,129 @@ mod tests {
         assert_eq!(merge_lat_reservoirs(vec![(vec![7], 1)]), vec![7]);
     }
 
+    /// Nearest-rank percentile of an ascending-sorted sample set (0 for
+    /// an empty set): what `assemble` read after a full sort, and the
+    /// reference [`select_percentile`] is held to.
+    fn percentile(sorted: &[u64], pct: f64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    }
+
     #[test]
     fn percentile_is_nearest_rank() {
         assert_eq!(percentile(&[], 50.0), 0);
         assert_eq!(percentile(&[7], 50.0), 7);
         assert_eq!(percentile(&[1, 2, 3, 4], 50.0), 2);
         assert_eq!(percentile(&[1, 2, 3, 4], 99.0), 4);
+    }
+
+    #[test]
+    fn stride_at_is_the_stride_record_is_in() {
+        let mut r = LatReservoir::lazy();
+        for tick in 0..5 * LAT_RESERVOIR as u64 + 3 {
+            r.record(tick);
+            assert_eq!(LatReservoir::stride_at(tick), r.stride, "tick {tick}");
+        }
+    }
+
+    /// The DES's run-wide log against what it replaced: one reservoir per
+    /// thread, merged. Threads offer interleaved in random order, with
+    /// offer counts on both sides of the first three decimations, so the
+    /// merge re-decimates some threads and not others.
+    #[test]
+    fn the_run_wide_log_rebuilds_the_per_thread_merge() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const OFFERS: [u64; 8] = [0, 1, 7, 32_767, 32_768, 32_769, 70_000, 140_001];
+        let sorted = |mut v: Vec<u64>| {
+            v.sort_unstable();
+            v
+        };
+        // Two wrong logs, to show that the cases can tell: one that keeps
+        // whatever was logged, one that filters on each thread's own
+        // final stride instead of the largest.
+        let (mut unfiltered_differs, mut own_stride_differs) = (0u32, 0u32);
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let threads = rng.gen_range(1usize..=9);
+            let mut left: Vec<u64> = (0..threads)
+                .map(|_| OFFERS[rng.gen_range(0..OFFERS.len())])
+                .collect();
+            let offers = left.clone();
+            let mut reservoirs: Vec<_> = (0..threads).map(|_| LatReservoir::lazy()).collect();
+            let mut log = Vec::new();
+            let mut log_tids = Vec::new();
+            let mut live: Vec<usize> = (0..threads).filter(|&t| left[t] > 0).collect();
+            while !live.is_empty() {
+                let at = rng.gen_range(0..live.len());
+                let t = live[at];
+                // A burst of one thread's offers, then another's.
+                for _ in 0..rng.gen_range(1u64..=4096).min(left[t]) {
+                    let tick = offers[t] - left[t];
+                    // Distinct per (thread, tick), in no order.
+                    let sample = (tick << 4 | t as u64).wrapping_mul(0x9E37_79B9) % 1_000_003;
+                    reservoirs[t].record(sample);
+                    // What `modelled::Sim::grant` does.
+                    if tick & (LatReservoir::stride_at(tick) - 1) == 0 {
+                        log.push((sample, tick));
+                        log_tids.push(t);
+                    }
+                    left[t] -= 1;
+                }
+                if left[t] == 0 {
+                    live.swap_remove(at);
+                }
+            }
+            let most = offers.iter().copied().max().unwrap_or(0);
+            let (mut from_log, stride) = LatReservoir::from_log(&log, most).into_parts();
+            let strides: Vec<u64> = reservoirs.iter().map(|r| r.stride).collect();
+            assert_eq!(Some(&stride), strides.iter().max(), "seed {seed}");
+            let parts = reservoirs.into_iter().map(LatReservoir::into_parts);
+            let mut merged = merge_lat_reservoirs(parts.collect());
+            let ctx = format!("seed {seed}, offers {offers:?}");
+            for pct in [50.0, 99.0] {
+                assert_eq!(
+                    select_percentile(&mut from_log, pct),
+                    select_percentile(&mut merged, pct),
+                    "p{pct}: {ctx}"
+                );
+            }
+            let merged = sorted(merged);
+            assert_eq!(sorted(from_log), merged, "{ctx}");
+
+            // The wrong logs keep too much; counting is enough to see it.
+            unfiltered_differs += u32::from(log.len() != merged.len());
+            let own_stride = log.iter().zip(&log_tids);
+            let own_stride = own_stride.filter(|((_, tick), &t)| tick.is_multiple_of(strides[t]));
+            own_stride_differs += u32::from(own_stride.count() != merged.len());
+        }
+        assert!(
+            unfiltered_differs > 8 && own_stride_differs > 8,
+            "the seeds never mixed strides: {unfiltered_differs}, {own_stride_differs}"
+        );
+    }
+
+    #[test]
+    fn selection_reads_the_percentiles_a_sort_does() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5E1EC7);
+        let random: Vec<u64> = (0..10_000).map(|_| rng.gen_range(0u64..5_000)).collect();
+        for set in [vec![], vec![7], vec![3; 100], random] {
+            let mut sorted = set.clone();
+            sorted.sort_unstable();
+            for pct in [0.0, 50.0, 99.0, 100.0] {
+                assert_eq!(
+                    select_percentile(&mut set.clone(), pct),
+                    percentile(&sorted, pct),
+                    "p{pct} of {} samples",
+                    set.len()
+                );
+            }
+        }
     }
 
     #[test]

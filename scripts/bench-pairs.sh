@@ -12,6 +12,12 @@
 # The result sets land in target/pairs/{parent,change}.json; `--compare`
 # refuses sets that lack a workload, so it runs only for `all`. A run that
 # exits non-zero stops the script with its output in target/pairs/runs/last.
+#
+# An environment prefix reaches both sides' runs, which is how to quote an
+# allocator-state check (glibc's trim threshold pinned, instead of wherever
+# its dynamic adjustment left it):
+#
+#   MALLOC_TRIM_THRESHOLD_=131072 sh scripts/bench-pairs.sh HEAD des_4096
 set -eu
 [ $# -ge 2 ] || {
     echo "usage: $0 <parent-ref> <workload|all> [pairs=10] [seconds=15]" >&2
