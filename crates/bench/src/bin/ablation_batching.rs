@@ -5,10 +5,8 @@
 //! This ablation prints the mean batch length per lock as the thread count
 //! grows, plus the full batch-length histogram at the top thread count.
 
-use cohort_bench::{
-    base_config, exhibit_main, metric_table, thread_grid, Exhibit, Measure, Measurement, TableSpec,
-};
-use lbench::{AnyLockKind, LockKind, Scenario};
+use cohort_bench::{exhibit_main, metric_table, steady_sweep, Measurement, TableSpec};
+use lbench::LockKind;
 
 const LOCKS: [LockKind; 5] = [
     LockKind::Mcs,
@@ -19,18 +17,11 @@ const LOCKS: [LockKind; 5] = [
 ];
 
 fn main() {
-    let grid = thread_grid();
-    let top = grid.last().copied().unwrap_or(1);
-    exhibit_main(Exhibit {
-        name: "ablation_batching",
-        banner: "ablation B: batch growth with contention".into(),
-        locks: AnyLockKind::excl(&LOCKS),
-        grid,
-        measure: Measure::Scenario(Box::new(|&threads| {
-            (Scenario::steady(), base_config(threads))
-        })),
-        unit: "ops/s",
-        tables: vec![TableSpec {
+    let mut exhibit = steady_sweep(
+        "ablation_batching",
+        "ablation B: batch growth with contention".into(),
+        &LOCKS,
+        vec![TableSpec {
             csv: None,
             text: true,
             build: metric_table(
@@ -40,20 +31,21 @@ fn main() {
                 |r| r.mean_batch,
             ),
         }],
-        checks: vec![],
-        epilogue: Some(Box::new(move |ms: &[Measurement<usize>]| {
-            println!("\nBatch-length histograms at {top} threads (bucket = [2^i, 2^(i+1))):");
-            for m in ms.iter().filter(|m| m.cell == top) {
-                let trimmed: Vec<String> = m
-                    .result
-                    .batch_hist
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, c)| format!("2^{i}:{c}"))
-                    .collect();
-                println!("  {:>10}: {}", m.result.kind.name(), trimmed.join(" "));
-            }
-        })),
-    });
+    );
+    let top = exhibit.grid.last().copied().unwrap_or(1);
+    exhibit.epilogue = Some(Box::new(move |ms: &[Measurement<usize>]| {
+        println!("\nBatch-length histograms at {top} threads (bucket = [2^i, 2^(i+1))):");
+        for m in ms.iter().filter(|m| m.cell == top) {
+            let trimmed: Vec<String> = m
+                .result
+                .batch_hist
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, c)| format!("2^{i}:{c}"))
+                .collect();
+            println!("  {:>10}: {}", m.result.kind.name(), trimmed.join(" "));
+        }
+    }));
+    exhibit_main(exhibit);
 }

@@ -8,9 +8,9 @@
 
 use coherence_sim::CostModel;
 use cohort_bench::{
-    ablation_threads, exhibit_main, window_ns, Cell, Exhibit, Grid, Measure, Measurement, TableSpec,
+    ablation_threads, base_config, exhibit_main, find, Cell, Exhibit, Grid, Measurement, TableSpec,
 };
-use lbench::{AnyLockKind, LBenchConfig, LockKind, Scenario};
+use lbench::{AnyLockKind, LockKind, Scenario};
 
 fn main() {
     let threads = ablation_threads();
@@ -22,15 +22,11 @@ fn main() {
             AnyLockKind::Excl(LockKind::CBoMcs),
         ],
         grid: vec![1u64, 2, 4, 8, 16],
-        measure: Measure::Scenario(Box::new(move |&ratio| {
-            let cfg = LBenchConfig {
-                threads,
-                window_ns: window_ns(),
-                cost: CostModel::t5440_light().with_remote_ratio(ratio),
-                ..Default::default()
-            };
+        measure: Box::new(move |&ratio| {
+            let mut cfg = base_config(threads);
+            cfg.cost = CostModel::t5440_light().with_remote_ratio(ratio);
             (Scenario::steady(), cfg)
-        })),
+        }),
         unit: "ops/s",
         tables: vec![TableSpec {
             csv: None,
@@ -38,13 +34,7 @@ fn main() {
             build: Box::new(move |ms: &[Measurement<u64>]| {
                 // Ratio rows with the cross-column advantage appended —
                 // a bespoke layout the generic matrix cannot express.
-                let cell = |ratio: u64, kind: LockKind| {
-                    ms.iter()
-                        .find(|m| m.cell == ratio && m.result.kind == AnyLockKind::Excl(kind))
-                        .expect("cell present")
-                        .result
-                        .throughput
-                };
+                let cell = |ratio: u64, kind: LockKind| find(ms, ratio, kind).throughput;
                 let mut ratios: Vec<u64> = Vec::new();
                 for m in ms {
                     if !ratios.contains(&m.cell) {

@@ -9,25 +9,18 @@
 //! virtual nanoseconds from acquisition start to clearing the handoff
 //! channel's queue-wait catch-up) per cell.
 
-use cohort_bench::{
-    base_config, exhibit_main, metric_table, thread_grid, Exhibit, Measure, TableSpec,
-};
-use lbench::{AnyLockKind, LockKind, Scenario};
+use cohort_bench::{exhibit_main, metric_table, steady_sweep, TableSpec};
+use lbench::LockKind;
 
 fn main() {
-    exhibit_main(Exhibit {
-        name: "fig2",
-        banner: format!(
+    exhibit_main(steady_sweep(
+        "fig2",
+        format!(
             "fig2: LBench throughput sweep ({} locks)",
             LockKind::FIG2.len()
         ),
-        locks: AnyLockKind::excl(&LockKind::FIG2),
-        grid: thread_grid(),
-        measure: Measure::Scenario(Box::new(|&threads| {
-            (Scenario::steady(), base_config(threads))
-        })),
-        unit: "ops/s",
-        tables: vec![
+        &LockKind::FIG2,
+        vec![
             TableSpec {
                 csv: Some("fig2_throughput".into()),
                 text: true,
@@ -59,7 +52,5 @@ fn main() {
                 ),
             },
         ],
-        checks: vec![],
-        epilogue: None,
-    });
+    ));
 }

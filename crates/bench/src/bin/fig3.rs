@@ -5,22 +5,15 @@
 //! handoff); HBO good until high thread counts; HCLH high; FC-MCS degrades
 //! gradually; cohort locks lower than everything by 2× or more.
 
-use cohort_bench::{
-    base_config, exhibit_main, metric_table, thread_grid, Exhibit, Measure, TableSpec,
-};
-use lbench::{AnyLockKind, LockKind, Scenario};
+use cohort_bench::{exhibit_main, metric_table, steady_sweep, TableSpec};
+use lbench::LockKind;
 
 fn main() {
-    exhibit_main(Exhibit {
-        name: "fig3",
-        banner: "fig3: coherence misses per critical section".into(),
-        locks: AnyLockKind::excl(&LockKind::FIG2),
-        grid: thread_grid(),
-        measure: Measure::Scenario(Box::new(|&threads| {
-            (Scenario::steady(), base_config(threads))
-        })),
-        unit: "ops/s",
-        tables: vec![TableSpec {
+    exhibit_main(steady_sweep(
+        "fig3",
+        "fig3: coherence misses per critical section".into(),
+        &LockKind::FIG2,
+        vec![TableSpec {
             csv: Some("fig3_misses_per_cs".into()),
             text: true,
             build: metric_table(
@@ -30,7 +23,5 @@ fn main() {
                 |r| r.misses_per_cs,
             ),
         }],
-        checks: vec![],
-        epilogue: None,
-    });
+    ));
 }

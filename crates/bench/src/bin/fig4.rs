@@ -5,7 +5,7 @@
 //! cost "withers away as background noise" next to the critical and
 //! non-critical work.
 
-use cohort_bench::{base_config, exhibit_main, metric_table, Exhibit, Measure, TableSpec};
+use cohort_bench::{base_config, exhibit_main, metric_table, Exhibit, TableSpec};
 use lbench::{AnyLockKind, LockKind, Scenario};
 
 fn main() {
@@ -14,9 +14,7 @@ fn main() {
         banner: "fig4: low-contention throughput (1..16 threads)".into(),
         locks: AnyLockKind::excl(&LockKind::FIG2),
         grid: vec![1usize, 2, 4, 8, 12, 16],
-        measure: Measure::Scenario(Box::new(|&threads| {
-            (Scenario::steady(), base_config(threads))
-        })),
+        measure: Box::new(|&threads| (Scenario::steady(), base_config(threads))),
         unit: "ops/s",
         tables: vec![TableSpec {
             csv: Some("fig4_low_contention".into()),

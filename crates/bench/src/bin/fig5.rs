@@ -5,22 +5,15 @@
 //! (global BO arbitration unfairness); MCS/HCLH/FC-MCS/C-TKT-TKT well
 //! under 5%; cohort locks bounded by the 64-handoff policy.
 
-use cohort_bench::{
-    base_config, exhibit_main, metric_table, thread_grid, Exhibit, Measure, TableSpec,
-};
-use lbench::{AnyLockKind, LockKind, Scenario};
+use cohort_bench::{exhibit_main, metric_table, steady_sweep, TableSpec};
+use lbench::LockKind;
 
 fn main() {
-    exhibit_main(Exhibit {
-        name: "fig5",
-        banner: "fig5: fairness (stddev % of per-thread throughput)".into(),
-        locks: AnyLockKind::excl(&LockKind::FIG2),
-        grid: thread_grid(),
-        measure: Measure::Scenario(Box::new(|&threads| {
-            (Scenario::steady(), base_config(threads))
-        })),
-        unit: "ops/s",
-        tables: vec![TableSpec {
+    exhibit_main(steady_sweep(
+        "fig5",
+        "fig5: fairness (stddev % of per-thread throughput)".into(),
+        &LockKind::FIG2,
+        vec![TableSpec {
             csv: Some("fig5_fairness".into()),
             text: true,
             build: metric_table(
@@ -30,7 +23,5 @@ fn main() {
                 |r| r.stddev_pct,
             ),
         }],
-        checks: vec![],
-        epilogue: None,
-    });
+    ));
 }

@@ -5,9 +5,7 @@
 //! Paper shape: the abortable cohort locks beat A-CLH and A-HBO by up to
 //! 6×; A-HBO additionally starves (high abort rates under load).
 
-use cohort_bench::{
-    base_config, exhibit_main, metric_table, thread_grid, Exhibit, Measure, TableSpec,
-};
+use cohort_bench::{base_config, exhibit_main, metric_table, thread_grid, Exhibit, TableSpec};
 use lbench::{AnyLockKind, LockKind, Scenario};
 
 /// 5 ms of virtual patience: far longer than a full cohort tenure
@@ -24,13 +22,13 @@ fn main() {
         banner: format!("fig6: abortable lock throughput (patience {PATIENCE_NS} ns)"),
         locks: AnyLockKind::excl(&LockKind::FIG6),
         grid: thread_grid(),
-        measure: Measure::Scenario(Box::new(|&threads| {
+        measure: Box::new(|&threads| {
             let mut cfg = base_config(threads);
             // The abort charge equals the patience; keep the measurement
             // window comfortably larger so one abort cannot end a run.
             cfg.window_ns = cfg.window_ns.max(3 * PATIENCE_NS);
             (Scenario::steady().with_patience(PATIENCE_NS), cfg)
-        })),
+        }),
         unit: "ops/s",
         tables: vec![
             TableSpec {

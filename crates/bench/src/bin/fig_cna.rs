@@ -27,12 +27,12 @@
 //! configured threshold.
 
 use cohort_bench::{
-    base_config, cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail,
-    schema, throughput_floor_check, throughput_table, Cell, Check, ClusterThreads, Exhibit,
-    Measure, Measurement, TableSpec,
+    cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail, schema,
+    throughput_floor_check, throughput_table, Check, ClusterThreads, Exhibit, Measurement,
+    TableSpec,
 };
 use lbench::env::env_positive_usize_list;
-use lbench::{AnyLockKind, LockKind, Scenario};
+use lbench::{AnyLockKind, LockKind};
 
 fn cna_clusters() -> Vec<usize> {
     knob_or_die(env_positive_usize_list("LBENCH_CNA_CLUSTERS")).unwrap_or_else(|| vec![1, 2, 4])
@@ -86,34 +86,14 @@ fn main() {
         ),
         locks: AnyLockKind::excl(&LockKind::FIG_CNA),
         grid,
-        measure: Measure::Scenario(Box::new(|cell: &ClusterThreads| {
-            let mut cfg = base_config(cell.threads);
-            cfg.clusters = cell.clusters;
-            (Scenario::steady(), cfg)
-        })),
+        measure: Box::new(ClusterThreads::steady),
         unit: "ops/s",
         tables: vec![
             throughput_table("Exhibit CNA: throughput (ops/s) by clusters x threads"),
             TableSpec {
                 csv: Some("fig_cna".into()),
                 text: false,
-                build: long_table(schema::FIG_CNA_HEADER, |m: &Measurement<ClusterThreads>| {
-                    let r = &m.result;
-                    vec![
-                        Cell::text(r.kind.name()),
-                        Cell::Int(m.cell.clusters as u64),
-                        Cell::Int(r.threads as u64),
-                        Cell::num(r.throughput, 0),
-                        Cell::Int(r.acquisitions),
-                        Cell::Int(r.migrations),
-                        Cell::num(r.misses_per_cs, 4),
-                        Cell::Int(r.tenures),
-                        Cell::Int(r.local_handoffs),
-                        Cell::num(r.mean_streak, 2),
-                        Cell::Int(r.max_streak),
-                        Cell::text(r.policy.as_deref().unwrap_or("-")),
-                    ]
-                }),
+                build: long_table(schema::FIG_CNA_HEADER, ClusterThreads::cell_columns),
             },
         ],
         checks: std::iter::once(streak_check())

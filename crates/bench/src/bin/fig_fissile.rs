@@ -13,18 +13,12 @@
 //!   saturation, fast-vs-slow split in the `fast_acqs`/`slow_acqs`
 //!   columns.
 //!
-//! Environment (strict `lbench::env` parsing, like every knob):
-//!
-//! * `LBENCH_FISSILE_CLUSTERS` — comma-separated cluster counts
-//!   (default `1,2,4`);
-//! * `LBENCH_FISSILE_FAST_SPINS` — fast-path probe budget before a
-//!   thread fissions into the slow path (default
-//!   [`FissileTuning::DEFAULT_FAST_ATTEMPTS`]; zero aborts);
-//! * `LBENCH_FISSILE_BYPASS_BOUND` — failed word-claim rounds the
-//!   slow-path holder tolerates before raising the anti-starvation
-//!   fence (default [`FissileTuning::DEFAULT_BYPASS_BOUND`]; zero
-//!   aborts);
-//! * plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
+//! Environment: `LBENCH_FISSILE_CLUSTERS` (comma-separated cluster
+//! counts, default `1,2,4`), plus the usual `LBENCH_*` knobs and
+//! `RESULTS_DIR`. The fissile rows run the library's default
+//! `FissileTuning` (fast-path probe budget, bypass bound), like every
+//! registry kind; `FissileLock::with_tuning` is the constructor for
+//! anything else.
 //!
 //! The binary **self-checks** the two acceptance shapes of the fissile
 //! design and exits non-zero on failure:
@@ -41,71 +35,16 @@
 //!    falling into the slow path must buy cohort locality, not just add
 //!    a word.
 
-use cohort::{FisBoMcs, FisTktMcs, FissileTuning, PolicySpec};
 use cohort_bench::{
-    base_config, cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail,
-    saturation_threads, schema, throughput_floor_check, throughput_table, Cell, Check,
-    ClusterThreads, Exhibit, Measure, Measurement, TableSpec, FISSILE_UNCONTENDED_FLOOR,
+    cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail,
+    saturation_threads, schema, throughput_floor_check, throughput_table, Check, ClusterThreads,
+    Exhibit, TableSpec, FISSILE_UNCONTENDED_FLOOR,
 };
-use lbench::env::{env_positive_usize_list, env_range_u64};
-use lbench::{
-    run_scenario, run_scenario_on, AnyLockKind, BenchRwLock, LockKind, RawAdapter, Scenario,
-    ScenarioResult,
-};
-use numa_topology::Topology;
-use std::sync::Arc;
+use lbench::env::env_positive_usize_list;
+use lbench::{AnyLockKind, LockKind};
 
 fn fissile_clusters() -> Vec<usize> {
     knob_or_die(env_positive_usize_list("LBENCH_FISSILE_CLUSTERS")).unwrap_or_else(|| vec![1, 2, 4])
-}
-
-/// Fast-path tuning from the environment (defaults are the library's).
-fn tuning() -> FissileTuning {
-    let knob_u32 = |knob: &str, default: u32| -> u32 {
-        knob_or_die(env_range_u64(knob, 1..=u64::from(u32::MAX)))
-            .map(|v| v as u32)
-            .unwrap_or(default)
-    };
-    FissileTuning {
-        fast_attempts: knob_u32(
-            "LBENCH_FISSILE_FAST_SPINS",
-            FissileTuning::DEFAULT_FAST_ATTEMPTS,
-        ),
-        bypass_bound: knob_u32(
-            "LBENCH_FISSILE_BYPASS_BOUND",
-            FissileTuning::DEFAULT_BYPASS_BOUND,
-        ),
-    }
-}
-
-/// Measures one (lock, cell) pair. Non-fissile kinds go through the
-/// plain registry path; the fissile row honors the `LBENCH_FISSILE_*`
-/// tuning knobs by building its lock directly when they deviate from
-/// the library defaults (the registry constructs defaults only).
-fn measure(kind: AnyLockKind, cell: &ClusterThreads) -> ScenarioResult {
-    let mut cfg = base_config(cell.threads);
-    cfg.clusters = cell.clusters;
-    let scenario = Scenario::steady();
-    let tuned = tuning();
-    if tuned != FissileTuning::default() {
-        // Dispatch on the *concrete* kind: the measured lock must be
-        // exactly what the row is labeled as, even if FIG_FISSILE ever
-        // grows a second fissile composition.
-        let topo = Arc::new(Topology::new(cfg.clusters));
-        let lock: Option<Arc<dyn BenchRwLock>> = match kind {
-            AnyLockKind::Excl(LockKind::FisBoMcs) => Some(Arc::new(RawAdapter::new(
-                FisBoMcs::with_tuning(Arc::clone(&topo), PolicySpec::paper_default(), tuned),
-            ))),
-            AnyLockKind::Excl(LockKind::FisTktMcs) => Some(Arc::new(RawAdapter::new(
-                FisTktMcs::with_tuning(Arc::clone(&topo), PolicySpec::paper_default(), tuned),
-            ))),
-            _ => None,
-        };
-        if let Some(lock) = lock {
-            return run_scenario_on(kind, lock, topo, &scenario, &cfg);
-        }
-    }
-    run_scenario(kind, &scenario, &cfg)
 }
 
 /// Self-check 1: the fast path erases the uncontended two-level tax
@@ -153,42 +92,20 @@ fn main() {
     exhibit_main(Exhibit {
         name: "fig_fissile",
         banner: format!(
-            "fig_fissile: {} locks x {:?} clusters, tuning {:?}",
+            "fig_fissile: {} locks x {:?} clusters",
             LockKind::FIG_FISSILE.len(),
-            cluster_counts,
-            tuning()
+            cluster_counts
         ),
         locks: AnyLockKind::excl(&LockKind::FIG_FISSILE),
         grid,
-        measure: Measure::Custom(Box::new(|kind, cell: &ClusterThreads| measure(kind, cell))),
+        measure: Box::new(ClusterThreads::steady),
         unit: "ops/s",
         tables: vec![
             throughput_table("Exhibit Fissile: throughput (ops/s) by clusters x threads"),
             TableSpec {
                 csv: Some("fig_fissile".into()),
                 text: false,
-                build: long_table(
-                    schema::FIG_FISSILE_HEADER,
-                    |m: &Measurement<ClusterThreads>| {
-                        let r = &m.result;
-                        vec![
-                            Cell::text(r.kind.name()),
-                            Cell::Int(m.cell.clusters as u64),
-                            Cell::Int(r.threads as u64),
-                            Cell::num(r.throughput, 0),
-                            Cell::Int(r.acquisitions),
-                            Cell::Int(r.migrations),
-                            Cell::num(r.misses_per_cs, 4),
-                            Cell::Int(r.tenures),
-                            Cell::Int(r.local_handoffs),
-                            Cell::num(r.mean_streak, 2),
-                            Cell::Int(r.max_streak),
-                            Cell::Int(r.fast_acquisitions),
-                            Cell::Int(r.slow_acquisitions),
-                            Cell::text(r.policy.as_deref().unwrap_or("-")),
-                        ]
-                    },
-                ),
+                build: long_table(schema::FIG_FISSILE_HEADER, ClusterThreads::cell_columns),
             },
         ],
         checks: cluster_counts

@@ -14,20 +14,13 @@
 //! * `C-BO-MCS` vs `GCR-C-BO-MCS` — the cohort lock under both regimes;
 //! * `Fis-BO-MCS` vs `GCR-Fis-BO-MCS` — fast-path graft, bare and capped.
 //!
-//! Environment (strict `lbench::env` parsing, like every knob):
-//!
-//! * `LBENCH_GCR_BASE_THREADS` — the 1× thread count the
-//!   oversubscription factors multiply (default 8; zero aborts);
-//! * `LBENCH_GCR_ACTIVE` — admission slots per cluster (1..=1024;
-//!   default [`GcrTuning::DEFAULT_ACTIVE_PER_CLUSTER`]);
-//! * `LBENCH_GCR_EPOCH_US` — rotation epoch in virtual microseconds
-//!   (1..=1000000; default [`GcrTuning::DEFAULT_EPOCH_NS`] ÷ 1000);
-//! * `LBENCH_GCR_SPINS` — passive spin-hint rounds before a parked
-//!   thread yields each poll (1..=1000000; default
-//!   [`GcrTuning::DEFAULT_PASSIVE_SPINS`]);
-//! * plus the usual `LBENCH_*` knobs and `RESULTS_DIR` (the measurement
-//!   window is stretched 4× over `LBENCH_WINDOW_MS` — see
-//!   [`WINDOW_STRETCH`]).
+//! Environment: `LBENCH_GCR_BASE_THREADS` — the 1× thread count the
+//! oversubscription factors multiply (default 8; zero aborts) — plus the
+//! usual `LBENCH_*` knobs and `RESULTS_DIR` (the measurement window is
+//! stretched 4× over `LBENCH_WINDOW_MS` — see [`WINDOW_STRETCH`]). The
+//! GCR rows run the library's default `GcrTuning` (active-set size,
+//! rotation epoch, passive spins), like every registry kind;
+//! `GcrLock::with_tuning` is the constructor for anything else.
 //!
 //! The binary **self-checks** the two acceptance shapes of the GCR
 //! design and exits non-zero on failure:
@@ -40,19 +33,13 @@
 //!    ≥ 0.95× its bare inner lock — a disengaged admission layer is one
 //!    `try_lock` on the inner lock, nothing more.
 
-use base_locks::McsLock;
-use cohort::{CBoMcs, FisBoMcs, GcrLock, GcrTuning};
 use cohort_bench::{
-    base_config, exhibit_main, find, knob_or_die, long_table, schema, throughput_floor_check,
-    throughput_table, verdict, Cell, Check, Exhibit, Measure, Measurement, TableSpec,
+    base_config, clusters, exhibit_main, find, knob_or_die, long_table, no_cell_columns, schema,
+    throughput_floor_check, throughput_table, verdict, Cell, Check, Exhibit, Measurement,
+    TableSpec,
 };
-use lbench::env::{env_positive_usize, env_range_u64};
-use lbench::{
-    run_scenario, run_scenario_on, AnyLockKind, BenchRwLock, LockKind, RawAdapter, Scenario,
-    ScenarioResult,
-};
-use numa_topology::Topology;
-use std::sync::Arc;
+use lbench::env::env_positive_usize;
+use lbench::{AnyLockKind, LockKind, Scenario};
 
 /// Oversubscription factors swept (threads = factor × base threads).
 const OVERSUB: &[usize] = &[1, 2, 4, 8];
@@ -88,21 +75,6 @@ fn base_threads() -> usize {
     knob_or_die(env_positive_usize("LBENCH_GCR_BASE_THREADS")).unwrap_or(8)
 }
 
-/// Admission tuning from the environment (defaults are the library's).
-fn tuning() -> GcrTuning {
-    let mut t = GcrTuning::default();
-    if let Some(v) = knob_or_die(env_range_u64("LBENCH_GCR_ACTIVE", 1..=1_024)) {
-        t.active_per_cluster = v as u32;
-    }
-    if let Some(us) = knob_or_die(env_range_u64("LBENCH_GCR_EPOCH_US", 1..=1_000_000)) {
-        t.epoch_ns = us * 1_000;
-    }
-    if let Some(v) = knob_or_die(env_range_u64("LBENCH_GCR_SPINS", 1..=1_000_000)) {
-        t.passive_spins = v as u32;
-    }
-    t
-}
-
 /// One grid cell: an oversubscription factor at its thread count
 /// (`oversub == 0` is the single-thread uncontended check cell).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -119,38 +91,6 @@ impl std::fmt::Display for GcrCell {
             write!(f, "{}x t={}", self.oversub, self.threads)
         }
     }
-}
-
-/// Measures one (lock, cell) pair. Non-GCR kinds go through the plain
-/// registry path; the GCR rows honor the `LBENCH_GCR_*` tuning knobs by
-/// building their lock directly when they deviate from the library
-/// defaults (the registry constructs defaults only).
-fn measure(kind: AnyLockKind, cell: &GcrCell) -> ScenarioResult {
-    let mut cfg = base_config(cell.threads);
-    cfg.window_ns *= WINDOW_STRETCH;
-    let scenario = Scenario::steady();
-    let tuned = tuning();
-    if tuned != GcrTuning::default() {
-        // Dispatch on the *concrete* kind: the measured lock must be
-        // exactly what the row is labeled as.
-        let topo = Arc::new(Topology::new(cfg.clusters));
-        let lock: Option<Arc<dyn BenchRwLock>> = match kind {
-            AnyLockKind::Excl(LockKind::GcrMcs) => Some(Arc::new(RawAdapter::new(
-                GcrLock::with_tuning(Arc::clone(&topo), McsLock::new(), tuned),
-            ))),
-            AnyLockKind::Excl(LockKind::GcrCBoMcs) => Some(Arc::new(RawAdapter::new(
-                GcrLock::with_tuning(Arc::clone(&topo), CBoMcs::new(Arc::clone(&topo)), tuned),
-            ))),
-            AnyLockKind::Excl(LockKind::GcrFisBoMcs) => Some(Arc::new(RawAdapter::new(
-                GcrLock::with_tuning(Arc::clone(&topo), FisBoMcs::new(Arc::clone(&topo)), tuned),
-            ))),
-            _ => None,
-        };
-        if let Some(lock) = lock {
-            return run_scenario_on(kind, lock, topo, &scenario, &cfg);
-        }
-    }
-    run_scenario(kind, &scenario, &cfg)
 }
 
 /// Self-check 1: the admission layer keeps the curve flat — the 4×
@@ -211,45 +151,36 @@ fn main() {
     exhibit_main(Exhibit {
         name: "fig_gcr",
         banner: format!(
-            "fig_gcr: {} locks x oversub {:?} (base {} threads), tuning {:?}",
+            "fig_gcr: {} locks x oversub {:?} (base {} threads)",
             LockKind::FIG_GCR.len(),
             OVERSUB,
-            base,
-            tuning()
+            base
         ),
         locks: AnyLockKind::excl(&LockKind::FIG_GCR),
         grid,
-        measure: Measure::Custom(Box::new(|kind, cell: &GcrCell| measure(kind, cell))),
+        measure: Box::new(|cell: &GcrCell| {
+            let mut cfg = base_config(cell.threads);
+            cfg.window_ns *= WINDOW_STRETCH;
+            (Scenario::steady(), cfg)
+        }),
         unit: "ops/s",
         tables: vec![
             throughput_table("Exhibit GCR: throughput (ops/s) by oversubscription"),
             TableSpec {
                 csv: Some("fig_gcr".into()),
                 text: false,
-                build: long_table(schema::FIG_GCR_HEADER, |m: &Measurement<GcrCell>| {
-                    let r = &m.result;
-                    vec![
-                        Cell::text(r.kind.name()),
-                        Cell::Int(m.cell.oversub as u64),
-                        Cell::Int(r.threads as u64),
-                        Cell::Int(cohort_bench::clusters() as u64),
-                        // Rate, not num: the CSV field carries the same
-                        // unit-promoted figure as the printed table.
-                        Cell::Rate(r.throughput),
-                        Cell::Int(r.acquisitions),
-                        Cell::Int(r.migrations),
-                        Cell::num(r.misses_per_cs, 4),
-                        Cell::Int(r.tenures),
-                        Cell::Int(r.local_handoffs),
-                        Cell::num(r.mean_streak, 2),
-                        Cell::Int(r.max_streak),
-                        Cell::Int(r.fast_acquisitions),
-                        Cell::Int(r.slow_acquisitions),
-                        Cell::Int(r.passive_parks),
-                        Cell::Int(r.promotions),
-                        Cell::text(r.policy.as_deref().unwrap_or("-")),
-                    ]
-                }),
+                build: long_table(
+                    schema::FIG_GCR_HEADER,
+                    |m: &Measurement<GcrCell>, column| match column {
+                        "oversub" => Cell::Int(m.cell.oversub as u64),
+                        "clusters" => Cell::Int(clusters() as u64),
+                        // Rate, not the column table's fixed precision: the
+                        // CSV field carries the same unit-promoted figure as
+                        // the printed table.
+                        "throughput" => Cell::Rate(m.result.throughput),
+                        _ => no_cell_columns(m, column),
+                    },
+                ),
             },
         ],
         checks: PAIRS

@@ -24,16 +24,12 @@
 //! lines each release's admission decision fans out to — the exact
 //! quantity the constant-coherence claim is about.
 //!
-//! Environment (strict `lbench::env` parsing, like every knob):
-//!
-//! * `LBENCH_RECIP_CLUSTERS` — comma-separated cluster counts (default
-//!   `1,2,4`);
-//! * `LBENCH_RECIP_ERA_BOUND` — admissions one detached segment may
-//!   serve before the remainder is re-queued under the next era
-//!   (default: unbounded, the paper's base algorithm; zero or garbage
-//!   aborts). Applies to the realtime `Recip` rows — the modelled
-//!   substrate simulates the unbounded base schedule;
-//! * plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
+//! Environment: `LBENCH_RECIP_CLUSTERS` (comma-separated cluster counts,
+//! default `1,2,4`), plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
+//! Both modes run the paper's base algorithm — one detached segment
+//! serves all its admissions, no era bound — which is the registry's
+//! `Recip`; `ReciprocatingLock::with_era_bound` is the constructor for a
+//! bounded one.
 //!
 //! The binary **self-checks** the acceptance shapes and exits non-zero
 //! on failure:
@@ -57,25 +53,15 @@
 
 use coherence_sim::CostModel;
 use cohort_bench::{
-    base_config, cluster_thread_grid, exhibit_main, find, knob_or_die, long_table,
-    saturation_threads, schema, throughput_floor_check, throughput_table, verdict, Cell, Check,
-    Exhibit, Measure, Measurement, TableSpec, FISSILE_UNCONTENDED_FLOOR,
+    base_config, cluster_thread_grid, exhibit_main, find, knob_or_die, long_table, measure_cell,
+    no_cell_columns, saturation_threads, schema, throughput_floor_check, throughput_table, verdict,
+    Cell, Check, Exhibit, Measurement, TableSpec, FISSILE_UNCONTENDED_FLOOR,
 };
-use lbench::env::{env_positive_usize_list, env_range_u64};
-use lbench::{
-    run_scenario, run_scenario_on, AnyLockKind, LockKind, RawAdapter, Scenario, ScenarioResult,
-};
-use numa_topology::Topology;
-use std::sync::Arc;
+use lbench::env::env_positive_usize_list;
+use lbench::{AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
 
 fn recip_clusters() -> Vec<usize> {
     knob_or_die(env_positive_usize_list("LBENCH_RECIP_CLUSTERS")).unwrap_or_else(|| vec![1, 2, 4])
-}
-
-/// Era bound for the realtime `Recip` rows (`None` = the library
-/// default: unbounded).
-fn era_bound() -> Option<usize> {
-    knob_or_die(env_range_u64("LBENCH_RECIP_ERA_BOUND", 1..=u64::MAX)).map(|v| v as usize)
 }
 
 /// Thread counts swept at one cluster count: the global grid plus the
@@ -113,30 +99,17 @@ impl std::fmt::Display for RecipCell {
     }
 }
 
-/// Measures one (lock, cell) pair. Modelled cells run saturated
+/// The scenario and config of one cell. Modelled cells run saturated
 /// (`noncs_max_ns = 0`) under the disaggregated model so admission
-/// order — and the succession census — decides everything. The
-/// `LBENCH_RECIP_ERA_BOUND` knob builds the realtime `Recip` lock
-/// directly (the registry constructs library defaults only).
-fn measure(kind: AnyLockKind, cell: &RecipCell) -> ScenarioResult {
+/// order — and the succession census — decides everything.
+fn build(cell: &RecipCell) -> (Scenario, LBenchConfig) {
     let mut cfg = base_config(cell.threads);
     cfg.clusters = cell.clusters;
-    let scenario = if cell.modelled {
-        cfg.noncs_max_ns = 0;
-        Scenario::steady().modelled(CostModel::disaggregated())
-    } else {
-        Scenario::steady()
-    };
-    if !cell.modelled && kind == AnyLockKind::Excl(LockKind::Recip) {
-        if let Some(bound) = era_bound() {
-            let topo = Arc::new(Topology::new(cfg.clusters));
-            let lock = Arc::new(RawAdapter::new(
-                base_locks::ReciprocatingLock::with_era_bound(bound),
-            ));
-            return run_scenario_on(kind, lock, topo, &scenario, &cfg);
-        }
+    if !cell.modelled {
+        return (Scenario::steady(), cfg);
     }
-    run_scenario(kind, &scenario, &cfg)
+    cfg.noncs_max_ns = 0;
+    (Scenario::steady().modelled(CostModel::disaggregated()), cfg)
 }
 
 /// Succession transitions per acquisition of one modelled cell.
@@ -266,8 +239,8 @@ fn saturation_check(clusters: usize) -> Check<RecipCell> {
         let mut trial = 1;
         while ratio < 1.0 && trial < TRIALS {
             trial += 1;
-            let recip = measure(AnyLockKind::Excl(LockKind::Recip), &cell);
-            let tatas = measure(AnyLockKind::Excl(LockKind::Tatas), &cell);
+            let recip = measure_cell(LockKind::Recip.into(), build(&cell));
+            let tatas = measure_cell(LockKind::Tatas.into(), build(&cell));
             ratio = recip.throughput / tatas.throughput.max(1.0);
         }
         let msg = format!(
@@ -295,41 +268,27 @@ fn main() {
     exhibit_main(Exhibit {
         name: "fig_recip",
         banner: format!(
-            "fig_recip: {} locks x {:?} clusters x realtime+modelled, era bound {}",
+            "fig_recip: {} locks x {:?} clusters x realtime+modelled",
             LockKind::FIG_RECIP.len(),
-            cluster_counts,
-            era_bound().map_or("unbounded".into(), |b| b.to_string()),
+            cluster_counts
         ),
         locks: AnyLockKind::excl(&LockKind::FIG_RECIP),
         grid,
-        measure: Measure::Custom(Box::new(|kind, cell: &RecipCell| measure(kind, cell))),
+        measure: Box::new(build),
         unit: "ops/s",
         tables: vec![
             throughput_table("Exhibit Recip: throughput (ops/s) by mode x clusters x threads"),
             TableSpec {
                 csv: Some("fig_recip".into()),
                 text: false,
-                build: long_table(schema::FIG_RECIP_HEADER, |m: &Measurement<RecipCell>| {
-                    let r = &m.result;
-                    vec![
-                        Cell::text(r.kind.name()),
-                        Cell::text(m.cell.mode()),
-                        Cell::Int(m.cell.clusters as u64),
-                        Cell::Int(r.threads as u64),
-                        Cell::num(r.throughput, 0),
-                        Cell::Int(r.acquisitions),
-                        Cell::Int(r.migrations),
-                        Cell::num(r.misses_per_cs, 4),
-                        Cell::Int(r.succ_transitions),
-                        Cell::Int(r.tenures),
-                        Cell::Int(r.local_handoffs),
-                        Cell::num(r.mean_streak, 2),
-                        Cell::Int(r.max_streak),
-                        Cell::Int(r.lat_p50_ns),
-                        Cell::Int(r.lat_p99_ns),
-                        Cell::text(r.policy.as_deref().unwrap_or("-")),
-                    ]
-                }),
+                build: long_table(
+                    schema::FIG_RECIP_HEADER,
+                    |m: &Measurement<RecipCell>, column| match column {
+                        "mode" => Cell::text(m.cell.mode()),
+                        "clusters" => Cell::Int(m.cell.clusters as u64),
+                        _ => no_cell_columns(m, column),
+                    },
+                ),
             },
         ],
         checks: cluster_counts

@@ -28,8 +28,8 @@
 //! cohort baseline (it exits non-zero otherwise).
 
 use cohort_bench::{
-    ablation_threads, base_config, exhibit_main, knob_or_die, long_table, metric_table, schema,
-    verdict, Cell, Check, Exhibit, Measure, Measurement, TableSpec,
+    ablation_threads, base_config, exhibit_main, find, knob_or_die, long_table, metric_table,
+    no_cell_columns, schema, verdict, Check, Exhibit, Measurement, TableSpec,
 };
 use lbench::env::env_positive_usize;
 use lbench::{AnyLockKind, RwLockKind, Scenario};
@@ -46,13 +46,8 @@ fn rw_threads() -> usize {
 /// single-writer cohort baseline.
 fn crw_check(kind: RwLockKind, read_pct: u32) -> Check<u32> {
     Box::new(move |ms: &[Measurement<u32>]| {
-        let cell = |k: RwLockKind| {
-            ms.iter()
-                .find(|m| m.cell == read_pct && m.result.kind == AnyLockKind::Rw(k))
-                .expect("check cell present")
-        };
-        let baseline = &cell(RwLockKind::MutexCBoMcs).result;
-        let crw = &cell(kind).result;
+        let baseline = find(ms, read_pct, RwLockKind::MutexCBoMcs);
+        let crw = find(ms, read_pct, kind);
         let msg = format!(
             "{kind} vs {} at {read_pct}% reads: {:.2}x",
             RwLockKind::MutexCBoMcs,
@@ -77,12 +72,12 @@ fn main() {
             .map(AnyLockKind::Rw)
             .collect(),
         grid: READ_RATIOS.to_vec(),
-        measure: Measure::Scenario(Box::new(move |&read_pct| {
+        measure: Box::new(move |&read_pct| {
             (
                 Scenario::steady().with_read_pct(read_pct),
                 base_config(threads),
             )
-        })),
+        }),
         unit: "ops/s",
         tables: vec![
             TableSpec {
@@ -98,26 +93,7 @@ fn main() {
             TableSpec {
                 csv: Some("fig_rw".into()),
                 text: false,
-                build: long_table(schema::FIG_RW_HEADER, |m| {
-                    let r = &m.result;
-                    vec![
-                        Cell::text(r.kind.name()),
-                        Cell::Int(r.read_pct as u64),
-                        Cell::Int(r.threads as u64),
-                        Cell::num(r.throughput, 0),
-                        Cell::Int(r.read_ops),
-                        Cell::Int(r.write_ops),
-                        Cell::Int(r.acquisitions),
-                        Cell::Int(r.migrations),
-                        Cell::Int(r.tenures),
-                        Cell::Int(r.local_handoffs),
-                        Cell::num(r.mean_streak, 2),
-                        Cell::Int(r.max_streak),
-                        Cell::Int(r.lat_p50_ns),
-                        Cell::Int(r.lat_p99_ns),
-                        Cell::text(r.policy.as_deref().unwrap_or("-")),
-                    ]
-                }),
+                build: long_table(schema::FIG_RW_HEADER, no_cell_columns),
             },
         ],
         checks: [90u32, 99]

@@ -53,11 +53,11 @@
 use coherence_sim::CostModel;
 use cohort_bench::{
     ablation_threads, base_config, clusters, cost_mode, exhibit_main, find_where, knob_or_die,
-    long_table, metric_table, schema, verdict, Cell, Check, Exhibit, Measure, Measurement,
-    TableSpec,
+    long_table, measure_cell, metric_table, no_cell_columns, schema, verdict, Cell, Check, Exhibit,
+    Measurement, TableSpec,
 };
 use lbench::env::{env_choice_list, env_positive_u64, env_positive_usize};
-use lbench::{run_scenario, AnyLockKind, LockKind, Phase, RwLockKind, Scenario};
+use lbench::{AnyLockKind, LockKind, Phase, RwLockKind, Scenario};
 
 /// The scenario names, in presentation order (also the `LBENCH_SCENARIO`
 /// vocabulary).
@@ -140,17 +140,6 @@ fn cells() -> Vec<ScenCell> {
         .collect()
 }
 
-/// The result of `kind` in scenario `name` (`None` when
-/// `LBENCH_SCENARIO` filtered the scenario out — checks skip rather than
-/// fail).
-fn find<'m>(
-    ms: &'m [Measurement<ScenCell>],
-    name: &str,
-    kind: LockKind,
-) -> Option<&'m lbench::ScenarioResult> {
-    find_where(ms, kind, |cell| cell.name == name)
-}
-
 /// Self-check 1: cohorting keeps its edge under bursty arrival whenever
 /// there is locality to exploit.
 fn bursty_edge_check() -> Check<ScenCell> {
@@ -159,8 +148,8 @@ fn bursty_edge_check() -> Check<ScenCell> {
             return Ok("bursty cohort edge skipped (1 cluster: no locality)".into());
         }
         let (cohort, mcs) = match (
-            find(ms, "bursty", LockKind::CBoMcs),
-            find(ms, "bursty", LockKind::Mcs),
+            find_where(ms, LockKind::CBoMcs, |c| c.name == "bursty"),
+            find_where(ms, LockKind::Mcs, |c| c.name == "bursty"),
         ) {
             (Some(c), Some(m)) => (c, m),
             _ => return Ok("bursty cohort edge skipped (scenario filtered out)".into()),
@@ -198,11 +187,8 @@ fn uncontended_modelled_exact_check() -> Check<ScenCell> {
         let run = |kind: LockKind| {
             let mut cfg = base_config(1);
             cfg.noncs_max_ns = 0;
-            run_scenario(
-                AnyLockKind::Excl(kind),
-                &Scenario::steady().modelled(CostModel::disaggregated()),
-                &cfg,
-            )
+            let scenario = Scenario::steady().modelled(CostModel::disaggregated());
+            measure_cell(kind.into(), (scenario, cfg))
         };
         let mcs = run(LockKind::Mcs);
         for kind in [LockKind::CBoMcs, LockKind::FisBoMcs] {
@@ -241,8 +227,8 @@ fn uncontended_modelled_exact_check() -> Check<ScenCell> {
 fn uncontended_floor_check(kind: LockKind, floor: f64) -> Check<ScenCell> {
     Box::new(move |ms: &[Measurement<ScenCell>]| {
         let (lock, mcs) = match (
-            find(ms, "uncontended", kind),
-            find(ms, "uncontended", LockKind::Mcs),
+            find_where(ms, kind, |c| c.name == "uncontended"),
+            find_where(ms, LockKind::Mcs, |c| c.name == "uncontended"),
         ) {
             (Some(c), Some(m)) => (c, m),
             _ => {
@@ -286,9 +272,7 @@ fn main() {
             AnyLockKind::Rw(RwLockKind::CRwWpBoMcs),
         ],
         grid,
-        measure: Measure::Scenario(Box::new(|cell: &ScenCell| {
-            (cell.scenario.clone(), base_config(cell.threads))
-        })),
+        measure: Box::new(|cell: &ScenCell| (cell.scenario.clone(), base_config(cell.threads))),
         unit: "ops/s",
         tables: vec![
             TableSpec {
@@ -304,32 +288,15 @@ fn main() {
             TableSpec {
                 csv: Some("fig_scenarios".into()),
                 text: false,
-                build: long_table(schema::FIG_SCENARIOS_HEADER, |m: &Measurement<ScenCell>| {
-                    let r = &m.result;
-                    vec![
-                        Cell::text(m.cell.name),
-                        Cell::text(m.cell.scenario.shape.label()),
-                        Cell::text(r.kind.name()),
-                        Cell::Int(r.threads as u64),
-                        Cell::Int(clusters() as u64),
-                        Cell::Int(r.read_pct as u64),
-                        Cell::num(r.throughput, 0),
-                        Cell::Int(r.total_ops),
-                        Cell::Int(r.read_ops),
-                        Cell::Int(r.write_ops),
-                        Cell::Int(r.acquisitions),
-                        Cell::Int(r.migrations),
-                        Cell::num(r.misses_per_cs, 4),
-                        Cell::num(r.mean_batch, 2),
-                        Cell::Int(r.tenures),
-                        Cell::Int(r.local_handoffs),
-                        Cell::num(r.mean_streak, 2),
-                        Cell::Int(r.max_streak),
-                        Cell::Int(r.lat_p50_ns),
-                        Cell::Int(r.lat_p99_ns),
-                        Cell::text(r.policy.as_deref().unwrap_or("-")),
-                    ]
-                }),
+                build: long_table(
+                    schema::FIG_SCENARIOS_HEADER,
+                    |m: &Measurement<ScenCell>, column| match column {
+                        "scenario" => Cell::text(m.cell.name),
+                        "shape" => Cell::text(m.cell.scenario.shape.label()),
+                        "clusters" => Cell::Int(clusters() as u64),
+                        _ => no_cell_columns(m, column),
+                    },
+                ),
             },
         ],
         checks: vec![

@@ -36,8 +36,8 @@
 //! throughput.
 
 use cohort_bench::{
-    clusters, exhibit_main, find_where, knob_or_die, long_table, metric_table, schema, verdict,
-    window_ns, Cell, Check, Exhibit, Measure, Measurement, TableSpec,
+    clusters, exhibit_main, find_where, knob_or_die, long_table, no_cell_columns, schema,
+    throughput_table, verdict, window_ns, Cell, Check, Exhibit, Measurement, TableSpec,
 };
 use cohort_kvstore::workload::KvWorkload;
 use lbench::env::{env_key_dist_list, env_positive_usize_list};
@@ -210,51 +210,27 @@ fn main() {
             AnyLockKind::Rw(RwLockKind::CRwWpBoMcs),
         ],
         grid,
-        measure: Measure::Scenario(Box::new(|cell: &ShardCell| {
+        measure: Box::new(|cell: &ShardCell| {
             let w = workload(cell);
             let cost = w.cost;
             (w.scenario().modelled(cost), w.lbench_config())
-        })),
+        }),
         unit: "ops/s",
         tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: metric_table(
-                    "Exhibit Shards: throughput (ops/s) by shards x clients x key dist".into(),
-                    "cell",
-                    0,
-                    |r| r.throughput,
-                ),
-            },
+            throughput_table("Exhibit Shards: throughput (ops/s) by shards x clients x key dist"),
             TableSpec {
                 csv: Some("fig_shards".into()),
                 text: false,
-                build: long_table(schema::FIG_SHARDS_HEADER, |m: &Measurement<ShardCell>| {
-                    let r = &m.result;
-                    vec![
-                        Cell::text(r.kind.name()),
-                        Cell::Int(m.cell.shards as u64),
-                        Cell::Int(m.cell.clients as u64),
-                        Cell::text(m.cell.dist.label()),
-                        Cell::Int(clusters() as u64),
-                        Cell::Int(r.read_pct as u64),
-                        Cell::num(r.throughput, 0),
-                        Cell::Int(r.total_ops),
-                        Cell::Int(r.read_ops),
-                        Cell::Int(r.write_ops),
-                        Cell::Int(r.acquisitions),
-                        Cell::Int(r.migrations),
-                        Cell::num(r.misses_per_cs, 4),
-                        Cell::num(r.mean_batch, 2),
-                        Cell::Int(r.tenures),
-                        Cell::Int(r.local_handoffs),
-                        Cell::num(r.mean_streak, 2),
-                        Cell::Int(r.lat_p50_ns),
-                        Cell::Int(r.lat_p99_ns),
-                        Cell::text(r.policy.as_deref().unwrap_or("-")),
-                    ]
-                }),
+                build: long_table(
+                    schema::FIG_SHARDS_HEADER,
+                    |m: &Measurement<ShardCell>, column| match column {
+                        "shards" => Cell::Int(m.cell.shards as u64),
+                        "clients" => Cell::Int(m.cell.clients as u64),
+                        "dist" => Cell::text(m.cell.dist.label()),
+                        "clusters" => Cell::Int(clusters() as u64),
+                        _ => no_cell_columns(m, column),
+                    },
+                ),
             },
         ],
         checks: vec![

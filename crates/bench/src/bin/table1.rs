@@ -6,16 +6,16 @@
 //! Amdahl ceiling; write-heavy — NUMA-aware locks out-scale the oblivious
 //! ones by ≥20%, with untuned HBO and C-BO-BO lagging everywhere.
 //!
-//! One [`Exhibit`] per mix, each driven through `Measure::Scenario`: the
-//! [`KvWorkload`] translates into a keyed scenario (the kvstore service
-//! factory behind the engine's one measurement loop), so this binary
-//! shares every line of measurement machinery with the synthetic
-//! exhibits. The `kv_scenario_parity` test pins that these cells
-//! reproduce the retired hand-rolled driver's numbers exactly.
+//! One [`Exhibit`] per mix: the [`KvWorkload`] translates into a keyed
+//! scenario (the kvstore service factory behind the engine's one
+//! measurement loop), so this binary shares every line of measurement
+//! machinery with the synthetic exhibits. The `kv_scenario_parity` test
+//! pins that these cells reproduce the retired hand-rolled driver's
+//! numbers exactly.
 
 use cohort_bench::{
-    clusters, knob_or_die, metric_table, run_exhibit, thread_grid, window_ns, Exhibit, Measure,
-    TableSpec,
+    clusters, knob_or_die, measure_cell, metric_table, run_exhibit, thread_grid, window_ns,
+    Exhibit, TableSpec,
 };
 use cohort_kvstore::workload::KvWorkload;
 use lbench::env::{env_bool, env_policy};
@@ -60,7 +60,8 @@ fn main() {
         (10, "10% gets / 90% sets"),
     ] {
         // Baseline: pthread at 1 thread.
-        let base = workload(get_pct, 1, policy, rw).run(LockKind::Pthread);
+        let w = workload(get_pct, 1, policy, rw);
+        let base = measure_cell(LockKind::Pthread.into(), (w.scenario(), w.lbench_config()));
         let base_thr = base.throughput.max(1.0);
         let policy_note = policy
             .map(|p| format!(", cohort policy {p}"))
@@ -72,10 +73,10 @@ fn main() {
             banner: format!("table1: mix {label}"),
             locks: AnyLockKind::excl(&LockKind::TABLES),
             grid: grid.clone(),
-            measure: Measure::Scenario(Box::new(move |&threads| {
+            measure: Box::new(move |&threads| {
                 let w = workload(get_pct, threads, policy, rw);
                 (w.scenario(), w.lbench_config())
-            })),
+            }),
             unit: "ops/s",
             tables: vec![TableSpec {
                 csv: Some(format!("table1_get{get_pct}{suffix}")),

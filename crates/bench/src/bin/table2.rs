@@ -5,16 +5,15 @@
 //! rate; cohort locks reach 5–6×, because lock batching keeps the splay
 //! tree's hot nodes and the recycled blocks inside one cluster.
 //!
-//! Driven through `Measure::Scenario`: the [`MmicroWorkload`] translates
-//! into a keyless keyed scenario (one op = one malloc-free pair inside
-//! the allocator service), so the engine's throughput channel carries
-//! pairs per second and the table converts to Table 2's pairs-per-ms
-//! metric. Parity with the retired hand-rolled driver is pinned by the
+//! The [`MmicroWorkload`] translates into a keyless keyed scenario (one
+//! op = one malloc-free pair inside the allocator service), so the
+//! engine's throughput channel carries pairs per second and the table
+//! converts to Table 2's pairs-per-ms metric. Parity with the retired hand-rolled driver is pinned by the
 //! `kv_scenario_parity` test.
 
 use cohort_alloc::workload::MmicroWorkload;
 use cohort_bench::{
-    clusters, exhibit_main, metric_table, thread_grid, window_ns, Exhibit, Measure, TableSpec,
+    clusters, exhibit_main, metric_table, thread_grid, window_ns, Exhibit, TableSpec,
 };
 use lbench::{AnyLockKind, LockKind};
 use std::time::Duration;
@@ -25,7 +24,7 @@ fn main() {
         banner: "table2: mmicro malloc-free pairs per millisecond".into(),
         locks: AnyLockKind::excl(&LockKind::TABLES),
         grid: thread_grid(),
-        measure: Measure::Scenario(Box::new(|&threads| {
+        measure: Box::new(|&threads| {
             let w = MmicroWorkload {
                 threads,
                 clusters: clusters(),
@@ -34,7 +33,7 @@ fn main() {
                 ..Default::default()
             };
             (w.scenario(), w.lbench_config())
-        })),
+        }),
         unit: "pairs/s",
         tables: vec![TableSpec {
             csv: Some("table2_mmicro".into()),

@@ -3,13 +3,14 @@
 //!
 //! Each binary used to hand-roll its own sweep loop, progress lines,
 //! table rendering, CSV writer, and acceptance checks. An [`Exhibit`]
-//! turns all of that into a declaration — locks × grid × scenario (or a
-//! custom workload driver) × tables × checks — consumed by the single
-//! [`run_exhibit`] driver:
+//! turns all of that into a declaration — locks × grid × a builder from
+//! grid cell to `(Scenario, LBenchConfig)` × tables × checks — consumed
+//! by the single [`run_exhibit`] driver:
 //!
-//! 1. every grid cell × lock is measured (through
-//!    [`lbench::run_scenario`], or the exhibit's custom driver for the
-//!    kvstore/allocator workloads), with a standardized progress line;
+//! 1. every grid cell × lock is measured through [`measure_cell`] (the
+//!    builder's output on [`lbench::run_scenario`] — the kvstore and
+//!    allocator workloads are keyed scenarios like any other), with a
+//!    standardized progress line;
 //! 2. every [`TableSpec`] builds a [`Grid`] from the measurements and is
 //!    emitted through the shared text/CSV path;
 //! 3. every check runs against the full measurement set; a failure makes
@@ -18,9 +19,11 @@
 //! Helper builders cover the recurring table shapes: [`metric_table`]
 //! (grid-cell rows × lock columns of one metric), [`long_table`]
 //! (one CSV row per measurement under a pinned [`crate::schema`]
-//! header), and [`policy_exhibit`] (the whole policy-ablation exhibit).
+//! header, every column resolved by name), and the two recurring whole
+//! declarations, [`steady_sweep`] and [`policy_exhibit`].
 
 use crate::grid::{emit, Cell, Grid};
+use crate::schema;
 use lbench::{
     run_scenario, AnyLockKind, LBenchConfig, LockKind, PolicySpec, Scenario, ScenarioResult,
 };
@@ -38,41 +41,44 @@ pub struct Measurement<C> {
 /// Builds the [`Scenario`] + [`LBenchConfig`] for one grid cell.
 pub type ScenarioBuilder<C> = Box<dyn Fn(&C) -> (Scenario, LBenchConfig)>;
 
-/// A custom measurement driver over one (lock, cell) pair.
-pub type CustomMeasure<C> = Box<dyn Fn(AnyLockKind, &C) -> ScenarioResult>;
-
 /// Builds a [`Grid`] from the full measurement set.
 pub type GridBuilder<C> = Box<dyn Fn(&[Measurement<C>]) -> Grid>;
 
 /// A free-form hook over the full measurement set.
 pub type Epilogue<C> = Box<dyn Fn(&[Measurement<C>])>;
 
-/// How an exhibit measures one (lock, cell) pair.
-pub enum Measure<C> {
-    /// The default: build a [`Scenario`] + [`LBenchConfig`] from the
-    /// grid cell and run the scenario engine.
-    Scenario(ScenarioBuilder<C>),
-    /// A custom driver over the scenario engine, for cells that build
-    /// their own lock or re-measure (tuning knobs, per-cell cost modes).
-    Custom(CustomMeasure<C>),
+/// Measures one (lock, cell) pair: a builder's scenario and config on
+/// the `LBENCH_TOPOLOGY` backend — the one place an exhibit calls the
+/// engine, for the sweep and for any check that re-measures a cell.
+pub fn measure_cell(
+    kind: AnyLockKind,
+    (scenario, mut cfg): (Scenario, LBenchConfig),
+) -> ScenarioResult {
+    cfg.topology = crate::topology_mode();
+    run_scenario(kind, &scenario, &cfg)
 }
 
-/// The result exclusive kind `kind` measured at the first grid cell `at`
-/// accepts — `None` when no such cell was swept (a knob filtered it out),
-/// which checks report as skipped rather than failed.
+/// The result `kind` measured at the first grid cell `at` accepts —
+/// `None` when no such cell was swept (a knob filtered it out), which
+/// checks report as skipped rather than failed.
 pub fn find_where<C>(
     ms: &[Measurement<C>],
-    kind: LockKind,
+    kind: impl Into<AnyLockKind>,
     at: impl Fn(&C) -> bool,
 ) -> Option<&ScenarioResult> {
+    let kind = kind.into();
     ms.iter()
-        .find(|m| m.result.kind == AnyLockKind::Excl(kind) && at(&m.cell))
+        .find(|m| m.result.kind == kind && at(&m.cell))
         .map(|m| &m.result)
 }
 
 /// The result `kind` measured at `cell`, for checks whose cells the
 /// exhibit's grid always contains (panics otherwise).
-pub fn find<C: PartialEq>(ms: &[Measurement<C>], cell: C, kind: LockKind) -> &ScenarioResult {
+pub fn find<C: PartialEq>(
+    ms: &[Measurement<C>],
+    cell: C,
+    kind: impl Into<AnyLockKind>,
+) -> &ScenarioResult {
     find_where(ms, kind, |c| *c == cell).expect("check cell present")
 }
 
@@ -123,6 +129,24 @@ pub struct ClusterThreads {
     pub clusters: usize,
     /// Worker threads of the cell.
     pub threads: usize,
+}
+
+impl ClusterThreads {
+    /// The builder of the clusters × threads exhibits: the paper's steady
+    /// workload at the cell's cluster and thread counts.
+    pub fn steady(&self) -> (Scenario, LBenchConfig) {
+        let mut cfg = crate::base_config(self.threads);
+        cfg.clusters = self.clusters;
+        (Scenario::steady(), cfg)
+    }
+
+    /// Their `cell_columns` hook: `clusters`, the swept count.
+    pub fn cell_columns(m: &Measurement<ClusterThreads>, column: &str) -> Cell {
+        match column {
+            "clusters" => Cell::Int(m.cell.clusters as u64),
+            _ => no_cell_columns(m, column),
+        }
+    }
 }
 
 impl Display for ClusterThreads {
@@ -194,8 +218,8 @@ pub struct Exhibit<C> {
     pub locks: Vec<AnyLockKind>,
     /// Row axis: the swept cells, in presentation order.
     pub grid: Vec<C>,
-    /// The measurement driver.
-    pub measure: Measure<C>,
+    /// The scenario and config of one grid cell.
+    pub measure: ScenarioBuilder<C>,
     /// Unit of the result's throughput channel for the progress lines —
     /// `"ops/s"` for the scenario engine, `"pairs/ms"` for the allocator
     /// workload, etc.
@@ -208,16 +232,6 @@ pub struct Exhibit<C> {
     pub epilogue: Option<Epilogue<C>>,
 }
 
-/// Magnitude-aware mantissa for progress lines (`2563000` → `"2.56e6"`,
-/// `1234` → `"1.2e3"`, `87` → `"87"`); the caller appends the unit.
-/// Delegates to the harness formatter so the progress lines, the
-/// printed tables, and the [`Cell::Rate`] CSV fields all promote at the
-/// same boundaries (the old local copy promoted at the raw magnitude
-/// and printed four-digit mantissas like `1000.0e3` just below 1e6).
-fn fmt_rate(v: f64) -> String {
-    lbench::stats::fmt_throughput_raw(v)
-}
-
 /// Runs an exhibit: sweep, tables, epilogue, checks. Returns whether all
 /// checks passed.
 pub fn run_exhibit<C: Clone + Display>(ex: &Exhibit<C>) -> bool {
@@ -225,16 +239,10 @@ pub fn run_exhibit<C: Clone + Display>(ex: &Exhibit<C>) -> bool {
     let mut ms: Vec<Measurement<C>> = Vec::with_capacity(ex.grid.len() * ex.locks.len());
     for cell in &ex.grid {
         for &kind in &ex.locks {
-            let result = match &ex.measure {
-                Measure::Scenario(build) => {
-                    let (scenario, cfg) = build(cell);
-                    run_scenario(kind, &scenario, &cfg)
-                }
-                Measure::Custom(run) => run(kind, cell),
-            };
+            let result = measure_cell(kind, (ex.measure)(cell));
             eprintln!(
                 "  [{kind} {cell}] {} {} ({:?} wall)",
-                fmt_rate(result.throughput),
+                lbench::stats::fmt_throughput_raw(result.throughput),
                 ex.unit,
                 result.wall
             );
@@ -323,17 +331,59 @@ where
     })
 }
 
-/// Table builder for long-form CSVs: columns from a pinned
-/// [`crate::schema`] header, one row per measurement.
-pub fn long_table<C, F>(header: &'static str, row: F) -> GridBuilder<C>
-where
-    F: Fn(&Measurement<C>) -> Vec<Cell> + 'static,
-{
+/// Table builder for long-form CSVs: one row per measurement under a
+/// pinned [`crate::schema`] header, every column resolved by name. The
+/// columns the header's [`schema::LONG_FORMS`] entry declares are asked
+/// of `cell_columns` (the exhibit's hook over its own grid cell); every
+/// other goes through [`schema::result_cell`]. An unregistered header or
+/// an unresolved column panics.
+pub fn long_table<C>(
+    header: &'static str,
+    cell_columns: impl Fn(&Measurement<C>, &str) -> Cell + 'static,
+) -> GridBuilder<C> {
+    let registered = schema::LONG_FORMS.iter().find(|(_, h, _)| *h == header);
+    let &(_, _, from_cell) = registered.unwrap_or_else(|| panic!("unregistered header {header}"));
+    let cell = move |m: &Measurement<C>, column: &str| {
+        if from_cell.contains(&column) {
+            return cell_columns(m, column);
+        }
+        schema::result_cell(column, &m.result)
+            .unwrap_or_else(|| panic!("column {column} is not in the column table"))
+    };
     Box::new(move |ms| Grid {
         title: String::new(),
         columns: header.split(',').map(str::to_string).collect(),
-        rows: ms.iter().map(&row).collect(),
+        rows: ms
+            .iter()
+            .map(|m| header.split(',').map(|column| cell(m, column)).collect())
+            .collect(),
     })
+}
+
+/// The `cell_columns` hook of an exhibit whose header declares none.
+pub fn no_cell_columns<C>(_: &Measurement<C>, column: &str) -> Cell {
+    unreachable!("{column} is not declared a cell column")
+}
+
+/// The exhibit `fig2`, `fig3`, `fig5` and `ablation_batching` declare:
+/// `locks` × the `LBENCH_THREADS` grid on the paper's steady workload.
+pub fn steady_sweep(
+    name: &'static str,
+    banner: String,
+    locks: &[LockKind],
+    tables: Vec<TableSpec<usize>>,
+) -> Exhibit<usize> {
+    Exhibit {
+        name,
+        banner,
+        locks: AnyLockKind::excl(locks),
+        grid: crate::thread_grid(),
+        measure: Box::new(|&threads| (Scenario::steady(), crate::base_config(threads))),
+        unit: "ops/s",
+        tables,
+        checks: vec![],
+        epilogue: None,
+    }
 }
 
 /// The exhibit both policy ablations declare: `locks` × `policies` on
@@ -353,11 +403,11 @@ pub fn policy_exhibit(
         banner,
         locks: AnyLockKind::excl(locks),
         grid: policies,
-        measure: Measure::Scenario(Box::new(move |&policy| {
+        measure: Box::new(move |&policy| {
             let mut cfg = crate::base_config(threads);
             cfg.policy = Some(policy);
             (Scenario::steady(), cfg)
-        })),
+        }),
         unit: "ops/s",
         tables: vec![
             TableSpec {
@@ -368,7 +418,7 @@ pub fn policy_exhibit(
             TableSpec {
                 csv: Some(name.into()),
                 text: false,
-                build: long_table(crate::schema::POLICY_HEADER, policy_csv_row),
+                build: long_table(schema::POLICY_HEADER, no_cell_columns),
             },
         ],
         checks: vec![],
@@ -413,26 +463,6 @@ fn policy_table<C: Display>(title: String) -> GridBuilder<C> {
     })
 }
 
-/// The pinned-schema CSV rows of the policy ablations
-/// ([`crate::schema::POLICY_HEADER`]).
-fn policy_csv_row<C: Display>(m: &Measurement<C>) -> Vec<Cell> {
-    let r = &m.result;
-    vec![
-        Cell::text(r.kind.name()),
-        Cell::Text(m.cell.to_string()),
-        Cell::Int(r.threads as u64),
-        Cell::num(r.throughput, 0),
-        Cell::num(r.stddev_pct, 2),
-        Cell::num(r.mean_batch, 2),
-        Cell::num(r.misses_per_cs, 4),
-        Cell::Int(r.tenures),
-        Cell::Int(r.local_handoffs),
-        Cell::num(r.mean_streak, 2),
-        Cell::Int(r.max_streak),
-        Cell::num(r.migrations_per_tenure, 4),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,11 +505,30 @@ mod tests {
     #[test]
     fn long_table_takes_schema_headers_verbatim() {
         let ms = vec![fake(AnyLockKind::Excl(LockKind::Mcs), 2, 5.0)];
-        let build = long_table::<usize, _>("a,b", |m| {
-            vec![Cell::Int(m.cell as u64), Cell::num(m.result.throughput, 0)]
+        let build = long_table::<usize>(schema::FIG_CNA_HEADER, |m, column| {
+            assert_eq!(column, "clusters", "the one declared cell column");
+            Cell::Int(m.cell as u64 + 40)
         });
         let g = build(&ms);
-        assert_eq!(g.columns, vec!["a", "b"]);
-        assert_eq!(g.rows, vec![vec![Cell::Int(2), Cell::num(5.0, 0)]]);
+        assert_eq!(g.columns.join(","), schema::FIG_CNA_HEADER);
+        let r = &ms[0].result;
+        assert_eq!(
+            g.rows[0][..5],
+            [
+                Cell::text("MCS"),
+                Cell::Int(42),
+                Cell::Int(2),
+                Cell::num(5.0, 0),
+                Cell::Int(r.acquisitions)
+            ]
+        );
+        assert_eq!(g.rows[0][6], Cell::num(r.misses_per_cs, 4));
+        assert_eq!(g.rows[0][11], Cell::text("-"), "MCS has no policy");
+    }
+
+    #[test]
+    #[should_panic(expected = "unregistered header")]
+    fn long_table_refuses_a_header_the_schema_does_not_know() {
+        let _ = long_table::<usize>("a,b", no_cell_columns);
     }
 }

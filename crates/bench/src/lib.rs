@@ -20,10 +20,11 @@
 //! * `LBENCH_COST_MODE` — `realtime` (default) or `modelled`: switches
 //!   the scenario exhibits to the deterministic modelled-coherence
 //!   substrate (see [`cost_mode`]).
-//! * `LBENCH_TOPOLOGY` — `virtual` (default) or `measured`: run on the
-//!   probed core-to-core latency cluster map with physical thread
-//!   pinning (see [`topology_mode`]); `LBENCH_PROBE_SKIP=1` forces the
-//!   virtual fallback without probing (CI).
+//! * `LBENCH_TOPOLOGY` — `virtual` (default) or `measured`: run every
+//!   exhibit on the probed core-to-core latency cluster map with
+//!   physical thread pinning (see [`topology_mode`]);
+//!   `LBENCH_PROBE_SKIP=1` forces the virtual fallback without probing
+//!   (CI).
 //! * `RESULTS_DIR` — where CSV copies are written (default `results/`).
 //!
 //! Knob parsing is strict (`lbench::env`): a present-but-malformed value
@@ -36,13 +37,14 @@ pub mod model_exhibit;
 pub mod schema;
 
 pub use exhibit::{
-    cluster_thread_grid, exhibit_main, find, find_where, long_table, metric_table,
-    migrations_detail, policy_exhibit, run_exhibit, saturation_threads, throughput_floor_check,
-    throughput_table, verdict, Check, ClusterThreads, Exhibit, Measure, Measurement, TableSpec,
+    cluster_thread_grid, exhibit_main, find, find_where, long_table, measure_cell, metric_table,
+    migrations_detail, no_cell_columns, policy_exhibit, run_exhibit, saturation_threads,
+    steady_sweep, throughput_floor_check, throughput_table, verdict, Check, ClusterThreads,
+    Exhibit, Measurement, TableSpec,
 };
 pub use grid::{emit, Cell, Grid};
 pub use model_exhibit::{
-    measure_model_cell, model_cells, model_cells_at, model_csv_row, model_exhibit, model_locks,
+    measure_model_cell, model_cells, model_cells_at, model_exhibit, model_locks, model_long_table,
     ModelCell,
 };
 
@@ -95,14 +97,14 @@ pub fn topology_mode() -> TopologyMode {
     knob_or_die(TopologyMode::from_env())
 }
 
-/// The default LBench configuration for the figure sweeps.
+/// The default LBench configuration for the figure sweeps (the
+/// topology backend is applied by [`measure_cell`], to every exhibit).
 pub fn base_config(threads: usize) -> LBenchConfig {
     LBenchConfig {
         threads,
         clusters: clusters(),
         window_ns: window_ns(),
         max_wall: Duration::from_secs(60),
-        topology: topology_mode(),
         ..Default::default()
     }
 }

@@ -20,7 +20,7 @@
 //!   counts are not comparable;
 //! * **batching** — the saturated cohort cell's median closed batch
 //!   ([`ScenarioResult::batch_p50_floor`]) reaches the handoff policy's
-//!   pass bound ([`cohort::PolicySpec::PAPER_BOUND`]);
+//!   pass bound ([`lbench::PolicySpec::PAPER_BOUND`]);
 //! * **kind-invariance** — at one thread the admission order is
 //!   irrelevant, so every *exclusive* kind produces the identical op
 //!   count, throughput bits, and latency percentiles. (The C-RW row is
@@ -31,13 +31,15 @@
 //!
 //! The module lives in the library (rather than the binary) so the
 //! `modelled_determinism` integration test drives the *same* cells and
-//! row builder the binary emits — the committed `results/fig_model.csv`
-//! and the test can never diverge.
+//! table builder the binary emits — the committed
+//! `results/fig_model.csv` and the test can never diverge.
 
-use crate::exhibit::{long_table, metric_table, verdict};
-use crate::{base_config, clusters, schema, Cell, Check, Exhibit, Measure, Measurement, TableSpec};
+use crate::exhibit::{
+    find_where, long_table, measure_cell, no_cell_columns, throughput_table, verdict, GridBuilder,
+};
+use crate::{base_config, clusters, schema, Cell, Check, Exhibit, Measurement, TableSpec};
 use coherence_sim::CostModel;
-use lbench::{run_scenario, AnyLockKind, LockKind, RwLockKind, Scenario, ScenarioResult};
+use lbench::{AnyLockKind, LBenchConfig, LockKind, RwLockKind, Scenario, ScenarioResult};
 
 /// One modelled cell: a named scenario at a thread count with a pinned
 /// non-critical idle bound.
@@ -113,53 +115,30 @@ pub fn model_cells() -> Vec<ModelCell> {
     model_cells_at(2 * clusters())
 }
 
-/// Measures one (lock, cell) pair — the single entry point both the
-/// exhibit sweep and the determinism re-runs go through.
-pub fn measure_model_cell(kind: AnyLockKind, cell: &ModelCell) -> ScenarioResult {
+/// The scenario and config of one cell — the exhibit's builder.
+fn build(cell: &ModelCell) -> (Scenario, LBenchConfig) {
     let mut cfg = base_config(cell.threads);
     cfg.noncs_max_ns = cell.noncs_max_ns;
-    run_scenario(kind, &cell.scenario, &cfg)
+    (cell.scenario.clone(), cfg)
 }
 
-/// One pinned-schema CSV row ([`schema::FIG_MODEL_HEADER`]). Every field
-/// is deterministic; the result's `wall` field is deliberately absent.
-pub fn model_csv_row(m: &Measurement<ModelCell>) -> Vec<Cell> {
-    let r = &m.result;
-    vec![
-        Cell::text(m.cell.name),
-        Cell::text(r.kind.name()),
-        Cell::Int(r.threads as u64),
-        Cell::Int(clusters() as u64),
-        Cell::Int(r.read_pct as u64),
-        Cell::num(r.throughput, 0),
-        Cell::Int(r.total_ops),
-        Cell::Int(r.read_ops),
-        Cell::Int(r.write_ops),
-        Cell::Int(r.acquisitions),
-        Cell::Int(r.migrations),
-        Cell::Int(r.remote_misses),
-        Cell::num(r.misses_per_cs, 4),
-        Cell::num(r.mean_batch, 2),
-        Cell::Int(r.batch_p50_floor()),
-        Cell::Int(r.tenures),
-        Cell::Int(r.local_handoffs),
-        Cell::num(r.mean_streak, 2),
-        Cell::Int(r.max_streak),
-        Cell::Int(r.aborts),
-        Cell::Int(r.lat_p50_ns),
-        Cell::Int(r.lat_p99_ns),
-        Cell::text(r.policy.as_deref().unwrap_or("-")),
-    ]
+/// Measures one (lock, cell) pair as the exhibit sweep does — what the
+/// determinism re-runs (the check below, the integration test) re-drive.
+pub fn measure_model_cell(kind: AnyLockKind, cell: &ModelCell) -> ScenarioResult {
+    measure_cell(kind, build(cell))
 }
 
-fn find<'m>(
-    ms: &'m [Measurement<ModelCell>],
-    name: &str,
-    kind: AnyLockKind,
-) -> Option<&'m ScenarioResult> {
-    ms.iter()
-        .find(|m| m.cell.name == name && m.result.kind == kind)
-        .map(|m| &m.result)
+/// The exhibit's CSV table ([`schema::FIG_MODEL_HEADER`]). Every column
+/// is deterministic; the result's `wall` field is not a column at all.
+pub fn model_long_table() -> GridBuilder<ModelCell> {
+    long_table(
+        schema::FIG_MODEL_HEADER,
+        |m: &Measurement<ModelCell>, column| match column {
+            "scenario" => Cell::text(m.cell.name),
+            "clusters" => Cell::Int(clusters() as u64),
+            _ => no_cell_columns(m, column),
+        },
+    )
 }
 
 /// Exact check 1: re-measuring every cell reproduces the sweep's result
@@ -194,8 +173,8 @@ fn saturated_separation_check() -> Check<ModelCell> {
             return Ok("saturated separation skipped (1 cluster: no locality)".into());
         }
         let (cbo, mcs) = match (
-            find(ms, "saturated", AnyLockKind::Excl(LockKind::CBoMcs)),
-            find(ms, "saturated", AnyLockKind::Excl(LockKind::Mcs)),
+            find_where(ms, LockKind::CBoMcs, |c| c.name == "saturated"),
+            find_where(ms, LockKind::Mcs, |c| c.name == "saturated"),
         ) {
             (Some(c), Some(m)) => (c, m),
             _ => return Err("saturated cell missing from the sweep".into()),
@@ -229,11 +208,11 @@ fn batch_bound_check() -> Check<ModelCell> {
         if clusters() < 2 {
             return Ok("batch p50 bound skipped (1 cluster: batches never close)".into());
         }
-        let cbo = match find(ms, "saturated", AnyLockKind::Excl(LockKind::CBoMcs)) {
+        let cbo = match find_where(ms, LockKind::CBoMcs, |c| c.name == "saturated") {
             Some(c) => c,
             None => return Err("saturated C-BO-MCS cell missing from the sweep".into()),
         };
-        let bound = cohort::PolicySpec::PAPER_BOUND;
+        let bound = lbench::PolicySpec::PAPER_BOUND;
         let p50 = cbo.batch_p50_floor();
         let msg = format!("saturated C-BO-MCS batch p50 floor {p50} vs pass bound {bound}");
         verdict(p50 >= bound, msg)
@@ -246,7 +225,7 @@ fn batch_bound_check() -> Check<ModelCell> {
 /// row is excluded: its coin draw shifts the RNG program.)
 fn uncontended_invariance_check() -> Check<ModelCell> {
     Box::new(|ms: &[Measurement<ModelCell>]| {
-        let mcs = match find(ms, "uncontended", AnyLockKind::Excl(LockKind::Mcs)) {
+        let mcs = match find_where(ms, LockKind::Mcs, |c| c.name == "uncontended") {
             Some(m) => m,
             None => return Err("uncontended MCS cell missing from the sweep".into()),
         };
@@ -294,23 +273,14 @@ pub fn model_exhibit() -> Exhibit<ModelCell> {
         ),
         locks: model_locks(),
         grid,
-        measure: Measure::Custom(Box::new(measure_model_cell)),
+        measure: Box::new(build),
         unit: "ops/s",
         tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: metric_table(
-                    "Exhibit Model: modelled throughput (ops/s) by cell".into(),
-                    "cell",
-                    0,
-                    |r| r.throughput,
-                ),
-            },
+            throughput_table("Exhibit Model: modelled throughput (ops/s) by cell"),
             TableSpec {
                 csv: Some("fig_model".into()),
                 text: false,
-                build: long_table(schema::FIG_MODEL_HEADER, model_csv_row),
+                build: model_long_table(),
             },
         ],
         checks: vec![

@@ -8,8 +8,16 @@
 //! checker can never disagree, and (b) the `csv_schema` integration test
 //! can fail loudly on any committed CSV whose header drifted from its
 //! generating binary.
+//!
+//! It also says, once, what a long-form column *is*: [`result_cell`]
+//! resolves a column name to a value of
+//! [`ScenarioResult::fields`](lbench::ScenarioResult::fields) and its
+//! precision, and [`LONG_FORMS`] lists, per file, the few columns that
+//! come from the exhibit's grid cell instead. [`crate::long_table`]
+//! writes every row from those two.
 
-use lbench::{LockKind, RwLockKind};
+use crate::Cell;
+use lbench::{Field, LockKind, ScenarioResult};
 
 /// Header of the `Table`-shaped CSVs (`threads` + one column per lock).
 pub fn table_header(locks: &[LockKind]) -> String {
@@ -102,45 +110,97 @@ pub const FIG_TOPOLOGY_HEADER: &str = "source,cpu_a,cpu_b,lat_ns,cluster_a,clust
 pub const POLICY_HEADER: &str = "lock,policy,threads,throughput,stddev_pct,mean_batch,\
      misses_per_cs,tenures,local_handoffs,mean_streak,max_streak,migrations_per_tenure";
 
+/// Every long-form CSV of the crate — a row per measurement under a
+/// pinned header — as `(file stem, header, cell columns)`. The cell
+/// columns are the ones the exhibit's own hook supplies: what lives in
+/// its grid cell, plus `fig_gcr`'s unit-promoted `throughput`. Every
+/// other column goes through [`result_cell`].
+pub const LONG_FORMS: &[(&str, &str, &[&str])] = &[
+    ("fig_rw", FIG_RW_HEADER, &[]),
+    ("fig_cna", FIG_CNA_HEADER, &["clusters"]),
+    ("fig_fissile", FIG_FISSILE_HEADER, &["clusters"]),
+    ("fig_recip", FIG_RECIP_HEADER, &["mode", "clusters"]),
+    (
+        "fig_gcr",
+        FIG_GCR_HEADER,
+        &["oversub", "clusters", "throughput"],
+    ),
+    (
+        "fig_scenarios",
+        FIG_SCENARIOS_HEADER,
+        &["scenario", "shape", "clusters"],
+    ),
+    ("fig_model", FIG_MODEL_HEADER, &["scenario", "clusters"]),
+    (
+        "fig_shards",
+        FIG_SHARDS_HEADER,
+        &["shards", "clients", "dist", "clusters"],
+    ),
+    ("ablation_policy", POLICY_HEADER, &[]),
+    ("ablation_handoff", POLICY_HEADER, &[]),
+];
+
+/// The column table: column → (the result field it reads, digits after
+/// the point when that field is a float). A column that is not listed
+/// reads the field of its own name, which must not be a float — every
+/// float column states its precision here, once.
+pub const COLUMNS: &[(&str, &str, usize)] = &[
+    ("lock", "kind", 0),
+    ("exclusive_acquisitions", "acquisitions", 0),
+    ("fast_acqs", "fast_acquisitions", 0),
+    ("slow_acqs", "slow_acquisitions", 0),
+    ("throughput", "throughput", 0),
+    ("misses_per_cs", "misses_per_cs", 4),
+    ("mean_batch", "mean_batch", 2),
+    ("mean_streak", "mean_streak", 2),
+    ("stddev_pct", "stddev_pct", 2),
+    ("migrations_per_tenure", "migrations_per_tenure", 4),
+];
+
+/// The cell of long-form column `column` for result `r`, or `None` when
+/// the name is neither in [`COLUMNS`], nor a printable field, nor the
+/// one derived column (`batch_p50`, the median-batch floor). `policy`
+/// prints the label, `-` for a lock without one.
+pub fn result_cell(column: &str, r: &ScenarioResult) -> Option<Cell> {
+    if column == "batch_p50" {
+        return Some(Cell::Int(r.batch_p50_floor()));
+    }
+    let listed = COLUMNS.iter().find(|(name, ..)| *name == column);
+    let (field, digits) = listed.map_or((column, None), |&(_, f, d)| (f, Some(d)));
+    let (_, value) = r.fields().into_iter().find(|(name, _)| *name == field)?;
+    match value {
+        Field::Kind(kind) => Some(Cell::text(kind.name())),
+        Field::Int(n) => Some(Cell::Int(n)),
+        Field::Float(v) => digits.map(|d| Cell::num(v, d)),
+        Field::Label(label) => Some(Cell::text(label.unwrap_or("-"))),
+        Field::List(_) => None,
+    }
+}
+
 /// The header `file_name` (e.g. `"fig_rw.csv"`) is expected to carry, or
 /// `None` for a name no current binary produces. Table-shaped exhibits
 /// derive their headers from the same [`LockKind`] arrays the binaries
 /// sweep, so a lock rename or set change shows up here immediately.
 pub fn expected_header(file_name: &str) -> Option<String> {
-    match file_name {
-        "fig_rw.csv" => Some(FIG_RW_HEADER.to_string()),
-        "fig_cna.csv" => Some(FIG_CNA_HEADER.to_string()),
-        "fig_fissile.csv" => Some(FIG_FISSILE_HEADER.to_string()),
-        "fig_recip.csv" => Some(FIG_RECIP_HEADER.to_string()),
-        "fig_gcr.csv" => Some(FIG_GCR_HEADER.to_string()),
-        "fig_scenarios.csv" => Some(FIG_SCENARIOS_HEADER.to_string()),
-        "fig_model.csv" => Some(FIG_MODEL_HEADER.to_string()),
-        "fig_shards.csv" => Some(FIG_SHARDS_HEADER.to_string()),
-        "fig_topology.csv" => Some(FIG_TOPOLOGY_HEADER.to_string()),
-        "ablation_policy.csv" | "ablation_handoff.csv" => Some(POLICY_HEADER.to_string()),
-        "fig2_throughput.csv"
-        | "fig2_lat_p50.csv"
-        | "fig2_lat_p99.csv"
-        | "fig3_misses_per_cs.csv"
-        | "fig4_low_contention.csv"
-        | "fig5_fairness.csv" => Some(table_header(&LockKind::FIG2)),
-        "fig6_abortable.csv" | "fig6_abort_rate.csv" => Some(table_header(&LockKind::FIG6)),
-        _ => {
-            // table1_get{pct}[_rw].csv and table2*.csv share the TABLES set.
-            if file_name.starts_with("table1_get") || file_name.starts_with("table2") {
-                Some(table_header(&LockKind::TABLES))
-            } else {
-                None
-            }
-        }
+    let stem = file_name.strip_suffix(".csv")?;
+    if let Some((_, header, _)) = LONG_FORMS.iter().find(|(file, ..)| *file == stem) {
+        return Some(header.to_string());
     }
-}
-
-/// Compile-guard: `RwLockKind` names appear in `fig_rw.csv` rows (not the
-/// header), so schema drift there is caught by the row writer itself.
-#[allow(dead_code)]
-fn _rw_names_live_in_rows(k: RwLockKind) -> &'static str {
-    k.name()
+    match stem {
+        "fig_topology" => Some(FIG_TOPOLOGY_HEADER.to_string()),
+        "fig2_throughput"
+        | "fig2_lat_p50"
+        | "fig2_lat_p99"
+        | "fig3_misses_per_cs"
+        | "fig4_low_contention"
+        | "fig5_fairness" => Some(table_header(&LockKind::FIG2)),
+        "fig6_abortable" | "fig6_abort_rate" => Some(table_header(&LockKind::FIG6)),
+        // table1_get{pct}[_rw].csv and table2*.csv share the TABLES set.
+        _ if stem.starts_with("table1_get") || stem.starts_with("table2") => {
+            Some(table_header(&LockKind::TABLES))
+        }
+        _ => None,
+    }
 }
 
 #[cfg(test)]

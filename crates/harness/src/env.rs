@@ -128,90 +128,116 @@ fn raw(knob: &str) -> Result<Option<String>, EnvKnobError> {
     }
 }
 
+/// A one-value knob: unset ⇒ `None`, otherwise what `entry` makes of the
+/// raw value.
+fn value<T>(
+    knob: &str,
+    entry: impl FnOnce(&str) -> Result<T, EnvKnobError>,
+) -> Result<Option<T>, EnvKnobError> {
+    raw(knob)?.map(|v| entry(&v)).transpose()
+}
+
+/// A comma-separated list knob: `entry` parses each trimmed, non-blank
+/// part and the first error wins; unset or all-blank ⇒ `None`.
+fn list<T>(
+    knob: &str,
+    entry: impl Fn(&str) -> Result<T, EnvKnobError>,
+) -> Result<Option<Vec<T>>, EnvKnobError> {
+    let Some(v) = raw(knob)? else {
+        return Ok(None);
+    };
+    let parts = v.split(',').map(str::trim).filter(|p| !p.is_empty());
+    let out = parts.map(entry).collect::<Result<Vec<T>, _>>()?;
+    Ok((!out.is_empty()).then_some(out))
+}
+
+/// Entry parser: an integer `accept` lets through, or the `Number` error
+/// quoting the entry and what the knob `expected`.
+fn number<T: std::str::FromStr>(
+    knob: &str,
+    v: &str,
+    expected: &'static str,
+    accept: impl Fn(&T) -> bool,
+) -> Result<T, EnvKnobError> {
+    let parsed = v.trim().parse().ok().filter(accept);
+    parsed.ok_or_else(|| EnvKnobError::Number {
+        knob: knob.to_string(),
+        value: v.to_string(),
+        expected,
+    })
+}
+
+/// Entry parser: the canonical spelling of the option `v` names
+/// (case-insensitive), or the `Choice` error listing `allowed`.
+fn choice(
+    knob: &str,
+    v: &str,
+    allowed: &'static [&'static str],
+) -> Result<&'static str, EnvKnobError> {
+    let found = allowed.iter().find(|a| a.eq_ignore_ascii_case(v)).copied();
+    found.ok_or_else(|| EnvKnobError::Choice {
+        knob: knob.to_string(),
+        value: v.to_string(),
+        allowed,
+    })
+}
+
+/// Entry parser: [`PolicySpec::parse`], its error led by the knob name.
+fn policy(knob: &str, v: &str) -> Result<PolicySpec, EnvKnobError> {
+    PolicySpec::parse(v).map_err(|err| EnvKnobError::Policy {
+        knob: knob.to_string(),
+        err,
+    })
+}
+
 /// Boolean knob: unset ⇒ `false`; `1`/`true` ⇒ `true`; `0`/`false` ⇒
 /// `false` (case-insensitive); anything else — including `yes`/`on` — is
 /// an error naming the knob and the accepted spellings.
 pub fn env_bool(knob: &str) -> Result<bool, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(false),
-        Some(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" => Ok(true),
-            "0" | "false" => Ok(false),
-            _ => Err(EnvKnobError::Bool {
-                knob: knob.to_string(),
-                value: v,
-            }),
-        },
-    }
+    let set = value(knob, |v| match v.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" => Ok(true),
+        "0" | "false" => Ok(false),
+        _ => Err(EnvKnobError::Bool {
+            knob: knob.to_string(),
+            value: v.to_string(),
+        }),
+    })?;
+    Ok(set.unwrap_or(false))
 }
 
 /// `u64` knob: unset ⇒ `None`; a malformed value is an error.
 pub fn env_u64(knob: &str) -> Result<Option<u64>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => v
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| EnvKnobError::Number {
-                knob: knob.to_string(),
-                value: v,
-                expected: "an unsigned integer",
-            }),
-    }
+    value(knob, |v| number(knob, v, "an unsigned integer", |_| true))
 }
 
 /// Positive-`usize` knob (thread counts, cluster counts): unset ⇒
 /// `None`; `0` or a malformed value is an error.
 pub fn env_positive_usize(knob: &str) -> Result<Option<usize>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(EnvKnobError::Number {
-                knob: knob.to_string(),
-                value: v,
-                expected: "a positive integer",
-            }),
-        },
-    }
+    value(knob, |v| number(knob, v, "a positive integer", |&n| n >= 1))
 }
 
 /// Positive-`u64` knob (burst window lengths): unset ⇒ `None`; `0` or a
 /// malformed value is an error.
 pub fn env_positive_u64(knob: &str) -> Result<Option<u64>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(EnvKnobError::Number {
-                knob: knob.to_string(),
-                value: v,
-                expected: "a positive integer",
-            }),
-        },
-    }
+    value(knob, |v| number(knob, v, "a positive integer", |&n| n >= 1))
 }
 
-/// Range-checked `u64` knob (`LBENCH_GCR_EPOCH_US`, `LBENCH_CLUSTERS`):
-/// unset ⇒ `None`; a malformed value or one outside `range` is an error
-/// naming the knob and the accepted `min..=max` bounds.
+/// Range-checked `u64` knob (`LBENCH_CLUSTERS`): unset ⇒ `None`; a
+/// malformed value or one outside `range` is an error naming the knob
+/// and the accepted `min..=max` bounds.
 pub fn env_range_u64(
     knob: &str,
     range: std::ops::RangeInclusive<u64>,
 ) -> Result<Option<u64>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => match v.trim().parse::<u64>() {
-            Ok(n) if range.contains(&n) => Ok(Some(n)),
-            _ => Err(EnvKnobError::Range {
-                knob: knob.to_string(),
-                value: v,
-                min: *range.start(),
-                max: *range.end(),
-            }),
-        },
-    }
+    value(knob, |v| {
+        let parsed = v.trim().parse().ok().filter(|n| range.contains(n));
+        parsed.ok_or_else(|| EnvKnobError::Range {
+            knob: knob.to_string(),
+            value: v.to_string(),
+            min: *range.start(),
+            max: *range.end(),
+        })
+    })
 }
 
 /// Comma-separated choice-list knob (scenario names): unset or all-blank
@@ -223,29 +249,16 @@ pub fn env_choice_list(
     knob: &str,
     allowed: &'static [&'static str],
 ) -> Result<Option<Vec<&'static str>>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => {
-            let mut out: Vec<&'static str> = Vec::new();
-            for part in v.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                match allowed.iter().find(|a| a.eq_ignore_ascii_case(part)) {
-                    Some(&canonical) => {
-                        if !out.contains(&canonical) {
-                            out.push(canonical);
-                        }
-                    }
-                    None => {
-                        return Err(EnvKnobError::Choice {
-                            knob: knob.to_string(),
-                            value: part.to_string(),
-                            allowed,
-                        })
-                    }
-                }
+    let named = list(knob, |part| choice(knob, part, allowed))?;
+    Ok(named.map(|names| {
+        let mut out = Vec::new();
+        for name in names {
+            if !out.contains(&name) {
+                out.push(name);
             }
-            Ok(if out.is_empty() { None } else { Some(out) })
         }
-    }
+        out
+    }))
 }
 
 /// Single-choice knob (`LBENCH_COST_MODE`): unset or blank ⇒ `None`; a
@@ -256,48 +269,19 @@ pub fn env_choice(
     knob: &str,
     allowed: &'static [&'static str],
 ) -> Result<Option<&'static str>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => {
-            let part = v.trim();
-            if part.is_empty() {
-                return Ok(None);
-            }
-            match allowed.iter().find(|a| a.eq_ignore_ascii_case(part)) {
-                Some(&canonical) => Ok(Some(canonical)),
-                None => Err(EnvKnobError::Choice {
-                    knob: knob.to_string(),
-                    value: part.to_string(),
-                    allowed,
-                }),
-            }
-        }
-    }
+    let set = value(knob, |v| match v.trim() {
+        "" => Ok(None),
+        part => choice(knob, part, allowed).map(Some),
+    })?;
+    Ok(set.flatten())
 }
 
 /// Comma-separated positive-`usize` list knob (thread grids): unset or
 /// all-blank ⇒ `None`; any malformed or zero entry is an error quoting
 /// that entry.
 pub fn env_positive_usize_list(knob: &str) -> Result<Option<Vec<usize>>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => {
-            let mut out = Vec::new();
-            for part in v.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                match part.parse::<usize>() {
-                    Ok(n) if n >= 1 => out.push(n),
-                    _ => {
-                        return Err(EnvKnobError::Number {
-                            knob: knob.to_string(),
-                            value: part.to_string(),
-                            expected: "a comma-separated list of positive integers",
-                        })
-                    }
-                }
-            }
-            Ok(if out.is_empty() { None } else { Some(out) })
-        }
-    }
+    const EXPECTED: &str = "a comma-separated list of positive integers";
+    list(knob, |part| number(knob, part, EXPECTED, |&n| n >= 1))
 }
 
 /// Comma-separated [`KeyDist`](crate::KeyDist) list knob
@@ -305,57 +289,25 @@ pub fn env_positive_usize_list(knob: &str) -> Result<Option<Vec<usize>>, EnvKnob
 /// [`KeyDist::parse`](crate::KeyDist::parse) is an error quoting that
 /// entry and the accepted spec syntax.
 pub fn env_key_dist_list(knob: &str) -> Result<Option<Vec<crate::KeyDist>>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => {
-            let mut out = Vec::new();
-            for part in v.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                match crate::KeyDist::parse(part) {
-                    Some(d) => out.push(d),
-                    None => {
-                        return Err(EnvKnobError::Choice {
-                            knob: knob.to_string(),
-                            value: part.to_string(),
-                            allowed: crate::KeyDist::SYNTAX,
-                        })
-                    }
-                }
-            }
-            Ok(if out.is_empty() { None } else { Some(out) })
-        }
-    }
+    list(knob, |part| {
+        crate::KeyDist::parse(part).ok_or_else(|| EnvKnobError::Choice {
+            knob: knob.to_string(),
+            value: part.to_string(),
+            allowed: crate::KeyDist::SYNTAX,
+        })
+    })
 }
 
 /// [`PolicySpec`] knob: unset ⇒ `None`; parse errors are wrapped so the
 /// message leads with the knob name.
 pub fn env_policy(knob: &str) -> Result<Option<PolicySpec>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => PolicySpec::parse(&v)
-            .map(Some)
-            .map_err(|err| EnvKnobError::Policy {
-                knob: knob.to_string(),
-                err,
-            }),
-    }
+    value(knob, |v| policy(knob, v))
 }
 
 /// Comma-separated [`PolicySpec`] list knob (`LBENCH_EXTRA_POLICIES`):
 /// unset or all-blank ⇒ `None`; any malformed entry is an error.
 pub fn env_policy_list(knob: &str) -> Result<Option<Vec<PolicySpec>>, EnvKnobError> {
-    match raw(knob)? {
-        None => Ok(None),
-        Some(v) => {
-            let mut out = Vec::new();
-            for part in v.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                out.push(PolicySpec::parse(part).map_err(|err| EnvKnobError::Policy {
-                    knob: knob.to_string(),
-                    err,
-                })?);
-            }
-            Ok(if out.is_empty() { None } else { Some(out) })
-        }
-    }
+    list(knob, |part| policy(knob, part))
 }
 
 #[cfg(test)]

@@ -71,6 +71,6 @@ pub use keyed::{KeyDist, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, K
 pub use phys::TopologyMode;
 pub use registry::{AnyLockKind, LockKind, ModelledAdmission, RwLockKind, TenureLimit};
 pub use scenario::{
-    run_scenario, run_scenario_on, CostMode, LBenchConfig, LoadShape, LockReport, Phase, Placement,
-    Scenario, ScenarioResult, TimeMode,
+    run_scenario, run_scenario_on, CostMode, Field, LBenchConfig, LoadShape, LockReport, Phase,
+    Placement, Scenario, ScenarioResult, TimeMode,
 };

@@ -721,6 +721,18 @@ pub enum ModelledAdmission {
     ReciprocatingStack,
 }
 
+impl From<LockKind> for AnyLockKind {
+    fn from(kind: LockKind) -> Self {
+        AnyLockKind::Excl(kind)
+    }
+}
+
+impl From<RwLockKind> for AnyLockKind {
+    fn from(kind: RwLockKind) -> Self {
+        AnyLockKind::Rw(kind)
+    }
+}
+
 impl std::fmt::Display for AnyLockKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())

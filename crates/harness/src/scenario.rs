@@ -501,68 +501,97 @@ pub struct ScenarioResult {
     pub wall: Duration,
 }
 
+/// One deterministic value of a [`ScenarioResult`], borrowed from it;
+/// it prints (`{:?}`) as the field itself would.
+#[derive(Clone, Copy, PartialEq)]
+pub enum Field<'a> {
+    /// The lock under test.
+    Kind(AnyLockKind),
+    /// A counter, a count or a nanosecond figure.
+    Int(u64),
+    /// A rate or ratio.
+    Float(f64),
+    /// The handoff-policy label (`None` for non-policy locks).
+    Label(Option<&'a str>),
+    /// A per-thread or per-bucket list.
+    List(&'a [u64]),
+}
+
+impl std::fmt::Debug for Field<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Field::Kind(v) => v.fmt(f),
+            Field::Int(v) => v.fmt(f),
+            Field::Float(v) => v.fmt(f),
+            Field::Label(v) => v.fmt(f),
+            Field::List(v) => v.fmt(f),
+        }
+    }
+}
+
+/// Writes [`ScenarioResult::fields`] from one `field => value` list. The
+/// pattern binds every field of the struct, so one added later does not
+/// compile until it is listed here (or ignored, as only `wall` is).
+macro_rules! enumerate_fields {
+    ($($name:ident => $value:expr,)*) => {
+        /// Every deterministic field as `(name, value)`, in declaration
+        /// order and without allocating: what `first_divergence` compares
+        /// and a CSV column reads. `wall`, real time, is the one left out.
+        pub fn fields(&self) -> [(&'static str, Field<'_>); [$(stringify!($name)),*].len()] {
+            let ScenarioResult { $($name,)* wall: _ } = self;
+            [$((stringify!($name), $value)),*]
+        }
+    };
+}
+
 impl ScenarioResult {
+    enumerate_fields! {
+        kind => Field::Kind(*kind),
+        threads => Field::Int(*threads as u64),
+        read_pct => Field::Int(u64::from(*read_pct)),
+        per_thread_ops => Field::List(per_thread_ops),
+        read_ops => Field::Int(*read_ops),
+        write_ops => Field::Int(*write_ops),
+        total_ops => Field::Int(*total_ops),
+        throughput => Field::Float(*throughput),
+        acquisitions => Field::Int(*acquisitions),
+        migrations => Field::Int(*migrations),
+        remote_misses => Field::Int(*remote_misses),
+        misses_per_cs => Field::Float(*misses_per_cs),
+        mean_batch => Field::Float(*mean_batch),
+        aborts => Field::Int(*aborts),
+        abort_rate => Field::Float(*abort_rate),
+        stddev_pct => Field::Float(*stddev_pct),
+        policy => Field::Label(policy.as_deref()),
+        tenures => Field::Int(*tenures),
+        local_handoffs => Field::Int(*local_handoffs),
+        mean_streak => Field::Float(*mean_streak),
+        max_streak => Field::Int(*max_streak),
+        migrations_per_tenure => Field::Float(*migrations_per_tenure),
+        fast_acquisitions => Field::Int(*fast_acquisitions),
+        slow_acquisitions => Field::Int(*slow_acquisitions),
+        passive_parks => Field::Int(*passive_parks),
+        promotions => Field::Int(*promotions),
+        succ_transitions => Field::Int(*succ_transitions),
+        batch_hist => Field::List(batch_hist),
+        lat_p50_ns => Field::Int(*lat_p50_ns),
+        lat_p99_ns => Field::Int(*lat_p99_ns),
+    }
+
     /// Compares every **deterministic** field against `other`, returning
     /// the first diverging field as `"name: self vs other"` (floats are
     /// compared bit-for-bit). `wall` is real time and therefore excluded
     /// — it is the one field the modelled-mode determinism contract does
     /// not cover. `None` means the two results are bit-identical twins.
     pub fn first_divergence(&self, other: &ScenarioResult) -> Option<String> {
-        macro_rules! cmp {
-            ($field:ident) => {
-                if self.$field != other.$field {
-                    return Some(format!(
-                        "{}: {:?} vs {:?}",
-                        stringify!($field),
-                        self.$field,
-                        other.$field
-                    ));
-                }
+        let mut pairs = self.fields().into_iter().zip(other.fields());
+        pairs.find_map(|((name, a), (_, b))| {
+            let same = match (a, b) {
+                (Field::Float(a), Field::Float(b)) => a.to_bits() == b.to_bits(),
+                _ => a == b,
             };
-        }
-        macro_rules! cmp_f64 {
-            ($field:ident) => {
-                if self.$field.to_bits() != other.$field.to_bits() {
-                    return Some(format!(
-                        "{}: {:?} vs {:?}",
-                        stringify!($field),
-                        self.$field,
-                        other.$field
-                    ));
-                }
-            };
-        }
-        cmp!(kind);
-        cmp!(threads);
-        cmp!(read_pct);
-        cmp!(per_thread_ops);
-        cmp!(read_ops);
-        cmp!(write_ops);
-        cmp!(total_ops);
-        cmp_f64!(throughput);
-        cmp!(acquisitions);
-        cmp!(migrations);
-        cmp!(remote_misses);
-        cmp_f64!(misses_per_cs);
-        cmp_f64!(mean_batch);
-        cmp!(aborts);
-        cmp_f64!(abort_rate);
-        cmp_f64!(stddev_pct);
-        cmp!(policy);
-        cmp!(tenures);
-        cmp!(local_handoffs);
-        cmp_f64!(mean_streak);
-        cmp!(max_streak);
-        cmp_f64!(migrations_per_tenure);
-        cmp!(fast_acquisitions);
-        cmp!(slow_acquisitions);
-        cmp!(passive_parks);
-        cmp!(promotions);
-        cmp!(succ_transitions);
-        cmp!(batch_hist);
-        cmp!(lat_p50_ns);
-        cmp!(lat_p99_ns);
-        None
+            (!same).then(|| format!("{name}: {a:?} vs {b:?}"))
+        })
     }
 
     /// Lower bound of the **median batch length** implied by the
@@ -1483,5 +1512,72 @@ mod tests {
         assert_eq!(ro.acquisitions, 0);
         assert_eq!(ro.lat_p50_ns, 0);
         assert_eq!(ro.lat_p99_ns, 0);
+    }
+
+    /// The reference for [`ScenarioResult::first_divergence`]: one
+    /// mutation per deterministic field, written out by hand so the list
+    /// does not share a source with the code it checks.
+    #[test]
+    fn first_divergence_names_every_field() {
+        fn flip(v: &mut f64) {
+            *v = f64::from_bits(v.to_bits() ^ 1);
+        }
+        type Mutation = (&'static str, fn(&mut ScenarioResult));
+        let mutations: [Mutation; 30] = [
+            ("kind", |r| r.kind = AnyLockKind::Excl(LockKind::Tatas)),
+            ("threads", |r| r.threads += 1),
+            ("read_pct", |r| r.read_pct += 1),
+            ("per_thread_ops", |r| r.per_thread_ops[0] += 1),
+            ("read_ops", |r| r.read_ops += 1),
+            ("write_ops", |r| r.write_ops += 1),
+            ("total_ops", |r| r.total_ops += 1),
+            ("throughput", |r| flip(&mut r.throughput)),
+            ("acquisitions", |r| r.acquisitions += 1),
+            ("migrations", |r| r.migrations += 1),
+            ("remote_misses", |r| r.remote_misses += 1),
+            ("misses_per_cs", |r| flip(&mut r.misses_per_cs)),
+            ("mean_batch", |r| flip(&mut r.mean_batch)),
+            ("aborts", |r| r.aborts += 1),
+            ("abort_rate", |r| flip(&mut r.abort_rate)),
+            ("stddev_pct", |r| flip(&mut r.stddev_pct)),
+            ("policy", |r| r.policy = None),
+            ("tenures", |r| r.tenures += 1),
+            ("local_handoffs", |r| r.local_handoffs += 1),
+            ("mean_streak", |r| flip(&mut r.mean_streak)),
+            ("max_streak", |r| r.max_streak += 1),
+            ("migrations_per_tenure", |r| {
+                flip(&mut r.migrations_per_tenure)
+            }),
+            ("fast_acquisitions", |r| r.fast_acquisitions += 1),
+            ("slow_acquisitions", |r| r.slow_acquisitions += 1),
+            ("passive_parks", |r| r.passive_parks += 1),
+            ("promotions", |r| r.promotions += 1),
+            ("succ_transitions", |r| r.succ_transitions += 1),
+            ("batch_hist", |r| r.batch_hist.push(1)),
+            ("lat_p50_ns", |r| r.lat_p50_ns += 1),
+            ("lat_p99_ns", |r| r.lat_p99_ns += 1),
+        ];
+        let base = run_scenario(
+            AnyLockKind::Excl(LockKind::CBoMcs),
+            &Scenario::steady().modelled(CostModel::disaggregated()),
+            &quick_cfg(4),
+        );
+        assert_eq!(base.policy.as_deref(), Some("count(64)"));
+        assert_eq!(base.first_divergence(&base.clone()), None);
+        // No derived entry in `fields()`: every one is a struct field.
+        assert_eq!(mutations.len(), base.fields().len());
+        for (name, mutate) in mutations {
+            let mut other = base.clone();
+            mutate(&mut other);
+            let diff = base.first_divergence(&other);
+            assert!(
+                diff.as_deref()
+                    .is_some_and(|d| d.starts_with(&format!("{name}: "))),
+                "mutating {name} reported {diff:?}"
+            );
+        }
+        let mut other = base.clone();
+        other.wall += Duration::from_secs(1);
+        assert_eq!(base.first_divergence(&other), None, "wall is real time");
     }
 }

@@ -94,7 +94,7 @@ impl Default for KvWorkload {
 
 impl KvWorkload {
     /// The keyed [`Scenario`] this workload describes — shared between
-    /// [`run`](Self::run) and the `Measure::Scenario` exhibits, so both
+    /// [`run`](Self::run) and the `table1`/`fig_shards` exhibits, so both
     /// drive the identical engine path.
     pub fn scenario(&self) -> Scenario {
         Scenario::steady()

@@ -6,7 +6,7 @@
 //! simulation that never reads the wall clock, so re-running any cell —
 //! in the same process, at any thread count — reproduces every field of
 //! the [`lbench::ScenarioResult`] bit for bit, and the CSV the exhibit
-//! writes is byte-identical across sweeps. The cells, lock set, and row
+//! writes is byte-identical across sweeps. The cells, lock set, and table
 //! builder come from `cohort_bench::model_exhibit`, the same module the
 //! `fig_model` binary runs, so what this test pins is exactly what the
 //! committed `results/fig_model.csv` and the CI byte-diff exercise.
@@ -33,7 +33,7 @@
 use coherence_sim::CostModel;
 use cohort_alloc::workload::MmicroWorkload;
 use cohort_bench::{
-    measure_model_cell, model_cells_at, model_csv_row, model_locks, schema, Grid, Measurement,
+    measure_model_cell, model_cells_at, model_locks, model_long_table, schema, Grid, Measurement,
     ModelCell,
 };
 use cohort_kvstore::workload::KvWorkload;
@@ -57,16 +57,10 @@ fn sweep(contended_threads: usize) -> Vec<Measurement<ModelCell>> {
     ms
 }
 
-/// Builds the exhibit's pinned-schema grid from a sweep.
+/// Builds the exhibit's pinned-schema grid from a sweep, through the
+/// exhibit's own table builder.
 fn grid(ms: &[Measurement<ModelCell>]) -> Grid {
-    Grid {
-        title: String::new(),
-        columns: schema::FIG_MODEL_HEADER
-            .split(',')
-            .map(str::to_string)
-            .collect(),
-        rows: ms.iter().map(model_csv_row).collect(),
-    }
+    model_long_table()(ms)
 }
 
 #[test]
@@ -248,7 +242,7 @@ fn des_regime_cells_match_their_pinned_numbers() {
 /// `results/fig_recip.csv` — the third modelled pin; `fig_model.csv` and
 /// `fig_shards.csv` are `cmp`'d whole in CI, but `fig_recip.csv` also
 /// carries real-time rows, which no two runs reproduce. Each cell is
-/// built as `fig_recip`'s `measure` builds it at default knobs (10 ms
+/// built as `fig_recip`'s `build` builds it at default knobs (10 ms
 /// window, saturated, disaggregated model) and must print the committed
 /// fields.
 #[test]
