@@ -1,6 +1,6 @@
 //! Spin-wait strategies.
 //!
-//! Three concerns meet here:
+//! Two concerns meet here:
 //!
 //! 1. **Classic backoff** (Agarwal & Cherian '89): after a failed probe of
 //!    a contended test-and-set lock, wait before probing again so the lock
@@ -10,142 +10,132 @@
 //! 2. **Oversubscription**: on fewer CPUs than threads a pure spin loop
 //!    starves the lock holder. All waits therefore escalate to
 //!    `thread::yield_now` once the spin budget is used up.
-//! 3. **Tunability**: HBO-style locks need separate local/remote backoff
-//!    parameters; [`BackoffCfg`] carries them as plain data so benchmark
-//!    harnesses can sweep them (the paper tunes HBO per workload).
+//!
+//! Every schedule implements [`Wait`], the one thing a
+//! [`TasLock`](crate::TasLock) asks of its waiters.
 
 use std::hint;
 use std::thread;
 
-/// Parameters of a bounded backoff sequence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackoffCfg {
-    /// Spin iterations of the first delay step.
-    pub min_spins: u32,
-    /// Cap on the delay step.
-    pub max_spins: u32,
-    /// After this many delay rounds, start yielding the CPU between probes.
-    pub yield_after: u32,
+/// A waiting schedule: [`Default`] starts a fresh sequence, and
+/// [`snooze`](Self::snooze) waits one round after a failed probe.
+pub trait Wait: Default {
+    /// Waits one round of the schedule.
+    fn snooze(&mut self);
 }
 
-impl BackoffCfg {
-    /// The default exponential window used by [`BackoffLock`](crate::BackoffLock).
-    pub const fn exp_default() -> Self {
-        BackoffCfg {
-            min_spins: 4,
-            max_spins: 1 << 10,
-            yield_after: 6,
-        }
-    }
-
-    /// "No backoff": every wait is a single spin hint (with yield
-    /// escalation). The paper's cohort locks use this at the *global* BO
-    /// lock, which is only ever lightly contended (§4.1.1: threads
-    /// "continuously spin on it and never backoff").
-    pub const fn none() -> Self {
-        BackoffCfg {
-            min_spins: 1,
-            max_spins: 1,
-            yield_after: 64,
-        }
-    }
-}
-
-impl Default for BackoffCfg {
-    fn default() -> Self {
-        Self::exp_default()
-    }
-}
-
-/// Per-acquisition backoff state: call [`snooze`](Self::snooze) after every
-/// failed probe.
+/// Bounded exponential backoff, the paper's BO schedule: 4, 8, 16, 32,
+/// 64 and 128 spin hints, then a scheduler yield on every round.
 #[derive(Debug)]
 pub struct Backoff {
-    cfg: BackoffCfg,
     cur: u32,
     rounds: u32,
 }
 
 impl Backoff {
-    /// Starts a backoff sequence with the given configuration.
-    #[inline]
-    pub fn new(cfg: BackoffCfg) -> Self {
-        Backoff {
-            cfg,
-            cur: cfg.min_spins,
-            rounds: 0,
-        }
-    }
-
-    /// Starts the default exponential sequence.
-    #[inline]
-    pub fn exp() -> Self {
-        Self::new(BackoffCfg::exp_default())
-    }
-
-    /// Waits one backoff step (doubling up to the cap), yielding the CPU
-    /// once the configured round budget is exhausted.
-    #[inline]
-    pub fn snooze(&mut self) {
-        if self.rounds >= self.cfg.yield_after {
-            thread::yield_now();
-            return;
-        }
-        spin_cycles(self.cur);
-        self.cur = (self.cur.saturating_mul(2)).min(self.cfg.max_spins);
-        self.rounds += 1;
-    }
+    /// Spin hints of the first delay step.
+    const MIN_SPINS: u32 = 4;
+    /// Delay rounds before every further round yields the CPU.
+    const YIELD_AFTER: u32 = 6;
 
     /// Resets to the initial step (e.g. after observing the lock free).
     #[inline]
     pub fn reset(&mut self) {
-        self.cur = self.cfg.min_spins;
-        self.rounds = 0;
+        *self = Self::default();
     }
 
-    /// Number of snoozes taken so far.
+    /// Number of delay rounds taken so far.
     #[inline]
     pub fn rounds(&self) -> u32 {
         self.rounds
     }
 }
 
+impl Default for Backoff {
+    fn default() -> Self {
+        Backoff {
+            cur: Self::MIN_SPINS,
+            rounds: 0,
+        }
+    }
+}
+
+impl Wait for Backoff {
+    /// Waits one backoff step (doubling it for next time), yielding the
+    /// CPU once the round budget is exhausted.
+    #[inline]
+    fn snooze(&mut self) {
+        if self.rounds >= Self::YIELD_AFTER {
+            thread::yield_now();
+            return;
+        }
+        spin_cycles(self.cur);
+        self.cur *= 2;
+        self.rounds += 1;
+    }
+}
+
 /// A Fibonacci backoff sequence: delay steps follow 1, 1, 2, 3, 5, …
-/// capped at `max_spins` (the growth curve of Table 1's "Fib-BO" lock —
-/// gentler than doubling, so waiters re-probe sooner).
+/// capped at 1024 spin hints, then a yield on every round after the 24th
+/// (the growth curve of Table 1's "Fib-BO" lock — gentler than doubling,
+/// so waiters re-probe sooner).
 #[derive(Debug)]
 pub struct FibBackoff {
     prev: u32,
     cur: u32,
-    max_spins: u32,
     rounds: u32,
-    yield_after: u32,
 }
 
 impl FibBackoff {
-    /// Starts a Fibonacci sequence capped at `max_spins`.
-    pub fn new(max_spins: u32, yield_after: u32) -> Self {
+    /// Cap on the delay step.
+    const MAX_SPINS: u32 = 1 << 10;
+    /// Delay rounds before every further round yields the CPU.
+    const YIELD_AFTER: u32 = 24;
+}
+
+impl Default for FibBackoff {
+    fn default() -> Self {
         FibBackoff {
             prev: 0,
             cur: 1,
-            max_spins,
             rounds: 0,
-            yield_after,
         }
     }
+}
 
+impl Wait for FibBackoff {
     /// Waits one Fibonacci step.
     #[inline]
-    pub fn snooze(&mut self) {
-        if self.rounds >= self.yield_after {
+    fn snooze(&mut self) {
+        if self.rounds >= Self::YIELD_AFTER {
             thread::yield_now();
             return;
         }
-        spin_cycles(self.cur.min(self.max_spins));
-        let next = (self.prev + self.cur).min(self.max_spins);
+        spin_cycles(self.cur);
+        let next = (self.prev + self.cur).min(Self::MAX_SPINS);
         self.prev = self.cur;
         self.cur = next;
         self.rounds += 1;
+    }
+}
+
+/// The plain TATAS schedule: a spin hint per round and a yield on every
+/// 64th. Unlike [`SpinWait`] it never settles into yielding every round;
+/// it stays because the exhibits' TATAS baseline is measured with it.
+#[derive(Debug, Default)]
+pub struct YieldEvery64 {
+    spins: u32,
+}
+
+impl Wait for YieldEvery64 {
+    #[inline]
+    fn snooze(&mut self) {
+        self.spins = self.spins.wrapping_add(1);
+        if self.spins.is_multiple_of(64) {
+            thread::yield_now();
+        } else {
+            hint::spin_loop();
+        }
     }
 }
 
@@ -158,10 +148,10 @@ pub fn spin_cycles(n: u32) {
 }
 
 /// A bounded spin-then-yield waiter for flag spins (queue-lock grant
-/// flags, reader-drain scans, writer barriers).
+/// flags, reader-drain scans, writer barriers) and for the global BO lock.
 ///
 /// The first [`DEFAULT_SPIN_ROUNDS`](Self::DEFAULT_SPIN_ROUNDS) calls to
-/// [`snooze`](Self::snooze) issue a `spin_loop` hint each (the fast path:
+/// [`snooze`](Wait::snooze) issue a `spin_loop` hint each (the fast path:
 /// the flag flips within a handoff latency); every call after the budget
 /// cedes the CPU with `thread::yield_now`. Unlike a `spins % 64 == 0`
 /// pattern — which keeps burning 63 of every 64 iterations forever — an
@@ -194,18 +184,6 @@ impl SpinWait {
         }
     }
 
-    /// Waits one round: a spin hint while the budget lasts, a scheduler
-    /// yield on every round after.
-    #[inline]
-    pub fn snooze(&mut self) {
-        if self.rounds < self.spin_rounds {
-            self.rounds += 1;
-            hint::spin_loop();
-        } else {
-            thread::yield_now();
-        }
-    }
-
     /// Whether the spin budget is exhausted (every further round yields).
     #[inline]
     pub fn is_yielding(&self) -> bool {
@@ -225,47 +203,61 @@ impl Default for SpinWait {
     }
 }
 
+impl Wait for SpinWait {
+    /// Waits one round: a spin hint while the budget lasts, a scheduler
+    /// yield on every round after.
+    #[inline]
+    fn snooze(&mut self) {
+        if self.rounds < self.spin_rounds {
+            self.rounds += 1;
+            hint::spin_loop();
+        } else {
+            thread::yield_now();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn exponential_growth_caps() {
-        let cfg = BackoffCfg {
-            min_spins: 2,
-            max_spins: 8,
-            yield_after: 100,
-        };
-        let mut b = Backoff::new(cfg);
-        let steps: Vec<u32> = (0..5)
-            .map(|_| {
-                let s = b.cur;
-                b.snooze();
-                s
-            })
-            .collect();
-        assert_eq!(steps, vec![2, 4, 8, 8, 8]);
+        // The doubling stops at the round budget, long before a step
+        // could grow past 128 spins.
+        let mut b = Backoff::default();
+        let mut steps = Vec::new();
+        while b.rounds() < Backoff::YIELD_AFTER {
+            steps.push(b.cur);
+            b.snooze();
+        }
+        assert_eq!(steps, vec![4, 8, 16, 32, 64, 128]);
     }
 
     #[test]
     fn reset_restarts_sequence() {
-        let mut b = Backoff::exp();
+        let mut b = Backoff::default();
         b.snooze();
         b.snooze();
         assert_eq!(b.rounds(), 2);
         b.reset();
         assert_eq!(b.rounds(), 0);
+        assert_eq!(b.cur, Backoff::MIN_SPINS);
     }
 
     #[test]
     fn fib_sequence_caps() {
-        let mut f = FibBackoff::new(5, 100);
+        let mut f = FibBackoff::default();
         let mut steps = Vec::new();
-        for _ in 0..6 {
+        for _ in 0..18 {
             steps.push(f.cur);
             f.snooze();
         }
-        assert_eq!(steps, vec![1, 1, 2, 3, 5, 5]);
+        let fib: [u32; 16] = [
+            1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987,
+        ];
+        assert_eq!(steps[..16], fib);
+        assert_eq!(steps[16..], [1024u32, 1024]);
     }
 
     #[test]
@@ -289,15 +281,26 @@ mod tests {
     }
 
     #[test]
+    fn global_bo_schedule_is_spin_wait() {
+        // The global BO lock's waiter: one spin hint for 64 rounds, then
+        // a yield on every round.
+        fn waiter<W: Wait>(_: &crate::TasLock<W>) -> W {
+            W::default()
+        }
+        let mut w: SpinWait = waiter(&crate::GlobalBoLock::new());
+        for round in 0..256u32 {
+            assert_eq!(!w.is_yielding(), round < 64, "round {round}");
+            w.snooze();
+        }
+    }
+
+    #[test]
     fn snooze_past_budget_yields_without_panicking() {
-        let mut b = Backoff::new(BackoffCfg {
-            min_spins: 1,
-            max_spins: 2,
-            yield_after: 1,
-        });
-        for _ in 0..10 {
+        let mut b = Backoff::default();
+        for _ in 0..100 {
             b.snooze();
         }
-        assert_eq!(b.rounds(), 1); // rounds stop counting once yielding
+        // Rounds stop counting once yielding.
+        assert_eq!(b.rounds(), Backoff::YIELD_AFTER);
     }
 }

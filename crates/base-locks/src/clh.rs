@@ -13,7 +13,7 @@
 //! released. The node resident at the tail of an idle lock goes back to
 //! the pool when the lock is dropped.
 
-use crate::backoff::SpinWait;
+use crate::backoff::{SpinWait, Wait};
 use crate::pool;
 use crate::raw::RawLock;
 use crossbeam_utils::CachePadded;

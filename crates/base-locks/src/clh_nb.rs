@@ -18,7 +18,7 @@
 //! thread — its direct successor at the moment it becomes `AVAILABLE` or
 //! aborted (or a later `lock` arrival when it sat at the tail).
 
-use crate::backoff::SpinWait;
+use crate::backoff::{SpinWait, Wait};
 use crate::pool;
 use crate::raw::{Patience, RawAbortableLock, RawLock};
 use crossbeam_utils::CachePadded;

@@ -6,9 +6,10 @@
 //!
 //! | Type | Origin | Notes |
 //! |---|---|---|
-//! | [`TatasLock`] | test-and-test-and-set | no backoff |
-//! | [`BackoffLock`] | Agarwal & Cherian '89 | TATAS + exponential backoff ("BO" in the paper) |
-//! | [`FibBackoffLock`] | Table 1's "Fib-BO" | TATAS + Fibonacci backoff |
+//! | [`TatasLock`] = `TasLock<YieldEvery64>` | test-and-test-and-set | spin, yield every 64th probe |
+//! | [`BackoffLock`] = `TasLock<Backoff>` | Agarwal & Cherian '89 | exponential backoff ("BO" in the paper) |
+//! | [`FibBackoffLock`] = `TasLock<FibBackoff>` | Table 1's "Fib-BO" | Fibonacci backoff |
+//! | [`GlobalBoLock`] = `TasLock<SpinWait>` | §4.1.1's global BO lock | no backoff: 64 spins, then yield |
 //! | [`TicketLock`] | Mellor-Crummey & Scott '91 | FIFO, request/grant counters |
 //! | [`McsLock`] | Mellor-Crummey & Scott '91 | FIFO queue lock, local spinning |
 //! | [`ClhLock`] | Craig '93; Magnussen et al. | implicit-predecessor queue lock |
@@ -16,14 +17,16 @@
 //! | [`ParkingLock`] | spin-then-park | blocking lock; thread-oblivious, cohort-ready |
 //! | [`ReciprocatingLock`] | Dice & Kogan, arXiv:2501.02380 | palindromic admission, constant-coherence handover |
 //!
-//! Every lock implements [`RawLock`]; timeout-capable ones also implement
-//! [`RawAbortableLock`]. The [`SpinMutex`] wrapper turns any `RawLock` into
-//! an RAII mutex protecting a value.
+//! The four TATAS rows are one type, [`TasLock<W>`], under a [`Wait`]
+//! schedule from [`backoff`]. Every lock implements [`RawLock`];
+//! timeout-capable ones also implement [`RawAbortableLock`]. The
+//! [`SpinMutex`] wrapper turns any `RawLock` into an RAII mutex protecting
+//! a value.
 //!
 //! Two design points worth knowing about:
 //!
-//! * **Oversubscription-safe spinning.** Spin loops use [`Backoff`], which
-//!   escalates from `spin_loop` hints to `thread::yield_now`. The paper ran
+//! * **Oversubscription-safe spinning.** Every waiting schedule escalates
+//!   from `spin_loop` hints to `thread::yield_now`. The paper ran
 //!   on 256 hardware threads; this repository's test environment has one
 //!   CPU, where a non-yielding spin lock would live-lock the suite.
 //! * **Queue-node memory.** MCS/CLH family locks take their queue nodes
@@ -50,7 +53,7 @@ mod recip;
 mod tatas;
 mod ticket;
 
-pub use backoff::{Backoff, BackoffCfg, SpinWait};
+pub use backoff::{Backoff, SpinWait, Wait};
 pub use clh::ClhLock;
 pub use clh_nb::AbortableClhLock;
 pub use mcs::McsLock;
@@ -58,7 +61,7 @@ pub use mutex::{SpinMutex, SpinMutexGuard};
 pub use parking::ParkingLock;
 pub use raw::{RawAbortableLock, RawLock};
 pub use recip::{RecipToken, ReciprocatingLock};
-pub use tatas::{BackoffLock, FibBackoffLock, TatasLock};
+pub use tatas::{BackoffLock, FibBackoffLock, GlobalBoLock, TasLock, TatasLock};
 pub use ticket::TicketLock;
 
 #[cfg(test)]

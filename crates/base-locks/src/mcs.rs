@@ -16,7 +16,7 @@
 //!   release capability) can cross threads. Nodes are immortal, so a
 //!   waiter's `pred` and a releaser's `next` never dangle.
 
-use crate::backoff::SpinWait;
+use crate::backoff::{SpinWait, Wait};
 use crate::pool;
 use crate::raw::RawLock;
 use crossbeam_utils::CachePadded;

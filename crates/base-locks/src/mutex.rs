@@ -40,8 +40,8 @@ impl<T, L: RawLock + Default> SpinMutex<T, L> {
 }
 
 impl<T, L: RawLock> SpinMutex<T, L> {
-    /// Wraps `value` with an explicitly configured lock (e.g. a
-    /// `BackoffLock` with tuned parameters).
+    /// Wraps `value` with an explicitly constructed lock (e.g. a cohort
+    /// lock over a given topology).
     pub fn with_lock(lock: L, value: T) -> Self {
         SpinMutex {
             lock,

@@ -14,7 +14,7 @@
 //! unbounded-park variants need sequence-number handshakes that add
 //! nothing to this repository's subject).
 
-use crate::backoff::{Backoff, BackoffCfg};
+use crate::backoff::{Backoff, Wait};
 use crate::raw::{RawAbortableLock, RawLock};
 use crossbeam_utils::CachePadded;
 use std::collections::VecDeque;
@@ -65,7 +65,7 @@ impl ParkingLock {
     }
 
     fn wait_until(&self, deadline: Option<std::time::Instant>) -> bool {
-        let mut bo = Backoff::new(BackoffCfg::exp_default());
+        let mut bo = Backoff::default();
         loop {
             for _ in 0..Self::SPIN_ROUNDS {
                 if self.try_acquire() {

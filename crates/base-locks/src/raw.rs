@@ -14,10 +14,9 @@
 ///
 /// Whether `unlock` may run on a *different* thread than `lock` (the
 /// paper's *thread-obliviousness*) is a per-implementation property; locks
-/// in this crate document it. The [`cohort`] crate encodes it as a marker
-/// trait on the global-lock position.
-///
-/// [`cohort`]: https://docs.rs/cohort
+/// in this crate document it. The `cohort` crate encodes it as a marker
+/// trait on `RawLock`, `cohort::ThreadOblivious`, which the global-lock
+/// position requires.
 pub unsafe trait RawLock: Send + Sync {
     /// Per-acquisition state carried from `lock` to `unlock`.
     type Token;

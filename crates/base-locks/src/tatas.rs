@@ -1,33 +1,57 @@
-//! Test-and-test-and-set locks, with and without backoff.
+//! The test-and-test-and-set lock, one word under four waiting schedules.
 //!
 //! The paper calls the exponential-backoff variant the **BO lock** [3] and
 //! uses it pervasively: as the global lock of C-BO-BO, C-BO-MCS, A-C-BO-BO
-//! and A-C-BO-CLH (where, being lightly contended, it runs with backoff
-//! disabled), and — augmented with a `successor_exists` flag in the cohort
+//! and A-C-BO-CLH (where, being lightly contended, it runs without
+//! backoff), and — augmented with a `successor_exists` flag in the cohort
 //! crate — as a local lock. The Fibonacci variant appears as "Fib-BO" in
 //! the memcached evaluation (Table 1).
 //!
-//! All three locks here are **thread-oblivious** (any thread may call
-//! `unlock`; the lock word carries no owner identity) and **abortable by
-//! design** (a waiter simply stops probing), the two properties §3 of the
-//! paper relies on.
+//! The variants differ only in what a waiter does between probes, so they
+//! are one type, [`TasLock<W>`], over a [`Wait`] schedule, and the paper's
+//! names are aliases. Every variant is **thread-oblivious** (any thread
+//! may call `unlock`; the lock word carries no owner identity) and
+//! **abortable by design** (a waiter simply stops probing), the two
+//! properties §3 of the paper relies on.
 
-use crate::backoff::{Backoff, BackoffCfg, FibBackoff};
+use crate::backoff::{Backoff, FibBackoff, SpinWait, Wait, YieldEvery64};
 use crate::raw::{Patience, RawAbortableLock, RawLock};
 use crossbeam_utils::CachePadded;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Plain test-and-test-and-set lock (no backoff).
-///
-/// Kept mostly as a baseline: under contention every release invalidates
-/// the lock word in every waiter's cache, which is exactly the behaviour
-/// NUMA-aware locks exist to avoid.
+/// A test-and-test-and-set lock whose waiters follow schedule `W` between
+/// probes.
 #[derive(Debug, Default)]
-pub struct TatasLock {
+pub struct TasLock<W> {
     state: CachePadded<AtomicBool>,
+    schedule: PhantomData<fn() -> W>,
 }
 
-impl TatasLock {
+/// Plain test-and-test-and-set, kept mostly as a baseline: under
+/// contention every release invalidates the lock word in every waiter's
+/// cache, which is exactly the behaviour NUMA-aware locks exist to avoid.
+pub type TatasLock = TasLock<YieldEvery64>;
+
+/// TATAS with bounded **exponential backoff** — the paper's BO lock
+/// (Agarwal & Cherian '89).
+pub type BackoffLock = TasLock<Backoff>;
+
+/// TATAS with **Fibonacci backoff** — "Fib-BO" in Table 1 of the paper.
+/// The gentler growth curve probes more often than doubling, trading some
+/// coherence traffic for lower handover latency.
+pub type FibBackoffLock = TasLock<FibBackoff>;
+
+/// The paper's **global BO lock**: a TATAS lock that never backs off.
+///
+/// §4.1.1: "in our implementation, threads contending at the global BO
+/// lock continuously spin on it and never backoff, much like the 'bare
+/// bones' test-and-test-and-set lock" — the global lock of a cohort lock
+/// is only ever contended by one thread per cluster, so backoff would just
+/// add handoff latency.
+pub type GlobalBoLock = TasLock<SpinWait>;
+
+impl<W: Wait> TasLock<W> {
     /// Creates an unlocked instance.
     pub fn new() -> Self {
         Self::default()
@@ -38,6 +62,8 @@ impl TatasLock {
         self.state.load(Ordering::Relaxed)
     }
 
+    /// One probe: test on a (cached) read, set only if it saw the word
+    /// free.
     #[inline]
     fn try_acquire(&self) -> bool {
         !self.state.load(Ordering::Relaxed)
@@ -48,24 +74,15 @@ impl TatasLock {
     }
 }
 
-unsafe impl RawLock for TatasLock {
+// SAFETY: the CAS that sets the word is the only way in, and `unlock`'s
+// Release store pairs with the next winner's Acquire CAS.
+unsafe impl<W: Wait> RawLock for TasLock<W> {
     type Token = ();
 
     fn lock(&self) {
-        let mut spins = 0u32;
-        loop {
-            if self.try_acquire() {
-                return;
-            }
-            // Test loop: wait on a (cached) read, not on the RMW.
-            while self.state.load(Ordering::Relaxed) {
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
+        let mut wait = W::default();
+        while !self.try_acquire() {
+            wait.snooze();
         }
     }
 
@@ -78,92 +95,10 @@ unsafe impl RawLock for TatasLock {
     }
 }
 
-unsafe impl RawAbortableLock for TatasLock {
+// SAFETY: an aborting waiter never wrote the word.
+unsafe impl<W: Wait> RawAbortableLock for TasLock<W> {
     fn lock_with_patience(&self, patience_ns: u64) -> Option<()> {
-        let mut p = Patience::new(patience_ns);
-        loop {
-            if self.try_acquire() {
-                return Some(());
-            }
-            while self.state.load(Ordering::Relaxed) {
-                if p.expired() {
-                    return None;
-                }
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
-/// Test-and-test-and-set with bounded **exponential backoff** — the
-/// paper's BO lock (Agarwal & Cherian '89).
-#[derive(Debug)]
-pub struct BackoffLock {
-    state: CachePadded<AtomicBool>,
-    cfg: BackoffCfg,
-}
-
-impl BackoffLock {
-    /// Creates an unlocked instance with the default backoff window.
-    pub fn new() -> Self {
-        Self::with_cfg(BackoffCfg::exp_default())
-    }
-
-    /// Creates an unlocked instance with an explicit backoff window; use
-    /// [`BackoffCfg::none`] for the global-lock role in cohort locks.
-    pub fn with_cfg(cfg: BackoffCfg) -> Self {
-        BackoffLock {
-            state: CachePadded::new(AtomicBool::new(false)),
-            cfg,
-        }
-    }
-
-    /// True if currently held (racy snapshot; for monitoring only).
-    pub fn is_locked(&self) -> bool {
-        self.state.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub(crate) fn try_acquire(&self) -> bool {
-        !self.state.load(Ordering::Relaxed)
-            && self
-                .state
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-    }
-}
-
-impl Default for BackoffLock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-unsafe impl RawLock for BackoffLock {
-    type Token = ();
-
-    fn lock(&self) {
-        let mut bo = Backoff::new(self.cfg);
-        loop {
-            if self.try_acquire() {
-                return;
-            }
-            bo.snooze();
-        }
-    }
-
-    fn try_lock(&self) -> Option<()> {
-        self.try_acquire().then_some(())
-    }
-
-    unsafe fn unlock(&self, _t: ()) {
-        self.state.store(false, Ordering::Release);
-    }
-}
-
-unsafe impl RawAbortableLock for BackoffLock {
-    fn lock_with_patience(&self, patience_ns: u64) -> Option<()> {
-        let mut bo = Backoff::new(self.cfg);
+        let mut wait = W::default();
         let mut p = Patience::new(patience_ns);
         loop {
             if self.try_acquire() {
@@ -172,79 +107,7 @@ unsafe impl RawAbortableLock for BackoffLock {
             if p.expired() {
                 return None;
             }
-            bo.snooze();
-        }
-    }
-}
-
-/// Test-and-test-and-set with **Fibonacci backoff** — "Fib-BO" in Table 1
-/// of the paper. The gentler growth curve probes more often than doubling,
-/// trading some coherence traffic for lower handover latency.
-#[derive(Debug)]
-pub struct FibBackoffLock {
-    state: CachePadded<AtomicBool>,
-    max_spins: u32,
-}
-
-impl FibBackoffLock {
-    /// Creates an unlocked instance with the default cap.
-    pub fn new() -> Self {
-        FibBackoffLock {
-            state: CachePadded::new(AtomicBool::new(false)),
-            max_spins: 1 << 10,
-        }
-    }
-
-    #[inline]
-    fn try_acquire(&self) -> bool {
-        !self.state.load(Ordering::Relaxed)
-            && self
-                .state
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-    }
-}
-
-impl Default for FibBackoffLock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-unsafe impl RawLock for FibBackoffLock {
-    type Token = ();
-
-    fn lock(&self) {
-        let mut bo = FibBackoff::new(self.max_spins, 24);
-        loop {
-            if self.try_acquire() {
-                return;
-            }
-            bo.snooze();
-        }
-    }
-
-    fn try_lock(&self) -> Option<()> {
-        self.try_acquire().then_some(())
-    }
-
-    unsafe fn unlock(&self, _t: ()) {
-        self.state.store(false, Ordering::Release);
-    }
-}
-
-unsafe impl RawAbortableLock for FibBackoffLock {
-    fn lock_with_patience(&self, patience_ns: u64) -> Option<()> {
-        let mut bo = FibBackoff::new(self.max_spins, 24);
-        let mut p = Patience::new(patience_ns);
-        loop {
-            if self.try_acquire() {
-                return Some(());
-            }
-            if p.expired() {
-                return None;
-            }
-            bo.snooze();
+            wait.snooze();
         }
     }
 }

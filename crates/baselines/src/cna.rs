@@ -30,7 +30,7 @@
 //! local stream can starve the secondary queue indefinitely. Every
 //! bounded policy re-splices it after finitely many local handoffs.
 
-use base_locks::{pool, RawLock, SpinWait};
+use base_locks::{pool, RawLock, SpinWait, Wait};
 use cohort::{CohortStats, Introspect, PolicySpec, Tenures};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, ClusterId, Topology};

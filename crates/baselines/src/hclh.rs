@@ -24,7 +24,7 @@
 //! thread that consumed its grant (intra-batch successor, or the master
 //! spinning on it from the global queue).
 
-use base_locks::{pool, RawLock, SpinWait};
+use base_locks::{pool, RawLock, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, Topology};
 use std::ptr;

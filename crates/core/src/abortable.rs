@@ -2,7 +2,8 @@
 //!
 //! Abortability composes: when both component locks can time out, so can
 //! the cohort lock. The global side is easy (the paper's global BO lock is
-//! "trivially abortable"); the local side carries the strengthened
+//! "trivially abortable": any [`RawAbortableLock`] will do); the local
+//! side carries the strengthened
 //! cohort-detection obligation encoded in
 //! [`AbortableLocalCohortLock`](crate::traits::AbortableLocalCohortLock).
 //!
@@ -13,14 +14,14 @@
 //! like any other timeout-capable lock.
 
 use crate::lock::{CohortLock, CohortToken};
-use crate::traits::{AbortableGlobalLock, AbortableLocalCohortLock, LocalAbortResult, Release};
+use crate::traits::{AbortableLocalCohortLock, LocalAbortResult, Release, ThreadOblivious};
 use base_locks::RawAbortableLock;
 use numa_topology::current_cluster_in;
 use std::time::Instant;
 
 impl<G, L> CohortLock<G, L>
 where
-    G: AbortableGlobalLock,
+    G: ThreadOblivious + RawAbortableLock,
     L: AbortableLocalCohortLock,
 {
     /// Tries to acquire the cohort lock, giving up after roughly
@@ -88,7 +89,7 @@ where
 // leaves both component locks acquirable (see the per-arm comments).
 unsafe impl<G, L> RawAbortableLock for CohortLock<G, L>
 where
-    G: AbortableGlobalLock,
+    G: ThreadOblivious + RawAbortableLock,
     L: AbortableLocalCohortLock,
 {
     fn lock_with_patience(&self, patience_ns: u64) -> Option<Self::Token> {

@@ -40,8 +40,8 @@
 
 use crate::lock::{CohortLock, CohortToken};
 use crate::policy::{CohortStats, Introspect, PolicySpec, Tenures};
-use crate::traits::{GlobalLock, LocalCohortLock};
-use base_locks::{RawLock, SpinWait};
+use crate::traits::{LocalCohortLock, ThreadOblivious};
+use base_locks::{RawLock, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{global_topology, Topology};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -124,7 +124,7 @@ impl<LT> FissileToken<LT> {
 /// assert_eq!(lock.cohort_stats().tenures(), 0, "fast path skips the cohort");
 /// assert_eq!(lock.tuning(), FissileTuning::default());
 /// ```
-pub struct FissileLock<G: GlobalLock, L: LocalCohortLock> {
+pub struct FissileLock<G: ThreadOblivious, L: LocalCohortLock> {
     /// The top-level TATAS word — the sole exclusion point.
     word: CachePadded<AtomicU32>,
     /// Anti-starvation fence: raised by a slow-path claimant that has
@@ -142,7 +142,7 @@ pub struct FissileLock<G: GlobalLock, L: LocalCohortLock> {
 
 impl<G, L> FissileLock<G, L>
 where
-    G: GlobalLock + Default,
+    G: ThreadOblivious + Default,
     L: LocalCohortLock + Default,
 {
     /// Creates a fissile lock over `topo` with the paper's handoff policy
@@ -176,7 +176,7 @@ where
 
 impl<G, L> Default for FissileLock<G, L>
 where
-    G: GlobalLock + Default,
+    G: ThreadOblivious + Default,
     L: LocalCohortLock + Default,
 {
     /// Uses the process-wide [`global_topology`].
@@ -185,7 +185,7 @@ where
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> FissileLock<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> FissileLock<G, L> {
     /// The topology the slow path partitions threads by.
     pub fn topology(&self) -> &Arc<Topology> {
         self.slow.topology()
@@ -298,7 +298,7 @@ impl<G: GlobalLock, L: LocalCohortLock> FissileLock<G, L> {
 // slow path), the cohort lock is deadlock-free (§2), and the claimant's
 // CAS loop terminates because every word holder releases in finite time
 // and the fence bounds fast-path bypassing.
-unsafe impl<G: GlobalLock, L: LocalCohortLock> RawLock for FissileLock<G, L> {
+unsafe impl<G: ThreadOblivious, L: LocalCohortLock> RawLock for FissileLock<G, L> {
     type Token = FissileToken<L::Token>;
 
     fn lock(&self) -> Self::Token {
@@ -352,7 +352,7 @@ unsafe impl<G: GlobalLock, L: LocalCohortLock> RawLock for FissileLock<G, L> {
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> Introspect for FissileLock<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> Introspect for FissileLock<G, L> {
     fn tenure_stats(&self) -> Option<CohortStats> {
         Some(self.cohort_stats())
     }
@@ -362,7 +362,7 @@ impl<G: GlobalLock, L: LocalCohortLock> Introspect for FissileLock<G, L> {
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> std::fmt::Debug for FissileLock<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> std::fmt::Debug for FissileLock<G, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FissileLock")
             .field("tuning", &self.tuning)
@@ -374,8 +374,8 @@ impl<G: GlobalLock, L: LocalCohortLock> std::fmt::Debug for FissileLock<G, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::GlobalBoLock;
     use crate::local_mcs::LocalMcsLock;
+    use crate::GlobalBoLock;
     use std::sync::atomic::AtomicU64;
 
     type Fis = FissileLock<GlobalBoLock, LocalMcsLock>;

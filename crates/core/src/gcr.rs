@@ -64,7 +64,7 @@
 //! until a rotation re-admits it where it now runs.
 
 use crate::policy::{CohortStats, Introspect};
-use base_locks::{RawLock, SpinWait};
+use base_locks::{RawLock, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, vclock, ClusterId, Topology};
 use std::cell::RefCell;

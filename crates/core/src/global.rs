@@ -1,135 +1,41 @@
-//! [`GlobalLock`] implementations for the base locks the paper uses in the
-//! global position.
+//! The base locks the paper uses in the global position, each marked
+//! [`ThreadOblivious`] with the reason it is.
 //!
-//! * **BO / TATAS / Fib-BO** — thread-oblivious by definition (the lock
-//!   word carries no owner identity), abortable by design. Used by
-//!   C-BO-BO, C-BO-MCS, A-C-BO-BO, A-C-BO-CLH.
-//! * **Ticket** — thread-oblivious because any thread may increment
-//!   `grant` (§3.2). Used by C-TKT-TKT and C-TKT-MCS.
-//! * **MCS** — thread-oblivious thanks to pool-circulated queue nodes
-//!   (§3.4): its token is `Send`, so the cohort can carry the release
-//!   capability across threads. Used by C-MCS-MCS.
-//! * **Reciprocating** — thread-oblivious by construction: the token is
-//!   two plain words (successor pointer + era budget) and the release
-//!   path never consults thread identity. Used by C-Recip-MCS.
+//! * **TATAS family** (BO, global BO, TATAS, Fib-BO) — used by C-BO-BO,
+//!   C-BO-MCS, A-C-BO-BO, A-C-BO-CLH.
+//! * **Ticket** — used by C-TKT-TKT and C-TKT-MCS.
+//! * **MCS** — used by C-MCS-MCS.
+//! * **Parking** — used by C-PARK-MCS.
+//! * **Reciprocating** — used by C-Recip-MCS.
 
-use crate::traits::{AbortableGlobalLock, GlobalLock};
-use base_locks::{
-    BackoffLock, FibBackoffLock, McsLock, ParkingLock, RawAbortableLock, RawLock,
-    ReciprocatingLock, TatasLock, TicketLock,
-};
+use crate::traits::ThreadOblivious;
+use base_locks::{McsLock, ParkingLock, ReciprocatingLock, TasLock, TicketLock, Wait};
 
-macro_rules! delegate_global {
-    ($lock:ty) => {
-        // SAFETY: the underlying RawLock provides mutual exclusion, and its
-        // token is Send, so release may happen on any thread (the lock
-        // algorithms in question never consult thread identity).
-        unsafe impl GlobalLock for $lock {
-            type Token = <$lock as RawLock>::Token;
+// SAFETY: the lock word is one flag carrying no owner identity, and
+// `unlock` is a plain store.
+unsafe impl<W: Wait> ThreadOblivious for TasLock<W> {}
 
-            #[inline]
-            fn lock(&self) -> Self::Token {
-                RawLock::lock(self)
-            }
+// SAFETY: any thread may increment `grant` (§3.2).
+unsafe impl ThreadOblivious for TicketLock {}
 
-            #[inline]
-            fn try_lock(&self) -> Option<Self::Token> {
-                RawLock::try_lock(self)
-            }
+// SAFETY: queue nodes circulate through per-thread pools (§3.4), so the
+// node in a token may be retired by whichever thread releases.
+unsafe impl ThreadOblivious for McsLock {}
 
-            #[inline]
-            unsafe fn unlock(&self, token: Self::Token) {
-                RawLock::unlock(self, token)
-            }
-        }
-    };
-}
+// SAFETY: `unlock` only stores the flag and unparks a registered waiter.
+unsafe impl ThreadOblivious for ParkingLock {}
 
-macro_rules! delegate_abortable_global {
-    ($lock:ty) => {
-        // SAFETY: the underlying abortable lock leaves itself usable after
-        // a timeout (verified by its own tests).
-        unsafe impl AbortableGlobalLock for $lock {
-            #[inline]
-            fn lock_with_patience(&self, patience_ns: u64) -> Option<Self::Token> {
-                RawAbortableLock::lock_with_patience(self, patience_ns)
-            }
-        }
-    };
-}
-
-delegate_global!(ParkingLock);
-delegate_global!(TatasLock);
-delegate_global!(BackoffLock);
-delegate_global!(FibBackoffLock);
-delegate_global!(TicketLock);
-delegate_global!(McsLock);
-delegate_global!(ReciprocatingLock);
-
-delegate_abortable_global!(ParkingLock);
-delegate_abortable_global!(TatasLock);
-delegate_abortable_global!(BackoffLock);
-delegate_abortable_global!(FibBackoffLock);
-
-/// The paper's **global BO lock**: a test-and-test-and-set lock that never
-/// backs off.
-///
-/// §4.1.1: "in our implementation, threads contending at the global BO
-/// lock continuously spin on it and never backoff, much like the 'bare
-/// bones' test-and-test-and-set lock" — the global lock of a cohort lock
-/// is only ever contended by one thread per cluster, so backoff would just
-/// add handoff latency.
-#[derive(Debug)]
-pub struct GlobalBoLock(base_locks::BackoffLock);
-
-impl GlobalBoLock {
-    /// Creates an unlocked instance.
-    pub fn new() -> Self {
-        GlobalBoLock(base_locks::BackoffLock::with_cfg(
-            base_locks::BackoffCfg::none(),
-        ))
-    }
-}
-
-impl Default for GlobalBoLock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// SAFETY: delegation to BackoffLock (thread-oblivious, abortable).
-unsafe impl GlobalLock for GlobalBoLock {
-    type Token = ();
-
-    #[inline]
-    fn lock(&self) -> Self::Token {
-        RawLock::lock(&self.0)
-    }
-
-    #[inline]
-    fn try_lock(&self) -> Option<Self::Token> {
-        RawLock::try_lock(&self.0)
-    }
-
-    #[inline]
-    unsafe fn unlock(&self, token: Self::Token) {
-        RawLock::unlock(&self.0, token)
-    }
-}
-
-// SAFETY: as above.
-unsafe impl AbortableGlobalLock for GlobalBoLock {
-    #[inline]
-    fn lock_with_patience(&self, patience_ns: u64) -> Option<Self::Token> {
-        RawAbortableLock::lock_with_patience(&self.0, patience_ns)
-    }
-}
+// SAFETY: the token is two plain words (successor pointer, era budget)
+// and the release path never consults thread identity.
+unsafe impl ThreadOblivious for ReciprocatingLock {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use base_locks::{BackoffLock, FibBackoffLock, GlobalBoLock, RawAbortableLock, TatasLock};
+    use std::sync::Arc;
 
-    fn exercise<G: GlobalLock>(g: &G) {
+    fn exercise<G: ThreadOblivious>(g: &G) {
         let t = g.lock();
         assert!(g.try_lock().is_none());
         unsafe { g.unlock(t) };
@@ -139,6 +45,7 @@ mod tests {
 
     #[test]
     fn all_global_impls_behave() {
+        exercise(&GlobalBoLock::new());
         exercise(&TatasLock::new());
         exercise(&BackoffLock::new());
         exercise(&FibBackoffLock::new());
@@ -150,26 +57,30 @@ mod tests {
     #[test]
     fn global_token_crosses_threads() {
         // The defining property: lock here, unlock over there.
-        fn cross<G: GlobalLock + Send + Sync + 'static>(g: std::sync::Arc<G>) {
+        fn cross<G: ThreadOblivious + 'static>(g: Arc<G>) {
             let t = g.lock();
-            let g2 = std::sync::Arc::clone(&g);
+            let g2 = Arc::clone(&g);
             std::thread::spawn(move || unsafe { g2.unlock(t) })
                 .join()
                 .unwrap();
             let t = g.try_lock().expect("released remotely");
             unsafe { g.unlock(t) };
         }
-        cross(std::sync::Arc::new(BackoffLock::new()));
-        cross(std::sync::Arc::new(TicketLock::new()));
-        cross(std::sync::Arc::new(McsLock::new()));
-        cross(std::sync::Arc::new(ReciprocatingLock::new()));
+        cross(Arc::new(GlobalBoLock::new()));
+        cross(Arc::new(BackoffLock::new()));
+        cross(Arc::new(TicketLock::new()));
+        cross(Arc::new(McsLock::new()));
+        cross(Arc::new(ReciprocatingLock::new()));
     }
 
     #[test]
     fn abortable_global_times_out() {
-        let g = BackoffLock::new();
-        GlobalLock::lock(&g);
-        assert!(AbortableGlobalLock::lock_with_patience(&g, 50_000).is_none());
-        unsafe { GlobalLock::unlock(&g, ()) };
+        fn times_out<G: ThreadOblivious + RawAbortableLock>(g: &G) {
+            let t = g.lock();
+            assert!(g.lock_with_patience(50_000).is_none());
+            unsafe { g.unlock(t) };
+        }
+        times_out(&GlobalBoLock::new());
+        times_out(&BackoffLock::new());
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! This crate implements the general transformation of **Dice, Marathe,
 //! Shavit, "Lock Cohorting: A General Technique for Designing NUMA Locks"
-//! (PPoPP 2012)**: take any *thread-oblivious* lock `G` and any
-//! *cohort-detecting* lock `L`, instantiate one `L` per NUMA cluster plus
-//! a single shared `G`, and obtain a NUMA-aware lock
+//! (PPoPP 2012)**: take any *thread-oblivious* lock `G` (a
+//! [`base_locks::RawLock`] marked [`ThreadOblivious`]) and any
+//! *cohort-detecting* lock `L` (a [`LocalCohortLock`]), instantiate one `L`
+//! per NUMA cluster plus a single shared `G`, and obtain a NUMA-aware lock
 //! ([`CohortLock<G, L>`]) that hands ownership between threads of the
 //! same cluster at local-lock cost, releasing the global lock only when
 //! the cluster runs dry or the fairness policy (a [`PolicySpec`]) ends
@@ -51,8 +52,9 @@
 //! Kogan, arXiv:2501.02380): a one-word arrivals stack whose release
 //! path admits detached segments in reversed (palindromic) order, so
 //! every handover touches a constant number of cache lines. Its token
-//! is plain data — thread-oblivious for free — which makes it a drop-in
-//! *global* lock: [`CRecipMcs`] is the cohortized composition.
+//! is plain data — thread-oblivious for free — so making it a *global*
+//! lock costs one `unsafe impl ThreadOblivious` line: [`CRecipMcs`] is the
+//! cohortized composition.
 //!
 //! Beyond the paper's mutual-exclusion locks, the [`rwlock`] module
 //! applies the transformation to **reader-writer** locks in the style of
@@ -110,7 +112,6 @@ mod traits;
 
 pub use fast_path::{FissileLock, FissileToken, FissileTuning};
 pub use gcr::{GcrLock, GcrToken, GcrTuning};
-pub use global::GlobalBoLock;
 pub use local_abo::LocalAboLock;
 pub use local_aclh::{AClhToken, LocalAClhLock};
 pub use local_bo::LocalBoLock;
@@ -120,10 +121,10 @@ pub use lock::{CohortLock, CohortToken};
 pub use policy::{ClusterStats, CohortStats, Introspect, PolicyParseError, PolicySpec, Tenures};
 pub use rwlock::{CohortRwLock, RwFairness, RwReadGuard, RwReadToken, RwWriteGuard, RwWriteToken};
 pub use traits::{
-    AbortableGlobalLock, AbortableLocalCohortLock, GlobalLock, LocalAbortResult, LocalCohortLock,
-    Release,
+    AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, Release, ThreadOblivious,
 };
 
+pub use base_locks::GlobalBoLock;
 use base_locks::{McsLock, ReciprocatingLock, SpinMutex, TicketLock};
 
 /// C-BO-BO (§3.1): global BO lock, local BO locks with `successor-exists`.

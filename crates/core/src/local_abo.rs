@@ -25,7 +25,7 @@
 
 use crate::local_bo::{BUSY, GLOBAL_RELEASE, LOCAL_RELEASE};
 use crate::traits::{AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, Release};
-use base_locks::backoff::{Backoff, BackoffCfg};
+use base_locks::{Backoff, Wait};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -35,7 +35,6 @@ use std::time::{Duration, Instant};
 pub struct LocalAboLock {
     state: CachePadded<AtomicU32>,
     successor_exists: CachePadded<AtomicBool>,
-    cfg: BackoffCfg,
 }
 
 impl LocalAboLock {
@@ -44,7 +43,6 @@ impl LocalAboLock {
         LocalAboLock {
             state: CachePadded::new(AtomicU32::new(GLOBAL_RELEASE)),
             successor_exists: CachePadded::new(AtomicBool::new(false)),
-            cfg: BackoffCfg::exp_default(),
         }
     }
 
@@ -59,7 +57,7 @@ impl LocalAboLock {
 
     /// Acquire loop shared by the blocking and abortable paths.
     fn acquire(&self, deadline: Option<Instant>) -> LocalAbortResult<()> {
-        let mut bo = Backoff::new(self.cfg);
+        let mut bo = Backoff::default();
         loop {
             // Relaxed: pure pre-CAS snapshot — every decision taken from
             // `s` is re-validated by the CAS below (a stale value just

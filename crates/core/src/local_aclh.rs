@@ -25,7 +25,7 @@
 //! `AVAIL_GLOBAL` (the §3.6.2 ordering).
 
 use crate::traits::{AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, Release};
-use base_locks::{pool, SpinWait};
+use base_locks::{pool, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};

@@ -11,7 +11,7 @@
 //! waiter that cannot disappear.
 
 use crate::traits::{LocalCohortLock, Release};
-use base_locks::backoff::{Backoff, BackoffCfg};
+use base_locks::{Backoff, Wait};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -27,23 +27,15 @@ pub(crate) const LOCAL_RELEASE: u32 = 2;
 pub struct LocalBoLock {
     state: CachePadded<AtomicU32>,
     successor_exists: CachePadded<AtomicBool>,
-    cfg: BackoffCfg,
 }
 
 impl LocalBoLock {
-    /// Creates a free lock (global-release state) with the default local
-    /// backoff window.
+    /// Creates a free lock (global-release state); waiters back off
+    /// exponentially ([`Backoff`]).
     pub fn new() -> Self {
-        Self::with_cfg(BackoffCfg::exp_default())
-    }
-
-    /// Creates a free lock with an explicit backoff window (the paper
-    /// notes C-BO-BO's only tuning burden is this local window).
-    pub fn with_cfg(cfg: BackoffCfg) -> Self {
         LocalBoLock {
             state: CachePadded::new(AtomicU32::new(GLOBAL_RELEASE)),
             successor_exists: CachePadded::new(AtomicBool::new(false)),
-            cfg,
         }
     }
 
@@ -70,7 +62,7 @@ unsafe impl LocalCohortLock for LocalBoLock {
     type Token = ();
 
     fn lock_local(&self) -> ((), Release) {
-        let mut bo = Backoff::new(self.cfg);
+        let mut bo = Backoff::default();
         loop {
             let s = self.state.load(Ordering::Relaxed);
             if s != BUSY {

@@ -10,7 +10,7 @@
 //! global lock.
 
 use crate::traits::{LocalCohortLock, Release};
-use base_locks::{pool, SpinWait};
+use base_locks::{pool, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use std::ptr;
 use std::ptr::NonNull;

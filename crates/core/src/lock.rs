@@ -1,7 +1,7 @@
 //! The generic cohort lock — the paper's §2 transformation as one type.
 
 use crate::policy::{CohortStats, Introspect, PolicySpec, Tenures};
-use crate::traits::{GlobalLock, LocalCohortLock, Release};
+use crate::traits::{LocalCohortLock, Release, ThreadOblivious};
 use base_locks::RawLock;
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, global_topology, ClusterId, Topology};
@@ -76,7 +76,7 @@ impl<LT> CohortToken<LT> {
 /// [`CBoMcs`]: crate::CBoMcs
 /// [`CTktMcs`]: crate::CTktMcs
 /// [`CMcsMcs`]: crate::CMcsMcs
-pub struct CohortLock<G: GlobalLock, L: LocalCohortLock> {
+pub struct CohortLock<G: ThreadOblivious, L: LocalCohortLock> {
     topo: Arc<Topology>,
     global: G,
     locals: Box<[CachePadded<L>]>,
@@ -87,12 +87,12 @@ pub struct CohortLock<G: GlobalLock, L: LocalCohortLock> {
 // SAFETY: `holder` is only accessed while holding the lock (see
 // HolderState docs); everything else is Sync by construction (`policy` is
 // relaxed atomics plus a `Copy` spec).
-unsafe impl<G: GlobalLock, L: LocalCohortLock> Send for CohortLock<G, L> {}
-unsafe impl<G: GlobalLock, L: LocalCohortLock> Sync for CohortLock<G, L> {}
+unsafe impl<G: ThreadOblivious, L: LocalCohortLock> Send for CohortLock<G, L> {}
+unsafe impl<G: ThreadOblivious, L: LocalCohortLock> Sync for CohortLock<G, L> {}
 
 impl<G, L> CohortLock<G, L>
 where
-    G: GlobalLock + Default,
+    G: ThreadOblivious + Default,
     L: LocalCohortLock + Default,
 {
     /// Creates a cohort lock over `topo` under the paper's rule: 64
@@ -122,7 +122,7 @@ where
 
 impl<G, L> Default for CohortLock<G, L>
 where
-    G: GlobalLock + Default,
+    G: ThreadOblivious + Default,
     L: LocalCohortLock + Default,
 {
     /// Uses the process-wide [`global_topology`].
@@ -131,7 +131,7 @@ where
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> Introspect for CohortLock<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> Introspect for CohortLock<G, L> {
     fn tenure_stats(&self) -> Option<CohortStats> {
         Some(self.cohort_stats())
     }
@@ -141,7 +141,7 @@ impl<G: GlobalLock, L: LocalCohortLock> Introspect for CohortLock<G, L> {
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> CohortLock<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> CohortLock<G, L> {
     /// The topology this lock partitions threads by.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo
@@ -275,7 +275,7 @@ impl<G: GlobalLock, L: LocalCohortLock> CohortLock<G, L> {
 // a Release::Local inheritance (global lock retained by the cohort) or a
 // fresh global acquisition; deadlock-freedom follows from `alone?` having
 // no false negatives for non-abortable locals.
-unsafe impl<G: GlobalLock, L: LocalCohortLock> RawLock for CohortLock<G, L> {
+unsafe impl<G: ThreadOblivious, L: LocalCohortLock> RawLock for CohortLock<G, L> {
     type Token = CohortToken<L::Token>;
 
     fn lock(&self) -> Self::Token {
@@ -328,7 +328,7 @@ unsafe impl<G: GlobalLock, L: LocalCohortLock> RawLock for CohortLock<G, L> {
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> std::fmt::Debug for CohortLock<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> std::fmt::Debug for CohortLock<G, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CohortLock")
             .field("clusters", &self.locals.len())

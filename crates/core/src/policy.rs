@@ -175,9 +175,7 @@ pub trait Introspect {
     }
 }
 
-impl Introspect for base_locks::TatasLock {}
-impl Introspect for base_locks::BackoffLock {}
-impl Introspect for base_locks::FibBackoffLock {}
+impl<W: base_locks::Wait> Introspect for base_locks::TasLock<W> {}
 impl Introspect for base_locks::TicketLock {}
 impl Introspect for base_locks::McsLock {}
 impl Introspect for base_locks::ClhLock {}

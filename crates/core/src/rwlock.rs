@@ -43,8 +43,8 @@
 
 use crate::lock::{CohortLock, CohortToken};
 use crate::policy::{CohortStats, PolicySpec, Tenures};
-use crate::traits::{GlobalLock, LocalCohortLock};
-use base_locks::{RawLock, SpinWait};
+use crate::traits::{LocalCohortLock, ThreadOblivious};
+use base_locks::{RawLock, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, ClusterId, Topology};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -131,7 +131,7 @@ impl<LT> RwWriteToken<LT> {
 /// // `try_write` above counts too: it briefly held the writer lock.)
 /// assert_eq!(rw.cohort_stats().tenures(), 2);
 /// ```
-pub struct CohortRwLock<G: GlobalLock, L: LocalCohortLock> {
+pub struct CohortRwLock<G: ThreadOblivious, L: LocalCohortLock> {
     /// Writer-side mutual exclusion (and the tenure/fairness machinery).
     writer: CohortLock<G, L>,
     /// Active readers per cluster; a reader only ever touches its own
@@ -149,7 +149,7 @@ pub struct CohortRwLock<G: GlobalLock, L: LocalCohortLock> {
 
 impl<G, L> CohortRwLock<G, L>
 where
-    G: GlobalLock + Default,
+    G: ThreadOblivious + Default,
     L: LocalCohortLock + Default,
 {
     /// Creates a writer-preference C-RW lock over `topo` under the
@@ -189,7 +189,7 @@ where
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> CohortRwLock<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> CohortRwLock<G, L> {
     /// The fairness flavor in effect.
     pub fn fairness(&self) -> RwFairness {
         self.fairness
@@ -451,7 +451,7 @@ impl<G: GlobalLock, L: LocalCohortLock> CohortRwLock<G, L> {
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> std::fmt::Debug for CohortRwLock<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> std::fmt::Debug for CohortRwLock<G, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CohortRwLock")
             .field("clusters", &self.readers.len())
@@ -462,12 +462,12 @@ impl<G: GlobalLock, L: LocalCohortLock> std::fmt::Debug for CohortRwLock<G, L> {
 }
 
 /// RAII guard of a shared (read) acquisition; released on drop.
-pub struct RwReadGuard<'a, G: GlobalLock, L: LocalCohortLock> {
+pub struct RwReadGuard<'a, G: ThreadOblivious, L: LocalCohortLock> {
     lock: &'a CohortRwLock<G, L>,
     token: Option<RwReadToken>,
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> Drop for RwReadGuard<'_, G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> Drop for RwReadGuard<'_, G, L> {
     fn drop(&mut self) {
         if let Some(t) = self.token.take() {
             // SAFETY: the token came from this lock's acquire path and is
@@ -478,12 +478,12 @@ impl<G: GlobalLock, L: LocalCohortLock> Drop for RwReadGuard<'_, G, L> {
 }
 
 /// RAII guard of an exclusive (write) acquisition; released on drop.
-pub struct RwWriteGuard<'a, G: GlobalLock, L: LocalCohortLock> {
+pub struct RwWriteGuard<'a, G: ThreadOblivious, L: LocalCohortLock> {
     lock: &'a CohortRwLock<G, L>,
     token: Option<RwWriteToken<L::Token>>,
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> Drop for RwWriteGuard<'_, G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> Drop for RwWriteGuard<'_, G, L> {
     fn drop(&mut self) {
         if let Some(t) = self.token.take() {
             // SAFETY: token from this lock, used once, on the acquiring
@@ -496,8 +496,8 @@ impl<G: GlobalLock, L: LocalCohortLock> Drop for RwWriteGuard<'_, G, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::GlobalBoLock;
     use crate::local_mcs::LocalMcsLock;
+    use crate::GlobalBoLock;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 

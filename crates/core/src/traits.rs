@@ -11,9 +11,13 @@
 //!   trying to acquire, plus a release that can leave one of two states
 //!   ([`Release::Local`] / [`Release::Global`]).
 //!
-//! These are encoded as the [`GlobalLock`] and [`LocalCohortLock`] traits;
-//! the abortable refinements of §3.6 live in [`AbortableGlobalLock`] and
-//! [`AbortableLocalCohortLock`].
+//! The first is a property of an ordinary [`RawLock`], so it is a marker,
+//! [`ThreadOblivious`]; the second is a protocol of its own, the
+//! [`LocalCohortLock`] trait. The abortable refinements of §3.6 are
+//! [`RawAbortableLock`](base_locks::RawAbortableLock) on the global side
+//! and [`AbortableLocalCohortLock`] on the local one.
+
+use base_locks::RawLock;
 
 /// The state a local lock is released in, §2.1 of the paper.
 ///
@@ -29,46 +33,16 @@ pub enum Release {
     Global,
 }
 
-/// A thread-oblivious lock usable in the global position of a cohort lock.
+/// A [`RawLock`] usable in the global position of a cohort lock: its
+/// release is sound from any thread.
 ///
 /// # Safety
 ///
-/// Implementors must provide mutual exclusion *and* thread-obliviousness:
 /// `unlock(token)` must be sound from any thread, given the token of the
-/// current acquisition. (This is why [`Self::Token`] is `Send`.) BO and
-/// ticket locks have the property trivially; MCS gains it here through
+/// current acquisition (which is why the token is `Send`). TATAS and
+/// ticket locks have the property trivially; MCS gains it through
 /// pool-circulated queue nodes — §3.4 of the paper.
-pub unsafe trait GlobalLock: Send + Sync {
-    /// Capability to release the current acquisition; crosses threads.
-    type Token: Send;
-
-    /// Acquires the global lock.
-    fn lock(&self) -> Self::Token;
-
-    /// Acquires only if immediately available.
-    fn try_lock(&self) -> Option<Self::Token>;
-
-    /// Releases an acquisition (possibly from another thread).
-    ///
-    /// # Safety
-    ///
-    /// `token` must stem from `lock`/`try_lock` on this lock and be used
-    /// at most once.
-    unsafe fn unlock(&self, token: Self::Token);
-}
-
-/// A [`GlobalLock`] whose acquisition can time out (needed by the
-/// abortable cohort locks of §3.6; the BO lock is abortable by design).
-///
-/// # Safety
-///
-/// As [`GlobalLock`]; additionally a timed-out attempt must leave the lock
-/// fully usable.
-pub unsafe trait AbortableGlobalLock: GlobalLock {
-    /// Tries to acquire, giving up after roughly `patience_ns` wall-clock
-    /// nanoseconds.
-    fn lock_with_patience(&self, patience_ns: u64) -> Option<Self::Token>;
-}
+pub unsafe trait ThreadOblivious: RawLock<Token: Send> {}
 
 /// A cluster-local lock with cohort detection (§2.1).
 ///

@@ -1,46 +1,70 @@
-//! The exclusive implementors of [`BenchRwLock`].
+//! The exclusive implementor of [`BenchRwLock`].
 //!
 //! The evaluation sweeps 28 lock algorithms with heterogeneous token
-//! types. An adapter erases the token by stashing it in a slot that only
-//! the current holder touches (the same holder-private-state argument the
-//! cohort lock itself uses for its global token), implements the write
-//! side of [`BenchRwLock`], and inherits the read side from the trait's
-//! defaults — a read *is* a write here. Cohort statistics and the policy
-//! label reach the trait through [`cohort::Introspect`], which plain
-//! locks answer with `None`.
+//! types, every one of them a [`RawLock`]. [`RawAdapter`] erases the token
+//! by stashing it in a slot that only the current holder touches (the
+//! same holder-private-state argument the cohort lock itself uses for its
+//! global token), implements the write side of [`BenchRwLock`], and
+//! inherits the read side from the trait's defaults — a read *is* a write
+//! here. Abortability is chosen at construction ([`RawAdapter::abortable`]).
+//! Cohort statistics and the policy label reach the trait through
+//! [`cohort::Introspect`], which plain locks answer with `None`.
 
 use crate::bench_rwlock::BenchRwLock;
 use base_locks::{RawAbortableLock, RawLock};
 use cohort::{CohortStats, Introspect};
+use parking_lot::lock_api::RawMutex as _;
 use std::cell::UnsafeCell;
+
+/// A lock's timed acquire ([`RawAbortableLock::lock_with_patience`]).
+type Timed<L> = fn(&L, u64) -> Option<<L as RawLock>::Token>;
 
 /// Adapts any [`RawLock`] to [`BenchRwLock`].
 pub struct RawAdapter<L: RawLock + Introspect> {
     lock: L,
+    /// Set by [`RawAdapter::abortable`]; `None` makes
+    /// `acquire_write_with_patience` block.
+    timed: Option<Timed<L>>,
     /// Token of the in-flight acquisition. Only the holder reads/writes
     /// it, bracketed by the lock's own acquire/release fences.
     slot: UnsafeCell<Option<L::Token>>,
 }
 
-// SAFETY: the slot is holder-private (see field docs).
+// SAFETY: the slot is holder-private (see field docs); `lock` is Sync by
+// the RawLock bound and `timed` is a plain function pointer.
 unsafe impl<L: RawLock + Introspect> Send for RawAdapter<L> {}
 unsafe impl<L: RawLock + Introspect> Sync for RawAdapter<L> {}
 
 impl<L: RawLock + Introspect> RawAdapter<L> {
-    /// Wraps `lock`.
+    /// Wraps `lock`; timed acquisitions block like plain ones.
     pub fn new(lock: L) -> Self {
         RawAdapter {
             lock,
+            timed: None,
             slot: UnsafeCell::new(None),
+        }
+    }
+
+    /// Stores the token of an acquisition this thread just made.
+    fn hold(&self, token: L::Token) {
+        // SAFETY: we hold the lock; the slot is ours.
+        unsafe { *self.slot.get() = Some(token) };
+    }
+}
+
+impl<L: RawAbortableLock + Introspect> RawAdapter<L> {
+    /// Wraps an abortable `lock`: timed acquisitions can time out.
+    pub fn abortable(lock: L) -> Self {
+        RawAdapter {
+            timed: Some(L::lock_with_patience),
+            ..Self::new(lock)
         }
     }
 }
 
 impl<L: RawLock + Introspect> BenchRwLock for RawAdapter<L> {
     fn acquire_write(&self) {
-        let token = self.lock.lock();
-        // SAFETY: we hold the lock; the slot is ours.
-        unsafe { *self.slot.get() = Some(token) };
+        self.hold(self.lock.lock());
     }
 
     fn release_write(&self) {
@@ -50,54 +74,14 @@ impl<L: RawLock + Introspect> BenchRwLock for RawAdapter<L> {
         unsafe { self.lock.unlock(token) };
     }
 
-    fn cohort_stats(&self) -> Option<CohortStats> {
-        self.lock.tenure_stats()
-    }
-
-    fn policy_label(&self) -> Option<String> {
-        self.lock.policy_label()
-    }
-}
-
-/// Adapts any [`RawAbortableLock`] to an abortable [`BenchRwLock`].
-pub struct AbortableAdapter<L: RawAbortableLock + Introspect> {
-    lock: L,
-    slot: UnsafeCell<Option<L::Token>>,
-}
-
-// SAFETY: as RawAdapter.
-unsafe impl<L: RawAbortableLock + Introspect> Send for AbortableAdapter<L> {}
-unsafe impl<L: RawAbortableLock + Introspect> Sync for AbortableAdapter<L> {}
-
-impl<L: RawAbortableLock + Introspect> AbortableAdapter<L> {
-    /// Wraps `lock`.
-    pub fn new(lock: L) -> Self {
-        AbortableAdapter {
-            lock,
-            slot: UnsafeCell::new(None),
-        }
-    }
-}
-
-impl<L: RawAbortableLock + Introspect> BenchRwLock for AbortableAdapter<L> {
-    fn acquire_write(&self) {
-        let token = self.lock.lock();
-        // SAFETY: holder-private slot.
-        unsafe { *self.slot.get() = Some(token) };
-    }
-
-    fn release_write(&self) {
-        // SAFETY: holder-private slot.
-        let token = unsafe { (*self.slot.get()).take() }.expect("release without acquire");
-        // SAFETY: token from our own lock.
-        unsafe { self.lock.unlock(token) };
-    }
-
     fn acquire_write_with_patience(&self, patience_ns: u64) -> bool {
-        match self.lock.lock_with_patience(patience_ns) {
+        let Some(timed) = self.timed else {
+            self.acquire_write();
+            return true;
+        };
+        match timed(&self.lock, patience_ns) {
             Some(token) => {
-                // SAFETY: holder-private slot.
-                unsafe { *self.slot.get() = Some(token) };
+                self.hold(token);
                 true
             }
             None => false,
@@ -105,7 +89,7 @@ impl<L: RawAbortableLock + Introspect> BenchRwLock for AbortableAdapter<L> {
     }
 
     fn is_abortable(&self) -> bool {
-        true
+        self.timed.is_some()
     }
 
     fn cohort_stats(&self) -> Option<CohortStats> {
@@ -134,25 +118,32 @@ impl Default for PthreadLock {
 impl PthreadLock {
     /// Creates an unlocked instance.
     pub fn new() -> Self {
-        use parking_lot::lock_api::RawMutex as _;
         PthreadLock {
             raw: parking_lot::RawMutex::INIT,
         }
     }
 }
 
-impl BenchRwLock for PthreadLock {
-    fn acquire_write(&self) {
-        use parking_lot::lock_api::RawMutex as _;
+// SAFETY: the OS mutex provides mutual exclusion with acquire/release
+// semantics; its guard-free raw interface carries no token.
+unsafe impl RawLock for PthreadLock {
+    type Token = ();
+
+    fn lock(&self) {
         self.raw.lock();
     }
 
-    fn release_write(&self) {
-        use parking_lot::lock_api::RawMutex as _;
-        // SAFETY: harness protocol — release only by the holder.
+    fn try_lock(&self) -> Option<()> {
+        self.raw.try_lock().then_some(())
+    }
+
+    unsafe fn unlock(&self, _t: ()) {
+        // SAFETY: the caller holds the lock (RawLock::unlock contract).
         unsafe { self.raw.unlock() };
     }
 }
+
+impl Introspect for PthreadLock {}
 
 #[cfg(test)]
 mod tests {
@@ -191,13 +182,13 @@ mod tests {
 
     #[test]
     fn pthread_lock_works() {
-        let n = hammer(Arc::new(PthreadLock::new()), 4, 1_000);
+        let n = hammer(Arc::new(RawAdapter::new(PthreadLock::new())), 4, 1_000);
         assert_eq!(n, 4_000);
     }
 
     #[test]
     fn abortable_adapter_times_out() {
-        let a = Arc::new(AbortableAdapter::new(BackoffLock::new()));
+        let a = Arc::new(RawAdapter::abortable(BackoffLock::new()));
         a.acquire_write();
         assert!(!a.acquire_write_with_patience(100_000));
         a.release_write();

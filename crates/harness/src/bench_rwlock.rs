@@ -10,11 +10,10 @@
 //! * [`StdRwAdapter`] — `std::sync::RwLock`, the NUMA-oblivious OS-level
 //!   baseline.
 //!
-//! The exclusive adapters ([`RawAdapter`](crate::RawAdapter),
-//! [`AbortableAdapter`](crate::AbortableAdapter),
-//! [`PthreadLock`](crate::PthreadLock)) are in `bench_lock.rs`.
+//! The third implementor, the exclusive [`RawAdapter`](crate::RawAdapter)
+//! over any `RawLock`, is in `bench_lock.rs`.
 
-use cohort::{CohortRwLock, CohortStats, GlobalLock, LocalCohortLock, RwWriteToken};
+use cohort::{CohortRwLock, CohortStats, LocalCohortLock, RwWriteToken, ThreadOblivious};
 use numa_topology::current_cluster_in;
 use std::cell::{RefCell, UnsafeCell};
 use std::sync::Arc;
@@ -77,7 +76,7 @@ pub trait BenchRwLock: Send + Sync {
 }
 
 /// Adapts any [`cohort::CohortRwLock`] to [`BenchRwLock`].
-pub struct CohortRwAdapter<G: GlobalLock, L: LocalCohortLock> {
+pub struct CohortRwAdapter<G: ThreadOblivious, L: LocalCohortLock> {
     lock: CohortRwLock<G, L>,
     /// Token of the in-flight *write* acquisition; holder-private (the
     /// same argument as [`crate::RawAdapter`]). Read tokens carry no
@@ -88,10 +87,10 @@ pub struct CohortRwAdapter<G: GlobalLock, L: LocalCohortLock> {
 
 // SAFETY: the write slot is holder-private (see field docs); the lock
 // itself is Sync.
-unsafe impl<G: GlobalLock, L: LocalCohortLock> Send for CohortRwAdapter<G, L> {}
-unsafe impl<G: GlobalLock, L: LocalCohortLock> Sync for CohortRwAdapter<G, L> {}
+unsafe impl<G: ThreadOblivious, L: LocalCohortLock> Send for CohortRwAdapter<G, L> {}
+unsafe impl<G: ThreadOblivious, L: LocalCohortLock> Sync for CohortRwAdapter<G, L> {}
 
-impl<G: GlobalLock, L: LocalCohortLock> CohortRwAdapter<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> CohortRwAdapter<G, L> {
     /// Wraps `lock`.
     pub fn new(lock: CohortRwLock<G, L>) -> Self {
         CohortRwAdapter {
@@ -101,7 +100,7 @@ impl<G: GlobalLock, L: LocalCohortLock> CohortRwAdapter<G, L> {
     }
 }
 
-impl<G: GlobalLock, L: LocalCohortLock> BenchRwLock for CohortRwAdapter<G, L> {
+impl<G: ThreadOblivious, L: LocalCohortLock> BenchRwLock for CohortRwAdapter<G, L> {
     fn acquire_read(&self) {
         // The token only records the acquiring cluster; that assignment
         // is sticky per thread, so release_read re-derives it and the

@@ -13,8 +13,8 @@
 //!   algorithms (including `pthread` as a parking-lot futex mutex) and
 //!   the reader-writer locks are driven through. An exclusive lock
 //!   implements the write side and inherits a read side that *is* the
-//!   write side; five types implement the trait ([`RawAdapter`],
-//!   [`AbortableAdapter`], [`PthreadLock`], [`CohortRwAdapter`],
+//!   write side; three types implement the trait ([`RawAdapter`] over
+//!   any `RawLock`, abortable or not, [`CohortRwAdapter`],
 //!   [`StdRwAdapter`]).
 //! * [`AnyLockKind`] — the registry over [`LockKind`] (the paper's lock
 //!   names, with the exact lock sets of each figure/table) and
@@ -44,8 +44,7 @@
 //! discrete-event simulation over the same coherence cost model (see the
 //! `modelled` module docs and ARCHITECTURE.md's "Modelled coherence
 //! mode"). The admission order a kind gets there is published as
-//! [`AnyLockKind::modelled_admission`] ([`ModelledAdmission`],
-//! [`TenureLimit`]).
+//! [`AnyLockKind::modelled_admission`] ([`ModelledAdmission`]).
 
 #![deny(missing_docs)]
 
@@ -63,13 +62,13 @@ mod runner;
 mod scenario;
 pub mod stats;
 
-pub use bench_lock::{AbortableAdapter, PthreadLock, RawAdapter};
+pub use bench_lock::{PthreadLock, RawAdapter};
 pub use bench_rwlock::{BenchRwLock, CohortRwAdapter, StdRwAdapter};
 pub use cohort::{CohortStats, PolicySpec};
 pub use env::EnvKnobError;
 pub use keyed::{KeyDist, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, KeyedSpec};
 pub use phys::TopologyMode;
-pub use registry::{AnyLockKind, LockKind, ModelledAdmission, RwLockKind, TenureLimit};
+pub use registry::{AnyLockKind, LockKind, ModelledAdmission, RwLockKind};
 pub use scenario::{
     run_scenario, run_scenario_on, CostMode, Field, LBenchConfig, LoadShape, LockReport, Phase,
     Placement, Scenario, ScenarioResult, TimeMode,

@@ -85,10 +85,10 @@
 
 use crate::bench_rwlock::BenchRwLock;
 use crate::program::{charge_cs, Client, Draw, Program};
-use crate::registry::{AnyLockKind, ModelledAdmission, TenureLimit};
+use crate::registry::{AnyLockKind, ModelledAdmission};
 use crate::scenario::{Counts, LatReservoir, LockReport};
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
-use cohort::{ClusterStats, CohortStats};
+use cohort::{ClusterStats, CohortStats, PolicySpec};
 use numa_topology::{vclock, ClusterId};
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -254,6 +254,24 @@ impl TenureBook {
         self.active = true;
     }
 
+    /// Whether the open tenure may pass to a cluster-mate at `now` under
+    /// `spec` — the one projection of a policy onto the simulator, which
+    /// has no wall clock and no contention signal: `WallTime` is a virtual
+    /// budget like `Time`, and `Adaptive` runs at its ceiling.
+    fn may_pass(&self, spec: PolicySpec, now: u64) -> bool {
+        self.active
+            && match spec {
+                PolicySpec::Count { bound } | PolicySpec::Adaptive { max: bound, .. } => {
+                    self.cur_streak < bound
+                }
+                PolicySpec::Time { budget_ns } | PolicySpec::WallTime { budget_ns } => {
+                    now.saturating_sub(self.cur_start) < budget_ns
+                }
+                PolicySpec::Unbounded => true,
+                PolicySpec::NeverPass => false,
+            }
+    }
+
     /// Records an intra-cluster pass within the current tenure.
     fn local_pass(&mut self) {
         debug_assert!(self.active);
@@ -343,17 +361,8 @@ impl Admission {
                 }
                 (self.recip_segment.pop(), false)
             }
-            ModelledAdmission::ClusterBatched(limit) => {
-                let may_pass = self.book.active
-                    && match limit {
-                        TenureLimit::Count(n) => self.book.cur_streak < n,
-                        TenureLimit::TimeNs(b) => {
-                            release_time.saturating_sub(self.book.cur_start) < b
-                        }
-                        TenureLimit::Unbounded => true,
-                        TenureLimit::Never => false,
-                    };
-                let local = if may_pass {
+            ModelledAdmission::ClusterBatched(spec) => {
+                let local = if self.book.may_pass(spec, release_time) {
                     self.waiting[self.book.cur_cluster as usize].pop_front()
                 } else {
                     None
@@ -771,17 +780,8 @@ mod tests {
                     }
                     (self.recip_segment.pop(), false)
                 }
-                ModelledAdmission::ClusterBatched(limit) => {
-                    let may_pass = self.book.active
-                        && match limit {
-                            TenureLimit::Count(n) => self.book.cur_streak < n,
-                            TenureLimit::TimeNs(b) => {
-                                release_time.saturating_sub(self.book.cur_start) < b
-                            }
-                            TenureLimit::Unbounded => true,
-                            TenureLimit::Never => false,
-                        };
-                    match (may_pass, best_local) {
+                ModelledAdmission::ClusterBatched(spec) => {
+                    match (self.book.may_pass(spec, release_time), best_local) {
                         (true, Some(local)) => (Some(local), true),
                         _ => (best, false),
                     }
@@ -824,14 +824,14 @@ mod tests {
         }
     }
 
-    /// Every admission class, each tenure limit included.
+    /// Every admission class, each kind of tenure bound included.
     const CLASSES: [ModelledAdmission; 6] = [
         ModelledAdmission::Fifo,
         ModelledAdmission::ReciprocatingStack,
-        ModelledAdmission::ClusterBatched(TenureLimit::Count(3)),
-        ModelledAdmission::ClusterBatched(TenureLimit::TimeNs(40)),
-        ModelledAdmission::ClusterBatched(TenureLimit::Unbounded),
-        ModelledAdmission::ClusterBatched(TenureLimit::Never),
+        ModelledAdmission::ClusterBatched(PolicySpec::Count { bound: 3 }),
+        ModelledAdmission::ClusterBatched(PolicySpec::Time { budget_ns: 40 }),
+        ModelledAdmission::ClusterBatched(PolicySpec::Unbounded),
+        ModelledAdmission::ClusterBatched(PolicySpec::NeverPass),
     ];
 
     /// Differential test of the waiting index against the scan oracle:
@@ -1157,7 +1157,7 @@ mod tests {
     #[test]
     fn count_bound_caps_streaks() {
         let mut c = cfg(8);
-        c.policy = Some(cohort::PolicySpec::Count { bound: 4 });
+        c.policy = Some(PolicySpec::Count { bound: 4 });
         c.noncs_max_ns = 0; // saturate so batches run to the bound
         let r = run_scenario(AnyLockKind::Excl(LockKind::CBoMcs), &modelled(), &c);
         assert!(r.max_streak <= 4, "max streak {} over bound", r.max_streak);
@@ -1166,9 +1166,35 @@ mod tests {
     }
 
     #[test]
+    fn wall_time_and_adaptive_project_onto_time_and_count() {
+        // The DES has no wall clock and no contention signal: `WallTime`
+        // runs as a virtual budget and `Adaptive` at its ceiling.
+        use PolicySpec::*;
+        let mut c = cfg(9);
+        c.clusters = 3;
+        c.noncs_max_ns = 0; // saturate so the bound, not the queue, ends tenures
+        let mut run = |policy| {
+            c.policy = Some(policy);
+            run_scenario(AnyLockKind::Excl(LockKind::CBoMcs), &modelled(), &c)
+        };
+        for (a, b) in [
+            (Time { budget_ns: 20_000 }, WallTime { budget_ns: 20_000 }),
+            (Adaptive { min: 2, max: 8 }, Count { bound: 8 }),
+        ] {
+            let (ra, rb) = (run(a), run(b));
+            assert!(ra.local_handoffs > 0, "{a}: no local handoffs to bound");
+            for ((name, x), (_, y)) in ra.fields().into_iter().zip(rb.fields()) {
+                if name != "policy" {
+                    assert_eq!(x, y, "{a} vs {b}: {name}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn never_pass_degenerates_to_fifo_migrations() {
         let mut c = cfg(8);
-        c.policy = Some(cohort::PolicySpec::NeverPass);
+        c.policy = Some(PolicySpec::NeverPass);
         let never = run_scenario(AnyLockKind::Excl(LockKind::CBoMcs), &modelled(), &c);
         c.policy = None;
         let mcs = run_scenario(AnyLockKind::Excl(LockKind::Mcs), &modelled(), &c);

@@ -10,16 +10,16 @@
 //! without a row; see docs/ARCHITECTURE.md, "One row per kind", for how
 //! a kind is added.
 
-use crate::bench_lock::{AbortableAdapter, PthreadLock, RawAdapter};
+use crate::bench_lock::{PthreadLock, RawAdapter};
 use crate::bench_rwlock::{BenchRwLock, CohortRwAdapter, StdRwAdapter};
 use base_locks::{
-    AbortableClhLock, ClhLock, FibBackoffLock, McsLock, RawAbortableLock, RawLock,
+    AbortableClhLock, ClhLock, FibBackoffLock, GlobalBoLock, McsLock, RawAbortableLock, RawLock,
     ReciprocatingLock, TatasLock, TicketLock,
 };
 use cohort::{
-    AbortableGlobalLock, AbortableLocalCohortLock, CBoMcs, CohortLock, CohortRwLock, FisBoMcs,
-    FissileLock, GcrLock, GlobalBoLock, GlobalLock, Introspect, LocalAClhLock, LocalAboLock,
-    LocalBoLock, LocalCohortLock, LocalMcsLock, LocalTicketLock, PolicySpec, RwFairness,
+    AbortableLocalCohortLock, CBoMcs, CohortLock, CohortRwLock, FisBoMcs, FissileLock, GcrLock,
+    Introspect, LocalAClhLock, LocalAboLock, LocalBoLock, LocalCohortLock, LocalMcsLock,
+    LocalTicketLock, PolicySpec, RwFairness, ThreadOblivious,
 };
 use numa_baselines::{CnaLock, FcMcsLock, HboLock, HboParams, HclhLock};
 use numa_topology::Topology;
@@ -84,9 +84,9 @@ impl Row {
     }
 }
 
-/// Batched admission at a default bound of `n` local handoffs.
-const fn batched(n: u64) -> ModelledAdmission {
-    ModelledAdmission::ClusterBatched(TenureLimit::Count(n))
+/// Batched admission at a default bound of `bound` local handoffs.
+const fn batched(bound: u64) -> ModelledAdmission {
+    ModelledAdmission::ClusterBatched(PolicySpec::Count { bound })
 }
 
 /// Batched admission at the paper's bound, the cohort family's default.
@@ -102,7 +102,7 @@ fn erase<L: RawLock + Introspect + 'static>(lock: L) -> Arc<dyn BenchRwLock> {
 
 /// Erases an abortable mutual-exclusion lock.
 fn erase_abortable<L: RawAbortableLock + Introspect + 'static>(lock: L) -> Arc<dyn BenchRwLock> {
-    Arc::new(AbortableAdapter::new(lock))
+    Arc::new(RawAdapter::abortable(lock))
 }
 
 /// A topology-oblivious lock `L`, as it comes.
@@ -121,7 +121,7 @@ fn or_paper(policy: Option<PolicySpec>) -> PolicySpec {
 /// C-G-L: global lock `G` over per-cluster local locks `L`.
 fn cohort<G, L>(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
 where
-    G: GlobalLock + Default + 'static,
+    G: ThreadOblivious + Default + 'static,
     L: LocalCohortLock + Default + 'static,
 {
     erase(CohortLock::<G, L>::with_policy(
@@ -133,7 +133,7 @@ where
 /// A-C-G-L: the abortable cohort compositions.
 fn abortable<G, L>(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
 where
-    G: AbortableGlobalLock + Default + 'static,
+    G: ThreadOblivious + RawAbortableLock + Default + 'static,
     L: AbortableLocalCohortLock + Default + 'static,
 {
     erase_abortable(CohortLock::<G, L>::with_policy(
@@ -145,7 +145,7 @@ where
 /// Fis-G-L: a TATAS word tried first, C-G-L underneath.
 fn fissile<G, L>(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
 where
-    G: GlobalLock + Default + 'static,
+    G: ThreadOblivious + Default + 'static,
     L: LocalCohortLock + Default + 'static,
 {
     erase(FissileLock::<G, L>::with_policy(
@@ -197,7 +197,7 @@ fn cohort_rw_at<G, L>(
     fairness: RwFairness,
 ) -> Arc<dyn BenchRwLock>
 where
-    G: GlobalLock + Default + 'static,
+    G: ThreadOblivious + Default + 'static,
     L: LocalCohortLock + Default + 'static,
 {
     Arc::new(CohortRwAdapter::new(
@@ -212,7 +212,7 @@ where
 /// C-RW-WP-G-L: [`cohort_rw_at`] under writer preference.
 fn cohort_rw<G, L>(topo: &Arc<Topology>, policy: Option<PolicySpec>) -> Arc<dyn BenchRwLock>
 where
-    G: GlobalLock + Default + 'static,
+    G: ThreadOblivious + Default + 'static,
     L: LocalCohortLock + Default + 'static,
 {
     cohort_rw_at::<G, L>(topo, policy, RwFairness::WriterPreference)
@@ -313,10 +313,8 @@ impl LockKind {
         type Mcs = LocalMcsLock;
         const TIGHT: u64 = LockKind::CNA_TIGHT_THRESHOLD;
         match self {
-            LockKind::Pthread => Row::new("pthread", Baseline, Fifo, |_, _| {
-                Arc::new(PthreadLock::new())
-            })
-            .with_rw(|_, _| Arc::new(StdRwAdapter::new())),
+            LockKind::Pthread => Row::new("pthread", Baseline, Fifo, raw::<PthreadLock>)
+                .with_rw(|_, _| Arc::new(StdRwAdapter::new())),
             LockKind::Tatas => Row::new("TATAS", Baseline, Fifo, raw::<TatasLock>),
             LockKind::FibBo => Row::new("Fib-BO", Baseline, Fifo, raw::<FibBackoffLock>),
             LockKind::Ticket => Row::new("Ticket", Baseline, Fifo, raw::<TicketLock>),
@@ -397,9 +395,9 @@ impl LockKind {
         match self.row() {
             Row {
                 family: Family::Cna,
-                admission: ModelledAdmission::ClusterBatched(TenureLimit::Count(n)),
+                admission: ModelledAdmission::ClusterBatched(PolicySpec::Count { bound }),
                 ..
-            } => Some(n),
+            } => Some(bound),
             _ => None,
         }
     }
@@ -648,47 +646,9 @@ impl AnyLockKind {
     pub fn modelled_admission(self, policy: Option<PolicySpec>) -> ModelledAdmission {
         match (self.row().admission, policy) {
             (ModelledAdmission::ClusterBatched(_), Some(spec)) => {
-                ModelledAdmission::ClusterBatched(TenureLimit::from_policy(spec))
+                ModelledAdmission::ClusterBatched(spec)
             }
             (class, _) => class,
-        }
-    }
-}
-
-/// Tenure bound a [`ModelledAdmission::ClusterBatched`] kind honors: the
-/// deterministic projection of a [`PolicySpec`] onto the modelled runner
-/// (which has no tenure book to consult — admission is decided by
-/// the simulator, not the lock).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TenureLimit {
-    /// At most `n` consecutive same-cluster handoffs per tenure
-    /// ([`PolicySpec::Count`]; also [`PolicySpec::Adaptive`]'s ceiling —
-    /// the modelled machine has no contention signal to adapt to, so the
-    /// projection takes the widest batch the policy could ever grant).
-    Count(u64),
-    /// Tenure ends once it has consumed this much **virtual** time
-    /// ([`PolicySpec::Time`]; [`PolicySpec::WallTime`] maps here too —
-    /// modelled runs never read the wall clock, so the budget is
-    /// reinterpreted over virtual nanoseconds).
-    TimeNs(u64),
-    /// Local handoffs never forced to end ([`PolicySpec::Unbounded`]).
-    Unbounded,
-    /// Every handoff goes through the global lock
-    /// ([`PolicySpec::NeverPass`]): batching degenerates to FIFO.
-    Never,
-}
-
-impl TenureLimit {
-    /// Projects a [`PolicySpec`] onto the modelled runner.
-    pub fn from_policy(spec: PolicySpec) -> Self {
-        match spec {
-            PolicySpec::Count { bound } => TenureLimit::Count(bound),
-            PolicySpec::Time { budget_ns } | PolicySpec::WallTime { budget_ns } => {
-                TenureLimit::TimeNs(budget_ns)
-            }
-            PolicySpec::Adaptive { max, .. } => TenureLimit::Count(max),
-            PolicySpec::Unbounded => TenureLimit::Unbounded,
-            PolicySpec::NeverPass => TenureLimit::Never,
         }
     }
 }
@@ -706,12 +666,14 @@ pub enum ModelledAdmission {
     /// conservatively books them as FIFO — they appear as baselines, not
     /// as cohort-equivalents, in modelled exhibits.
     Fifo,
-    /// Prefer a same-cluster waiter while the tenure limit allows, then
-    /// hand off to the earliest waiter overall — the cohort family, CNA
-    /// (whose secondary queue is cluster batching by another name), the
-    /// fissile wrappers (slow path is a cohort lock), and the GCR
-    /// wrappers over policy-driven inner locks.
-    ClusterBatched(TenureLimit),
+    /// Prefer a same-cluster waiter while the policy lets the tenure
+    /// continue, then hand off to the earliest waiter overall — the cohort
+    /// family, CNA (whose secondary queue is cluster batching by another
+    /// name), the fissile wrappers (slow path is a cohort lock), and the
+    /// GCR wrappers over policy-driven inner locks. The simulator has no
+    /// wall clock and no contention signal, so it runs `WallTime` as a
+    /// virtual budget like `Time` and `Adaptive` at its `max`.
+    ClusterBatched(PolicySpec),
     /// The Reciprocating lock's palindromic schedule: the waiting set is
     /// frozen into a *segment* at detach time and admitted newest-first;
     /// threads arriving later wait for the next segment (bounded bypass
@@ -784,6 +746,19 @@ mod tests {
         let topo = Arc::new(Topology::new(4));
         for kind in LockKind::FIG6 {
             assert!(kind.make(&topo).is_abortable(), "{kind} must abort");
+        }
+        // ...and nothing else does: the DES reads the same answer.
+        for kind in LockKind::ALL
+            .into_iter()
+            .filter(|k| !LockKind::FIG6.contains(k))
+        {
+            assert!(!kind.make(&topo).is_abortable(), "{kind} must not abort");
+        }
+        for kind in RwLockKind::FIG_RW {
+            assert!(
+                !kind.make(&topo, None).is_abortable(),
+                "{kind} must not abort"
+            );
         }
     }
 
@@ -1007,6 +982,7 @@ mod tests {
     #[test]
     fn modelled_admission_mirrors_the_policy_knob() {
         use ModelledAdmission::*;
+        const PAPER_COUNT: PolicySpec = PolicySpec::paper_default();
         // FIFO: queue/backoff baselines and the prior NUMA locks.
         for k in [
             LockKind::Mcs,
@@ -1026,32 +1002,35 @@ mod tests {
         for k in [LockKind::CBoMcs, LockKind::FisBoMcs, LockKind::GcrCBoMcs] {
             assert_eq!(
                 AnyLockKind::Excl(k).modelled_admission(None),
-                ClusterBatched(TenureLimit::Count(PolicySpec::PAPER_BOUND)),
+                ClusterBatched(PAPER_COUNT),
                 "{k}"
             );
         }
         assert_eq!(
             AnyLockKind::Excl(LockKind::CnaTight).modelled_admission(None),
-            ClusterBatched(TenureLimit::Count(LockKind::CNA_TIGHT_THRESHOLD))
+            ClusterBatched(PolicySpec::Count {
+                bound: LockKind::CNA_TIGHT_THRESHOLD
+            })
         );
         assert_eq!(
             AnyLockKind::Rw(RwLockKind::CRwWpBoMcs).modelled_admission(None),
-            ClusterBatched(TenureLimit::Count(PolicySpec::PAPER_BOUND))
+            ClusterBatched(PAPER_COUNT)
         );
-        // The policy knob projects exactly where the constructor honors it.
+        // The policy knob reaches the model exactly where the constructor
+        // honors it.
         assert_eq!(
             AnyLockKind::Excl(LockKind::CBoMcs)
                 .modelled_admission(Some(PolicySpec::Time { budget_ns: 9 })),
-            ClusterBatched(TenureLimit::TimeNs(9))
+            ClusterBatched(PolicySpec::Time { budget_ns: 9 })
         );
         assert_eq!(
             AnyLockKind::Excl(LockKind::CBoMcs)
                 .modelled_admission(Some(PolicySpec::Adaptive { min: 2, max: 8 })),
-            ClusterBatched(TenureLimit::Count(8))
+            ClusterBatched(PolicySpec::Adaptive { min: 2, max: 8 })
         );
         assert_eq!(
             AnyLockKind::Excl(LockKind::CBoMcs).modelled_admission(Some(PolicySpec::NeverPass)),
-            ClusterBatched(TenureLimit::Never)
+            ClusterBatched(PolicySpec::NeverPass)
         );
         // ...and is ignored where it would be ignored.
         assert_eq!(
@@ -1074,7 +1053,7 @@ mod tests {
         );
         assert_eq!(
             AnyLockKind::Excl(LockKind::CRecipMcs).modelled_admission(None),
-            ClusterBatched(TenureLimit::Count(PolicySpec::PAPER_BOUND))
+            ClusterBatched(PAPER_COUNT)
         );
     }
 
@@ -1126,7 +1105,7 @@ mod tests {
             .chain(RwLockKind::FIG_RW.map(AnyLockKind::Rw))
             .filter(|kind| kind.has_policy_knob());
         for kind in kinds {
-            let ModelledAdmission::ClusterBatched(TenureLimit::Count(bound)) =
+            let ModelledAdmission::ClusterBatched(PolicySpec::Count { bound }) =
                 kind.modelled_admission(None)
             else {
                 panic!("{kind}: a policy-driven row defaults to a count bound");

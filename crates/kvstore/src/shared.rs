@@ -123,7 +123,7 @@ mod tests {
     use super::*;
     use crate::store::KvConfig;
     use coherence_sim::{CostModel, Directory};
-    use lbench::{LockKind, PthreadLock, RwLockKind};
+    use lbench::{LockKind, PthreadLock, RawAdapter, RwLockKind};
     use numa_topology::Topology;
 
     fn kv_store() -> KvStore {
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn delete_under_lock() {
-        let s = shared(Arc::new(PthreadLock::new()));
+        let s = shared(Arc::new(RawAdapter::new(PthreadLock::new())));
         let cl = ClusterId::new(1);
         s.set(9, 90, cl);
         assert!(s.with_lock(|st| st.delete(9, cl)));
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn works_with_pthread_lock_too() {
-        let s = shared(Arc::new(PthreadLock::new()));
+        let s = shared(Arc::new(RawAdapter::new(PthreadLock::new())));
         s.set(1, 2, ClusterId::new(0));
         assert_eq!(s.get(1, ClusterId::new(0)), Some(2));
         assert!(!s.reads_are_shared());

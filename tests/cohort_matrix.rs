@@ -6,8 +6,8 @@
 
 use base_locks::{McsLock, RawLock, ReciprocatingLock, TicketLock};
 use cohort::{
-    CBoMcs, CohortLock, CohortStats, FisBoMcs, GcrLock, GlobalBoLock, GlobalLock, LocalAClhLock,
-    LocalAboLock, LocalBoLock, LocalCohortLock, LocalMcsLock, LocalTicketLock, PolicySpec,
+    CBoMcs, CohortLock, CohortStats, FisBoMcs, GcrLock, GlobalBoLock, LocalAClhLock, LocalAboLock,
+    LocalBoLock, LocalCohortLock, LocalMcsLock, LocalTicketLock, PolicySpec, ThreadOblivious,
 };
 use numa_baselines::CnaLock;
 use numa_topology::{ClusterId, Topology};
@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 fn stress<G, L>(threads: usize, iters: u64)
 where
-    G: GlobalLock + Default + 'static,
+    G: ThreadOblivious + Default + 'static,
     L: LocalCohortLock + Default + 'static,
 {
     let lock = Arc::new(CohortLock::<G, L>::new(Arc::new(Topology::new(4))));
@@ -91,7 +91,7 @@ matrix_test!(recip_over_tkt, ReciprocatingLock, LocalTicketLock);
 /// start or a local inheritance, and every tenure ends.
 fn policy_stress_on<G, L>(policy: PolicySpec, threads: u64, iters: u64) -> CohortStats
 where
-    G: GlobalLock + Default + 'static,
+    G: ThreadOblivious + Default + 'static,
     L: LocalCohortLock + Default + 'static,
 {
     let lock = Arc::new(CohortLock::<G, L>::with_policy(

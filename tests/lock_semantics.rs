@@ -2,7 +2,7 @@
 //! tokens crossing threads, guards over cohort locks, registry coverage.
 
 use base_locks::{RawLock, SpinMutex};
-use cohort::{CBoMcs, CTktTkt, FisBoMcs, GcrCBoMcs, GlobalLock};
+use cohort::{CBoMcs, CTktTkt, FisBoMcs, GcrCBoMcs, ThreadOblivious};
 use lbench::LockKind;
 use numa_topology::Topology;
 use std::sync::Arc;
@@ -34,26 +34,25 @@ fn spin_mutex_over_cohort_lock_guards_properly() {
     }
 }
 
-#[test]
-fn mcs_global_token_transfers_between_cohort_threads() {
-    // The C-MCS-MCS scenario distilled: a global MCS token taken by one
-    // thread and released by another, while a third contends.
-    let lock = Arc::new(base_locks::McsLock::new());
+/// A global token taken by one thread and released by another, while a
+/// third contends — what a cohort asks of its global lock.
+fn global_token_transfers<G: ThreadOblivious + 'static>(lock: G) {
+    let lock = Arc::new(lock);
     for _ in 0..50 {
-        let t = GlobalLock::lock(&*lock);
+        let t = lock.lock();
         let contender = {
             let lock = Arc::clone(&lock);
             std::thread::spawn(move || {
-                let t = GlobalLock::lock(&*lock);
+                let t = lock.lock();
                 // SAFETY: our own token.
-                unsafe { GlobalLock::unlock(&*lock, t) };
+                unsafe { lock.unlock(t) };
             })
         };
         let releaser = {
             let lock = Arc::clone(&lock);
             std::thread::spawn(move || {
                 // SAFETY: token handed over; thread-obliviousness.
-                unsafe { GlobalLock::unlock(&*lock, t) };
+                unsafe { lock.unlock(t) };
             })
         };
         releaser.join().unwrap();
@@ -62,32 +61,17 @@ fn mcs_global_token_transfers_between_cohort_threads() {
 }
 
 #[test]
+fn mcs_global_token_transfers_between_cohort_threads() {
+    // The C-MCS-MCS scenario distilled: the node in the token changes
+    // hands through the pools.
+    global_token_transfers(base_locks::McsLock::new());
+}
+
+#[test]
 fn recip_global_token_transfers_between_cohort_threads() {
-    // The C-Recip-MCS scenario distilled: a reciprocating token taken by
-    // one thread and released by another, while a third contends — the
-    // token is two plain words, so thread-obliviousness needs no
-    // node-ownership transfer at all.
-    let lock = Arc::new(base_locks::ReciprocatingLock::new());
-    for _ in 0..50 {
-        let t = GlobalLock::lock(&*lock);
-        let contender = {
-            let lock = Arc::clone(&lock);
-            std::thread::spawn(move || {
-                let t = GlobalLock::lock(&*lock);
-                // SAFETY: our own token.
-                unsafe { GlobalLock::unlock(&*lock, t) };
-            })
-        };
-        let releaser = {
-            let lock = Arc::clone(&lock);
-            std::thread::spawn(move || {
-                // SAFETY: token handed over; thread-obliviousness.
-                unsafe { GlobalLock::unlock(&*lock, t) };
-            })
-        };
-        releaser.join().unwrap();
-        contender.join().unwrap();
-    }
+    // The C-Recip-MCS scenario distilled: the token is two plain words,
+    // so thread-obliviousness needs no node-ownership transfer at all.
+    global_token_transfers(base_locks::ReciprocatingLock::new());
 }
 
 #[test]
