@@ -42,11 +42,12 @@
 //! When the machine is **oversubscribed** (threads ≫ cores), the [`gcr`]
 //! module wraps any of these locks — or any [`base_locks::RawLock`] at
 //! all — in a Generic Concurrency Restriction admission layer in the
-//! style of Dice & Kogan (arXiv:1905.10818): [`GcrLock<K>`] admits
-//! roughly one waiter per cluster to the contention path, parks the
-//! surplus on slow-spinning passive lists, and rotates parked threads in
-//! periodically for long-term fairness (aliases [`GcrMcs`],
-//! [`GcrCBoMcs`], [`GcrFisBoMcs`]).
+//! style of Dice & Kogan (arXiv:1905.10818): [`GcrLock<K>`] keeps one
+//! count of the threads competing for the inner lock, admits at most
+//! [`gcr::ACTIVE_CAP`] of them from one preferred cluster, queues the
+//! rest on per-cluster MCS passive queues, and rotates the preferred
+//! cluster every [`gcr::ROTATE_EVERY`] releases for long-term fairness
+//! (aliases [`GcrMcs`], [`GcrCBoMcs`], [`GcrFisBoMcs`]).
 //!
 //! The newest component is [`base_locks::ReciprocatingLock`] (Dice &
 //! Kogan, arXiv:2501.02380): a one-word arrivals stack whose release
@@ -111,7 +112,7 @@ pub mod rwlock;
 mod traits;
 
 pub use fast_path::{FissileLock, FissileToken, FissileTuning};
-pub use gcr::{GcrLock, GcrToken, GcrTuning};
+pub use gcr::{GcrLock, GcrToken};
 pub use local_abo::LocalAboLock;
 pub use local_aclh::{AClhToken, LocalAClhLock};
 pub use local_bo::LocalBoLock;
@@ -294,7 +295,7 @@ mod tests {
     #[test]
     fn gcr_mcs_mutual_exclusion() {
         // The admission layer over a plain queue lock: exclusion must
-        // hold across direct, admitted, and promoted acquisitions.
+        // hold across admitted, queued, and promoted acquisitions.
         stress(GcrMcs::over(topo(), McsLock::new()), 4, 1_500);
     }
 

@@ -138,9 +138,9 @@ fn fissile_mutex_guard_and_try_lock_semantics() {
 #[test]
 fn gcr_mutex_guard_and_try_lock_semantics() {
     // The admission wrapper behind the same RAII guard as every other
-    // composition: sticky grants, promotions, and self-deactivation all
-    // stay invisible to the guard user, and try_lock is exactly the
-    // inner lock's probe (never parks, never takes a grant).
+    // composition: passive queues and promotions stay invisible to the
+    // guard user, and try_lock is exactly the inner lock's probe (never
+    // parks, never counts as admitted).
     let topo = Arc::new(Topology::new(4));
     let m: Arc<SpinMutex<u64, GcrCBoMcs>> = Arc::new(SpinMutex::with_lock(
         GcrCBoMcs::over(Arc::clone(&topo), CBoMcs::new(Arc::clone(&topo))),

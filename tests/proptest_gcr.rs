@@ -1,35 +1,63 @@
 //! Property tests for the GCR admission layer: randomized thread
-//! counts, cluster counts, and adversarial admission tunings, each case
-//! checking the three GCR invariants:
+//! counts, cluster counts, run lengths and critical-section shapes, each
+//! case checking the GCR invariants:
 //!
 //! 1. **mutual exclusion through the wrapper** — the torn-counter
 //!    detector never observes a raced critical section, whichever mix
-//!    of direct grabs, sticky re-entries, self-claims, promotions, and
-//!    rotation culls the schedule produces (exclusion must be carried
-//!    entirely by the inner lock);
-//! 2. **no lost waiters** — every acquisition completes even under a
-//!    single admission slot and a single-spin poll budget: a parked
-//!    thread always escapes through a rotation grant, a freed slot, or
-//!    the barging backstop, so the run *finishing* at the exact op
-//!    count is itself the evidence; the accounting must balance —
-//!    promotions never exceed park events, and after every worker has
-//!    exited, every sticky grant has been given back (the active
-//!    counters drain to zero);
-//! 3. **rotation promotes parked threads** — with the epoch forced to
-//!    expire on every release, parked threads are brought in through
-//!    promotions (bounded wait), not merely through luck with freed
-//!    slots.
+//!    of direct entries, passive-queue waits and rotation promotions the
+//!    schedule produces (exclusion must be carried entirely by the inner
+//!    lock);
+//! 2. **no lost waiters** — every acquisition completes, so the run
+//!    *finishing* at the exact op count is itself the evidence (a stall
+//!    fails after 60 s with the lock's state, not as a suite timeout);
+//!    the accounting must balance — promotions never exceed park
+//!    events, and once every worker is done the active count is 0;
+//! 3. **rotation promotes parked threads** — with more threads than
+//!    [`ACTIVE_CAP`] on one cluster, waiting heads are brought in through
+//!    release-count promotions (bounded wait), not merely through luck
+//!    with a freed slot.
 
 use lock_cohorting::base_locks::{McsLock, RawLock};
-use lock_cohorting::cohort::{GcrLock, GcrTuning};
+use lock_cohorting::cohort::gcr::{GcrLock, ACTIVE_CAP, ROTATE_EVERY};
 use lock_cohorting::numa_topology::{
-    bind_current_thread, reset_thread_binding, vclock, ClusterId, Topology,
+    bind_current_thread, reset_thread_binding, ClusterId, Topology,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 type Gcr = GcrLock<McsLock>;
+
+/// Runs `body(i)` on `n` threads and returns their results, joining them
+/// once all report done within 60 s; a stall (or a panicking worker)
+/// panics with the lock's state instead of timing CI out.
+fn run_workers<F>(n: usize, lock: &Arc<Gcr>, body: F) -> Vec<u64>
+where
+    F: Fn(usize) -> u64 + Send + Sync + 'static,
+{
+    let (tx, rx) = mpsc::channel();
+    let body = Arc::new(body);
+    let handles: Vec<_> = (0..n)
+        .map(|i| {
+            let (tx, body) = (tx.clone(), Arc::clone(&body));
+            std::thread::spawn(move || {
+                let _ = tx.send(body(i));
+            })
+        })
+        .collect();
+    drop(tx);
+    let results = (0..n)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("GCR workers did not finish ({e}): {lock:?}"))
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("worker reported done");
+    }
+    results
+}
 
 /// Outcome of one randomized run, aggregated across its worker threads.
 struct RunOutcome {
@@ -43,59 +71,44 @@ fn run_contended(
     lock: &Arc<Gcr>,
     topo: &Arc<Topology>,
     threads: usize,
-    clusters: usize,
     iters: u64,
-    cs_advance_ns: u64,
+    cs_yield: bool,
 ) -> RunOutcome {
     let a = Arc::new(AtomicU64::new(0));
     let b = Arc::new(AtomicU64::new(0));
     let violations = Arc::new(AtomicU64::new(0));
-    // Start together and yield inside the critical section so arrivals
-    // actually collide (single-core hosts timeslice whole loops between
-    // preemption points otherwise) and the admission layer engages.
+    // Start together so arrivals actually collide and the passive
+    // queues fill.
     let barrier = Arc::new(Barrier::new(threads));
-    let handles: Vec<_> = (0..threads)
-        .map(|i| {
-            let lock = Arc::clone(lock);
-            let topo = Arc::clone(topo);
-            let a = Arc::clone(&a);
-            let b = Arc::clone(&b);
-            let violations = Arc::clone(&violations);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                bind_current_thread(&topo, ClusterId::new((i % clusters) as u32));
-                vclock::reset();
-                barrier.wait();
-                let mut ops = 0u64;
-                for _ in 0..iters {
-                    let t = lock.lock();
-                    let va = a.load(Ordering::Relaxed);
-                    let vb = b.load(Ordering::Relaxed);
-                    if va != vb {
-                        violations.fetch_add(1, Ordering::Relaxed);
-                    }
-                    a.store(va + 1, Ordering::Relaxed);
-                    // Advance the virtual clock while holding so the
-                    // rotation epoch actually expires mid-run.
-                    vclock::advance(cs_advance_ns);
-                    std::thread::yield_now();
-                    b.store(vb + 1, Ordering::Relaxed);
-                    // SAFETY: token from this lock's own `lock()`.
-                    unsafe { lock.unlock(t) };
-                    ops += 1;
-                }
-                reset_thread_binding();
-                ops
-            })
-        })
-        .collect();
-    let mut ops = 0u64;
-    for h in handles {
-        ops += h.join().expect("gcr worker panicked");
-    }
+    let (lock_w, topo, viol) = (Arc::clone(lock), Arc::clone(topo), Arc::clone(&violations));
+    let ops = run_workers(threads, lock, move |i| {
+        bind_current_thread(&topo, ClusterId::new((i % topo.clusters()) as u32));
+        barrier.wait();
+        for _ in 0..iters {
+            let t = lock_w.lock();
+            let va = a.load(Ordering::Relaxed);
+            let vb = b.load(Ordering::Relaxed);
+            if va != vb {
+                viol.fetch_add(1, Ordering::Relaxed);
+            }
+            a.store(va + 1, Ordering::Relaxed);
+            // Descheduling while holding stretches the critical section
+            // (single-core hosts timeslice whole loops otherwise).
+            if cs_yield {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+            b.store(vb + 1, Ordering::Relaxed);
+            // SAFETY: token from this lock's own `lock()`.
+            unsafe { lock_w.unlock(t) };
+        }
+        reset_thread_binding();
+        iters
+    });
     RunOutcome {
         violations: violations.load(Ordering::Relaxed),
-        ops,
+        ops: ops.iter().sum(),
     }
 }
 
@@ -104,103 +117,64 @@ proptest! {
 
     #[test]
     fn gcr_invariants_hold_under_random_configurations(
-        threads in 2usize..6,
+        threads in 2usize..9,
         clusters in 1usize..5,
-        iters in 40u64..120,
-        active_per_cluster in 1u32..3,
-        epoch_ns in 1u64..50_000,
-        promotion_budget in 1u32..4,
-        passive_spins in 1u32..64,
-        cs_advance_ns in 0u64..200,
+        iters in 40u64..600,
+        cs_yield in any::<bool>(),
     ) {
         let topo = Arc::new(Topology::new(clusters));
-        let lock: Arc<Gcr> = Arc::new(GcrLock::with_tuning(
-            Arc::clone(&topo),
-            McsLock::new(),
-            GcrTuning { active_per_cluster, epoch_ns, promotion_budget, passive_spins },
-        ));
-        let out = run_contended(&lock, &topo, threads, clusters, iters, cs_advance_ns);
+        let lock: Arc<Gcr> = Arc::new(GcrLock::over(Arc::clone(&topo), McsLock::new()));
+        let out = run_contended(&lock, &topo, threads, iters, cs_yield);
 
         // 1: mutual exclusion is carried by the inner lock, whatever
         // the admission layer decided.
         prop_assert_eq!(out.violations, 0, "critical section raced");
 
-        // 2: no lost waiters — a parked thread stuck forever would have
-        // deadlocked the run before this point; the ledger must balance.
+        // 2: no lost waiters — a head stuck forever would have stalled
+        // the run before this point; the ledger must balance.
         prop_assert_eq!(out.ops, threads as u64 * iters);
         prop_assert!(
             lock.promotions() <= lock.passive_parks(),
-            "{} promotions exceed {} park events (a node admitted twice?)",
+            "{} promotions exceed {} park events (a head admitted twice?)",
             lock.promotions(),
             lock.passive_parks()
         );
         let stats = lock.cohort_stats();
         prop_assert_eq!(stats.passive_parks, lock.passive_parks());
         prop_assert_eq!(stats.promotions, lock.promotions());
-
-        // Sticky-grant giveback: every worker exited, so every admission
-        // slot must have been returned.
-        for c in 0..clusters {
-            prop_assert_eq!(
-                lock.active_in(c), 0,
-                "cluster {} leaked admission slots", c
-            );
-        }
+        prop_assert_eq!(lock.active(), 0, "admissions outlived their releases: {:?}", lock);
     }
 }
 
-/// Deterministic companion: with the rotation epoch forced to expire on
-/// every release, parked threads must be brought in through promotions
-/// within a bounded number of lock/unlock cycles — the "rotation
-/// eventually promotes every parked thread" property in its simplest
-/// adversarial shape (single slot, single cluster, so every second
-/// arrival parks).
+/// Deterministic companion: `ACTIVE_CAP + 2` threads on one cluster keep
+/// a head waiting, so release-count rotations must promote it within a
+/// bounded number of lock/unlock cycles — the "rotation eventually
+/// promotes every waiting head" property in its simplest shape.
 #[test]
 fn rotation_promotes_within_bounded_cycles() {
-    let topo = Arc::new(Topology::new(1));
-    let lock: Arc<Gcr> = Arc::new(GcrLock::with_tuning(
-        Arc::clone(&topo),
-        McsLock::new(),
-        GcrTuning {
-            active_per_cluster: 1,
-            epoch_ns: 1,
-            promotion_budget: 1,
-            passive_spins: 8,
-        },
-    ));
-    let barrier = Arc::new(Barrier::new(2));
-    let handles: Vec<_> = (0..2)
-        .map(|_| {
-            let lock = Arc::clone(&lock);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                vclock::reset();
-                barrier.wait();
-                // Loop until the lock has witnessed a healthy number of
-                // promotions; the iteration cap bounds the wait (a
-                // rotation layer that stopped promoting fails the
-                // assert below rather than hanging the suite).
-                for _ in 0..200_000u64 {
-                    if lock.promotions() >= 5 {
-                        break;
-                    }
-                    let t = lock.lock();
-                    vclock::advance(10);
-                    std::thread::yield_now();
-                    // SAFETY: our own token.
-                    unsafe { lock.unlock(t) };
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    let threads = ACTIVE_CAP as usize + 2;
+    let lock: Arc<Gcr> = Arc::new(GcrLock::over(Arc::new(Topology::new(1)), McsLock::new()));
+    let barrier = Arc::new(Barrier::new(threads));
+    let lock_w = Arc::clone(&lock);
+    run_workers(threads, &lock, move |_| {
+        barrier.wait();
+        // Loop until the lock has witnessed a healthy number of
+        // promotions; the iteration cap bounds the wait (a rotation that
+        // stopped promoting fails the assert below rather than hanging).
+        for _ in 0..200 * ROTATE_EVERY {
+            if lock_w.promotions() >= 5 {
+                break;
+            }
+            let t = lock_w.lock();
+            std::thread::yield_now();
+            // SAFETY: our own token.
+            unsafe { lock_w.unlock(t) };
+        }
+        0
+    });
     assert!(
         lock.promotions() >= 5,
-        "rotation stopped promoting: {} promotions after {} parks",
-        lock.promotions(),
-        lock.passive_parks()
+        "rotation stopped promoting: {lock:?}"
     );
-    assert_eq!(lock.active_in(0), 0, "every sticky grant was given back");
+    assert_eq!(lock.active(), 0, "every admission was released");
 }
