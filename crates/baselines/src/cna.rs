@@ -399,7 +399,7 @@ unsafe impl RawLock for CnaLock {
         // while the policy allows the streak to continue.
         if self.policy.may_pass_local(cluster, streak) {
             if let Some(local) = self.find_local_successor(cluster.as_u32(), next, &mut sec) {
-                self.policy.handed_off(cluster, streak);
+                // The successor's streak carries this handoff to `ended`.
                 self.grant(local, sec, streak + 1);
                 pool::release(NonNull::new_unchecked(me));
                 return;

@@ -71,9 +71,9 @@ where
             LocalAbortResult::Rescued(ltok) => {
                 // The abort raced a committed local handoff and we became
                 // the owner of record (local lock + inherited global).
-                // Record the inheritance (streak bump — the predecessor
-                // already counted the handoff itself), then discharge both
-                // locks and report the timeout.
+                // Record the inheritance (streak bump — the streak is what
+                // counts the handoff, once, when this tenure ends), then
+                // discharge both locks and report the timeout.
                 // SAFETY: we hold the cohort lock; release it wholesale.
                 unsafe {
                     self.note_local_inheritance(cluster);

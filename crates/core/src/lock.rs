@@ -5,7 +5,7 @@ use crate::traits::{LocalCohortLock, Release, ThreadOblivious};
 use base_locks::RawLock;
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, global_topology, ClusterId, Topology};
-use std::cell::{Cell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::sync::Arc;
 
 /// Holder-private state of a cohort lock.
@@ -15,7 +15,8 @@ use std::sync::Arc;
 /// sound: the global token is stashed by whichever cohort member acquired
 /// the global lock and taken by whichever member eventually releases it
 /// (thread-obliviousness in action), and the streak counter implements the
-/// `may-pass-local` bound.
+/// `may-pass-local` bound and carries the tenure's handoff count to
+/// [`Tenures::ended`].
 struct HolderState<GT> {
     global_token: Option<GT>,
     streak: u64,
@@ -80,7 +81,10 @@ pub struct CohortLock<G: ThreadOblivious, L: LocalCohortLock> {
     topo: Arc<Topology>,
     global: G,
     locals: Box<[CachePadded<L>]>,
-    holder: UnsafeCell<HolderState<G::Token>>,
+    /// Padded: every new holder writes `streak`, and no arrival or
+    /// release should have to fetch that line back to read `topo`,
+    /// `locals` or `policy`.
+    holder: CachePadded<UnsafeCell<HolderState<G::Token>>>,
     policy: Tenures,
 }
 
@@ -111,10 +115,10 @@ where
             topo,
             global: G::default(),
             locals,
-            holder: UnsafeCell::new(HolderState {
+            holder: CachePadded::new(UnsafeCell::new(HolderState {
                 global_token: None,
                 streak: 0,
-            }),
+            })),
             policy,
         }
     }
@@ -239,11 +243,9 @@ impl<G: ThreadOblivious, L: LocalCohortLock> CohortLock<G, L> {
         let streak = (*self.holder.get()).streak;
         let pass = self.policy.may_pass_local(token.cluster, streak);
         // The closure runs iff the local lock ends the tenure (policy said
-        // stop, or no successor); record which way it went for the policy
-        // hook below.
-        let went_global = Cell::new(false);
+        // stop, or no successor). A committed local handoff records
+        // nothing: the successor's streak carries it to `ended`.
         local.unlock_local(token.local, pass, || {
-            went_global.set(true);
             // Close the tenure with the policy *before* releasing the
             // global lock: the next tenure's `began` (on any cluster)
             // runs under the freshly acquired global lock, so this
@@ -260,13 +262,6 @@ impl<G: ThreadOblivious, L: LocalCohortLock> CohortLock<G, L> {
                 .expect("cohort invariant: global token present at global release");
             self.global.unlock(g);
         });
-        if !went_global.get() {
-            // A local handoff committed. The successor may already be in
-            // its critical section (or even releasing), so this hook can
-            // run concurrently with same-cluster hooks — which is why a
-            // Tenures slot is all-atomic.
-            self.policy.handed_off(token.cluster, streak);
-        }
     }
 }
 
@@ -334,5 +329,41 @@ impl<G: ThreadOblivious, L: LocalCohortLock> std::fmt::Debug for CohortLock<G, L
             .field("clusters", &self.locals.len())
             .field("policy", &self.policy)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GlobalBoLock, LocalMcsLock};
+    use std::mem::{align_of, offset_of, size_of};
+
+    /// Every new holder writes `holder.streak`; every arrival reads `topo`
+    /// and `locals`, every release `policy`, and remote waiters spin on
+    /// `global`. None of them may sit on the holder's 128-byte block.
+    #[test]
+    fn holder_line_is_shared_with_no_other_field() {
+        type C = CohortLock<GlobalBoLock, LocalMcsLock>;
+        const LINE: usize = 128;
+        assert!(align_of::<C>() >= LINE, "offsets map onto lines");
+        let start = offset_of!(C, holder) / LINE * LINE;
+        let line = start..start + LINE;
+        let others = [
+            ("topo", offset_of!(C, topo), size_of::<Arc<Topology>>()),
+            (
+                "locals",
+                offset_of!(C, locals),
+                size_of::<Box<[CachePadded<LocalMcsLock>]>>(),
+            ),
+            ("global", offset_of!(C, global), size_of::<GlobalBoLock>()),
+            ("policy", offset_of!(C, policy), size_of::<Tenures>()),
+        ];
+        for (name, at, len) in others {
+            assert!(
+                at + len <= line.start || line.end <= at,
+                "`{name}` at {at}..{} shares the holder's line {line:?}",
+                at + len
+            );
+        }
     }
 }

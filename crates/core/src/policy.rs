@@ -22,11 +22,10 @@
 //!   and the two degenerate corners `Unbounded` (§3.7's "deeply unfair"
 //!   variant) and `NeverPass` (every release goes global).
 //! * [`Tenures`] — the one tenure book every policy-driven lock owns: a
-//!   spec plus one cache-padded slot per cluster, driven through four
+//!   spec plus one cache-padded slot per cluster, driven through three
 //!   hooks ([`began`](Tenures::began),
-//!   [`may_pass_local`](Tenures::may_pass_local),
-//!   [`handed_off`](Tenures::handed_off), [`ended`](Tenures::ended)) and
-//!   read back as a [`CohortStats`] snapshot.
+//!   [`may_pass_local`](Tenures::may_pass_local), [`ended`](Tenures::ended))
+//!   and read back as a [`CohortStats`] snapshot.
 
 use crossbeam_utils::CachePadded;
 use numa_topology::{vclock, ClusterId};
@@ -44,14 +43,14 @@ use std::time::Instant;
 pub struct ClusterStats {
     /// Tenures started (global-lock acquisitions by this cluster).
     pub tenures: u64,
-    /// Intra-cluster lock handoffs committed.
+    /// Intra-cluster lock handoffs committed, counted at tenure end: each
+    /// ended tenure adds its streak, so an open tenure's handoffs appear
+    /// when it ends (at most the bound under `Count`).
     pub local_handoffs: u64,
     /// Tenures ended (global-lock releases by this cluster).
     pub global_releases: u64,
-    /// Longest observed streak of consecutive local handoffs in one tenure.
+    /// Longest streak of consecutive local handoffs in one ended tenure.
     pub max_streak: u64,
-    /// Sum of per-tenure streak lengths at release (for mean-streak math).
-    pub sum_streak: u64,
 }
 
 /// Snapshot of a cohort lock's handoff behaviour, taken via
@@ -108,7 +107,7 @@ impl CohortStats {
         if releases == 0 {
             0.0
         } else {
-            self.per_cluster.iter().map(|c| c.sum_streak).sum::<u64>() as f64 / releases as f64
+            self.local_handoffs() as f64 / releases as f64
         }
     }
 
@@ -127,7 +126,6 @@ impl CohortStats {
             mine.local_handoffs += theirs.local_handoffs;
             mine.global_releases += theirs.global_releases;
             mine.max_streak = mine.max_streak.max(theirs.max_streak);
-            mine.sum_streak += theirs.sum_streak;
         }
         self.fast_acquisitions += other.fast_acquisitions;
         self.slow_acquisitions += other.slow_acquisitions;
@@ -189,30 +187,28 @@ impl Introspect for base_locks::ReciprocatingLock {}
 /// plus one cache-padded slot per cluster holding that cluster's counters
 /// and whatever per-tenure state the spec's rule reads.
 ///
-/// The lock invokes the four hooks from well-defined protocol points,
+/// The lock invokes the three hooks from well-defined protocol points,
 /// always on the thread currently holding it:
 ///
 /// * [`began`](Self::began) — the cluster just acquired the global lock; a
 ///   tenure begins.
 /// * [`may_pass_local`](Self::may_pass_local) — the holder is releasing
 ///   after `streak` consecutive local handoffs this tenure; may it hand
-///   off to a cluster-mate (if one is waiting)?
-/// * [`handed_off`](Self::handed_off) — a local handoff *committed* (a
-///   successor existed and inherited the global lock).
+///   off to a cluster-mate (if one is waiting)? A pure read.
 /// * [`ended`](Self::ended) — the tenure ended with a global release after
 ///   `streak` local handoffs.
 ///
-/// Concurrency contract: in `CohortLock`, [`began`](Self::began) and
-/// [`ended`](Self::ended) both run while the global lock is held (`ended`
-/// fires *before* the global unlock), so they are totally ordered —
-/// across all clusters, not just within one. CNA calls them after its
-/// tail CAS, where an uncontended `ended` can already overlap the next
-/// holder's `began`. [`may_pass_local`](Self::may_pass_local) and
-/// [`handed_off`](Self::handed_off) run on holders whose predecessor may
-/// still be finishing its own post-handoff hook, so in either lock they
-/// can overlap same-cluster hook calls. Hence every word of a slot is
-/// atomic (relaxed), which keeps [`snapshot`](Self::snapshot) race-free
-/// too.
+/// Concurrency contract: a committed local handoff writes nothing here.
+/// Its count travels in the holder's streak and reaches the book once,
+/// when [`ended`](Self::ended) adds the whole streak, so the handoff path
+/// touches no shared statistics line. In `CohortLock`,
+/// [`began`](Self::began) and [`ended`](Self::ended) both run while the
+/// global lock is held (`ended` fires *before* the global unlock), so they
+/// are totally ordered — across all clusters, not just within one. CNA
+/// calls them after its tail CAS, where an uncontended `ended` can already
+/// overlap the next holder's `began` and `may_pass_local`. Hence every
+/// word of a slot is atomic (relaxed), which keeps
+/// [`snapshot`](Self::snapshot) race-free too.
 ///
 /// Clocks are read only inside the hooks and only by the specs that need
 /// one (`Time`: the per-thread [virtual clock](numa_topology::vclock),
@@ -231,7 +227,6 @@ struct Slot {
     local_handoffs: AtomicU64,
     global_releases: AtomicU64,
     max_streak: AtomicU64,
-    sum_streak: AtomicU64,
     /// Stamp of the current tenure's start on the spec's clock (`Time`:
     /// virtual; `WallTime`, `Adaptive`: wall). Written by `began` only.
     started_ns: AtomicU64,
@@ -340,18 +335,8 @@ impl Tenures {
         }
     }
 
-    /// A local handoff committed on `cluster`; `streak` is the releaser's
-    /// count of handoffs already performed this tenure (so the new streak
-    /// is `streak + 1`).
-    #[inline]
-    pub fn handed_off(&self, cluster: ClusterId, streak: u64) {
-        let s = self.slot(cluster);
-        s.local_handoffs.fetch_add(1, Ordering::Relaxed);
-        s.max_streak.fetch_max(streak + 1, Ordering::Relaxed);
-    }
-
     /// The tenure on `cluster` ended with a global release after `streak`
-    /// local handoffs.
+    /// local handoffs, which are counted here and nowhere else.
     ///
     /// Under `Adaptive` this is where the cluster's bound moves: a tenure
     /// **cut off by the bound** (`streak >= bound`) means local demand
@@ -382,7 +367,7 @@ impl Tenures {
             s.last_release_ns.store(now, Ordering::Relaxed);
         }
         s.global_releases.fetch_add(1, Ordering::Relaxed);
-        s.sum_streak.fetch_add(streak, Ordering::Relaxed);
+        s.local_handoffs.fetch_add(streak, Ordering::Relaxed);
         s.max_streak.fetch_max(streak, Ordering::Relaxed);
     }
 
@@ -397,7 +382,6 @@ impl Tenures {
                     local_handoffs: s.local_handoffs.load(Ordering::Relaxed),
                     global_releases: s.global_releases.load(Ordering::Relaxed),
                     max_streak: s.max_streak.load(Ordering::Relaxed),
-                    sum_streak: s.sum_streak.load(Ordering::Relaxed),
                 })
                 .collect(),
             ..CohortStats::default()
@@ -741,8 +725,6 @@ mod tests {
     fn tracker_counts_and_snapshots() {
         let t = Tenures::new(PolicySpec::paper_default(), 2);
         t.began(c(0));
-        t.handed_off(c(0), 0);
-        t.handed_off(c(0), 1);
         t.ended(c(0), 2);
         t.began(c(1));
         t.ended(c(1), 0);
@@ -753,6 +735,19 @@ mod tests {
         assert_eq!(s.max_streak(), 2);
         assert_eq!(s.mean_streak(), 1.0);
         assert_eq!(s.per_cluster[1].local_handoffs, 0);
+
+        // A tenure's handoffs are counted when it ends, all at once: a
+        // snapshot taken mid-tenure sees none of them.
+        t.began(c(0));
+        let open = t.snapshot();
+        assert_eq!(open.per_cluster[0].tenures, 2);
+        assert_eq!(open.per_cluster[0].local_handoffs, 2, "none counted yet");
+        assert_eq!(open.per_cluster[0].global_releases, 1);
+        t.ended(c(0), 7);
+        let closed = t.snapshot().per_cluster[0];
+        assert_eq!(closed.local_handoffs, 2 + 7, "ended adds exactly 7");
+        assert_eq!(closed.max_streak, 7);
+        assert_eq!(closed.global_releases, 2);
     }
 
     #[test]
@@ -763,7 +758,6 @@ mod tests {
                 local_handoffs: 5,
                 global_releases: 2,
                 max_streak: 3,
-                sum_streak: 5,
             }],
             fast_acquisitions: 10,
             slow_acquisitions: 7,
@@ -777,7 +771,6 @@ mod tests {
                     local_handoffs: 9,
                     global_releases: 1,
                     max_streak: 9,
-                    sum_streak: 9,
                 },
                 ClusterStats {
                     tenures: 3,
@@ -809,7 +802,6 @@ mod tests {
                 local_handoffs: 6,
                 global_releases: 2,
                 max_streak: 4,
-                sum_streak: 6,
             }],
             fast_acquisitions: 3,
             slow_acquisitions: 8,

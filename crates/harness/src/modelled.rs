@@ -229,8 +229,8 @@ struct TenureBook {
     cur_streak: u64,
     cur_start: u64,
     tenures: u64,
+    /// Summed over closed tenures, as `cohort::Tenures::ended` counts it.
     local_handoffs: u64,
-    sum_streak: u64,
     max_streak: u64,
 }
 
@@ -238,7 +238,7 @@ impl TenureBook {
     /// Ends the current tenure (records its streak), if one is open.
     fn close(&mut self) {
         if self.active {
-            self.sum_streak += self.cur_streak;
+            self.local_handoffs += self.cur_streak;
             self.max_streak = self.max_streak.max(self.cur_streak);
             self.active = false;
         }
@@ -276,7 +276,6 @@ impl TenureBook {
     fn local_pass(&mut self) {
         debug_assert!(self.active);
         self.cur_streak += 1;
-        self.local_handoffs += 1;
     }
 }
 
@@ -687,7 +686,6 @@ pub(crate) fn simulate(
                 local_handoffs: book.local_handoffs,
                 global_releases: book.tenures,
                 max_streak: book.max_streak,
-                sum_streak: book.sum_streak,
             }],
             ..CohortStats::default()
         }),

@@ -1,7 +1,8 @@
 //! Pins every handoff policy's decisions: one scripted single-thread hook
 //! trace per [`PolicySpec`], asserting each `may_pass_local` answer and the
 //! final [`CohortStats`] field by field on three clusters. The scripts use
-//! nothing but the four tenure hooks, so they hold whatever structure
+//! nothing but the three tenure hooks (a committed handoff calls none: it
+//! lives in the streak that `ended` adds), so they hold whatever structure
 //! implements them.
 
 use cohort::{PolicySpec, Tenures as Book};
@@ -40,7 +41,6 @@ fn tenure_with(book: &Book, cluster: ClusterId, demand: u64, mut between: impl F
     book.began(cluster);
     let mut streak = 0;
     while streak < demand && book.may_pass_local(cluster, streak) {
-        book.handed_off(cluster, streak);
         streak += 1;
         between();
     }
@@ -57,9 +57,9 @@ fn first_refused(book: &Book, cluster: ClusterId) -> u64 {
         .expect("a streak-bounded policy refuses within 4096")
 }
 
-/// `[tenures, local_handoffs, global_releases, max_streak, sum_streak]`
-/// per cluster, compared field by field; the wrapper counters stay zero.
-fn assert_stats(book: &Book, want: [[u64; 5]; CLUSTERS]) {
+/// `[tenures, local_handoffs, global_releases, max_streak]` per cluster,
+/// compared field by field; the wrapper counters stay zero.
+fn assert_stats(book: &Book, want: [[u64; 4]; CLUSTERS]) {
     let label = book.label();
     let got = book.snapshot();
     assert_eq!(
@@ -73,11 +73,10 @@ fn assert_stats(book: &Book, want: [[u64; 5]; CLUSTERS]) {
                 got.tenures,
                 got.local_handoffs,
                 got.global_releases,
-                got.max_streak,
-                got.sum_streak
+                got.max_streak
             ],
             want,
-            "{label}: cluster {i} [tenures, local_handoffs, global_releases, max_streak, sum_streak]"
+            "{label}: cluster {i} [tenures, local_handoffs, global_releases, max_streak]"
         );
     }
     assert_eq!(got.fast_acquisitions, 0, "{label}");
@@ -86,7 +85,7 @@ fn assert_stats(book: &Book, want: [[u64; 5]; CLUSTERS]) {
     assert_eq!(got.promotions, 0, "{label}");
 }
 
-const IDLE: [u64; 5] = [0; 5];
+const IDLE: [u64; 4] = [0; 4];
 
 #[test]
 fn every_spec_replays_its_pinned_decisions() {
@@ -94,7 +93,7 @@ fn every_spec_replays_its_pinned_decisions() {
     let b = book(PolicySpec::Count { bound: 0 });
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
-    assert_stats(&b, [[2, 0, 2, 0, 0], IDLE, IDLE]);
+    assert_stats(&b, [[2, 0, 2, 0], IDLE, IDLE]);
 
     // count(1): exactly one handoff per tenure, on every cluster alike.
     let b = book(PolicySpec::Count { bound: 1 });
@@ -105,7 +104,7 @@ fn every_spec_replays_its_pinned_decisions() {
         0,
         "nobody waiting: no handoff to refuse"
     );
-    assert_stats(&b, [[1, 1, 1, 1, 1], IDLE, [2, 1, 2, 1, 1]]);
+    assert_stats(&b, [[1, 1, 1, 1], IDLE, [2, 1, 2, 1]]);
 
     // count(64): the paper's rule.
     let b = book(PolicySpec::Count { bound: 64 });
@@ -118,7 +117,7 @@ fn every_spec_replays_its_pinned_decisions() {
         10,
         "a cluster that runs dry ends early"
     );
-    assert_stats(&b, [IDLE, [2, 74, 2, 64, 74], IDLE]);
+    assert_stats(&b, [IDLE, [2, 74, 2, 64], IDLE]);
 
     // time(40ns): the tenure ends when the holder's virtual clock has
     // moved 40 ns past the tenure start, whatever the streak.
@@ -145,7 +144,7 @@ fn every_spec_replays_its_pinned_decisions() {
     vclock::advance(1);
     assert!(!b.may_pass_local(c(1), 0), "40 ns elapsed: budget spent");
     b.ended(c(1), 0);
-    assert_stats(&b, [[1, 4, 1, 4, 4], [1, 0, 1, 0, 0], IDLE]);
+    assert_stats(&b, [[1, 4, 1, 4], [1, 0, 1, 0], IDLE]);
     vclock::reset();
 
     // wall-time(u64::MAX ns) never expires; wall-time(0ns) never passes.
@@ -153,10 +152,10 @@ fn every_spec_replays_its_pinned_decisions() {
         budget_ns: u64::MAX,
     });
     assert_eq!(tenure(&b, c(2), 500), 500);
-    assert_stats(&b, [IDLE, IDLE, [1, 500, 1, 500, 500]]);
+    assert_stats(&b, [IDLE, IDLE, [1, 500, 1, 500]]);
     let b = book(PolicySpec::WallTime { budget_ns: 0 });
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
-    assert_stats(&b, [[1, 0, 1, 0, 0], IDLE, IDLE]);
+    assert_stats(&b, [[1, 0, 1, 0], IDLE, IDLE]);
 
     // adaptive(4..128) on cluster 1: starts at the paper's 64, doubles
     // after a cut-off tenure, holds after one that used a quarter or more
@@ -188,17 +187,17 @@ fn every_spec_replays_its_pinned_decisions() {
     assert_eq!(first_refused(&b, c(0)), 64, "bounds are per cluster");
     assert_eq!(first_refused(&b, c(2)), 64, "bounds are per cluster");
     // Streaks 64 + 128 + 32 + 31 + 4 = 259 over 10 tenures.
-    assert_stats(&b, [IDLE, [10, 259, 10, 128, 259], IDLE]);
+    assert_stats(&b, [IDLE, [10, 259, 10, 128], IDLE]);
 
     // unbounded: only an empty cluster ends a tenure.
     let b = book(PolicySpec::Unbounded);
     assert!(b.may_pass_local(c(0), u64::MAX));
     assert_eq!(tenure(&b, c(0), 1_000), 1_000);
-    assert_stats(&b, [[1, 1_000, 1, 1_000, 1_000], IDLE, IDLE]);
+    assert_stats(&b, [[1, 1_000, 1, 1_000], IDLE, IDLE]);
 
     // never-pass: every release is a global release.
     let b = book(PolicySpec::NeverPass);
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
     assert_eq!(tenure(&b, c(1), ENDLESS), 0);
-    assert_stats(&b, [[1, 0, 1, 0, 0], [1, 0, 1, 0, 0], IDLE]);
+    assert_stats(&b, [[1, 0, 1, 0], [1, 0, 1, 0], IDLE]);
 }
