@@ -190,6 +190,7 @@ impl Directory {
     ///
     /// Safe under a shared lock: concurrent loads of one line each land
     /// their transition (see [the type docs](Self#who-may-race)).
+    #[inline]
     pub fn read(&self, line: usize, cluster: ClusterId) -> u64 {
         debug_assert!(cluster.as_usize() < MAX_DIR_CLUSTERS);
         let cell = &self.lines[line];
@@ -212,6 +213,7 @@ impl Directory {
     ///
     /// The caller must be the only one accessing `line`, as a real store
     /// would require (see [the type docs](Self#who-may-race)).
+    #[inline]
     pub fn write(&self, line: usize, cluster: ClusterId) -> u64 {
         debug_assert!(cluster.as_usize() < MAX_DIR_CLUSTERS);
         let cell = &self.lines[line];

@@ -44,6 +44,7 @@ impl BatchHistogram {
         }
     }
 
+    #[inline]
     fn record(&self, len: u64) {
         let b = (63 - len.max(1).leading_zeros() as usize).min(Self::BUCKETS - 1);
         bump(&self.buckets[b]);
@@ -132,6 +133,7 @@ impl HandoffChannel {
     /// Records an acquisition by `cluster`: charges the handoff latency
     /// (local or remote) on top of the releaser's published timestamp and
     /// updates migration/batch statistics.
+    #[inline]
     pub fn on_acquire(&self, cluster: ClusterId) -> AcquireInfo {
         let packed = self.state.load(Ordering::Acquire);
         let prev_cluster = packed >> 56;
@@ -171,6 +173,7 @@ impl HandoffChannel {
 
     /// Publishes the releaser's current virtual time and cluster. Must be
     /// called while still holding the lock.
+    #[inline]
     pub fn on_release(&self, cluster: ClusterId) {
         let ts = vclock::now() & TS_MASK;
         self.state

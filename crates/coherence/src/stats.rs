@@ -28,6 +28,7 @@ thread_local! {
     };
 }
 
+#[inline]
 pub(crate) fn record(remote_miss: bool, cold_miss: bool, ns: u64) {
     STATS.with(|s| {
         let mut v = s.get();

@@ -41,14 +41,13 @@ use std::time::Instant;
 /// of one [`Tenures`] slot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterStats {
-    /// Tenures started (global-lock acquisitions by this cluster).
+    /// Tenures ended (global-lock releases by this cluster), written by
+    /// [`Tenures::ended`] alone: an open tenure is not counted yet.
     pub tenures: u64,
     /// Intra-cluster lock handoffs committed, counted at tenure end: each
     /// ended tenure adds its streak, so an open tenure's handoffs appear
     /// when it ends (at most the bound under `Count`).
     pub local_handoffs: u64,
-    /// Tenures ended (global-lock releases by this cluster).
-    pub global_releases: u64,
     /// Longest streak of consecutive local handoffs in one ended tenure.
     pub max_streak: u64,
 }
@@ -77,7 +76,7 @@ pub struct CohortStats {
 }
 
 impl CohortStats {
-    /// Total tenures (global-lock acquisitions) across clusters.
+    /// Total ended tenures (global-lock releases) across clusters.
     pub fn tenures(&self) -> u64 {
         self.per_cluster.iter().map(|c| c.tenures).sum()
     }
@@ -85,11 +84,6 @@ impl CohortStats {
     /// Total intra-cluster handoffs across clusters.
     pub fn local_handoffs(&self) -> u64 {
         self.per_cluster.iter().map(|c| c.local_handoffs).sum()
-    }
-
-    /// Total global releases across clusters.
-    pub fn global_releases(&self) -> u64 {
-        self.per_cluster.iter().map(|c| c.global_releases).sum()
     }
 
     /// Longest local-handoff streak observed on any cluster.
@@ -103,11 +97,11 @@ impl CohortStats {
 
     /// Mean local-handoff streak length per completed tenure.
     pub fn mean_streak(&self) -> f64 {
-        let releases = self.global_releases();
-        if releases == 0 {
+        let tenures = self.tenures();
+        if tenures == 0 {
             0.0
         } else {
-            self.local_handoffs() as f64 / releases as f64
+            self.local_handoffs() as f64 / tenures as f64
         }
     }
 
@@ -124,7 +118,6 @@ impl CohortStats {
         for (mine, theirs) in self.per_cluster.iter_mut().zip(&other.per_cluster) {
             mine.tenures += theirs.tenures;
             mine.local_handoffs += theirs.local_handoffs;
-            mine.global_releases += theirs.global_releases;
             mine.max_streak = mine.max_streak.max(theirs.max_streak);
         }
         self.fast_acquisitions += other.fast_acquisitions;
@@ -191,24 +184,26 @@ impl Introspect for base_locks::ReciprocatingLock {}
 /// always on the thread currently holding it:
 ///
 /// * [`began`](Self::began) — the cluster just acquired the global lock; a
-///   tenure begins.
+///   tenure begins. Writes no counter: only the clock stamps of `Time`,
+///   `WallTime` and `Adaptive`.
 /// * [`may_pass_local`](Self::may_pass_local) — the holder is releasing
 ///   after `streak` consecutive local handoffs this tenure; may it hand
 ///   off to a cluster-mate (if one is waiting)? A pure read.
 /// * [`ended`](Self::ended) — the tenure ended with a global release after
-///   `streak` local handoffs.
+///   `streak` local handoffs. Books the whole tenure: `tenures`, and
+///   `local_handoffs` / `max_streak` when the streak changes them.
 ///
-/// Concurrency contract: a committed local handoff writes nothing here.
-/// Its count travels in the holder's streak and reaches the book once,
-/// when [`ended`](Self::ended) adds the whole streak, so the handoff path
-/// touches no shared statistics line. In `CohortLock`,
+/// Concurrency contract: a tenure is booked once, when it ends, so a
+/// snapshot counts ended tenures only. A committed local handoff writes
+/// nothing here: its count travels in the holder's streak, so the handoff
+/// path touches no shared statistics line. In `CohortLock`,
 /// [`began`](Self::began) and [`ended`](Self::ended) both run while the
 /// global lock is held (`ended` fires *before* the global unlock), so they
 /// are totally ordered — across all clusters, not just within one. CNA
-/// calls them after its tail CAS, where an uncontended `ended` can already
-/// overlap the next holder's `began` and `may_pass_local`. Hence every
-/// word of a slot is atomic (relaxed), which keeps
-/// [`snapshot`](Self::snapshot) race-free too.
+/// calls `ended` after its tail CAS, where it can already overlap the
+/// next holder's hooks, that holder's `ended` included. Hence every word
+/// of a slot is atomic (relaxed) and every counter write is an RMW, which
+/// keeps [`snapshot`](Self::snapshot) race-free too.
 ///
 /// Clocks are read only inside the hooks and only by the specs that need
 /// one (`Time`: the per-thread [virtual clock](numa_topology::vclock),
@@ -225,7 +220,6 @@ pub struct Tenures {
 struct Slot {
     tenures: AtomicU64,
     local_handoffs: AtomicU64,
-    global_releases: AtomicU64,
     max_streak: AtomicU64,
     /// Stamp of the current tenure's start on the spec's clock (`Time`:
     /// virtual; `WallTime`, `Adaptive`: wall). Written by `began` only.
@@ -289,7 +283,7 @@ impl Tenures {
         &self.slots[cluster.as_usize()]
     }
 
-    /// A tenure starts on `cluster`.
+    /// A tenure starts on `cluster`; only the clocked specs stamp it.
     #[inline]
     pub fn began(&self, cluster: ClusterId) {
         let s = self.slot(cluster);
@@ -311,7 +305,6 @@ impl Tenures {
             }
             PolicySpec::Count { .. } | PolicySpec::Unbounded | PolicySpec::NeverPass => {}
         }
-        s.tenures.fetch_add(1, Ordering::Relaxed);
     }
 
     /// May the holder on `cluster` hand off locally after `streak`
@@ -336,7 +329,10 @@ impl Tenures {
     }
 
     /// The tenure on `cluster` ended with a global release after `streak`
-    /// local handoffs, which are counted here and nowhere else.
+    /// local handoffs; the tenure and its handoffs are counted here and
+    /// nowhere else. Only `tenures` is always written: a zero streak adds
+    /// nothing, and `max_streak` only grows, so a relaxed load that shows
+    /// it already at or above `streak` skips the RMW.
     ///
     /// Under `Adaptive` this is where the cluster's bound moves: a tenure
     /// **cut off by the bound** (`streak >= bound`) means local demand
@@ -366,9 +362,13 @@ impl Tenures {
             }
             s.last_release_ns.store(now, Ordering::Relaxed);
         }
-        s.global_releases.fetch_add(1, Ordering::Relaxed);
-        s.local_handoffs.fetch_add(streak, Ordering::Relaxed);
-        s.max_streak.fetch_max(streak, Ordering::Relaxed);
+        s.tenures.fetch_add(1, Ordering::Relaxed);
+        if streak > 0 {
+            s.local_handoffs.fetch_add(streak, Ordering::Relaxed);
+            if streak > s.max_streak.load(Ordering::Relaxed) {
+                s.max_streak.fetch_max(streak, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Plain-value snapshot of all counters.
@@ -380,7 +380,6 @@ impl Tenures {
                 .map(|s| ClusterStats {
                     tenures: s.tenures.load(Ordering::Relaxed),
                     local_handoffs: s.local_handoffs.load(Ordering::Relaxed),
-                    global_releases: s.global_releases.load(Ordering::Relaxed),
                     max_streak: s.max_streak.load(Ordering::Relaxed),
                 })
                 .collect(),
@@ -731,23 +730,45 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.tenures(), 2);
         assert_eq!(s.local_handoffs(), 2);
-        assert_eq!(s.global_releases(), 2);
         assert_eq!(s.max_streak(), 2);
         assert_eq!(s.mean_streak(), 1.0);
         assert_eq!(s.per_cluster[1].local_handoffs, 0);
 
-        // A tenure's handoffs are counted when it ends, all at once: a
-        // snapshot taken mid-tenure sees none of them.
+        // A tenure is booked when it ends, all at once: a snapshot taken
+        // mid-tenure counts neither the open tenure nor its handoffs.
         t.began(c(0));
-        let open = t.snapshot();
-        assert_eq!(open.per_cluster[0].tenures, 2);
-        assert_eq!(open.per_cluster[0].local_handoffs, 2, "none counted yet");
-        assert_eq!(open.per_cluster[0].global_releases, 1);
+        let open = t.snapshot().per_cluster[0];
+        assert_eq!(open.tenures, 1, "open tenure not counted yet");
+        assert_eq!(open.local_handoffs, 2, "none of its handoffs either");
         t.ended(c(0), 7);
         let closed = t.snapshot().per_cluster[0];
+        assert_eq!(closed.tenures, 2);
         assert_eq!(closed.local_handoffs, 2 + 7, "ended adds exactly 7");
         assert_eq!(closed.max_streak, 7);
-        assert_eq!(closed.global_releases, 2);
+
+        // A zero streak books exactly one tenure and nothing else.
+        t.began(c(0));
+        t.ended(c(0), 0);
+        let dry = t.snapshot().per_cluster[0];
+        assert_eq!(dry.tenures, 3);
+        assert_eq!(dry.local_handoffs, 2 + 7);
+        assert_eq!(dry.max_streak, 7);
+        // A shorter streak adds its handoffs and leaves the max alone.
+        t.began(c(0));
+        t.ended(c(0), 3);
+        let short = t.snapshot().per_cluster[0];
+        assert_eq!(short.local_handoffs, 2 + 7 + 3);
+        assert_eq!(short.max_streak, 7);
+    }
+
+    #[test]
+    fn count_began_writes_no_counter() {
+        let t = Tenures::new(PolicySpec::Count { bound: 4 }, 2);
+        t.began(c(1));
+        t.ended(c(1), 3);
+        let before = t.snapshot();
+        t.began(c(1));
+        assert_eq!(t.snapshot(), before);
     }
 
     #[test]
@@ -756,7 +777,6 @@ mod tests {
             per_cluster: vec![ClusterStats {
                 tenures: 2,
                 local_handoffs: 5,
-                global_releases: 2,
                 max_streak: 3,
             }],
             fast_acquisitions: 10,
@@ -769,7 +789,6 @@ mod tests {
                 ClusterStats {
                     tenures: 1,
                     local_handoffs: 9,
-                    global_releases: 1,
                     max_streak: 9,
                 },
                 ClusterStats {
@@ -800,7 +819,6 @@ mod tests {
             per_cluster: vec![ClusterStats {
                 tenures: 2,
                 local_handoffs: 6,
-                global_releases: 2,
                 max_streak: 4,
             }],
             fast_acquisitions: 3,
@@ -826,7 +844,7 @@ mod tests {
         vclock::advance(2);
         assert!(!p.may_pass_local(c(0), 0), "budget exhausted");
         p.ended(c(0), 3);
-        assert_eq!(p.snapshot().global_releases(), 1);
+        assert_eq!(p.snapshot().tenures(), 1);
         vclock::reset();
     }
 

@@ -672,7 +672,7 @@ pub(crate) fn simulate(
     vclock::set(saved_clock);
 
     // The simulator's own tenure book stands in for the lock's counters
-    // (every tenure is closed by now, so releases equal tenures); FIFO
+    // (every tenure is closed by now, so all of them count as ended); FIFO
     // and reciprocating kinds report none, mirroring `cohort_stats() ==
     // None`. The fast-path word and the GCR admission layer are not part
     // of the modelled mechanism abstraction (see module docs), so those
@@ -684,7 +684,6 @@ pub(crate) fn simulate(
             per_cluster: vec![ClusterStats {
                 tenures: book.tenures,
                 local_handoffs: book.local_handoffs,
-                global_releases: book.tenures,
                 max_streak: book.max_streak,
             }],
             ..CohortStats::default()

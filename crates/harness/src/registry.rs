@@ -817,7 +817,6 @@ mod tests {
                 .cohort_stats()
                 .expect("policy-driven locks expose stats");
             assert_eq!(stats.tenures(), 1, "{kind}");
-            assert_eq!(stats.global_releases(), 1, "{kind}");
         }
         assert!(LockKind::Mcs.make(&topo).cohort_stats().is_none());
         assert!(LockKind::Recip.make(&topo).cohort_stats().is_none());

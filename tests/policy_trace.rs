@@ -57,9 +57,25 @@ fn first_refused(book: &Book, cluster: ClusterId) -> u64 {
         .expect("a streak-bounded policy refuses within 4096")
 }
 
-/// `[tenures, local_handoffs, global_releases, max_streak]` per cluster,
-/// compared field by field; the wrapper counters stay zero.
-fn assert_stats(book: &Book, want: [[u64; 4]; CLUSTERS]) {
+/// [`tenure`] that also reports the bound in force, probed right after
+/// `began`: `[first refused streak, streak reached]`. Probing inside the
+/// tenure keeps the gap between tenures two calls wide, as in a lock, so
+/// `Adaptive`'s wall-clock shrink test (gap against tenure length) sees a
+/// gap no longer than the tenure however slow the probe runs.
+fn probed_tenure(book: &Book, cluster: ClusterId, demand: u64) -> [u64; 2] {
+    book.began(cluster);
+    let bound = first_refused(book, cluster);
+    let mut streak = 0;
+    while streak < demand && book.may_pass_local(cluster, streak) {
+        streak += 1;
+    }
+    book.ended(cluster, streak);
+    [bound, streak]
+}
+
+/// `[tenures, local_handoffs, max_streak]` per cluster, compared field by
+/// field; the wrapper counters stay zero.
+fn assert_stats(book: &Book, want: [[u64; 3]; CLUSTERS]) {
     let label = book.label();
     let got = book.snapshot();
     assert_eq!(
@@ -69,14 +85,9 @@ fn assert_stats(book: &Book, want: [[u64; 4]; CLUSTERS]) {
     );
     for (i, (got, want)) in got.per_cluster.iter().zip(want).enumerate() {
         assert_eq!(
-            [
-                got.tenures,
-                got.local_handoffs,
-                got.global_releases,
-                got.max_streak
-            ],
+            [got.tenures, got.local_handoffs, got.max_streak],
             want,
-            "{label}: cluster {i} [tenures, local_handoffs, global_releases, max_streak]"
+            "{label}: cluster {i} [tenures, local_handoffs, max_streak]"
         );
     }
     assert_eq!(got.fast_acquisitions, 0, "{label}");
@@ -85,7 +96,7 @@ fn assert_stats(book: &Book, want: [[u64; 4]; CLUSTERS]) {
     assert_eq!(got.promotions, 0, "{label}");
 }
 
-const IDLE: [u64; 4] = [0; 4];
+const IDLE: [u64; 3] = [0; 3];
 
 #[test]
 fn every_spec_replays_its_pinned_decisions() {
@@ -93,7 +104,7 @@ fn every_spec_replays_its_pinned_decisions() {
     let b = book(PolicySpec::Count { bound: 0 });
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
-    assert_stats(&b, [[2, 0, 2, 0], IDLE, IDLE]);
+    assert_stats(&b, [[2, 0, 0], IDLE, IDLE]);
 
     // count(1): exactly one handoff per tenure, on every cluster alike.
     let b = book(PolicySpec::Count { bound: 1 });
@@ -104,7 +115,7 @@ fn every_spec_replays_its_pinned_decisions() {
         0,
         "nobody waiting: no handoff to refuse"
     );
-    assert_stats(&b, [[1, 1, 1, 1], IDLE, [2, 1, 2, 1]]);
+    assert_stats(&b, [[1, 1, 1], IDLE, [2, 1, 1]]);
 
     // count(64): the paper's rule.
     let b = book(PolicySpec::Count { bound: 64 });
@@ -117,7 +128,7 @@ fn every_spec_replays_its_pinned_decisions() {
         10,
         "a cluster that runs dry ends early"
     );
-    assert_stats(&b, [IDLE, [2, 74, 2, 64], IDLE]);
+    assert_stats(&b, [IDLE, [2, 74, 64], IDLE]);
 
     // time(40ns): the tenure ends when the holder's virtual clock has
     // moved 40 ns past the tenure start, whatever the streak.
@@ -144,7 +155,7 @@ fn every_spec_replays_its_pinned_decisions() {
     vclock::advance(1);
     assert!(!b.may_pass_local(c(1), 0), "40 ns elapsed: budget spent");
     b.ended(c(1), 0);
-    assert_stats(&b, [[1, 4, 1, 4], [1, 0, 1, 0], IDLE]);
+    assert_stats(&b, [[1, 4, 4], [1, 0, 0], IDLE]);
     vclock::reset();
 
     // wall-time(u64::MAX ns) never expires; wall-time(0ns) never passes.
@@ -152,52 +163,60 @@ fn every_spec_replays_its_pinned_decisions() {
         budget_ns: u64::MAX,
     });
     assert_eq!(tenure(&b, c(2), 500), 500);
-    assert_stats(&b, [IDLE, IDLE, [1, 500, 1, 500]]);
+    assert_stats(&b, [IDLE, IDLE, [1, 500, 500]]);
     let b = book(PolicySpec::WallTime { budget_ns: 0 });
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
-    assert_stats(&b, [[1, 0, 1, 0], IDLE, IDLE]);
+    assert_stats(&b, [[1, 0, 0], IDLE, IDLE]);
 
     // adaptive(4..128) on cluster 1: starts at the paper's 64, doubles
     // after a cut-off tenure, holds after one that used a quarter or more
     // of the bound, halves after a drier one, and stays inside [4, 128].
+    // Each row is [bound in force, streak reached] of one tenure.
     let b = book(PolicySpec::Adaptive { min: 4, max: 128 });
-    assert_eq!(first_refused(&b, c(1)), 64, "64 clamped into [4, 128]");
-    assert_eq!(tenure(&b, c(1), ENDLESS), 64);
-    assert_eq!(first_refused(&b, c(1)), 128, "cut off: grow");
-    assert_eq!(tenure(&b, c(1), ENDLESS), 128);
     assert_eq!(
-        first_refused(&b, c(1)),
-        128,
+        probed_tenure(&b, c(1), ENDLESS),
+        [64, 64],
+        "64 clamped into [4, 128]"
+    );
+    assert_eq!(
+        probed_tenure(&b, c(1), ENDLESS),
+        [128, 128],
+        "cut off: grow"
+    );
+    assert_eq!(
+        probed_tenure(&b, c(1), 32),
+        [128, 32],
         "cut off at the ceiling: clamp"
     );
-    assert_eq!(tenure(&b, c(1), 32), 32);
-    assert_eq!(first_refused(&b, c(1)), 128, "32 * 4 = 128: hold");
-    assert_eq!(tenure(&b, c(1), 31), 31);
-    assert_eq!(first_refused(&b, c(1)), 64, "31 * 4 < 128: shrink");
-    for want in [32, 16, 8, 4, 4] {
-        assert_eq!(tenure(&b, c(1), 0), 0);
+    assert_eq!(probed_tenure(&b, c(1), 31), [128, 31], "32 * 4 = 128: hold");
+    assert_eq!(probed_tenure(&b, c(1), 0), [64, 0], "31 * 4 < 128: shrink");
+    for want in [32, 16, 8, 4] {
         assert_eq!(
-            first_refused(&b, c(1)),
-            want,
+            probed_tenure(&b, c(1), 0),
+            [want, 0],
             "dry tenures halve down to the floor"
         );
     }
-    assert_eq!(tenure(&b, c(1), ENDLESS), 4);
+    assert_eq!(
+        probed_tenure(&b, c(1), ENDLESS),
+        [4, 4],
+        "never below the floor"
+    );
     assert_eq!(first_refused(&b, c(1)), 8, "demand returns: grow again");
     assert_eq!(first_refused(&b, c(0)), 64, "bounds are per cluster");
     assert_eq!(first_refused(&b, c(2)), 64, "bounds are per cluster");
     // Streaks 64 + 128 + 32 + 31 + 4 = 259 over 10 tenures.
-    assert_stats(&b, [IDLE, [10, 259, 10, 128], IDLE]);
+    assert_stats(&b, [IDLE, [10, 259, 128], IDLE]);
 
     // unbounded: only an empty cluster ends a tenure.
     let b = book(PolicySpec::Unbounded);
     assert!(b.may_pass_local(c(0), u64::MAX));
     assert_eq!(tenure(&b, c(0), 1_000), 1_000);
-    assert_stats(&b, [[1, 1_000, 1, 1_000], IDLE, IDLE]);
+    assert_stats(&b, [[1, 1_000, 1_000], IDLE, IDLE]);
 
     // never-pass: every release is a global release.
     let b = book(PolicySpec::NeverPass);
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
     assert_eq!(tenure(&b, c(1), ENDLESS), 0);
-    assert_stats(&b, [[1, 0, 1, 0], [1, 0, 1, 0], IDLE]);
+    assert_stats(&b, [[1, 0, 0], [1, 0, 0], IDLE]);
 }

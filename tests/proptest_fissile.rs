@@ -134,7 +134,6 @@ proptest! {
             stats.slow_acquisitions,
             "slow-path accounting leaked across the word graft"
         );
-        prop_assert_eq!(stats.tenures(), stats.global_releases());
 
         // 3: the slow path's fairness bound survives the graft.
         prop_assert!(
@@ -144,42 +143,4 @@ proptest! {
             bound
         );
     }
-}
-
-/// Deterministic companion: a thread that finds the word held (claimed
-/// out from under the fast path) must fission into the slow path and
-/// still acquire once the holder releases — the "no lost waiters"
-/// property in its simplest adversarial shape.
-#[test]
-fn spinner_losing_the_word_fissions_and_completes() {
-    let topo = Arc::new(Topology::new(2));
-    let lock: Arc<Fis> = Arc::new(FissileLock::with_tuning(
-        Arc::clone(&topo),
-        PolicySpec::Count { bound: 4 },
-        FissileTuning {
-            fast_attempts: 1,
-            bypass_bound: 1,
-        },
-    ));
-    let t = lock.lock();
-    assert_eq!(lock.fast_acquisitions(), 1);
-    let l2 = Arc::clone(&lock);
-    let waiter = std::thread::spawn(move || {
-        let t2 = l2.lock();
-        // SAFETY: our own token.
-        unsafe { l2.unlock(t2) };
-    });
-    // The waiter can only get in through the slow path; wait for its
-    // cohort tenure to open, then release the word.
-    while lock.cohort_stats().tenures() == 0 {
-        std::thread::yield_now();
-    }
-    // SAFETY: our own token.
-    unsafe { lock.unlock(t) };
-    waiter.join().unwrap();
-    assert_eq!(lock.slow_acquisitions(), 1, "the loser went slow");
-    // The lock is fully reusable afterwards (fast path restored).
-    let t = lock.lock();
-    unsafe { lock.unlock(t) };
-    assert_eq!(lock.fast_acquisitions(), 2);
 }

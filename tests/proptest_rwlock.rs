@@ -139,7 +139,6 @@ proptest! {
             stats.max_streak(),
             bound
         );
-        prop_assert_eq!(stats.tenures(), stats.global_releases());
         prop_assert_eq!(stats.tenures() + stats.local_handoffs(), out.write_ops);
     }
 }
