@@ -353,16 +353,18 @@ unsafe impl RawLock for CnaLock {
         debug_assert_ne!(sec, SPIN_WAIT, "unlock by a non-holder");
 
         let mut next = (*me).next.load(Ordering::Acquire);
+        // No known successor and no secondary queue: the tenure ends here.
+        // Book it while still the holder, before the tail CAS below can
+        // leave the lock free to an arrival that books into the same slot.
+        let booked = next.is_null() && sec == SPIN_GRANTED;
         if next.is_null() {
-            // No known main-queue successor.
-            if sec == SPIN_GRANTED {
-                // …and no secondary queue: try to leave the lock free.
+            if booked {
+                self.policy.ended(cluster, streak);
                 if self
                     .tail
                     .compare_exchange(me, ptr::null_mut(), Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
                 {
-                    self.policy.ended(cluster, streak);
                     pool::release(NonNull::new_unchecked(me));
                     return;
                 }
@@ -395,9 +397,9 @@ unsafe impl RawLock for CnaLock {
             }
         }
 
-        // A main-queue successor exists. Try a deliberate local handoff
-        // while the policy allows the streak to continue.
-        if self.policy.may_pass_local(cluster, streak) {
+        // A main-queue successor exists. Unless booked, try a deliberate
+        // local handoff while the policy allows the streak to continue.
+        if !booked && self.policy.may_pass_local(cluster, streak) {
             if let Some(local) = self.find_local_successor(cluster.as_u32(), next, &mut sec) {
                 // The successor's streak carries this handoff to `ended`.
                 self.grant(local, sec, streak + 1);
@@ -406,10 +408,12 @@ unsafe impl RawLock for CnaLock {
             }
         }
 
-        // Streak over (threshold hit, or no local waiter in the scanned
-        // prefix): re-splice the secondary queue ahead of the remaining
-        // main queue and reset the streak.
-        self.policy.ended(cluster, streak);
+        // Streak over (threshold hit, no local waiter in the scanned
+        // prefix, or booked before a failed tail CAS): book it, re-splice
+        // the secondary queue ahead of the main queue, reset the streak.
+        if !booked {
+            self.policy.ended(cluster, streak);
+        }
         let succ = if sec != SPIN_GRANTED {
             let sec_head = sec as *mut CnaNode;
             let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);

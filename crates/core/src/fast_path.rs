@@ -39,7 +39,7 @@
 //! because fast-path acquisitions never touch the policy layer.
 
 use crate::lock::{CohortLock, CohortToken};
-use crate::policy::{CohortStats, Introspect, PolicySpec, Tenures};
+use crate::policy::{add_held, CohortStats, Introspect, PolicySpec, Tenures};
 use crate::traits::{LocalCohortLock, ThreadOblivious};
 use base_locks::{RawLock, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
@@ -131,9 +131,9 @@ pub struct FissileLock<G: ThreadOblivious, L: LocalCohortLock> {
     /// been bypassed `bypass_bound` times, lowered once it claims the
     /// word. New fast-path attempts stand down while raised.
     fence: CachePadded<AtomicBool>,
-    /// Fast-path acquisition count (relaxed: statistics only).
+    /// Fast-path acquisition count, written by the word holder alone.
     fast_acqs: CachePadded<AtomicU64>,
-    /// Slow-path acquisition count (relaxed: statistics only).
+    /// Slow-path acquisition count, written by the word holder alone.
     slow_acqs: CachePadded<AtomicU64>,
     /// The NUMA-aware slow path.
     slow: CohortLock<G, L>,
@@ -303,7 +303,7 @@ unsafe impl<G: ThreadOblivious, L: LocalCohortLock> RawLock for FissileLock<G, L
 
     fn lock(&self) -> Self::Token {
         if self.try_fast() {
-            self.fast_acqs.fetch_add(1, Ordering::Relaxed);
+            add_held(&self.fast_acqs, 1);
             return FissileToken { slow: None };
         }
         // Fission: fall into the NUMA-aware slow path. The cohort lock
@@ -312,7 +312,7 @@ unsafe impl<G: ThreadOblivious, L: LocalCohortLock> RawLock for FissileLock<G, L
         // fast path.
         let inner = self.slow.lock();
         self.claim_word();
-        self.slow_acqs.fetch_add(1, Ordering::Relaxed);
+        add_held(&self.slow_acqs, 1);
         FissileToken { slow: Some(inner) }
     }
 
@@ -326,7 +326,7 @@ unsafe impl<G: ThreadOblivious, L: LocalCohortLock> RawLock for FissileLock<G, L
             return None;
         }
         if self.fast_cas() {
-            self.fast_acqs.fetch_add(1, Ordering::Relaxed);
+            add_held(&self.fast_acqs, 1);
             return Some(FissileToken { slow: None });
         }
         None

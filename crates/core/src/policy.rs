@@ -196,14 +196,13 @@ impl Introspect for base_locks::ReciprocatingLock {}
 /// Concurrency contract: a tenure is booked once, when it ends, so a
 /// snapshot counts ended tenures only. A committed local handoff writes
 /// nothing here: its count travels in the holder's streak, so the handoff
-/// path touches no shared statistics line. In `CohortLock`,
-/// [`began`](Self::began) and [`ended`](Self::ended) both run while the
-/// global lock is held (`ended` fires *before* the global unlock), so they
-/// are totally ordered — across all clusters, not just within one. CNA
-/// calls `ended` after its tail CAS, where it can already overlap the
-/// next holder's hooks, that holder's `ended` included. Hence every word
-/// of a slot is atomic (relaxed) and every counter write is an RMW, which
-/// keeps [`snapshot`](Self::snapshot) race-free too.
+/// path touches no shared statistics line. Every hook runs while the lock
+/// is held — `CohortLock` calls [`ended`](Self::ended) *before* its global
+/// unlock, CNA before any tail CAS that can leave the lock free — so a
+/// slot has one writer at a time, and the lock's own release→acquire edge
+/// carries its values to the next holder. Hence every counter write is a
+/// relaxed load + store, no locked RMW; the words stay atomic only so
+/// that [`snapshot`](Self::snapshot) may read them from any thread.
 ///
 /// Clocks are read only inside the hooks and only by the specs that need
 /// one (`Time`: the per-thread [virtual clock](numa_topology::vclock),
@@ -231,6 +230,13 @@ struct Slot {
     /// `Adaptive`: gap between the last release and the current tenure's
     /// start — the re-acquisition cost signal.
     wait_ns: AtomicU64,
+}
+
+/// `word += by` by its only writer, the lock holder (see [`Tenures`]): a
+/// plain load and store, no locked read-modify-write.
+#[inline]
+pub(crate) fn add_held(word: &AtomicU64, by: u64) {
+    word.store(word.load(Ordering::Relaxed) + by, Ordering::Relaxed);
 }
 
 /// Monotonic nanoseconds since a process epoch.
@@ -330,9 +336,9 @@ impl Tenures {
 
     /// The tenure on `cluster` ended with a global release after `streak`
     /// local handoffs; the tenure and its handoffs are counted here and
-    /// nowhere else. Only `tenures` is always written: a zero streak adds
-    /// nothing, and `max_streak` only grows, so a relaxed load that shows
-    /// it already at or above `streak` skips the RMW.
+    /// nowhere else, by the holder alone (see the type docs). Only
+    /// `tenures` is always written: a zero streak adds nothing, and
+    /// `max_streak` is stored only when `streak` beats it.
     ///
     /// Under `Adaptive` this is where the cluster's bound moves: a tenure
     /// **cut off by the bound** (`streak >= bound`) means local demand
@@ -362,11 +368,11 @@ impl Tenures {
             }
             s.last_release_ns.store(now, Ordering::Relaxed);
         }
-        s.tenures.fetch_add(1, Ordering::Relaxed);
+        add_held(&s.tenures, 1);
         if streak > 0 {
-            s.local_handoffs.fetch_add(streak, Ordering::Relaxed);
+            add_held(&s.local_handoffs, streak);
             if streak > s.max_streak.load(Ordering::Relaxed) {
-                s.max_streak.fetch_max(streak, Ordering::Relaxed);
+                s.max_streak.store(streak, Ordering::Relaxed);
             }
         }
     }

@@ -11,8 +11,10 @@ use cohort::{
 };
 use numa_baselines::CnaLock;
 use numa_topology::{ClusterId, Topology};
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn stress<G, L>(threads: usize, iters: u64)
 where
@@ -433,6 +435,79 @@ fn unbounded_and_time_bound_conserve_counters() {
         800,
     );
     assert!(stats.tenures() > 0);
+}
+
+// ---------------------------------------------------------------------------
+// Lost bookings. The tenure book and the fissile counters are written by
+// the lock holder alone, as a plain load + store: a write issued once the
+// lock is free can race the next holder's and lose an update. Two threads
+// of one cluster with an empty critical section book into the same slot
+// as fast as the lock lets them, so every round must account for every
+// acquisition exactly.
+
+/// Rounds × acquisitions per thread of the one-cluster hammers (sized to
+/// stay within seconds under ThreadSanitizer).
+const HAMMER_ROUNDS: u64 = 20;
+const HAMMER_PER_THREAD: u64 = 100_000;
+
+/// Two threads of one cluster run lock + unlock `HAMMER_PER_THREAD` times
+/// each, joined under a 60 s deadline that panics with the lock's state.
+fn hammer_one_cluster<L: RawLock + Debug + Send + Sync + 'static>(lock: &Arc<L>) {
+    let (tx, rx) = mpsc::channel();
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
+            let (lock, tx) = (Arc::clone(lock), tx.clone());
+            std::thread::spawn(move || {
+                for _ in 0..HAMMER_PER_THREAD {
+                    let t = lock.lock();
+                    // SAFETY: token from this lock's own `lock()`.
+                    unsafe { lock.unlock(t) };
+                }
+                let _ = tx.send(());
+            })
+        })
+        .collect();
+    drop(tx);
+    for _ in &handles {
+        rx.recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("hammer workers did not finish ({e}): {lock:?}"));
+    }
+    for h in handles {
+        h.join().expect("worker reported done");
+    }
+}
+
+#[test]
+fn cbomcs_one_cluster_hammer_books_every_acquisition() {
+    for round in 0..HAMMER_ROUNDS {
+        let lock = Arc::new(CBoMcs::new(Arc::new(Topology::new(1))));
+        hammer_one_cluster(&lock);
+        let s = lock.cohort_stats();
+        assert_eq!(
+            s.tenures() + s.local_handoffs(),
+            2 * HAMMER_PER_THREAD,
+            "round {round}: {s}"
+        );
+    }
+}
+
+#[test]
+fn fissile_one_cluster_hammer_books_every_acquisition() {
+    for round in 0..HAMMER_ROUNDS {
+        let lock = Arc::new(FisBoMcs::new(Arc::new(Topology::new(1))));
+        hammer_one_cluster(&lock);
+        let s = lock.cohort_stats();
+        assert_eq!(
+            s.fast_acquisitions + s.slow_acquisitions,
+            2 * HAMMER_PER_THREAD,
+            "round {round}: {s}"
+        );
+        assert_eq!(
+            s.tenures() + s.local_handoffs(),
+            s.slow_acquisitions,
+            "round {round}: {s}"
+        );
+    }
 }
 
 #[test]

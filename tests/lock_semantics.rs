@@ -1,9 +1,11 @@
 //! Integration: cross-crate lock semantics that unit tests cannot cover —
-//! tokens crossing threads, guards over cohort locks, registry coverage.
+//! tokens crossing threads, guards over cohort locks (including a panic
+//! inside one), registry coverage.
 
 use base_locks::{RawLock, SpinMutex};
-use cohort::{CBoMcs, CTktTkt, FisBoMcs, GcrCBoMcs, ThreadOblivious};
+use cohort::{CBoMcs, CTktTkt, FisBoMcs, GcrCBoMcs, Introspect, ThreadOblivious};
 use lbench::LockKind;
+use numa_baselines::CnaLock;
 use numa_topology::Topology;
 use std::sync::Arc;
 
@@ -170,6 +172,44 @@ fn gcr_mutex_guard_and_try_lock_semantics() {
     let t = l.try_lock().expect("free lock");
     assert!(l.try_lock().is_none(), "held inner lock reports busy");
     unsafe { l.unlock(t) };
+}
+
+/// A thread panics while its guard holds `lock`: unwinding drops the
+/// guard, which must release every layer (local, global, fissile word)
+/// and book the acquisition exactly once.
+fn panic_in_critical_section_releases<L>(lock: L)
+where
+    L: RawLock + Introspect + Send + Sync + 'static,
+{
+    let m = Arc::new(SpinMutex::with_lock(lock, 0u64));
+    let panicker = {
+        let m = Arc::clone(&m);
+        std::thread::spawn(move || {
+            let mut guard = m.lock();
+            *guard = 7;
+            panic!("inside the critical section");
+        })
+    };
+    assert!(panicker.join().is_err(), "the critical section panicked");
+    let m2 = Arc::clone(&m);
+    let seen = std::thread::spawn(move || *m2.try_lock().expect("released by the unwind"))
+        .join()
+        .unwrap();
+    assert_eq!(seen, 7, "the panicking holder's write is visible");
+    let s = m.raw().tenure_stats().expect("a policy-driven lock");
+    assert_eq!(
+        s.tenures() + s.local_handoffs() + s.fast_acquisitions,
+        2,
+        "each acquisition booked once: {s}"
+    );
+}
+
+#[test]
+fn panic_inside_a_guarded_critical_section_releases_the_lock() {
+    let topo = Arc::new(Topology::new(4));
+    panic_in_critical_section_releases(CBoMcs::new(Arc::clone(&topo)));
+    panic_in_critical_section_releases(CnaLock::new(Arc::clone(&topo)));
+    panic_in_critical_section_releases(FisBoMcs::new(topo));
 }
 
 #[test]

@@ -19,7 +19,8 @@ use lock_cohorting::numa_topology::{
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 /// Outcome of one randomized run, aggregated across its worker threads.
 struct RunOutcome {
@@ -125,6 +126,51 @@ proptest! {
             "streak {} exceeds threshold {}",
             stats.max_streak(),
             bound
+        );
+    }
+}
+
+/// Deterministic companion for the empty-queue release. The property test
+/// yields inside the critical section, so a releaser almost always finds
+/// a successor; here two threads of one cluster run an empty critical
+/// section, so releases keep leaving the lock free with the tail CAS. The
+/// holder alone writes the tenure book (a plain load + store), so a
+/// booking issued after that CAS would race the next holder's on the same
+/// slot and lose updates: every round must account for every acquisition
+/// exactly. Workers join under a 60 s deadline that dumps the lock.
+#[test]
+fn one_cluster_hammer_books_every_acquisition() {
+    const ROUNDS: u64 = 20;
+    const PER_THREAD: u64 = 100_000;
+    for round in 0..ROUNDS {
+        let lock = Arc::new(CnaLock::new(Arc::new(Topology::new(1))));
+        let (tx, rx) = mpsc::channel();
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (lock, tx) = (Arc::clone(&lock), tx.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..PER_THREAD {
+                        let t = lock.lock();
+                        // SAFETY: token from this lock's own `lock()`.
+                        unsafe { lock.unlock(t) };
+                    }
+                    let _ = tx.send(());
+                })
+            })
+            .collect();
+        drop(tx);
+        for _ in &handles {
+            rx.recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("CNA workers did not finish ({e}): {lock:?}"));
+        }
+        for h in handles {
+            h.join().expect("worker reported done");
+        }
+        let s = lock.cohort_stats();
+        assert_eq!(
+            s.tenures() + s.local_handoffs(),
+            2 * PER_THREAD,
+            "round {round}: {s}"
         );
     }
 }
