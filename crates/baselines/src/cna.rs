@@ -31,6 +31,7 @@
 //! bounded policy re-splices it after finitely many local handoffs.
 
 use base_locks::{pool, RawLock, SpinWait, Wait};
+use cohort::policy::wall_ns;
 use cohort::{CohortStats, Introspect, PolicySpec, Tenures};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, ClusterId, Topology};
@@ -145,7 +146,7 @@ impl CnaLock {
     /// A CNA lock whose local-streak decisions are driven by an explicit
     /// handoff policy (the same value bounding cohort-lock tenures).
     pub fn with_policy(topo: Arc<Topology>, spec: PolicySpec) -> Self {
-        let policy = Tenures::new(spec, topo.clusters());
+        let policy = Tenures::new(spec, topo.clusters(), wall_ns);
         CnaLock {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             topo,

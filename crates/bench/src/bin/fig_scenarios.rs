@@ -46,7 +46,7 @@
 //! the bit; and one *real-time* smoke floor survives on the C-BO-MCS
 //! row (0.5× MCS) so the real-thread path keeps a sanity bound. The two
 //! tight real-time floors this replaces (0.75× and 0.95×) were the
-//! noisiest checks in the suite — single-thread wall-time ratios
+//! noisiest checks in the suite — single-thread wall-clock ratios
 //! flapped with host scheduling jitter, while the modelled statement
 //! cannot.
 
@@ -170,7 +170,7 @@ fn bursty_edge_check() -> Check<ScenCell> {
 ///
 /// This replaces the two noisiest checks in the suite — the real-time
 /// 0.75× (C-BO-MCS) and 0.95× (Fis-BO-MCS) uncontended floors. A
-/// single-thread wall-time ratio is at the mercy of host scheduling
+/// single-thread wall-clock ratio is at the mercy of host scheduling
 /// jitter, so those floors had to leave 5–25% of slack and still
 /// flapped on loaded CI runners. The modelled statement needs no slack:
 /// at one thread the admission order is irrelevant, so a modelled run

@@ -13,12 +13,13 @@
 //!
 //! The fairness policy is a value (see the [`policy`] module docs and the
 //! README's selection guide): `Count` is the paper's
-//! 64-consecutive-handoffs rule and the default; `Time` / `WallTime` cap
-//! tenures in clock nanoseconds; `Adaptive` adapts the bound to observed
-//! demand; `Unbounded` and `NeverPass` are the degenerate corners. Each
-//! lock owns one [`Tenures`] book — the spec plus cache-padded
-//! per-cluster counters — exposed via [`CohortLock::cohort_stats`] as a
-//! [`CohortStats`] snapshot.
+//! 64-consecutive-handoffs rule and the default; `Time` caps tenures in
+//! nanoseconds of the book's clock (the monotonic wall clock in every
+//! lock); `Adaptive` adapts the bound to observed demand; `Unbounded` and
+//! `NeverPass` are the degenerate corners. Each lock owns one [`Tenures`]
+//! book — the spec, its clock and cache-padded per-cluster counters —
+//! exposed via [`CohortLock::cohort_stats`] as a [`CohortStats`]
+//! snapshot.
 //!
 //! All seven compositions evaluated in the paper are provided under their
 //! paper names:

@@ -1,6 +1,6 @@
 //! The generic cohort lock — the paper's §2 transformation as one type.
 
-use crate::policy::{CohortStats, Introspect, PolicySpec, Tenures};
+use crate::policy::{wall_ns, CohortStats, Introspect, PolicySpec, Tenures};
 use crate::traits::{LocalCohortLock, Release, ThreadOblivious};
 use base_locks::RawLock;
 use crossbeam_utils::CachePadded;
@@ -110,7 +110,7 @@ where
         let locals = (0..topo.clusters())
             .map(|_| CachePadded::new(L::default()))
             .collect();
-        let policy = Tenures::new(spec, topo.clusters());
+        let policy = Tenures::new(spec, topo.clusters(), wall_ns);
         CohortLock {
             topo,
             global: G::default(),

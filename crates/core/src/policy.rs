@@ -15,20 +15,22 @@
 //! mechanism:
 //!
 //! * [`PolicySpec`] — which rule ends a tenure: `Count` (the paper's, 64
-//!   by default), `Time` / `WallTime` (tenure capped in clock nanoseconds,
-//!   so fairness degrades gracefully under variable-length critical
-//!   sections), `Adaptive` (a per-cluster bound that grows while cut-off
+//!   by default), `Time` (tenure capped in clock nanoseconds, so fairness
+//!   degrades gracefully under variable-length critical sections),
+//!   `Adaptive` (a per-cluster bound that grows while cut-off
 //!   tenures show local demand and shrinks when clusters run dry early),
 //!   and the two degenerate corners `Unbounded` (§3.7's "deeply unfair"
 //!   variant) and `NeverPass` (every release goes global).
 //! * [`Tenures`] — the one tenure book every policy-driven lock owns: a
-//!   spec plus one cache-padded slot per cluster, driven through three
-//!   hooks ([`began`](Tenures::began),
+//!   spec, the clock it reads, and one cache-padded slot per cluster,
+//!   driven through three hooks ([`began`](Tenures::began),
 //!   [`may_pass_local`](Tenures::may_pass_local), [`ended`](Tenures::ended))
-//!   and read back as a [`CohortStats`] snapshot.
+//!   and read back as a [`CohortStats`] snapshot. Every lock and the
+//!   modelled substrate run this one book; they differ only in the clock
+//!   they hand it.
 
 use crossbeam_utils::CachePadded;
-use numa_topology::{vclock, ClusterId};
+use numa_topology::ClusterId;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -176,16 +178,16 @@ impl Introspect for base_locks::ReciprocatingLock {}
 // ---------------------------------------------------------------------------
 // Tenures — the one tenure book
 
-/// The tenure book of one policy-driven lock: the [`PolicySpec`] in force
-/// plus one cache-padded slot per cluster holding that cluster's counters
-/// and whatever per-tenure state the spec's rule reads.
+/// The tenure book of one policy-driven lock: the [`PolicySpec`] in force,
+/// the clock its rule reads, and one cache-padded slot per cluster holding
+/// that cluster's counters and whatever per-tenure state the rule keeps.
 ///
 /// The lock invokes the three hooks from well-defined protocol points,
 /// always on the thread currently holding it:
 ///
 /// * [`began`](Self::began) — the cluster just acquired the global lock; a
-///   tenure begins. Writes no counter: only the clock stamps of `Time`,
-///   `WallTime` and `Adaptive`.
+///   tenure begins. Writes no counter: only the clock stamps of `Time` and
+///   `Adaptive`.
 /// * [`may_pass_local`](Self::may_pass_local) — the holder is releasing
 ///   after `streak` consecutive local handoffs this tenure; may it hand
 ///   off to a cluster-mate (if one is waiting)? A pure read.
@@ -204,14 +206,13 @@ impl Introspect for base_locks::ReciprocatingLock {}
 /// relaxed load + store, no locked RMW; the words stay atomic only so
 /// that [`snapshot`](Self::snapshot) may read them from any thread.
 ///
-/// Clocks are read only inside the hooks and only by the specs that need
-/// one (`Time`: the per-thread [virtual clock](numa_topology::vclock),
-/// where handoff channels keep successive holders' clocks causally
-/// monotone; `WallTime`: monotonic wall time, per release; `Adaptive`:
-/// monotonic wall time, once per tenure end, never per handoff), so a
-/// `Count` lock's uncontended path stays clock-free.
+/// The clock is fixed at construction ([`new`](Self::new)) and read only
+/// inside the hooks, only by the specs that need one (`Time`: per release;
+/// `Adaptive`: once at each tenure's start and end, never per handoff), so
+/// a `Count` lock's uncontended path stays clock-free.
 pub struct Tenures {
     spec: PolicySpec,
+    clock: fn() -> u64,
     slots: Box<[CachePadded<Slot>]>,
 }
 
@@ -220,12 +221,12 @@ struct Slot {
     tenures: AtomicU64,
     local_handoffs: AtomicU64,
     max_streak: AtomicU64,
-    /// Stamp of the current tenure's start on the spec's clock (`Time`:
-    /// virtual; `WallTime`, `Adaptive`: wall). Written by `began` only.
+    /// Stamp of the current tenure's start on the book's clock (`Time`,
+    /// `Adaptive`). Written by `began` only.
     started_ns: AtomicU64,
     /// `Adaptive`: this cluster's current bound, in `[min, max]`.
     bound: AtomicU64,
-    /// `Adaptive`: wall stamp of this cluster's last global release.
+    /// `Adaptive`: clock stamp of this cluster's last global release.
     last_release_ns: AtomicU64,
     /// `Adaptive`: gap between the last release and the current tenure's
     /// start — the re-acquisition cost signal.
@@ -239,20 +240,25 @@ pub(crate) fn add_held(word: &AtomicU64, by: u64) {
     word.store(word.load(Ordering::Relaxed) + by, Ordering::Relaxed);
 }
 
-/// Monotonic nanoseconds since a process epoch.
-fn wall_ns() -> u64 {
+/// Monotonic wall nanoseconds since a process epoch: the clock every
+/// lock's [`Tenures`] book reads.
+pub fn wall_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 impl Tenures {
-    /// A tenure book for `clusters` clusters under `spec`.
+    /// A tenure book for `clusters` clusters under `spec`, on `clock`
+    /// (nanoseconds; never read under `Count`, `Unbounded` or `NeverPass`).
+    /// A lock passes [`wall_ns`]; the modelled substrate passes its
+    /// simulation clock, set to the event's time before each hook. A
+    /// reading behind the tenure's start stamp counts as no time elapsed.
     ///
     /// # Panics
     ///
     /// On an `Adaptive` range violating `1 <= min <= max` (which
     /// [`PolicySpec::parse`] never returns).
-    pub fn new(spec: PolicySpec, clusters: usize) -> Self {
+    pub fn new(spec: PolicySpec, clusters: usize, clock: fn() -> u64) -> Self {
         let initial_bound = match spec {
             PolicySpec::Adaptive { min, max } => {
                 assert!(min >= 1 && min <= max, "{spec} needs 1 <= min <= max");
@@ -262,6 +268,7 @@ impl Tenures {
         };
         Tenures {
             spec,
+            clock,
             slots: (0..clusters)
                 .map(|_| {
                     CachePadded::new(Slot {
@@ -294,10 +301,9 @@ impl Tenures {
     pub fn began(&self, cluster: ClusterId) {
         let s = self.slot(cluster);
         match self.spec {
-            PolicySpec::Time { .. } => s.started_ns.store(vclock::now(), Ordering::Relaxed),
-            PolicySpec::WallTime { .. } => s.started_ns.store(wall_ns(), Ordering::Relaxed),
+            PolicySpec::Time { .. } => s.started_ns.store((self.clock)(), Ordering::Relaxed),
             PolicySpec::Adaptive { .. } => {
-                let now = wall_ns();
+                let now = (self.clock)();
                 let last = s.last_release_ns.load(Ordering::Relaxed);
                 s.wait_ns.store(
                     if last == 0 {
@@ -317,15 +323,12 @@ impl Tenures {
     /// consecutive local handoffs in the current tenure?
     #[inline]
     pub fn may_pass_local(&self, cluster: ClusterId, streak: u64) -> bool {
-        // Time rules: the holder's clock is causally at or past the tenure
-        // start (virtual: the handoff channel publishes the releaser's
-        // timestamp; wall: monotonic).
-        let elapsed =
-            |now: u64| now.saturating_sub(self.slot(cluster).started_ns.load(Ordering::Relaxed));
         match self.spec {
             PolicySpec::Count { bound } => streak < bound,
-            PolicySpec::Time { budget_ns } => elapsed(vclock::now()) < budget_ns,
-            PolicySpec::WallTime { budget_ns } => elapsed(wall_ns()) < budget_ns,
+            PolicySpec::Time { budget_ns } => {
+                let started = self.slot(cluster).started_ns.load(Ordering::Relaxed);
+                (self.clock)().saturating_sub(started) < budget_ns
+            }
             PolicySpec::Adaptive { .. } => {
                 streak < self.slot(cluster).bound.load(Ordering::Relaxed)
             }
@@ -353,7 +356,7 @@ impl Tenures {
     pub fn ended(&self, cluster: ClusterId, streak: u64) {
         let s = self.slot(cluster);
         if let PolicySpec::Adaptive { min, max } = self.spec {
-            let now = wall_ns();
+            let now = (self.clock)();
             let tenure_ns = now.saturating_sub(s.started_ns.load(Ordering::Relaxed));
             let bound = s.bound.load(Ordering::Relaxed);
             if streak >= bound {
@@ -415,21 +418,16 @@ pub enum PolicySpec {
         /// Maximum consecutive local handoffs per tenure.
         bound: u64,
     },
-    /// Tenure capped by elapsed nanoseconds on the per-thread
-    /// [virtual clock](numa_topology::vclock) rather than handoff count.
+    /// Tenure capped by elapsed nanoseconds on the book's clock rather
+    /// than handoff count: wall nanoseconds in a lock, simulated
+    /// nanoseconds in the modelled substrate.
     ///
     /// A count bound makes tenure *duration* proportional to
     /// critical-section length; under mixed workloads (some holders do
     /// 100 ns, some 100 µs) a time bound keeps the starvation window of
     /// remote clusters constant instead.
     Time {
-        /// Tenure budget in virtual nanoseconds.
-        budget_ns: u64,
-    },
-    /// [`Time`](Self::Time) over the monotonic wall clock — for real
-    /// hardware, where virtual clocks do not advance.
-    WallTime {
-        /// Tenure budget in wall nanoseconds.
+        /// Tenure budget in nanoseconds.
         budget_ns: u64,
     },
     /// A per-cluster handoff bound confined to `[min, max]` that adapts
@@ -464,8 +462,7 @@ impl PolicySpec {
     }
 
     /// Parses the spec syntax used by env knobs and CLI flags:
-    /// `count:<bound>`, `time:<budget_ns>` (virtual clock),
-    /// `walltime:<budget_ns>` (monotonic wall clock), `adaptive`,
+    /// `count:<bound>`, `time:<budget_ns>`, `adaptive`,
     /// `adaptive:<min>:<max>`, `unbounded`, `never` / `neverpass`.
     ///
     /// Errors name the offending field and the accepted syntax, so an env
@@ -522,17 +519,6 @@ impl PolicySpec {
                     budget_ns: number("time", "budget_ns", "time:<budget_ns>", parts.next())?,
                 },
                 "time:<budget_ns>",
-            ),
-            "walltime" | "wall-time" => (
-                PolicySpec::WallTime {
-                    budget_ns: number(
-                        "walltime",
-                        "budget_ns",
-                        "walltime:<budget_ns>",
-                        parts.next(),
-                    )?,
-                },
-                "walltime:<budget_ns>",
             ),
             "adaptive" => (
                 match parts.next() {
@@ -630,7 +616,7 @@ impl fmt::Display for PolicyParseError {
             PolicyParseError::UnknownPolicy { head } => write!(
                 f,
                 "unknown policy {head:?}; expected one of count:<bound>, time:<budget_ns>, \
-                 walltime:<budget_ns>, adaptive[:<min>:<max>], unbounded, never"
+                 adaptive[:<min>:<max>], unbounded, never"
             ),
             PolicyParseError::MissingField {
                 policy,
@@ -676,7 +662,6 @@ impl fmt::Display for PolicySpec {
         match self {
             PolicySpec::Count { bound } => write!(f, "count({bound})"),
             PolicySpec::Time { budget_ns } => write!(f, "time({budget_ns}ns)"),
-            PolicySpec::WallTime { budget_ns } => write!(f, "wall-time({budget_ns}ns)"),
             PolicySpec::Adaptive { min, max } => write!(f, "adaptive({min}..{max})"),
             PolicySpec::Unbounded => f.write_str("unbounded"),
             PolicySpec::NeverPass => f.write_str("never-pass"),
@@ -687,14 +672,26 @@ impl fmt::Display for PolicySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numa_topology::vclock;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The scripted clock: a test thread's own nanoseconds, moved only
+        /// by the test.
+        static NOW: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn now() -> u64 {
+        NOW.get()
+    }
 
     fn c(id: u32) -> ClusterId {
         ClusterId::new(id)
     }
 
-    /// A one-cluster book under `spec`.
+    /// A one-cluster book under `spec`, on the scripted clock.
     fn one(spec: PolicySpec) -> Tenures {
-        Tenures::new(spec, 1)
+        Tenures::new(spec, 1, now)
     }
 
     /// The first streak cluster 0's holder would be refused at.
@@ -728,7 +725,7 @@ mod tests {
 
     #[test]
     fn tracker_counts_and_snapshots() {
-        let t = Tenures::new(PolicySpec::paper_default(), 2);
+        let t = Tenures::new(PolicySpec::paper_default(), 2, now);
         t.began(c(0));
         t.ended(c(0), 2);
         t.began(c(1));
@@ -769,7 +766,7 @@ mod tests {
 
     #[test]
     fn count_began_writes_no_counter() {
-        let t = Tenures::new(PolicySpec::Count { bound: 4 }, 2);
+        let t = Tenures::new(PolicySpec::Count { bound: 4 }, 2, now);
         t.began(c(1));
         t.ended(c(1), 3);
         let before = t.snapshot();
@@ -840,8 +837,9 @@ mod tests {
 
     #[test]
     fn time_bound_expires_on_virtual_clock() {
+        // The modelled substrate hands its book the simulation clock.
         vclock::reset();
-        let p = one(PolicySpec::Time { budget_ns: 1_000 });
+        let p = Tenures::new(PolicySpec::Time { budget_ns: 1_000 }, 1, vclock::now);
         vclock::set(5_000);
         p.began(c(0));
         assert!(p.may_pass_local(c(0), 0), "fresh tenure has budget");
@@ -851,17 +849,25 @@ mod tests {
         assert!(!p.may_pass_local(c(0), 0), "budget exhausted");
         p.ended(c(0), 3);
         assert_eq!(p.snapshot().tenures(), 1);
+        assert_eq!(p.label(), "time(1000ns)");
         vclock::reset();
     }
 
     #[test]
     fn time_bound_wall_clock_mode() {
-        let p = one(PolicySpec::WallTime {
-            budget_ns: u64::MAX / 2,
-        });
-        p.began(c(0));
-        assert!(p.may_pass_local(c(0), 0), "huge wall budget never expires");
-        assert_eq!(p.label(), format!("wall-time({}ns)", u64::MAX / 2));
+        // Every lock hands its book the monotonic wall clock.
+        let wall = Tenures::new(
+            PolicySpec::Time {
+                budget_ns: u64::MAX / 2,
+            },
+            1,
+            wall_ns,
+        );
+        wall.began(c(0));
+        assert!(wall.may_pass_local(c(0), 0), "huge budget never expires");
+        let spent = Tenures::new(PolicySpec::Time { budget_ns: 0 }, 1, wall_ns);
+        spent.began(c(0));
+        assert!(!spent.may_pass_local(c(0), 0), "zero budget never passes");
     }
 
     #[test]
@@ -893,19 +899,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "adaptive(0..4)")]
     fn adaptive_range_is_validated_where_the_book_is_built() {
-        Tenures::new(PolicySpec::Adaptive { min: 0, max: 4 }, 1);
+        one(PolicySpec::Adaptive { min: 0, max: 4 });
     }
 
     #[test]
     #[should_panic(expected = "adaptive(9..4)")]
     fn adaptive_floor_above_ceiling_is_refused() {
-        Tenures::new(PolicySpec::Adaptive { min: 9, max: 4 }, 1);
+        one(PolicySpec::Adaptive { min: 9, max: 4 });
     }
 
     #[test]
     fn policy_spec_builds_and_prints() {
         assert_eq!(PolicySpec::paper_default(), PolicySpec::Count { bound: 64 });
-        let p = Tenures::new(PolicySpec::Count { bound: 5 }, 2);
+        let p = Tenures::new(PolicySpec::Count { bound: 5 }, 2, now);
         assert!(p.may_pass_local(c(0), 4));
         assert!(!p.may_pass_local(c(0), 5));
         assert_eq!(p.spec(), PolicySpec::Count { bound: 5 });
@@ -926,10 +932,6 @@ mod tests {
         assert_eq!(
             PolicySpec::parse("time:50000"),
             Ok(PolicySpec::Time { budget_ns: 50_000 })
-        );
-        assert_eq!(
-            PolicySpec::parse("walltime:9"),
-            Ok(PolicySpec::WallTime { budget_ns: 9 })
         );
         assert_eq!(
             PolicySpec::parse("adaptive"),

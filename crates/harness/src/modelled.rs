@@ -51,10 +51,12 @@
 //!   `cfg.mode` / `cfg.pace_wall` / `cfg.max_wall` are ignored: there is
 //!   no wall time to pace against and no scheduler to escape.
 //!
-//! Tenure statistics (`tenures`/`local_handoffs`/streaks) are booked by
-//! the simulator for batched kinds with the same invariant the real
-//! cohort locks pin in tests: `tenures + local_handoffs == acquisitions`.
-//! FIFO kinds report zeros, mirroring `cohort_stats() == None`.
+//! A batched kind runs its policy in the locks' own book,
+//! [`cohort::Tenures`], on the vclock and at the points `CohortLock` calls
+//! it, so every spec reaches the model as written; the book's snapshot is
+//! the run's tenure statistics (`tenures + local_handoffs ==
+//! acquisitions`). FIFO kinds report none, mirroring `cohort_stats() ==
+//! None`.
 //!
 //! # Cost per event
 //!
@@ -88,7 +90,7 @@ use crate::program::{charge_cs, Client, Draw, Program};
 use crate::registry::{AnyLockKind, ModelledAdmission};
 use crate::scenario::{Counts, LatReservoir, LockReport};
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
-use cohort::{ClusterStats, CohortStats, PolicySpec};
+use cohort::Tenures;
 use numa_topology::{vclock, ClusterId};
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -221,64 +223,6 @@ struct Th {
     live_abort: u64,
 }
 
-/// Tenure bookkeeping for cluster-batched kinds (unused for FIFO).
-#[derive(Default)]
-struct TenureBook {
-    active: bool,
-    cur_cluster: u32,
-    cur_streak: u64,
-    cur_start: u64,
-    tenures: u64,
-    /// Summed over closed tenures, as `cohort::Tenures::ended` counts it.
-    local_handoffs: u64,
-    max_streak: u64,
-}
-
-impl TenureBook {
-    /// Ends the current tenure (records its streak), if one is open.
-    fn close(&mut self) {
-        if self.active {
-            self.local_handoffs += self.cur_streak;
-            self.max_streak = self.max_streak.max(self.cur_streak);
-            self.active = false;
-        }
-    }
-
-    /// Starts a new tenure at `now` on `cluster` (closing any current).
-    fn open(&mut self, cluster: ClusterId, now: u64) {
-        self.close();
-        self.tenures += 1;
-        self.cur_cluster = cluster.as_u32();
-        self.cur_streak = 0;
-        self.cur_start = now;
-        self.active = true;
-    }
-
-    /// Whether the open tenure may pass to a cluster-mate at `now` under
-    /// `spec` — the one projection of a policy onto the simulator, which
-    /// has no wall clock and no contention signal: `WallTime` is a virtual
-    /// budget like `Time`, and `Adaptive` runs at its ceiling.
-    fn may_pass(&self, spec: PolicySpec, now: u64) -> bool {
-        self.active
-            && match spec {
-                PolicySpec::Count { bound } | PolicySpec::Adaptive { max: bound, .. } => {
-                    self.cur_streak < bound
-                }
-                PolicySpec::Time { budget_ns } | PolicySpec::WallTime { budget_ns } => {
-                    now.saturating_sub(self.cur_start) < budget_ns
-                }
-                PolicySpec::Unbounded => true,
-                PolicySpec::NeverPass => false,
-            }
-    }
-
-    /// Records an intra-cluster pass within the current tenure.
-    fn local_pass(&mut self) {
-        debug_assert!(self.active);
-        self.cur_streak += 1;
-    }
-}
-
 /// Who waits for the lock and who is admitted next: the kind's admission
 /// class over a **waiting index** — one queue per cluster, ascending by
 /// `(arrival, tid)`. Every question a grant asks is a front or a length
@@ -290,7 +234,8 @@ struct Admission {
     /// enters in `enqueue` and leaves through `pick` (granted, or frozen
     /// into a reciprocating segment) or `withdraw` (patience expired).
     waiting: Vec<VecDeque<(u64, usize)>>,
-    book: TenureBook,
+    /// [`ModelledAdmission::ClusterBatched`] only.
+    batch: Option<Batch>,
     /// [`ModelledAdmission::ReciprocatingStack`] only: the detached
     /// segment, sorted ascending by `(arrival, tid)` and admitted from
     /// the back (newest first — the palindromic reversal). Threads
@@ -302,12 +247,19 @@ struct Admission {
 }
 
 impl Admission {
-    fn new(class: ModelledAdmission, clusters: usize) -> Self {
+    /// An empty admission for `clusters` clusters in (cleared) buffers.
+    fn new(
+        class: ModelledAdmission,
+        clusters: usize,
+        mut waiting: Vec<VecDeque<(u64, usize)>>,
+        recip_segment: Vec<(u64, usize)>,
+    ) -> Self {
+        waiting.resize_with(clusters, VecDeque::new);
         Admission {
             class,
-            waiting: vec![VecDeque::new(); clusters],
-            book: TenureBook::default(),
-            recip_segment: Vec::new(),
+            waiting,
+            batch: Batch::of(class, clusters),
+            recip_segment,
             recip_detached: false,
         }
     }
@@ -341,7 +293,9 @@ impl Admission {
 
     /// Picks the next waiter under the kind's admission order and takes
     /// it out of the waiting set: `(arrival, tid, via_local)`, or `None`
-    /// when nobody waits (the lock goes free, ending the tenure).
+    /// when nobody waits. A batched release that does not pass locally
+    /// ends the tenure at `release_time`, as `CohortLock` ends it before
+    /// its global unlock.
     fn pick(&mut self, release_time: u64) -> Option<(u64, usize, bool)> {
         let (pick, via_local) = match self.class {
             ModelledAdmission::Fifo => (self.pop_earliest(), false),
@@ -360,21 +314,15 @@ impl Admission {
                 }
                 (self.recip_segment.pop(), false)
             }
-            ModelledAdmission::ClusterBatched(spec) => {
-                let local = if self.book.may_pass(spec, release_time) {
-                    self.waiting[self.book.cur_cluster as usize].pop_front()
-                } else {
-                    None
-                };
-                match local {
+            ModelledAdmission::ClusterBatched(_) => {
+                let batch = self.batch.as_mut().expect("a batched class keeps a book");
+                let waiting = &mut self.waiting;
+                match batch.release(release_time, |c| waiting[c.as_usize()].pop_front()) {
                     Some(local) => (Some(local), true),
                     None => (self.pop_earliest(), false),
                 }
             }
         };
-        if pick.is_none() {
-            self.book.close();
-        }
         pick.map(|(arrival, tid)| (arrival, tid, via_local))
     }
 
@@ -390,8 +338,8 @@ impl Admission {
     }
 
     /// Books a grant to a thread of `cluster` at `now` and returns its
-    /// succession census (accounting only — no vclock effect): how many
-    /// lines the grant decision fans out to. A FIFO/centralized
+    /// succession census (accounting only; it never advances the vclock):
+    /// how many lines the grant decision fans out to. A FIFO/centralized
     /// mechanism exposes its succession word to every spinning waiter;
     /// cluster batching confines the fan-out to the tenure's cluster;
     /// the reciprocating gate touches exactly one waiter's line, plus
@@ -400,15 +348,63 @@ impl Admission {
         match self.class {
             ModelledAdmission::Fifo => 1 + self.waiting.iter().map(|q| q.len() as u64).sum::<u64>(),
             ModelledAdmission::ClusterBatched(_) => {
-                if via_local {
-                    self.book.local_pass();
-                } else {
-                    self.book.open(cluster, now);
-                }
+                let batch = self.batch.as_mut().expect("a batched class keeps a book");
+                batch.grant(cluster, now, via_local);
                 1 + self.waiting[cluster.as_usize()].len() as u64
             }
             ModelledAdmission::ReciprocatingStack => {
                 1 + u64::from(std::mem::take(&mut self.recip_detached))
+            }
+        }
+    }
+}
+
+/// The tenures of a cluster-batched kind: the book every policy-driven
+/// lock runs, here on the simulation clock, and the open tenure's
+/// `(cluster, streak)` — the holder state `CohortLock` keeps. The hooks run
+/// where `CohortLock` runs them: `began` at a grant that did not pass
+/// locally, `may_pass_local` and `ended` at the release.
+struct Batch {
+    book: Tenures,
+    tenure: Option<(ClusterId, u64)>,
+}
+
+impl Batch {
+    fn of(class: ModelledAdmission, clusters: usize) -> Option<Batch> {
+        match class {
+            ModelledAdmission::ClusterBatched(spec) => Some(Batch {
+                book: Tenures::new(spec, clusters, vclock::now),
+                tenure: None,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The open tenure's holder releases at time `at`: it hands off to
+    /// `local(cluster)` where the policy allows and that returns a
+    /// cluster-mate, and otherwise ends the tenure.
+    fn release<T>(&mut self, at: u64, local: impl FnOnce(ClusterId) -> Option<T>) -> Option<T> {
+        let (cluster, streak) = self.tenure.expect("a release ends an open tenure");
+        vclock::set(at);
+        let may_pass = self.book.may_pass_local(cluster, streak);
+        let passed = may_pass.then(|| local(cluster)).flatten();
+        if passed.is_none() {
+            self.book.ended(cluster, streak);
+            self.tenure = None;
+        }
+        passed
+    }
+
+    /// A grant to `cluster` at `now`: a local pass extends the open
+    /// tenure's streak, any other grant begins a tenure.
+    fn grant(&mut self, cluster: ClusterId, now: u64, via_local: bool) {
+        match &mut self.tenure {
+            Some((_, streak)) if via_local => *streak += 1,
+            tenure => {
+                debug_assert!(tenure.is_none(), "a tenure begins after the last one ended");
+                vclock::set(now);
+                self.book.began(cluster);
+                *tenure = Some((cluster, 0));
             }
         }
     }
@@ -464,7 +460,7 @@ impl Sim<'_> {
             }
         }
         debug_assert!(self.holder.is_none());
-        self.adm.book.close();
+        debug_assert!(self.adm.batch.as_ref().is_none_or(|b| b.tenure.is_none()));
     }
 
     fn on_start(&mut self, tid: usize) {
@@ -647,9 +643,7 @@ pub(crate) fn simulate(
         waiting: None,
         live_abort: 0,
     }));
-    let mut adm = Admission::new(kind.modelled_admission(cfg.policy), 0);
-    (adm.waiting, adm.recip_segment) = (scratch.waiting, scratch.recip_segment);
-    adm.waiting.resize_with(cfg.clusters, VecDeque::new);
+    let class = kind.modelled_admission(cfg.policy);
     let mut sim = Sim {
         program,
         dir: Directory::new(cfg.cs_lines.max(1), model),
@@ -657,7 +651,7 @@ pub(crate) fn simulate(
         q: &mut scratch.q,
         ths: &mut scratch.ths,
         holder: None,
-        adm,
+        adm: Admission::new(class, cfg.clusters, scratch.waiting, scratch.recip_segment),
         serial_reads: lock.read_is_exclusive(),
         abortable: lock.is_abortable(),
         succ_transitions: 0,
@@ -671,23 +665,13 @@ pub(crate) fn simulate(
     let mut counts = Counts::new(cfg.threads, take_thread_stats().remote_misses);
     vclock::set(saved_clock);
 
-    // The simulator's own tenure book stands in for the lock's counters
-    // (every tenure is closed by now, so all of them count as ended); FIFO
-    // and reciprocating kinds report none, mirroring `cohort_stats() ==
-    // None`. The fast-path word and the GCR admission layer are not part
-    // of the modelled mechanism abstraction (see module docs), so those
-    // counters stay 0.
-    let book = &sim.adm.book;
-    let batched = matches!(sim.adm.class, ModelledAdmission::ClusterBatched(_));
+    // The simulated tenure book reports as the lock's would (every tenure
+    // has ended by now); FIFO and reciprocating kinds keep none, mirroring
+    // `cohort_stats() == None`. The fast-path word and the GCR admission
+    // layer are not part of the modelled mechanism abstraction (see module
+    // docs), so those counters stay 0.
     let report = LockReport {
-        cohort: batched.then(|| CohortStats {
-            per_cluster: vec![ClusterStats {
-                tenures: book.tenures,
-                local_handoffs: book.local_handoffs,
-                max_streak: book.max_streak,
-            }],
-            ..CohortStats::default()
-        }),
+        cohort: sim.adm.batch.as_ref().map(|b| b.book.snapshot()),
         succ_transitions: sim.succ_transitions,
         ..LockReport::of(&sim.handoff, lock)
     };
@@ -707,8 +691,10 @@ mod tests {
     use super::*;
     use crate::registry::LockKind;
     use crate::{run_scenario, LBenchConfig, Scenario};
+    use cohort::PolicySpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn cfg(threads: usize) -> LBenchConfig {
         LBenchConfig {
@@ -726,16 +712,28 @@ mod tests {
     /// a linear scan over every logical thread per question — obviously
     /// right, O(threads) per grant, and so test-only. A thread frozen
     /// into a reciprocating segment stays `waiting` here until granted.
+    /// Batched classes drive their own [`Batch`], so the policy's
+    /// answers are the book's, as in the index.
     struct ScanAdmission {
         class: ModelledAdmission,
         /// Per tid: its cluster and, while it waits, its arrival.
         ths: Vec<(ClusterId, Option<u64>)>,
-        book: TenureBook,
+        batch: Option<Batch>,
         recip_segment: Vec<(u64, usize)>,
         recip_detached: bool,
     }
 
     impl ScanAdmission {
+        fn new(class: ModelledAdmission, clusters: usize, cluster_of: &[ClusterId]) -> Self {
+            ScanAdmission {
+                class,
+                ths: cluster_of.iter().map(|&c| (c, None)).collect(),
+                batch: Batch::of(class, clusters),
+                recip_segment: Vec::new(),
+                recip_detached: false,
+            }
+        }
+
         fn enqueue(&mut self, arrival: u64, tid: usize) {
             self.ths[tid].1 = Some(arrival);
         }
@@ -745,20 +743,13 @@ mod tests {
         }
 
         fn pick(&mut self, release_time: u64) -> Option<(u64, usize, bool)> {
-            let mut best: Option<(u64, usize)> = None;
-            let mut best_local: Option<(u64, usize)> = None;
-            let tenure_cluster = self.book.cur_cluster;
-            for (i, (cluster, waiting)) in self.ths.iter().enumerate() {
-                if let Some(arrival) = *waiting {
-                    let key = (arrival, i);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                    if cluster.as_u32() == tenure_cluster && best_local.is_none_or(|b| key < b) {
-                        best_local = Some(key);
-                    }
-                }
-            }
+            let earliest = |only: Option<ClusterId>| {
+                (self.ths.iter().enumerate())
+                    .filter(|(_, (c, _))| only.is_none_or(|o| *c == o))
+                    .filter_map(|(i, (_, waiting))| waiting.map(|arrival| (arrival, i)))
+                    .min()
+            };
+            let best = earliest(None);
             let (pick, via_local) = match self.class {
                 ModelledAdmission::Fifo => (best, false),
                 ModelledAdmission::ReciprocatingStack => {
@@ -777,16 +768,16 @@ mod tests {
                     }
                     (self.recip_segment.pop(), false)
                 }
-                ModelledAdmission::ClusterBatched(spec) => {
-                    match (self.book.may_pass(spec, release_time), best_local) {
-                        (true, Some(local)) => (Some(local), true),
-                        _ => (best, false),
+                ModelledAdmission::ClusterBatched(_) => {
+                    let batch = self.batch.as_mut().expect("a batched class keeps a book");
+                    match batch.release(release_time, |c| earliest(Some(c))) {
+                        Some(local) => (Some(local), true),
+                        None => (best, false),
                     }
                 }
             };
-            match pick {
-                None => self.book.close(),
-                Some((_, tid)) => self.ths[tid].1 = None,
+            if let Some((_, tid)) = pick {
+                self.ths[tid].1 = None;
             }
             pick.map(|(arrival, tid)| (arrival, tid, via_local))
         }
@@ -810,23 +801,20 @@ mod tests {
                 }
             };
             self.recip_detached = false;
-            if let ModelledAdmission::ClusterBatched(_) = self.class {
-                if via_local {
-                    self.book.local_pass();
-                } else {
-                    self.book.open(cluster, now);
-                }
+            if let Some(batch) = &mut self.batch {
+                batch.grant(cluster, now, via_local);
             }
             census
         }
     }
 
     /// Every admission class, each kind of tenure bound included.
-    const CLASSES: [ModelledAdmission; 6] = [
+    const CLASSES: [ModelledAdmission; 7] = [
         ModelledAdmission::Fifo,
         ModelledAdmission::ReciprocatingStack,
         ModelledAdmission::ClusterBatched(PolicySpec::Count { bound: 3 }),
         ModelledAdmission::ClusterBatched(PolicySpec::Time { budget_ns: 40 }),
+        ModelledAdmission::ClusterBatched(PolicySpec::Adaptive { min: 1, max: 4 }),
         ModelledAdmission::ClusterBatched(PolicySpec::Unbounded),
         ModelledAdmission::ClusterBatched(PolicySpec::NeverPass),
     ];
@@ -852,14 +840,8 @@ mod tests {
                 let cluster_of: Vec<ClusterId> = (0..threads)
                     .map(|_| ClusterId::new(rng.gen_range(0..clusters) as u32))
                     .collect();
-                let mut index = Admission::new(class, clusters);
-                let mut scan = ScanAdmission {
-                    class,
-                    ths: cluster_of.iter().map(|&c| (c, None)).collect(),
-                    book: TenureBook::default(),
-                    recip_segment: Vec::new(),
-                    recip_detached: false,
-                };
+                let mut index = Admission::new(class, clusters, Vec::new(), Vec::new());
+                let mut scan = ScanAdmission::new(class, clusters, &cluster_of);
                 let mut st = vec![St::Idle; threads];
                 let mut holder: Option<usize> = None;
                 let mut now = 0u64;
@@ -929,14 +911,9 @@ mod tests {
         for class in CLASSES {
             for clusters in [1usize, 3, 4] {
                 let cluster_of = |tid: usize| ClusterId::new((tid % clusters) as u32);
-                let mut index = Admission::new(class, clusters);
-                let mut scan = ScanAdmission {
-                    class,
-                    ths: (0..THREADS).map(|tid| (cluster_of(tid), None)).collect(),
-                    book: TenureBook::default(),
-                    recip_segment: Vec::new(),
-                    recip_detached: false,
-                };
+                let mut index = Admission::new(class, clusters, Vec::new(), Vec::new());
+                let all: Vec<ClusterId> = (0..THREADS).map(cluster_of).collect();
+                let mut scan = ScanAdmission::new(class, clusters, &all);
                 let ctx = |round: u64| format!("{class:?}, {clusters} clusters, round {round}");
                 // Thread 0 takes the free lock; everybody else queues.
                 let mut now = 10u64;
@@ -1162,30 +1139,58 @@ mod tests {
         assert_eq!(r.tenures + r.local_handoffs, r.acquisitions);
     }
 
+    /// Every policy family reaches the model as written, through the book
+    /// the locks run: a 3-cluster C-BO-MCS cell per spec re-runs bit for
+    /// bit, books every acquisition once, keeps its streak bound and
+    /// reports one entry per cluster.
     #[test]
-    fn wall_time_and_adaptive_project_onto_time_and_count() {
-        // The DES has no wall clock and no contention signal: `WallTime`
-        // runs as a virtual budget and `Adaptive` at its ceiling.
+    fn every_policy_runs_on_the_locks_tenure_book() {
         use PolicySpec::*;
-        let mut c = cfg(9);
-        c.clusters = 3;
-        c.noncs_max_ns = 0; // saturate so the bound, not the queue, ends tenures
-        let mut run = |policy| {
-            c.policy = Some(policy);
-            run_scenario(AnyLockKind::Excl(LockKind::CBoMcs), &modelled(), &c)
+        let kind = AnyLockKind::Excl(LockKind::CBoMcs);
+        let topo = Arc::new(numa_topology::Topology::new(3));
+        let cell = |policy| LBenchConfig {
+            clusters: 3,
+            policy: Some(policy),
+            noncs_max_ns: 0, // saturate so the bound, not the queue, ends tenures
+            ..cfg(9)
         };
-        for (a, b) in [
-            (Time { budget_ns: 20_000 }, WallTime { budget_ns: 20_000 }),
-            (Adaptive { min: 2, max: 8 }, Count { bound: 8 }),
+        let run = |policy| run_scenario(kind, &modelled(), &cell(policy));
+        for (policy, streak_cap) in [
+            (Count { bound: 4 }, 4),
+            (Time { budget_ns: 20_000 }, u64::MAX),
+            (Adaptive { min: 2, max: 8 }, 8),
+            (Unbounded, u64::MAX),
+            (NeverPass, 0),
         ] {
-            let (ra, rb) = (run(a), run(b));
-            assert!(ra.local_handoffs > 0, "{a}: no local handoffs to bound");
-            for ((name, x), (_, y)) in ra.fields().into_iter().zip(rb.fields()) {
-                if name != "policy" {
-                    assert_eq!(x, y, "{a} vs {b}: {name}");
-                }
-            }
+            let r = run(policy);
+            assert_eq!(r.first_divergence(&run(policy)), None, "{policy}");
+            assert_eq!(r.tenures + r.local_handoffs, r.acquisitions, "{policy}");
+            assert!(r.max_streak <= streak_cap, "{policy}: {}", r.max_streak);
+            assert_eq!(r.local_handoffs > 0, streak_cap > 0, "{policy}");
+            let (c, scenario) = (cell(policy), modelled());
+            let lock = kind.make(&topo, c.policy);
+            let program = Program::new(kind, &scenario, &c);
+            let (_, report) = simulate(kind, &*lock, &program, CostModel::disaggregated());
+            let per_cluster = report.cohort.map(|s| s.per_cluster.len());
+            assert_eq!(per_cluster, Some(3), "{policy}: one entry per cluster");
         }
+        // The adaptive rule runs on simulated time, not at its ceiling.
+        // Saturated, no cluster ever runs dry, so its bound stays at the
+        // ceiling; with idle threads a dry tenure halves it.
+        let idle = |policy| {
+            let c = LBenchConfig {
+                threads: 12,
+                noncs_max_ns: 20_000,
+                ..cell(policy)
+            };
+            run_scenario(kind, &modelled(), &c)
+        };
+        let (adaptive, count) = (idle(Adaptive { min: 2, max: 8 }), idle(Count { bound: 8 }));
+        assert!(
+            (adaptive.fields().into_iter().zip(count.fields()))
+                .any(|((name, a), (_, b))| name != "policy" && a != b),
+            "adaptive(2..8) ran as count(8)"
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ struct Row {
     /// kind's **default** tenure bound where it batches. A kind has the
     /// handoff-policy knob exactly when this is `ClusterBatched`: the
     /// constructor honors a [`PolicySpec`] for the same kinds the model
-    /// projects one for.
+    /// runs one for.
     admission: ModelledAdmission,
     make: Ctor,
     /// The reader-writer stand-in of [`LockKind::make_rw_cache_lock`],
@@ -670,9 +670,10 @@ pub enum ModelledAdmission {
     /// continue, then hand off to the earliest waiter overall — the cohort
     /// family, CNA (whose secondary queue is cluster batching by another
     /// name), the fissile wrappers (slow path is a cohort lock), and the
-    /// GCR wrappers over policy-driven inner locks. The simulator has no
-    /// wall clock and no contention signal, so it runs `WallTime` as a
-    /// virtual budget like `Time` and `Adaptive` at its `max`.
+    /// GCR wrappers over policy-driven inner locks. The simulator runs the
+    /// spec through the locks' own `cohort::Tenures` book on simulated
+    /// time, so `Time` budgets simulated nanoseconds and `Adaptive` adapts
+    /// to simulated waits.
     ClusterBatched(PolicySpec),
     /// The Reciprocating lock's palindromic schedule: the waiting set is
     /// frozen into a *segment* at detach time and admitted newest-first;

@@ -186,9 +186,26 @@ mod tests {
         // The acceptance shape of the fig_rw exhibit, in miniature: at a
         // 90%+ read ratio the shared read path must at least match the
         // single-writer cohort baseline.
+        //
+        // The comparison needs four workers that ran side by side. On an
+        // oversubscribed host one worker can run alone to the window edge
+        // while the others sit descheduled, and that run ends with most
+        // of three threads' ops missing. Such a run shows up as one thread
+        // with more than twice the ops of another; it measures the
+        // scheduler, so it is drawn again (up to ten times) before the one
+        // comparison below.
         let cfg = quick_cfg(4);
-        let crw = run_rw_mix(RwLockKind::CRwWpBoMcs, 90, &cfg);
-        let excl = run_rw_mix(RwLockKind::MutexCBoMcs, 90, &cfg);
+        let side_by_side = |kind: RwLockKind| {
+            (0..10)
+                .map(|_| run_rw_mix(kind, 90, &cfg))
+                .find(|r| {
+                    let ops = &r.per_thread_ops;
+                    2 * ops.iter().min().unwrap() >= *ops.iter().max().unwrap()
+                })
+                .unwrap_or_else(|| panic!("{kind:?}: no run in ten had its workers side by side"))
+        };
+        let crw = side_by_side(RwLockKind::CRwWpBoMcs);
+        let excl = side_by_side(RwLockKind::MutexCBoMcs);
         assert!(
             crw.throughput >= excl.throughput,
             "C-RW {:.0} ops/s should not trail the exclusive baseline {:.0}",

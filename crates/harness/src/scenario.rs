@@ -1033,7 +1033,7 @@ impl Body for CriticalSection<'_> {
         if is_read {
             lock.acquire_read();
         } else if let Some(patience) = p.scenario.patience_ns {
-            // Patience is virtual; scale it into the paced wall-time
+            // Patience is virtual; scale it into the paced wall-clock
             // frame waiters live in.
             if !lock.acquire_write_with_patience(patience * p.pace.max(1)) {
                 c.aborts += 1;

@@ -56,8 +56,8 @@ fn main() {
     // Every cohort lock reports its tenure behaviour — how often the
     // global lock changed hands vs. how often it was passed within a
     // cluster. The fairness policy is a value (PolicySpec): count(64)
-    // here, or Time / WallTime / Adaptive / Unbounded / NeverPass via
-    // CohortLock::with_policy.
+    // here, or Time (wall nanoseconds) / Adaptive / Unbounded / NeverPass
+    // via CohortLock::with_policy.
     let lock = counter.raw();
     let stats = lock.cohort_stats();
     println!(

@@ -1,13 +1,15 @@
 //! Integration: cross-crate lock semantics that unit tests cannot cover —
 //! tokens crossing threads, guards over cohort locks (including a panic
-//! inside one), registry coverage.
+//! inside one), registry coverage, threads far beyond the CPUs.
 
 use base_locks::{RawLock, SpinMutex};
 use cohort::{CBoMcs, CTktTkt, FisBoMcs, GcrCBoMcs, Introspect, ThreadOblivious};
-use lbench::LockKind;
+use lbench::{AnyLockKind, LockKind};
 use numa_baselines::CnaLock;
 use numa_topology::Topology;
-use std::sync::Arc;
+use std::cell::UnsafeCell;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 #[test]
 fn spin_mutex_over_cohort_lock_guards_properly() {
@@ -238,4 +240,53 @@ fn cohort_try_lock_under_contention_never_wedges() {
     // And blocking acquisition still works afterwards.
     let t = lock.lock();
     unsafe { lock.unlock(t) };
+}
+
+/// A counter only a lock guards: the increments below race unless every
+/// kind really excludes.
+struct Unguarded(UnsafeCell<u64>);
+
+// SAFETY: every access below happens while holding the lock under test.
+unsafe impl Sync for Unguarded {}
+
+#[test]
+fn sixteen_threads_per_cpu_complete_on_every_kind() {
+    // Acquisitions per thread: the whole sweep stays within seconds on
+    // one CPU.
+    const PER_THREAD: u64 = 1_000;
+    let threads = 16 * std::thread::available_parallelism().map_or(1, |n| n.get());
+    let topo = Arc::new(Topology::new(4));
+    for kind in LockKind::ALL {
+        let lock = AnyLockKind::Excl(kind).make(&topo, None);
+        let counter = Arc::new(Unguarded(UnsafeCell::new(0)));
+        let start = Arc::new(Barrier::new(threads));
+        let (tx, rx) = mpsc::channel();
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (lock, counter) = (Arc::clone(&lock), Arc::clone(&counter));
+                let (start, tx) = (Arc::clone(&start), tx.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..PER_THREAD {
+                        lock.acquire_write();
+                        // SAFETY: the lock is held.
+                        unsafe { *counter.0.get() += 1 };
+                        lock.release_write();
+                    }
+                    let _ = tx.send(());
+                })
+            })
+            .collect();
+        drop(tx);
+        for _ in &handles {
+            rx.recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("{kind}: {threads} workers did not finish ({e})"));
+        }
+        for h in handles {
+            h.join().expect("worker reported done");
+        }
+        // SAFETY: every worker has joined.
+        let total = unsafe { *counter.0.get() };
+        assert_eq!(total, threads as u64 * PER_THREAD, "{kind}");
+    }
 }

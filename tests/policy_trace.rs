@@ -3,21 +3,36 @@
 //! final [`CohortStats`] field by field on three clusters. The scripts use
 //! nothing but the three tenure hooks (a committed handoff calls none: it
 //! lives in the streak that `ended` adds), so they hold whatever structure
-//! implements them.
+//! implements them. Every book reads a scripted clock that only the script
+//! moves, so the clocked specs replay exactly too.
 
 use cohort::{PolicySpec, Tenures as Book};
-use numa_topology::{vclock, ClusterId};
+use numa_topology::ClusterId;
+use std::cell::Cell;
 
 const CLUSTERS: usize = 3;
 /// "Cluster-mates never stop arriving."
 const ENDLESS: u64 = u64::MAX;
+
+thread_local! {
+    static NOW: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The scripted clock, in nanoseconds.
+fn now() -> u64 {
+    NOW.get()
+}
+
+fn advance(ns: u64) {
+    NOW.set(NOW.get() + ns);
+}
 
 fn c(id: u32) -> ClusterId {
     ClusterId::new(id)
 }
 
 fn book(spec: PolicySpec) -> Book {
-    let book = Book::new(spec, CLUSTERS);
+    let book = Book::new(spec, CLUSTERS, now);
     assert_eq!(
         book.label(),
         spec.to_string(),
@@ -57,20 +72,10 @@ fn first_refused(book: &Book, cluster: ClusterId) -> u64 {
         .expect("a streak-bounded policy refuses within 4096")
 }
 
-/// [`tenure`] that also reports the bound in force, probed right after
-/// `began`: `[first refused streak, streak reached]`. Probing inside the
-/// tenure keeps the gap between tenures two calls wide, as in a lock, so
-/// `Adaptive`'s wall-clock shrink test (gap against tenure length) sees a
-/// gap no longer than the tenure however slow the probe runs.
+/// [`tenure`] that also reports the bound in force: `[first refused
+/// streak, streak reached]`.
 fn probed_tenure(book: &Book, cluster: ClusterId, demand: u64) -> [u64; 2] {
-    book.began(cluster);
-    let bound = first_refused(book, cluster);
-    let mut streak = 0;
-    while streak < demand && book.may_pass_local(cluster, streak) {
-        streak += 1;
-    }
-    book.ended(cluster, streak);
-    [bound, streak]
+    [first_refused(book, cluster), tenure(book, cluster, demand)]
 }
 
 /// `[tenures, local_handoffs, max_streak]` per cluster, compared field by
@@ -130,48 +135,42 @@ fn every_spec_replays_its_pinned_decisions() {
     );
     assert_stats(&b, [IDLE, [2, 74, 64], IDLE]);
 
-    // time(40ns): the tenure ends when the holder's virtual clock has
-    // moved 40 ns past the tenure start, whatever the streak.
-    vclock::reset();
-    vclock::set(1_000);
+    // time(40ns): the tenure ends when the book's clock has moved 40 ns
+    // past the tenure start, whatever the streak.
+    NOW.set(1_000);
     let b = book(PolicySpec::Time { budget_ns: 40 });
     // Handoffs 10 ns apart: allowed at 0, 10, 20, 30 ns, refused at 40.
-    assert_eq!(
-        tenure_with(&b, c(0), ENDLESS, || {
-            vclock::advance(10);
-        }),
-        4
-    );
+    assert_eq!(tenure_with(&b, c(0), ENDLESS, || advance(10)), 4);
     b.began(c(1));
     assert!(
         b.may_pass_local(c(1), 0),
         "a fresh tenure has its own budget"
     );
-    vclock::advance(39);
+    advance(39);
     assert!(
         b.may_pass_local(c(1), 1_000_000),
         "the streak is irrelevant"
     );
-    vclock::advance(1);
+    advance(1);
     assert!(!b.may_pass_local(c(1), 0), "40 ns elapsed: budget spent");
     b.ended(c(1), 0);
     assert_stats(&b, [[1, 4, 4], [1, 0, 0], IDLE]);
-    vclock::reset();
 
-    // wall-time(u64::MAX ns) never expires; wall-time(0ns) never passes.
-    let b = book(PolicySpec::WallTime {
+    // time(u64::MAX ns) never expires; time(0ns) never passes.
+    let b = book(PolicySpec::Time {
         budget_ns: u64::MAX,
     });
-    assert_eq!(tenure(&b, c(2), 500), 500);
+    assert_eq!(tenure_with(&b, c(2), 500, || advance(1_000_000)), 500);
     assert_stats(&b, [IDLE, IDLE, [1, 500, 500]]);
-    let b = book(PolicySpec::WallTime { budget_ns: 0 });
+    let b = book(PolicySpec::Time { budget_ns: 0 });
     assert_eq!(tenure(&b, c(0), ENDLESS), 0);
     assert_stats(&b, [[1, 0, 0], IDLE, IDLE]);
 
     // adaptive(4..128) on cluster 1: starts at the paper's 64, doubles
     // after a cut-off tenure, holds after one that used a quarter or more
     // of the bound, halves after a drier one, and stays inside [4, 128].
-    // Each row is [bound in force, streak reached] of one tenure.
+    // Each row is [bound in force, streak reached] of one tenure; tenures
+    // take no time and follow each other at once unless the row says so.
     let b = book(PolicySpec::Adaptive { min: 4, max: 128 });
     assert_eq!(
         probed_tenure(&b, c(1), ENDLESS),
@@ -202,11 +201,25 @@ fn every_spec_replays_its_pinned_decisions() {
         [4, 4],
         "never below the floor"
     );
-    assert_eq!(first_refused(&b, c(1)), 8, "demand returns: grow again");
+    // A dry tenure shrinks only if the global-lock wait before it was no
+    // longer than the tenure plus 10 µs of grace.
+    advance(10_001);
+    assert_eq!(
+        probed_tenure(&b, c(1), 0),
+        [8, 0],
+        "demand returned (grow), then a long wait: hold"
+    );
+    advance(10_000);
+    assert_eq!(
+        probed_tenure(&b, c(1), 0),
+        [8, 0],
+        "a wait inside the grace: shrink"
+    );
+    assert_eq!(first_refused(&b, c(1)), 4);
     assert_eq!(first_refused(&b, c(0)), 64, "bounds are per cluster");
     assert_eq!(first_refused(&b, c(2)), 64, "bounds are per cluster");
-    // Streaks 64 + 128 + 32 + 31 + 4 = 259 over 10 tenures.
-    assert_stats(&b, [IDLE, [10, 259, 128], IDLE]);
+    // Streaks 64 + 128 + 32 + 31 + 4 = 259 over 12 tenures.
+    assert_stats(&b, [IDLE, [12, 259, 128], IDLE]);
 
     // unbounded: only an empty cluster ends a tenure.
     let b = book(PolicySpec::Unbounded);

@@ -6,6 +6,7 @@
 use coherence_sim::{
     take_thread_stats, CostModel, Directory, HandoffChannel, LineState, ThreadStats,
 };
+use cohort::policy::wall_ns;
 use cohort::{PolicySpec, Tenures};
 use numa_topology::{vclock, ClusterId};
 use proptest::prelude::*;
@@ -108,7 +109,7 @@ proptest! {
 
     #[test]
     fn count_policy_is_a_step_function(bound in 0u64..1_000, streak in 0u64..2_000) {
-        let p = Tenures::new(PolicySpec::Count { bound }, 1);
+        let p = Tenures::new(PolicySpec::Count { bound }, 1, wall_ns);
         prop_assert_eq!(p.may_pass_local(ClusterId::new(0), streak), streak < bound);
     }
 
