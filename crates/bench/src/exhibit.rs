@@ -1,11 +1,9 @@
 //! Declarative exhibits: **one** sweep/render/CSV/self-check driver for
-//! every bench binary.
+//! every entry of [`crate::exhibits::ALL`].
 //!
-//! Each binary used to hand-roll its own sweep loop, progress lines,
-//! table rendering, CSV writer, and acceptance checks. An [`Exhibit`]
-//! turns all of that into a declaration — locks × grid × a builder from
-//! grid cell to `(Scenario, LBenchConfig)` × tables × checks — consumed
-//! by the single [`run_exhibit`] driver:
+//! An [`Exhibit`] is a declaration — locks × grid × a builder from grid
+//! cell to `(Scenario, LBenchConfig)` × tables × checks — consumed by the
+//! single [`run_exhibit`] driver:
 //!
 //! 1. every grid cell × lock is measured through [`measure_cell`] (the
 //!    builder's output on [`lbench::run_scenario`] — the kvstore and
@@ -14,19 +12,17 @@
 //! 2. every [`TableSpec`] builds a [`Grid`] from the measurements and is
 //!    emitted through the shared text/CSV path;
 //! 3. every check runs against the full measurement set; a failure makes
-//!    [`exhibit_main`] exit non-zero (the CI acceptance hook).
+//!    [`run_exhibit`] return `false`, which the `exhibit` binary turns
+//!    into its exit status (the CI acceptance hook).
 //!
 //! Helper builders cover the recurring table shapes: [`metric_table`]
-//! (grid-cell rows × lock columns of one metric), [`long_table`]
+//! (grid-cell rows × lock columns of one metric) and [`long_table`]
 //! (one CSV row per measurement under a pinned [`crate::schema`]
-//! header, every column resolved by name), and the two recurring whole
-//! declarations, [`steady_sweep`] and [`policy_exhibit`].
+//! header, every column resolved by name).
 
 use crate::grid::{emit, Cell, Grid};
 use crate::schema;
-use lbench::{
-    run_scenario, AnyLockKind, LBenchConfig, LockKind, PolicySpec, Scenario, ScenarioResult,
-};
+use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
 use std::fmt::Display;
 
 /// One measured cell of an exhibit: the grid cell it came from plus the
@@ -155,6 +151,10 @@ impl Display for ClusterThreads {
     }
 }
 
+/// The cluster counts the clusters × threads exhibits (`fig_cna`,
+/// `fig_fissile`, `fig_recip`) sweep.
+pub const CLUSTER_COUNTS: [usize; 3] = [1, 2, 4];
+
 /// The grid of a clusters × threads exhibit: for every cluster count,
 /// the `LBENCH_THREADS` grid plus the exhibit's check cells for that
 /// count (`extra_threads`), deduplicated and sorted.
@@ -210,8 +210,6 @@ pub fn verdict(pass: bool, msg: String) -> Result<String, String> {
 
 /// A declarative exhibit (see the module docs).
 pub struct Exhibit<C> {
-    /// Binary name, used in the failure banner.
-    pub name: &'static str,
     /// Progress banner printed to stderr before the sweep.
     pub banner: String,
     /// Column axis: the locks under test.
@@ -270,16 +268,6 @@ pub fn run_exhibit<C: Clone + Display>(ex: &Exhibit<C>) -> bool {
         }
     }
     ok
-}
-
-/// Runs an exhibit and exits the process: 0 when every check passed,
-/// 1 otherwise — the entry point of every exhibit binary.
-pub fn exhibit_main<C: Clone + Display>(ex: Exhibit<C>) -> ! {
-    if run_exhibit(&ex) {
-        std::process::exit(0)
-    }
-    eprintln!("{}: acceptance shape violated", ex.name);
-    std::process::exit(1)
 }
 
 /// Table builder: one row per grid cell (by `Display` label, insertion
@@ -363,104 +351,6 @@ pub fn long_table<C>(
 /// The `cell_columns` hook of an exhibit whose header declares none.
 pub fn no_cell_columns<C>(_: &Measurement<C>, column: &str) -> Cell {
     unreachable!("{column} is not declared a cell column")
-}
-
-/// The exhibit `fig2`, `fig3`, `fig5` and `ablation_batching` declare:
-/// `locks` × the `LBENCH_THREADS` grid on the paper's steady workload.
-pub fn steady_sweep(
-    name: &'static str,
-    banner: String,
-    locks: &[LockKind],
-    tables: Vec<TableSpec<usize>>,
-) -> Exhibit<usize> {
-    Exhibit {
-        name,
-        banner,
-        locks: AnyLockKind::excl(locks),
-        grid: crate::thread_grid(),
-        measure: Box::new(|&threads| (Scenario::steady(), crate::base_config(threads))),
-        unit: "ops/s",
-        tables,
-        checks: vec![],
-        epilogue: None,
-    }
-}
-
-/// The exhibit both policy ablations declare: `locks` × `policies` on
-/// the paper's steady workload at `threads` threads, printed as the
-/// long-form policy table under `title` and written to `<name>.csv`
-/// under the pinned [`crate::schema::POLICY_HEADER`].
-pub fn policy_exhibit(
-    name: &'static str,
-    banner: String,
-    title: String,
-    locks: &[LockKind],
-    policies: Vec<PolicySpec>,
-    threads: usize,
-) -> Exhibit<PolicySpec> {
-    Exhibit {
-        name,
-        banner,
-        locks: AnyLockKind::excl(locks),
-        grid: policies,
-        measure: Box::new(move |&policy| {
-            let mut cfg = crate::base_config(threads);
-            cfg.policy = Some(policy);
-            (Scenario::steady(), cfg)
-        }),
-        unit: "ops/s",
-        tables: vec![
-            TableSpec {
-                csv: None,
-                text: true,
-                build: policy_table(title),
-            },
-            TableSpec {
-                csv: Some(name.into()),
-                text: false,
-                build: long_table(schema::POLICY_HEADER, no_cell_columns),
-            },
-        ],
-        checks: vec![],
-        epilogue: None,
-    }
-}
-
-/// The text layout of the policy ablations (grid cells are
-/// [`PolicySpec`]s, rendered in the `policy` column).
-fn policy_table<C: Display>(title: String) -> GridBuilder<C> {
-    Box::new(move |ms| Grid {
-        title: title.clone(),
-        columns: [
-            "lock",
-            "policy",
-            "ops/sec",
-            "stddev %",
-            "mean batch",
-            "misses/CS",
-            "mean streak",
-            "migr/tenure",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows: ms
-            .iter()
-            .map(|m| {
-                let r = &m.result;
-                vec![
-                    Cell::text(r.kind.name()),
-                    Cell::Text(m.cell.to_string()),
-                    Cell::num(r.throughput, 0),
-                    Cell::num(r.stddev_pct, 1),
-                    Cell::num(r.mean_batch, 1),
-                    Cell::num(r.misses_per_cs, 3),
-                    Cell::num(r.mean_streak, 1),
-                    Cell::num(r.migrations_per_tenure, 2),
-                ]
-            })
-            .collect(),
-    })
 }
 
 #[cfg(test)]

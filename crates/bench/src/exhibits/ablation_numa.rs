@@ -6,16 +6,15 @@
 //! *because* remote accesses are expensive — predicts the advantage
 //! grows monotonically from ≈1× at uniform memory.
 
-use coherence_sim::CostModel;
-use cohort_bench::{
-    ablation_threads, base_config, exhibit_main, find, Cell, Exhibit, Grid, Measurement, TableSpec,
+use crate::{
+    ablation_threads, base_config, find, run_exhibit, Cell, Exhibit, Grid, Measurement, TableSpec,
 };
+use coherence_sim::CostModel;
 use lbench::{AnyLockKind, LockKind, Scenario};
 
-fn main() {
+pub fn run() -> bool {
     let threads = ablation_threads();
-    exhibit_main(Exhibit {
-        name: "ablation_numa",
+    run_exhibit(&Exhibit {
         banner: format!("ablation C: remote/local ratio sweep, {threads} threads"),
         locks: vec![
             AnyLockKind::Excl(LockKind::Mcs),
@@ -65,5 +64,5 @@ fn main() {
         }],
         checks: vec![],
         epilogue: None,
-    });
+    })
 }

@@ -5,7 +5,7 @@
 //! Paper shape: the abortable cohort locks beat A-CLH and A-HBO by up to
 //! 6×; A-HBO additionally starves (high abort rates under load).
 
-use cohort_bench::{base_config, exhibit_main, metric_table, thread_grid, Exhibit, TableSpec};
+use crate::{base_config, metric_table, run_exhibit, thread_grid, Exhibit, TableSpec};
 use lbench::{AnyLockKind, LockKind, Scenario};
 
 /// 5 ms of virtual patience: far longer than a full cohort tenure
@@ -16,9 +16,8 @@ use lbench::{AnyLockKind, LockKind, Scenario};
 /// of early timeouts can cascade into tenure collapse.
 const PATIENCE_NS: u64 = 5_000_000;
 
-fn main() {
-    exhibit_main(Exhibit {
-        name: "fig6",
+pub fn run() -> bool {
+    run_exhibit(&Exhibit {
         banner: format!("fig6: abortable lock throughput (patience {PATIENCE_NS} ns)"),
         locks: AnyLockKind::excl(&LockKind::FIG6),
         grid: thread_grid(),
@@ -54,5 +53,5 @@ fn main() {
         ],
         checks: vec![],
         epilogue: None,
-    });
+    })
 }

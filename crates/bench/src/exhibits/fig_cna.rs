@@ -3,7 +3,8 @@
 //! The paper's missing modern comparison: the Compact NUMA-Aware lock
 //! (Dice & Kogan, EuroSys 2019) achieves cohort-like intra-node handoff
 //! with a *single-word* MCS-shaped lock by splicing remote waiters onto a
-//! secondary queue. This exhibit races, for every cluster count:
+//! secondary queue. This exhibit races, for every cluster count in
+//! [`CLUSTER_COUNTS`]:
 //!
 //! * `MCS` — the NUMA-oblivious queue lock both designs build on;
 //! * `C-BO-MCS` — the paper's best cohort lock (two-level);
@@ -17,26 +18,18 @@
 //! cohort lock pull away from MCS as local handoffs replace cross-cluster
 //! migrations, with CNA paying no two-level indirection.
 //!
-//! Environment: `LBENCH_CNA_CLUSTERS` (comma-separated cluster counts,
-//! default `1,2,4`), plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
-//!
-//! The binary **self-checks** its acceptance shape and exits non-zero if
-//! CNA trails plain MCS at any swept cluster count ≥ 2 (measured at the
+//! The exhibit **self-checks** its acceptance shape and fails if CNA
+//! trails plain MCS at any swept cluster count ≥ 2 (measured at the
 //! check cell `threads = 2 × clusters`, the smallest configuration where
 //! every cluster has a cohort-mate), or if a CNA streak ever exceeds its
 //! configured threshold.
 
-use cohort_bench::{
-    cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail, schema,
+use crate::{
+    cluster_thread_grid, long_table, migrations_detail, run_exhibit, schema,
     throughput_floor_check, throughput_table, Check, ClusterThreads, Exhibit, Measurement,
-    TableSpec,
+    TableSpec, CLUSTER_COUNTS,
 };
-use lbench::env::env_positive_usize_list;
 use lbench::{AnyLockKind, LockKind};
-
-fn cna_clusters() -> Vec<usize> {
-    knob_or_die(env_positive_usize_list("LBENCH_CNA_CLUSTERS")).unwrap_or_else(|| vec![1, 2, 4])
-}
 
 /// Self-check 1: the CNA fairness threshold really bounds streaks
 /// (thresholds come from the registry, the single source of truth).
@@ -73,16 +66,14 @@ fn cna_vs_mcs_check(clusters: usize) -> Check<ClusterThreads> {
     throughput_floor_check(cell, LockKind::Cna, LockKind::Mcs, 1.0, migrations_detail)
 }
 
-fn main() {
-    let cluster_counts = cna_clusters();
+pub fn run() -> bool {
     // The `2 × clusters` check cell rides along with the global grid.
-    let grid = cluster_thread_grid(&cluster_counts, |clusters| vec![2 * clusters]);
-    exhibit_main(Exhibit {
-        name: "fig_cna",
+    let grid = cluster_thread_grid(&CLUSTER_COUNTS, |clusters| vec![2 * clusters]);
+    run_exhibit(&Exhibit {
         banner: format!(
             "fig_cna: {} locks x {:?} clusters",
             LockKind::FIG_CNA.len(),
-            cluster_counts
+            CLUSTER_COUNTS
         ),
         locks: AnyLockKind::excl(&LockKind::FIG_CNA),
         grid,
@@ -98,12 +89,12 @@ fn main() {
         ],
         checks: std::iter::once(streak_check())
             .chain(
-                cluster_counts
+                CLUSTER_COUNTS
                     .iter()
                     .filter(|&&c| c >= 2)
                     .map(|&c| cna_vs_mcs_check(c)),
             )
             .collect(),
         epilogue: None,
-    });
+    })
 }

@@ -4,7 +4,7 @@
 //! operation; *Fissile Locks* (Dice & Kogan, arXiv:2003.05025) erase the
 //! uncontended tax by trying a TATAS word first and falling into the
 //! cohort slow path only on failure. This exhibit races, for every
-//! cluster count:
+//! cluster count in [`CLUSTER_COUNTS`]:
 //!
 //! * `TATAS` — the raw fast path alone (collapses under saturation);
 //! * `MCS` — the NUMA-oblivious queue baseline;
@@ -13,15 +13,12 @@
 //!   saturation, fast-vs-slow split in the `fast_acqs`/`slow_acqs`
 //!   columns.
 //!
-//! Environment: `LBENCH_FISSILE_CLUSTERS` (comma-separated cluster
-//! counts, default `1,2,4`), plus the usual `LBENCH_*` knobs and
-//! `RESULTS_DIR`. The fissile rows run the library's default
-//! `FissileTuning` (fast-path probe budget, bypass bound), like every
-//! registry kind; `FissileLock::with_tuning` is the constructor for
-//! anything else.
+//! The fissile rows run the library's default `FissileTuning` (fast-path
+//! probe budget, bypass bound), like every registry kind;
+//! `FissileLock::with_tuning` is the constructor for anything else.
 //!
-//! The binary **self-checks** the two acceptance shapes of the fissile
-//! design and exits non-zero on failure:
+//! The exhibit **self-checks** the two acceptance shapes of the fissile
+//! design:
 //!
 //! 1. **uncontended**: at 1 thread, Fis-BO-MCS must hold ≥ 0.95× the
 //!    plain MCS throughput at every swept cluster count — the whole
@@ -35,21 +32,15 @@
 //!    falling into the slow path must buy cohort locality, not just add
 //!    a word.
 
-use cohort_bench::{
-    cluster_thread_grid, exhibit_main, knob_or_die, long_table, migrations_detail,
-    saturation_threads, schema, throughput_floor_check, throughput_table, Check, ClusterThreads,
-    Exhibit, TableSpec, FISSILE_UNCONTENDED_FLOOR,
+use crate::{
+    cluster_thread_grid, long_table, migrations_detail, run_exhibit, saturation_threads, schema,
+    throughput_floor_check, throughput_table, Check, ClusterThreads, Exhibit, TableSpec,
+    CLUSTER_COUNTS, FISSILE_UNCONTENDED_FLOOR,
 };
-use lbench::env::env_positive_usize_list;
 use lbench::{AnyLockKind, LockKind};
 
-fn fissile_clusters() -> Vec<usize> {
-    knob_or_die(env_positive_usize_list("LBENCH_FISSILE_CLUSTERS")).unwrap_or_else(|| vec![1, 2, 4])
-}
-
 /// Self-check 1: the fast path erases the uncontended two-level tax
-/// (floor shared with the `fig_scenarios` fissile row:
-/// [`FISSILE_UNCONTENDED_FLOOR`]).
+/// (floor [`FISSILE_UNCONTENDED_FLOOR`]).
 fn uncontended_check(clusters: usize) -> Check<ClusterThreads> {
     let cell = ClusterThreads {
         clusters,
@@ -84,17 +75,15 @@ fn saturation_check(clusters: usize) -> Check<ClusterThreads> {
     )
 }
 
-fn main() {
-    let cluster_counts = fissile_clusters();
+pub fn run() -> bool {
     // The uncontended cell and the saturation check cell ride along with
     // the global grid.
-    let grid = cluster_thread_grid(&cluster_counts, |c| vec![1, saturation_threads(c)]);
-    exhibit_main(Exhibit {
-        name: "fig_fissile",
+    let grid = cluster_thread_grid(&CLUSTER_COUNTS, |c| vec![1, saturation_threads(c)]);
+    run_exhibit(&Exhibit {
         banner: format!(
             "fig_fissile: {} locks x {:?} clusters",
             LockKind::FIG_FISSILE.len(),
-            cluster_counts
+            CLUSTER_COUNTS
         ),
         locks: AnyLockKind::excl(&LockKind::FIG_FISSILE),
         grid,
@@ -108,16 +97,16 @@ fn main() {
                 build: long_table(schema::FIG_FISSILE_HEADER, ClusterThreads::cell_columns),
             },
         ],
-        checks: cluster_counts
+        checks: CLUSTER_COUNTS
             .iter()
             .map(|&c| uncontended_check(c))
             .chain(
-                cluster_counts
+                CLUSTER_COUNTS
                     .iter()
                     .filter(|&&c| c >= 2)
                     .map(|&c| saturation_check(c)),
             )
             .collect(),
         epilogue: None,
-    });
+    })
 }

@@ -21,9 +21,9 @@
 //! measurement window is stretched 10× over `LBENCH_WINDOW_MS` — see
 //! [`WINDOW_STRETCH`]).
 //!
-//! The binary **self-checks** the acceptance shapes of the GCR design
-//! and exits non-zero on failure. Each check is a throughput ratio read
-//! as the median of [`TRIALS`] measurements (see [`ratio_check`]):
+//! The exhibit **self-checks** the acceptance shapes of the GCR design.
+//! Each check is a throughput ratio read as the median of [`TRIALS`]
+//! measurements (see [`ratio_check`]):
 //!
 //! 1. **no collapse**: each GCR-wrapped kind's 8× cell holds ≥ 0.5× its
 //!    own 1× cell;
@@ -32,8 +32,8 @@
 //! 3. **uncontended**: at 1 thread, each GCR-wrapped kind holds ≥ 0.95×
 //!    its bare inner lock — admission is one CAS and one `fetch_sub`.
 
-use cohort_bench::{
-    base_config, clusters, exhibit_main, find, long_table, measure_cell, no_cell_columns, schema,
+use crate::{
+    base_config, clusters, find, long_table, measure_cell, no_cell_columns, run_exhibit, schema,
     throughput_table, verdict, Cell, Check, Exhibit, Measurement, TableSpec,
 };
 use lbench::{AnyLockKind, LBenchConfig, LockKind, Scenario, TimeMode};
@@ -138,14 +138,13 @@ fn ratio_check(num: (LockKind, GcrCell), den: (LockKind, GcrCell), floor: f64) -
     })
 }
 
-fn main() {
+pub fn run() -> bool {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let grid: Vec<GcrCell> = std::iter::once(UNCONTENDED)
         .chain(OVERSUB.iter().map(|&oversub| at(oversub, cpus)))
         .collect();
     let checked = at(CHECK_OVERSUB, cpus);
-    exhibit_main(Exhibit {
-        name: "fig_gcr",
+    run_exhibit(&Exhibit {
         banner: format!(
             "fig_gcr: {} locks x oversub {:?} ({} CPUs, wall clock)",
             LockKind::FIG_GCR.len(),
@@ -192,5 +191,5 @@ fn main() {
             }))
             .collect(),
         epilogue: None,
-    });
+    })
 }

@@ -29,13 +29,13 @@
 //!   was generated under, and now pins — which shifts the RNG program,
 //!   not the semantics.)
 //!
-//! The module lives in the library (rather than the binary) so the
-//! `modelled_determinism` integration test drives the *same* cells and
-//! table builder the binary emits — the committed
-//! `results/fig_model.csv` and the test can never diverge.
+//! The module is public so the `modelled_determinism` integration test
+//! drives the *same* cells and table builder the exhibit emits — the
+//! committed `results/fig_model.csv` and the test can never diverge.
 
 use crate::exhibit::{
-    find_where, long_table, measure_cell, no_cell_columns, throughput_table, verdict, GridBuilder,
+    find_where, long_table, measure_cell, no_cell_columns, run_exhibit, throughput_table, verdict,
+    GridBuilder,
 };
 use crate::{base_config, clusters, schema, Cell, Check, Exhibit, Measurement, TableSpec};
 use coherence_sim::CostModel;
@@ -77,7 +77,7 @@ pub fn model_locks() -> Vec<AnyLockKind> {
 }
 
 /// The modelled grid at an explicit contended thread count (the
-/// determinism test sweeps this; the binary uses [`model_cells`]).
+/// determinism test sweeps this; [`run`] uses `2 × clusters`).
 pub fn model_cells_at(contended_threads: usize) -> Vec<ModelCell> {
     let t = contended_threads;
     let model = CostModel::disaggregated();
@@ -107,12 +107,6 @@ pub fn model_cells_at(contended_threads: usize) -> Vec<ModelCell> {
             scenario: Scenario::steady().with_read_pct(90).modelled(model),
         },
     ]
-}
-
-/// The binary's grid: contended cells at `2 × clusters` threads, so
-/// every cluster has a cohort-mate and batching can form.
-pub fn model_cells() -> Vec<ModelCell> {
-    model_cells_at(2 * clusters())
 }
 
 /// The scenario and config of one cell — the exhibit's builder.
@@ -257,12 +251,11 @@ fn uncontended_invariance_check() -> Check<ModelCell> {
     })
 }
 
-/// The full `fig_model` declaration — consumed by the binary's
-/// `exhibit_main` and re-driven cell by cell by the determinism test.
-pub fn model_exhibit() -> Exhibit<ModelCell> {
-    let grid = model_cells();
-    Exhibit {
-        name: "fig_model",
+/// Runs the `fig_model` exhibit: contended cells at `2 × clusters`
+/// threads, so every cluster has a cohort-mate and batching can form.
+pub fn run() -> bool {
+    let grid = model_cells_at(2 * clusters());
+    run_exhibit(&Exhibit {
         banner: format!(
             "fig_model: {} modelled cells x {} locks, {} threads contended, {} clusters \
              (disaggregated cost model, bit-reproducible)",
@@ -290,5 +283,5 @@ pub fn model_exhibit() -> Exhibit<ModelCell> {
             uncontended_invariance_check(),
         ],
         epilogue: None,
-    }
+    })
 }

@@ -24,15 +24,13 @@
 //! lines each release's admission decision fans out to — the exact
 //! quantity the constant-coherence claim is about.
 //!
-//! Environment: `LBENCH_RECIP_CLUSTERS` (comma-separated cluster counts,
-//! default `1,2,4`), plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
-//! Both modes run the paper's base algorithm — one detached segment
-//! serves all its admissions, no era bound — which is the registry's
-//! `Recip`; `ReciprocatingLock::with_era_bound` is the constructor for a
-//! bounded one.
+//! The cluster counts are [`CLUSTER_COUNTS`]. Both modes run the paper's
+//! base algorithm — one detached segment serves all its admissions, no
+//! era bound — which is the registry's `Recip`;
+//! `ReciprocatingLock::with_era_bound` is the constructor for a bounded
+//! one.
 //!
-//! The binary **self-checks** the acceptance shapes and exits non-zero
-//! on failure:
+//! The exhibit **self-checks** the acceptance shapes:
 //!
 //! 1. **flat handover (exact, modelled)**: at every modelled cell the
 //!    Recip succession census stays ≤ 2 transitions per acquisition —
@@ -50,19 +48,22 @@
 //!    the TATAS throughput at `threads = 8 × clusters`, enforced
 //!    best-of-5 (realtime saturation cells are scheduler-noisy on
 //!    shared hosts; the exact separation claims are checks 1–3).
+//!
+//! Checks 4 and 5 are wall-clock ratios, so a realtime cell's window is
+//! floored at [`REALTIME_WINDOW_NS`] whatever `LBENCH_WINDOW_MS` says;
+//! the modelled cells keep the knob's window (the committed modelled
+//! rows are pinned at its 10 ms default).
 
-use coherence_sim::CostModel;
-use cohort_bench::{
-    base_config, cluster_thread_grid, exhibit_main, find, knob_or_die, long_table, measure_cell,
-    no_cell_columns, saturation_threads, schema, throughput_floor_check, throughput_table, verdict,
-    Cell, Check, Exhibit, Measurement, TableSpec, FISSILE_UNCONTENDED_FLOOR,
+use crate::{
+    base_config, cluster_thread_grid, find, long_table, measure_cell, no_cell_columns, run_exhibit,
+    saturation_threads, schema, throughput_floor_check, throughput_table, verdict, Cell, Check,
+    Exhibit, Measurement, TableSpec, CLUSTER_COUNTS, FISSILE_UNCONTENDED_FLOOR,
 };
-use lbench::env::env_positive_usize_list;
+use coherence_sim::CostModel;
 use lbench::{AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
 
-fn recip_clusters() -> Vec<usize> {
-    knob_or_die(env_positive_usize_list("LBENCH_RECIP_CLUSTERS")).unwrap_or_else(|| vec![1, 2, 4])
-}
+/// The shortest window of a realtime cell: 10 ms.
+const REALTIME_WINDOW_NS: u64 = 10_000_000;
 
 /// Thread counts swept at one cluster count: the global grid plus the
 /// uncontended cell (1) and the saturation check cell (same rationale
@@ -99,13 +100,15 @@ impl std::fmt::Display for RecipCell {
     }
 }
 
-/// The scenario and config of one cell. Modelled cells run saturated
+/// The scenario and config of one cell. Realtime cells run at least
+/// [`REALTIME_WINDOW_NS`]. Modelled cells run saturated
 /// (`noncs_max_ns = 0`) under the disaggregated model so admission
 /// order — and the succession census — decides everything.
 fn build(cell: &RecipCell) -> (Scenario, LBenchConfig) {
     let mut cfg = base_config(cell.threads);
     cfg.clusters = cell.clusters;
     if !cell.modelled {
+        cfg.window_ns = cfg.window_ns.max(REALTIME_WINDOW_NS);
         return (Scenario::steady(), cfg);
     }
     cfg.noncs_max_ns = 0;
@@ -251,9 +254,8 @@ fn saturation_check(clusters: usize) -> Check<RecipCell> {
     })
 }
 
-fn main() {
-    let cluster_counts = recip_clusters();
-    let grid: Vec<RecipCell> = cluster_counts
+pub fn run() -> bool {
+    let grid: Vec<RecipCell> = CLUSTER_COUNTS
         .iter()
         .flat_map(|&clusters| {
             grid_for(clusters).into_iter().flat_map(move |threads| {
@@ -265,12 +267,11 @@ fn main() {
             })
         })
         .collect();
-    exhibit_main(Exhibit {
-        name: "fig_recip",
+    run_exhibit(&Exhibit {
         banner: format!(
             "fig_recip: {} locks x {:?} clusters x realtime+modelled",
             LockKind::FIG_RECIP.len(),
-            cluster_counts
+            CLUSTER_COUNTS
         ),
         locks: AnyLockKind::excl(&LockKind::FIG_RECIP),
         grid,
@@ -291,24 +292,24 @@ fn main() {
                 ),
             },
         ],
-        checks: cluster_counts
+        checks: CLUSTER_COUNTS
             .iter()
             .map(|&c| flat_handover_check(c))
-            .chain(cluster_counts.iter().map(|&c| fifo_growth_check(c)))
+            .chain(CLUSTER_COUNTS.iter().map(|&c| fifo_growth_check(c)))
             .chain(
-                cluster_counts
+                CLUSTER_COUNTS
                     .iter()
                     .filter(|&&c| c >= 2)
                     .map(|&c| cohortized_check(c)),
             )
-            .chain(cluster_counts.iter().map(|&c| uncontended_check(c)))
+            .chain(CLUSTER_COUNTS.iter().map(|&c| uncontended_check(c)))
             .chain(
-                cluster_counts
+                CLUSTER_COUNTS
                     .iter()
                     .filter(|&&c| c >= 2)
                     .map(|&c| saturation_check(c)),
             )
             .collect(),
         epilogue: None,
-    });
+    })
 }

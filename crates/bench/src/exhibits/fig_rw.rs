@@ -20,27 +20,22 @@
 //! modelled acquisition-latency percentiles over the exclusive
 //! (handoff-charged) acquisitions.
 //!
-//! Environment: `LBENCH_RW_THREADS` (default: `LBENCH_ABLATION_THREADS`,
-//! i.e. 32), plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
+//! Environment: `LBENCH_ABLATION_THREADS` (default 32), plus the usual
+//! `LBENCH_*` knobs and `RESULTS_DIR`.
 //!
-//! The binary **self-checks** its acceptance shape: at read-mostly
+//! The exhibit **self-checks** its acceptance shape: at read-mostly
 //! ratios (90/99%) the C-RW locks must not trail the single-writer
-//! cohort baseline (it exits non-zero otherwise).
+//! cohort baseline.
 
-use cohort_bench::{
-    ablation_threads, base_config, exhibit_main, find, knob_or_die, long_table, metric_table,
-    no_cell_columns, schema, verdict, Check, Exhibit, Measurement, TableSpec,
+use crate::{
+    ablation_threads, base_config, find, long_table, metric_table, no_cell_columns, run_exhibit,
+    schema, verdict, Check, Exhibit, Measurement, TableSpec,
 };
-use lbench::env::env_positive_usize;
 use lbench::{AnyLockKind, RwLockKind, Scenario};
 
 /// The swept read percentages (0 = LBench's pure-mutex shape; 99 ≈ the
 /// read-mostly regime NUMA-RW locks target).
 const READ_RATIOS: [u32; 4] = [0, 50, 90, 99];
-
-fn rw_threads() -> usize {
-    knob_or_die(env_positive_usize("LBENCH_RW_THREADS")).unwrap_or_else(ablation_threads)
-}
 
 /// The acceptance check at one read ratio: `kind` must not trail the
 /// single-writer cohort baseline.
@@ -57,10 +52,9 @@ fn crw_check(kind: RwLockKind, read_pct: u32) -> Check<u32> {
     })
 }
 
-fn main() {
-    let threads = rw_threads();
-    exhibit_main(Exhibit {
-        name: "fig_rw",
+pub fn run() -> bool {
+    let threads = ablation_threads();
+    run_exhibit(&Exhibit {
         banner: format!(
             "fig_rw: {} locks x {:?} read ratios, {threads} threads",
             RwLockKind::FIG_RW.len(),
@@ -106,5 +100,5 @@ fn main() {
             })
             .collect(),
         epilogue: None,
-    });
+    })
 }

@@ -10,8 +10,9 @@
 //! * `steady` — the paper's shape, at the contended thread count;
 //! * `uncontended` — a single thread (*Fissile Locks* territory: where
 //!   NUMA-aware machinery historically loses to TATAS on pure overhead);
-//! * `bursty` — on/off arrival (*Avoiding Scalability Collapse…*'s
-//!   regime: queues form in storms at each burst front);
+//! * `bursty` — on/off arrival, 200 µs on / 200 µs off (*Avoiding
+//!   Scalability Collapse…*'s regime: queues form in storms at each
+//!   burst front);
 //! * `phased` — a repeating 90%/10% read-ratio schedule (reads are
 //!   shared on the C-RW column, exclusive elsewhere);
 //! * `light` — thread-asymmetric idling thins the offered load to a few
@@ -21,54 +22,32 @@
 //!   admission layer exists for — the grid carries a `GCR-C-BO-MCS` row
 //!   next to the bare locks).
 //!
-//! Environment (strict `lbench::env` parsing, like every knob):
+//! The contended thread count is `LBENCH_ABLATION_THREADS`, raised to
+//! `2 × clusters` so every cluster has a cohort-mate. `LBENCH_COST_MODE`
+//! — `realtime` (default) or `modelled` — runs the whole sweep on the
+//! deterministic modelled substrate instead of real threads; plus the
+//! usual `LBENCH_*` knobs and `RESULTS_DIR`.
 //!
-//! * `LBENCH_SCENARIO` — comma-separated subset of the scenario names
-//!   above (default: all; unknown names abort, listing the accepted
-//!   ones);
-//! * `LBENCH_BURST_ON_US` / `LBENCH_BURST_OFF_US` — burst window lengths
-//!   in virtual microseconds (default 200/200; zero aborts);
-//! * `LBENCH_SCENARIO_THREADS` — contended-cell thread count (default:
-//!   `LBENCH_ABLATION_THREADS`, raised to `2 × clusters` so every
-//!   cluster has a cohort-mate);
-//! * `LBENCH_COST_MODE` — `realtime` (default) or `modelled`: runs the
-//!   whole sweep on the deterministic modelled substrate instead of
-//!   real threads (the `--modelled` variant of this exhibit);
-//! * plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
-//!
-//! The binary **self-checks** three acceptance shapes (exit non-zero on
-//! failure): the cohort lock keeps its edge over MCS under *bursty* load
-//! whenever there are ≥ 2 clusters; the uncontended low-overhead claims
-//! (the paper's Figure 4 "withers away" statement for C-BO-MCS and the
-//! fissile fast path's near-parity promise) are asserted **exactly** on
-//! the modelled substrate — at one thread a modelled run is
-//! kind-invariant, so both locks must reproduce plain MCS's op count to
-//! the bit; and one *real-time* smoke floor survives on the C-BO-MCS
-//! row (0.5× MCS) so the real-thread path keeps a sanity bound. The two
-//! tight real-time floors this replaces (0.75× and 0.95×) were the
-//! noisiest checks in the suite — single-thread wall-clock ratios
-//! flapped with host scheduling jitter, while the modelled statement
-//! cannot.
+//! The exhibit **self-checks** three acceptance shapes: the cohort lock
+//! keeps its edge over MCS under *bursty* load whenever there are ≥ 2
+//! clusters; the uncontended low-overhead claims (the paper's Figure 4
+//! "withers away" statement for C-BO-MCS and the fissile fast path's
+//! near-parity promise) are asserted **exactly** on the modelled
+//! substrate — at one thread a modelled run is kind-invariant, so both
+//! locks must reproduce plain MCS's op count to the bit; and one
+//! *real-time* smoke floor survives on the C-BO-MCS row (0.5× MCS) so
+//! the real-thread path keeps a sanity bound. The two tight real-time
+//! floors this replaces (0.75× and 0.95×) were the noisiest checks in
+//! the suite — single-thread wall-clock ratios flapped with host
+//! scheduling jitter, while the modelled statement cannot.
 
-use coherence_sim::CostModel;
-use cohort_bench::{
-    ablation_threads, base_config, clusters, cost_mode, exhibit_main, find_where, knob_or_die,
-    long_table, measure_cell, metric_table, no_cell_columns, schema, verdict, Cell, Check, Exhibit,
-    Measurement, TableSpec,
+use crate::{
+    ablation_threads, base_config, clusters, cost_mode, find_where, long_table, measure_cell,
+    metric_table, no_cell_columns, run_exhibit, schema, verdict, Cell, Check, Exhibit, Measurement,
+    TableSpec,
 };
-use lbench::env::{env_choice_list, env_positive_u64, env_positive_usize};
-use lbench::{AnyLockKind, LockKind, Phase, RwLockKind, Scenario};
-
-/// The scenario names, in presentation order (also the `LBENCH_SCENARIO`
-/// vocabulary).
-const SCENARIOS: &[&str] = &[
-    "steady",
-    "uncontended",
-    "bursty",
-    "phased",
-    "light",
-    "oversub",
-];
+use coherence_sim::CostModel;
+use lbench::{AnyLockKind, LockKind, Phase, RwLockKind, Scenario, ScenarioResult};
 
 /// One grid cell: a named scenario at a thread count.
 #[derive(Clone)]
@@ -88,56 +67,33 @@ impl std::fmt::Display for ScenCell {
 /// `2 × clusters`, so every cluster has a cohort-mate and batching can
 /// actually form.
 fn scenario_threads() -> usize {
-    knob_or_die(env_positive_usize("LBENCH_SCENARIO_THREADS"))
-        .unwrap_or_else(ablation_threads)
-        .max(2 * clusters())
+    ablation_threads().max(2 * clusters())
 }
 
-fn burst_us(knob: &str, default_us: u64) -> u64 {
-    knob_or_die(env_positive_u64(knob)).unwrap_or(default_us)
-}
-
+/// The six scenarios, in presentation order.
 fn cells() -> Vec<ScenCell> {
-    let t = scenario_threads();
-    let mode = cost_mode();
-    let on_ns = burst_us("LBENCH_BURST_ON_US", 200) * 1_000;
-    let off_ns = burst_us("LBENCH_BURST_OFF_US", 200) * 1_000;
-    let wanted = knob_or_die(env_choice_list("LBENCH_SCENARIO", SCENARIOS));
-    SCENARIOS
-        .iter()
-        .filter(|name| match &wanted {
-            Some(list) => list.contains(name),
-            None => true,
-        })
-        .map(|&name| {
-            let (threads, scenario) = match name {
-                "steady" => (t, Scenario::steady()),
-                "uncontended" => (1, Scenario::steady()),
-                "bursty" => (t, Scenario::bursty(on_ns, off_ns)),
-                "phased" => (
-                    t,
-                    Scenario::phased(vec![
-                        Phase {
-                            dur_ns: 1_000_000,
-                            read_pct: 90,
-                        },
-                        Phase {
-                            dur_ns: 1_000_000,
-                            read_pct: 10,
-                        },
-                    ]),
-                ),
-                "light" => (t, Scenario::steady().with_asymmetry(8.0)),
-                "oversub" => (4 * t, Scenario::steady()),
-                _ => unreachable!("name comes from SCENARIOS"),
-            };
-            ScenCell {
-                name,
-                threads,
-                scenario: scenario.with_cost_mode(mode),
-            }
-        })
-        .collect()
+    let (t, mode) = (scenario_threads(), cost_mode());
+    let phases =
+        [(90, 1_000_000), (10, 1_000_000)].map(|(read_pct, dur_ns)| Phase { dur_ns, read_pct });
+    [
+        ("steady", t, Scenario::steady()),
+        ("uncontended", 1, Scenario::steady()),
+        ("bursty", t, Scenario::bursty(200_000, 200_000)),
+        ("phased", t, Scenario::phased(phases.to_vec())),
+        ("light", t, Scenario::steady().with_asymmetry(8.0)),
+        ("oversub", 4 * t, Scenario::steady()),
+    ]
+    .map(|(name, threads, scenario)| ScenCell {
+        name,
+        threads,
+        scenario: scenario.with_cost_mode(mode),
+    })
+    .to_vec()
+}
+
+/// `kind`'s result in the scenario called `name`.
+fn at<'m>(ms: &'m [Measurement<ScenCell>], kind: LockKind, name: &str) -> &'m ScenarioResult {
+    find_where(ms, kind, |c| c.name == name).expect("every scenario is swept")
 }
 
 /// Self-check 1: cohorting keeps its edge under bursty arrival whenever
@@ -147,13 +103,10 @@ fn bursty_edge_check() -> Check<ScenCell> {
         if clusters() < 2 {
             return Ok("bursty cohort edge skipped (1 cluster: no locality)".into());
         }
-        let (cohort, mcs) = match (
-            find_where(ms, LockKind::CBoMcs, |c| c.name == "bursty"),
-            find_where(ms, LockKind::Mcs, |c| c.name == "bursty"),
-        ) {
-            (Some(c), Some(m)) => (c, m),
-            _ => return Ok("bursty cohort edge skipped (scenario filtered out)".into()),
-        };
+        let (cohort, mcs) = (
+            at(ms, LockKind::CBoMcs, "bursty"),
+            at(ms, LockKind::Mcs, "bursty"),
+        );
         let msg = format!(
             "C-BO-MCS vs MCS under bursty load ({} clusters): {:.2}x ({} vs {} migrations)",
             clusters(),
@@ -226,19 +179,8 @@ fn uncontended_modelled_exact_check() -> Check<ScenCell> {
 /// the real-thread path hasn't catastrophically regressed.
 fn uncontended_floor_check(kind: LockKind, floor: f64) -> Check<ScenCell> {
     Box::new(move |ms: &[Measurement<ScenCell>]| {
-        let (lock, mcs) = match (
-            find_where(ms, kind, |c| c.name == "uncontended"),
-            find_where(ms, LockKind::Mcs, |c| c.name == "uncontended"),
-        ) {
-            (Some(c), Some(m)) => (c, m),
-            _ => {
-                return Ok(format!(
-                    "{} uncontended floor skipped (scenario filtered out)",
-                    kind.name()
-                ))
-            }
-        };
-        let ratio = lock.throughput / mcs.throughput.max(1.0);
+        let lock = at(ms, kind, "uncontended");
+        let ratio = lock.throughput / at(ms, LockKind::Mcs, "uncontended").throughput.max(1.0);
         let msg = format!(
             "{} single-thread vs MCS: {ratio:.3}x (floor {floor}x, \
              {} fast / {} slow acquisitions)",
@@ -250,10 +192,9 @@ fn uncontended_floor_check(kind: LockKind, floor: f64) -> Check<ScenCell> {
     })
 }
 
-fn main() {
+pub fn run() -> bool {
     let grid = cells();
-    exhibit_main(Exhibit {
-        name: "fig_scenarios",
+    run_exhibit(&Exhibit {
         banner: format!(
             "fig_scenarios: {} scenarios x 9 locks, {} threads contended, {} clusters",
             grid.len(),
@@ -305,5 +246,5 @@ fn main() {
             uncontended_floor_check(LockKind::CBoMcs, 0.5),
         ],
         epilogue: None,
-    });
+    })
 }

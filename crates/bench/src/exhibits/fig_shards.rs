@@ -27,16 +27,15 @@
 //!   `uniform,zipf:0.4,hot:64:90`);
 //! * plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
 //!
-//! The binary **self-checks** two acceptance shapes (exit non-zero on
-//! failure): a tail SLO — at the saturation cell (max shards, max
+//! The exhibit **self-checks** two acceptance shapes: a tail SLO — at the saturation cell (max shards, max
 //! clients, uniform keys) the p99 op latency stays under a
 //! queue-theoretic bound of 4 µs per queued client per shard; and the
 //! sharding speedup — at the Zipf-light saturated cell, the widest
 //! sharding (≥ 8× the narrowest) buys at least 2× the narrowest's
 //! throughput.
 
-use cohort_bench::{
-    clusters, exhibit_main, find_where, knob_or_die, long_table, no_cell_columns, schema,
+use crate::{
+    clusters, find_where, knob_or_die, long_table, no_cell_columns, run_exhibit, schema,
     throughput_table, verdict, window_ns, Cell, Check, Exhibit, Measurement, TableSpec,
 };
 use cohort_kvstore::workload::KvWorkload;
@@ -186,7 +185,7 @@ fn sharding_speedup_check(
     })
 }
 
-fn main() {
+pub fn run() -> bool {
     let grid = cells();
     let shards = usize_list("LBENCH_SHARDS", &[1, 2, 4, 8]);
     let clients = usize_list("LBENCH_SHARD_CLIENTS", &[64, 512, 2048]);
@@ -196,8 +195,7 @@ fn main() {
     let zipf_light = dists()
         .into_iter()
         .find(|d| matches!(d, KeyDist::Zipfian { theta } if *theta < 0.5));
-    exhibit_main(Exhibit {
-        name: "fig_shards",
+    run_exhibit(&Exhibit {
         banner: format!(
             "fig_shards: {} cells ({:?} shards x {:?} clients x {} dists), modelled",
             grid.len(),
@@ -238,5 +236,5 @@ fn main() {
             sharding_speedup_check(shards_min, shards_max, clients_max, zipf_light),
         ],
         epilogue: None,
-    });
+    })
 }

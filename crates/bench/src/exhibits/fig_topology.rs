@@ -9,14 +9,14 @@
 //! one-way latency in ns and the cluster each endpoint landed in.
 //!
 //! On machines where probing is impossible — a single-CPU container, a
-//! cpuset that rejects pinning, or `LBENCH_PROBE_SKIP=1` — the binary
+//! cpuset that rejects pinning, or `LBENCH_PROBE_SKIP=1` — the exhibit
 //! logs the reason and falls back to the *virtual* topology: one
 //! synthetic CPU per virtual cluster, pair latencies priced by the
 //! T5440 cost model (`local_ns` within a cluster, `remote_ns` across).
 //! The CSV stays valid and schema-stable either way, which is what the
 //! CI smoke job asserts.
 //!
-//! When the probe finds ≥ 2 clusters, the binary then re-runs the
+//! When the probe finds ≥ 2 clusters, the exhibit then re-runs the
 //! `fig_scenarios` saturation cell **on the measured clusters** (workers
 //! pinned to their cluster's physical CPUs via
 //! `LBenchConfig::topology = Measured`) and self-checks the paper's core
@@ -28,10 +28,8 @@
 //! probing), plus the usual `LBENCH_*` knobs for the re-run cells and
 //! `RESULTS_DIR`.
 
+use crate::{base_config, clusters, emit, knob_or_die, schema, topology_mode, verdict, Cell, Grid};
 use coherence_sim::CostModel;
-use cohort_bench::{
-    base_config, clusters, emit, knob_or_die, schema, topology_mode, verdict, Cell, Grid,
-};
 use lbench::env::env_bool;
 use lbench::phys::measured_topology;
 use lbench::{run_scenario, AnyLockKind, LockKind, Scenario, TopologyMode};
@@ -118,8 +116,8 @@ fn measured_saturation_check(m: &MeasuredTopology) -> Result<String, String> {
     verdict(cohort.throughput >= mcs.throughput, msg)
 }
 
-fn main() {
-    // Strict-knob contract: this binary probes directly rather than
+pub fn run() -> bool {
+    // Strict-knob contract: this exhibit probes directly rather than
     // through `base_config`, so validate the topology knobs up front —
     // a misspelt `LBENCH_TOPOLOGY=mesured` or `LBENCH_PROBE_SKIP=maybe`
     // must abort with the knob-naming error (exit 2), exactly like
@@ -168,11 +166,9 @@ fn main() {
             "measured cohort edge skipped (probe unavailable: {reason})"
         )),
     };
-    match check {
+    match &check {
         Ok(msg) => println!("check: {msg} ok"),
-        Err(msg) => {
-            println!("check: {msg} FAILED");
-            std::process::exit(1);
-        }
+        Err(msg) => println!("check: {msg} FAILED"),
     }
+    check.is_ok()
 }

@@ -8,12 +8,12 @@
 //!
 //! One [`Exhibit`] per mix: the [`KvWorkload`] translates into a keyed
 //! scenario (the kvstore service factory behind the engine's one
-//! measurement loop), so this binary shares every line of measurement
-//! machinery with the synthetic exhibits. The `kv_scenario_parity` test
+//! measurement loop), so this exhibit shares every line of measurement
+//! machinery with the synthetic ones. The `kv_scenario_parity` test
 //! pins that these cells reproduce the retired hand-rolled driver's
 //! numbers exactly.
 
-use cohort_bench::{
+use crate::{
     clusters, knob_or_die, measure_cell, metric_table, run_exhibit, thread_grid, window_ns,
     Exhibit, TableSpec,
 };
@@ -35,7 +35,7 @@ fn workload(get_pct: u32, threads: usize, policy: Option<PolicySpec>, rw: bool) 
     }
 }
 
-fn main() {
+pub fn run() -> bool {
     let grid: Vec<usize> = thread_grid().into_iter().filter(|&t| t <= 128).collect();
     // KV_POLICY selects the cache lock's handoff policy for the cohort
     // columns (PolicySpec::parse syntax, e.g. "count:16", "time:50000",
@@ -54,6 +54,7 @@ fn main() {
     if rw {
         eprintln!("table1: KV_RW=1 — gets routed through the shared read path");
     }
+    let mut ok = true;
     for &(get_pct, label) in &[
         (90u32, "90% gets / 10% sets"),
         (50, "50/50"),
@@ -68,8 +69,7 @@ fn main() {
             .unwrap_or_default();
         let rw_note = if rw { ", RW cache lock" } else { "" };
         let suffix = if rw { "_rw" } else { "" };
-        let ok = run_exhibit(&Exhibit {
-            name: "table1",
+        ok &= run_exhibit(&Exhibit {
             banner: format!("table1: mix {label}"),
             locks: AnyLockKind::excl(&LockKind::TABLES),
             grid: grid.clone(),
@@ -93,6 +93,6 @@ fn main() {
             checks: vec![],
             epilogue: None,
         });
-        assert!(ok, "table1 declares no checks");
     }
+    ok
 }

@@ -8,19 +8,16 @@
 //! The [`MmicroWorkload`] translates into a keyless keyed scenario (one
 //! op = one malloc-free pair inside the allocator service), so the
 //! engine's throughput channel carries pairs per second and the table
-//! converts to Table 2's pairs-per-ms metric. Parity with the retired hand-rolled driver is pinned by the
-//! `kv_scenario_parity` test.
+//! converts to Table 2's pairs-per-ms metric. Parity with the retired
+//! hand-rolled driver is pinned by the `kv_scenario_parity` test.
 
+use crate::{clusters, metric_table, run_exhibit, thread_grid, window_ns, Exhibit, TableSpec};
 use cohort_alloc::workload::MmicroWorkload;
-use cohort_bench::{
-    clusters, exhibit_main, metric_table, thread_grid, window_ns, Exhibit, TableSpec,
-};
 use lbench::{AnyLockKind, LockKind};
 use std::time::Duration;
 
-fn main() {
-    exhibit_main(Exhibit {
-        name: "table2",
+pub fn run() -> bool {
+    run_exhibit(&Exhibit {
         banner: "table2: mmicro malloc-free pairs per millisecond".into(),
         locks: AnyLockKind::excl(&LockKind::TABLES),
         grid: thread_grid(),
@@ -48,5 +45,5 @@ fn main() {
         }],
         checks: vec![],
         epilogue: None,
-    });
+    })
 }

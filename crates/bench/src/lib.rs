@@ -1,13 +1,15 @@
-//! Shared machinery for the figure/table regeneration binaries.
+//! Shared machinery for the figure/table regeneration exhibits.
 //!
-//! Every binary in this crate regenerates one exhibit of the paper's
-//! evaluation (see docs/ARCHITECTURE.md, "Producing and regenerating
-//! `results/*.csv`", for the index). Each binary *declares*
-//! an [`Exhibit`] — locks × grid × scenario × tables × self-checks —
-//! and the single [`exhibit::run_exhibit`] driver does the sweeping,
-//! progress reporting, table rendering ([`Grid`]), CSV writing, and
-//! acceptance checking. This module carries the environment knobs the
-//! declarations share.
+//! Every entry of [`exhibits::ALL`] regenerates one exhibit of the
+//! paper's evaluation (see docs/ARCHITECTURE.md, "Producing and
+//! regenerating `results/*.csv`", for the index); the one `exhibit`
+//! binary runs them by name (`cargo run --release --bin exhibit --
+//! fig2`, or `-- all`). Each entry *declares* an [`Exhibit`] — locks ×
+//! grid × scenario × tables × self-checks — and the single
+//! [`exhibit::run_exhibit`] driver does the sweeping, progress
+//! reporting, table rendering ([`Grid`]), CSV writing, and acceptance
+//! checking. This module carries the environment knobs the declarations
+//! share.
 //!
 //! Environment knobs (all optional):
 //!
@@ -17,6 +19,8 @@
 //! * `LBENCH_WINDOW_MS` — virtual measurement window per cell in
 //!   milliseconds (default 10; the paper measured 60 s of wall time).
 //! * `LBENCH_CLUSTERS` — NUMA clusters (default 4, the T5440).
+//! * `LBENCH_ABLATION_THREADS` — thread count of the single-count
+//!   exhibits (default 32; see [`ablation_threads`]).
 //! * `LBENCH_COST_MODE` — `realtime` (default) or `modelled`: switches
 //!   the scenario exhibits to the deterministic modelled-coherence
 //!   substrate (see [`cost_mode`]).
@@ -32,21 +36,17 @@
 //! syntax, instead of being silently ignored.
 
 pub mod exhibit;
+pub mod exhibits;
 pub mod grid;
-pub mod model_exhibit;
 pub mod schema;
 
 pub use exhibit::{
-    cluster_thread_grid, exhibit_main, find, find_where, long_table, measure_cell, metric_table,
-    migrations_detail, no_cell_columns, policy_exhibit, run_exhibit, saturation_threads,
-    steady_sweep, throughput_floor_check, throughput_table, verdict, Check, ClusterThreads,
-    Exhibit, Measurement, TableSpec,
+    cluster_thread_grid, find, find_where, long_table, measure_cell, metric_table,
+    migrations_detail, no_cell_columns, run_exhibit, saturation_threads, throughput_floor_check,
+    throughput_table, verdict, Check, ClusterThreads, Exhibit, Measurement, TableSpec,
+    CLUSTER_COUNTS,
 };
 pub use grid::{emit, Cell, Grid};
-pub use model_exhibit::{
-    measure_model_cell, model_cells, model_cells_at, model_exhibit, model_locks, model_long_table,
-    ModelCell,
-};
 
 use coherence_sim::CostModel;
 use lbench::env::{
@@ -122,15 +122,17 @@ pub fn cost_mode() -> CostMode {
     }
 }
 
-/// Thread count for the ablation binaries (`LBENCH_ABLATION_THREADS`,
-/// default 32; malformed or zero values abort).
+/// Thread count of the exhibits that measure at one thread count — the
+/// two ablations, `fig_rw`, and `fig_scenarios`' contended cells
+/// (`LBENCH_ABLATION_THREADS`, default 32; malformed or zero values
+/// abort).
 pub fn ablation_threads() -> usize {
     knob_or_die(env_positive_usize("LBENCH_ABLATION_THREADS")).unwrap_or(32)
 }
 
 /// Acceptance floor of a fissile lock's uncontended throughput against
-/// plain MCS — the single source both `fig_fissile` and the
-/// `fig_scenarios` fissile row assert against (the fast path exists to
+/// plain MCS — the single source `fig_fissile` and `fig_recip`'s
+/// uncontended Recip row assert against (the fast path exists to
 /// *erase* the two-level tax, so the floor is near-parity rather than
 /// the paper's 0.75× amortization margin).
 pub const FISSILE_UNCONTENDED_FLOOR: f64 = 0.95;

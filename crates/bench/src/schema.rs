@@ -1,13 +1,13 @@
-//! Single source of truth for the CSV schemas the bench binaries emit.
+//! Single source of truth for the CSV schemas the exhibits emit.
 //!
-//! Every exhibit binary writes a CSV into `RESULTS_DIR`; several of those
-//! files are committed under `results/`. When a binary's schema changes
-//! (a column added, a lock renamed), the committed copies silently go
-//! stale — the header no longer matches what the binary would produce.
+//! Every exhibit writes a CSV into `RESULTS_DIR`; several of those files
+//! are committed under `results/`. When an exhibit's schema changes (a
+//! column added, a lock renamed), the committed copies silently go
+//! stale — the header no longer matches what the exhibit would produce.
 //! This module centralizes the headers so that (a) the writers and the
 //! checker can never disagree, and (b) the `csv_schema` integration test
 //! can fail loudly on any committed CSV whose header drifted from its
-//! generating binary.
+//! generating exhibit.
 //!
 //! It also says, once, what a long-form column *is*: [`result_cell`]
 //! resolves a column name to a value of
@@ -29,7 +29,7 @@ pub fn table_header(locks: &[LockKind]) -> String {
     s
 }
 
-/// Header of `fig_rw.csv` (written by the `fig_rw` binary). The
+/// Header of `fig_rw.csv` (written by the `fig_rw` exhibit). The
 /// `lat_p50_ns`/`lat_p99_ns` columns are modelled acquisition-latency
 /// percentiles over exclusive (handoff-charged) acquisitions.
 pub const FIG_RW_HEADER: &str = "lock,read_pct,threads,throughput,read_ops,write_ops,\
@@ -37,23 +37,23 @@ pub const FIG_RW_HEADER: &str = "lock,read_pct,threads,throughput,read_ops,write
      lat_p50_ns,lat_p99_ns,policy";
 
 /// Header of `fig_scenarios.csv` (written by the `fig_scenarios`
-/// binary): one row per scenario × lock, with the load-shape label, op
+/// exhibit): one row per scenario × lock, with the load-shape label, op
 /// split, locality/tenure counters, and latency percentiles.
 pub const FIG_SCENARIOS_HEADER: &str = "scenario,shape,lock,threads,clusters,read_pct,\
      throughput,total_ops,read_ops,write_ops,acquisitions,migrations,misses_per_cs,\
      mean_batch,tenures,local_handoffs,mean_streak,max_streak,lat_p50_ns,lat_p99_ns,policy";
 
-/// Header of `fig_cna.csv` (written by the `fig_cna` binary).
+/// Header of `fig_cna.csv` (written by the `fig_cna` exhibit).
 pub const FIG_CNA_HEADER: &str = "lock,clusters,threads,throughput,acquisitions,migrations,\
      misses_per_cs,tenures,local_handoffs,mean_streak,max_streak,policy";
 
-/// Header of `fig_fissile.csv` (written by the `fig_fissile` binary):
+/// Header of `fig_fissile.csv` (written by the `fig_fissile` exhibit):
 /// the `fig_cna` shape plus the fissile fast-vs-slow acquisition split
 /// (`fast_acqs`/`slow_acqs` — zeros for the non-fissile rows).
 pub const FIG_FISSILE_HEADER: &str = "lock,clusters,threads,throughput,acquisitions,migrations,\
      misses_per_cs,tenures,local_handoffs,mean_streak,max_streak,fast_acqs,slow_acqs,policy";
 
-/// Header of `fig_recip.csv` (written by the `fig_recip` binary): one
+/// Header of `fig_recip.csv` (written by the `fig_recip` exhibit): one
 /// row per mode × clusters × threads × lock. The `mode` column is
 /// `realtime` (real threads, throughput floors) or `modelled` (the
 /// deterministic disaggregated substrate, where `succ_transitions` — the
@@ -63,7 +63,7 @@ pub const FIG_RECIP_HEADER: &str = "lock,mode,clusters,threads,throughput,acquis
      migrations,misses_per_cs,succ_transitions,tenures,local_handoffs,mean_streak,max_streak,\
      lat_p50_ns,lat_p99_ns,policy";
 
-/// Header of `fig_gcr.csv` (written by the `fig_gcr` binary): the
+/// Header of `fig_gcr.csv` (written by the `fig_gcr` exhibit): the
 /// `fig_fissile` shape with the cluster column replaced by the
 /// oversubscription factor (threads ÷ base threads) and the GCR
 /// admission counters appended (`passive_parks`/`promotions` — zeros
@@ -72,7 +72,7 @@ pub const FIG_GCR_HEADER: &str = "lock,oversub,threads,clusters,throughput,acqui
      migrations,misses_per_cs,tenures,local_handoffs,mean_streak,max_streak,fast_acqs,\
      slow_acqs,passive_parks,promotions,policy";
 
-/// Header of `fig_model.csv` (written by the `fig_model` binary): one
+/// Header of `fig_model.csv` (written by the `fig_model` exhibit): one
 /// row per modelled cell × lock. Every column is deterministic — the
 /// modelled cost mode is bit-reproducible run to run, so the file
 /// deliberately carries **no wall-clock column** (the one field the
@@ -83,7 +83,7 @@ pub const FIG_MODEL_HEADER: &str = "scenario,lock,threads,clusters,read_pct,thro
      mean_batch,batch_p50,tenures,local_handoffs,mean_streak,max_streak,aborts,\
      lat_p50_ns,lat_p99_ns,policy";
 
-/// Header of `fig_shards.csv` (written by the `fig_shards` binary): one
+/// Header of `fig_shards.csv` (written by the `fig_shards` exhibit): one
 /// row per shards × clients × key-distribution cell × lock over the
 /// sharded KV service. The sweep runs entirely on the modelled
 /// substrate, so — like [`FIG_MODEL_HEADER`] — the file carries **no
@@ -95,18 +95,18 @@ pub const FIG_SHARDS_HEADER: &str = "lock,shards,clients,dist,clusters,read_pct,
      total_ops,read_ops,write_ops,acquisitions,migrations,misses_per_cs,mean_batch,tenures,\
      local_handoffs,mean_streak,lat_p50_ns,lat_p99_ns,policy";
 
-/// Header of `fig_topology.csv` (written by the `fig_topology` binary):
+/// Header of `fig_topology.csv` (written by the `fig_topology` exhibit):
 /// one row per probed CPU pair (upper triangle, `cpu_a <= cpu_b`) with
 /// the measured one-way latency and the cluster each endpoint landed in —
 /// the latency matrix and the cluster map in one long-form table. On
-/// machines where probing is impossible the binary falls back to virtual
+/// machines where probing is impossible the exhibit falls back to virtual
 /// clusters and emits one synthetic CPU per virtual cluster priced by the
 /// cost model (`source` then says `virtual` instead of `measured`), so
 /// the file stays schema-stable everywhere.
 pub const FIG_TOPOLOGY_HEADER: &str = "source,cpu_a,cpu_b,lat_ns,cluster_a,cluster_b";
 
-/// Header of the policy-sweep CSVs (`ablation_policy.csv`,
-/// `ablation_handoff.csv`; rows built by [`crate::policy_exhibit`]).
+/// Header of `ablation_policy.csv` (written by the `ablation_policy`
+/// exhibit): one row per lock × handoff policy.
 pub const POLICY_HEADER: &str = "lock,policy,threads,throughput,stddev_pct,mean_batch,\
      misses_per_cs,tenures,local_handoffs,mean_streak,max_streak,migrations_per_tenure";
 
@@ -137,7 +137,6 @@ pub const LONG_FORMS: &[(&str, &str, &[&str])] = &[
         &["shards", "clients", "dist", "clusters"],
     ),
     ("ablation_policy", POLICY_HEADER, &[]),
-    ("ablation_handoff", POLICY_HEADER, &[]),
 ];
 
 /// The column table: column → (the result field it reads, digits after
@@ -178,8 +177,8 @@ pub fn result_cell(column: &str, r: &ScenarioResult) -> Option<Cell> {
 }
 
 /// The header `file_name` (e.g. `"fig_rw.csv"`) is expected to carry, or
-/// `None` for a name no current binary produces. Table-shaped exhibits
-/// derive their headers from the same [`LockKind`] arrays the binaries
+/// `None` for a name no current exhibit produces. Table-shaped exhibits
+/// derive their headers from the same [`LockKind`] arrays the exhibits
 /// sweep, so a lock rename or set change shows up here immediately.
 pub fn expected_header(file_name: &str) -> Option<String> {
     let stem = file_name.strip_suffix(".csv")?;
@@ -212,7 +211,7 @@ mod tests {
         let t = expected_header("table1_get90.csv").unwrap();
         assert!(t.starts_with("threads,pthread,Fib-BO,MCS,"), "{t}");
         assert!(t.ends_with("C-MCS-MCS"), "{t}");
-        // The figure binaries' actual emit() names, not the figure numbers.
+        // The figure exhibits' actual emit() names, not the figure numbers.
         for f in [
             "fig2_throughput.csv",
             "fig3_misses_per_cs.csv",

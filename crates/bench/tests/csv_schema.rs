@@ -1,5 +1,5 @@
 //! Guards the committed `results/*.csv` exhibits against schema drift:
-//! every committed CSV's header must match what its generating binary
+//! every committed CSV's header must match what its generating exhibit
 //! currently emits (single source of truth: `cohort_bench::schema`).
 //! A column added to a writer, a lock renamed in the registry, or a CSV
 //! committed from a stale build all fail here with a regeneration hint.
@@ -37,7 +37,7 @@ fn committed_csv_headers_match_their_generating_binaries() {
             .to_string();
         let expected = cohort_bench::schema::expected_header(&name).unwrap_or_else(|| {
             panic!(
-                "results/{name} has no registered schema — if a binary still emits it, \
+                "results/{name} has no registered schema — if an exhibit still emits it, \
                  register the header in cohort_bench::schema::expected_header; if not, \
                  delete the orphaned CSV"
             )
@@ -51,7 +51,7 @@ fn committed_csv_headers_match_their_generating_binaries() {
             header.trim_end(),
             expected,
             "results/{name} is stale: its header no longer matches what the generating \
-             binary emits — regenerate it (see docs/ARCHITECTURE.md, \
+             exhibit emits — regenerate it (see docs/ARCHITECTURE.md, \
              \"Producing and regenerating results/*.csv\")"
         );
         checked += 1;

@@ -1,4 +1,4 @@
-//! Strict environment-knob parsing for the bench binaries.
+//! Strict environment-knob parsing for the bench exhibits.
 //!
 //! The exhibits are configured through environment variables. A typo'd
 //! value (`KV_RW=yes`, `LBENCH_THREADS=four`) used to be *silently
@@ -167,29 +167,6 @@ fn number<T: std::str::FromStr>(
     })
 }
 
-/// Entry parser: the canonical spelling of the option `v` names
-/// (case-insensitive), or the `Choice` error listing `allowed`.
-fn choice(
-    knob: &str,
-    v: &str,
-    allowed: &'static [&'static str],
-) -> Result<&'static str, EnvKnobError> {
-    let found = allowed.iter().find(|a| a.eq_ignore_ascii_case(v)).copied();
-    found.ok_or_else(|| EnvKnobError::Choice {
-        knob: knob.to_string(),
-        value: v.to_string(),
-        allowed,
-    })
-}
-
-/// Entry parser: [`PolicySpec::parse`], its error led by the knob name.
-fn policy(knob: &str, v: &str) -> Result<PolicySpec, EnvKnobError> {
-    PolicySpec::parse(v).map_err(|err| EnvKnobError::Policy {
-        knob: knob.to_string(),
-        err,
-    })
-}
-
 /// Boolean knob: unset ⇒ `false`; `1`/`true` ⇒ `true`; `0`/`false` ⇒
 /// `false` (case-insensitive); anything else — including `yes`/`on` — is
 /// an error naming the knob and the accepted spellings.
@@ -216,12 +193,6 @@ pub fn env_positive_usize(knob: &str) -> Result<Option<usize>, EnvKnobError> {
     value(knob, |v| number(knob, v, "a positive integer", |&n| n >= 1))
 }
 
-/// Positive-`u64` knob (burst window lengths): unset ⇒ `None`; `0` or a
-/// malformed value is an error.
-pub fn env_positive_u64(knob: &str) -> Result<Option<u64>, EnvKnobError> {
-    value(knob, |v| number(knob, v, "a positive integer", |&n| n >= 1))
-}
-
 /// Range-checked `u64` knob (`LBENCH_CLUSTERS`): unset ⇒ `None`; a
 /// malformed value or one outside `range` is an error naming the knob
 /// and the accepted `min..=max` bounds.
@@ -240,27 +211,6 @@ pub fn env_range_u64(
     })
 }
 
-/// Comma-separated choice-list knob (scenario names): unset or all-blank
-/// ⇒ `None`; any entry outside `allowed` is an error quoting that entry
-/// and the accepted names. Matching is case-insensitive; the returned
-/// entries are the canonical (`allowed`) spellings, deduplicated in
-/// first-mention order.
-pub fn env_choice_list(
-    knob: &str,
-    allowed: &'static [&'static str],
-) -> Result<Option<Vec<&'static str>>, EnvKnobError> {
-    let named = list(knob, |part| choice(knob, part, allowed))?;
-    Ok(named.map(|names| {
-        let mut out = Vec::new();
-        for name in names {
-            if !out.contains(&name) {
-                out.push(name);
-            }
-        }
-        out
-    }))
-}
-
 /// Single-choice knob (`LBENCH_COST_MODE`): unset or blank ⇒ `None`; a
 /// value outside `allowed` is an error quoting it and the accepted
 /// names. Matching is case-insensitive; the canonical (`allowed`)
@@ -271,7 +221,14 @@ pub fn env_choice(
 ) -> Result<Option<&'static str>, EnvKnobError> {
     let set = value(knob, |v| match v.trim() {
         "" => Ok(None),
-        part => choice(knob, part, allowed).map(Some),
+        part => match allowed.iter().find(|a| a.eq_ignore_ascii_case(part)) {
+            Some(&canonical) => Ok(Some(canonical)),
+            None => Err(EnvKnobError::Choice {
+                knob: knob.to_string(),
+                value: part.to_string(),
+                allowed,
+            }),
+        },
     })?;
     Ok(set.flatten())
 }
@@ -301,13 +258,12 @@ pub fn env_key_dist_list(knob: &str) -> Result<Option<Vec<crate::KeyDist>>, EnvK
 /// [`PolicySpec`] knob: unset ⇒ `None`; parse errors are wrapped so the
 /// message leads with the knob name.
 pub fn env_policy(knob: &str) -> Result<Option<PolicySpec>, EnvKnobError> {
-    value(knob, |v| policy(knob, v))
-}
-
-/// Comma-separated [`PolicySpec`] list knob (`LBENCH_EXTRA_POLICIES`):
-/// unset or all-blank ⇒ `None`; any malformed entry is an error.
-pub fn env_policy_list(knob: &str) -> Result<Option<Vec<PolicySpec>>, EnvKnobError> {
-    list(knob, |part| policy(knob, part))
+    value(knob, |v| {
+        PolicySpec::parse(v).map_err(|err| EnvKnobError::Policy {
+            knob: knob.to_string(),
+            err,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -386,31 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn choice_list_canonicalizes_and_rejects_unknown_names() {
-        let _g = env_guard();
-        const ALLOWED: &[&str] = &["steady", "bursty", "phased"];
-        assert_eq!(
-            env_choice_list("LBENCH_TEST_CHOICE_UNSET", ALLOWED),
-            Ok(None)
-        );
-        std::env::set_var("LBENCH_TEST_CHOICE", "Bursty, steady,bursty");
-        assert_eq!(
-            env_choice_list("LBENCH_TEST_CHOICE", ALLOWED),
-            Ok(Some(vec!["bursty", "steady"])),
-            "case-folded, deduplicated, first-mention order"
-        );
-        std::env::set_var("LBENCH_TEST_CHOICE", "steady,spiky");
-        let msg = env_choice_list("LBENCH_TEST_CHOICE", ALLOWED)
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("\"spiky\""), "{msg}");
-        assert!(msg.contains("steady, bursty, phased"), "{msg}");
-        std::env::set_var("LBENCH_TEST_CHOICE", " , ");
-        assert_eq!(env_choice_list("LBENCH_TEST_CHOICE", ALLOWED), Ok(None));
-        std::env::remove_var("LBENCH_TEST_CHOICE");
-    }
-
-    #[test]
     fn single_choice_knob_canonicalizes_and_rejects_unknown() {
         let _g = env_guard();
         const ALLOWED: &[&str] = &["realtime", "modelled"];
@@ -430,20 +361,6 @@ mod tests {
         std::env::set_var("LBENCH_TEST_MODE", "  ");
         assert_eq!(env_choice("LBENCH_TEST_MODE", ALLOWED), Ok(None));
         std::env::remove_var("LBENCH_TEST_MODE");
-    }
-
-    #[test]
-    fn positive_u64_knob_rejects_zero() {
-        let _g = env_guard();
-        assert_eq!(env_positive_u64("LBENCH_TEST_PU64_UNSET"), Ok(None));
-        std::env::set_var("LBENCH_TEST_PU64", "250");
-        assert_eq!(env_positive_u64("LBENCH_TEST_PU64"), Ok(Some(250)));
-        std::env::set_var("LBENCH_TEST_PU64", "0");
-        let msg = env_positive_u64("LBENCH_TEST_PU64")
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("positive"), "{msg}");
-        std::env::remove_var("LBENCH_TEST_PU64");
     }
 
     #[test]
@@ -503,17 +420,5 @@ mod tests {
         assert!(msg.contains("LBENCH_TEST_POLICY"), "{msg}");
         assert!(msg.contains("count:<bound>"), "{msg}");
         std::env::remove_var("LBENCH_TEST_POLICY");
-
-        std::env::set_var("LBENCH_TEST_POLICIES", "count:8,time:100");
-        assert_eq!(
-            env_policy_list("LBENCH_TEST_POLICIES"),
-            Ok(Some(vec![
-                PolicySpec::Count { bound: 8 },
-                PolicySpec::Time { budget_ns: 100 }
-            ]))
-        );
-        std::env::set_var("LBENCH_TEST_POLICIES", "count:8,bogus");
-        assert!(env_policy_list("LBENCH_TEST_POLICIES").is_err());
-        std::env::remove_var("LBENCH_TEST_POLICIES");
     }
 }

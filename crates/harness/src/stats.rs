@@ -1,5 +1,5 @@
 //! Small statistics helpers used by the result types and the bench
-//! binaries.
+//! exhibits.
 
 /// Mean and population standard deviation of `xs`, the latter expressed as
 /// a percentage of the mean (the Y axis of the paper's Figure 5).

@@ -26,7 +26,7 @@
 //! * [`workload`] — a memaslap-style driver: configurable get/set mix
 //!   and key distribution over the keyspace, now a thin wrapper that
 //!   builds a keyed [`Scenario`](lbench::Scenario) and calls
-//!   [`run_scenario`](lbench::run_scenario); the Table 1 binary
+//!   [`run_scenario`](lbench::run_scenario); the Table 1 exhibit
 //!   normalizes its numbers into speedups.
 
 #![warn(missing_docs)]

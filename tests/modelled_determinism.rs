@@ -7,9 +7,9 @@
 //! in the same process, at any thread count — reproduces every field of
 //! the [`lbench::ScenarioResult`] bit for bit, and the CSV the exhibit
 //! writes is byte-identical across sweeps. The cells, lock set, and table
-//! builder come from `cohort_bench::model_exhibit`, the same module the
-//! `fig_model` binary runs, so what this test pins is exactly what the
-//! committed `results/fig_model.csv` and the CI byte-diff exercise.
+//! builder come from `cohort_bench::exhibits::fig_model`, the same module
+//! the `fig_model` exhibit runs, so what this test pins is exactly what
+//! the committed `results/fig_model.csv` and the CI byte-diff exercise.
 //!
 //! On failure the assertions print the **first diverging field**
 //! ([`lbench::ScenarioResult::first_divergence`]) rather than a blob of
@@ -32,10 +32,10 @@
 
 use coherence_sim::CostModel;
 use cohort_alloc::workload::MmicroWorkload;
-use cohort_bench::{
-    measure_model_cell, model_cells_at, model_locks, model_long_table, schema, Grid, Measurement,
-    ModelCell,
+use cohort_bench::exhibits::fig_model::{
+    measure_model_cell, model_cells_at, model_locks, model_long_table, ModelCell,
 };
+use cohort_bench::{schema, Grid, Measurement};
 use cohort_kvstore::workload::KvWorkload;
 use cohort_kvstore::KvConfig;
 use lbench::{
