@@ -14,7 +14,6 @@
 //! | [`McsLock`] | Mellor-Crummey & Scott '91 | FIFO queue lock, local spinning |
 //! | [`ClhLock`] | Craig '93; Magnussen et al. | implicit-predecessor queue lock |
 //! | [`AbortableClhLock`] | Scott PODC '02 ("CLH-NB try") | timeout-capable CLH |
-//! | [`ParkingLock`] | spin-then-park | blocking lock; thread-oblivious, cohort-ready |
 //! | [`ReciprocatingLock`] | Dice & Kogan, arXiv:2501.02380 | palindromic admission, constant-coherence handover |
 //!
 //! The four TATAS rows are one type, [`TasLock<W>`], under a [`Wait`]
@@ -46,7 +45,6 @@ mod clh;
 mod clh_nb;
 mod mcs;
 mod mutex;
-mod parking;
 pub mod pool;
 mod raw;
 mod recip;
@@ -58,7 +56,6 @@ pub use clh::ClhLock;
 pub use clh_nb::AbortableClhLock;
 pub use mcs::McsLock;
 pub use mutex::{SpinMutex, SpinMutexGuard};
-pub use parking::ParkingLock;
 pub use raw::{RawAbortableLock, RawLock};
 pub use recip::{RecipToken, ReciprocatingLock};
 pub use tatas::{BackoffLock, FibBackoffLock, GlobalBoLock, TasLock, TatasLock};

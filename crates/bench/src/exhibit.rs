@@ -22,7 +22,7 @@
 
 use crate::grid::{emit, Cell, Grid};
 use crate::schema;
-use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
+use lbench::{run_scenario, AnyLockKind, LBenchConfig, Scenario, ScenarioResult};
 use std::fmt::Display;
 
 /// One measured cell of an exhibit: the grid cell it came from plus the
@@ -78,36 +78,6 @@ pub fn find<C: PartialEq>(
     find_where(ms, kind, |c| *c == cell).expect("check cell present")
 }
 
-/// The self-check the comparison exhibits share: at `cell`, `kind` must
-/// hold at least `floor` × the throughput of `baseline`. `detail` picks
-/// the counters worth printing next to the ratio, from `kind`'s result
-/// and `baseline`'s.
-pub fn throughput_floor_check<C>(
-    cell: C,
-    kind: LockKind,
-    baseline: LockKind,
-    floor: f64,
-    detail: fn(&ScenarioResult, &ScenarioResult) -> String,
-) -> Check<C>
-where
-    C: Copy + PartialEq + Display + 'static,
-{
-    Box::new(move |ms| {
-        let (lock, base) = (find(ms, cell, kind), find(ms, cell, baseline));
-        let ratio = lock.throughput / base.throughput.max(1.0);
-        let msg = format!(
-            "{kind} vs {baseline} at {cell}: {ratio:.3}x (floor {floor}x, {})",
-            detail(lock, base)
-        );
-        verdict(ratio >= floor, msg)
-    })
-}
-
-/// `detail` for [`throughput_floor_check`]: both locks' migration counts.
-pub fn migrations_detail(lock: &ScenarioResult, base: &ScenarioResult) -> String {
-    format!("{} vs {} migrations", lock.migrations, base.migrations)
-}
-
 /// The printed (not written) table of the comparison exhibits:
 /// throughput in ops/s, one row per grid cell, one column per lock.
 pub fn throughput_table<C: Display + 'static>(title: &str) -> TableSpec<C> {
@@ -116,72 +86,6 @@ pub fn throughput_table<C: Display + 'static>(title: &str) -> TableSpec<C> {
         text: true,
         build: metric_table(title.into(), "cell", 0, |r| r.throughput),
     }
-}
-
-/// One grid cell of the clusters × threads exhibits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct ClusterThreads {
-    /// NUMA clusters of the cell.
-    pub clusters: usize,
-    /// Worker threads of the cell.
-    pub threads: usize,
-}
-
-impl ClusterThreads {
-    /// The builder of the clusters × threads exhibits: the paper's steady
-    /// workload at the cell's cluster and thread counts.
-    pub fn steady(&self) -> (Scenario, LBenchConfig) {
-        let mut cfg = crate::base_config(self.threads);
-        cfg.clusters = self.clusters;
-        (Scenario::steady(), cfg)
-    }
-
-    /// Their `cell_columns` hook: `clusters`, the swept count.
-    pub fn cell_columns(m: &Measurement<ClusterThreads>, column: &str) -> Cell {
-        match column {
-            "clusters" => Cell::Int(m.cell.clusters as u64),
-            _ => no_cell_columns(m, column),
-        }
-    }
-}
-
-impl Display for ClusterThreads {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "c={} t={}", self.clusters, self.threads)
-    }
-}
-
-/// The cluster counts the clusters × threads exhibits (`fig_cna`,
-/// `fig_fissile`, `fig_recip`) sweep.
-pub const CLUSTER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// The grid of a clusters × threads exhibit: for every cluster count,
-/// the `LBENCH_THREADS` grid plus the exhibit's check cells for that
-/// count (`extra_threads`), deduplicated and sorted.
-pub fn cluster_thread_grid(
-    cluster_counts: &[usize],
-    extra_threads: impl Fn(usize) -> Vec<usize>,
-) -> Vec<ClusterThreads> {
-    cluster_counts
-        .iter()
-        .flat_map(|&clusters| {
-            let mut threads = crate::thread_grid();
-            threads.extend(extra_threads(clusters));
-            threads.sort_unstable();
-            threads.dedup();
-            threads
-                .into_iter()
-                .map(move |threads| ClusterThreads { clusters, threads })
-        })
-        .collect()
-}
-
-/// The saturation check cell of a cluster count: `8 × clusters` threads.
-/// Below that the offered load does not reliably saturate the lock in
-/// this harness — at `2 × clusters` even C-BO-MCS holds no edge over
-/// TATAS, so a comparison there measures noise rather than the design.
-pub fn saturation_threads(clusters: usize) -> usize {
-    8 * clusters
 }
 
 /// One table of an exhibit: how to build the [`Grid`] and where it goes.
@@ -357,6 +261,7 @@ pub fn no_cell_columns<C>(_: &Measurement<C>, column: &str) -> Cell {
 mod tests {
     use super::*;
     use coherence_sim::CostModel;
+    use lbench::LockKind;
 
     /// A measurement with a chosen throughput: a short modelled cell
     /// supplies the rest of the result.

@@ -11,11 +11,9 @@ mod ablation_numa;
 mod ablation_policy;
 mod fig2;
 mod fig6;
-mod fig_cna;
-mod fig_fissile;
+mod fig_compare;
 mod fig_gcr;
 pub mod fig_model;
-mod fig_recip;
 mod fig_rw;
 mod fig_scenarios;
 mod fig_shards;
@@ -36,12 +34,10 @@ pub const ALL: &[Entry] = &[
     ("ablation_policy", ablation_policy::run),
     ("ablation_numa", ablation_numa::run),
     ("fig_rw", fig_rw::run),
-    ("fig_cna", fig_cna::run),
-    ("fig_fissile", fig_fissile::run),
+    ("fig_compare", fig_compare::run),
     ("fig_scenarios", fig_scenarios::run),
     ("fig_model", fig_model::run),
     ("fig_shards", fig_shards::run),
     ("fig_gcr", fig_gcr::run),
-    ("fig_recip", fig_recip::run),
     ("fig_topology", fig_topology::run),
 ];

@@ -21,9 +21,6 @@
 //! * `LBENCH_CLUSTERS` — NUMA clusters (default 4, the T5440).
 //! * `LBENCH_ABLATION_THREADS` — thread count of the single-count
 //!   exhibits (default 32; see [`ablation_threads`]).
-//! * `LBENCH_COST_MODE` — `realtime` (default) or `modelled`: switches
-//!   the scenario exhibits to the deterministic modelled-coherence
-//!   substrate (see [`cost_mode`]).
 //! * `LBENCH_TOPOLOGY` — `virtual` (default) or `measured`: run every
 //!   exhibit on the probed core-to-core latency cluster map with
 //!   physical thread pinning (see [`topology_mode`]);
@@ -41,18 +38,15 @@ pub mod grid;
 pub mod schema;
 
 pub use exhibit::{
-    cluster_thread_grid, find, find_where, long_table, measure_cell, metric_table,
-    migrations_detail, no_cell_columns, run_exhibit, saturation_threads, throughput_floor_check,
-    throughput_table, verdict, Check, ClusterThreads, Exhibit, Measurement, TableSpec,
-    CLUSTER_COUNTS,
+    find, find_where, long_table, measure_cell, metric_table, no_cell_columns, run_exhibit,
+    throughput_table, verdict, Check, Exhibit, Measurement, TableSpec,
 };
 pub use grid::{emit, Cell, Grid};
 
-use coherence_sim::CostModel;
 use lbench::env::{
-    env_choice, env_positive_usize, env_positive_usize_list, env_range_u64, env_u64, EnvKnobError,
+    env_positive_usize, env_positive_usize_list, env_range_u64, env_u64, EnvKnobError,
 };
-use lbench::{CostMode, LBenchConfig, TopologyMode};
+use lbench::{LBenchConfig, TopologyMode};
 use std::time::Duration;
 
 /// Unwraps an env-knob parse, aborting the binary with the knob-naming
@@ -109,19 +103,6 @@ pub fn base_config(threads: usize) -> LBenchConfig {
     }
 }
 
-/// Cost mode for the scenario exhibits (`LBENCH_COST_MODE`):
-/// `realtime` (the default — real threads, modelled prices) or
-/// `modelled` (the deterministic discrete-event substrate under
-/// [`CostModel::disaggregated`]; two runs of the same cell then produce
-/// byte-identical CSVs). Any other value aborts through the strict knob
-/// path, naming the accepted spellings.
-pub fn cost_mode() -> CostMode {
-    match knob_or_die(env_choice("LBENCH_COST_MODE", &["realtime", "modelled"])) {
-        Some("modelled") => CostMode::Modelled(CostModel::disaggregated()),
-        _ => CostMode::RealTime,
-    }
-}
-
 /// Thread count of the exhibits that measure at one thread count — the
 /// two ablations, `fig_rw`, and `fig_scenarios`' contended cells
 /// (`LBENCH_ABLATION_THREADS`, default 32; malformed or zero values
@@ -129,13 +110,6 @@ pub fn cost_mode() -> CostMode {
 pub fn ablation_threads() -> usize {
     knob_or_die(env_positive_usize("LBENCH_ABLATION_THREADS")).unwrap_or(32)
 }
-
-/// Acceptance floor of a fissile lock's uncontended throughput against
-/// plain MCS — the single source `fig_fissile` and `fig_recip`'s
-/// uncontended Recip row assert against (the fast path exists to
-/// *erase* the two-level tax, so the floor is near-parity rather than
-/// the paper's 0.75× amortization margin).
-pub const FISSILE_UNCONTENDED_FLOOR: f64 = 0.95;
 
 #[cfg(test)]
 mod tests {

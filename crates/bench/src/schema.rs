@@ -43,17 +43,17 @@ pub const FIG_SCENARIOS_HEADER: &str = "scenario,shape,lock,threads,clusters,rea
      throughput,total_ops,read_ops,write_ops,acquisitions,migrations,misses_per_cs,\
      mean_batch,tenures,local_handoffs,mean_streak,max_streak,lat_p50_ns,lat_p99_ns,policy";
 
-/// Header of `fig_cna.csv` (written by the `fig_cna` exhibit).
+/// Header of `fig_cna.csv` (written by the `fig_compare` exhibit).
 pub const FIG_CNA_HEADER: &str = "lock,clusters,threads,throughput,acquisitions,migrations,\
      misses_per_cs,tenures,local_handoffs,mean_streak,max_streak,policy";
 
-/// Header of `fig_fissile.csv` (written by the `fig_fissile` exhibit):
+/// Header of `fig_fissile.csv` (written by the `fig_compare` exhibit):
 /// the `fig_cna` shape plus the fissile fast-vs-slow acquisition split
 /// (`fast_acqs`/`slow_acqs` — zeros for the non-fissile rows).
 pub const FIG_FISSILE_HEADER: &str = "lock,clusters,threads,throughput,acquisitions,migrations,\
      misses_per_cs,tenures,local_handoffs,mean_streak,max_streak,fast_acqs,slow_acqs,policy";
 
-/// Header of `fig_recip.csv` (written by the `fig_recip` exhibit): one
+/// Header of `fig_recip.csv` (written by the `fig_compare` exhibit): one
 /// row per mode × clusters × threads × lock. The `mode` column is
 /// `realtime` (real threads, throughput floors) or `modelled` (the
 /// deterministic disaggregated substrate, where `succ_transitions` — the

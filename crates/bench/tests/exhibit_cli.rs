@@ -43,6 +43,9 @@ fn the_folded_exhibits_are_not_accepted() {
         "fig5",
         "ablation_batching",
         "ablation_handoff",
+        "fig_cna",
+        "fig_fissile",
+        "fig_recip",
     ] {
         assert!(ALL.iter().all(|(name, _)| *name != retired), "{retired}");
         assert_eq!(exhibit(&[retired]).status.code(), Some(2), "{retired}");

@@ -5,11 +5,10 @@
 //!   C-BO-MCS, A-C-BO-BO, A-C-BO-CLH.
 //! * **Ticket** — used by C-TKT-TKT and C-TKT-MCS.
 //! * **MCS** — used by C-MCS-MCS.
-//! * **Parking** — used by C-PARK-MCS.
 //! * **Reciprocating** — used by C-Recip-MCS.
 
 use crate::traits::ThreadOblivious;
-use base_locks::{McsLock, ParkingLock, ReciprocatingLock, TasLock, TicketLock, Wait};
+use base_locks::{McsLock, ReciprocatingLock, TasLock, TicketLock, Wait};
 
 // SAFETY: the lock word is one flag carrying no owner identity, and
 // `unlock` is a plain store.
@@ -21,9 +20,6 @@ unsafe impl ThreadOblivious for TicketLock {}
 // SAFETY: queue nodes circulate through per-thread pools (§3.4), so the
 // node in a token may be retired by whichever thread releases.
 unsafe impl ThreadOblivious for McsLock {}
-
-// SAFETY: `unlock` only stores the flag and unparks a registered waiter.
-unsafe impl ThreadOblivious for ParkingLock {}
 
 // SAFETY: the token is two plain words (successor pointer, era budget)
 // and the release path never consults thread identity.

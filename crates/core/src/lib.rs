@@ -155,12 +155,6 @@ pub type AcBoClh = CohortLock<GlobalBoLock, LocalAClhLock>;
 /// RAII mutex over a cohort lock: `CohortMutex<T, CBoMcs>` etc.
 pub type CohortMutex<T, CL> = SpinMutex<T, CL>;
 
-/// C-PARK-MCS: a **spin-then-block** cohort lock — the §2.1 aside made
-/// concrete. The global lock parks its waiters (one per cluster at most),
-/// while intra-cluster handoffs stay pure spin; threads block only when
-/// their whole cluster is out of work.
-pub type CParkMcs = CohortLock<base_locks::ParkingLock, LocalMcsLock>;
-
 /// C-RW-BO-MCS: the cohort reader-writer lock over the paper's
 /// best-performing writer composition (global BO, local MCS). See
 /// [`rwlock`] for the protocol and the fairness flavors.
@@ -273,12 +267,6 @@ mod tests {
     #[test]
     fn a_c_bo_clh_mutual_exclusion() {
         stress(AcBoClh::new(topo()), 4, 1_500);
-    }
-
-    #[test]
-    fn c_park_mcs_mutual_exclusion() {
-        // The blocking-global composition.
-        stress(CParkMcs::new(topo()), 4, 1_500);
     }
 
     #[test]

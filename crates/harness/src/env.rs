@@ -211,7 +211,7 @@ pub fn env_range_u64(
     })
 }
 
-/// Single-choice knob (`LBENCH_COST_MODE`): unset or blank ⇒ `None`; a
+/// Single-choice knob (`LBENCH_TOPOLOGY`): unset or blank ⇒ `None`; a
 /// value outside `allowed` is an error quoting it and the accepted
 /// names. Matching is case-insensitive; the canonical (`allowed`)
 /// spelling is returned.

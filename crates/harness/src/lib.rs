@@ -71,5 +71,5 @@ pub use phys::TopologyMode;
 pub use registry::{AnyLockKind, LockKind, ModelledAdmission, RwLockKind};
 pub use scenario::{
     run_scenario, run_scenario_on, CostMode, Field, LBenchConfig, LoadShape, LockReport, Phase,
-    Placement, Scenario, ScenarioResult, TimeMode,
+    Scenario, ScenarioResult, TimeMode,
 };

@@ -34,7 +34,7 @@
 //!   schedule (one gate line, plus the arrivals word at a segment
 //!   detach). It is pure accounting — it never advances the vclock, so
 //!   adding it changed no previously-committed modelled CSV — and it is
-//!   the quantity `fig_recip`'s constant-coherence self-check pins.
+//!   the quantity `fig_compare`'s constant-coherence self-check pins.
 //! * **The window is per-thread.** Real mode stops all threads through a
 //!   shared flag (racy); here each logical thread runs ops until its own
 //!   clock passes `cfg.window_ns`, then retires. An op in flight at the

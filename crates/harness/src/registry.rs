@@ -389,7 +389,7 @@ impl LockKind {
     }
 
     /// The CNA fairness threshold this kind is registered with (`None`
-    /// for non-CNA kinds) — the single source the `fig_cna` self-check
+    /// for non-CNA kinds) — the single source the `fig_compare` self-check
     /// asserts streaks against.
     pub fn cna_threshold(self) -> Option<u64> {
         match self.row() {
@@ -449,9 +449,22 @@ impl LockKind {
         LockKind::ACBoClh,
     ];
 
-    /// The comparison set of the `fig_cna` exhibit: cohorting
-    /// (C-BO-MCS) vs. compaction (CNA at the paper-comparable threshold
-    /// and a tight one) vs. the NUMA-oblivious MCS both build on.
+    /// The locks of the `fig_compare` exhibit: the union of the three
+    /// sets below, in an order that keeps each one's own order.
+    pub const FIG_COMPARE: [LockKind; 8] = [
+        LockKind::Tatas,
+        LockKind::Mcs,
+        LockKind::CBoMcs,
+        LockKind::Cna,
+        LockKind::CnaTight,
+        LockKind::FisBoMcs,
+        LockKind::Recip,
+        LockKind::CRecipMcs,
+    ];
+
+    /// The rows of `fig_cna.csv`: cohorting (C-BO-MCS) vs. compaction
+    /// (CNA at the paper-comparable threshold and a tight one) vs. the
+    /// NUMA-oblivious MCS both build on.
     pub const FIG_CNA: [LockKind; 4] = [
         LockKind::Mcs,
         LockKind::CBoMcs,
@@ -459,9 +472,9 @@ impl LockKind {
         LockKind::CnaTight,
     ];
 
-    /// The comparison set of the `fig_fissile` exhibit: the raw fast
-    /// path (TATAS), the raw queue baseline (MCS), the two-level slow
-    /// path (C-BO-MCS), and the graft of both (Fis-BO-MCS).
+    /// The rows of `fig_fissile.csv`: the raw fast path (TATAS), the raw
+    /// queue baseline (MCS), the two-level slow path (C-BO-MCS), and the
+    /// graft of both (Fis-BO-MCS).
     pub const FIG_FISSILE: [LockKind; 4] = [
         LockKind::Tatas,
         LockKind::Mcs,
@@ -481,10 +494,10 @@ impl LockKind {
         LockKind::GcrFisBoMcs,
     ];
 
-    /// The comparison set of the `fig_recip` exhibit: the reciprocating
-    /// lock and its cohortized form next to the queue baseline (MCS),
-    /// the compaction competitor (CNA), the fissile fast-path graft, and
-    /// the centralized-word floor (TATAS) the saturation check uses.
+    /// The rows of `fig_recip.csv`: the reciprocating lock and its
+    /// cohortized form next to the queue baseline (MCS), the compaction
+    /// competitor (CNA), the fissile fast-path graft, and the
+    /// centralized-word floor (TATAS) the saturation check uses.
     pub const FIG_RECIP: [LockKind; 6] = [
         LockKind::Tatas,
         LockKind::Mcs,

@@ -1,14 +1,12 @@
 //! Engine behaviour tests inherited from the deleted legacy runner, now
 //! driving `run_scenario`: tenure invariants, `NeverPass`, wall mode,
-//! hopeless patience, RW mixes, `Blocked` placement. The module keeps
-//! the name the tests have always been listed under.
+//! hopeless patience, RW mixes. The module keeps the name the tests have
+//! always been listed under.
 
 #[cfg(test)]
 mod tests {
     use crate::registry::{AnyLockKind, LockKind, RwLockKind};
-    use crate::scenario::{
-        cluster_for, run_scenario, LBenchConfig, Placement, Scenario, ScenarioResult, TimeMode,
-    };
+    use crate::scenario::{run_scenario, LBenchConfig, Scenario, ScenarioResult, TimeMode};
     use std::time::Duration;
 
     /// The paper's steady exclusive-only scenario.
@@ -212,19 +210,5 @@ mod tests {
             crw.throughput,
             excl.throughput
         );
-    }
-
-    #[test]
-    fn blocked_placement_assigns_contiguously() {
-        let cfg = LBenchConfig {
-            threads: 8,
-            clusters: 4,
-            placement: Placement::Blocked,
-            ..Default::default()
-        };
-        assert_eq!(cluster_for(0, &cfg).as_usize(), 0);
-        assert_eq!(cluster_for(1, &cfg).as_usize(), 0);
-        assert_eq!(cluster_for(2, &cfg).as_usize(), 1);
-        assert_eq!(cluster_for(7, &cfg).as_usize(), 3);
     }
 }

@@ -10,7 +10,7 @@
 //! op mix (exclusive / shared-read / abortable-with-patience) and its
 //! [`LoadShape`] over time (steady, bursty on/off, phased read-ratio
 //! schedule, thread-asymmetric idling), an [`LBenchConfig`] the grid
-//! cell it runs at (threads, clusters, window, cost model, placement),
+//! cell it runs at (threads, clusters, window, cost model),
 //! and [`run_scenario`] is the single driver that executes any of them
 //! over any [`AnyLockKind`].
 //!
@@ -45,16 +45,6 @@ use numa_topology::{bind_current_thread, vclock, ClusterId, Topology};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// How threads are laid out over clusters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Placement {
-    /// Thread `i` on cluster `i % clusters` (spread, the default — matches
-    /// an OS scheduler distributing threads over sockets).
-    RoundRobin,
-    /// Fill cluster 0 first, then cluster 1, … (taskset-style packing).
-    Blocked,
-}
 
 /// Whether time is modelled (virtual) or measured (wall).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,8 +91,6 @@ pub struct LBenchConfig {
     pub pace_wall: bool,
     /// Memory-system latency model.
     pub cost: CostModel,
-    /// Thread layout.
-    pub placement: Placement,
     /// Handoff policy for cohort locks (`None` = each lock's default,
     /// i.e. the paper's `count(64)`). Ignored by non-cohort locks.
     pub policy: Option<PolicySpec>,
@@ -131,7 +119,6 @@ impl Default for LBenchConfig {
             noncs_max_ns: 4_000,
             pace_wall: true,
             cost: CostModel::t5440(),
-            placement: Placement::RoundRobin,
             policy: None,
             max_wall: Duration::from_secs(20),
             mode: TimeMode::Virtual,
@@ -616,15 +603,10 @@ impl ScenarioResult {
     }
 }
 
-/// Thread → cluster assignment under `cfg.placement`.
+/// Thread → cluster assignment: thread `i` on cluster `i % clusters`
+/// (spread, as an OS scheduler distributes threads over sockets).
 pub(crate) fn cluster_for(i: usize, cfg: &LBenchConfig) -> ClusterId {
-    match cfg.placement {
-        Placement::RoundRobin => ClusterId::new((i % cfg.clusters) as u32),
-        Placement::Blocked => {
-            let per = cfg.threads.div_ceil(cfg.clusters).max(1);
-            ClusterId::new(((i / per).min(cfg.clusters - 1)) as u32)
-        }
-    }
+    ClusterId::new((i % cfg.clusters) as u32)
 }
 
 /// Per-thread cap on retained latency samples. Long measurement windows

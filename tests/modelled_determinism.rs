@@ -242,9 +242,9 @@ fn des_regime_cells_match_their_pinned_numbers() {
 /// `results/fig_recip.csv` — the third modelled pin; `fig_model.csv` and
 /// `fig_shards.csv` are `cmp`'d whole in CI, but `fig_recip.csv` also
 /// carries real-time rows, which no two runs reproduce. Each cell is
-/// built as `fig_recip`'s `build` builds it at default knobs (10 ms
-/// window, saturated, disaggregated model) and must print the committed
-/// fields.
+/// built as `fig_compare`'s `build` builds a modelled cell at default
+/// knobs (10 ms window, saturated, disaggregated model) and must print
+/// the committed fields.
 #[test]
 fn committed_fig_recip_modelled_rows_resimulate_exactly() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fig_recip.csv");

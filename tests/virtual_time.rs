@@ -63,13 +63,27 @@ fn throughput_is_ops_over_window() {
 }
 
 #[test]
-fn blocked_placement_runs() {
-    let cfg = LBenchConfig {
-        threads: 8,
-        placement: lbench::Placement::Blocked,
-        window_ns: 1_000_000,
-        ..Default::default()
-    };
-    let r = run_steady(LockKind::CBoBo, &cfg);
-    assert!(r.total_ops > 0);
+fn one_thread_runs_are_the_same_for_every_kind() {
+    // A lone thread never waits, and the virtual clock charges the
+    // critical and non-critical sections but not the lock's own
+    // instructions, so every kind completes MCS's ops to the bit. An
+    // uncontended lock cost is a wall-clock quantity; a virtual-time
+    // ratio between two one-thread cells cannot measure it.
+    for clusters in [1, 2, 4] {
+        let cfg = LBenchConfig {
+            threads: 1,
+            clusters,
+            window_ns: 2_000_000,
+            ..Default::default()
+        };
+        let mcs = run_steady(LockKind::Mcs, &cfg);
+        for kind in LockKind::ALL {
+            let r = run_steady(kind, &cfg);
+            assert_eq!(
+                (r.total_ops, r.throughput.to_bits()),
+                (mcs.total_ops, mcs.throughput.to_bits()),
+                "{kind} vs MCS at {clusters} clusters"
+            );
+        }
+    }
 }
