@@ -150,8 +150,8 @@ impl SharedAlloc {
 }
 
 /// Builds the [`MmicroService`] — the allocator behind the lock kind the
-/// engine sweeps. mmicro has no shared-read notion, so only exclusive
-/// kinds are accepted.
+/// engine sweeps, at the config's policy. mmicro has no shared-read
+/// notion: every operation takes the write side.
 #[derive(Clone, Debug)]
 struct MmicroServiceFactory {
     alloc_size: u64,
@@ -167,19 +167,15 @@ impl KeyedServiceFactory for MmicroServiceFactory {
         kind: AnyLockKind,
         topo: &Arc<Topology>,
         _scenario: &Scenario,
-        _cfg: &LBenchConfig,
+        cfg: &LBenchConfig,
     ) -> Arc<dyn KeyedService> {
-        let kind = match kind {
-            AnyLockKind::Excl(k) => k,
-            AnyLockKind::Rw(k) => panic!("mmicro drives an exclusive allocator lock, not {k}"),
-        };
         let dir = Arc::new(Directory::new(
             MiniAlloc::lines_needed(&self.alloc),
             self.cost,
         ));
         Arc::new(MmicroService {
             shared: SharedAlloc {
-                lock: kind.make(topo),
+                lock: kind.make(topo, cfg.policy),
                 inner: UnsafeCell::new(MiniAlloc::new(self.alloc, Arc::clone(&dir))),
             },
             dir,

@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::ptr;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Request slot states.
 const EMPTY: u32 = 0;
@@ -35,7 +35,8 @@ struct Slot {
     /// MCS node: granted flag + chain pointer.
     locked: AtomicBool,
     next: AtomicPtr<Slot>,
-    /// Registry linkage (per-cluster publication list).
+    /// Registry linkage (per-cluster publication list, which owns the
+    /// slot until the lock drops).
     reg_next: AtomicPtr<Slot>,
 }
 
@@ -68,14 +69,12 @@ pub struct FcMcsLock {
     clusters: Box<[CachePadded<ClusterFc>]>,
     global_tail: CachePadded<AtomicPtr<Slot>>,
     topo: Arc<Topology>,
-    /// Owns every slot ever registered (freed on drop).
-    arena: Mutex<Vec<NonNull<Slot>>>,
     /// Monotonically growing id used to key the thread-local slot cache.
     id: usize,
 }
 
-// SAFETY: slots are shared through atomics only; the arena Mutex guards
-// registration.
+// SAFETY: slots are shared through atomics only; registration is a CAS
+// push onto a publication list.
 unsafe impl Send for FcMcsLock {}
 unsafe impl Sync for FcMcsLock {}
 
@@ -101,7 +100,6 @@ impl FcMcsLock {
             clusters,
             global_tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             topo,
-            arena: Mutex::new(Vec::new()),
             id: LOCK_IDS.fetch_add(1, Ordering::Relaxed) as usize,
         }
     }
@@ -111,11 +109,11 @@ impl FcMcsLock {
     fn my_slot(&self, cluster: usize) -> NonNull<Slot> {
         let cached = MY_SLOT.with(|c| c.get());
         if cached.0 == self.id && cached.1 == cluster {
-            // SAFETY: cached slots outlive the lock's arena.
+            // SAFETY: cached slots live on this lock's publication lists
+            // until it drops.
             return unsafe { NonNull::new_unchecked(cached.2) };
         }
         let slot = NonNull::from(Box::leak(Box::new(Slot::new())));
-        self.arena.lock().unwrap().push(slot);
         // Push onto the cluster's registry (append-only Treiber push; no
         // pops ever happen, so no ABA).
         let head = &self.clusters[cluster].slots;
@@ -184,10 +182,16 @@ impl FcMcsLock {
 
 impl Drop for FcMcsLock {
     fn drop(&mut self) {
-        for p in self.arena.lock().unwrap().drain(..) {
-            // SAFETY: registered via Box::leak; the lock is going away and
-            // guards cannot outlive it.
-            drop(unsafe { Box::from_raw(p.as_ptr()) });
+        // Every slot sits on exactly one cluster's list (it is pushed
+        // once, and lists never pop), so walking them frees each once.
+        for cluster in self.clusters.iter_mut() {
+            let mut cur = *cluster.slots.get_mut();
+            while !cur.is_null() {
+                // SAFETY: registered via Box::leak; the lock is going away
+                // and guards cannot outlive it.
+                let mut slot = unsafe { Box::from_raw(cur) };
+                cur = *slot.reg_next.get_mut();
+            }
         }
     }
 }
@@ -336,7 +340,15 @@ mod tests {
         let t2 = l.lock();
         assert_eq!(p1, t2.0, "same thread reuses its slot");
         unsafe { l.unlock(t2) };
-        assert_eq!(l.arena.lock().unwrap().len(), 1);
+        let mut registered = 0;
+        for cluster in l.clusters.iter() {
+            let mut cur = cluster.slots.load(Ordering::Acquire);
+            while !cur.is_null() {
+                registered += 1;
+                cur = unsafe { (*cur).reg_next.load(Ordering::Acquire) };
+            }
+        }
+        assert_eq!(registered, 1);
     }
 
     #[test]

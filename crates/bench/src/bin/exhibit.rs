@@ -8,11 +8,23 @@
 //!
 //! After each exhibit it prints `exhibit <name>: ok` or `exhibit <name>:
 //! FAILED`; it exits 1 when any exhibit failed a self-check, and 2 —
-//! before running anything — when a name is not in the table.
+//! before running anything — when a name is not in the table or a set
+//! `LBENCH_*` / `KV_*` variable is not in [`KNOBS`].
 
 use cohort_bench::exhibits::ALL;
+use cohort_bench::KNOBS;
 
 fn main() {
+    let names = std::env::vars_os().filter_map(|(k, _)| k.into_string().ok());
+    for knob in names.filter(|k| k.starts_with("LBENCH_") || k.starts_with("KV_")) {
+        if !KNOBS.contains(&knob.as_str()) {
+            eprintln!(
+                "error: unknown env knob {knob} (knobs: {})",
+                KNOBS.join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut run = Vec::new();
     for arg in &args {

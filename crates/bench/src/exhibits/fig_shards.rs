@@ -17,14 +17,13 @@
 //! the CSV carries no wall column and the committed copy regenerates
 //! byte-identically on any machine.
 //!
-//! Environment (strict `lbench::env` parsing, like every knob):
+//! The key distributions are fixed (`DISTS`: `uniform`, `zipf:0.4`,
+//! `hot:64:90`). Environment (strict `lbench::env` parsing, like every
+//! knob):
 //!
 //! * `LBENCH_SHARDS` — comma-separated shard counts (default `1,2,4,8`);
 //! * `LBENCH_SHARD_CLIENTS` — comma-separated closed-loop client counts
 //!   (default `64,512,2048`);
-//! * `LBENCH_KEY_DIST` — comma-separated key distributions, each
-//!   `uniform`, `zipf:<theta<1>` or `hot:<keys>:<pct>` (default
-//!   `uniform,zipf:0.4,hot:64:90`);
 //! * plus the usual `LBENCH_*` knobs and `RESULTS_DIR`.
 //!
 //! The exhibit **self-checks** two acceptance shapes: a tail SLO — at the saturation cell (max shards, max
@@ -35,17 +34,17 @@
 //! throughput.
 
 use crate::{
-    clusters, find_where, knob_or_die, long_table, no_cell_columns, run_exhibit, schema,
+    clusters, find, knob_or_die, long_table, no_cell_columns, run_exhibit, schema,
     throughput_table, verdict, window_ns, Cell, Check, Exhibit, Measurement, TableSpec,
 };
 use cohort_kvstore::workload::KvWorkload;
-use lbench::env::{env_key_dist_list, env_positive_usize_list};
-use lbench::{AnyLockKind, KeyDist, LockKind, RwLockKind, ScenarioResult};
+use lbench::env::env_positive_usize_list;
+use lbench::{AnyLockKind, KeyDist, LockKind, RwLockKind};
 use std::time::Duration;
 
 /// One grid cell: a shard count × closed-loop client count × key
 /// distribution.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct ShardCell {
     shards: usize,
     clients: usize,
@@ -68,15 +67,16 @@ fn usize_list(knob: &str, default: &[usize]) -> Vec<usize> {
     knob_or_die(env_positive_usize_list(knob)).unwrap_or_else(|| default.to_vec())
 }
 
-fn dists() -> Vec<KeyDist> {
-    knob_or_die(env_key_dist_list("LBENCH_KEY_DIST")).unwrap_or_else(|| {
-        vec![
-            KeyDist::Uniform,
-            KeyDist::Zipfian { theta: 0.4 },
-            KeyDist::HotSet { keys: 64, pct: 90 },
-        ]
-    })
-}
+/// The Zipf-light distribution of the sharding-speedup check.
+const ZIPF_LIGHT: KeyDist = KeyDist::Zipfian { theta: 0.4 };
+
+/// The key distributions swept: uniform keys, Zipf-light skew and a
+/// flash crowd on 64 hot keys.
+const DISTS: [KeyDist; 3] = [
+    KeyDist::Uniform,
+    ZIPF_LIGHT,
+    KeyDist::HotSet { keys: 64, pct: 90 },
+];
 
 /// The workload behind one cell. Read-heavy (90% gets — the mix where
 /// the C-RW column's shared read path matters), modelled substrate.
@@ -96,7 +96,7 @@ fn cells() -> Vec<ShardCell> {
     let mut v = Vec::new();
     for &shards in &usize_list("LBENCH_SHARDS", &[1, 2, 4, 8]) {
         for &clients in &usize_list("LBENCH_SHARD_CLIENTS", &[64, 512, 2048]) {
-            for dist in dists() {
+            for dist in DISTS {
                 v.push(ShardCell {
                     shards,
                     clients,
@@ -108,19 +108,6 @@ fn cells() -> Vec<ShardCell> {
     v
 }
 
-/// The cohort (exclusive) column's result at one cell (`None` when the
-/// knobs filtered the cell out).
-fn find<'m>(
-    ms: &'m [Measurement<ShardCell>],
-    shards: usize,
-    clients: usize,
-    dist: &KeyDist,
-) -> Option<&'m ScenarioResult> {
-    find_where(ms, LockKind::CBoMcs, |cell| {
-        cell.shards == shards && cell.clients == clients && cell.dist == *dist
-    })
-}
-
 /// Self-check 1: the tail SLO at the saturation cell. With `C` closed-loop
 /// clients spread uniformly over `S` shards, each op queues behind at
 /// most ~`C/S` others on its shard's cache lock; one queued op costs a
@@ -130,10 +117,12 @@ fn find<'m>(
 /// store's cold-miss transient.
 fn tail_slo_check(shards_max: usize, clients_max: usize) -> Check<ShardCell> {
     Box::new(move |ms: &[Measurement<ShardCell>]| {
-        let m = match find(ms, shards_max, clients_max, &KeyDist::Uniform) {
-            Some(m) => m,
-            None => return Ok("tail SLO skipped (uniform cell filtered out)".into()),
+        let saturated = ShardCell {
+            shards: shards_max,
+            clients: clients_max,
+            dist: KeyDist::Uniform,
         };
+        let m = find(ms, saturated, LockKind::CBoMcs);
         let slo_ns = (clients_max as u64 / shards_max as u64 + 1) * 4_000 + 100_000;
         let msg = format!(
             "tail SLO at {}sh/{}cl/uniform: p99 {} ns vs bound {} ns (p50 {} ns)",
@@ -151,31 +140,26 @@ fn sharding_speedup_check(
     shards_min: usize,
     shards_max: usize,
     clients_max: usize,
-    zipf_light: Option<KeyDist>,
 ) -> Check<ShardCell> {
     Box::new(move |ms: &[Measurement<ShardCell>]| {
-        let dist = match &zipf_light {
-            Some(d) => d,
-            None => return Ok("sharding speedup skipped (no zipf-light distribution)".into()),
-        };
         if shards_max < 8 * shards_min {
             return Ok(format!(
                 "sharding speedup skipped (grid spans only {shards_min}..{shards_max} shards)"
             ));
         }
-        let (wide, narrow) = match (
-            find(ms, shards_max, clients_max, dist),
-            find(ms, shards_min, clients_max, dist),
-        ) {
-            (Some(w), Some(n)) => (w, n),
-            _ => return Ok("sharding speedup skipped (cells filtered out)".into()),
+        let at = |shards| ShardCell {
+            shards,
+            clients: clients_max,
+            dist: ZIPF_LIGHT,
         };
+        let wide = find(ms, at(shards_max), LockKind::CBoMcs);
+        let narrow = find(ms, at(shards_min), LockKind::CBoMcs);
         let ratio = wide.throughput / narrow.throughput.max(1.0);
         let msg = format!(
             "sharding speedup at {}cl/{}: {} shards vs {}: {ratio:.2}x \
              ({:.0} vs {:.0} ops/s)",
             clients_max,
-            dist.label(),
+            ZIPF_LIGHT.label(),
             shards_max,
             shards_min,
             wide.throughput,
@@ -192,16 +176,13 @@ pub fn run() -> bool {
     let shards_min = shards.iter().copied().min().expect("non-empty knob list");
     let shards_max = shards.iter().copied().max().expect("non-empty knob list");
     let clients_max = clients.iter().copied().max().expect("non-empty knob list");
-    let zipf_light = dists()
-        .into_iter()
-        .find(|d| matches!(d, KeyDist::Zipfian { theta } if *theta < 0.5));
     run_exhibit(&Exhibit {
         banner: format!(
             "fig_shards: {} cells ({:?} shards x {:?} clients x {} dists), modelled",
             grid.len(),
             shards,
             clients,
-            dists().len()
+            DISTS.len()
         ),
         locks: vec![
             AnyLockKind::Excl(LockKind::CBoMcs),
@@ -233,7 +214,7 @@ pub fn run() -> bool {
         ],
         checks: vec![
             tail_slo_check(shards_max, clients_max),
-            sharding_speedup_check(shards_min, shards_max, clients_max, zipf_light),
+            sharding_speedup_check(shards_min, shards_max, clients_max),
         ],
         epilogue: None,
     })

@@ -30,7 +30,9 @@
 //!
 //! Knob parsing is strict (`lbench::env`): a present-but-malformed value
 //! aborts the binary with an error naming the knob and the accepted
-//! syntax, instead of being silently ignored.
+//! syntax, instead of being silently ignored. So are the names: the
+//! `exhibit` binary refuses a set `LBENCH_*` or `KV_*` variable that is
+//! not in [`KNOBS`].
 
 pub mod exhibit;
 pub mod exhibits;
@@ -48,6 +50,18 @@ use lbench::env::{
 };
 use lbench::{LBenchConfig, TopologyMode};
 use std::time::Duration;
+
+/// Every environment knob the exhibits read (besides `RESULTS_DIR`).
+pub const KNOBS: [&str; 8] = [
+    "LBENCH_THREADS",
+    "LBENCH_WINDOW_MS",
+    "LBENCH_CLUSTERS",
+    "LBENCH_ABLATION_THREADS",
+    "LBENCH_TOPOLOGY",
+    "LBENCH_PROBE_SKIP",
+    "LBENCH_SHARDS",
+    "LBENCH_SHARD_CLIENTS",
+];
 
 /// Unwraps an env-knob parse, aborting the binary with the knob-naming
 /// error message on failure — a typo'd knob must never be silently
@@ -114,6 +128,23 @@ pub fn ablation_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
+
+    fn repo_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// Every `.rs` file under `dir`, recursively.
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
 
     #[test]
     fn thread_grid_default_is_sane() {
@@ -121,5 +152,53 @@ mod tests {
         let g = thread_grid();
         assert!(!g.is_empty());
         assert!(g.iter().all(|&t| t >= 1));
+    }
+
+    #[test]
+    fn every_knob_literal_in_the_sources_is_listed() {
+        let mut files = Vec::new();
+        for krate in std::fs::read_dir(repo_root().join("crates")).expect("crates/") {
+            let src = krate.expect("crate entry").path().join("src");
+            if src.is_dir() {
+                rust_files(&src, &mut files);
+            }
+        }
+        let mut checked = 0;
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("readable source");
+            // scripts/nontest-lines.sh's rule: the code before the first
+            // column-0 `#[cfg(test)]`.
+            let code = text.split("\n#[cfg(test)]").next().unwrap_or_default();
+            for prefix in ["\"LBENCH_", "\"KV_"] {
+                for rest in code.split(prefix).skip(1) {
+                    let len = rest
+                        .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                        .unwrap_or(rest.len());
+                    if len > 0 && rest[len..].starts_with('"') {
+                        let knob = format!("{}{}", &prefix[1..], &rest[..len]);
+                        assert!(KNOBS.contains(&knob.as_str()), "{file:?} reads {knob}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        // `KNOBS` itself, then at least one read.
+        assert!(checked > KNOBS.len(), "the scan found no knob read");
+    }
+
+    #[test]
+    fn the_readme_knob_table_is_knobs_plus_results_dir() {
+        let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README.md");
+        let rows = readme
+            .lines()
+            .skip_while(|l| !l.starts_with("| Knob |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'));
+        let mut listed: Vec<&str> = rows.filter_map(|l| l.split('`').nth(1)).collect();
+        let mut want = KNOBS.to_vec();
+        want.push("RESULTS_DIR");
+        listed.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(listed, want);
     }
 }

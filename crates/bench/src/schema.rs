@@ -194,7 +194,7 @@ pub fn expected_header(file_name: &str) -> Option<String> {
         | "fig4_low_contention"
         | "fig5_fairness" => Some(table_header(&LockKind::FIG2)),
         "fig6_abortable" | "fig6_abort_rate" => Some(table_header(&LockKind::FIG6)),
-        // table1_get{pct}[_rw].csv and table2*.csv share the TABLES set.
+        // table1_get{pct}.csv and table2*.csv share the TABLES set.
         _ if stem.starts_with("table1_get") || stem.starts_with("table2") => {
             Some(table_header(&LockKind::TABLES))
         }
@@ -231,10 +231,6 @@ mod tests {
         assert_eq!(
             expected_header("fig6_abort_rate.csv").unwrap(),
             "threads,A-CLH,A-HBO,A-C-BO-BO,A-C-BO-CLH"
-        );
-        assert_eq!(
-            expected_header("table1_get50_rw.csv"),
-            expected_header("table1_get50.csv")
         );
         assert_eq!(expected_header("unknown.csv"), None);
     }

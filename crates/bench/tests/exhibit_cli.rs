@@ -1,15 +1,18 @@
 //! The `exhibit` binary's command-line contract: names come from
-//! `exhibits::ALL`, `all` is reserved, and an unknown name exits 2
-//! before anything runs, listing every name.
+//! `exhibits::ALL`, `all` is reserved, and an unknown name or env knob
+//! exits 2 before anything runs, naming it.
 
 use cohort_bench::exhibits::ALL;
 use std::process::{Command, Output};
 
+fn exhibit_with(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_exhibit"));
+    cmd.args(args).envs(env.iter().copied());
+    cmd.output().expect("the exhibit binary runs")
+}
+
 fn exhibit(args: &[&str]) -> Output {
-    let out = Command::new(env!("CARGO_BIN_EXE_exhibit"))
-        .args(args)
-        .output();
-    out.expect("the exhibit binary runs")
+    exhibit_with(args, &[])
 }
 
 #[test]
@@ -49,5 +52,19 @@ fn the_folded_exhibits_are_not_accepted() {
     ] {
         assert!(ALL.iter().all(|(name, _)| *name != retired), "{retired}");
         assert_eq!(exhibit(&[retired]).status.code(), Some(2), "{retired}");
+    }
+}
+
+#[test]
+fn an_unknown_knob_exits_2_naming_it() {
+    // The retired reader-writer cache-lock knob, and a typo of a live one.
+    for knob in [concat!("KV_", "RW"), "LBENCH_THREAD"] {
+        let out = exhibit_with(&["fig2"], &[(knob, "1")]);
+        assert_eq!(out.status.code(), Some(2), "{knob}");
+        assert!(out.stdout.is_empty(), "{knob}: nothing ran");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(knob),
+            "{knob}"
+        );
     }
 }

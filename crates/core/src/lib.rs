@@ -120,7 +120,7 @@ pub use local_bo::LocalBoLock;
 pub use local_mcs::{CohortMcsToken, LocalMcsLock};
 pub use local_ticket::LocalTicketLock;
 pub use lock::{CohortLock, CohortToken};
-pub use policy::{ClusterStats, CohortStats, Introspect, PolicyParseError, PolicySpec, Tenures};
+pub use policy::{ClusterStats, CohortStats, Introspect, PolicySpec, Tenures};
 pub use rwlock::{CohortRwLock, RwFairness, RwReadGuard, RwReadToken, RwWriteGuard, RwWriteToken};
 pub use traits::{
     AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, Release, ThreadOblivious,

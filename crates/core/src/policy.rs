@@ -256,8 +256,7 @@ impl Tenures {
     ///
     /// # Panics
     ///
-    /// On an `Adaptive` range violating `1 <= min <= max` (which
-    /// [`PolicySpec::parse`] never returns).
+    /// On an `Adaptive` range violating `1 <= min <= max`.
     pub fn new(spec: PolicySpec, clusters: usize, clock: fn() -> u64) -> Self {
         let initial_bound = match spec {
             PolicySpec::Adaptive { min, max } => {
@@ -408,8 +407,7 @@ impl fmt::Debug for Tenures {
 
 /// A handoff policy as a value: which rule ends a cohort's tenure on the
 /// global lock. Locks take one at construction (`with_policy`) and hand
-/// it to their [`Tenures`] book, whose hooks `match` on it; env knobs and
-/// CLI flags reach it through [`parse`](Self::parse).
+/// it to their [`Tenures`] book, whose hooks `match` on it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicySpec {
     /// At most `bound` consecutive local handoffs per tenure — the paper's
@@ -460,202 +458,7 @@ impl PolicySpec {
             bound: Self::PAPER_BOUND,
         }
     }
-
-    /// Parses the spec syntax used by env knobs and CLI flags:
-    /// `count:<bound>`, `time:<budget_ns>`, `adaptive`,
-    /// `adaptive:<min>:<max>`, `unbounded`, `never` / `neverpass`.
-    ///
-    /// Errors name the offending field and the accepted syntax, so an env
-    /// knob typo surfaces as an actionable message:
-    ///
-    /// ```
-    /// use cohort::PolicySpec;
-    ///
-    /// assert_eq!(
-    ///     PolicySpec::parse("count:16"),
-    ///     Ok(PolicySpec::Count { bound: 16 })
-    /// );
-    /// let err = PolicySpec::parse("count:many").unwrap_err();
-    /// assert_eq!(
-    ///     err.to_string(),
-    ///     "policy \"count\": <bound> must be an unsigned integer, \
-    ///      got \"many\" (accepted syntax: count:<bound>)"
-    /// );
-    /// assert!(PolicySpec::parse("bogus").unwrap_err().to_string().contains("unknown policy"));
-    /// ```
-    pub fn parse(s: &str) -> Result<Self, PolicyParseError> {
-        fn number(
-            policy: &'static str,
-            field: &'static str,
-            syntax: &'static str,
-            value: Option<&str>,
-        ) -> Result<u64, PolicyParseError> {
-            let value = value.ok_or(PolicyParseError::MissingField {
-                policy,
-                field,
-                syntax,
-            })?;
-            value.parse().map_err(|_| PolicyParseError::BadNumber {
-                policy,
-                field,
-                value: value.to_string(),
-                syntax,
-            })
-        }
-        let mut parts = s.trim().split(':');
-        let head = parts
-            .next()
-            .unwrap_or_default() // split always yields ≥1 item; belt and braces
-            .to_ascii_lowercase();
-        let (spec, syntax): (_, &'static str) = match head.as_str() {
-            "count" => (
-                PolicySpec::Count {
-                    bound: number("count", "bound", "count:<bound>", parts.next())?,
-                },
-                "count:<bound>",
-            ),
-            "time" => (
-                PolicySpec::Time {
-                    budget_ns: number("time", "budget_ns", "time:<budget_ns>", parts.next())?,
-                },
-                "time:<budget_ns>",
-            ),
-            "adaptive" => (
-                match parts.next() {
-                    // The default adaptation window.
-                    None => PolicySpec::Adaptive { min: 8, max: 1024 },
-                    Some(min_str) => {
-                        let syntax = "adaptive[:<min>:<max>]";
-                        let min = min_str.parse().map_err(|_| PolicyParseError::BadNumber {
-                            policy: "adaptive",
-                            field: "min",
-                            value: min_str.to_string(),
-                            syntax,
-                        })?;
-                        let max = number("adaptive", "max", syntax, parts.next())?;
-                        // Reject here what Tenures::new would assert on —
-                        // env input must not abort the process.
-                        if min < 1 || min > max {
-                            return Err(PolicyParseError::InvalidRange { min, max });
-                        }
-                        PolicySpec::Adaptive { min, max }
-                    }
-                },
-                "adaptive[:<min>:<max>]",
-            ),
-            "unbounded" => (PolicySpec::Unbounded, "unbounded"),
-            "never" | "neverpass" | "never-pass" => (PolicySpec::NeverPass, "never"),
-            _ => {
-                return Err(PolicyParseError::UnknownPolicy {
-                    head: head.to_string(),
-                })
-            }
-        };
-        if let Some(extra) = parts.next() {
-            return Err(PolicyParseError::TrailingInput {
-                policy: spec.to_string(),
-                extra: extra.to_string(),
-                syntax,
-            });
-        }
-        Ok(spec)
-    }
 }
-
-/// Why a [`PolicySpec::parse`] call failed — each variant names the
-/// offending field and the accepted syntax in its [`Display`](fmt::Display)
-/// output.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PolicyParseError {
-    /// The leading policy name matched none of the known families.
-    UnknownPolicy {
-        /// What stood where a policy name was expected.
-        head: String,
-    },
-    /// A required `:`-separated parameter was absent.
-    MissingField {
-        /// Policy family being parsed.
-        policy: &'static str,
-        /// Name of the absent parameter.
-        field: &'static str,
-        /// The accepted syntax for this family.
-        syntax: &'static str,
-    },
-    /// A parameter was present but not an unsigned integer.
-    BadNumber {
-        /// Policy family being parsed.
-        policy: &'static str,
-        /// Name of the malformed parameter.
-        field: &'static str,
-        /// The rejected input.
-        value: String,
-        /// The accepted syntax for this family.
-        syntax: &'static str,
-    },
-    /// An `adaptive` range violating `1 <= min <= max`.
-    InvalidRange {
-        /// Parsed floor.
-        min: u64,
-        /// Parsed ceiling.
-        max: u64,
-    },
-    /// The spec parsed but was followed by extra `:` segments.
-    TrailingInput {
-        /// The successfully parsed prefix (display form).
-        policy: String,
-        /// The first unexpected segment.
-        extra: String,
-        /// The accepted syntax for this family.
-        syntax: &'static str,
-    },
-}
-
-impl fmt::Display for PolicyParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PolicyParseError::UnknownPolicy { head } => write!(
-                f,
-                "unknown policy {head:?}; expected one of count:<bound>, time:<budget_ns>, \
-                 adaptive[:<min>:<max>], unbounded, never"
-            ),
-            PolicyParseError::MissingField {
-                policy,
-                field,
-                syntax,
-            } => write!(
-                f,
-                "policy {policy:?} is missing its <{field}> parameter \
-                 (accepted syntax: {syntax})"
-            ),
-            PolicyParseError::BadNumber {
-                policy,
-                field,
-                value,
-                syntax,
-            } => write!(
-                f,
-                "policy {policy:?}: <{field}> must be an unsigned integer, got {value:?} \
-                 (accepted syntax: {syntax})"
-            ),
-            PolicyParseError::InvalidRange { min, max } => write!(
-                f,
-                "adaptive range needs 1 <= min <= max, got {min}..{max} \
-                 (accepted syntax: adaptive:<min>:<max>)"
-            ),
-            PolicyParseError::TrailingInput {
-                policy,
-                extra,
-                syntax,
-            } => write!(
-                f,
-                "unexpected trailing segment {extra:?} after {policy} \
-                 (accepted syntax: {syntax})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PolicyParseError {}
 
 impl fmt::Display for PolicySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -920,121 +723,6 @@ mod tests {
         assert_eq!(
             format!("{}", PolicySpec::Adaptive { min: 8, max: 1024 }),
             "adaptive(8..1024)"
-        );
-    }
-
-    #[test]
-    fn policy_spec_parses_env_syntax() {
-        assert_eq!(
-            PolicySpec::parse("count:64"),
-            Ok(PolicySpec::Count { bound: 64 })
-        );
-        assert_eq!(
-            PolicySpec::parse("time:50000"),
-            Ok(PolicySpec::Time { budget_ns: 50_000 })
-        );
-        assert_eq!(
-            PolicySpec::parse("adaptive"),
-            Ok(PolicySpec::Adaptive { min: 8, max: 1024 })
-        );
-        assert_eq!(
-            PolicySpec::parse("adaptive:16:256"),
-            Ok(PolicySpec::Adaptive { min: 16, max: 256 })
-        );
-        assert_eq!(PolicySpec::parse("unbounded"), Ok(PolicySpec::Unbounded));
-        assert_eq!(PolicySpec::parse("never"), Ok(PolicySpec::NeverPass));
-        assert_eq!(PolicySpec::parse("NEVERPASS"), Ok(PolicySpec::NeverPass));
-    }
-
-    #[test]
-    fn parse_error_unknown_policy_lists_alternatives() {
-        let e = PolicySpec::parse("bogus").unwrap_err();
-        assert_eq!(
-            e,
-            PolicyParseError::UnknownPolicy {
-                head: "bogus".into()
-            }
-        );
-        let msg = e.to_string();
-        assert!(msg.contains("\"bogus\""), "{msg}");
-        assert!(msg.contains("count:<bound>"), "{msg}");
-        assert!(msg.contains("adaptive[:<min>:<max>]"), "{msg}");
-    }
-
-    #[test]
-    fn parse_error_missing_field_names_it() {
-        let e = PolicySpec::parse("count").unwrap_err();
-        assert_eq!(
-            e,
-            PolicyParseError::MissingField {
-                policy: "count",
-                field: "bound",
-                syntax: "count:<bound>"
-            }
-        );
-        let msg = e.to_string();
-        assert!(msg.contains("<bound>"), "{msg}");
-        assert!(msg.contains("count:<bound>"), "{msg}");
-        // The two-parameter family reports the *second* field when only
-        // the first is present.
-        let e = PolicySpec::parse("adaptive:4").unwrap_err();
-        assert!(
-            matches!(&e, PolicyParseError::MissingField { field: "max", .. }),
-            "{e:?}"
-        );
-    }
-
-    #[test]
-    fn parse_error_bad_number_quotes_the_input() {
-        let e = PolicySpec::parse("time:soon").unwrap_err();
-        assert_eq!(
-            e,
-            PolicyParseError::BadNumber {
-                policy: "time",
-                field: "budget_ns",
-                value: "soon".into(),
-                syntax: "time:<budget_ns>"
-            }
-        );
-        let msg = e.to_string();
-        assert!(msg.contains("\"soon\""), "{msg}");
-        assert!(msg.contains("unsigned integer"), "{msg}");
-        assert!(
-            matches!(
-                PolicySpec::parse("adaptive:x:8").unwrap_err(),
-                PolicyParseError::BadNumber { field: "min", .. }
-            ),
-            "adaptive min arm"
-        );
-    }
-
-    #[test]
-    fn parse_error_invalid_range_reports_bounds() {
-        // Ranges Tenures::new would panic on are rejected at parse time.
-        assert_eq!(
-            PolicySpec::parse("adaptive:16:4").unwrap_err(),
-            PolicyParseError::InvalidRange { min: 16, max: 4 }
-        );
-        let e = PolicySpec::parse("adaptive:0:8").unwrap_err();
-        assert_eq!(e, PolicyParseError::InvalidRange { min: 0, max: 8 });
-        assert!(e.to_string().contains("1 <= min <= max"), "{e}");
-    }
-
-    #[test]
-    fn parse_error_trailing_input_is_flagged() {
-        let e = PolicySpec::parse("count:64:9").unwrap_err();
-        assert_eq!(
-            e,
-            PolicyParseError::TrailingInput {
-                policy: "count(64)".into(),
-                extra: "9".into(),
-                syntax: "count:<bound>"
-            }
-        );
-        assert!(e.to_string().contains("\"9\""), "{e}");
-        assert!(
-            PolicySpec::parse("unbounded:1").is_err(),
-            "parameterless families reject parameters"
         );
     }
 }

@@ -1,18 +1,17 @@
 //! Strict environment-knob parsing for the bench exhibits.
 //!
 //! The exhibits are configured through environment variables. A typo'd
-//! value (`KV_RW=yes`, `LBENCH_THREADS=four`) used to be *silently
-//! ignored* — the run proceeded with defaults and the operator compared
-//! numbers that were never produced under the requested configuration.
-//! These helpers make every knob fail loudly instead: each error names
-//! the knob, quotes the rejected value, and states the accepted syntax,
-//! matching the error style of [`PolicySpec::parse`].
+//! value (`LBENCH_PROBE_SKIP=yes`, `LBENCH_THREADS=four`) used to be
+//! *silently ignored* — the run proceeded with defaults and the operator
+//! compared numbers that were never produced under the requested
+//! configuration. These helpers make every knob fail loudly instead: each
+//! error names the knob, quotes the rejected value, and states the
+//! accepted syntax.
 //!
 //! All helpers treat an *unset* knob as its documented default (`false`
 //! for booleans, `None` otherwise); only a *present but malformed* value
 //! is an error.
 
-use cohort::{PolicyParseError, PolicySpec};
 use std::fmt;
 
 /// Why an environment knob could not be parsed. The [`Display`](fmt::Display)
@@ -48,19 +47,11 @@ pub enum EnvKnobError {
         /// Largest accepted value.
         max: u64,
     },
-    /// A policy knob failed [`PolicySpec::parse`].
-    Policy {
-        /// The knob being parsed.
-        knob: String,
-        /// The underlying parse error (already self-describing).
-        err: PolicyParseError,
-    },
-    /// A choice knob (or one entry of its comma-separated list) named no
-    /// known option.
+    /// A choice knob named no known option.
     Choice {
         /// The knob being parsed.
         knob: String,
-        /// The rejected value (a single list entry where applicable).
+        /// The rejected value.
         value: String,
         /// The accepted option names.
         allowed: &'static [&'static str],
@@ -107,7 +98,6 @@ impl fmt::Display for EnvKnobError {
                 "env knob {knob}: unrecognized value {value:?} (accepted: {})",
                 allowed.join(", ")
             ),
-            EnvKnobError::Policy { knob, err } => write!(f, "env knob {knob}: {err}"),
             EnvKnobError::NotUnicode { knob } => {
                 write!(f, "env knob {knob}: value is not valid Unicode")
             }
@@ -135,20 +125,6 @@ fn value<T>(
     entry: impl FnOnce(&str) -> Result<T, EnvKnobError>,
 ) -> Result<Option<T>, EnvKnobError> {
     raw(knob)?.map(|v| entry(&v)).transpose()
-}
-
-/// A comma-separated list knob: `entry` parses each trimmed, non-blank
-/// part and the first error wins; unset or all-blank ⇒ `None`.
-fn list<T>(
-    knob: &str,
-    entry: impl Fn(&str) -> Result<T, EnvKnobError>,
-) -> Result<Option<Vec<T>>, EnvKnobError> {
-    let Some(v) = raw(knob)? else {
-        return Ok(None);
-    };
-    let parts = v.split(',').map(str::trim).filter(|p| !p.is_empty());
-    let out = parts.map(entry).collect::<Result<Vec<T>, _>>()?;
-    Ok((!out.is_empty()).then_some(out))
 }
 
 /// Entry parser: an integer `accept` lets through, or the `Number` error
@@ -238,32 +214,13 @@ pub fn env_choice(
 /// that entry.
 pub fn env_positive_usize_list(knob: &str) -> Result<Option<Vec<usize>>, EnvKnobError> {
     const EXPECTED: &str = "a comma-separated list of positive integers";
-    list(knob, |part| number(knob, part, EXPECTED, |&n| n >= 1))
-}
-
-/// Comma-separated [`KeyDist`](crate::KeyDist) list knob
-/// (`LBENCH_KEY_DIST`): unset or all-blank ⇒ `None`; any entry failing
-/// [`KeyDist::parse`](crate::KeyDist::parse) is an error quoting that
-/// entry and the accepted spec syntax.
-pub fn env_key_dist_list(knob: &str) -> Result<Option<Vec<crate::KeyDist>>, EnvKnobError> {
-    list(knob, |part| {
-        crate::KeyDist::parse(part).ok_or_else(|| EnvKnobError::Choice {
-            knob: knob.to_string(),
-            value: part.to_string(),
-            allowed: crate::KeyDist::SYNTAX,
-        })
-    })
-}
-
-/// [`PolicySpec`] knob: unset ⇒ `None`; parse errors are wrapped so the
-/// message leads with the knob name.
-pub fn env_policy(knob: &str) -> Result<Option<PolicySpec>, EnvKnobError> {
-    value(knob, |v| {
-        PolicySpec::parse(v).map_err(|err| EnvKnobError::Policy {
-            knob: knob.to_string(),
-            err,
-        })
-    })
+    let Some(v) = raw(knob)? else {
+        return Ok(None);
+    };
+    let parts = v.split(',').map(str::trim).filter(|p| !p.is_empty());
+    let out = parts.map(|part| number(knob, part, EXPECTED, |&n| n >= 1));
+    let out = out.collect::<Result<Vec<_>, _>>()?;
+    Ok((!out.is_empty()).then_some(out))
 }
 
 #[cfg(test)]
@@ -379,46 +336,5 @@ mod tests {
             assert!(msg.contains("1..=32"), "{msg}");
         }
         std::env::remove_var("LBENCH_TEST_RANGE");
-    }
-
-    #[test]
-    fn key_dist_list_knob_parses_specs_and_flags_the_bad_entry() {
-        let _g = env_guard();
-        use crate::KeyDist;
-        assert_eq!(env_key_dist_list("LBENCH_TEST_DIST_UNSET"), Ok(None));
-        std::env::set_var("LBENCH_TEST_DIST", "uniform, zipf:0.9,hot:64:90");
-        assert_eq!(
-            env_key_dist_list("LBENCH_TEST_DIST"),
-            Ok(Some(vec![
-                KeyDist::Uniform,
-                KeyDist::Zipfian { theta: 0.9 },
-                KeyDist::HotSet { keys: 64, pct: 90 },
-            ]))
-        );
-        std::env::set_var("LBENCH_TEST_DIST", "uniform,pareto:2");
-        let msg = env_key_dist_list("LBENCH_TEST_DIST")
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("LBENCH_TEST_DIST"), "{msg}");
-        assert!(msg.contains("\"pareto:2\""), "{msg}");
-        assert!(msg.contains("zipf:<theta<1>"), "{msg}");
-        std::env::set_var("LBENCH_TEST_DIST", " , ");
-        assert_eq!(env_key_dist_list("LBENCH_TEST_DIST"), Ok(None));
-        std::env::remove_var("LBENCH_TEST_DIST");
-    }
-
-    #[test]
-    fn policy_knobs_wrap_parse_errors_with_the_knob_name() {
-        let _g = env_guard();
-        std::env::set_var("LBENCH_TEST_POLICY", "count:16");
-        assert_eq!(
-            env_policy("LBENCH_TEST_POLICY"),
-            Ok(Some(PolicySpec::Count { bound: 16 }))
-        );
-        std::env::set_var("LBENCH_TEST_POLICY", "count:many");
-        let msg = env_policy("LBENCH_TEST_POLICY").unwrap_err().to_string();
-        assert!(msg.contains("LBENCH_TEST_POLICY"), "{msg}");
-        assert!(msg.contains("count:<bound>"), "{msg}");
-        std::env::remove_var("LBENCH_TEST_POLICY");
     }
 }

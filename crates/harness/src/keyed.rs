@@ -84,9 +84,6 @@ pub enum KeyDist {
 }
 
 impl KeyDist {
-    /// The accepted knob spellings, for strict env-parse errors.
-    pub const SYNTAX: &'static [&'static str] = &["uniform", "zipf:<theta<1>", "hot:<keys>:<pct>"];
-
     /// Draws one key in `[0, keyspace)`.
     pub fn sample(&self, rng: &mut StdRng, keyspace: u64) -> u64 {
         assert!(keyspace > 0, "keyed sampling needs a non-empty keyspace");
@@ -124,28 +121,6 @@ impl KeyDist {
             KeyDist::Zipfian { theta } => format!("zipf:{theta}"),
             KeyDist::HotSet { keys, pct } => format!("hot:{keys}:{pct}"),
         }
-    }
-
-    /// Parses a [`label`](Self::label)-style spec: `uniform`,
-    /// `zipf:<theta>` with `0 ≤ theta < 1`, or `hot:<keys>:<pct>` with
-    /// `keys ≥ 1` and `pct ≤ 100`. Case-insensitive; `None` on anything
-    /// else.
-    pub fn parse(s: &str) -> Option<KeyDist> {
-        let s = s.trim().to_ascii_lowercase();
-        if s == "uniform" {
-            return Some(KeyDist::Uniform);
-        }
-        if let Some(rest) = s.strip_prefix("zipf:") {
-            let theta: f64 = rest.trim().parse().ok()?;
-            return ((0.0..1.0).contains(&theta)).then_some(KeyDist::Zipfian { theta });
-        }
-        if let Some(rest) = s.strip_prefix("hot:") {
-            let (keys, pct) = rest.split_once(':')?;
-            let keys: u64 = keys.trim().parse().ok()?;
-            let pct: u32 = pct.trim().parse().ok()?;
-            return (keys >= 1 && pct <= 100).then_some(KeyDist::HotSet { keys, pct });
-        }
-        None
     }
 }
 
@@ -395,44 +370,6 @@ mod tests {
         };
         for _ in 0..100 {
             assert!(d.sample(&mut r, 64) < 64);
-        }
-    }
-
-    #[test]
-    fn parse_round_trips_labels() {
-        for d in [
-            KeyDist::Uniform,
-            KeyDist::Zipfian { theta: 0.5 },
-            KeyDist::HotSet { keys: 64, pct: 90 },
-        ] {
-            assert_eq!(KeyDist::parse(&d.label()), Some(d));
-        }
-        assert_eq!(KeyDist::parse(" UNIFORM "), Some(KeyDist::Uniform));
-        assert_eq!(
-            KeyDist::parse("zipf:0.99"),
-            Some(KeyDist::Zipfian { theta: 0.99 })
-        );
-        // Any case, like every `env_choice` knob.
-        assert_eq!(
-            KeyDist::parse("zIPF:0.9"),
-            Some(KeyDist::Zipfian { theta: 0.9 })
-        );
-        assert_eq!(
-            KeyDist::parse("hOt:8:50"),
-            Some(KeyDist::HotSet { keys: 8, pct: 50 })
-        );
-        for bad in [
-            "",
-            "zipf",
-            "zipf:1.0",
-            "zipf:-0.1",
-            "zipf:x",
-            "hot:0:50",
-            "hot:8:101",
-            "hot:8",
-            "pareto:1",
-        ] {
-            assert_eq!(KeyDist::parse(bad), None, "{bad:?}");
         }
     }
 }

@@ -2,13 +2,12 @@
 //! **one row per kind**.
 //!
 //! A kind's [`Row`] holds everything the harness knows about it — the
-//! name the exhibits print, its family, the admission class (with its
-//! default bound) the modelled substrate simulates for it, and its
-//! constructor — and `name()`, `has_policy_knob()`, `cna_threshold()`,
-//! `modelled_admission()` and the `make*` constructors all read that
-//! row. The tables are `match`es, so the compiler rejects a variant
-//! without a row; see docs/ARCHITECTURE.md, "One row per kind", for how
-//! a kind is added.
+//! name the exhibits print, the admission class (with its default bound)
+//! the modelled substrate simulates for it, and its constructor — and
+//! `name()`, `has_policy_knob()`, `cna_threshold()`,
+//! `modelled_admission()` and `make` all read that row. The tables are
+//! `match`es, so the compiler rejects a variant without a row; see
+//! docs/ARCHITECTURE.md, "One row per kind", for how a kind is added.
 
 use crate::bench_lock::{PthreadLock, RawAdapter};
 use crate::bench_rwlock::{BenchRwLock, CohortRwAdapter, StdRwAdapter};
@@ -30,29 +29,10 @@ use std::sync::Arc;
 /// kinds without a policy knob).
 type Ctor = fn(&Arc<Topology>, Option<PolicySpec>) -> Arc<dyn BenchRwLock>;
 
-/// The algorithm family a kind belongs to.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Family {
-    /// NUMA-oblivious and prior NUMA-aware locks, abortable or not, and
-    /// `std::sync::RwLock`.
-    Baseline,
-    /// Compact NUMA-aware locks: policy-driven, but one MCS-shaped word.
-    Cna,
-    /// A [`CohortLock`] composition (the paper's contribution), including
-    /// the abortable and the reciprocating-global ones, or a
-    /// [`CohortRwLock`] over one.
-    Cohort,
-    /// A TATAS fast path over a cohort slow path.
-    Fissile,
-    /// A GCR admission layer over some inner lock.
-    Gcr,
-}
-
 /// Everything the harness knows about one kind.
 struct Row {
     /// The name used in the paper's figures and tables.
     name: &'static str,
-    family: Family,
     /// Admission order the modelled substrate simulates, carrying the
     /// kind's **default** tenure bound where it batches. A kind has the
     /// handoff-policy knob exactly when this is `ClusterBatched`: the
@@ -60,26 +40,14 @@ struct Row {
     /// runs one for.
     admission: ModelledAdmission,
     make: Ctor,
-    /// The reader-writer stand-in of [`LockKind::make_rw_cache_lock`],
-    /// for kinds that have a shared read side to offer.
-    make_rw: Option<Ctor>,
 }
 
 impl Row {
-    fn new(name: &'static str, family: Family, admission: ModelledAdmission, make: Ctor) -> Row {
+    fn new(name: &'static str, admission: ModelledAdmission, make: Ctor) -> Row {
         Row {
             name,
-            family,
             admission,
             make,
-            make_rw: None,
-        }
-    }
-
-    fn with_rw(self, make_rw: Ctor) -> Row {
-        Row {
-            make_rw: Some(make_rw),
-            ..self
         }
     }
 }
@@ -306,75 +274,49 @@ impl LockKind {
     /// those book as `ClusterBatched` at their default bound. The plain
     /// Reciprocating lock has no policy knob yet is anything but FIFO.
     fn row(self) -> Row {
-        use Family::*;
         use ModelledAdmission::{Fifo, ReciprocatingStack};
         type Bo = GlobalBoLock;
         type Tkt = TicketLock;
         type Mcs = LocalMcsLock;
         const TIGHT: u64 = LockKind::CNA_TIGHT_THRESHOLD;
         match self {
-            LockKind::Pthread => Row::new("pthread", Baseline, Fifo, raw::<PthreadLock>)
-                .with_rw(|_, _| Arc::new(StdRwAdapter::new())),
-            LockKind::Tatas => Row::new("TATAS", Baseline, Fifo, raw::<TatasLock>),
-            LockKind::FibBo => Row::new("Fib-BO", Baseline, Fifo, raw::<FibBackoffLock>),
-            LockKind::Ticket => Row::new("Ticket", Baseline, Fifo, raw::<TicketLock>),
-            LockKind::Mcs => Row::new("MCS", Baseline, Fifo, raw::<McsLock>),
-            LockKind::Clh => Row::new("CLH", Baseline, Fifo, raw::<ClhLock>),
-            LockKind::Hbo => Row::new("HBO", Baseline, Fifo, |t, _| erase(hbo(t))),
-            LockKind::HboTuned => Row::new("HBO (tuned)", Baseline, Fifo, |t, _| {
+            LockKind::Pthread => Row::new("pthread", Fifo, raw::<PthreadLock>),
+            LockKind::Tatas => Row::new("TATAS", Fifo, raw::<TatasLock>),
+            LockKind::FibBo => Row::new("Fib-BO", Fifo, raw::<FibBackoffLock>),
+            LockKind::Ticket => Row::new("Ticket", Fifo, raw::<TicketLock>),
+            LockKind::Mcs => Row::new("MCS", Fifo, raw::<McsLock>),
+            LockKind::Clh => Row::new("CLH", Fifo, raw::<ClhLock>),
+            LockKind::Hbo => Row::new("HBO", Fifo, |t, _| erase(hbo(t))),
+            LockKind::HboTuned => Row::new("HBO (tuned)", Fifo, |t, _| {
                 erase(HboLock::with_params(
                     Arc::clone(t),
                     HboParams::kvstore_tuned(),
                 ))
             }),
-            LockKind::Hclh => Row::new("HCLH", Baseline, Fifo, |t, _| {
-                erase(HclhLock::new(Arc::clone(t)))
-            }),
-            LockKind::FcMcs => Row::new("FC-MCS", Baseline, Fifo, |t, _| {
-                erase(FcMcsLock::new(Arc::clone(t)))
-            }),
-            LockKind::Cna => Row::new("CNA", Cna, PAPER, |t, p| cna(t, p, PolicySpec::PAPER_BOUND)),
-            LockKind::CnaTight => {
-                Row::new("CNA (t=4)", Cna, batched(TIGHT), |t, p| cna(t, p, TIGHT))
+            LockKind::Hclh => Row::new("HCLH", Fifo, |t, _| erase(HclhLock::new(Arc::clone(t)))),
+            LockKind::FcMcs => {
+                Row::new("FC-MCS", Fifo, |t, _| erase(FcMcsLock::new(Arc::clone(t))))
             }
-            LockKind::CBoBo => Row::new("C-BO-BO", Cohort, PAPER, cohort::<Bo, LocalBoLock>)
-                .with_rw(cohort_rw::<Bo, LocalBoLock>),
-            LockKind::CTktTkt => {
-                Row::new("C-TKT-TKT", Cohort, PAPER, cohort::<Tkt, LocalTicketLock>)
-                    .with_rw(cohort_rw::<Tkt, LocalTicketLock>)
-            }
-            LockKind::CBoMcs => {
-                Row::new("C-BO-MCS", Cohort, PAPER, cohort::<Bo, Mcs>).with_rw(cohort_rw::<Bo, Mcs>)
-            }
-            LockKind::CTktMcs => Row::new("C-TKT-MCS", Cohort, PAPER, cohort::<Tkt, Mcs>)
-                .with_rw(cohort_rw::<Tkt, Mcs>),
-            LockKind::CMcsMcs => Row::new("C-MCS-MCS", Cohort, PAPER, cohort::<McsLock, Mcs>)
-                .with_rw(cohort_rw::<McsLock, Mcs>),
-            LockKind::FisBoMcs => Row::new("Fis-BO-MCS", Fissile, PAPER, fissile::<Bo, Mcs>),
-            LockKind::FisTktMcs => Row::new("Fis-TKT-MCS", Fissile, PAPER, fissile::<Tkt, Mcs>),
-            LockKind::GcrMcs => Row::new("GCR-MCS", Gcr, Fifo, |t, _| gcr_over(t, McsLock::new())),
-            LockKind::GcrCBoMcs => Row::new("GCR-C-BO-MCS", Gcr, PAPER, gcr_c_bo_mcs),
-            LockKind::GcrFisBoMcs => Row::new("GCR-Fis-BO-MCS", Gcr, PAPER, gcr_fis_bo_mcs),
-            LockKind::Recip => Row::new(
-                "Recip",
-                Baseline,
-                ReciprocatingStack,
-                raw::<ReciprocatingLock>,
-            ),
-            LockKind::CRecipMcs => Row::new(
-                "C-Recip-MCS",
-                Cohort,
-                PAPER,
-                cohort::<ReciprocatingLock, Mcs>,
-            ),
-            LockKind::AClh => Row::new("A-CLH", Baseline, Fifo, |_, _| {
+            LockKind::Cna => Row::new("CNA", PAPER, |t, p| cna(t, p, PolicySpec::PAPER_BOUND)),
+            LockKind::CnaTight => Row::new("CNA (t=4)", batched(TIGHT), |t, p| cna(t, p, TIGHT)),
+            LockKind::CBoBo => Row::new("C-BO-BO", PAPER, cohort::<Bo, LocalBoLock>),
+            LockKind::CTktTkt => Row::new("C-TKT-TKT", PAPER, cohort::<Tkt, LocalTicketLock>),
+            LockKind::CBoMcs => Row::new("C-BO-MCS", PAPER, cohort::<Bo, Mcs>),
+            LockKind::CTktMcs => Row::new("C-TKT-MCS", PAPER, cohort::<Tkt, Mcs>),
+            LockKind::CMcsMcs => Row::new("C-MCS-MCS", PAPER, cohort::<McsLock, Mcs>),
+            LockKind::FisBoMcs => Row::new("Fis-BO-MCS", PAPER, fissile::<Bo, Mcs>),
+            LockKind::FisTktMcs => Row::new("Fis-TKT-MCS", PAPER, fissile::<Tkt, Mcs>),
+            LockKind::GcrMcs => Row::new("GCR-MCS", Fifo, |t, _| gcr_over(t, McsLock::new())),
+            LockKind::GcrCBoMcs => Row::new("GCR-C-BO-MCS", PAPER, gcr_c_bo_mcs),
+            LockKind::GcrFisBoMcs => Row::new("GCR-Fis-BO-MCS", PAPER, gcr_fis_bo_mcs),
+            LockKind::Recip => Row::new("Recip", ReciprocatingStack, raw::<ReciprocatingLock>),
+            LockKind::CRecipMcs => Row::new("C-Recip-MCS", PAPER, cohort::<ReciprocatingLock, Mcs>),
+            LockKind::AClh => Row::new("A-CLH", Fifo, |_, _| {
                 erase_abortable(AbortableClhLock::new())
             }),
-            LockKind::AHbo => Row::new("A-HBO", Baseline, Fifo, |t, _| erase_abortable(hbo(t))),
-            LockKind::ACBoBo => Row::new("A-C-BO-BO", Cohort, PAPER, abortable::<Bo, LocalAboLock>),
-            LockKind::ACBoClh => {
-                Row::new("A-C-BO-CLH", Cohort, PAPER, abortable::<Bo, LocalAClhLock>)
-            }
+            LockKind::AHbo => Row::new("A-HBO", Fifo, |t, _| erase_abortable(hbo(t))),
+            LockKind::ACBoBo => Row::new("A-C-BO-BO", PAPER, abortable::<Bo, LocalAboLock>),
+            LockKind::ACBoClh => Row::new("A-C-BO-CLH", PAPER, abortable::<Bo, LocalAClhLock>),
         }
     }
 
@@ -383,21 +325,15 @@ impl LockKind {
         self.row().name
     }
 
-    /// Whether this is one of the paper's cohort locks.
-    pub fn is_cohort(self) -> bool {
-        self.row().family == Family::Cohort
-    }
-
     /// The CNA fairness threshold this kind is registered with (`None`
     /// for non-CNA kinds) — the single source the `fig_compare` self-check
     /// asserts streaks against.
     pub fn cna_threshold(self) -> Option<u64> {
-        match self.row() {
-            Row {
-                family: Family::Cna,
-                admission: ModelledAdmission::ClusterBatched(PolicySpec::Count { bound }),
-                ..
-            } => Some(bound),
+        match (self, self.row().admission) {
+            (
+                LockKind::Cna | LockKind::CnaTight,
+                ModelledAdmission::ClusterBatched(PolicySpec::Count { bound }),
+            ) => Some(bound),
             _ => None,
         }
     }
@@ -405,27 +341,6 @@ impl LockKind {
     /// Instantiates the lock over `topo` with the kind's default policy.
     pub fn make(self, topo: &Arc<Topology>) -> Arc<dyn BenchRwLock> {
         (self.row().make)(topo, None)
-    }
-
-    /// Builds the **reader-writer cache lock** standing in for this kind
-    /// when a workload runs in RW mode (the `KV_RW=1` path of `table1`):
-    ///
-    /// * the five non-abortable cohort kinds of the paper map to the
-    ///   corresponding [`CohortRwLock`] under writer preference (their
-    ///   writer side *is* this kind, so the Table-1 column keeps its
-    ///   meaning);
-    /// * `Pthread` maps to `std::sync::RwLock` (the OS-level RW lock);
-    /// * every other kind has no shared read path here and is built as
-    ///   itself, honoring `policy` where it applies — reads stay
-    ///   exclusive, which the runners detect via
-    ///   [`BenchRwLock::read_is_exclusive`].
-    pub fn make_rw_cache_lock(
-        self,
-        topo: &Arc<Topology>,
-        policy: Option<PolicySpec>,
-    ) -> Arc<dyn BenchRwLock> {
-        let row = self.row();
-        (row.make_rw.unwrap_or(row.make))(topo, policy)
     }
 
     /// The nine locks of Figures 2–5.
@@ -547,28 +462,19 @@ impl RwLockKind {
     /// writer tenures, and reaches the single-writer baseline's C-BO-MCS
     /// like any cohort kind (its `fig_rw.csv` rows carry the label).
     fn row(self) -> Row {
-        use Family::*;
         type Bo = GlobalBoLock;
         type Tkt = TicketLock;
         type Mcs = LocalMcsLock;
         match self {
-            RwLockKind::StdRw => {
-                Row::new("std-RwLock", Baseline, ModelledAdmission::Fifo, |_, _| {
-                    Arc::new(StdRwAdapter::new())
-                })
-            }
-            RwLockKind::CRwWpBoMcs => {
-                Row::new("C-RW-WP-BO-MCS", Cohort, PAPER, cohort_rw::<Bo, Mcs>)
-            }
-            RwLockKind::CRwNeutralBoMcs => Row::new("C-RW-N-BO-MCS", Cohort, PAPER, |t, p| {
+            RwLockKind::StdRw => Row::new("std-RwLock", ModelledAdmission::Fifo, |_, _| {
+                Arc::new(StdRwAdapter::new())
+            }),
+            RwLockKind::CRwWpBoMcs => Row::new("C-RW-WP-BO-MCS", PAPER, cohort_rw::<Bo, Mcs>),
+            RwLockKind::CRwNeutralBoMcs => Row::new("C-RW-N-BO-MCS", PAPER, |t, p| {
                 cohort_rw_at::<Bo, Mcs>(t, p, RwFairness::Neutral)
             }),
-            RwLockKind::CRwWpTktMcs => {
-                Row::new("C-RW-WP-TKT-MCS", Cohort, PAPER, cohort_rw::<Tkt, Mcs>)
-            }
-            RwLockKind::MutexCBoMcs => {
-                Row::new("C-BO-MCS (excl)", Cohort, PAPER, cohort::<Bo, Mcs>)
-            }
+            RwLockKind::CRwWpTktMcs => Row::new("C-RW-WP-TKT-MCS", PAPER, cohort_rw::<Tkt, Mcs>),
+            RwLockKind::MutexCBoMcs => Row::new("C-BO-MCS (excl)", PAPER, cohort::<Bo, Mcs>),
         }
     }
 
@@ -778,31 +684,20 @@ mod tests {
 
     #[test]
     fn cohort_classification() {
-        assert!(LockKind::CBoMcs.is_cohort());
-        assert!(LockKind::ACBoClh.is_cohort());
-        assert!(!LockKind::FcMcs.is_cohort());
-        assert!(!LockKind::Hbo.is_cohort());
-        // CNA is policy-driven but not a cohort lock.
-        assert!(!LockKind::Cna.is_cohort());
         assert!(knob(LockKind::CnaTight));
         assert!(knob(LockKind::CBoMcs));
         assert!(!knob(LockKind::Mcs));
-        // Fissile wrappers are policy-driven through their slow path but
-        // are not plain cohort locks.
+        // Fissile wrappers are policy-driven through their slow path.
         assert!(knob(LockKind::FisTktMcs));
-        assert!(!LockKind::FisBoMcs.is_cohort());
         // GCR wrappers are their own family: the policy knob applies
         // only where the wrapped lock is policy-driven.
         assert!(!knob(LockKind::GcrMcs));
         assert!(knob(LockKind::GcrCBoMcs));
         assert!(knob(LockKind::GcrFisBoMcs));
-        assert!(!LockKind::GcrCBoMcs.is_cohort());
         // The reciprocating family: the plain lock has no policy knob
         // (its admission order is structural, not tunable), while the
         // cohortized form is a full cohort composition.
-        assert!(!LockKind::Recip.is_cohort());
         assert!(!knob(LockKind::Recip));
-        assert!(LockKind::CRecipMcs.is_cohort());
         assert!(knob(LockKind::CRecipMcs));
         assert_eq!(LockKind::Cna.cna_threshold(), Some(64));
         assert_eq!(
@@ -930,27 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn rw_cache_lock_mapping_covers_all_table_kinds() {
-        let topo = Arc::new(Topology::new(4));
-        for kind in LockKind::TABLES {
-            let lock = kind.make_rw_cache_lock(&topo, None);
-            lock.acquire_read();
-            lock.release_read();
-            lock.acquire_write();
-            lock.release_write();
-            let shared_reads = kind.is_cohort() || kind == LockKind::Pthread;
-            assert_eq!(
-                lock.read_is_exclusive(),
-                !shared_reads,
-                "{kind}: only cohort kinds and pthread gain a shared read path"
-            );
-            if kind.is_cohort() {
-                assert!(lock.cohort_stats().is_some(), "{kind}");
-            }
-        }
-    }
-
-    #[test]
     fn any_kind_unifies_both_registries() {
         let topo = Arc::new(Topology::new(4));
         // Exclusive kinds: reads are exclusive, and stats and
@@ -1068,16 +942,6 @@ mod tests {
             AnyLockKind::Excl(LockKind::CRecipMcs).modelled_admission(None),
             ClusterBatched(PAPER_COUNT)
         );
-    }
-
-    #[test]
-    fn rw_cache_lock_without_a_read_side_is_the_kind_itself() {
-        // No second constructor in the row: the cache lock is the plain
-        // constructor's product, policy included.
-        let topo = Arc::new(Topology::new(4));
-        let lock = LockKind::Cna.make_rw_cache_lock(&topo, Some(PolicySpec::Count { bound: 5 }));
-        assert!(lock.read_is_exclusive());
-        assert_eq!(lock.policy_label().as_deref(), Some("count(5)"));
     }
 
     #[test]

@@ -36,12 +36,7 @@ use std::sync::Arc;
 pub enum ShardLockSpec {
     /// A mutual-exclusion cache lock (the paper's setup).
     Excl(LockKind),
-    /// An exclusive kind mapped through
-    /// [`LockKind::make_rw_cache_lock`] — the legacy `KV_RW=1` path:
-    /// `get`s take the shared side where the kind has one, and fall back
-    /// to exclusive where it does not.
-    ExclAsRw(LockKind),
-    /// A genuine reader-writer kind.
+    /// A reader-writer kind: `get`s take its shared side.
     Rw(RwLockKind),
 }
 
@@ -70,24 +65,17 @@ impl ShardedKvStore {
         cost: CostModel,
     ) -> Self {
         assert!(shards >= 1, "a sharded store needs at least one shard");
+        let kind = match lock {
+            ShardLockSpec::Excl(k) => AnyLockKind::Excl(k),
+            ShardLockSpec::Rw(k) => AnyLockKind::Rw(k),
+        };
         ShardedKvStore {
             shards: (0..shards)
                 .map(|_| {
                     let dir = Arc::new(Directory::new(KvStore::lines_needed(&store_cfg), cost));
                     let kv = KvStore::new(store_cfg, dir);
-                    let store = match lock {
-                        ShardLockSpec::Excl(k) => {
-                            SharedKvStore::new(AnyLockKind::Excl(k).make(topo, policy), kv)
-                        }
-                        ShardLockSpec::ExclAsRw(k) => {
-                            SharedKvStore::with_rw_lock(k.make_rw_cache_lock(topo, policy), kv)
-                        }
-                        ShardLockSpec::Rw(k) => {
-                            SharedKvStore::with_rw_lock(k.make(topo, policy), kv)
-                        }
-                    };
                     Shard {
-                        store,
+                        store: SharedKvStore::new(kind.make(topo, policy), kv),
                         handoff: HandoffChannel::new(cost),
                     }
                 })
@@ -200,9 +188,8 @@ impl ShardedKvStore {
 }
 
 /// [`KeyedServiceFactory`] building a [`ShardedKvStore`] for the
-/// scenario engine: the engine's lock kind picks each shard's cache
-/// lock (`rw` maps exclusive kinds through the RW cache-lock adapter,
-/// the legacy `KV_RW=1` path), and the warm phase preloads `keyspace`.
+/// scenario engine: the engine's lock kind and the config's policy pick
+/// each shard's cache lock, and the warm phase preloads `keyspace`.
 #[derive(Clone, Debug)]
 pub struct KvServiceFactory {
     /// Number of shards.
@@ -213,10 +200,6 @@ pub struct KvServiceFactory {
     pub store: KvConfig,
     /// Latency model for each shard's directory and handoff channel.
     pub cost: CostModel,
-    /// Handoff policy for cohort cache locks (`None` = kind default).
-    pub policy: Option<PolicySpec>,
-    /// Map exclusive kinds through [`LockKind::make_rw_cache_lock`].
-    pub rw: bool,
 }
 
 impl KeyedServiceFactory for KvServiceFactory {
@@ -225,15 +208,14 @@ impl KeyedServiceFactory for KvServiceFactory {
         kind: AnyLockKind,
         topo: &Arc<Topology>,
         _scenario: &Scenario,
-        _cfg: &LBenchConfig,
+        cfg: &LBenchConfig,
     ) -> Arc<dyn KeyedService> {
         let lock = match kind {
-            AnyLockKind::Excl(k) if self.rw => ShardLockSpec::ExclAsRw(k),
             AnyLockKind::Excl(k) => ShardLockSpec::Excl(k),
             AnyLockKind::Rw(k) => ShardLockSpec::Rw(k),
         };
         let store =
-            ShardedKvStore::build(self.shards, lock, topo, self.policy, self.store, self.cost);
+            ShardedKvStore::build(self.shards, lock, topo, cfg.policy, self.store, self.cost);
         store.warm(self.keyspace);
         Arc::new(KvService { store })
     }

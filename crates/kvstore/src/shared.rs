@@ -12,15 +12,16 @@ use std::sync::Arc;
 /// argument and the store code is identical for all 11 lock columns of
 /// Table 1.
 ///
-/// The constructor picks how `get`s run. [`new`](Self::new) is the
-/// paper's setup: every operation takes the exclusive side.
-/// [`with_rw_lock`](Self::with_rw_lock) is the C-RW extension: `get`s
-/// run under the read side (via the LRU-free [`KvStore::peek`], with
-/// hit/miss counts kept in atomics) and everything else under the write
-/// side.
+/// The lock picks how `get`s run. Under an exclusive lock (the paper's
+/// setup) every operation takes the exclusive side. Under a lock with a
+/// shared read side (the C-RW extension) `get`s run under the read side
+/// (via the LRU-free [`KvStore::peek`], with hit/miss counts kept in
+/// atomics) and everything else under the write side.
 pub struct SharedKvStore {
     lock: Arc<dyn BenchRwLock>,
-    /// Whether `get`s take the read side (fixed at construction).
+    /// Whether `get`s take the read side: `!lock.read_is_exclusive()`,
+    /// read once at construction so `get` makes no virtual call to
+    /// decide.
     gets_read: bool,
     store: UnsafeCell<KvStore>,
     /// Read-path hit/miss counts (`gets_read` only; `peek` cannot touch
@@ -35,22 +36,12 @@ unsafe impl Send for SharedKvStore {}
 unsafe impl Sync for SharedKvStore {}
 
 impl SharedKvStore {
-    /// Wraps `store` behind a cache lock every operation takes
-    /// exclusively.
+    /// Wraps `store` behind `lock`: `get`s take its read side when that
+    /// side is shared, everything else takes the write side.
     pub fn new(lock: Arc<dyn BenchRwLock>, store: KvStore) -> Self {
-        Self::build(lock, false, store)
-    }
-
-    /// Wraps `store` behind a reader-writer cache lock: `get`s take the
-    /// read side, everything else the write side.
-    pub fn with_rw_lock(lock: Arc<dyn BenchRwLock>, store: KvStore) -> Self {
-        Self::build(lock, true, store)
-    }
-
-    fn build(lock: Arc<dyn BenchRwLock>, gets_read: bool, store: KvStore) -> Self {
         SharedKvStore {
+            gets_read: !lock.read_is_exclusive(),
             lock,
-            gets_read,
             store: UnsafeCell::new(store),
             rw_hits: AtomicU64::new(0),
             rw_misses: AtomicU64::new(0),
@@ -68,8 +59,7 @@ impl SharedKvStore {
 
     /// `get` under the cache lock: the full LRU-touching [`KvStore::get`]
     /// under the exclusive side, or the shared-lock [`KvStore::peek`]
-    /// under the read side of a store built by
-    /// [`with_rw_lock`](Self::with_rw_lock).
+    /// under a shared read side.
     pub fn get(&self, key: u64, cluster: ClusterId) -> Option<u64> {
         if !self.gets_read {
             return self.with_lock(|s| s.get(key, cluster));
@@ -104,11 +94,11 @@ impl SharedKvStore {
         stats
     }
 
-    /// Whether `get`s genuinely share the cache lock (read side in use,
-    /// and concurrent). Workload drivers use this to decide whether read
-    /// operations must be charged through the handoff channel.
+    /// Whether `get`s share the cache lock. Workload drivers use this to
+    /// decide whether read operations must be charged through the
+    /// handoff channel.
     pub fn reads_are_shared(&self) -> bool {
-        self.gets_read && !self.lock.read_is_exclusive()
+        self.gets_read
     }
 
     /// The cache lock, for its introspection (tenure statistics, policy
@@ -178,10 +168,7 @@ mod tests {
     #[test]
     fn rw_mode_routes_gets_through_the_read_path() {
         let topo = Arc::new(Topology::new(4));
-        let s = Arc::new(SharedKvStore::with_rw_lock(
-            RwLockKind::CRwWpBoMcs.make(&topo, None),
-            kv_store(),
-        ));
+        let s = shared(RwLockKind::CRwWpBoMcs.make(&topo, None));
         assert!(s.reads_are_shared());
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -209,25 +196,6 @@ mod tests {
         let cs = s.lock().cohort_stats().expect("cohort stats in RW mode");
         assert_eq!(cs.tenures() + cs.local_handoffs(), 1200 + 1);
         assert_eq!(s.lock().policy_label().as_deref(), Some("count(64)"));
-    }
-
-    #[test]
-    fn rw_mode_with_exclusive_fallback_reports_itself() {
-        // MCS has no shared read side, but the store was built in RW
-        // mode: `get` still runs `peek` under the (exclusive) read side
-        // and counts hits and misses outside the store, as before.
-        let topo = Arc::new(Topology::new(4));
-        let s =
-            SharedKvStore::with_rw_lock(LockKind::Mcs.make_rw_cache_lock(&topo, None), kv_store());
-        assert!(!s.reads_are_shared(), "MCS has no shared read path");
-        let cl = ClusterId::new(0);
-        s.set(1, 2, cl);
-        assert_eq!(s.get(1, cl), Some(2));
-        assert_eq!(s.get(7, cl), None);
-        assert_eq!(s.rw_hits.load(Ordering::Relaxed), 1, "served by peek");
-        assert_eq!(s.rw_misses.load(Ordering::Relaxed), 1);
-        let stats = s.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

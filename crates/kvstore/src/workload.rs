@@ -21,8 +21,7 @@ use crate::sharded::KvServiceFactory;
 use crate::store::KvConfig;
 use coherence_sim::CostModel;
 use lbench::{
-    run_scenario, AnyLockKind, KeyDist, KeyedSpec, LBenchConfig, LockKind, PolicySpec, Scenario,
-    ScenarioResult,
+    run_scenario, AnyLockKind, KeyDist, KeyedSpec, LBenchConfig, Scenario, ScenarioResult,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,17 +58,6 @@ pub struct KvWorkload {
     pub cost: CostModel,
     /// Wall-clock safety net.
     pub max_wall: Duration,
-    /// Handoff policy for the cache lock when it is a cohort lock
-    /// (`None` = the lock's default, the paper's `count(64)`).
-    /// Ignored for non-cohort cache locks.
-    pub policy: Option<PolicySpec>,
-    /// Run the cache lock in **reader-writer mode** (the `KV_RW=1` path):
-    /// the lock kind is mapped through
-    /// [`LockKind::make_rw_cache_lock`](lbench::LockKind::make_rw_cache_lock),
-    /// `get`s take the shared side (LRU-free peek), `set`s the exclusive
-    /// side. Kinds without a shared read path fall back to exclusive
-    /// reads and behave as in mutex mode.
-    pub rw: bool,
 }
 
 impl Default for KvWorkload {
@@ -86,8 +74,6 @@ impl Default for KvWorkload {
             store: KvConfig::default(),
             cost: CostModel::t5440(),
             max_wall: Duration::from_secs(60),
-            policy: None,
-            rw: false,
         }
     }
 }
@@ -109,8 +95,6 @@ impl KvWorkload {
                     keyspace: self.keyspace,
                     store: self.store,
                     cost: self.cost,
-                    policy: self.policy,
-                    rw: self.rw,
                 }),
             })
     }
@@ -128,22 +112,20 @@ impl KvWorkload {
         }
     }
 
-    /// Runs the workload with `kind` as the cache lock. In RW mode
-    /// `acquisitions` counts *exclusive* acquisitions only — shared-side
-    /// gets serialize on nothing and bypass the handoff channel, so it
-    /// undercounts `total_ops`.
-    pub fn run(&self, kind: LockKind) -> ScenarioResult {
-        run_scenario(
-            AnyLockKind::Excl(kind),
-            &self.scenario(),
-            &self.lbench_config(),
-        )
+    /// Runs the workload with `kind` as the cache lock, at each lock's
+    /// default policy. Under a reader-writer kind `acquisitions` counts
+    /// *exclusive* acquisitions only — shared-side gets serialize on
+    /// nothing and bypass the handoff channel, so it undercounts
+    /// `total_ops`.
+    pub fn run(&self, kind: impl Into<AnyLockKind>) -> ScenarioResult {
+        run_scenario(kind.into(), &self.scenario(), &self.lbench_config())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbench::{LockKind, PolicySpec, RwLockKind};
 
     fn quick(threads: usize, get_pct: u32) -> KvWorkload {
         KvWorkload {
@@ -176,9 +158,15 @@ mod tests {
 
     #[test]
     fn cache_lock_policy_is_selectable() {
-        let mut w = quick(8, 50);
-        w.policy = Some(PolicySpec::NeverPass);
-        let r = w.run(LockKind::CBoMcs);
+        let w = quick(8, 50);
+        let run = |kind: LockKind, policy| {
+            let cfg = LBenchConfig {
+                policy: Some(policy),
+                ..w.lbench_config()
+            };
+            run_scenario(kind.into(), &w.scenario(), &cfg)
+        };
+        let r = run(LockKind::CBoMcs, PolicySpec::NeverPass);
         assert_eq!(r.policy.as_deref(), Some("never-pass"));
         assert!(r.total_ops > 0);
         assert_eq!(r.mean_streak, 0.0, "NeverPass forbids local handoffs");
@@ -186,22 +174,20 @@ mod tests {
         // phase's populate acquisition, which the handoff channel doesn't.
         assert_eq!(r.tenures, r.acquisitions + 1);
 
-        w.policy = Some(PolicySpec::Count { bound: 8 });
-        let r = w.run(LockKind::CBoMcs);
+        let bound8 = PolicySpec::Count { bound: 8 };
+        let r = run(LockKind::CBoMcs, bound8);
         assert_eq!(r.policy.as_deref(), Some("count(8)"));
         assert!(r.tenures > 0);
 
         // Non-cohort cache locks ignore the policy and report no tenures.
-        let r = w.run(LockKind::Mcs);
+        let r = run(LockKind::Mcs, bound8);
         assert_eq!(r.policy, None);
         assert_eq!(r.tenures, 0);
     }
 
     #[test]
     fn rw_mode_runs_read_heavy_mix() {
-        let mut w = quick(4, 90);
-        w.rw = true;
-        let r = w.run(LockKind::CBoMcs);
+        let r = quick(4, 90).run(RwLockKind::CRwWpBoMcs);
         assert!(r.total_ops > 100, "ops {}", r.total_ops);
         // The cache lock is now a cohort-RW lock: only the exclusive
         // side flows through the handoff channel, so acquisitions trail
@@ -221,9 +207,7 @@ mod tests {
         // The whole point of the C-RW layer: at 90% gets, routing reads
         // through the shared side must not lose to fully-exclusive ops.
         let mutex = quick(8, 90).run(LockKind::CBoMcs);
-        let mut w = quick(8, 90);
-        w.rw = true;
-        let rw = w.run(LockKind::CBoMcs);
+        let rw = quick(8, 90).run(RwLockKind::CRwWpBoMcs);
         assert!(
             rw.throughput >= mutex.throughput,
             "rw {:.0} ops/s vs mutex {:.0} ops/s",
@@ -234,13 +218,11 @@ mod tests {
 
     #[test]
     fn rw_mode_falls_back_to_exclusive_for_non_rw_kinds() {
-        let mut w = quick(2, 90);
-        w.rw = true;
-        let r = w.run(LockKind::Mcs);
+        let r = quick(2, 90).run(LockKind::Mcs);
         assert!(r.total_ops > 0);
         assert!(
             r.acquisitions >= r.total_ops,
-            "exclusive fallback charges every op through the channel"
+            "an exclusive kind charges every op, gets included, through the channel"
         );
         assert_eq!(r.policy, None);
     }

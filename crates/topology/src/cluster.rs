@@ -75,9 +75,8 @@ pub enum TopologySource {
 /// [`Topology::pinned`] (a per-cluster CPU map, typically produced by the
 /// latency probe in [`crate::probe`] + [`crate::measured`]).
 ///
-/// The default cluster count is taken from the `NUMA_CLUSTERS` environment
-/// variable, falling back to **4** — the paper's machine had 4 Niagara T2+
-/// sockets.
+/// The default cluster count is **4** — the paper's machine had 4 Niagara
+/// T2+ sockets.
 pub struct Topology {
     clusters: usize,
     /// Round-robin cursor for automatic thread placement.
@@ -184,17 +183,6 @@ impl Topology {
     /// coherence model are 64-bit).
     pub const MAX_CLUSTERS: usize = 64;
 
-    /// Creates a topology sized from the `NUMA_CLUSTERS` environment
-    /// variable (default 4, the paper's machine).
-    pub fn from_env() -> Self {
-        let n = std::env::var("NUMA_CLUSTERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| (1..=Self::MAX_CLUSTERS).contains(&n))
-            .unwrap_or(4);
-        Self::new(n)
-    }
-
     /// Number of clusters in this topology.
     #[inline]
     pub fn clusters(&self) -> usize {
@@ -224,20 +212,21 @@ impl fmt::Debug for Topology {
 }
 
 impl Default for Topology {
+    /// Four virtual clusters, the paper's machine.
     fn default() -> Self {
-        Self::from_env()
+        Self::new(4)
     }
 }
 
 static GLOBAL: std::sync::OnceLock<std::sync::Arc<Topology>> = std::sync::OnceLock::new();
 
-/// The process-wide default topology (sized by `NUMA_CLUSTERS`, default 4).
+/// The process-wide default topology: [`Topology::default`]'s four clusters.
 ///
 /// Locks constructed with `Default::default()` share this instance, so a
 /// program that never mentions topologies still gets coherent placement.
 pub fn global_topology() -> std::sync::Arc<Topology> {
     GLOBAL
-        .get_or_init(|| std::sync::Arc::new(Topology::from_env()))
+        .get_or_init(|| std::sync::Arc::new(Topology::default()))
         .clone()
 }
 

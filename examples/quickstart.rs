@@ -8,9 +8,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    // Describe the machine: 4 NUMA clusters (the default; auto-detected
-    // geometry or the NUMA_CLUSTERS env var also work via
-    // `Topology::from_env()`).
+    // Describe the machine: 4 NUMA clusters (the paper's machine, and
+    // `Topology::default()`; `Topology::measured` takes a probed CPU map).
     let topo = Arc::new(Topology::new(4));
 
     // A C-BO-MCS cohort lock (the paper's best performer): global

@@ -11,7 +11,7 @@
 use cohort_alloc::workload::MmicroWorkload;
 use cohort_kvstore::workload::KvWorkload;
 use cohort_kvstore::KvConfig;
-use lbench::{KeyDist, LoadShape, LockKind, Phase, PolicySpec};
+use lbench::{KeyDist, LBenchConfig, LoadShape, LockKind, Phase, PolicySpec, RwLockKind};
 
 fn quick(get_pct: u32) -> KvWorkload {
     KvWorkload {
@@ -62,35 +62,60 @@ fn cohort_lock_cells_match_the_legacy_driver() {
 
 #[test]
 fn rw_mode_cells_match_the_legacy_driver() {
-    // RW mode reroutes gets through the shared side: fewer exclusive
-    // acquisitions, slightly more ops (shared gets skip the queue).
-    let mut w = quick(90);
-    w.rw = true;
-    let r = w.run(LockKind::CBoMcs);
+    // The C-RW cache lock routes gets through the shared side: fewer
+    // exclusive acquisitions, slightly more ops (shared gets skip the
+    // queue).
+    let r = quick(90).run(RwLockKind::CRwWpBoMcs);
     assert_eq!(r.total_ops, 241);
     assert_eq!(r.throughput, 160666.66666666666);
     assert_eq!(r.acquisitions, 19, "only sets charge the channel");
     assert_eq!(r.tenures, 20);
+}
 
-    // A kind with no shared read path falls back to exclusive reads and
-    // must land exactly on the mutex-mode numbers.
-    let r = w.run(LockKind::Mcs);
-    assert_eq!(r.total_ops, 235);
-    assert_eq!(r.acquisitions, 235);
-    assert_eq!(r.tenures, 0);
-    assert_eq!(r.policy, None);
+/// `cfg` with the handoff policy `NeverPass`.
+fn never_pass(cfg: LBenchConfig) -> LBenchConfig {
+    LBenchConfig {
+        policy: Some(PolicySpec::NeverPass),
+        ..cfg
+    }
 }
 
 #[test]
 fn policy_override_cell_matches_the_legacy_driver() {
-    let mut w = quick(50);
-    w.policy = Some(PolicySpec::NeverPass);
-    let r = w.run(LockKind::CBoMcs);
+    let w = quick(50);
+    let r = lbench::run_scenario(
+        LockKind::CBoMcs.into(),
+        &w.scenario(),
+        &never_pass(w.lbench_config()),
+    );
     assert_eq!(r.total_ops, 234);
     assert_eq!(r.acquisitions, 234);
     assert_eq!(r.tenures, 235, "never-pass: every acquisition a tenure");
     assert_eq!(r.policy.as_deref(), Some("never-pass"));
     assert_eq!(r.mean_streak, 0.0);
+}
+
+#[test]
+fn keyed_services_build_their_locks_at_the_configured_policy() {
+    // Eight threads over four clusters: at the default count(64) a
+    // C-BO-MCS cache or allocator lock hands off locally.
+    let kv = KvWorkload {
+        threads: 8,
+        ..quick(50)
+    };
+    let mm = MmicroWorkload {
+        threads: 8,
+        window_ns: 1_500_000,
+        ..Default::default()
+    };
+    for (scenario, cfg) in [
+        (kv.scenario(), kv.lbench_config()),
+        (mm.scenario(), mm.lbench_config()),
+    ] {
+        let r = lbench::run_scenario(LockKind::CBoMcs.into(), &scenario, &never_pass(cfg));
+        assert_eq!(r.policy.as_deref(), Some("never-pass"));
+        assert_eq!(r.mean_streak, 0.0, "NeverPass forbids local handoffs");
+    }
 }
 
 #[test]

@@ -440,13 +440,12 @@ fn single_thread_realtime_is_the_modelled_run_plus_the_boundary_op() {
     }
 
     // 10 keyed cells: 8 over the KV store (key distributions, shard
-    // counts, RW mode) and 2 over the allocator.
-    let kv = |get_pct, shards, dist, rw| KvWorkload {
+    // counts, a C-RW cache lock) and 2 over the allocator.
+    let kv = |get_pct, shards, dist| KvWorkload {
         threads: 1,
         get_pct,
         shards,
         dist,
-        rw,
         window_ns: 1_500_000,
         keyspace: 512,
         store: KvConfig {
@@ -458,18 +457,22 @@ fn single_thread_realtime_is_the_modelled_run_plus_the_boundary_op() {
     };
     let zipf = KeyDist::Zipfian { theta: 0.9 };
     let hot = KeyDist::HotSet { keys: 16, pct: 90 };
+    let (cbomcs, crw) = (
+        AnyLockKind::Excl(LockKind::CBoMcs),
+        AnyLockKind::Rw(RwLockKind::CRwWpBoMcs),
+    );
     let kv_cells = [
-        (LockKind::CBoMcs, kv(90, 1, KeyDist::Uniform, false)),
-        (LockKind::CBoMcs, kv(50, 1, KeyDist::Uniform, false)),
-        (LockKind::Pthread, kv(90, 1, KeyDist::Uniform, false)),
-        (LockKind::CBoMcs, kv(90, 4, zipf.clone(), false)),
-        (LockKind::CBoMcs, kv(10, 8, hot.clone(), false)),
-        (LockKind::CBoMcs, kv(90, 1, KeyDist::Uniform, true)),
-        (LockKind::CBoMcs, kv(50, 2, hot, true)),
-        (LockKind::Mcs, kv(90, 4, zipf, true)),
+        (cbomcs, kv(90, 1, KeyDist::Uniform)),
+        (cbomcs, kv(50, 1, KeyDist::Uniform)),
+        (LockKind::Pthread.into(), kv(90, 1, KeyDist::Uniform)),
+        (cbomcs, kv(90, 4, zipf.clone())),
+        (cbomcs, kv(10, 8, hot.clone())),
+        (crw, kv(90, 1, KeyDist::Uniform)),
+        (crw, kv(50, 2, hot)),
+        (LockKind::Mcs.into(), kv(90, 4, zipf)),
     ];
     for (i, (kind, w)) in kv_cells.iter().enumerate() {
-        let kind = AnyLockKind::Excl(*kind);
+        let kind = *kind;
         let real = run_scenario(kind, &w.scenario(), &w.lbench_config());
         let modelled = run_scenario(kind, &w.scenario().modelled(w.cost), &w.lbench_config());
         assert_modelled_plus_the_boundary_op(&format!("kv cell {i}"), &real, &modelled, 1);
