@@ -5,10 +5,9 @@
 //! cell to `(Scenario, LBenchConfig)` × tables × checks — consumed by the
 //! single [`run_exhibit`] driver:
 //!
-//! 1. every grid cell × lock is measured through [`measure_cell`] (the
-//!    builder's output on [`lbench::run_scenario`] — the kvstore and
-//!    allocator workloads are keyed scenarios like any other), with a
-//!    standardized progress line;
+//! 1. every grid cell × lock is measured by [`lbench::run_scenario`] on
+//!    the builder's output (the kvstore and allocator workloads are keyed
+//!    scenarios like any other), with a standardized progress line;
 //! 2. every [`TableSpec`] builds a [`Grid`] from the measurements and is
 //!    emitted through the shared text/CSV path;
 //! 3. every check runs against the full measurement set; a failure makes
@@ -42,17 +41,6 @@ pub type GridBuilder<C> = Box<dyn Fn(&[Measurement<C>]) -> Grid>;
 
 /// A free-form hook over the full measurement set.
 pub type Epilogue<C> = Box<dyn Fn(&[Measurement<C>])>;
-
-/// Measures one (lock, cell) pair: a builder's scenario and config on
-/// the `LBENCH_TOPOLOGY` backend — the one place an exhibit calls the
-/// engine, for the sweep and for any check that re-measures a cell.
-pub fn measure_cell(
-    kind: AnyLockKind,
-    (scenario, mut cfg): (Scenario, LBenchConfig),
-) -> ScenarioResult {
-    cfg.topology = crate::topology_mode();
-    run_scenario(kind, &scenario, &cfg)
-}
 
 /// The result `kind` measured at the first grid cell `at` accepts —
 /// `None` when no such cell was swept (a knob filtered it out), which
@@ -123,8 +111,8 @@ pub struct Exhibit<C> {
     /// The scenario and config of one grid cell.
     pub measure: ScenarioBuilder<C>,
     /// Unit of the result's throughput channel for the progress lines —
-    /// `"ops/s"` for the scenario engine, `"pairs/ms"` for the allocator
-    /// workload, etc.
+    /// `"ops/s"` for the scenario engine, `"pairs/s"` for the allocator
+    /// workload.
     pub unit: &'static str,
     /// Tables to emit after the sweep.
     pub tables: Vec<TableSpec<C>>,
@@ -141,7 +129,8 @@ pub fn run_exhibit<C: Clone + Display>(ex: &Exhibit<C>) -> bool {
     let mut ms: Vec<Measurement<C>> = Vec::with_capacity(ex.grid.len() * ex.locks.len());
     for cell in &ex.grid {
         for &kind in &ex.locks {
-            let result = measure_cell(kind, (ex.measure)(cell));
+            let (scenario, cfg) = (ex.measure)(cell);
+            let result = run_scenario(kind, &scenario, &cfg);
             eprintln!(
                 "  [{kind} {cell}] {} {} ({:?} wall)",
                 lbench::stats::fmt_throughput_raw(result.throughput),

@@ -63,11 +63,11 @@
 //!    4–6). The re-measures run at least [`RETRY_WINDOW_NS`].
 
 use crate::{
-    base_config, find, long_table, measure_cell, no_cell_columns, run_exhibit, schema, thread_grid,
+    base_config, find, long_table, no_cell_columns, run_exhibit, schema, thread_grid,
     throughput_table, verdict, Cell, Check, Exhibit, Measurement, TableSpec,
 };
 use coherence_sim::CostModel;
-use lbench::{AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
+use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
 
 /// The swept cluster counts.
 const CLUSTER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -197,7 +197,7 @@ fn at_least_check(
     let rerun = move |k: LockKind| {
         let (scenario, mut cfg) = build(&cell);
         cfg.window_ns = cfg.window_ns.max(RETRY_WINDOW_NS);
-        measure_cell(k.into(), (scenario, cfg))
+        run_scenario(k.into(), &scenario, &cfg)
     };
     Box::new(move |ms: &[Measurement<CompareCell>]| {
         let compare = |lock: &ScenarioResult, base: &ScenarioResult| {

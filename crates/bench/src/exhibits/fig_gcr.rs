@@ -33,10 +33,10 @@
 //!    its bare inner lock — admission is one CAS and one `fetch_sub`.
 
 use crate::{
-    base_config, clusters, find, long_table, measure_cell, no_cell_columns, run_exhibit, schema,
+    base_config, clusters, find, long_table, no_cell_columns, run_exhibit, schema,
     throughput_table, verdict, Cell, Check, Exhibit, Measurement, TableSpec,
 };
-use lbench::{AnyLockKind, LBenchConfig, LockKind, Scenario, TimeMode};
+use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario, TimeMode};
 
 /// Oversubscription factors swept (threads = factor × CPUs).
 const OVERSUB: &[usize] = &[1, 2, 4, 8];
@@ -117,15 +117,15 @@ fn build(cell: &GcrCell) -> (Scenario, LBenchConfig) {
 /// cell) must reach `floor`. The ratio is the median of [`TRIALS`]: the
 /// grid's measurement, then the pair re-measured inline.
 fn ratio_check(num: (LockKind, GcrCell), den: (LockKind, GcrCell), floor: f64) -> Check<GcrCell> {
+    let rerun = |(kind, cell): (LockKind, GcrCell)| {
+        let (scenario, cfg) = build(&cell);
+        run_scenario(kind.into(), &scenario, &cfg).throughput
+    };
     Box::new(move |ms: &[Measurement<GcrCell>]| {
         let grid = find(ms, num.1, num.0);
         let first = grid.throughput / find(ms, den.1, den.0).throughput.max(1.0);
         let mut ratios: Vec<f64> = std::iter::once(first)
-            .chain((1..TRIALS).map(|_| {
-                let n = measure_cell(num.0.into(), build(&num.1));
-                let d = measure_cell(den.0.into(), build(&den.1));
-                n.throughput / d.throughput.max(1.0)
-            }))
+            .chain((1..TRIALS).map(|_| rerun(num) / rerun(den).max(1.0)))
             .collect();
         ratios.sort_by(f64::total_cmp);
         let ratio = ratios[TRIALS / 2];

@@ -34,12 +34,13 @@
 //! committed `results/fig_model.csv` and the test can never diverge.
 
 use crate::exhibit::{
-    find_where, long_table, measure_cell, no_cell_columns, run_exhibit, throughput_table, verdict,
-    GridBuilder,
+    find_where, long_table, no_cell_columns, run_exhibit, throughput_table, verdict, GridBuilder,
 };
 use crate::{base_config, clusters, schema, Cell, Check, Exhibit, Measurement, TableSpec};
 use coherence_sim::CostModel;
-use lbench::{AnyLockKind, LBenchConfig, LockKind, RwLockKind, Scenario, ScenarioResult};
+use lbench::{
+    run_scenario, AnyLockKind, LBenchConfig, LockKind, RwLockKind, Scenario, ScenarioResult,
+};
 
 /// One modelled cell: a named scenario at a thread count with a pinned
 /// non-critical idle bound.
@@ -119,7 +120,8 @@ fn build(cell: &ModelCell) -> (Scenario, LBenchConfig) {
 /// Measures one (lock, cell) pair as the exhibit sweep does — what the
 /// determinism re-runs (the check below, the integration test) re-drive.
 pub fn measure_model_cell(kind: AnyLockKind, cell: &ModelCell) -> ScenarioResult {
-    measure_cell(kind, build(cell))
+    let (scenario, cfg) = build(cell);
+    run_scenario(kind, &scenario, &cfg)
 }
 
 /// The exhibit's CSV table ([`schema::FIG_MODEL_HEADER`]). Every column

@@ -16,25 +16,30 @@
 //! The CSV stays valid and schema-stable either way, which is what the
 //! CI smoke job asserts.
 //!
-//! When the probe finds ≥ 2 clusters, the exhibit then re-runs the
-//! `fig_scenarios` saturation cell **on the measured clusters** (workers
-//! pinned to their cluster's physical CPUs via
-//! `LBenchConfig::topology = Measured`) and self-checks the paper's core
-//! claim on real hardware: C-BO-MCS throughput ≥ plain MCS. On
-//! single-cluster machines the check is skipped with a logged reason —
-//! there is no locality for cohorting to exploit.
-//!
 //! Environment: `LBENCH_PROBE_SKIP` (force the virtual fallback without
-//! probing), plus the usual `LBENCH_*` knobs for the re-run cells and
+//! probing), `LBENCH_CLUSTERS` (the fallback's cluster count) and
 //! `RESULTS_DIR`.
 
-use crate::{base_config, clusters, emit, knob_or_die, schema, topology_mode, verdict, Cell, Grid};
+use crate::{clusters, emit, knob_or_die, schema, Cell, Grid};
 use coherence_sim::CostModel;
 use lbench::env::env_bool;
-use lbench::phys::measured_topology;
-use lbench::{run_scenario, AnyLockKind, LockKind, Scenario, TopologyMode};
-use numa_topology::MeasuredTopology;
-use std::sync::Arc;
+use numa_topology::probe::{online_cpus, probe_machine};
+use numa_topology::{MeasuredTopology, ProbeConfig};
+
+/// Probes and clusters this machine, or says why it cannot: the probe
+/// skipped (`LBENCH_PROBE_SKIP`, parsed strictly — a malformed value
+/// exits 2), too few CPUs, or pinning rejected.
+fn measured_topology() -> Result<MeasuredTopology, String> {
+    if knob_or_die(env_bool("LBENCH_PROBE_SKIP")) {
+        return Err("probe skipped (LBENCH_PROBE_SKIP)".to_string());
+    }
+    let cpus = online_cpus();
+    if cpus.len() < 2 {
+        return Err(format!("only {} online CPU(s)", cpus.len()));
+    }
+    let matrix = probe_machine(&ProbeConfig::default()).map_err(|e| e.to_string())?;
+    Ok(MeasuredTopology::from_matrix(matrix))
+}
 
 /// The matrix + cluster-map rows for a successful probe: the upper
 /// triangle (including the zero diagonal) of the measured matrix.
@@ -83,55 +88,12 @@ fn virtual_rows(n_clusters: usize) -> Vec<Vec<Cell>> {
     rows
 }
 
-/// Re-runs the fig_scenarios saturation cell (steady load, `2 ×
-/// clusters` threads) on the measured map and checks the cohort edge.
-/// Returns `Ok(msg)` / `Err(msg)` in the exhibit check idiom.
-fn measured_saturation_check(m: &MeasuredTopology) -> Result<String, String> {
-    let n = m.clusters();
-    if n < 2 {
-        return Ok(format!(
-            "measured cohort edge skipped ({n} measured cluster(s): no cross-cluster \
-             locality to exploit)"
-        ));
-    }
-    let threads = 2 * n;
-    let run = |kind: LockKind| {
-        let mut cfg = base_config(threads);
-        // Run on the measured map with physical pinning regardless of
-        // how LBENCH_TOPOLOGY was set for the other exhibits — this
-        // check *is* the measured rerun.
-        cfg.topology = TopologyMode::Measured;
-        cfg.clusters = n;
-        run_scenario(AnyLockKind::Excl(kind), &Scenario::steady(), &cfg)
-    };
-    let cohort = run(LockKind::CBoMcs);
-    let mcs = run(LockKind::Mcs);
-    let msg = format!(
-        "C-BO-MCS vs MCS on {n} measured clusters ({threads} pinned threads): {:.2}x \
-         ({} vs {} migrations)",
-        cohort.throughput / mcs.throughput.max(1.0),
-        cohort.migrations,
-        mcs.migrations
-    );
-    verdict(cohort.throughput >= mcs.throughput, msg)
-}
-
 pub fn run() -> bool {
-    // Strict-knob contract: this exhibit probes directly rather than
-    // through `base_config`, so validate the topology knobs up front —
-    // a misspelt `LBENCH_TOPOLOGY=mesured` or `LBENCH_PROBE_SKIP=maybe`
-    // must abort with the knob-naming error (exit 2), exactly like
-    // every other exhibit, not be silently ignored or panic later.
-    let _ = topology_mode();
-    let _ = knob_or_die(env_bool("LBENCH_PROBE_SKIP"));
-
-    let probed: Result<Arc<MeasuredTopology>, String> = measured_topology();
-
-    let (rows, source_note) = match &probed {
+    let (rows, source_note) = match measured_topology() {
         Ok(m) => {
             let matrix = m.matrix();
             (
-                measured_rows(m),
+                measured_rows(&m),
                 format!(
                     "measured: {} CPUs probed, {} cluster(s) {:?}",
                     matrix.n(),
@@ -159,16 +121,5 @@ pub fn run() -> bool {
         rows,
     };
     emit(&grid, Some("fig_topology"), true);
-
-    let check = match &probed {
-        Ok(m) => measured_saturation_check(m),
-        Err(reason) => Ok(format!(
-            "measured cohort edge skipped (probe unavailable: {reason})"
-        )),
-    };
-    match &check {
-        Ok(msg) => println!("check: {msg} ok"),
-        Err(msg) => println!("check: {msg} FAILED"),
-    }
-    check.is_ok()
+    true
 }

@@ -13,9 +13,7 @@
 //! pins that these cells reproduce the retired hand-rolled driver's
 //! numbers exactly.
 
-use crate::{
-    clusters, measure_cell, metric_table, run_exhibit, thread_grid, window_ns, Exhibit, TableSpec,
-};
+use crate::{clusters, metric_table, run_exhibit, thread_grid, window_ns, Exhibit, TableSpec};
 use cohort_kvstore::workload::KvWorkload;
 use lbench::{AnyLockKind, LockKind};
 use std::time::Duration;
@@ -40,9 +38,10 @@ pub fn run() -> bool {
         (10, "10% gets / 90% sets"),
     ] {
         // Baseline: pthread at 1 thread.
-        let w = workload(get_pct, 1);
-        let base = measure_cell(LockKind::Pthread.into(), (w.scenario(), w.lbench_config()));
-        let base_thr = base.throughput.max(1.0);
+        let base_thr = workload(get_pct, 1)
+            .run(LockKind::Pthread)
+            .throughput
+            .max(1.0);
         ok &= run_exhibit(&Exhibit {
             banner: format!("table1: mix {label}"),
             locks: AnyLockKind::excl(&LockKind::TABLES),

@@ -21,11 +21,8 @@
 //! * `LBENCH_CLUSTERS` — NUMA clusters (default 4, the T5440).
 //! * `LBENCH_ABLATION_THREADS` — thread count of the single-count
 //!   exhibits (default 32; see [`ablation_threads`]).
-//! * `LBENCH_TOPOLOGY` — `virtual` (default) or `measured`: run every
-//!   exhibit on the probed core-to-core latency cluster map with
-//!   physical thread pinning (see [`topology_mode`]);
-//!   `LBENCH_PROBE_SKIP=1` forces the virtual fallback without probing
-//!   (CI).
+//! * `LBENCH_PROBE_SKIP` — `1` makes `fig_topology` write its virtual
+//!   fallback without probing the machine (CI).
 //! * `RESULTS_DIR` — where CSV copies are written (default `results/`).
 //!
 //! Knob parsing is strict (`lbench::env`): a present-but-malformed value
@@ -40,24 +37,23 @@ pub mod grid;
 pub mod schema;
 
 pub use exhibit::{
-    find, find_where, long_table, measure_cell, metric_table, no_cell_columns, run_exhibit,
-    throughput_table, verdict, Check, Exhibit, Measurement, TableSpec,
+    find, find_where, long_table, metric_table, no_cell_columns, run_exhibit, throughput_table,
+    verdict, Check, Exhibit, Measurement, TableSpec,
 };
 pub use grid::{emit, Cell, Grid};
 
 use lbench::env::{
     env_positive_usize, env_positive_usize_list, env_range_u64, env_u64, EnvKnobError,
 };
-use lbench::{LBenchConfig, TopologyMode};
+use lbench::LBenchConfig;
 use std::time::Duration;
 
 /// Every environment knob the exhibits read (besides `RESULTS_DIR`).
-pub const KNOBS: [&str; 8] = [
+pub const KNOBS: [&str; 7] = [
     "LBENCH_THREADS",
     "LBENCH_WINDOW_MS",
     "LBENCH_CLUSTERS",
     "LBENCH_ABLATION_THREADS",
-    "LBENCH_TOPOLOGY",
     "LBENCH_PROBE_SKIP",
     "LBENCH_SHARDS",
     "LBENCH_SHARD_CLIENTS",
@@ -95,18 +91,7 @@ pub fn clusters() -> usize {
         .unwrap_or(4)
 }
 
-/// Topology backend for the sweeps (`LBENCH_TOPOLOGY`): `virtual` (the
-/// default — round-robin virtual clusters) or `measured` (probe the
-/// machine's core-to-core latencies once per process, run on the
-/// discovered cluster map with workers pinned to physical CPUs; falls
-/// back to virtual clusters with a logged reason when probing is
-/// impossible). Any other value aborts through the strict knob path.
-pub fn topology_mode() -> TopologyMode {
-    knob_or_die(TopologyMode::from_env())
-}
-
-/// The default LBench configuration for the figure sweeps (the
-/// topology backend is applied by [`measure_cell`], to every exhibit).
+/// The default LBench configuration for the figure sweeps.
 pub fn base_config(threads: usize) -> LBenchConfig {
     LBenchConfig {
         threads,

@@ -57,9 +57,14 @@ fn the_folded_exhibits_are_not_accepted() {
 
 #[test]
 fn an_unknown_knob_exits_2_naming_it() {
-    // The retired reader-writer cache-lock knob, and a typo of a live one.
-    for knob in [concat!("KV_", "RW"), "LBENCH_THREAD"] {
-        let out = exhibit_with(&["fig2"], &[(knob, "1")]);
+    // The retired reader-writer cache-lock and topology-backend knobs (the
+    // latter at a value its own parser accepted), and a typo of a live one.
+    for (knob, value) in [
+        (concat!("KV_", "RW"), "1"),
+        (concat!("LBENCH_", "TOPOLOGY"), "virtual"),
+        ("LBENCH_THREAD", "1"),
+    ] {
+        let out = exhibit_with(&["fig2"], &[(knob, value)]);
         assert_eq!(out.status.code(), Some(2), "{knob}");
         assert!(out.stdout.is_empty(), "{knob}: nothing ran");
         assert!(

@@ -47,15 +47,6 @@ pub enum EnvKnobError {
         /// Largest accepted value.
         max: u64,
     },
-    /// A choice knob named no known option.
-    Choice {
-        /// The knob being parsed.
-        knob: String,
-        /// The rejected value.
-        value: String,
-        /// The accepted option names.
-        allowed: &'static [&'static str],
-    },
     /// The variable was set but not valid Unicode.
     NotUnicode {
         /// The knob being parsed.
@@ -88,15 +79,6 @@ impl fmt::Display for EnvKnobError {
                 f,
                 "env knob {knob}: unrecognized value {value:?} \
                  (accepted: an integer in {min}..={max})"
-            ),
-            EnvKnobError::Choice {
-                knob,
-                value,
-                allowed,
-            } => write!(
-                f,
-                "env knob {knob}: unrecognized value {value:?} (accepted: {})",
-                allowed.join(", ")
             ),
             EnvKnobError::NotUnicode { knob } => {
                 write!(f, "env knob {knob}: value is not valid Unicode")
@@ -187,28 +169,6 @@ pub fn env_range_u64(
     })
 }
 
-/// Single-choice knob (`LBENCH_TOPOLOGY`): unset or blank ⇒ `None`; a
-/// value outside `allowed` is an error quoting it and the accepted
-/// names. Matching is case-insensitive; the canonical (`allowed`)
-/// spelling is returned.
-pub fn env_choice(
-    knob: &str,
-    allowed: &'static [&'static str],
-) -> Result<Option<&'static str>, EnvKnobError> {
-    let set = value(knob, |v| match v.trim() {
-        "" => Ok(None),
-        part => match allowed.iter().find(|a| a.eq_ignore_ascii_case(part)) {
-            Some(&canonical) => Ok(Some(canonical)),
-            None => Err(EnvKnobError::Choice {
-                knob: knob.to_string(),
-                value: part.to_string(),
-                allowed,
-            }),
-        },
-    })?;
-    Ok(set.flatten())
-}
-
 /// Comma-separated positive-`usize` list knob (thread grids): unset or
 /// all-blank ⇒ `None`; any malformed or zero entry is an error quoting
 /// that entry.
@@ -296,28 +256,6 @@ mod tests {
         std::env::set_var("LBENCH_TEST_LIST", " , ");
         assert_eq!(env_positive_usize_list("LBENCH_TEST_LIST"), Ok(None));
         std::env::remove_var("LBENCH_TEST_LIST");
-    }
-
-    #[test]
-    fn single_choice_knob_canonicalizes_and_rejects_unknown() {
-        let _g = env_guard();
-        const ALLOWED: &[&str] = &["realtime", "modelled"];
-        assert_eq!(env_choice("LBENCH_TEST_MODE_UNSET", ALLOWED), Ok(None));
-        std::env::set_var("LBENCH_TEST_MODE", " Modelled ");
-        assert_eq!(
-            env_choice("LBENCH_TEST_MODE", ALLOWED),
-            Ok(Some("modelled")),
-            "case-folded to the canonical spelling"
-        );
-        std::env::set_var("LBENCH_TEST_MODE", "simulated");
-        let msg = env_choice("LBENCH_TEST_MODE", ALLOWED)
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("\"simulated\""), "{msg}");
-        assert!(msg.contains("realtime, modelled"), "{msg}");
-        std::env::set_var("LBENCH_TEST_MODE", "  ");
-        assert_eq!(env_choice("LBENCH_TEST_MODE", ALLOWED), Ok(None));
-        std::env::remove_var("LBENCH_TEST_MODE");
     }
 
     #[test]

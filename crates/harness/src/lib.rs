@@ -19,7 +19,7 @@
 //! * [`AnyLockKind`] — the registry over [`LockKind`] (the paper's lock
 //!   names, with the exact lock sets of each figure/table) and
 //!   [`RwLockKind`] (the `fig_rw` set): one row per kind holding its
-//!   name, family, modelled admission class and constructor.
+//!   name, modelled admission class and constructor.
 //!   [`AnyLockKind::make`] builds any kind with its default handoff
 //!   policy or any [`PolicySpec`]-described one.
 //! * [`run_scenario`] — the one engine (the `scenario` module). A
@@ -54,7 +54,6 @@ pub mod env;
 mod keyed;
 mod modelled;
 pub mod pace;
-pub mod phys;
 mod program;
 mod registry;
 #[cfg(test)]
@@ -67,7 +66,6 @@ pub use bench_rwlock::{BenchRwLock, CohortRwAdapter, StdRwAdapter};
 pub use cohort::{CohortStats, PolicySpec};
 pub use env::EnvKnobError;
 pub use keyed::{KeyDist, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, KeyedSpec};
-pub use phys::TopologyMode;
 pub use registry::{AnyLockKind, LockKind, ModelledAdmission, RwLockKind};
 pub use scenario::{
     run_scenario, run_scenario_on, CostMode, Field, LBenchConfig, LoadShape, LockReport, Phase,

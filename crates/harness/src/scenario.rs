@@ -99,13 +99,6 @@ pub struct LBenchConfig {
     pub max_wall: Duration,
     /// Virtual or wall time.
     pub mode: TimeMode,
-    /// Topology backend: virtual clusters (the default) or the measured
-    /// cluster map with physical worker pinning (`LBENCH_TOPOLOGY`, see
-    /// [`crate::phys`]). With `Measured`, the probe's cluster count
-    /// overrides `clusters` for the run; on single-CPU machines or when
-    /// probing fails, the run falls back to virtual clusters with one
-    /// logged warning.
-    pub topology: crate::phys::TopologyMode,
 }
 
 impl Default for LBenchConfig {
@@ -122,7 +115,6 @@ impl Default for LBenchConfig {
             policy: None,
             max_wall: Duration::from_secs(20),
             mode: TimeMode::Virtual,
-            topology: crate::phys::TopologyMode::Virtual,
         }
     }
 }
@@ -927,10 +919,10 @@ pub(crate) fn assemble(
 }
 
 /// The real-thread executor: spawns `cfg.threads` workers, binds each to
-/// its cluster (and pins it, on a measured topology), zeroes its virtual
-/// clock and coherence counters, releases all of them through one
-/// barrier, has each run [`step`] for its own [`Client`] until the stop
-/// flag is raised, and merges what they counted. The body raises the flag
+/// its cluster, zeroes its virtual clock and coherence counters, releases
+/// all of them through one barrier, has each run [`step`] for its own
+/// [`Client`] until the stop flag is raised, and merges what they
+/// counted. The body raises the flag
 /// when a clock crosses the window; the loop itself only keeps the
 /// wall-clock safety net, once per iteration on every path: every 512th
 /// iteration reads the clock and stops the run past `cfg.max_wall`,
@@ -939,21 +931,14 @@ pub(crate) fn run_workers<B: Body + ?Sized>(topo: &Topology, p: &Program<'_>, bo
     let cfg = p.cfg;
     let stop = AtomicBool::new(false);
     let barrier = Barrier::new(cfg.threads);
-    let pin_report = crate::phys::PinReport::default();
-    // Worker index within its own cluster, for spreading a cluster's
-    // threads over the cluster's physical CPUs (pinned topologies only).
-    let mut cluster_ranks = vec![0usize; cfg.clusters];
-    let counts = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.threads)
             .map(|i| {
                 let mut client = Client::new(p, i);
                 let cluster = client.cluster;
-                let rank = cluster_ranks[cluster.as_usize()];
-                cluster_ranks[cluster.as_usize()] += 1;
-                let (stop, barrier, pin_report) = (&stop, &barrier, &pin_report);
+                let (stop, barrier) = (&stop, &barrier);
                 s.spawn(move || {
                     bind_current_thread(topo, cluster);
-                    pin_report.pin_worker(topo, cluster, rank);
                     vclock::reset();
                     take_thread_stats();
                     let lat = LatReservoir::for_config(cfg);
@@ -984,9 +969,7 @@ pub(crate) fn run_workers<B: Body + ?Sized>(topo: &Topology, p: &Program<'_>, bo
             counts.remote_misses += misses;
         }
         counts
-    });
-    pin_report.log();
-    counts
+    })
 }
 
 /// The LBench critical section (§4.1) — one of the program's two bodies:
@@ -1090,14 +1073,7 @@ enum Subject {
 /// Runs `scenario` for `kind` under `cfg` — the single sweep engine.
 pub fn run_scenario(kind: AnyLockKind, scenario: &Scenario, cfg: &LBenchConfig) -> ScenarioResult {
     scenario.validate(cfg);
-    // Measured mode may replace the virtual geometry with the probed
-    // cluster map (one warning per run on fallback); the effective
-    // cluster count then drives thread placement.
-    let (topo, clusters) = crate::phys::resolve_topology(cfg);
-    let cfg = &LBenchConfig {
-        clusters,
-        ..cfg.clone()
-    };
+    let topo = Arc::new(Topology::new(cfg.clusters));
     // Keyed scenarios own their lock construction: the factory builds
     // one lock per shard.
     let subject = match &scenario.keyed {

@@ -6,11 +6,11 @@
 //! optimize for. This module pins threads to CPU sets using
 //! `sched_setaffinity(2)`.
 //!
-//! We deliberately declare the two syscall wrappers ourselves instead of
+//! We deliberately declare the syscall wrapper ourselves instead of
 //! pulling in the `libc` crate: the suite's dependency policy (the `shims/`
 //! row of docs/ARCHITECTURE.md's "Crate map", and shims/README.md) keeps
-//! the third-party surface to the approved offline set, and these two
-//! symbols are part of every Linux libc the Rust std already links against.
+//! the third-party surface to the approved offline set, and the symbol is
+//! part of every Linux libc the Rust std already links against.
 
 #![allow(unsafe_code)]
 
@@ -68,8 +68,6 @@ mod sys {
     unsafe extern "C" {
         /// `int sched_setaffinity(pid_t pid, size_t cpusetsize, const cpu_set_t *mask);`
         pub fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u8) -> i32;
-        /// `int sched_getcpu(void);`
-        pub fn sched_getcpu() -> i32;
     }
 }
 
@@ -105,59 +103,9 @@ pub fn pin_to_cpus(cpus: &[usize]) -> Result<(), AffinityError> {
     Ok(())
 }
 
-/// Returns the CPU the calling thread is currently executing on, or `None`
-/// if the platform cannot tell.
-pub fn current_cpu() -> Option<usize> {
-    #[cfg(target_os = "linux")]
-    {
-        let cpu = unsafe { sys::sched_getcpu() };
-        if cpu >= 0 {
-            return Some(cpu as usize);
-        }
-    }
-    None
-}
-
-/// Computes a blocked CPU→cluster map: `n_cpus` CPUs split into
-/// `n_clusters` contiguous ranges (the layout of most multi-socket boxes).
-///
-/// Returns one `Vec` of CPU indices per cluster. Trailing clusters receive
-/// the remainder CPUs.
-pub fn blocked_cpu_map(n_cpus: usize, n_clusters: usize) -> Vec<Vec<usize>> {
-    assert!(n_clusters > 0);
-    let per = (n_cpus / n_clusters).max(1);
-    let mut out = vec![Vec::new(); n_clusters];
-    for cpu in 0..n_cpus {
-        let c = (cpu / per).min(n_clusters - 1);
-        out[c].push(cpu);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocked_map_partitions_all_cpus() {
-        let map = blocked_cpu_map(10, 4);
-        assert_eq!(map.len(), 4);
-        let total: usize = map.iter().map(|v| v.len()).sum();
-        assert_eq!(total, 10);
-        // Contiguity within each cluster.
-        for cl in &map {
-            for w in cl.windows(2) {
-                assert_eq!(w[1], w[0] + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_map_handles_more_clusters_than_cpus() {
-        let map = blocked_cpu_map(2, 4);
-        let total: usize = map.iter().map(|v| v.len()).sum();
-        assert_eq!(total, 2);
-    }
 
     #[test]
     fn pin_rejects_empty_set() {
@@ -189,6 +137,5 @@ mod tests {
     fn pin_to_cpu_zero_works() {
         // CPU 0 always exists.
         pin_to_cpus(&[0]).expect("pin to cpu 0");
-        assert_eq!(current_cpu(), Some(0));
     }
 }

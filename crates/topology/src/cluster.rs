@@ -44,36 +44,12 @@ impl fmt::Display for ClusterId {
     }
 }
 
-/// Where a [`Topology`]'s cluster structure came from.
-///
-/// The fallback ladder goes `Virtual → Measured → Pinned`: virtual
-/// clusters exist on any machine, a measured map additionally reflects
-/// real latency structure, and a pinned map additionally asks workers to
-/// bind to physical CPUs from their cluster's list.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TopologySource {
-    /// Round-robin virtual clusters (env-knob geometry; the default).
-    Virtual,
-    /// Clusters discovered by the latency probe; carries a CPU map but
-    /// workers do not physically bind (useful when only the *geometry*
-    /// matters, e.g. for the modelled substrate).
-    Measured,
-    /// Measured (or explicitly supplied) CPU map **and** workers should
-    /// pin themselves to CPUs from their cluster's list.
-    Pinned,
-}
-
 /// A description of the machine's NUMA geometry as seen by the locks.
 ///
 /// Each `Topology` value is an independent placement domain: it hands out
 /// cluster ids to threads (round-robin by default) and remembers, per
 /// thread, which cluster the thread belongs to. Typical programs create one
 /// `Topology` and share it (`Arc` or `&'static`) between all cohort locks.
-///
-/// Three construction modes exist, reported by [`Topology::source`]:
-/// [`Topology::new`] (virtual clusters), and [`Topology::measured`] /
-/// [`Topology::pinned`] (a per-cluster CPU map, typically produced by the
-/// latency probe in [`crate::probe`] + [`crate::measured`]).
 ///
 /// The default cluster count is **4** — the paper's machine had 4 Niagara
 /// T2+ sockets.
@@ -84,10 +60,6 @@ pub struct Topology {
     /// Unique id of this topology instance; lets the thread-local binding
     /// cache detect when it is asked about a *different* topology.
     epoch: u64,
-    /// Physical CPU ids per cluster (measured/pinned modes only).
-    cpu_map: Option<Vec<Vec<usize>>>,
-    /// Provenance of the cluster structure.
-    source: TopologySource,
 }
 
 static TOPOLOGY_EPOCH: AtomicU64 = AtomicU64::new(1);
@@ -109,74 +81,7 @@ impl Topology {
             clusters,
             next: AtomicUsize::new(0),
             epoch: TOPOLOGY_EPOCH.fetch_add(1, Ordering::Relaxed),
-            cpu_map: None,
-            source: TopologySource::Virtual,
         }
-    }
-
-    /// Creates a topology from a per-cluster CPU map (cluster `i` owns
-    /// `cpu_map[i]`), with [`TopologySource::Measured`]: the geometry is
-    /// real but workers are not asked to bind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map is empty, has more than [`Self::MAX_CLUSTERS`]
-    /// entries, or contains an empty cluster.
-    pub fn measured(cpu_map: Vec<Vec<usize>>) -> Self {
-        Self::with_cpu_map(cpu_map, TopologySource::Measured)
-    }
-
-    /// Like [`Topology::measured`], but with [`TopologySource::Pinned`]:
-    /// harness workers additionally pin themselves (via
-    /// [`affinity::pin_to_cpus`](crate::affinity::pin_to_cpus)) to a CPU
-    /// drawn from their cluster's list.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Topology::measured`].
-    pub fn pinned(cpu_map: Vec<Vec<usize>>) -> Self {
-        Self::with_cpu_map(cpu_map, TopologySource::Pinned)
-    }
-
-    fn with_cpu_map(cpu_map: Vec<Vec<usize>>, source: TopologySource) -> Self {
-        assert!(
-            matches!(source, TopologySource::Measured | TopologySource::Pinned),
-            "virtual topologies carry no CPU map"
-        );
-        let clusters = cpu_map.len();
-        assert!(clusters > 0, "a topology needs at least one cluster");
-        assert!(
-            clusters <= Self::MAX_CLUSTERS,
-            "at most {} clusters supported",
-            Self::MAX_CLUSTERS
-        );
-        assert!(
-            cpu_map.iter().all(|c| !c.is_empty()),
-            "every cluster needs at least one CPU"
-        );
-        Topology {
-            clusters,
-            next: AtomicUsize::new(0),
-            epoch: TOPOLOGY_EPOCH.fetch_add(1, Ordering::Relaxed),
-            cpu_map: Some(cpu_map),
-            source,
-        }
-    }
-
-    /// Where this topology's cluster structure came from.
-    #[inline]
-    pub fn source(&self) -> TopologySource {
-        self.source
-    }
-
-    /// The physical CPUs of `cluster`, when this topology carries a map
-    /// (measured/pinned modes); `None` for virtual topologies or
-    /// out-of-range clusters.
-    pub fn cpus_for(&self, cluster: ClusterId) -> Option<&[usize]> {
-        self.cpu_map
-            .as_ref()
-            .and_then(|m| m.get(cluster.as_usize()))
-            .map(|v| v.as_slice())
     }
 
     /// Upper bound on the number of clusters (sharer bitmasks in the
@@ -206,7 +111,6 @@ impl fmt::Debug for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Topology")
             .field("clusters", &self.clusters)
-            .field("source", &self.source)
             .finish()
     }
 }

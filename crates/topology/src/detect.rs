@@ -1,30 +1,15 @@
-//! Real NUMA-node detection (Linux `/sys` interface).
+//! Kernel *cpulist* parsing (Linux `/sys` interface).
 //!
-//! On a genuine multi-socket box the virtual clusters should be backed by
-//! physical NUMA nodes: [`detect_nodes`] parses
-//! `/sys/devices/system/node/node*/cpulist` into per-node CPU sets, which
-//! combine with [`affinity::pin_to_cpus`](crate::affinity::pin_to_cpus)
-//! and the harness's wall-clock mode to run the paper's evaluation on
-//! real hardware. On machines without the interface (or with a single
-//! node) detection reports accordingly and callers fall back to virtual
-//! clusters.
-
-use std::path::Path;
-
-/// One detected NUMA node: its id and the CPUs it owns.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NumaNode {
-    /// Kernel node id (the `N` in `/sys/devices/system/node/nodeN`).
-    pub id: usize,
-    /// Logical CPU indices belonging to this node.
-    pub cpus: Vec<usize>,
-}
+//! [`parse_cpulist`] reads the `"0-3,8,10-11"` format of
+//! `/sys/devices/system/cpu/online`, which
+//! [`probe::online_cpus`](crate::probe::online_cpus) uses to find the CPUs
+//! the latency probe may pin to.
 
 /// Parses a kernel *cpulist* string (`"0-3,8,10-11"`) into CPU indices.
 ///
 /// Returns `None` on malformed input (empty ranges, reversed bounds,
-/// non-numeric fields) — malformed sysfs content should fall back to
-/// virtual clusters, not panic.
+/// non-numeric fields) — the caller falls back on malformed sysfs
+/// content instead of panicking.
 pub fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
     let mut out = Vec::new();
     let trimmed = s.trim();
@@ -50,42 +35,6 @@ pub fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
     Some(out)
 }
 
-/// Reads the machine's NUMA nodes from `base` (normally
-/// `/sys/devices/system/node`). Returns an empty vector when the
-/// interface is missing — the caller should then use virtual clusters.
-pub fn detect_nodes_in(base: &Path) -> Vec<NumaNode> {
-    let Ok(entries) = std::fs::read_dir(base) else {
-        return Vec::new();
-    };
-    let mut nodes = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let Some(idx) = name.strip_prefix("node") else {
-            continue;
-        };
-        let Ok(id) = idx.parse::<usize>() else {
-            continue;
-        };
-        let Ok(cpulist) = std::fs::read_to_string(entry.path().join("cpulist")) else {
-            continue;
-        };
-        let Some(cpus) = parse_cpulist(&cpulist) else {
-            continue;
-        };
-        if !cpus.is_empty() {
-            nodes.push(NumaNode { id, cpus });
-        }
-    }
-    nodes.sort_by_key(|n| n.id);
-    nodes
-}
-
-/// Reads the NUMA nodes of this machine (Linux); empty elsewhere.
-pub fn detect_nodes() -> Vec<NumaNode> {
-    detect_nodes_in(Path::new("/sys/devices/system/node"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,46 +54,5 @@ mod tests {
         assert_eq!(parse_cpulist("a-b"), None);
         assert_eq!(parse_cpulist("1,,2"), None);
         assert_eq!(parse_cpulist("1-2-3"), None);
-    }
-
-    #[test]
-    fn detect_from_synthetic_sysfs() {
-        let dir = std::env::temp_dir().join(format!("fake-sysfs-{}", std::process::id()));
-        for (node, list) in [("node0", "0-3"), ("node1", "4-7"), ("has_cpu", "")] {
-            let d = dir.join(node);
-            std::fs::create_dir_all(&d).unwrap();
-            if !list.is_empty() {
-                std::fs::write(d.join("cpulist"), list).unwrap();
-            }
-        }
-        let nodes = detect_nodes_in(&dir);
-        assert_eq!(
-            nodes,
-            vec![
-                NumaNode {
-                    id: 0,
-                    cpus: vec![0, 1, 2, 3]
-                },
-                NumaNode {
-                    id: 1,
-                    cpus: vec![4, 5, 6, 7]
-                },
-            ]
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn detect_missing_interface_is_empty() {
-        assert!(detect_nodes_in(Path::new("/definitely/not/here")).is_empty());
-    }
-
-    #[test]
-    fn this_machine_detection_does_not_panic() {
-        // Content varies by host; the call itself must be robust.
-        let nodes = detect_nodes();
-        for n in &nodes {
-            assert!(!n.cpus.is_empty());
-        }
     }
 }

@@ -21,10 +21,9 @@
 //!    `CachePadded` cache line between every pair of CPUs (CAS ping-pong
 //!    or read/write flag cells, threads pinned via
 //!    [`affinity::pin_to_cpus`]) to measure the core-to-core latency
-//!    matrix, [`measured`] clusters the matrix at its largest latency
-//!    gap, and [`Topology::measured`]/[`Topology::pinned`] turn the
-//!    cluster map into a placement domain whose workers can bind to
-//!    physical CPUs. Affinity syscalls use a single `extern "C"`
+//!    matrix, and [`measured`] clusters the matrix at its largest latency
+//!    gap into a per-cluster CPU map ([`MeasuredTopology`]) that workers
+//!    can pin to. Affinity syscalls use a single `extern "C"`
 //!    declaration instead of a `libc` dependency (see the `shims/` row
 //!    of docs/ARCHITECTURE.md's "Crate map").
 //!
@@ -43,7 +42,7 @@ pub mod vclock;
 pub use affinity::AffinityError;
 pub use cluster::{
     bind_current_thread, current_cluster, current_cluster_in, global_topology,
-    reset_thread_binding, ClusterId, Topology, TopologySource,
+    reset_thread_binding, ClusterId, Topology,
 };
 pub use measured::MeasuredTopology;
 pub use probe::{LatencyMatrix, ProbeConfig, ProbeError, ProbeMode};

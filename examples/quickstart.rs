@@ -9,7 +9,7 @@ use std::time::Instant;
 
 fn main() {
     // Describe the machine: 4 NUMA clusters (the paper's machine, and
-    // `Topology::default()`; `Topology::measured` takes a probed CPU map).
+    // `Topology::default()`).
     let topo = Arc::new(Topology::new(4));
 
     // A C-BO-MCS cohort lock (the paper's best performer): global
