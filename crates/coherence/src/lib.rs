@@ -22,6 +22,11 @@
 //!   whether the lock **migrated** between clusters. It also keeps the
 //!   migration count and the distribution of *batch lengths* (consecutive
 //!   same-cluster acquisitions) that §4.1.2 discusses.
+//! * [`Pricing`] makes that charging a type parameter of the data
+//!   structures built on it (the KV store): `Arc<Directory>` prices every
+//!   line, compute step and lock round as above, while the zero-sized
+//!   [`Free`] prices nothing, so a structure run on the wall clock carries
+//!   no simulator at all.
 //!
 //! Why this substitution is faithful: lock algorithms run unmodified (real
 //! atomics, real interleavings); only the *cost* of their decisions is
@@ -34,9 +39,11 @@
 mod directory;
 mod handoff;
 mod model;
+mod pricing;
 mod stats;
 
 pub use directory::{Directory, LineState};
 pub use handoff::{AcquireInfo, BatchHistogram, HandoffChannel};
 pub use model::CostModel;
+pub use pricing::{Free, Pricing};
 pub use stats::{take_thread_stats, thread_stats, ThreadStats};

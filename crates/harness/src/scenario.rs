@@ -1424,9 +1424,14 @@ mod tests {
     fn asymmetric_run_skews_per_thread_ops() {
         let mut cfg = quick_cfg(4);
         cfg.noncs_max_ns = 8_000;
+        // Modelled, so the claim is about the idle bounds the clients
+        // draw (the DES applies the same `noncs_max_for`), not about how
+        // the host schedules four real threads.
         let r = run_scenario(
             AnyLockKind::Excl(LockKind::Ticket),
-            &Scenario::steady().with_asymmetry(16.0),
+            &Scenario::steady()
+                .with_asymmetry(16.0)
+                .modelled(CostModel::t5440()),
             &cfg,
         );
         // Thread 0 keeps the paper's idle bound; the last thread idles up

@@ -11,18 +11,25 @@
 //! * [`KvStore`] — chained hash table + intrusive global LRU + eviction,
 //!   structured exactly like memcached's `assoc`/`items` pair. The store
 //!   itself is single-threaded-by-contract (it must be called under the
-//!   cache lock) and charges every metadata touch to the
-//!   [`coherence-sim`](coherence_sim) directory, so the NUMA cost of each
-//!   operation depends on *which cluster touched the structures last* —
-//!   the effect cohort locks exploit.
+//!   cache lock) and reports every metadata line it touches to its
+//!   pricing sink, a type parameter
+//!   ([`coherence_sim::Pricing`]). Priced by the coherence directory, the
+//!   NUMA cost of each operation depends on *which cluster touched the
+//!   structures last* — the effect cohort locks exploit; on the free
+//!   sink the store is the data structure alone.
 //! * [`SharedKvStore`] — the store behind an injected
 //!   [`BenchRwLock`](lbench::BenchRwLock), mirroring the paper's
 //!   interpose library (the application code is oblivious to which lock
 //!   it runs under).
 //! * [`ShardedKvStore`] — the production-scale layer: N independent
 //!   [`SharedKvStore`] shards behind a key hash, each with its own cache
-//!   lock, directory, and handoff channel; [`KvServiceFactory`] plugs
-//!   the whole thing into the scenario engine's keyed-op dimension.
+//!   lock. [`KvServiceFactory`] plugs a priced one (a directory and a
+//!   handoff channel per shard) into the scenario engine's keyed-op
+//!   dimension, so engine runs charge the model; the default instance
+//!   is free, and is what a thread on the wall clock runs.
+//!
+//! One body serves both prices: nothing in `get`/`set`/`delete`, the LRU,
+//! `op` or `warm` is written twice.
 //! * [`workload`] — a memaslap-style driver: configurable get/set mix
 //!   and key distribution over the keyspace, now a thin wrapper that
 //!   builds a keyed [`Scenario`](lbench::Scenario) and calls

@@ -6,11 +6,17 @@
 //! production-scale tentpole asks for the same move here. A
 //! [`ShardedKvStore`] owns `N` independent [`SharedKvStore`]s, each with
 //! its own cache lock (any kind the `LockKind`/`RwLockKind` registry can
-//! build, cohort policies included), its own coherence directory, and
-//! its own handoff channel; keys route by a Fibonacci hash of the key.
-//! Cross-shard aggregation reuses the layers below: [`KvStats::merge`]
-//! for cache counters, [`LockReport::merge`] for what the shard locks
-//! and channels saw.
+//! build, cohort policies included); keys route by a Fibonacci hash of
+//! the key. Cross-shard aggregation reuses the layers below:
+//! [`KvStats::merge`] for cache counters, [`LockReport::merge`] for what
+//! the shard locks and channels saw.
+//!
+//! The store is priced by its type parameter (see [`Pricing`]). The
+//! default, `ShardedKvStore<Free>`, is what a thread on the wall clock
+//! runs: hash table, LRU and cache lock, and nothing else.
+//! `ShardedKvStore<Arc<Directory>>` gives each shard its own coherence
+//! directory and handoff channel and paces each charged critical section
+//! into wall time; [`KvServiceFactory`] builds that one.
 //!
 //! [`KvServiceFactory`] adapts the store to the scenario engine's
 //! [`KeyedService`] interface, which is how `table1` and `fig_shards`
@@ -19,16 +25,16 @@
 //! verbatim), and the shard count is just another grid axis.
 
 use crate::shared::SharedKvStore;
-use crate::store::{KvConfig, KvStats, KvStore};
-use coherence_sim::{CostModel, Directory, HandoffChannel};
+use crate::store::{lines_needed, KvConfig, KvStats, KvStore};
+use coherence_sim::{CostModel, Directory, Free, Pricing};
 use lbench::pace::spin_wall;
 use lbench::{
     AnyLockKind, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, LBenchConfig, LockKind,
     LockReport, PolicySpec, RwLockKind, Scenario,
 };
-use numa_topology::{vclock, ClusterId, Topology};
+use numa_topology::{ClusterId, Topology};
 use rand::rngs::StdRng;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// How each shard's cache lock is built from the registry.
@@ -40,22 +46,24 @@ pub enum ShardLockSpec {
     Rw(RwLockKind),
 }
 
-/// One shard: a lock-guarded store plus the handoff channel its
-/// exclusive acquisitions are charged through.
-struct Shard {
-    store: SharedKvStore,
-    handoff: HandoffChannel,
+/// One shard: a lock-guarded store plus the handoff state its exclusive
+/// acquisitions are charged through (`()` on a free store).
+struct Shard<P: Pricing> {
+    store: SharedKvStore<P>,
+    handoff: P::Handoff,
 }
 
-/// N [`SharedKvStore`] shards behind a key hash (see the module docs).
-pub struct ShardedKvStore {
-    shards: Vec<Shard>,
+/// N [`SharedKvStore`] shards behind a key hash, priced by `P` (see the
+/// module docs).
+pub struct ShardedKvStore<P: Pricing = Free> {
+    shards: Vec<Shard<P>>,
 }
 
-impl ShardedKvStore {
-    /// Builds `shards` independent stores, each with its own directory
-    /// (sized by [`KvStore::lines_needed`]), cache lock, and handoff
-    /// channel. Panics on a zero shard count.
+impl<P: Pricing> ShardedKvStore<P> {
+    /// Builds `shards` independent stores, each with its own cache lock
+    /// and, when priced, its own directory (sized by
+    /// [`KvStore::lines_needed`]) and handoff channel under `cost`. A
+    /// free store ignores `cost`. Panics on a zero shard count.
     pub fn build(
         shards: usize,
         lock: ShardLockSpec,
@@ -72,11 +80,11 @@ impl ShardedKvStore {
         ShardedKvStore {
             shards: (0..shards)
                 .map(|_| {
-                    let dir = Arc::new(Directory::new(KvStore::lines_needed(&store_cfg), cost));
-                    let kv = KvStore::new(store_cfg, dir);
+                    let (price, handoff) = P::build(lines_needed(&store_cfg), cost);
+                    let kv = KvStore::priced_by(store_cfg, price);
                     Shard {
                         store: SharedKvStore::new(kind.make(topo, policy), kv),
-                        handoff: HandoffChannel::new(cost),
+                        handoff,
                     }
                 })
                 .collect(),
@@ -111,13 +119,18 @@ impl ShardedKvStore {
         }
     }
 
-    /// One client operation — the retired driver's per-op lock program,
-    /// against the shard `key` hashes to: shared-read path when the
-    /// shard's lock genuinely shares reads, otherwise the exclusive path
-    /// charged through the shard's handoff channel; either path pacing
-    /// the charged critical section into wall time and stop-checking the
-    /// window *inside* the critical section, exactly where the legacy
-    /// driver did.
+    /// One client operation against the shard `key` hashes to: the
+    /// shared-read path when the shard's lock genuinely shares reads,
+    /// otherwise the exclusive path.
+    ///
+    /// A priced store runs the retired driver's per-op lock program:
+    /// the exclusive path is charged through the shard's handoff channel,
+    /// and either path paces the charged critical section into wall time
+    /// (`kappa` × the charge) and raises `stop` once the caller's virtual
+    /// clock passes `window_ns`, *inside* the critical section, exactly
+    /// where the legacy driver did. A free store charges nothing, so it
+    /// ignores `kappa`, `window_ns` and `stop`: its op is the lock and the
+    /// table alone.
     #[allow(clippy::too_many_arguments)]
     pub fn op(
         &self,
@@ -127,7 +140,7 @@ impl ShardedKvStore {
         cluster: ClusterId,
         kappa: u64,
         window_ns: u64,
-        stop: &std::sync::atomic::AtomicBool,
+        stop: &AtomicBool,
     ) {
         let shard = &self.shards[self.shard_of(key)];
         if is_get && shard.store.reads_are_shared() {
@@ -135,30 +148,20 @@ impl ShardedKvStore {
             // handoff-channel charge — their clocks advance
             // independently, which is exactly the parallelism the RW
             // lock buys.
-            let cs_start = vclock::now();
-            shard.store.get(key, cluster);
-            let charged = vclock::now().saturating_sub(cs_start);
-            spin_wall((charged * kappa).min(100_000), true);
-            if vclock::now() >= window_ns {
-                stop.store(true, Ordering::Relaxed);
-            }
+            paced::<P>(kappa, window_ns, stop, || {
+                shard.store.get(key, cluster);
+            });
         } else {
             shard.store.with_lock(|s| {
-                shard.handoff.on_acquire(cluster);
-                let cs_start = vclock::now();
-                if is_get {
-                    s.get(key, cluster);
-                } else {
-                    s.set(key, stamp, cluster);
-                }
-                let charged = vclock::now().saturating_sub(cs_start);
-                // Hold in wall time what the model charged (see lbench
-                // pacing docs).
-                spin_wall((charged * kappa).min(100_000), true);
-                if vclock::now() >= window_ns {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                shard.handoff.on_release(cluster);
+                P::acquired(&shard.handoff, cluster);
+                paced::<P>(kappa, window_ns, stop, || {
+                    if is_get {
+                        s.get(key, cluster);
+                    } else {
+                        s.set(key, stamp, cluster);
+                    }
+                });
+                P::released(&shard.handoff, cluster);
             });
         }
     }
@@ -172,7 +175,9 @@ impl ShardedKvStore {
         }
         total
     }
+}
 
+impl ShardedKvStore<Arc<Directory>> {
     /// What the shard locks and their handoff channels saw, folded
     /// through [`LockReport::merge`]: counters and batch histograms add,
     /// tenure statistics merge (identity at one shard, so single-shard
@@ -187,9 +192,28 @@ impl ShardedKvStore {
     }
 }
 
-/// [`KeyedServiceFactory`] building a [`ShardedKvStore`] for the
+/// Runs the critical section `cs`. On a priced sink it then holds in
+/// wall time what `cs` charged (see lbench's pacing docs) and raises
+/// `stop` once the caller's clock reaches `window_ns`; on a free sink it
+/// is `cs` alone.
+#[inline(always)]
+fn paced<P: Pricing>(kappa: u64, window_ns: u64, stop: &AtomicBool, cs: impl FnOnce()) {
+    if !P::PRICED {
+        return cs();
+    }
+    let cs_start = P::clock();
+    cs();
+    let charged = P::clock().saturating_sub(cs_start);
+    spin_wall((charged * kappa).min(100_000), true);
+    if P::clock() >= window_ns {
+        stop.store(true, Ordering::Relaxed);
+    }
+}
+
+/// [`KeyedServiceFactory`] building a priced [`ShardedKvStore`] for the
 /// scenario engine: the engine's lock kind and the config's policy pick
-/// each shard's cache lock, and the warm phase preloads `keyspace`.
+/// each shard's cache lock, `cost` prices it, and the warm phase
+/// preloads `keyspace`.
 #[derive(Clone, Debug)]
 pub struct KvServiceFactory {
     /// Number of shards.
@@ -214,16 +238,22 @@ impl KeyedServiceFactory for KvServiceFactory {
             AnyLockKind::Excl(k) => ShardLockSpec::Excl(k),
             AnyLockKind::Rw(k) => ShardLockSpec::Rw(k),
         };
-        let store =
-            ShardedKvStore::build(self.shards, lock, topo, cfg.policy, self.store, self.cost);
+        let store = ShardedKvStore::<Arc<Directory>>::build(
+            self.shards,
+            lock,
+            topo,
+            cfg.policy,
+            self.store,
+            self.cost,
+        );
         store.warm(self.keyspace);
         Arc::new(KvService { store })
     }
 }
 
-/// The [`KeyedService`] face of a [`ShardedKvStore`].
+/// The [`KeyedService`] face of a priced [`ShardedKvStore`].
 struct KvService {
-    store: ShardedKvStore,
+    store: ShardedKvStore<Arc<Directory>>,
 }
 
 impl KeyedService for KvService {
@@ -249,7 +279,7 @@ impl KeyedService for KvService {
 mod tests {
     use super::*;
 
-    fn store(shards: usize, lock: ShardLockSpec) -> ShardedKvStore {
+    fn store(shards: usize, lock: ShardLockSpec) -> ShardedKvStore<Arc<Directory>> {
         let topo = Arc::new(Topology::new(4));
         let cfg = KvConfig {
             buckets: 256,
@@ -276,7 +306,7 @@ mod tests {
         let s = store(4, ShardLockSpec::Excl(LockKind::CBoMcs));
         s.warm(1000);
         assert_eq!(s.stats().inserts, 1000, "warm populates every shard");
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
         let cl = ClusterId::new(0);
         for k in 0..1000u64 {
             s.op(k, true, 0, cl, 0, u64::MAX, &stop);
@@ -298,7 +328,7 @@ mod tests {
         // identity.
         let s = store(1, ShardLockSpec::Excl(LockKind::CBoMcs));
         s.warm(100);
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
         let cl = ClusterId::new(0);
         for k in 0..100u64 {
             s.op(k, false, k, cl, 0, u64::MAX, &stop);
@@ -315,7 +345,7 @@ mod tests {
     fn rw_shards_share_the_read_path() {
         let s = store(2, ShardLockSpec::Rw(RwLockKind::CRwWpBoMcs));
         s.warm(200);
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
         let cl = ClusterId::new(1);
         for k in 0..200u64 {
             s.op(k, true, 0, cl, 0, u64::MAX, &stop);

@@ -1,6 +1,7 @@
 //! The store behind an injected lock — the paper's interpose library.
 
 use crate::store::{KvStats, KvStore};
+use coherence_sim::{Free, Pricing};
 use lbench::BenchRwLock;
 use numa_topology::ClusterId;
 use std::cell::UnsafeCell;
@@ -17,13 +18,16 @@ use std::sync::Arc;
 /// shared read side (the C-RW extension) `get`s run under the read side
 /// (via the LRU-free [`KvStore::peek`], with hit/miss counts kept in
 /// atomics) and everything else under the write side.
-pub struct SharedKvStore {
+///
+/// `P` prices the store inside (see [`KvStore`]); the locking is the same
+/// for both prices.
+pub struct SharedKvStore<P = Free> {
     lock: Arc<dyn BenchRwLock>,
     /// Whether `get`s take the read side: `!lock.read_is_exclusive()`,
     /// read once at construction so `get` makes no virtual call to
     /// decide.
     gets_read: bool,
-    store: UnsafeCell<KvStore>,
+    store: UnsafeCell<KvStore<P>>,
     /// Read-path hit/miss counts (`gets_read` only; `peek` cannot touch
     /// the store's own counters from under a shared lock).
     rw_hits: AtomicU64,
@@ -31,14 +35,16 @@ pub struct SharedKvStore {
 }
 
 // SAFETY: `store` is touched exclusively (&mut) only under the write side
-// of the lock, and shared (&) only under the read side.
-unsafe impl Send for SharedKvStore {}
-unsafe impl Sync for SharedKvStore {}
+// of the lock, and shared (&) only under the read side — so the sink moves
+// between threads with the store (`Send`) and is shared by concurrent
+// readers (`Sync`).
+unsafe impl<P: Send> Send for SharedKvStore<P> {}
+unsafe impl<P: Send + Sync> Sync for SharedKvStore<P> {}
 
-impl SharedKvStore {
+impl<P: Pricing> SharedKvStore<P> {
     /// Wraps `store` behind `lock`: `get`s take its read side when that
     /// side is shared, everything else takes the write side.
-    pub fn new(lock: Arc<dyn BenchRwLock>, store: KvStore) -> Self {
+    pub fn new(lock: Arc<dyn BenchRwLock>, store: KvStore<P>) -> Self {
         SharedKvStore {
             gets_read: !lock.read_is_exclusive(),
             lock,
@@ -49,7 +55,7 @@ impl SharedKvStore {
     }
 
     /// Runs `f` on the store while holding the cache lock exclusively.
-    pub fn with_lock<R>(&self, f: impl FnOnce(&mut KvStore) -> R) -> R {
+    pub fn with_lock<R>(&self, f: impl FnOnce(&mut KvStore<P>) -> R) -> R {
         self.lock.acquire_write();
         // SAFETY: the write side excludes readers and writers.
         let r = f(unsafe { &mut *self.store.get() });
@@ -111,12 +117,13 @@ impl SharedKvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::KvConfig;
+    use crate::store::{lines_needed, KvConfig};
     use coherence_sim::{CostModel, Directory};
     use lbench::{LockKind, PthreadLock, RawAdapter, RwLockKind};
     use numa_topology::Topology;
 
-    fn kv_store() -> KvStore {
+    /// An empty store priced by `P`.
+    fn kv_store<P: Pricing>() -> KvStore<P> {
         let cfg = KvConfig {
             buckets: 256,
             // Must exceed the distinct keys any test below inserts (the
@@ -127,22 +134,25 @@ mod tests {
             capacity: 4096,
             ..Default::default()
         };
-        let dir = Arc::new(Directory::new(
-            KvStore::lines_needed(&cfg),
-            CostModel::t5440(),
-        ));
-        KvStore::new(cfg, dir)
+        let (price, _) = P::build(lines_needed(&cfg), CostModel::t5440());
+        KvStore::priced_by(cfg, price)
     }
 
-    fn shared(lock: Arc<dyn BenchRwLock>) -> Arc<SharedKvStore> {
+    fn shared<P: Pricing>(lock: Arc<dyn BenchRwLock>) -> Arc<SharedKvStore<P>> {
         Arc::new(SharedKvStore::new(lock, kv_store()))
     }
 
+    /// The locking is the same at both prices.
     #[test]
     fn concurrent_sets_and_gets_are_serialized() {
+        sets_and_gets_serialize::<Arc<Directory>>();
+        sets_and_gets_serialize::<Free>();
+    }
+
+    fn sets_and_gets_serialize<P: Pricing + Send + Sync + 'static>() {
         let topo = Arc::new(Topology::new(4));
         // Exercise a cohort lock under the store, like Table 1 does.
-        let s = shared(LockKind::CBoMcs.make(&topo));
+        let s = shared::<P>(LockKind::CBoMcs.make(&topo));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let s = Arc::clone(&s);
@@ -167,8 +177,13 @@ mod tests {
 
     #[test]
     fn rw_mode_routes_gets_through_the_read_path() {
+        gets_take_the_read_path::<Arc<Directory>>();
+        gets_take_the_read_path::<Free>();
+    }
+
+    fn gets_take_the_read_path<P: Pricing + Send + Sync + 'static>() {
         let topo = Arc::new(Topology::new(4));
-        let s = shared(RwLockKind::CRwWpBoMcs.make(&topo, None));
+        let s = shared::<P>(RwLockKind::CRwWpBoMcs.make(&topo, None));
         assert!(s.reads_are_shared());
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -200,7 +215,7 @@ mod tests {
 
     #[test]
     fn delete_under_lock() {
-        let s = shared(Arc::new(RawAdapter::new(PthreadLock::new())));
+        let s = shared::<Free>(Arc::new(RawAdapter::new(PthreadLock::new())));
         let cl = ClusterId::new(1);
         s.set(9, 90, cl);
         assert!(s.with_lock(|st| st.delete(9, cl)));
@@ -209,7 +224,7 @@ mod tests {
 
     #[test]
     fn works_with_pthread_lock_too() {
-        let s = shared(Arc::new(RawAdapter::new(PthreadLock::new())));
+        let s = shared::<Free>(Arc::new(RawAdapter::new(PthreadLock::new())));
         s.set(1, 2, ClusterId::new(0));
         assert_eq!(s.get(1, ClusterId::new(0)), Some(2));
         assert!(!s.reads_are_shared());

@@ -1,7 +1,8 @@
 //! The hash table + LRU core (memcached's `assoc` + `items`).
 
-use coherence_sim::Directory;
-use numa_topology::{vclock, ClusterId};
+use coherence_sim::{Directory, Free, Pricing};
+use numa_topology::ClusterId;
+use std::sync::Arc;
 
 /// Store geometry and per-operation compute costs.
 #[derive(Clone, Copy, Debug)]
@@ -71,13 +72,30 @@ struct Entry {
 
 const NIL: usize = usize::MAX;
 
-/// The single-lock key-value store.
+/// Lines used for bucket heads (8 per line: 8-byte pointers).
+fn bucket_lines(cfg: &KvConfig) -> usize {
+    cfg.buckets.div_ceil(8)
+}
+
+/// See [`KvStore::lines_needed`]; every price sizes its sink by it.
+pub(crate) fn lines_needed(cfg: &KvConfig) -> usize {
+    bucket_lines(cfg) + 1 + cfg.capacity * cfg.value_lines
+}
+
+/// The single-lock key-value store, priced by `P` (see
+/// [`Pricing`]).
 ///
 /// Contract: every method that takes `&mut self` must be called while
 /// holding the store's cache lock (see [`SharedKvStore`](crate::SharedKvStore)).
-/// `cluster` identifies the NUMA cluster of the calling thread so the
-/// directory can charge local or remote latencies.
-pub struct KvStore {
+/// `cluster` identifies the NUMA cluster of the calling thread so a
+/// priced store can charge local or remote latencies.
+///
+/// There is one body for both prices. `KvStore<Arc<Directory>>` (built
+/// by [`new`](KvStore::new)) reports every metadata line it touches to
+/// the directory and its per-op compute to the virtual clock;
+/// `KvStore<Free>` (built by [`unpriced`](KvStore::unpriced)) reports to
+/// nothing, and its operations are the hash table and LRU alone.
+pub struct KvStore<P = Free> {
     cfg: KvConfig,
     buckets: Vec<usize>,
     slab: Vec<Entry>,
@@ -85,26 +103,36 @@ pub struct KvStore {
     lru_head: usize,
     lru_tail: usize,
     stats: KvStats,
-    dir: std::sync::Arc<Directory>,
+    price: P,
 }
 
-impl KvStore {
-    /// Lines used for bucket heads (8 per line: 8-byte pointers).
-    fn bucket_lines(cfg: &KvConfig) -> usize {
-        cfg.buckets.div_ceil(8)
-    }
-
+impl KvStore<Arc<Directory>> {
     /// Total simulated lines a store with `cfg` needs: bucket heads, one
     /// LRU head/tail line, and `value_lines` per capacity slot.
     pub fn lines_needed(cfg: &KvConfig) -> usize {
-        Self::bucket_lines(cfg) + 1 + cfg.capacity * cfg.value_lines
+        lines_needed(cfg)
     }
 
     /// Creates an empty store charging through `dir` (which must have at
     /// least [`lines_needed`](Self::lines_needed) lines).
-    pub fn new(cfg: KvConfig, dir: std::sync::Arc<Directory>) -> Self {
+    pub fn new(cfg: KvConfig, dir: Arc<Directory>) -> Self {
+        assert!(dir.len() >= lines_needed(&cfg), "directory too small");
+        KvStore::priced_by(cfg, dir)
+    }
+}
+
+impl KvStore<Free> {
+    /// Creates an empty store that charges nothing.
+    pub fn unpriced(cfg: KvConfig) -> Self {
+        KvStore::priced_by(cfg, Free)
+    }
+}
+
+impl<P: Pricing> KvStore<P> {
+    /// Creates an empty store reporting to `price`, which covers at least
+    /// [`lines_needed`] lines.
+    pub(crate) fn priced_by(cfg: KvConfig, price: P) -> Self {
         assert!(cfg.buckets.is_power_of_two(), "buckets must be 2^k");
-        assert!(dir.len() >= Self::lines_needed(&cfg), "directory too small");
         KvStore {
             buckets: vec![NIL; cfg.buckets],
             slab: Vec::with_capacity(cfg.capacity),
@@ -113,7 +141,7 @@ impl KvStore {
             lru_tail: NIL,
             stats: KvStats::default(),
             cfg,
-            dir,
+            price,
         }
     }
 
@@ -147,30 +175,30 @@ impl KvStore {
     /// Directory line of the LRU head/tail pointers.
     #[inline]
     fn lru_line(&self) -> usize {
-        Self::bucket_lines(&self.cfg)
+        bucket_lines(&self.cfg)
     }
 
     /// First directory line of slot `s`'s item.
     #[inline]
     fn entry_line(&self, s: usize) -> usize {
-        Self::bucket_lines(&self.cfg) + 1 + s * self.cfg.value_lines
+        bucket_lines(&self.cfg) + 1 + s * self.cfg.value_lines
     }
 
     /// Looks up `key`, refreshing its LRU position (memcached "touches"
     /// items on every hit — those LRU writes are why even read-heavy loads
     /// contend on shared lines). Returns the value stamp.
     pub fn get(&mut self, key: u64, cluster: ClusterId) -> Option<u64> {
-        vclock::advance(self.cfg.op_compute_ns);
+        self.price.compute(self.cfg.op_compute_ns);
         let b = self.hash(key);
-        self.dir.read(self.bucket_line(b), cluster);
+        self.price.read_line(self.bucket_line(b), cluster);
         let mut cur = self.buckets[b];
         while cur != NIL {
             // Chain walk: the entry header is on its first line.
-            self.dir.read(self.entry_line(cur), cluster);
+            self.price.read_line(self.entry_line(cur), cluster);
             if self.slab[cur].key == key {
                 // Value read: remaining value lines.
                 for l in 1..self.cfg.value_lines {
-                    self.dir.read(self.entry_line(cur) + l, cluster);
+                    self.price.read_line(self.entry_line(cur) + l, cluster);
                 }
                 self.lru_unlink(cur, cluster);
                 self.lru_push_front(cur, cluster);
@@ -195,15 +223,15 @@ impl KvStore {
     /// hit/miss accounting count the returned `Option` themselves (see
     /// `SharedKvStore`).
     pub fn peek(&self, key: u64, cluster: ClusterId) -> Option<u64> {
-        vclock::advance(self.cfg.op_compute_ns);
+        self.price.compute(self.cfg.op_compute_ns);
         let b = self.hash(key);
-        self.dir.read(self.bucket_line(b), cluster);
+        self.price.read_line(self.bucket_line(b), cluster);
         let mut cur = self.buckets[b];
         while cur != NIL {
-            self.dir.read(self.entry_line(cur), cluster);
+            self.price.read_line(self.entry_line(cur), cluster);
             if self.slab[cur].key == key {
                 for l in 1..self.cfg.value_lines {
-                    self.dir.read(self.entry_line(cur) + l, cluster);
+                    self.price.read_line(self.entry_line(cur) + l, cluster);
                 }
                 return Some(self.slab[cur].stamp);
             }
@@ -214,16 +242,16 @@ impl KvStore {
 
     /// Inserts or overwrites `key` with `stamp`, evicting if full.
     pub fn set(&mut self, key: u64, stamp: u64, cluster: ClusterId) {
-        vclock::advance(self.cfg.op_compute_ns);
+        self.price.compute(self.cfg.op_compute_ns);
         let b = self.hash(key);
-        self.dir.read(self.bucket_line(b), cluster);
+        self.price.read_line(self.bucket_line(b), cluster);
         let mut cur = self.buckets[b];
         while cur != NIL {
-            self.dir.read(self.entry_line(cur), cluster);
+            self.price.read_line(self.entry_line(cur), cluster);
             if self.slab[cur].key == key {
                 // Overwrite in place: write every value line.
                 for l in 0..self.cfg.value_lines {
-                    self.dir.write(self.entry_line(cur) + l, cluster);
+                    self.price.write_line(self.entry_line(cur) + l, cluster);
                 }
                 self.slab[cur].stamp = stamp;
                 self.lru_unlink(cur, cluster);
@@ -260,9 +288,9 @@ impl KvStore {
             }
         };
         for l in 0..self.cfg.value_lines {
-            self.dir.write(self.entry_line(slot) + l, cluster);
+            self.price.write_line(self.entry_line(slot) + l, cluster);
         }
-        self.dir.write(self.bucket_line(b), cluster);
+        self.price.write_line(self.bucket_line(b), cluster);
         self.buckets[b] = slot;
         self.lru_push_front(slot, cluster);
         self.stats.inserts += 1;
@@ -270,20 +298,20 @@ impl KvStore {
 
     /// Removes `key`; true if it was present.
     pub fn delete(&mut self, key: u64, cluster: ClusterId) -> bool {
-        vclock::advance(self.cfg.op_compute_ns);
+        self.price.compute(self.cfg.op_compute_ns);
         let b = self.hash(key);
-        self.dir.read(self.bucket_line(b), cluster);
+        self.price.read_line(self.bucket_line(b), cluster);
         let mut cur = self.buckets[b];
         let mut prev = NIL;
         while cur != NIL {
-            self.dir.read(self.entry_line(cur), cluster);
+            self.price.read_line(self.entry_line(cur), cluster);
             if self.slab[cur].key == key {
                 let next = self.slab[cur].hash_next;
                 if prev == NIL {
-                    self.dir.write(self.bucket_line(b), cluster);
+                    self.price.write_line(self.bucket_line(b), cluster);
                     self.buckets[b] = next;
                 } else {
-                    self.dir.write(self.entry_line(prev), cluster);
+                    self.price.write_line(self.entry_line(prev), cluster);
                     self.slab[prev].hash_next = next;
                 }
                 self.lru_unlink(cur, cluster);
@@ -310,12 +338,13 @@ impl KvStore {
     fn lru_push_front(&mut self, slot: usize, cluster: ClusterId) {
         // The LRU head line is the hottest line in memcached; every hit
         // writes it.
-        self.dir.write(self.lru_line(), cluster);
-        self.dir.write(self.entry_line(slot), cluster);
+        self.price.write_line(self.lru_line(), cluster);
+        self.price.write_line(self.entry_line(slot), cluster);
         self.slab[slot].lru_prev = NIL;
         self.slab[slot].lru_next = self.lru_head;
         if self.lru_head != NIL {
-            self.dir.write(self.entry_line(self.lru_head), cluster);
+            self.price
+                .write_line(self.entry_line(self.lru_head), cluster);
             self.slab[self.lru_head].lru_prev = slot;
         }
         self.lru_head = slot;
@@ -327,17 +356,17 @@ impl KvStore {
     fn lru_unlink(&mut self, slot: usize, cluster: ClusterId) {
         let (p, n) = (self.slab[slot].lru_prev, self.slab[slot].lru_next);
         if p != NIL {
-            self.dir.write(self.entry_line(p), cluster);
+            self.price.write_line(self.entry_line(p), cluster);
             self.slab[p].lru_next = n;
         } else if self.lru_head == slot {
-            self.dir.write(self.lru_line(), cluster);
+            self.price.write_line(self.lru_line(), cluster);
             self.lru_head = n;
         }
         if n != NIL {
-            self.dir.write(self.entry_line(n), cluster);
+            self.price.write_line(self.entry_line(n), cluster);
             self.slab[n].lru_prev = p;
         } else if self.lru_tail == slot {
-            self.dir.write(self.lru_line(), cluster);
+            self.price.write_line(self.lru_line(), cluster);
             self.lru_tail = p;
         }
         self.slab[slot].lru_prev = NIL;
@@ -356,7 +385,7 @@ impl KvStore {
     }
 }
 
-impl std::fmt::Debug for KvStore {
+impl<P: Pricing> std::fmt::Debug for KvStore<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvStore")
             .field("len", &self.len())
@@ -369,12 +398,11 @@ impl std::fmt::Debug for KvStore {
 mod tests {
     use super::*;
     use coherence_sim::CostModel;
-    use std::sync::Arc;
 
     const C0: ClusterId = ClusterId::new(0);
     const C1: ClusterId = ClusterId::new(1);
 
-    fn store() -> KvStore {
+    fn store() -> KvStore<Arc<Directory>> {
         let cfg = KvConfig {
             buckets: 64,
             capacity: 8,

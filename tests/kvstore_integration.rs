@@ -1,12 +1,14 @@
-//! Integration: the key-value store is correct under every cohort lock.
+//! Integration: the key-value store is correct under every cohort lock,
+//! and the wall-clock store prices nothing.
 
-use coherence_sim::{CostModel, Directory};
-use cohort_kvstore::{KvConfig, KvStore, SharedKvStore};
-use lbench::LockKind;
-use numa_topology::{current_cluster_in, Topology};
+use coherence_sim::{take_thread_stats, CostModel, Directory, ThreadStats};
+use cohort_kvstore::{KvConfig, KvStore, ShardLockSpec, ShardedKvStore, SharedKvStore};
+use lbench::{LockKind, RwLockKind};
+use numa_topology::{current_cluster_in, vclock, ClusterId, Topology};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-fn shared(kind: LockKind, topo: &Arc<Topology>) -> Arc<SharedKvStore> {
+fn shared(kind: LockKind, topo: &Arc<Topology>) -> Arc<SharedKvStore<Arc<Directory>>> {
     let cfg = KvConfig {
         buckets: 512,
         capacity: 4096,
@@ -111,4 +113,51 @@ fn eviction_pressure_under_cohort_lock() {
         "capacity 128 must evict under 8000 inserts"
     );
     store.with_lock(|s| assert!(s.len() <= 128));
+}
+
+/// A default `ShardedKvStore` is the wall-clock store: building it,
+/// warming it and 1 000 mixed ops on both of its paths (exclusive, and
+/// the shared read side of an RW cache lock) leave the caller's virtual
+/// clock and coherence counters exactly where they were, and its
+/// virtual window never closes.
+#[test]
+fn default_sharded_store_charges_nothing() {
+    let topo = Arc::new(Topology::new(4));
+    let cfg = KvConfig {
+        buckets: 256,
+        capacity: 1024,
+        ..Default::default()
+    };
+    for lock in [
+        ShardLockSpec::Excl(LockKind::CBoMcs),
+        ShardLockSpec::Rw(RwLockKind::CRwWpBoMcs),
+    ] {
+        vclock::reset();
+        vclock::advance(12_345);
+        take_thread_stats();
+        let s: ShardedKvStore =
+            ShardedKvStore::build(4, lock, &topo, None, cfg, CostModel::t5440());
+        s.warm(512);
+        // A zero window would stop a priced op at once.
+        let stop = AtomicBool::new(false);
+        for i in 0..1_000u64 {
+            let cluster = ClusterId::new((i % 4) as u32);
+            s.op(i * 7 % 700, i % 3 != 0, i, cluster, 8, 0, &stop);
+        }
+        assert_eq!(vclock::now(), 12_345, "{lock:?}: the clock moved");
+        assert_eq!(
+            take_thread_stats(),
+            ThreadStats::default(),
+            "{lock:?}: the directory was charged"
+        );
+        assert!(!stop.into_inner(), "{lock:?}: the window closed");
+        let st = s.stats();
+        assert_eq!(st.hits + st.misses, 666, "{lock:?}: every get answered");
+        assert_eq!(
+            st.inserts + st.updates,
+            512 + 334,
+            "{lock:?}: warm and every set stored"
+        );
+    }
+    vclock::reset();
 }

@@ -1,6 +1,6 @@
 //! Property test: the key-value store against a HashMap model, including
 //! LRU-eviction semantics (evictions only remove least-recently-used keys
-//! and only when at capacity).
+//! and only when at capacity), and the priced store against the free one.
 
 use coherence_sim::{CostModel, Directory};
 use cohort_kvstore::{KvConfig, KvStore};
@@ -63,6 +63,35 @@ proptest! {
             prop_assert!(store.len() <= 32);
             // The key just written must be resident.
             prop_assert_eq!(store.get(k, c), Some(i as u64));
+        }
+    }
+
+    /// One store, two prices: the same operations on a directory-priced
+    /// and a free store, from clusters the directory prices differently,
+    /// answer alike and leave the same counters and LRU order — evictions
+    /// included, since capacity 16 is below the 64-key range.
+    #[test]
+    fn pricing_never_changes_an_answer(
+        ops in proptest::collection::vec((op_strategy(), 0u32..4), 1..300),
+    ) {
+        let cfg = KvConfig { buckets: 8, capacity: 16, ..Default::default() };
+        let dir = Arc::new(Directory::new(KvStore::lines_needed(&cfg), CostModel::t5440()));
+        let mut priced = KvStore::new(cfg, dir);
+        let mut free = KvStore::unpriced(cfg);
+        for (op, cluster) in ops {
+            let c = ClusterId::new(cluster);
+            match op {
+                Op::Get { key } => prop_assert_eq!(priced.get(key, c), free.get(key, c)),
+                Op::Set { key, val } => {
+                    priced.set(key, val, c);
+                    free.set(key, val, c);
+                }
+                Op::Delete { key } => {
+                    prop_assert_eq!(priced.delete(key, c), free.delete(key, c));
+                }
+            }
+            prop_assert_eq!(priced.stats(), free.stats());
+            prop_assert_eq!(priced.lru_keys(), free.lru_keys());
         }
     }
 }
