@@ -5,11 +5,17 @@ use numa_topology::ClusterId;
 use std::sync::Arc;
 
 /// Store geometry and per-operation compute costs.
+///
+/// A store refuses (panics on) a config it cannot honour: `buckets` must
+/// be a power of two no larger than 2²⁴ (the bucket hash keeps 24 bits,
+/// so a larger table would leave buckets unused), and `capacity` at
+/// least 1.
 #[derive(Clone, Copy, Debug)]
 pub struct KvConfig {
-    /// Hash-table buckets (power of two).
+    /// Hash-table buckets (a power of two, at most 2²⁴).
     pub buckets: usize,
-    /// Maximum resident entries; inserting past this evicts the LRU tail.
+    /// Maximum resident entries (at least 1); inserting past this evicts
+    /// the LRU tail.
     pub capacity: usize,
     /// Simulated cache lines occupied by one value (memcached items carry
     /// their value inline; 2 lines ≈ a 100-odd-byte item).
@@ -133,6 +139,11 @@ impl<P: Pricing> KvStore<P> {
     /// [`lines_needed`] lines.
     pub(crate) fn priced_by(cfg: KvConfig, price: P) -> Self {
         assert!(cfg.buckets.is_power_of_two(), "buckets must be 2^k");
+        assert!(
+            cfg.buckets <= 1 << 24,
+            "buckets above 2^24 are never hashed to"
+        );
+        assert!(cfg.capacity >= 1, "capacity must hold at least one entry");
         KvStore {
             buckets: vec![NIL; cfg.buckets],
             slab: Vec::with_capacity(cfg.capacity),
@@ -163,6 +174,7 @@ impl<P: Pricing> KvStore<P> {
     #[inline]
     fn hash(&self, key: u64) -> usize {
         // Fibonacci hashing; memcached uses Bob Jenkins', any mixer works.
+        // It keeps the product's top 24 bits: at most 2^24 buckets.
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize & (self.cfg.buckets - 1)
     }
 
@@ -186,7 +198,9 @@ impl<P: Pricing> KvStore<P> {
 
     /// Looks up `key`, refreshing its LRU position (memcached "touches"
     /// items on every hit — those LRU writes are why even read-heavy loads
-    /// contend on shared lines). Returns the value stamp.
+    /// contend on shared lines, and a priced store charges them on every
+    /// hit). A hit on the LRU head is already in place, so the host
+    /// stores only the hit counter. Returns the value stamp.
     pub fn get(&mut self, key: u64, cluster: ClusterId) -> Option<u64> {
         self.price.compute(self.cfg.op_compute_ns);
         let b = self.hash(key);
@@ -200,8 +214,7 @@ impl<P: Pricing> KvStore<P> {
                 for l in 1..self.cfg.value_lines {
                     self.price.read_line(self.entry_line(cur) + l, cluster);
                 }
-                self.lru_unlink(cur, cluster);
-                self.lru_push_front(cur, cluster);
+                self.lru_touch(cur, cluster);
                 self.stats.hits += 1;
                 return Some(self.slab[cur].stamp);
             }
@@ -254,8 +267,7 @@ impl<P: Pricing> KvStore<P> {
                     self.price.write_line(self.entry_line(cur) + l, cluster);
                 }
                 self.slab[cur].stamp = stamp;
-                self.lru_unlink(cur, cluster);
-                self.lru_push_front(cur, cluster);
+                self.lru_touch(cur, cluster);
                 self.stats.updates += 1;
                 return;
             }
@@ -335,9 +347,34 @@ impl<P: Pricing> KvStore<P> {
         self.stats.evictions += 1;
     }
 
+    /// Moves resident `slot` to the LRU front: the unlink + push of a hit
+    /// or an update. An item already at the head would get every field
+    /// stored back to the value it holds, so the host stores nothing; the
+    /// price is still charged the relink's writes, in the relink's order
+    /// (unlink: the LRU line, then the next entry's, or the LRU line again
+    /// when the item is alone; push: the LRU line, the item's, the old
+    /// head's), which is the traffic memcached's relink makes.
+    fn lru_touch(&mut self, slot: usize, cluster: ClusterId) {
+        if slot != self.lru_head {
+            self.lru_unlink(slot, cluster);
+            self.lru_push_front(slot, cluster);
+            return;
+        }
+        let lru = self.lru_line();
+        let next = self.slab[slot].lru_next;
+        let next_line = (next != NIL).then(|| self.entry_line(next));
+        self.price.write_line(lru, cluster);
+        self.price.write_line(next_line.unwrap_or(lru), cluster);
+        self.price.write_line(lru, cluster);
+        self.price.write_line(self.entry_line(slot), cluster);
+        if let Some(line) = next_line {
+            self.price.write_line(line, cluster);
+        }
+    }
+
     fn lru_push_front(&mut self, slot: usize, cluster: ClusterId) {
-        // The LRU head line is the hottest line in memcached; every hit
-        // writes it.
+        // The LRU head line is the hottest line in memcached: every insert
+        // and every hit below the head writes it.
         self.price.write_line(self.lru_line(), cluster);
         self.price.write_line(self.entry_line(slot), cluster);
         self.slab[slot].lru_prev = NIL;
@@ -413,6 +450,24 @@ mod tests {
             CostModel::t5440(),
         ));
         KvStore::new(cfg, dir)
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must hold at least one entry")]
+    fn zero_capacity_is_refused() {
+        KvStore::unpriced(KvConfig {
+            capacity: 0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "buckets above 2^24 are never hashed to")]
+    fn buckets_past_the_hash_range_are_refused() {
+        KvStore::unpriced(KvConfig {
+            buckets: 1 << 25,
+            ..Default::default()
+        });
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Integration: the key-value store is correct under every cohort lock,
-//! and the wall-clock store prices nothing.
+//! the wall-clock store prices nothing, and the priced store's charges
+//! are pinned to exact constants.
 
 use coherence_sim::{take_thread_stats, CostModel, Directory, ThreadStats};
-use cohort_kvstore::{KvConfig, KvStore, ShardLockSpec, ShardedKvStore, SharedKvStore};
-use lbench::{LockKind, RwLockKind};
+use cohort_kvstore::{KvConfig, KvStats, KvStore, ShardLockSpec, ShardedKvStore, SharedKvStore};
+use lbench::{KeyDist, LockKind, RwLockKind};
 use numa_topology::{current_cluster_in, vclock, ClusterId, Topology};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -160,4 +163,124 @@ fn default_sharded_store_charges_nothing() {
         );
     }
     vclock::reset();
+}
+
+/// The fixed tape the price pins replay: `(key, roll, cluster)` with
+/// keys Zipf θ = 0.99 over 2 000, `roll < 90` a get, and clusters
+/// cycling 0–3.
+fn price_tape() -> Vec<(u64, u32, ClusterId)> {
+    let mut rng = StdRng::seed_from_u64(7);
+    let dist = KeyDist::Zipfian { theta: 0.99 };
+    (0..20_000u32)
+        .map(|i| {
+            let key = dist.sample(&mut rng, 2_000);
+            (key, rng.gen_range(0u32..100), ClusterId::new(i % 4))
+        })
+        .collect()
+}
+
+const PIN_CFG: KvConfig = KvConfig {
+    buckets: 4096,
+    capacity: 1024,
+    value_lines: 2,
+    op_compute_ns: 120,
+};
+
+/// The priced store's charges over a fixed run, pinned: a warm-up that
+/// evicts (2 000 keys inserted high to low into 1 024 slots, so the hot
+/// keys stay), then the tape with 2 % deletes. How the store touches its
+/// own memory may change; its clock, its directory counters and its
+/// `KvStats` may not.
+#[test]
+fn priced_store_charges_are_pinned() {
+    vclock::reset();
+    take_thread_stats();
+    let dir = Arc::new(Directory::new(
+        KvStore::lines_needed(&PIN_CFG),
+        CostModel::t5440(),
+    ));
+    let mut s = KvStore::new(PIN_CFG, dir);
+    for k in (0..2_000u64).rev() {
+        s.set(k, k, ClusterId::new((k % 4) as u32));
+    }
+    for (i, (key, roll, cluster)) in price_tape().into_iter().enumerate() {
+        match roll {
+            0..=89 => {
+                s.get(key, cluster);
+            }
+            90..=97 => s.set(key, i as u64, cluster),
+            _ => {
+                s.delete(key, cluster);
+            }
+        }
+    }
+    let (clock, stats, kv) = (vclock::now(), take_thread_stats(), s.stats());
+    vclock::reset();
+    assert_eq!(clock, 22_383_840);
+    assert_eq!(
+        stats,
+        ThreadStats {
+            accesses: 152_092,
+            remote_misses: 85_679,
+            cold_misses: 2_561,
+            charged_ns: 19_626_720,
+        }
+    );
+    assert_eq!(
+        kv,
+        KvStats {
+            hits: 14_300,
+            misses: 3_728,
+            updates: 1_230,
+            inserts: 2_321,
+            evictions: 976,
+        }
+    );
+    assert_eq!(s.lru_keys()[..8], [0, 3, 49, 4, 376, 84, 940, 27]);
+}
+
+/// The same tape through `op` on a 4-shard C-BO-MCS sharded store priced
+/// by directories and handoff channels: lock rounds, pacing (κ = 0) and
+/// the store's lines together are pinned.
+#[test]
+fn priced_sharded_op_charges_are_pinned() {
+    let topo = Arc::new(Topology::new(4));
+    vclock::reset();
+    take_thread_stats();
+    let s: ShardedKvStore<Arc<Directory>> = ShardedKvStore::build(
+        4,
+        ShardLockSpec::Excl(LockKind::CBoMcs),
+        &topo,
+        None,
+        PIN_CFG,
+        CostModel::t5440(),
+    );
+    s.warm(2_000);
+    let stop = AtomicBool::new(false);
+    for (i, (key, roll, cluster)) in price_tape().into_iter().enumerate() {
+        s.op(key, roll < 90, i as u64, cluster, 0, u64::MAX, &stop);
+    }
+    let (clock, stats, kv) = (vclock::now(), take_thread_stats(), s.stats());
+    vclock::reset();
+    assert!(!stop.into_inner(), "the window closed");
+    assert_eq!(clock, 34_478_360);
+    assert_eq!(
+        stats,
+        ThreadStats {
+            accesses: 176_258,
+            remote_misses: 88_795,
+            cold_misses: 5_062,
+            charged_ns: 21_149_235,
+        }
+    );
+    assert_eq!(
+        kv,
+        KvStats {
+            hits: 18_028,
+            misses: 0,
+            updates: 1_972,
+            inserts: 2_000,
+            evictions: 0,
+        }
+    );
 }
