@@ -115,6 +115,23 @@ impl<P: Pricing> SharedKvStore<P> {
 }
 
 #[cfg(test)]
+/// Where a `SharedKvStore<Free>` keeps its store, and the byte spans
+/// `(name, offset, size)` of the fields a waiter reads before it
+/// acquires: `store::tests` holds those off the store's hot line.
+pub(crate) fn waiter_layout() -> (usize, [(&'static str, usize, usize); 2]) {
+    use std::mem::{offset_of, size_of};
+    type Sh = SharedKvStore<Free>;
+    let lock = size_of::<Arc<dyn BenchRwLock>>();
+    (
+        offset_of!(Sh, store),
+        [
+            ("lock", offset_of!(Sh, lock), lock),
+            ("gets_read", offset_of!(Sh, gets_read), size_of::<bool>()),
+        ],
+    )
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::{lines_needed, KvConfig};

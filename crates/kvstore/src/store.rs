@@ -8,14 +8,14 @@ use std::sync::Arc;
 ///
 /// A store refuses (panics on) a config it cannot honour: `buckets` must
 /// be a power of two no larger than 2²⁴ (the bucket hash keeps 24 bits,
-/// so a larger table would leave buckets unused), and `capacity` at
-/// least 1.
+/// so a larger table would leave buckets unused), and `capacity` in
+/// `1..u32::MAX` (a slot is a 32-bit index, and `u32::MAX` is none).
 #[derive(Clone, Copy, Debug)]
 pub struct KvConfig {
     /// Hash-table buckets (a power of two, at most 2²⁴).
     pub buckets: usize,
-    /// Maximum resident entries (at least 1); inserting past this evicts
-    /// the LRU tail.
+    /// Maximum resident entries (at least 1, below `u32::MAX`); inserting
+    /// past this evicts the LRU tail.
     pub capacity: usize,
     /// Simulated cache lines occupied by one value (memcached items carry
     /// their value inline; 2 lines ≈ a 100-odd-byte item).
@@ -66,19 +66,31 @@ impl KvStats {
 }
 
 /// One item: key, a value stamp (stands in for the bytes), hash chain and
-/// LRU links. Links are slab indices (`usize::MAX` = none).
+/// LRU links. Links are 32-bit slab indices (`NIL` = none): an entry is 32
+/// bytes, aligned so it never straddles a cache line. The priced line map
+/// keeps memcached's 8-byte links and heads, whatever width the host uses.
 #[derive(Clone, Debug)]
+#[repr(align(32))]
 struct Entry {
     key: u64,
     stamp: u64,
-    hash_next: usize,
-    lru_prev: usize,
-    lru_next: usize,
+    hash_next: u32,
+    lru_prev: u32,
+    lru_next: u32,
 }
 
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
-/// Lines used for bucket heads (8 per line: 8-byte pointers).
+/// What a hit writes under the lock, on a 128-byte block of its own: no
+/// field that every op or a waiter reads may share its line.
+#[repr(align(128))]
+struct Hot {
+    lru_head: u32,
+    lru_tail: u32,
+    stats: KvStats,
+}
+
+/// Lines used for bucket heads (8 per line: memcached's 8-byte pointers).
 fn bucket_lines(cfg: &KvConfig) -> usize {
     cfg.buckets.div_ceil(8)
 }
@@ -100,15 +112,14 @@ pub(crate) fn lines_needed(cfg: &KvConfig) -> usize {
 /// by [`new`](KvStore::new)) reports every metadata line it touches to
 /// the directory and its per-op compute to the virtual clock;
 /// `KvStore<Free>` (built by [`unpriced`](KvStore::unpriced)) reports to
-/// nothing, and its operations are the hash table and LRU alone.
+/// nothing, and its operations are the hash table and LRU alone. The
+/// priced line map is memcached's 8-byte layout, whatever the host keeps.
 pub struct KvStore<P = Free> {
     cfg: KvConfig,
-    buckets: Vec<usize>,
+    buckets: Vec<u32>,
     slab: Vec<Entry>,
-    free_slots: Vec<usize>,
-    lru_head: usize,
-    lru_tail: usize,
-    stats: KvStats,
+    free_slots: Vec<u32>,
+    hot: Hot,
     price: P,
 }
 
@@ -144,13 +155,16 @@ impl<P: Pricing> KvStore<P> {
             "buckets above 2^24 are never hashed to"
         );
         assert!(cfg.capacity >= 1, "capacity must hold at least one entry");
+        assert!(cfg.capacity < NIL as usize, "capacity must fit u32 slots");
         KvStore {
             buckets: vec![NIL; cfg.buckets],
             slab: Vec::with_capacity(cfg.capacity),
             free_slots: Vec::new(),
-            lru_head: NIL,
-            lru_tail: NIL,
-            stats: KvStats::default(),
+            hot: Hot {
+                lru_head: NIL,
+                lru_tail: NIL,
+                stats: KvStats::default(),
+            },
             cfg,
             price,
         }
@@ -158,7 +172,7 @@ impl<P: Pricing> KvStore<P> {
 
     /// Operation statistics so far.
     pub fn stats(&self) -> KvStats {
-        self.stats
+        self.hot.stats
     }
 
     /// Resident entries.
@@ -192,8 +206,8 @@ impl<P: Pricing> KvStore<P> {
 
     /// First directory line of slot `s`'s item.
     #[inline]
-    fn entry_line(&self, s: usize) -> usize {
-        bucket_lines(&self.cfg) + 1 + s * self.cfg.value_lines
+    fn entry_line(&self, s: u32) -> usize {
+        bucket_lines(&self.cfg) + 1 + s as usize * self.cfg.value_lines
     }
 
     /// Looks up `key`, refreshing its LRU position (memcached "touches"
@@ -209,18 +223,18 @@ impl<P: Pricing> KvStore<P> {
         while cur != NIL {
             // Chain walk: the entry header is on its first line.
             self.price.read_line(self.entry_line(cur), cluster);
-            if self.slab[cur].key == key {
+            if self.slab[cur as usize].key == key {
                 // Value read: remaining value lines.
                 for l in 1..self.cfg.value_lines {
                     self.price.read_line(self.entry_line(cur) + l, cluster);
                 }
                 self.lru_touch(cur, cluster);
-                self.stats.hits += 1;
-                return Some(self.slab[cur].stamp);
+                self.hot.stats.hits += 1;
+                return Some(self.slab[cur as usize].stamp);
             }
-            cur = self.slab[cur].hash_next;
+            cur = self.slab[cur as usize].hash_next;
         }
-        self.stats.misses += 1;
+        self.hot.stats.misses += 1;
         None
     }
 
@@ -242,13 +256,13 @@ impl<P: Pricing> KvStore<P> {
         let mut cur = self.buckets[b];
         while cur != NIL {
             self.price.read_line(self.entry_line(cur), cluster);
-            if self.slab[cur].key == key {
+            if self.slab[cur as usize].key == key {
                 for l in 1..self.cfg.value_lines {
                     self.price.read_line(self.entry_line(cur) + l, cluster);
                 }
-                return Some(self.slab[cur].stamp);
+                return Some(self.slab[cur as usize].stamp);
             }
-            cur = self.slab[cur].hash_next;
+            cur = self.slab[cur as usize].hash_next;
         }
         None
     }
@@ -261,42 +275,37 @@ impl<P: Pricing> KvStore<P> {
         let mut cur = self.buckets[b];
         while cur != NIL {
             self.price.read_line(self.entry_line(cur), cluster);
-            if self.slab[cur].key == key {
+            if self.slab[cur as usize].key == key {
                 // Overwrite in place: write every value line.
                 for l in 0..self.cfg.value_lines {
                     self.price.write_line(self.entry_line(cur) + l, cluster);
                 }
-                self.slab[cur].stamp = stamp;
+                self.slab[cur as usize].stamp = stamp;
                 self.lru_touch(cur, cluster);
-                self.stats.updates += 1;
+                self.hot.stats.updates += 1;
                 return;
             }
-            cur = self.slab[cur].hash_next;
+            cur = self.slab[cur as usize].hash_next;
         }
         // Insert.
         if self.len() >= self.cfg.capacity {
             self.evict_lru(cluster);
         }
+        let entry = Entry {
+            key,
+            stamp,
+            hash_next: self.buckets[b],
+            lru_prev: NIL,
+            lru_next: NIL,
+        };
         let slot = match self.free_slots.pop() {
             Some(s) => {
-                self.slab[s] = Entry {
-                    key,
-                    stamp,
-                    hash_next: self.buckets[b],
-                    lru_prev: NIL,
-                    lru_next: NIL,
-                };
+                self.slab[s as usize] = entry;
                 s
             }
             None => {
-                self.slab.push(Entry {
-                    key,
-                    stamp,
-                    hash_next: self.buckets[b],
-                    lru_prev: NIL,
-                    lru_next: NIL,
-                });
-                self.slab.len() - 1
+                self.slab.push(entry);
+                (self.slab.len() - 1) as u32
             }
         };
         for l in 0..self.cfg.value_lines {
@@ -305,7 +314,7 @@ impl<P: Pricing> KvStore<P> {
         self.price.write_line(self.bucket_line(b), cluster);
         self.buckets[b] = slot;
         self.lru_push_front(slot, cluster);
-        self.stats.inserts += 1;
+        self.hot.stats.inserts += 1;
     }
 
     /// Removes `key`; true if it was present.
@@ -317,34 +326,34 @@ impl<P: Pricing> KvStore<P> {
         let mut prev = NIL;
         while cur != NIL {
             self.price.read_line(self.entry_line(cur), cluster);
-            if self.slab[cur].key == key {
-                let next = self.slab[cur].hash_next;
+            if self.slab[cur as usize].key == key {
+                let next = self.slab[cur as usize].hash_next;
                 if prev == NIL {
                     self.price.write_line(self.bucket_line(b), cluster);
                     self.buckets[b] = next;
                 } else {
                     self.price.write_line(self.entry_line(prev), cluster);
-                    self.slab[prev].hash_next = next;
+                    self.slab[prev as usize].hash_next = next;
                 }
                 self.lru_unlink(cur, cluster);
                 self.free_slots.push(cur);
                 return true;
             }
             prev = cur;
-            cur = self.slab[cur].hash_next;
+            cur = self.slab[cur as usize].hash_next;
         }
         false
     }
 
     fn evict_lru(&mut self, cluster: ClusterId) {
-        let victim = self.lru_tail;
+        let victim = self.hot.lru_tail;
         if victim == NIL {
             return;
         }
-        let key = self.slab[victim].key;
+        let key = self.slab[victim as usize].key;
         // delete() re-walks the chain, charging realistic traffic.
         self.delete(key, cluster);
-        self.stats.evictions += 1;
+        self.hot.stats.evictions += 1;
     }
 
     /// Moves resident `slot` to the LRU front: the unlink + push of a hit
@@ -354,14 +363,14 @@ impl<P: Pricing> KvStore<P> {
     /// (unlink: the LRU line, then the next entry's, or the LRU line again
     /// when the item is alone; push: the LRU line, the item's, the old
     /// head's), which is the traffic memcached's relink makes.
-    fn lru_touch(&mut self, slot: usize, cluster: ClusterId) {
-        if slot != self.lru_head {
+    fn lru_touch(&mut self, slot: u32, cluster: ClusterId) {
+        if slot != self.hot.lru_head {
             self.lru_unlink(slot, cluster);
             self.lru_push_front(slot, cluster);
             return;
         }
         let lru = self.lru_line();
-        let next = self.slab[slot].lru_next;
+        let next = self.slab[slot as usize].lru_next;
         let next_line = (next != NIL).then(|| self.entry_line(next));
         self.price.write_line(lru, cluster);
         self.price.write_line(next_line.unwrap_or(lru), cluster);
@@ -372,51 +381,60 @@ impl<P: Pricing> KvStore<P> {
         }
     }
 
-    fn lru_push_front(&mut self, slot: usize, cluster: ClusterId) {
+    fn lru_push_front(&mut self, slot: u32, cluster: ClusterId) {
         // The LRU head line is the hottest line in memcached: every insert
         // and every hit below the head writes it.
         self.price.write_line(self.lru_line(), cluster);
         self.price.write_line(self.entry_line(slot), cluster);
-        self.slab[slot].lru_prev = NIL;
-        self.slab[slot].lru_next = self.lru_head;
-        if self.lru_head != NIL {
+        self.slab[slot as usize].lru_prev = NIL;
+        self.slab[slot as usize].lru_next = self.hot.lru_head;
+        if self.hot.lru_head != NIL {
             self.price
-                .write_line(self.entry_line(self.lru_head), cluster);
-            self.slab[self.lru_head].lru_prev = slot;
+                .write_line(self.entry_line(self.hot.lru_head), cluster);
+            self.slab[self.hot.lru_head as usize].lru_prev = slot;
         }
-        self.lru_head = slot;
-        if self.lru_tail == NIL {
-            self.lru_tail = slot;
+        self.hot.lru_head = slot;
+        if self.hot.lru_tail == NIL {
+            self.hot.lru_tail = slot;
         }
     }
 
-    fn lru_unlink(&mut self, slot: usize, cluster: ClusterId) {
-        let (p, n) = (self.slab[slot].lru_prev, self.slab[slot].lru_next);
+    fn lru_unlink(&mut self, slot: u32, cluster: ClusterId) {
+        let e = &self.slab[slot as usize];
+        let (p, n) = (e.lru_prev, e.lru_next);
         if p != NIL {
             self.price.write_line(self.entry_line(p), cluster);
-            self.slab[p].lru_next = n;
-        } else if self.lru_head == slot {
+            self.slab[p as usize].lru_next = n;
+        } else if self.hot.lru_head == slot {
             self.price.write_line(self.lru_line(), cluster);
-            self.lru_head = n;
+            self.hot.lru_head = n;
         }
         if n != NIL {
             self.price.write_line(self.entry_line(n), cluster);
-            self.slab[n].lru_prev = p;
-        } else if self.lru_tail == slot {
+            self.slab[n as usize].lru_prev = p;
+        } else if self.hot.lru_tail == slot {
             self.price.write_line(self.lru_line(), cluster);
-            self.lru_tail = p;
+            self.hot.lru_tail = p;
         }
-        self.slab[slot].lru_prev = NIL;
-        self.slab[slot].lru_next = NIL;
+        self.slab[slot as usize].lru_prev = NIL;
+        self.slab[slot as usize].lru_next = NIL;
     }
 
     /// Walks the LRU list front-to-back (test/debug helper).
     pub fn lru_keys(&self) -> Vec<u64> {
+        self.lru_walk(self.hot.lru_head, |e| e.lru_next)
+    }
+
+    /// Walks the LRU list back-to-front (test/debug helper).
+    pub fn lru_keys_from_tail(&self) -> Vec<u64> {
+        self.lru_walk(self.hot.lru_tail, |e| e.lru_prev)
+    }
+
+    fn lru_walk(&self, mut cur: u32, step: impl Fn(&Entry) -> u32) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = self.lru_head;
         while cur != NIL {
-            out.push(self.slab[cur].key);
-            cur = self.slab[cur].lru_next;
+            out.push(self.slab[cur as usize].key);
+            cur = step(&self.slab[cur as usize]);
         }
         out
     }
@@ -426,7 +444,7 @@ impl<P: Pricing> std::fmt::Debug for KvStore<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvStore")
             .field("len", &self.len())
-            .field("stats", &self.stats)
+            .field("stats", &self.hot.stats)
             .finish_non_exhaustive()
     }
 }
@@ -459,6 +477,52 @@ mod tests {
             capacity: 0,
             ..Default::default()
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must fit u32 slots")]
+    fn capacity_past_a_32_bit_slot_is_refused() {
+        KvStore::unpriced(KvConfig {
+            capacity: u32::MAX as usize,
+            ..Default::default()
+        });
+    }
+
+    /// A hit writes the hot block while holding the lock. Every op reads
+    /// `cfg` and the `Vec` headers, and a waiter reads `SharedKvStore`'s
+    /// `lock` and `gets_read` before it acquires: none of them may sit on
+    /// the hot block's 128-byte line. No entry straddles a 64-byte line.
+    #[test]
+    fn hot_block_is_shared_with_no_other_field() {
+        use std::mem::{align_of, offset_of, size_of};
+        type S = KvStore<Free>;
+        const LINE: usize = 128;
+        assert_eq!((size_of::<Entry>(), align_of::<Entry>()), (32, 32));
+        // A `SharedKvStore` holds an `S`, so both map offsets onto lines.
+        assert!(align_of::<S>() >= LINE, "offsets map onto lines");
+        let off_line = |hot: usize, others: &[(&str, usize, usize)]| {
+            let start = hot / LINE * LINE;
+            let line = start..start + LINE;
+            for &(name, at, len) in others {
+                assert!(
+                    at + len <= line.start || line.end <= at,
+                    "`{name}` at {at}..{} shares the hot line {line:?}",
+                    at + len
+                );
+            }
+        };
+        let vec = size_of::<Vec<u32>>();
+        off_line(
+            offset_of!(S, hot),
+            &[
+                ("cfg", offset_of!(S, cfg), size_of::<KvConfig>()),
+                ("buckets", offset_of!(S, buckets), vec),
+                ("slab", offset_of!(S, slab), vec),
+                ("free_slots", offset_of!(S, free_slots), vec),
+            ],
+        );
+        let (store_at, waiter_reads) = crate::shared::waiter_layout();
+        off_line(store_at + offset_of!(S, hot), &waiter_reads);
     }
 
     #[test]

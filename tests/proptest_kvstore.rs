@@ -49,8 +49,8 @@ fn skewed_op_strategy() -> impl Strategy<Value = Op> {
 
 /// Runs `ops` on `store` (capacity 4) beside a recency list of
 /// `(key, value)`, most recent first: after every op the store's LRU
-/// order is the list, and an insert into a full store evicts the list's
-/// tail.
+/// order is the list, walked from either end, and an insert into a full
+/// store evicts the list's tail.
 fn lru_follows_recency<P: Pricing>(mut store: KvStore<P>, ops: &[(Op, u32)]) {
     let mut recency: Vec<(u64, u64)> = Vec::new();
     for (op, cluster) in ops {
@@ -81,6 +81,9 @@ fn lru_follows_recency<P: Pricing>(mut store: KvStore<P>, ops: &[(Op, u32)]) {
             }
         }
         let keys: Vec<u64> = recency.iter().map(|&(k, _)| k).collect();
+        let mut from_tail = store.lru_keys_from_tail();
+        from_tail.reverse();
+        prop_assert_eq!(&from_tail, &keys, "back links after {:?}", op);
         prop_assert_eq!(store.lru_keys(), keys, "after {:?}", op);
     }
 }
