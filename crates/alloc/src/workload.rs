@@ -23,7 +23,7 @@ use crate::allocator::{MiniAlloc, MiniAllocConfig};
 use coherence_sim::{CostModel, Directory, HandoffChannel};
 use lbench::pace::spin_wall;
 use lbench::{
-    run_scenario, AnyLockKind, BenchRwLock, KeyDist, KeyedCtx, KeyedOp, KeyedService,
+    run_scenario, AnyLockKind, BenchRwLock, CostMode, KeyDist, KeyedCtx, KeyedOp, KeyedService,
     KeyedServiceFactory, KeyedSpec, LBenchConfig, LockKind, LockReport, Scenario, ScenarioResult,
 };
 use numa_topology::{vclock, Topology};
@@ -166,9 +166,13 @@ impl KeyedServiceFactory for MmicroServiceFactory {
         &self,
         kind: AnyLockKind,
         topo: &Arc<Topology>,
-        _scenario: &Scenario,
+        scenario: &Scenario,
         cfg: &LBenchConfig,
     ) -> Arc<dyn KeyedService> {
+        assert!(
+            cfg.threads == 1 || scenario.cost_mode == CostMode::RealTime,
+            "a modelled mmicro run takes one thread: the DES would serialize a pair's delays"
+        );
         let dir = Arc::new(Directory::new(
             MiniAlloc::lines_needed(&self.alloc),
             self.cost,
@@ -253,6 +257,14 @@ impl KeyedService for MmicroService {
         true
     }
 
+    fn shards(&self) -> usize {
+        1
+    }
+
+    fn shard_of(&self, _key: u64) -> usize {
+        0
+    }
+
     fn report(&self) -> LockReport {
         LockReport::of(&self.handoff, &*self.shared.lock)
     }
@@ -284,6 +296,14 @@ mod tests {
         let r = quick(4).run(LockKind::CMcsMcs);
         assert!(r.total_ops > 50);
         assert!(r.acquisitions >= 2 * r.total_ops - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a modelled mmicro run takes one thread")]
+    fn modelled_mmicro_refuses_a_second_thread() {
+        let w = quick(2);
+        let scenario = w.scenario().modelled(w.cost);
+        run_scenario(LockKind::Mcs.into(), &scenario, &w.lbench_config());
     }
 
     #[test]

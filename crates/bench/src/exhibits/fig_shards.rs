@@ -10,12 +10,17 @@
 //! cohort lock and its C-RW reader-writer composition, all through the
 //! scenario engine's keyed-op dimension.
 //!
-//! The sweep runs on the **modelled substrate** (a sequential
-//! discrete-event run over virtual clocks): thousands of closed-loop
-//! clients are ordinary per-thread state there, and every number —
-//! including the per-op latency percentiles — is bit-reproducible, so
-//! the CSV carries no wall column and the committed copy regenerates
-//! byte-identically on any machine.
+//! The sweep runs on the **modelled substrate** (the discrete-event
+//! simulation over virtual clocks): thousands of closed-loop clients are
+//! ordinary per-thread state there, and every number — including the
+//! per-op latency percentiles — is bit-reproducible, so the CSV carries
+//! no wall column and the committed copy regenerates byte-identically on
+//! any machine. Each shard's cache lock admits its queued ops in the
+//! kind's modelled order, so the C-BO-MCS rows show cohort batching — a
+//! shard's ops pass within a cluster up to the `count(64)` bound
+//! (`local_handoffs` > 0, `mean_streak` ≤ 64, `tenures + local_handoffs
+//! == acquisitions`) — and the C-RW-WP-BO-MCS rows batch the sets the
+//! same way while the gets share.
 //!
 //! The key distributions are fixed (`DISTS`: `uniform`, `zipf:0.4`,
 //! `hot:64:90`). Environment (strict `lbench::env` parsing, like every

@@ -22,36 +22,25 @@
 //! crossed the window during its out-of-lock delay still started one
 //! more op).
 //!
-//! **Modelled mode.** With [`CostMode::Modelled`](crate::CostMode), the
-//! run becomes a deterministic sequential simulation
-//! (`run_in_clock_order`): logical threads' ops execute one at a time
-//! in (virtual-clock, thread-id) order, each against the real service,
-//! and per-shard serialization emerges from the service's own
-//! [`HandoffChannel`](coherence_sim::HandoffChannel) catch-up — the
-//! channel raises the caller's clock past the previous holder's release,
-//! which is arrival-order FIFO admission per shard. Cohort *reordering*
-//! within a shard's queue is not modelled here (the service's real lock
-//! is called, but sequential execution keeps it uncontended); the mode
-//! exists for bit-reproducible tail-latency and shard-scaling statements
-//! at client counts far beyond what real threads can offer, not for
-//! admission-policy separations (those live in `modelled.rs`). Because
-//! costs are charged through the service's *own* directory and handoff
-//! channels, the scenario's modelled [`CostModel`](coherence_sim::CostModel)
-//! prices nothing on this path — the factory decides the model.
+//! **Modelled mode.** With [`CostMode::Modelled`](crate::CostMode) the
+//! run is the discrete-event simulation (the `modelled` module), with one
+//! admission unit per shard ([`KeyedService::shard_of`]): a serialized op
+//! queues on its shard in the kind's modelled admission order, and its
+//! grant runs the real [`KeyedService::op`] on the simulation's thread.
+//! The service's own channels and directories price it, so the scenario's
+//! [`CostModel`](coherence_sim::CostModel) prices nothing here; the
+//! tenure statistics and the succession census are the simulation's.
 
-use crate::modelled::TimeQueue;
 use crate::pace::spin_wall;
-use crate::program::{step, Body, Client, Exec, Program};
+use crate::program::{Body, Client, Exec, Program};
 use crate::registry::AnyLockKind;
-use crate::scenario::{Counts, LBenchConfig, LatReservoir, LockReport, Scenario};
-use coherence_sim::take_thread_stats;
+use crate::scenario::{LBenchConfig, LockReport, Scenario};
 use numa_topology::{vclock, ClusterId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How clients pick keys — the "internet-shaped traffic" axis.
 #[derive(Clone, Debug, PartialEq)]
@@ -162,30 +151,51 @@ pub trait KeyedService: Send + Sync {
     /// out-of-lock parse advance.
     fn op(&self, op: &KeyedOp, ctx: &KeyedCtx<'_>, rng: &mut StdRng) -> bool;
 
+    /// Shards, each behind its own lock.
+    fn shards(&self) -> usize;
+
+    /// The shard, in `0..shards()`, whose lock an op on `key` takes.
+    fn shard_of(&self, key: u64) -> usize;
+
     /// What the service's locks and handoff channels saw, folded over
     /// its shards ([`LockReport::merge`]).
     fn report(&self) -> LockReport;
 }
 
-/// Any service is a body of the op program: the op's latency is the
-/// whole service call (queueing *plus* service), and `parse_ns` of
-/// out-of-lock request handling follows every counted op.
+/// Any service is a body of the op program (see [`serve`]).
 impl Body for dyn KeyedService + '_ {
     fn run(&self, op: &KeyedOp, c: &mut Client, p: &Program<'_>, x: &mut Exec<'_>) {
-        let ctx = KeyedCtx {
-            cluster: c.cluster,
-            kappa: p.pace,
-            window_ns: p.cfg.window_ns,
-            stop: x.stop,
-        };
-        let lat_from = vclock::now();
-        if self.op(op, &ctx, &mut c.rng) {
-            x.lat.record(vclock::now().saturating_sub(lat_from));
-            c.complete(op.is_read);
-            vclock::advance(p.parse_ns);
-            spin_wall(p.parse_ns * p.pace, true);
+        if let Some(sample) = serve(self, op, c, p, x.stop) {
+            x.lat.record(sample);
         }
     }
+}
+
+/// Runs `op` of client `c` on `service`, on either executor, and books
+/// it: a counted op returns one latency sample — the whole call, queueing
+/// *plus* service — and `parse_ns` of out-of-lock work follows it.
+pub(crate) fn serve(
+    service: &dyn KeyedService,
+    op: &KeyedOp,
+    c: &mut Client,
+    p: &Program<'_>,
+    stop: &AtomicBool,
+) -> Option<u64> {
+    let ctx = KeyedCtx {
+        cluster: c.cluster,
+        kappa: p.pace,
+        window_ns: p.cfg.window_ns,
+        stop,
+    };
+    let lat_from = vclock::now();
+    if !service.op(op, &ctx, &mut c.rng) {
+        return None;
+    }
+    let sample = vclock::now().saturating_sub(lat_from);
+    c.complete(op.is_read);
+    vclock::advance(p.parse_ns);
+    spin_wall(p.parse_ns * p.pace, true);
+    Some(sample)
 }
 
 /// Builds the [`KeyedService`] for one run. The factory — not the
@@ -233,61 +243,6 @@ impl fmt::Debug for KeyedSpec {
             .field("seed", &self.seed)
             .finish_non_exhaustive()
     }
-}
-
-/// The deterministic executor of keyed runs (see the module docs): the
-/// clients' [`step`]s execute sequentially on this OS thread in (clock,
-/// thread-id) order off a min-heap — O(log clients) per op — against the
-/// real service, into ONE run-wide latency reservoir in execution order.
-/// Both choices are pinned by `results/fig_shards.csv`: the DES breaks
-/// clock ties by push order and decimates per logical thread, which is
-/// why this is a driver of its own rather than a branch inside it.
-pub(crate) fn run_in_clock_order(p: &Program<'_>, body: &dyn KeyedService) -> Counts {
-    let cfg = p.cfg;
-    // The run drives the caller's thread-local clock; save and restore
-    // it, and discard the factory's warm-phase coherence charges.
-    let saved_clock = vclock::now();
-    take_thread_stats();
-    // Present for the ctx contract; threads retire by clock instead.
-    let stop = AtomicBool::new(false);
-    let mut x = Exec {
-        stop: &stop,
-        wall_start: Instant::now(),
-        lat: LatReservoir::lazy(),
-    };
-    let mut clients: Vec<Client> = (0..cfg.threads).map(|i| Client::new(p, i)).collect();
-    // Each live logical thread has exactly one entry, keyed by its clock;
-    // a thread popped at or past the window is retired by not going back.
-    let mut ready = TimeQueue::with_capacity(cfg.threads);
-    for t in 0..cfg.threads {
-        ready.push(0, t);
-    }
-    // Livelock guard: a service op that charges zero virtual time would
-    // otherwise spin here forever.
-    let stall_cap = cfg.threads as u64 * 64 + 1024;
-    let mut stalls = 0u64;
-    while let Some((clock, t)) = ready.pop() {
-        if clock >= cfg.window_ns {
-            continue;
-        }
-        vclock::set(clock);
-        step(&mut clients[t], body, p, &mut x);
-        let now = vclock::now();
-        stalls = if now == clock { stalls + 1 } else { 0 };
-        assert!(
-            stalls < stall_cap,
-            "keyed modelled simulation stalled: the service charged \
-             zero virtual time for {stalls} consecutive ops"
-        );
-        ready.push(now, t);
-    }
-    let mut counts = Counts::new(cfg.threads, take_thread_stats().remote_misses);
-    vclock::set(saved_clock);
-    for c in &clients {
-        counts.client(c);
-    }
-    counts.lat(x.lat);
-    counts
 }
 
 #[cfg(test)]

@@ -37,14 +37,14 @@
 //! module: draw the next op, run its body, repeat) with one of two
 //! **bodies** — the LBench critical section, or a [`KeyedService`] when a
 //! [`KeyedSpec`] on the scenario turns the run into a service workload
-//! (sharded KV store, allocator) — on one of three **executors**, picked
+//! (sharded KV store, allocator) — on one of two **executors**, picked
 //! by the scenario's [`CostMode`]: `RealTime` runs the program on real
 //! threads with modelled prices; `Modelled` runs it on one OS thread,
-//! bit-reproducibly — keyed bodies in clock order, the LBench body as a
-//! discrete-event simulation over the same coherence cost model (see the
-//! `modelled` module docs and ARCHITECTURE.md's "Modelled coherence
-//! mode"). The admission order a kind gets there is published as
-//! [`AnyLockKind::modelled_admission`] ([`ModelledAdmission`]).
+//! bit-reproducibly, as a discrete-event simulation over the same
+//! coherence cost model, with one admission queue per lock or per shard
+//! (see the `modelled` module docs and ARCHITECTURE.md's "Modelled
+//! coherence mode"). The admission order a kind gets there is published
+//! as [`AnyLockKind::modelled_admission`] ([`ModelledAdmission`]).
 
 #![deny(missing_docs)]
 

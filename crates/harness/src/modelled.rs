@@ -1,5 +1,6 @@
 //! The deterministic modelled-coherence runner behind
-//! [`CostMode::Modelled`](crate::CostMode).
+//! [`CostMode::Modelled`](crate::CostMode): every modelled run, LBench or
+//! keyed.
 //!
 //! The real-time engine (`scenario.rs`) runs real threads over real lock
 //! algorithms and only *prices* their decisions through the coherence
@@ -8,23 +9,24 @@
 //! instead: the whole run is a **single-OS-thread discrete-event
 //! simulation** over the same cost sources ([`Directory`],
 //! [`HandoffChannel`], the per-thread vclock) with the same per-thread
-//! program (its threads are `program::Client`s, drawing through
-//! `Client::draw`/`idle` and charging through `charge_cs`), so two runs
-//! of one cell produce bit-identical
+//! program (its logical threads are `program::Client`s in a table, each
+//! with its own clock), so two runs of one cell produce bit-identical
 //! [`ScenarioResult`](crate::ScenarioResult)s.
 //!
 //! What is simulated, and what is abstracted:
 //!
-//! * **Logical threads** are table rows, not OS threads. Each carries its
-//!   own clock; an op is `acquire → CS (directory charges + cs_extra) →
-//!   release → idle`, exactly the real body's virtual-time arithmetic.
-//! * **The lock is never locked.** The constructed lock object supplies
-//!   metadata only (`read_is_exclusive`, `is_abortable`, `policy_label`);
-//!   its *admission order* is simulated from the kind's mechanism via
-//!   [`AnyLockKind::modelled_admission`]: FIFO for queue/backoff/prior-
+//! * **No lock is ever contended.** An *admission unit* — the lock of an
+//!   LBench run, or one shard of a keyed service — admits its waiters in
+//!   the order of the kind's mechanism
+//!   ([`AnyLockKind::modelled_admission`]): FIFO for queue/backoff/prior-
 //!   NUMA kinds, policy-bounded cluster batching for the cohort family,
 //!   and the palindromic segment schedule for the plain Reciprocating
-//!   lock. Consequently fissile fast/slow splits and GCR park/promotion
+//!   lock. A grant runs the op from its arrival clock, which a handoff
+//!   channel raises past the unit's last release: the LBench critical
+//!   section (`charge_cs`, then `Client::idle`) on this module's channel
+//!   and directory, its lock supplying metadata only; or the real
+//!   [`KeyedService::op`] (see [`serve`]) on the service's own, its locks
+//!   called uncontended. Fissile fast/slow splits and GCR park/promotion
 //!   counters are **0** in modelled results.
 //! * **The succession census** books, per serialized grant, the number
 //!   of cache lines the release-side admission decision fans out to:
@@ -32,19 +34,16 @@
 //!   holds the succession word in its cache), `1 + same-cluster waiters`
 //!   for cluster-batched kinds, and at most `2` for the reciprocating
 //!   schedule (one gate line, plus the arrivals word at a segment
-//!   detach). It is pure accounting — it never advances the vclock, so
-//!   adding it changed no previously-committed modelled CSV — and it is
-//!   the quantity `fig_compare`'s constant-coherence self-check pins.
+//!   detach). It is pure accounting — it never advances the vclock — and
+//!   it is the quantity `fig_compare`'s constant-coherence self-check pins.
 //! * **The window is per-thread.** Real mode stops all threads through a
 //!   shared flag (racy); here each logical thread runs ops until its own
 //!   clock passes `cfg.window_ns`, then retires. An op in flight at the
 //!   boundary completes and is counted, as in real mode.
-//! * **Shared reads serialize on nothing** — same contract the real-time
-//!   engine documents: on kinds with a genuine read side, reads charge
-//!   the directory and `cs_extra_ns` without queueing (and without
-//!   blocking writers — a modelling simplification that makes read-mix
-//!   cells optimistic for writers; the exhibits' self-checks are
-//!   calibrated under it).
+//! * **Shared reads serialize on nothing**: on kinds with a genuine read
+//!   side, a read (or a keyed get) runs at once, without queueing and
+//!   without blocking writers — a simplification that makes read-mix
+//!   cells optimistic for writers, as the exhibits' self-checks assume.
 //! * **Nothing reads the wall clock** except the diagnostic
 //!   `ScenarioResult::wall` field, which the determinism contract (and
 //!   `ScenarioResult::first_divergence`) explicitly excludes.
@@ -52,85 +51,57 @@
 //!   no wall time to pace against and no scheduler to escape.
 //!
 //! A batched kind runs its policy in the locks' own book,
-//! [`cohort::Tenures`], on the vclock and at the points `CohortLock` calls
-//! it, so every spec reaches the model as written; the book's snapshot is
-//! the run's tenure statistics (`tenures + local_handoffs ==
-//! acquisitions`). FIFO kinds report none, mirroring `cohort_stats() ==
-//! None`.
+//! [`cohort::Tenures`], one per unit, on the vclock and at the points
+//! `CohortLock` calls it, so every spec reaches the model as written; the
+//! books' merged snapshot is the run's tenure statistics (`tenures +
+//! local_handoffs == acquisitions`). FIFO kinds report none, mirroring
+//! `cohort_stats() == None`.
 //!
 //! # Cost per event
 //!
-//! An event costs O(1) host time at any number of logical threads and a
+//! An event costs O(1) host time at any number of logical threads, and a
 //! warm cell allocates nothing per logical thread (one run-wide latency
-//! log; buffers kept per OS thread in `Scratch`): a saturated 4096-thread
-//! C-BO-MCS cell takes ~470 µs on the 2.1 GHz reference host — 365 event
-//! loop, 47 thread table, 26 collection, 20 percentiles — against ~670
-//! with a reservoir per thread (110 merging them, 56 sorting). That is
-//! 47 ns of event loop per acquisition, as at 64 threads; the rest is
-//! per-cell set-up. Two invariants make O(1) legal without moving a
-//! simulated number:
+//! log; buffers kept per OS thread in `Scratch`); docs/ARCHITECTURE.md,
+//! "Cost per event", has the measurements. Two invariants make O(1)
+//! legal without moving a simulated number:
 //!
-//! * **Arrivals enter in time order** — a thread queues at the time of
-//!   the event being handled, and events pop in time order — so each
-//!   cluster's waiting queue (`Admission`) is a deque that stays sorted
-//!   by `(arrival, tid)` under pushes at the back. Picks are fronts, the
-//!   succession census a sum of lengths, a reciprocating detach a drain;
-//!   only a patience abort, and a newcomer that ties with the back under
-//!   a smaller tid, binary-search.
+//! * **Arrivals enter in time order**, so each cluster's waiting queue
+//!   (`Admission`) is a deque that stays sorted by `(arrival, tid)` under
+//!   pushes at the back. Picks are fronts, the census a sum of lengths, a
+//!   reciprocating detach a drain; only a patience abort, and a newcomer
+//!   that ties with the back under a smaller tid, binary-search.
 //! * **An event scheduled at `now` is younger than every heap entry at
 //!   `now`**, so `EventQueue` serves it from a FIFO lane and keeps the
 //!   heap for the future.
 //!
-//! No handler walks the thread table. The obviously-right forms — a
-//! linear scan per question, one heap keyed `(time, push order)` — are
-//! the references of seeded differential tests in the test module.
+//! The obviously-right forms — a linear scan per question, one heap
+//! keyed `(time, push order)` — are the references of seeded
+//! differential tests in the test module.
 
-use crate::bench_rwlock::BenchRwLock;
+use crate::keyed::{serve, KeyedService};
 use crate::program::{charge_cs, Client, Draw, Program};
 use crate::registry::{AnyLockKind, ModelledAdmission};
-use crate::scenario::{Counts, LatReservoir, LockReport};
+use crate::scenario::{Counts, LatReservoir, LockReport, Subject};
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
-use cohort::Tenures;
-use numa_topology::{vclock, ClusterId};
+use cohort::{CohortStats, Tenures};
+use numa_topology::{vclock, ClusterId, Topology};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::mem::take;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// What a simulation event asks of the logical thread it names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
     /// The thread begins its next op at its current clock.
     Start,
-    /// The holder finishes its critical section.
+    /// The holder's op ends, freeing its admission unit.
     Release,
     /// A waiting writer's patience expires (stale unless the thread's
     /// `live_abort` still names this event).
     Abort,
-}
-
-/// Min-heap keyed `(time, tie)`: pops the earliest time first and, among
-/// equal times, the smallest `tie`. The one queue type of the modelled
-/// substrate — the event queue below breaks ties by push order, the keyed
-/// loop (`keyed.rs`) by logical-thread id.
-#[derive(Default)]
-pub(crate) struct TimeQueue<T: Ord> {
-    heap: BinaryHeap<Reverse<(u64, T)>>,
-}
-
-impl<T: Ord> TimeQueue<T> {
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        TimeQueue {
-            heap: BinaryHeap::with_capacity(n),
-        }
-    }
-
-    pub(crate) fn push(&mut self, time: u64, tie: T) {
-        self.heap.push(Reverse((time, tie)));
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|Reverse(entry)| entry)
-    }
 }
 
 /// Bits of an event key that hold the thread id; the two above them hold
@@ -155,7 +126,8 @@ const EV_BITS: u32 = 2;
 /// construction, and empty whenever `now` advances.
 #[derive(Default)]
 struct EventQueue {
-    future: TimeQueue<u64>,
+    /// `(time, key)` of the events scheduled after `now`, earliest first.
+    future: BinaryHeap<Reverse<(u64, u64)>>,
     /// Keys of the events pushed at `now`, oldest first.
     lane: VecDeque<u64>,
     /// Timestamp of the latest popped event.
@@ -177,17 +149,16 @@ impl EventQueue {
         if time == self.now {
             self.lane.push_back(key);
         } else {
-            self.future.push(time, key);
+            self.future.push(Reverse((time, key)));
         }
         self.seq
     }
 
     /// The earliest event: `(time, sequence number, event, tid)`.
     fn pop(&mut self) -> Option<(u64, u64, Ev, usize)> {
-        let heap_is_due =
-            || matches!(self.future.heap.peek(), Some(Reverse((t, _))) if *t == self.now);
+        let heap_is_due = || matches!(self.future.peek(), Some(Reverse((t, _))) if *t == self.now);
         let key = if self.lane.is_empty() || heap_is_due() {
-            let (time, key) = self.future.pop()?;
+            let Reverse((time, key)) = self.future.pop()?;
             self.now = time;
             key
         } else {
@@ -214,22 +185,28 @@ struct Waiting {
 /// has it.
 struct Th {
     client: Client,
+    /// The arrival of the op it waits with, else when it starts its next.
     clock: u64,
     /// Latency samples offered so far (see `Sim::lat_log`).
     ticks: u64,
+    /// The key of the op in flight, which names its admission unit.
+    key: u64,
     waiting: Option<Waiting>,
     /// Sequence number of the one `Ev::Abort` that may still fire for
     /// this thread; 0 once its wait has ended (grant or abort).
     live_abort: u64,
 }
 
-/// Who waits for the lock and who is admitted next: the kind's admission
-/// class over a **waiting index** — one queue per cluster, ascending by
-/// `(arrival, tid)`. Every question a grant asks is a front or a length
-/// of those queues (see "Cost per event" in the module docs), so no
-/// event handler ever walks the thread table.
+/// One admission unit — the lock of an LBench run, or one shard of a
+/// service: who holds it, who waits for it and who is admitted next, by
+/// the kind's admission class over a **waiting index** — one queue per
+/// cluster, ascending by `(arrival, tid)`. Every question a grant asks is
+/// a front or a length of those queues (see "Cost per event" in the
+/// module docs), so no event handler ever walks the thread table.
 struct Admission {
     class: ModelledAdmission,
+    /// The thread whose serialized op holds the unit.
+    holder: Option<usize>,
     /// `waiting[c]` holds cluster `c`'s queued serialized ops. A waiter
     /// enters in `enqueue` and leaves through `pick` (granted, or frozen
     /// into a reciprocating segment) or `withdraw` (patience expired).
@@ -247,7 +224,7 @@ struct Admission {
 }
 
 impl Admission {
-    /// An empty admission for `clusters` clusters in (cleared) buffers.
+    /// An empty admission for `clusters` clusters in (empty) buffers.
     fn new(
         class: ModelledAdmission,
         clusters: usize,
@@ -257,6 +234,7 @@ impl Admission {
         waiting.resize_with(clusters, VecDeque::new);
         Admission {
             class,
+            holder: None,
             waiting,
             batch: Batch::of(class, clusters),
             recip_segment,
@@ -352,9 +330,7 @@ impl Admission {
                 batch.grant(cluster, now, via_local);
                 1 + self.waiting[cluster.as_usize()].len() as u64
             }
-            ModelledAdmission::ReciprocatingStack => {
-                1 + u64::from(std::mem::take(&mut self.recip_detached))
-            }
+            ModelledAdmission::ReciprocatingStack => 1 + u64::from(take(&mut self.recip_detached)),
         }
     }
 }
@@ -412,13 +388,16 @@ impl Batch {
 
 struct Sim<'a> {
     program: &'a Program<'a>,
+    /// A keyed run's service; `None` runs the LBench body on `dir` and `handoff`.
+    service: Option<&'a dyn KeyedService>,
+    /// Nothing reads the services' stop flag: threads retire by clock.
+    stop: AtomicBool,
     dir: Directory,
     handoff: HandoffChannel,
     q: &'a mut EventQueue,
     ths: &'a mut Vec<Th>,
-    /// `Some((tid, is_read))` while a serialized op's CS is in flight.
-    holder: Option<(usize, bool)>,
-    adm: Admission,
+    /// One admission unit per shard of the service, or one for the lock.
+    units: Vec<Admission>,
     serial_reads: bool,
     abortable: bool,
     /// Succession census: coherence transitions the release-side
@@ -426,7 +405,7 @@ struct Sim<'a> {
     /// (see [`ScenarioResult::succ_transitions`]). Accounting only —
     /// never advances the vclock.
     succ_transitions: u64,
-    /// `(sample, tick)` of each thread's `tick`-th serialized grant, where
+    /// `(sample, tick)` of each thread's `tick`-th latency sample, where
     /// the reservoir it used to own would have retained it on arrival.
     lat_log: &'a mut Vec<(u64, u64)>,
 }
@@ -455,12 +434,20 @@ impl Sim<'_> {
             }
             match ev {
                 Ev::Start => self.on_start(tid),
-                Ev::Release => self.on_release(tid),
+                Ev::Release => self.on_release(tid, t),
                 Ev::Abort => self.on_abort(tid, seq),
             }
         }
-        debug_assert!(self.holder.is_none());
-        debug_assert!(self.adm.batch.as_ref().is_none_or(|b| b.tenure.is_none()));
+        debug_assert!(self.units.iter().all(|adm| adm.holder.is_none()));
+        debug_assert!(self
+            .units
+            .iter()
+            .all(|adm| adm.batch.as_ref().is_none_or(|b| b.tenure.is_none())));
+    }
+
+    /// The unit an op on `key` queues on: its shard, or the one lock.
+    fn unit_of(&self, key: u64) -> usize {
+        self.service.map_or(0, |service| service.shard_of(key))
     }
 
     fn on_start(&mut self, tid: usize) {
@@ -469,7 +456,7 @@ impl Sim<'_> {
         if th.clock >= cfg.window_ns {
             return;
         }
-        let is_read = match th.client.draw(self.program, th.clock) {
+        let op = match th.client.draw(self.program, th.clock) {
             // Load-shape gating: idle through the off-window.
             Draw::Gap(gap) => {
                 th.clock += gap;
@@ -478,28 +465,27 @@ impl Sim<'_> {
                 }
                 return;
             }
-            Draw::Op(op) => op.is_read,
+            Draw::Op(op) => op,
         };
+        let (arrival, is_read) = (th.clock, op.is_read);
+        th.key = op.key;
 
         if is_read && !self.serial_reads {
-            // Genuinely shared read: charges without queueing.
-            vclock::set(th.clock);
-            charge_cs(&self.dir, cfg, true, th.client.cluster);
-            th.client.complete(true);
-            th.clock = vclock::now() + th.client.idle();
-            self.q.push(th.clock, Ev::Start, tid);
+            // Genuinely shared read: runs at once, without queueing.
+            self.op(tid, arrival, None);
+            self.q.push(self.ths[tid].clock, Ev::Start, tid);
             return;
         }
 
         // Serialized op (write, or read on an exclusive-read kind).
-        let arrival = th.clock;
-        if self.holder.is_none() {
-            // Free lock: no waiters can exist (releases always hand off),
+        let unit = self.service.map_or(0, |service| service.shard_of(op.key));
+        if self.units[unit].holder.is_none() {
+            // Free unit: no waiters can exist (releases always hand off),
             // so this is an immediate grant opening a fresh tenure.
-            self.grant(tid, arrival, is_read, false);
+            self.grant(tid, unit, arrival, is_read, false);
         } else {
             th.waiting = Some(Waiting { arrival, is_read });
-            self.adm.enqueue(th.client.cluster, arrival, tid);
+            self.units[unit].enqueue(th.client.cluster, arrival, tid);
             // Patience applies to writes only, and only where the lock
             // can actually abort — same gate as the real-time path.
             if !is_read && self.abortable {
@@ -510,54 +496,88 @@ impl Sim<'_> {
         }
     }
 
-    /// Performs acquire + critical section synchronously at the grantee's
-    /// clock and schedules its release. `via_local` marks an
-    /// intra-cluster pass within the current tenure (batched kinds).
-    fn grant(&mut self, tid: usize, arrival: u64, is_read: bool, via_local: bool) {
-        let cluster = self.ths[tid].client.cluster;
-        // The arrival clock, raised by the channel to the releaser's
-        // publication time plus the handoff charge — causality exactly as
-        // in real mode.
-        vclock::set(arrival);
-        self.handoff.on_acquire(cluster);
-        let now = vclock::now();
-        let tick = self.ths[tid].ticks;
-        self.ths[tid].ticks += 1;
-        if tick & (LatReservoir::stride_at(tick) - 1) == 0 {
-            self.lat_log.push((now.saturating_sub(arrival), tick));
-        }
-        self.succ_transitions += self.adm.on_grant(cluster, now, via_local);
-        charge_cs(&self.dir, self.program.cfg, is_read, cluster);
-        let end = vclock::now();
-        self.handoff.on_release(cluster);
-        self.ths[tid].clock = end;
-        self.holder = Some((tid, is_read));
+    /// Runs the op of `tid`, which arrived at `arrival`, synchronously as
+    /// the holder of `unit` from now, and schedules the unit's release at
+    /// the op's end. `via_local` marks an intra-cluster pass within the
+    /// unit's current tenure (batched kinds).
+    fn grant(&mut self, tid: usize, unit: usize, arrival: u64, read: bool, via_local: bool) {
+        let (granted, end) = self.op(tid, arrival, Some(read));
+        let adm = &mut self.units[unit];
+        self.succ_transitions += adm.on_grant(self.ths[tid].client.cluster, granted, via_local);
+        adm.holder = Some(tid);
         self.q.push(end, Ev::Release, tid);
     }
 
-    fn on_release(&mut self, tid: usize) {
-        let (holder, is_read) = self.holder.take().expect("release without holder");
-        debug_assert_eq!(holder, tid);
+    /// Runs `tid`'s op from `from` (`serial` is `Some(is_read)` when it
+    /// holds its unit, `None` for a shared read), books it, logs its
+    /// latency sample and sets the thread's clock to its next start.
+    /// Returns when the tenure book sees the grant and when the op ends.
+    #[inline(always)]
+    fn op(&mut self, tid: usize, from: u64, serial: Option<bool>) -> (u64, u64) {
+        let (read, held) = (serial.unwrap_or(true), serial.is_some());
         let th = &mut self.ths[tid];
-        let release_time = th.clock;
-        th.client.complete(is_read);
-        th.clock += th.client.idle();
-        self.q.push(th.clock, Ev::Start, tid);
-        if let Some((arrival, next, via_local)) = self.adm.pick(release_time) {
+        let (granted, end, sample) = match self.service {
+            // The shard's own channel and directories price the op.
+            Some(service) => {
+                let op = th.client.op(th.key, read);
+                vclock::set(from);
+                let sample = serve(service, &op, &mut th.client, self.program, &self.stop);
+                th.clock = vclock::now();
+                (self.q.now, sample.map_or(th.clock, |s| from + s), sample)
+            }
+            // The channel raises a holder's clock to the releaser's
+            // publication time plus the handoff charge — causality exactly
+            // as in real mode; a shared read serializes on nothing and is
+            // not sampled.
+            None => {
+                let cluster = th.client.cluster;
+                vclock::set(from);
+                if held {
+                    self.handoff.on_acquire(cluster);
+                }
+                let now = vclock::now();
+                charge_cs(&self.dir, self.program.cfg, read, cluster);
+                let end = vclock::now();
+                if held {
+                    self.handoff.on_release(cluster);
+                }
+                th.client.complete(read);
+                th.clock = end + th.client.idle();
+                (now, end, held.then(|| now.saturating_sub(from)))
+            }
+        };
+        if let Some(sample) = sample {
+            let tick = th.ticks;
+            th.ticks += 1;
+            if tick & (LatReservoir::stride_at(tick) - 1) == 0 {
+                self.lat_log.push((sample, tick));
+            }
+        }
+        (granted, end)
+    }
+
+    fn on_release(&mut self, tid: usize, t: u64) {
+        let unit = self.unit_of(self.ths[tid].key);
+        self.q.push(self.ths[tid].clock, Ev::Start, tid);
+        let adm = &mut self.units[unit];
+        let holder = adm.holder.take().expect("release without holder");
+        debug_assert_eq!(holder, tid);
+        if let Some((arrival, next, via_local)) = adm.pick(t) {
             let w = self.ths[next].waiting.take().expect("picked a non-waiter");
             self.ths[next].live_abort = 0;
             debug_assert_eq!(w.arrival, arrival);
-            self.grant(next, arrival, w.is_read, via_local);
+            self.grant(next, unit, arrival, w.is_read, via_local);
         }
     }
 
     fn on_abort(&mut self, tid: usize, seq: u64) {
+        let unit = self.unit_of(self.ths[tid].key);
         let th = &mut self.ths[tid];
         if th.live_abort != seq || th.waiting.is_none() {
             return; // stale: the waiter was granted (or already gone)
         }
         let w = th.waiting.take().expect("checked above");
-        self.adm.withdraw(th.client.cluster, w.arrival, tid);
+        self.units[unit].withdraw(th.client.cluster, w.arrival, tid);
         th.live_abort = 0;
         th.client.aborts += 1;
         // The wait consumed the patience — mirrors the real-time body,
@@ -568,8 +588,8 @@ impl Sim<'_> {
     }
 }
 
-/// A simulation's buffers, kept (empty) on the OS thread that ran it for
-/// its next cell, so a warm cell allocates nothing per logical thread and
+/// A simulation's buffers, kept on the OS thread that ran it for its
+/// next cell, so a warm cell allocates nothing per logical thread and
 /// costs the same wherever the heap's trim and mmap thresholds sit. A
 /// cell above 2¹⁶ logical threads (the substrate admits 2²², 370 MB of
 /// thread table) or one that grew them past 32 MiB — three times what a
@@ -579,8 +599,8 @@ impl Sim<'_> {
 struct Scratch {
     ths: Vec<Th>,
     q: EventQueue,
-    waiting: Vec<VecDeque<(u64, usize)>>,
-    recip_segment: Vec<(u64, usize)>,
+    /// A finished cell leaves every queue empty.
+    units: Vec<Admission>,
     lat_log: Vec<(u64, u64)>,
 }
 
@@ -596,34 +616,45 @@ impl Scratch {
     /// queue, segment and log entries are 16 B pairs, lane keys 8 B).
     fn keep(mut self, threads: usize) {
         self.ths.clear();
-        self.q.future.heap.clear();
+        self.q.future.clear();
         self.q.lane.clear();
         (self.q.now, self.q.seq) = (0, 0);
-        self.waiting.iter_mut().for_each(VecDeque::clear);
-        self.recip_segment.clear();
         self.lat_log.clear();
-        let pairs = self.q.future.heap.capacity()
-            + self.waiting.iter().map(VecDeque::capacity).sum::<usize>()
-            + self.recip_segment.capacity()
+        let queued = |adm: &Admission| {
+            adm.waiting.iter().map(VecDeque::capacity).sum::<usize>() + adm.recip_segment.capacity()
+        };
+        let pairs = self.q.future.capacity()
+            + self.units.iter().map(queued).sum::<usize>()
             + self.lat_log.capacity();
-        let bytes = self.ths.capacity() * size_of::<Th>() + pairs * 16 + self.q.lane.capacity() * 8;
+        let bytes = self.ths.capacity() * size_of::<Th>()
+            + self.units.capacity() * size_of::<Admission>()
+            + pairs * 16
+            + self.q.lane.capacity() * 8;
         if threads <= 1 << 16 && bytes <= 32 << 20 {
             SCRATCH.set(self);
         }
     }
 }
 
-/// Runs `program` as a deterministic discrete-event simulation under
-/// `model` and returns what its logical threads counted and what its
-/// simulated lock reports. `lock` supplies metadata only and is never
-/// locked.
+/// Runs `program` against `subject` as a deterministic discrete-event
+/// simulation and returns what its logical threads counted and what the
+/// simulated lock side reports. A lock supplies metadata only and is
+/// never locked; its critical section is priced under `model`. A service
+/// runs its own ops at its own prices, one admission unit per shard.
 pub(crate) fn simulate(
     kind: AnyLockKind,
-    lock: &dyn BenchRwLock,
+    subject: &Subject,
+    topo: &Arc<Topology>,
     program: &Program<'_>,
     model: CostModel,
 ) -> (Counts, LockReport) {
     let cfg = program.cfg;
+    let (lock, service) = match subject {
+        Subject::Lock(lock) => (Arc::clone(lock), None),
+        // The service builds its own locks; this one answers whether the
+        // kind's reads are shared.
+        Subject::Service(service) => (kind.make(topo, cfg.policy), Some(&**service)),
+    };
     // The simulation owns this OS thread's vclock and directory stats for
     // the duration; save and restore around it so callers (tests,
     // back-to-back runs) see their own clock untouched.
@@ -640,18 +671,29 @@ pub(crate) fn simulate(
         client: Client::new(program, i),
         clock: 0,
         ticks: 0,
+        key: 0,
         waiting: None,
         live_abort: 0,
     }));
-    let class = kind.modelled_admission(cfg.policy);
+    let (class, mut units) = (
+        kind.modelled_admission(cfg.policy),
+        take(&mut scratch.units),
+    );
+    let fresh = || Admission::new(class, cfg.clusters, Vec::new(), Vec::new());
+    units.resize_with(service.map_or(1, |service| service.shards()), fresh);
+    for adm in units.iter_mut() {
+        let (waiting, segment) = (take(&mut adm.waiting), take(&mut adm.recip_segment));
+        *adm = Admission::new(class, cfg.clusters, waiting, segment);
+    }
     let mut sim = Sim {
         program,
+        service,
+        stop: AtomicBool::new(false),
         dir: Directory::new(cfg.cs_lines.max(1), model),
         handoff: HandoffChannel::new(model),
         q: &mut scratch.q,
         ths: &mut scratch.ths,
-        holder: None,
-        adm: Admission::new(class, cfg.clusters, scratch.waiting, scratch.recip_segment),
+        units,
         serial_reads: lock.read_is_exclusive(),
         abortable: lock.is_abortable(),
         succ_transitions: 0,
@@ -665,15 +707,21 @@ pub(crate) fn simulate(
     let mut counts = Counts::new(cfg.threads, take_thread_stats().remote_misses);
     vclock::set(saved_clock);
 
-    // The simulated tenure book reports as the lock's would (every tenure
-    // has ended by now); FIFO and reciprocating kinds keep none, mirroring
-    // `cohort_stats() == None`. The fast-path word and the GCR admission
-    // layer are not part of the modelled mechanism abstraction (see module
-    // docs), so those counters stay 0.
+    // The simulated tenure books report as the locks' would (every tenure
+    // has ended by now), merged over units; FIFO and reciprocating kinds
+    // keep none, mirroring `cohort_stats() == None`. The fast-path word
+    // and the GCR admission layer are not part of the modelled mechanism
+    // abstraction (see module docs), so those counters stay 0.
     let report = LockReport {
-        cohort: sim.adm.batch.as_ref().map(|b| b.book.snapshot()),
+        cohort: sim
+            .units
+            .iter()
+            .try_fold(CohortStats::default(), |mut all, adm| {
+                all.merge(&adm.batch.as_ref()?.book.snapshot());
+                Some(all)
+            }),
         succ_transitions: sim.succ_transitions,
-        ..LockReport::of(&sim.handoff, lock)
+        ..service.map_or_else(|| LockReport::of(&sim.handoff, &*lock), |s| s.report())
     };
     let mut most_offers = 0;
     for th in sim.ths.iter() {
@@ -681,7 +729,7 @@ pub(crate) fn simulate(
         most_offers = most_offers.max(th.ticks);
     }
     counts.lat(LatReservoir::from_log(sim.lat_log, most_offers));
-    (scratch.waiting, scratch.recip_segment) = (sim.adm.waiting, sim.adm.recip_segment);
+    scratch.units = sim.units;
     scratch.keep(cfg.threads);
     (counts, report)
 }
@@ -690,7 +738,8 @@ pub(crate) fn simulate(
 mod tests {
     use super::*;
     use crate::registry::LockKind;
-    use crate::{run_scenario, LBenchConfig, Scenario};
+    use crate::{run_scenario, KeyDist, KeyedCtx, KeyedOp, KeyedServiceFactory, KeyedSpec};
+    use crate::{BenchRwLock, LBenchConfig, Scenario};
     use cohort::PolicySpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -985,7 +1034,7 @@ mod tests {
                     assert_eq!(q.push(time, ev, tid), seq, "seed {seed}, step {step}");
                     reference.push(Reverse((time, seq, ev as u64, tid)));
                 } else {
-                    let due = matches!(q.future.heap.peek(), Some(Reverse((t, _))) if *t == now);
+                    let due = matches!(q.future.peek(), Some(Reverse((t, _))) if *t == now);
                     lane_behind_due_heap += u32::from(due && !q.lane.is_empty());
                     let expect = reference.pop().map(|Reverse(event)| event);
                     let got = pop(&mut q);
@@ -1168,9 +1217,10 @@ mod tests {
             assert!(r.max_streak <= streak_cap, "{policy}: {}", r.max_streak);
             assert_eq!(r.local_handoffs > 0, streak_cap > 0, "{policy}");
             let (c, scenario) = (cell(policy), modelled());
-            let lock = kind.make(&topo, c.policy);
+            let lock = Subject::Lock(kind.make(&topo, c.policy));
             let program = Program::new(kind, &scenario, &c);
-            let (_, report) = simulate(kind, &*lock, &program, CostModel::disaggregated());
+            let model = CostModel::disaggregated();
+            let (_, report) = simulate(kind, &lock, &topo, &program, model);
             let per_cluster = report.cohort.map(|s| s.per_cluster.len());
             assert_eq!(per_cluster, Some(3), "{policy}: one entry per cluster");
         }
@@ -1220,13 +1270,77 @@ mod tests {
         assert_eq!(block.aborts, 0);
     }
 
+    /// A keyed service of one lock of the swept kind, one handoff channel
+    /// and one directory line per shard: the KV store's shape without the
+    /// store. Keys route to shard `key % shards`.
+    struct Striped(Vec<(Arc<dyn BenchRwLock>, HandoffChannel, Directory)>);
+
+    impl KeyedService for Striped {
+        fn op(&self, op: &KeyedOp, ctx: &KeyedCtx<'_>, _rng: &mut StdRng) -> bool {
+            let (lock, handoff, dir) = &self.0[self.shard_of(op.key)];
+            if op.is_read && !lock.read_is_exclusive() {
+                lock.acquire_read();
+                dir.read(0, ctx.cluster);
+                lock.release_read();
+            } else {
+                lock.acquire_write();
+                handoff.on_acquire(ctx.cluster);
+                dir.write(0, ctx.cluster);
+                vclock::advance(100);
+                handoff.on_release(ctx.cluster);
+                lock.release_write();
+            }
+            true
+        }
+
+        fn shards(&self) -> usize {
+            self.0.len()
+        }
+
+        fn shard_of(&self, key: u64) -> usize {
+            key as usize % self.0.len()
+        }
+
+        fn report(&self) -> LockReport {
+            let shard = |(lock, handoff, _): &(Arc<dyn BenchRwLock>, _, _)| {
+                LockReport::of(handoff, &**lock)
+            };
+            self.0
+                .iter()
+                .map(shard)
+                .reduce(LockReport::merge)
+                .expect("a shard")
+        }
+    }
+
+    /// Builds a [`Striped`] of this many shards.
+    struct StripedFactory(usize);
+
+    impl KeyedServiceFactory for StripedFactory {
+        fn build(
+            &self,
+            kind: AnyLockKind,
+            topo: &Arc<Topology>,
+            _scenario: &Scenario,
+            cfg: &LBenchConfig,
+        ) -> Arc<dyn KeyedService> {
+            let model = CostModel::disaggregated();
+            let shard = |_| {
+                let lock = kind.make(topo, cfg.policy);
+                (lock, HandoffChannel::new(model), Directory::new(1, model))
+            };
+            Arc::new(Striped((0..self.0).map(shard).collect()))
+        }
+    }
+
     /// The scratch hands memory to the next cell, never state: cells of
-    /// four shapes run back to back on this OS thread — the big one
+    /// five shapes run back to back on this OS thread — the big one
     /// first, so every later cell runs in buffers grown for 4096 threads,
-    /// four clusters and a reciprocating segment — and each must equal
-    /// the same cell on a freshly spawned thread, whose scratch is empty.
-    /// A cell that panics mid-run loses the scratch; the next one must
-    /// not notice.
+    /// four clusters and a reciprocating segment, and the keyed one next,
+    /// so the cells after it run in its eight shards' queues — and each
+    /// must equal the same cell on a freshly spawned thread, whose
+    /// scratch is empty. A cell that panics mid-run loses the scratch;
+    /// the next one must not notice.
     #[test]
     fn scratch_carries_memory_not_state_between_cells() {
         let excl = AnyLockKind::Excl;
@@ -1242,6 +1356,17 @@ mod tests {
                 excl(LockKind::Recip),
                 Scenario::bursty(100_000, 100_000),
                 saturated(4096, 4),
+            ),
+            (
+                AnyLockKind::Rw(crate::registry::RwLockKind::CRwWpBoMcs),
+                Scenario::steady().with_read_pct(50).with_keyed(KeyedSpec {
+                    keyspace: 64,
+                    dist: KeyDist::Uniform,
+                    parse_ns: 1_000,
+                    seed: 7,
+                    factory: Arc::new(StripedFactory(8)),
+                }),
+                saturated(256, 4),
             ),
             (excl(LockKind::Mcs), Scenario::steady(), cfg(3)),
             (

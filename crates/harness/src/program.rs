@@ -15,17 +15,17 @@
 //! * [`step`] is one iteration, [`charge_cs`] the price of one LBench
 //!   critical section.
 //!
-//! Three **executors** run it. Real threads call [`step`] until the stop
-//! flag (`scenario::run_workers`); the keyed modelled run calls the same
-//! [`step`] on one OS thread in `(clock, tid)` order
-//! (`keyed::run_in_clock_order`); the discrete-event simulation
-//! (`modelled.rs`) simulates admission instead of blocking, so it cannot
-//! call a body: it keeps its event handlers and takes its threads, draws
-//! and charges from here. One behaviour differs between them: a real
-//! thread never checks the window before starting an op, a modelled one
-//! retires on `clock >= window`, so a real-thread run completes one more
-//! op per thread — the *boundary op* (`tests/modelled_determinism.rs`
-//! holds single-thread runs of both to each other).
+//! Two **executors** run it. Real threads call [`step`] until the stop
+//! flag (`scenario::run_workers`). The discrete-event simulation
+//! (`modelled.rs`) runs every modelled run, LBench or keyed: it simulates
+//! admission instead of blocking, so it cannot call a body's acquire. It
+//! keeps its event handlers, takes its threads and draws from here, and
+//! runs what an admitted op does — [`charge_cs`], or the service's op.
+//! One behaviour differs between them: a real thread never checks the
+//! window before starting an op, a modelled one retires on
+//! `clock >= window`, so a real-thread run completes one more op per
+//! thread — the *boundary op* (`tests/modelled_determinism.rs` holds
+//! single-thread runs of both to each other).
 
 use crate::keyed::{KeyDist, KeyedOp};
 use crate::pace::{kappa_for, spin_wall};
@@ -147,11 +147,17 @@ impl Client {
         };
         let pct = p.shape.read_pct_at(now, p.scenario.read_pct);
         let is_read = p.draws_coin && self.rng.gen_range(0u32..100) < pct;
-        Draw::Op(KeyedOp {
+        Draw::Op(self.op(key, is_read))
+    }
+
+    /// This thread's next op on `key`, stamped with the ops it completed.
+    #[inline]
+    pub(crate) fn op(&self, key: u64, is_read: bool) -> KeyedOp {
+        KeyedOp {
             key,
             is_read,
             stamp: self.reads + self.writes,
-        })
+        }
     }
 
     /// Draws the non-critical section that follows a completed LBench op
@@ -187,8 +193,7 @@ pub(crate) fn charge_cs(dir: &Directory, cfg: &LBenchConfig, is_read: bool, clus
     vclock::advance(cfg.cs_extra_ns);
 }
 
-/// What the OS thread executing [`step`]s owns: one per real worker, one
-/// for a whole sequential modelled run.
+/// What a real worker executing [`step`]s owns.
 pub(crate) struct Exec<'a> {
     /// The run's shared stop flag, raised by whoever crosses the window.
     pub(crate) stop: &'a AtomicBool,

@@ -36,6 +36,7 @@
 
 use crate::bench_rwlock::BenchRwLock;
 use crate::keyed::{KeyedOp, KeyedService};
+use crate::modelled::simulate;
 use crate::pace::spin_wall;
 use crate::program::{charge_cs, step, Body, Client, Exec, Program};
 use crate::registry::AnyLockKind;
@@ -123,21 +124,15 @@ impl Default for LBenchConfig {
 /// in real time (with virtual-clock charging), or against the
 /// deterministic coherence simulator.
 ///
-/// `RealTime` is the engine's historical behaviour, untouched: real
-/// threads run the real lock algorithms and the cost model only *prices*
-/// their decisions, so multi-thread results are statistically stable but
-/// never bit-reproducible (the stop flag races real scheduling).
-///
-/// `Modelled` replaces the execution substrate: the run becomes a
-/// single-threaded discrete-event simulation in which every lock
-/// acquisition, release, and critical-section data access is charged
-/// through [`coherence_sim::Directory`] + [`coherence_sim::HandoffChannel`]
-/// against per-thread virtual clocks, the admission order is derived
-/// from the lock kind's *mechanism* (FIFO for queue locks,
-/// policy-bounded cluster batching for the cohort family), and nothing
-/// reads the wall clock — so two runs of the same cell produce
-/// **bit-identical** [`ScenarioResult`]s. See `docs/ARCHITECTURE.md`,
-/// "Modelled coherence mode", for the determinism contract.
+/// `RealTime` runs the real lock algorithms on real threads, and the
+/// cost model only *prices* their decisions: multi-thread results are
+/// statistically stable but never bit-reproducible (the stop flag races
+/// real scheduling). `Modelled` runs every scenario, keyed or not, as a
+/// single-threaded discrete-event simulation that admits each lock's or
+/// shard's waiters in the order of the kind's *mechanism* and never reads
+/// the wall clock, so two runs of one cell produce **bit-identical**
+/// [`ScenarioResult`]s. See `docs/ARCHITECTURE.md`, "Modelled coherence
+/// mode", for the determinism contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CostMode {
     /// Real threads, real lock algorithms, modelled prices (default).
@@ -355,9 +350,21 @@ impl Scenario {
     /// Panics on a scenario or cell no run can honour. The constructors
     /// validate too; this guards hand-built values — an over-100 phase
     /// would silently become all-reads, an empty on-window a zero-op run.
+    /// A keyed scenario takes neither patience nor asymmetry: no service
+    /// aborts an op, and a keyed body draws no idle to scale.
     fn validate(&self, cfg: &LBenchConfig) {
         assert!(cfg.threads >= 1);
         assert!(self.read_pct <= 100, "read_pct is a percentage");
+        if self.keyed.is_some() {
+            assert!(
+                self.patience_ns.is_none(),
+                "a keyed scenario cannot abort on patience"
+            );
+            assert!(
+                self.asymmetry == 0.0,
+                "a keyed scenario draws no idle to skew"
+            );
+        }
         match &self.shape {
             LoadShape::Phased { phases } => assert!(
                 phases.iter().all(|p| p.read_pct <= 100),
@@ -468,7 +475,7 @@ pub struct ScenarioResult {
     /// FIFO/centralized mechanisms, `1 + same-cluster waiters` for
     /// cluster-batched kinds, at most `2` for the reciprocating
     /// schedule. Booked only by the modelled runner (see the
-    /// `modelled` module docs); 0 in real-time and keyed results.
+    /// `modelled` module docs); 0 in real-time results.
     pub succ_transitions: u64,
     /// Power-of-two histogram of same-cluster batch lengths.
     pub batch_hist: Vec<u64>,
@@ -617,8 +624,7 @@ const LAT_RESERVOIR: usize = 32 * 1024;
 /// every `stride`-th sample, decimating once full. The real-time engine
 /// pre-sizes the `Vec` from the scenario's op budget
 /// ([`for_config`](Self::for_config)) so steady-state measurement never
-/// reallocates; the keyed modelled loop starts it empty
-/// ([`lazy`](Self::lazy)); the DES keeps one log for all its threads
+/// reallocates; the DES keeps one log for all its threads
 /// ([`from_log`](Self::from_log)).
 pub(crate) struct LatReservoir {
     samples: Vec<u64>,
@@ -637,19 +643,6 @@ impl LatReservoir {
         let budget = (cfg.window_ns / per_op_floor_ns) as usize;
         LatReservoir {
             samples: Vec::with_capacity(budget.clamp(1, LAT_RESERVOIR)),
-            stride: 1,
-            ticks: 0,
-        }
-    }
-
-    /// Starts empty and grows on demand — for `keyed::run_in_clock_order`,
-    /// where a reallocation costs host time only (nothing modelled reads
-    /// the wall clock) while `for_config`'s reservation is up to 256 KiB
-    /// per cell, past the allocator's mmap threshold. Same stride,
-    /// decimation and merge rules, so percentiles are unaffected.
-    pub(crate) fn lazy() -> Self {
-        LatReservoir {
-            samples: Vec::new(),
             stride: 1,
             ticks: 0,
         }
@@ -718,7 +711,7 @@ impl LatReservoir {
 /// distribution in the run percentiles. Aligning every thread to the
 /// maximum stride first (strides are powers of two, so each set is
 /// re-decimated by an integer step) keeps the pool a uniform subsample
-/// of the whole run's acquisition stream. A sequential run's single part
+/// of the whole run's acquisition stream. A simulated run's single part
 /// is its own merge and is moved, not copied.
 fn merge_lat_reservoirs(mut parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
     if parts.len() == 1 {
@@ -787,7 +780,7 @@ impl Counts {
     }
 
     /// Adds a reservoir an executor filled: one per thread, or one for a
-    /// whole sequential run.
+    /// whole simulated run.
     pub(crate) fn lat(&mut self, lat: LatReservoir) {
         self.lat_parts.push(lat.into_parts());
     }
@@ -1065,7 +1058,7 @@ impl Body for CriticalSection<'_> {
 
 /// What a run measures: one lock under the LBench critical section, or a
 /// keyed service that owns its locks.
-enum Subject {
+pub(crate) enum Subject {
     Lock(Arc<dyn BenchRwLock>),
     Service(Arc<dyn KeyedService>),
 }
@@ -1105,7 +1098,7 @@ pub fn run_scenario_on(
 fn measure(
     kind: AnyLockKind,
     subject: Subject,
-    topo: &Topology,
+    topo: &Arc<Topology>,
     scenario: &Scenario,
     cfg: &LBenchConfig,
 ) -> ScenarioResult {
@@ -1114,9 +1107,7 @@ fn measure(
     let (counts, report) = match (&subject, scenario.cost_mode) {
         // Modelled mode swaps the execution substrate entirely: no
         // threads, no stop-flag race, no wall clock.
-        (Subject::Lock(lock), CostMode::Modelled(model)) => {
-            crate::modelled::simulate(kind, &**lock, &program, model)
-        }
+        (subject, CostMode::Modelled(model)) => simulate(kind, subject, topo, &program, model),
         (Subject::Lock(lock), CostMode::RealTime) => {
             let body = CriticalSection {
                 lock: &**lock,
@@ -1127,10 +1118,6 @@ fn measure(
             let counts = run_workers(topo, &program, &body);
             (counts, LockReport::of(&body.handoff, body.lock))
         }
-        (Subject::Service(service), CostMode::Modelled(_)) => (
-            crate::keyed::run_in_clock_order(&program, &**service),
-            service.report(),
-        ),
         (Subject::Service(service), CostMode::RealTime) => {
             (run_workers(topo, &program, &**service), service.report())
         }
@@ -1267,9 +1254,18 @@ mod tests {
         assert_eq!(percentile(&[1, 2, 3, 4], 99.0), 4);
     }
 
+    /// A reservoir that starts empty and grows on demand.
+    fn empty_reservoir() -> LatReservoir {
+        LatReservoir {
+            samples: Vec::new(),
+            stride: 1,
+            ticks: 0,
+        }
+    }
+
     #[test]
     fn stride_at_is_the_stride_record_is_in() {
-        let mut r = LatReservoir::lazy();
+        let mut r = empty_reservoir();
         for tick in 0..5 * LAT_RESERVOIR as u64 + 3 {
             r.record(tick);
             assert_eq!(LatReservoir::stride_at(tick), r.stride, "tick {tick}");
@@ -1300,7 +1296,7 @@ mod tests {
                 .map(|_| OFFERS[rng.gen_range(0..OFFERS.len())])
                 .collect();
             let offers = left.clone();
-            let mut reservoirs: Vec<_> = (0..threads).map(|_| LatReservoir::lazy()).collect();
+            let mut reservoirs: Vec<_> = (0..threads).map(|_| empty_reservoir()).collect();
             let mut log = Vec::new();
             let mut log_tids = Vec::new();
             let mut live: Vec<usize> = (0..threads).filter(|&t| left[t] > 0).collect();

@@ -270,6 +270,14 @@ impl KeyedService for KvService {
         true
     }
 
+    fn shards(&self) -> usize {
+        self.store.shard_count()
+    }
+
+    fn shard_of(&self, key: u64) -> usize {
+        self.store.shard_of(key)
+    }
+
     fn report(&self) -> LockReport {
         self.store.report()
     }

@@ -220,3 +220,21 @@ fn keyed_scenario_rejects_an_empty_on_window() {
         off_ns: 1_000,
     });
 }
+
+#[test]
+#[should_panic(expected = "a keyed scenario cannot abort on patience")]
+fn keyed_scenario_refuses_patience() {
+    // No service aborts an op: the patience would be silently ignored.
+    let w = quick(90);
+    let scenario = w.scenario().with_patience(20_000);
+    lbench::run_scenario(LockKind::Mcs.into(), &scenario, &w.lbench_config());
+}
+
+#[test]
+#[should_panic(expected = "a keyed scenario draws no idle to skew")]
+fn keyed_scenario_refuses_asymmetry() {
+    // A keyed body draws no idle, so the skew would be silently ignored.
+    let w = quick(90);
+    let scenario = w.scenario().with_asymmetry(4.0);
+    lbench::run_scenario(LockKind::Mcs.into(), &scenario, &w.lbench_config());
+}

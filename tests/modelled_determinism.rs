@@ -115,6 +115,44 @@ fn determinism_holds_across_thread_counts() {
         per_count_ops.len() > 1,
         "thread counts should produce distinct measurements: {per_count_ops:?}"
     );
+
+    // The keyed cell at 64 clients: each shard's cache lock admits its
+    // ops in the kind's order, so C-BO-MCS batches them by cluster and
+    // MCS does not, and the tenure books count exactly the ops that took
+    // the exclusive side — every op on the mutex, the sets on C-RW.
+    let kv = |shards| KvWorkload {
+        threads: 64,
+        shards,
+        window_ns: 2_000_000,
+        ..Default::default()
+    };
+    let keyed = |kind: AnyLockKind, w: &KvWorkload| {
+        let r = run_scenario(kind, &w.scenario().modelled(w.cost), &w.lbench_config());
+        let again = run_scenario(kind, &w.scenario().modelled(w.cost), &w.lbench_config());
+        assert_eq!(
+            r.first_divergence(&again),
+            None,
+            "[kv {kind}] diverged on re-run"
+        );
+        r
+    };
+    let mcs = keyed(LockKind::Mcs.into(), &kv(1));
+    let cbomcs = keyed(LockKind::CBoMcs.into(), &kv(1));
+    // `first_divergence` names `kind` first whatever the lock decided, so
+    // the measured fields speak: FIFO migrates on nearly every handoff,
+    // batching once per tenure, and completes more ops for it.
+    assert!(cbomcs.total_ops > mcs.total_ops, "the lock decided nothing");
+    assert!(mcs.migrations * 2 > mcs.acquisitions, "{mcs:?}");
+    assert!(cbomcs.migrations * 32 < cbomcs.acquisitions, "{cbomcs:?}");
+    assert!(
+        cbomcs.local_handoffs > 0 && cbomcs.max_streak <= 64,
+        "{cbomcs:?}"
+    );
+    assert_eq!(cbomcs.tenures + cbomcs.local_handoffs, cbomcs.acquisitions);
+    assert_eq!(cbomcs.acquisitions, cbomcs.total_ops);
+    let crw = keyed(RwLockKind::CRwWpBoMcs.into(), &kv(4));
+    assert_eq!(crw.tenures + crw.local_handoffs, crw.acquisitions);
+    assert_eq!(crw.acquisitions, crw.write_ops);
 }
 
 /// The simulated numbers of the 4096-thread / 4-cluster / 1 ms /
