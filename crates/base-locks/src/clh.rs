@@ -12,13 +12,16 @@
 //! it), and its own node is recycled by whichever thread next observes it
 //! released. The node resident at the tail of an idle lock goes back to
 //! the pool when the lock is dropped.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::backoff::{SpinWait, Wait};
+use crate::link::Link;
 use crate::pool;
 use crate::raw::RawLock;
 use crossbeam_utils::CachePadded;
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+const RESIDENT: &str = "a CLH queue always holds a node";
 
 /// One CLH queue entry: just the "I hold or want the lock" flag.
 #[derive(Debug)]
@@ -38,11 +41,11 @@ crate::pooled_node!(ClhNode, ClhNode::new);
 
 /// Acquisition token: the node this thread published to the queue.
 #[derive(Debug)]
-pub struct ClhToken(NonNull<ClhNode>);
+pub struct ClhToken(&'static ClhNode);
 
 /// CLH queue lock.
 pub struct ClhLock {
-    tail: CachePadded<AtomicPtr<ClhNode>>,
+    tail: CachePadded<Link<ClhNode>>,
 }
 
 impl ClhLock {
@@ -50,10 +53,9 @@ impl ClhLock {
     /// dummy node, per the classic construction).
     pub fn new() -> Self {
         let dummy = pool::acquire::<ClhNode>();
-        // SAFETY: fresh node, unpublished.
-        unsafe { dummy.as_ref().pending.store(false, Ordering::Relaxed) };
+        dummy.pending.store(false, Ordering::Relaxed);
         ClhLock {
-            tail: CachePadded::new(AtomicPtr::new(dummy.as_ptr())),
+            tail: CachePadded::new(Link::new(Some(dummy))),
         }
     }
 }
@@ -62,7 +64,7 @@ impl Drop for ClhLock {
     /// Hands the resident tail node back: nodes are immortal, so a lock
     /// that kept its node would leak one per lock ever constructed.
     fn drop(&mut self) {
-        if let Some(tail) = NonNull::new(*self.tail.get_mut()) {
+        if let Some(tail) = self.tail.get_mut() {
             // SAFETY: `&mut self` — no queue, no waiter; the last holder
             // released through this node and nobody else can reach it.
             unsafe { pool::release(tail) };
@@ -82,41 +84,41 @@ impl std::fmt::Debug for ClhLock {
     }
 }
 
+// SAFETY: a thread enters only once the node it swapped out of the tail
+// reads released, and each node is released once, by its holder's
+// `unlock` (`Release`, read with `Acquire`), to its one successor.
 unsafe impl RawLock for ClhLock {
     type Token = ClhToken;
 
     fn lock(&self) -> ClhToken {
         let node = pool::acquire::<ClhNode>();
-        // SAFETY: node is ours until published by the swap below.
-        unsafe { node.as_ref().pending.store(true, Ordering::Relaxed) };
-        let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        debug_assert!(!pred.is_null(), "CLH tail always points at a node");
+        node.pending.store(true, Ordering::Relaxed);
+        let pred = self
+            .tail
+            .swap(Some(node), Ordering::AcqRel)
+            .expect(RESIDENT);
         let mut wait = SpinWait::new();
-        // SAFETY: pred remains valid until we recycle it — only the direct
-        // successor (us) may do that.
-        while unsafe { (*pred).pending.load(Ordering::Acquire) } {
+        while pred.pending.load(Ordering::Acquire) {
             wait.snooze();
         }
-        // Predecessor released and nobody else references its node: it
-        // becomes our spare.
-        unsafe { pool::release(NonNull::new_unchecked(pred)) };
+        // SAFETY: pred is released and we are its only successor, so
+        // nobody else references it: it becomes our spare.
+        unsafe { pool::release(pred) };
         ClhToken(node)
     }
 
     fn try_lock(&self) -> Option<ClhToken> {
-        let t = self.tail.load(Ordering::Acquire);
-        // SAFETY: nodes are never deallocated and never change type, so
-        // the read below finds a live `ClhNode` even if `t` was recycled
-        // (into this queue or another lock's) since the load above.
-        if unsafe { (*t).pending.load(Ordering::Acquire) } {
+        // The read below finds a live `ClhNode` even if `t` was recycled
+        // (into this queue or another lock's) since this load.
+        let t = self.tail.load(Ordering::Acquire).expect(RESIDENT);
+        if t.pending.load(Ordering::Acquire) {
             return None;
         }
         let node = pool::acquire::<ClhNode>();
-        // SAFETY: ours until the CAS below publishes it.
-        unsafe { node.as_ref().pending.store(true, Ordering::Relaxed) };
+        node.pending.store(true, Ordering::Relaxed);
         match self
             .tail
-            .compare_exchange(t, node.as_ptr(), Ordering::AcqRel, Ordering::Relaxed)
+            .compare_exchange(Some(t), Some(node), Ordering::AcqRel, Ordering::Relaxed)
         {
             Ok(_) => {
                 // We are now `t`'s unique successor. In the common case we
@@ -128,10 +130,11 @@ unsafe impl RawLock for ClhLock {
                 // so wait it out. The window requires a full
                 // grant/recycle/re-enqueue cycle inside two instructions,
                 // and correctness (not latency) is preserved either way.
-                while unsafe { (*t).pending.load(Ordering::Acquire) } {
+                while t.pending.load(Ordering::Acquire) {
                     std::thread::yield_now();
                 }
-                unsafe { pool::release(NonNull::new_unchecked(t)) };
+                // SAFETY: as in `lock`: `t` is released and ours alone.
+                unsafe { pool::release(t) };
                 Some(ClhToken(node))
             }
             Err(_) => {
@@ -144,7 +147,7 @@ unsafe impl RawLock for ClhLock {
 
     unsafe fn unlock(&self, token: ClhToken) {
         // Our node is recycled later by our successor (or a try_lock).
-        token.0.as_ref().pending.store(false, Ordering::Release);
+        token.0.pending.store(false, Ordering::Release);
     }
 }
 

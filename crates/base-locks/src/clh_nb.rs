@@ -11,19 +11,19 @@
 //!
 //! * [`WAITING`] — owner of this node holds or still wants the lock;
 //! * [`AVAILABLE`] — owner released the lock through this node;
-//! * any other value — owner aborted; the value is the address of its
-//!   predecessor at abort time.
+//! * a node — owner aborted; the node is its predecessor at abort time.
 //!
 //! Node reclamation invariant: a node is recycled by **exactly one**
 //! thread — its direct successor at the moment it becomes `AVAILABLE` or
 //! aborted (or a later `lock` arrival when it sat at the tail).
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::backoff::{SpinWait, Wait};
+use crate::link::{Link, Word};
 use crate::pool;
 use crate::raw::{Patience, RawAbortableLock, RawLock};
 use crossbeam_utils::CachePadded;
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 /// `prev` value: still waiting / holding.
 const WAITING: usize = 0;
@@ -33,15 +33,15 @@ const AVAILABLE: usize = 1;
 /// One queue entry of the abortable CLH lock.
 #[derive(Debug)]
 pub struct ClhNbNode {
-    /// Tri-state described at module level. Pointers are ≥8-aligned so the
-    /// sentinels 0/1 never collide with a real address.
-    prev: AtomicUsize,
+    /// Tri-state described at module level: a tag below the node
+    /// alignment, or the aborter's predecessor.
+    prev: Link<ClhNbNode>,
 }
 
 impl ClhNbNode {
     fn new() -> Self {
         ClhNbNode {
-            prev: AtomicUsize::new(WAITING),
+            prev: Link::new(None),
         }
     }
 }
@@ -50,59 +50,58 @@ crate::pooled_node!(ClhNbNode, ClhNbNode::new);
 
 /// Acquisition token: the node this thread published.
 #[derive(Debug)]
-pub struct ClhNbToken(NonNull<ClhNbNode>);
+pub struct ClhNbToken(&'static ClhNbNode);
 
 /// Scott's abortable (non-blocking-timeout) CLH lock.
 pub struct AbortableClhLock {
-    tail: CachePadded<AtomicPtr<ClhNbNode>>,
+    tail: CachePadded<Link<ClhNbNode>>,
 }
 
 impl AbortableClhLock {
     /// Creates an unlocked instance.
     pub fn new() -> Self {
         let dummy = pool::acquire::<ClhNbNode>();
-        // SAFETY: fresh, unpublished.
-        unsafe { dummy.as_ref().prev.store(AVAILABLE, Ordering::Relaxed) };
+        dummy
+            .prev
+            .store_word(Word::Tag(AVAILABLE), Ordering::Relaxed);
         AbortableClhLock {
-            tail: CachePadded::new(AtomicPtr::new(dummy.as_ptr())),
+            tail: CachePadded::new(Link::new(Some(dummy))),
         }
     }
 
     /// Core wait loop: walk the (possibly aborted) predecessor chain until
     /// an `AVAILABLE` node grants us the lock, or patience runs out.
-    fn wait(&self, node: NonNull<ClhNbNode>, mut patience: Option<Patience>) -> Option<ClhNbToken> {
-        let mut pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        debug_assert!(!pred.is_null());
+    fn wait(&self, mut patience: Option<Patience>) -> Option<ClhNbToken> {
+        let node = pool::acquire::<ClhNbNode>();
+        node.prev.store_word(Word::Tag(WAITING), Ordering::Relaxed);
+        let mut pred = self
+            .tail
+            .swap(Some(node), Ordering::AcqRel)
+            .expect("CLH-NB tail always points at a node");
         let mut spin = SpinWait::new();
         loop {
-            // SAFETY: `pred` is only recycled by its direct successor;
-            // until we either take the lock or abort, that successor is us.
-            let s = unsafe { (*pred).prev.load(Ordering::Acquire) };
+            // `pred` is only recycled by its direct successor; until we
+            // either take the lock or abort, that successor is us.
+            let s = pred.prev.load_word(Ordering::Acquire);
+            if let Word::Tag(WAITING) = s {
+                if patience.as_mut().is_some_and(Patience::expired) {
+                    // Abort: make our predecessor explicit, then never
+                    // touch `node` again — our successor (or a later
+                    // arriver) recycles it.
+                    node.prev.store_word(Word::Node(pred), Ordering::Release);
+                    return None;
+                }
+                spin.snooze();
+                continue;
+            }
+            // SAFETY: pred is released or aborted, and we are its unique
+            // successor: nobody else reads it again.
+            unsafe { pool::release(pred) };
             match s {
-                AVAILABLE => {
-                    // Lock granted: predecessor's node becomes our spare.
-                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
-                    return Some(ClhNbToken(node));
-                }
-                WAITING => {
-                    if let Some(p) = patience.as_mut() {
-                        if p.expired() {
-                            // Abort: make our predecessor explicit, then
-                            // never touch `node` again — our successor (or
-                            // a later arriver) recycles it.
-                            unsafe { node.as_ref().prev.store(pred as usize, Ordering::Release) };
-                            return None;
-                        }
-                    }
-                    spin.snooze();
-                }
-                abandoned => {
-                    // Predecessor aborted; bypass it and adopt its
-                    // predecessor. We are its unique successor → recycle.
-                    let pp = abandoned as *mut ClhNbNode;
-                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
-                    pred = pp;
-                }
+                // Predecessor aborted: adopt its predecessor.
+                Word::Node(pp) => pred = pp,
+                // AVAILABLE: the lock is ours.
+                Word::Tag(_) => return Some(ClhNbToken(node)),
             }
         }
     }
@@ -113,15 +112,12 @@ impl Drop for AbortableClhLock {
     /// node the last holder released through, preceded by the nodes of
     /// waiters that aborted behind it and that no successor ever bypassed.
     fn drop(&mut self) {
-        let mut node = *self.tail.get_mut();
-        while let Some(n) = NonNull::new(node) {
+        let mut node = self.tail.get_mut();
+        while let Some(n) = node {
+            node = n.prev.load(Ordering::Relaxed);
             // SAFETY: `&mut self` — no holder, no waiter: every node still
             // reachable from the tail is quiescent, and each is reachable
             // through exactly one `prev` link, so it is released once.
-            node = match unsafe { n.as_ref().prev.load(Ordering::Relaxed) } {
-                WAITING | AVAILABLE => std::ptr::null_mut(),
-                pred => pred as *mut ClhNbNode,
-            };
             unsafe { pool::release(n) };
         }
     }
@@ -139,14 +135,15 @@ impl std::fmt::Debug for AbortableClhLock {
     }
 }
 
+// SAFETY: a thread enters only once its (possibly bypassed-to)
+// predecessor reads AVAILABLE, which each holder writes once, in
+// `unlock` (`Release`, read with `Acquire`); an aborted node is never
+// AVAILABLE, so its successor walks past it to the real holder.
 unsafe impl RawLock for AbortableClhLock {
     type Token = ClhNbToken;
 
     fn lock(&self) -> ClhNbToken {
-        let node = pool::acquire::<ClhNbNode>();
-        unsafe { node.as_ref().prev.store(WAITING, Ordering::Relaxed) };
-        self.wait(node, None)
-            .expect("infinite patience cannot abort")
+        self.wait(None).expect("infinite patience cannot abort")
     }
 
     fn try_lock(&self) -> Option<ClhNbToken> {
@@ -158,15 +155,18 @@ unsafe impl RawLock for AbortableClhLock {
     }
 
     unsafe fn unlock(&self, token: ClhNbToken) {
-        token.0.as_ref().prev.store(AVAILABLE, Ordering::Release);
+        token
+            .0
+            .prev
+            .store_word(Word::Tag(AVAILABLE), Ordering::Release);
     }
 }
 
+// SAFETY: an abort publishes the aborter's predecessor in its own node
+// and leaves the queue walkable, so it never strands the lock.
 unsafe impl RawAbortableLock for AbortableClhLock {
     fn lock_with_patience(&self, patience_ns: u64) -> Option<ClhNbToken> {
-        let node = pool::acquire::<ClhNbNode>();
-        unsafe { node.as_ref().prev.store(WAITING, Ordering::Relaxed) };
-        self.wait(node, Some(Patience::new(patience_ns)))
+        self.wait(Some(Patience::new(patience_ns)))
     }
 }
 
@@ -176,6 +176,23 @@ mod tests {
     use crate::test_util::mutual_exclusion_stress;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
+
+    #[test]
+    fn prev_word_decodes_its_sentinels_as_tags_and_a_node_as_itself() {
+        let (node, pred) = (pool::acquire::<ClhNbNode>(), pool::acquire::<ClhNbNode>());
+        for tag in [WAITING, AVAILABLE] {
+            node.prev.store_word(Word::Tag(tag), Ordering::Relaxed);
+            assert!(matches!(node.prev.load_word(Ordering::Relaxed), Word::Tag(t) if t == tag));
+        }
+        node.prev.store_word(Word::Node(pred), Ordering::Relaxed);
+        let seen = node.prev.load(Ordering::Relaxed);
+        assert!(seen.is_some_and(|n| std::ptr::eq(n, pred)));
+        // SAFETY: neither node was published to a lock.
+        unsafe {
+            pool::release(node);
+            pool::release(pred);
+        }
+    }
 
     #[test]
     fn mutual_exclusion() {

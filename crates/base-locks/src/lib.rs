@@ -30,19 +30,19 @@
 //!   CPU, where a non-yielding spin lock would live-lock the suite.
 //! * **Queue-node memory.** MCS/CLH family locks take their queue nodes
 //!   from per-thread caches ([`pool`]), one per node type, as §3.4 of the
-//!   paper does for its thread-oblivious global MCS lock: an acquire pops
-//!   the calling thread's cache, a release pushes onto the releasing
-//!   thread's, and neither executes an atomic instruction. Nodes are
-//!   immortal, type-stable and alone in a 128-byte block; a lock owns no
-//!   node memory, and one that keeps a resident dummy node (the CLH
-//!   family) hands it back when dropped. A cold per-type overflow list
-//!   balances threads that release more than they acquire.
+//!   paper does for its thread-oblivious global MCS lock. Nodes are
+//!   immortal, so a node is a `&'static` reference, and nodes point at
+//!   one another through [`link::Link`]: a lock dereferences no raw
+//!   pointer, and its `unsafe` is its trait impl, its `unlock` and its
+//!   [`pool::release`] calls.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 pub mod backoff;
 mod clh;
 mod clh_nb;
+pub mod link;
 mod mcs;
 mod mutex;
 pub mod pool;

@@ -13,21 +13,22 @@
 //!   so does this implementation: `lock` takes a node from the calling
 //!   thread's [`pool`](crate::pool) cache and `unlock` returns it to the
 //!   cache of whichever thread releases, so the token (and therefore the
-//!   release capability) can cross threads. Nodes are immortal, so a
-//!   waiter's `pred` and a releaser's `next` never dangle.
+//!   release capability) can cross threads. Nodes are immortal `&'static`
+//!   references, so a waiter's `pred` and a releaser's `next` never
+//!   dangle.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::backoff::{SpinWait, Wait};
+use crate::link::Link;
 use crate::pool;
 use crate::raw::RawLock;
 use crossbeam_utils::CachePadded;
-use std::ptr;
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One queue entry. Pool-owned; never on a thread's stack.
 #[derive(Debug)]
 pub struct McsNode {
-    next: AtomicPtr<McsNode>,
+    next: Link<McsNode>,
     locked: AtomicBool,
 }
 
@@ -36,7 +37,7 @@ crate::pooled_node!(McsNode, McsNode::new);
 impl McsNode {
     fn new() -> Self {
         McsNode {
-            next: AtomicPtr::new(ptr::null_mut()),
+            next: Link::new(None),
             locked: AtomicBool::new(false),
         }
     }
@@ -47,28 +48,24 @@ impl McsNode {
 /// `Send` so the matching `unlock` may run on another thread — the
 /// thread-obliviousness the global lock of C-MCS-MCS needs.
 #[derive(Debug)]
-pub struct McsToken(NonNull<McsNode>);
-
-// SAFETY: the node is pool-owned and only manipulated through atomics;
-// the token is a unique capability to release it.
-unsafe impl Send for McsToken {}
+pub struct McsToken(&'static McsNode);
 
 /// MCS queue lock.
 pub struct McsLock {
-    tail: CachePadded<AtomicPtr<McsNode>>,
+    tail: CachePadded<Link<McsNode>>,
 }
 
 impl McsLock {
     /// Creates an unlocked instance.
     pub fn new() -> Self {
         McsLock {
-            tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
+            tail: CachePadded::new(Link::new(None)),
         }
     }
 
     /// True if held or contended (racy snapshot; for monitoring only).
     pub fn has_waiters_or_holder(&self) -> bool {
-        !self.tail.load(Ordering::Relaxed).is_null()
+        self.tail.load(Ordering::Relaxed).is_some()
     }
 }
 
@@ -86,23 +83,22 @@ impl std::fmt::Debug for McsLock {
     }
 }
 
+// SAFETY: a thread enters only by swapping into an empty tail or once
+// its predecessor clears its `locked` flag, which each holder does for
+// one successor, once, in `unlock` (`Release`, read with `Acquire`).
 unsafe impl RawLock for McsLock {
     type Token = McsToken;
 
     fn lock(&self) -> McsToken {
         let node = pool::acquire::<McsNode>();
-        // SAFETY: freshly acquired node, not yet published.
-        unsafe {
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-            node.as_ref().locked.store(true, Ordering::Relaxed);
-        }
-        let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        if !pred.is_null() {
-            // SAFETY: pred stays valid until *we* are granted the lock —
-            // its owner cannot complete `unlock` before writing our flag.
-            unsafe { (*pred).next.store(node.as_ptr(), Ordering::Release) };
+        node.next.store(None, Ordering::Relaxed);
+        node.locked.store(true, Ordering::Relaxed);
+        if let Some(pred) = self.tail.swap(Some(node), Ordering::AcqRel) {
+            // pred's owner cannot complete `unlock` before writing our
+            // flag, so it does not recycle pred before this link lands.
+            pred.next.store(Some(node), Ordering::Release);
             let mut wait = SpinWait::new();
-            while unsafe { node.as_ref().locked.load(Ordering::Acquire) } {
+            while node.locked.load(Ordering::Acquire) {
                 wait.snooze();
             }
         }
@@ -112,21 +108,16 @@ unsafe impl RawLock for McsLock {
     fn try_lock(&self) -> Option<McsToken> {
         // Look before taking: a visibly non-empty queue costs one shared
         // read — no node, no read-for-ownership of the tail line.
-        if !self.tail.load(Ordering::Relaxed).is_null() {
+        if self.tail.load(Ordering::Relaxed).is_some() {
             return None;
         }
         let node = pool::acquire::<McsNode>();
-        // SAFETY: freshly acquired node, not yet published.
-        unsafe {
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-            node.as_ref().locked.store(true, Ordering::Relaxed);
-        }
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
+        node.next.store(None, Ordering::Relaxed);
+        node.locked.store(true, Ordering::Relaxed);
+        match self
+            .tail
+            .compare_exchange(None, Some(node), Ordering::AcqRel, Ordering::Relaxed)
+        {
             Ok(_) => Some(McsToken(node)),
             Err(_) => {
                 // SAFETY: never published.
@@ -138,38 +129,27 @@ unsafe impl RawLock for McsLock {
 
     unsafe fn unlock(&self, token: McsToken) {
         let node = token.0;
-        let mut next = node.as_ref().next.load(Ordering::Acquire);
-        if next.is_null() {
-            // No known successor: try to swing tail back to empty.
-            if self
+        // No known successor: try to swing tail back to empty. If a
+        // successor swapped tail but has not linked yet, wait for its link,
+        // yielding once the spin budget is spent — on a shared CPU the
+        // successor was preempted between its swap and its link.
+        let next = node.next.load(Ordering::Acquire).or_else(|| {
+            match self
                 .tail
-                .compare_exchange(
-                    node.as_ptr(),
-                    ptr::null_mut(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
+                .compare_exchange(Some(node), None, Ordering::AcqRel, Ordering::Relaxed)
             {
-                pool::release(node);
-                return;
+                Ok(_) => None,
+                Err(_) => Some(node.next.wait_for_node(Ordering::Acquire)),
             }
-            // A successor swapped tail but has not linked yet: wait for
-            // it, yielding once the spin budget is spent — on a shared CPU
-            // the successor was preempted between its swap and its link.
-            let mut wait = SpinWait::new();
-            loop {
-                next = node.as_ref().next.load(Ordering::Acquire);
-                if !next.is_null() {
-                    break;
-                }
-                wait.snooze();
-            }
+        });
+        if let Some(next) = next {
+            next.locked.store(false, Ordering::Release);
         }
-        (*next).locked.store(false, Ordering::Release);
-        // Our node is quiescent: the successor linked to it already and
-        // spins on its own node from here on.
-        pool::release(node);
+        // SAFETY: the token is this lock's holder's (the `unlock`
+        // contract), and its node is quiescent: the queue no longer ends at
+        // it, and a successor linked to it already and spins on its own
+        // node from here on.
+        unsafe { pool::release(node) };
     }
 }
 

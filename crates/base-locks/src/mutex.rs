@@ -25,8 +25,9 @@ pub struct SpinMutex<T: ?Sized, L: RawLock> {
     data: UnsafeCell<T>,
 }
 
-// SAFETY: standard mutex reasoning — the lock serializes access to `data`.
-unsafe impl<T: ?Sized + Send, L: RawLock> Send for SpinMutex<T, L> {}
+// SAFETY: standard mutex reasoning — the lock serializes access to `data`,
+// so shared threads reach it one at a time, and `T: Send` lets each take
+// it over. (`Send` needs no impl: every field is `Send` when `T` is.)
 unsafe impl<T: ?Sized + Send, L: RawLock> Sync for SpinMutex<T, L> {}
 
 impl<T, L: RawLock + Default> SpinMutex<T, L> {

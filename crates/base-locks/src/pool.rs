@@ -14,9 +14,12 @@
 //!   instruction, no line another thread writes. A lock/unlock pair on a thread takes
 //!   out and puts back the same node.
 //! * Nodes are **immortal and type-stable**: allocated once, never
-//!   returned to the allocator, never reused as another type. A stale
-//!   pointer to a recycled node (`ClhLock::try_lock` reads one) always
-//!   points at a live node of the same type.
+//!   returned to the allocator, never reused as another type. So a node
+//!   is a `&'static T`: [`acquire`] hands out one, the caches and the
+//!   overflow list hold them, and a lock links them with
+//!   [`Link`](crate::link::Link). A stale reference to a recycled node
+//!   (`ClhLock::try_lock` reads one) is a reference to a live node of the
+//!   same type.
 //! * Each node sits alone in a 128-byte-aligned block (an adjacent cache
 //!   line pair), so one waiter's spin flag never shares a line — or a
 //!   prefetched neighbour line — with another thread's node.
@@ -33,9 +36,9 @@
 //! declares the type's `thread_local!` cache and its overflow list; the
 //! generic functions here reach them through [`PoolNode`], resolved at
 //! compile time.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::cell::Cell;
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::LocalKey;
@@ -48,7 +51,7 @@ pub const CACHE_CAP: usize = 16;
 const BATCH: usize = CACHE_CAP / 2;
 
 /// A node alone in its adjacent-line pair. `repr(C)` puts the node at
-/// offset 0, so a `*mut T` handed out is also the block's address.
+/// offset 0, so a node's address is also its block's.
 #[repr(C, align(128))]
 struct Block<T>(T);
 
@@ -97,7 +100,7 @@ macro_rules! pooled_node {
 /// One thread's free nodes of one type: a fixed-capacity stack.
 pub struct NodeCache<T: PoolNode> {
     /// `slots[..len]` are `Some`.
-    slots: [Cell<Option<NonNull<T>>>; CACHE_CAP],
+    slots: [Cell<Option<&'static T>>; CACHE_CAP],
     len: Cell<usize>,
     /// Nodes this thread had to allocate (see [`fresh_allocations`]).
     fresh: Cell<usize>,
@@ -115,7 +118,7 @@ impl<T: PoolNode> NodeCache<T> {
     }
 
     #[inline]
-    fn take(&self) -> NonNull<T> {
+    fn take(&self) -> &'static T {
         let n = self.len.get();
         match n.checked_sub(1).and_then(|top| self.slots[top].get()) {
             Some(node) => {
@@ -127,7 +130,7 @@ impl<T: PoolNode> NodeCache<T> {
     }
 
     #[inline]
-    fn put(&self, node: NonNull<T>) {
+    fn put(&self, node: &'static T) {
         let mut n = self.len.get();
         if n == CACHE_CAP {
             n = self.spill();
@@ -139,7 +142,7 @@ impl<T: PoolNode> NodeCache<T> {
     /// The cache is empty: take up to `BATCH` nodes from the overflow
     /// list (one to return, the rest cached), or allocate a single node.
     #[cold]
-    fn refill(&self) -> NonNull<T> {
+    fn refill(&self) -> &'static T {
         let mut spare = T::overflow().list();
         let Some(node) = spare.pop() else {
             drop(spare);
@@ -182,17 +185,11 @@ impl<T: PoolNode> Drop for NodeCache<T> {
 
 /// The process-wide list behind the per-thread caches of one node type.
 /// Cold: see the module docs for the four occasions it is visited on.
-pub struct Overflow<T> {
-    spare: Mutex<Vec<NonNull<T>>>,
+pub struct Overflow<T: 'static> {
+    spare: Mutex<Vec<&'static T>>,
     /// Nodes of this type ever allocated (see [`allocated`]).
     allocated: AtomicUsize,
 }
-
-// SAFETY: `spare` holds pointers to quiescent nodes (the `release`
-// contract) that whichever thread pops them then owns exclusively; with
-// `T: Send + Sync` moving that ownership between threads is sound.
-// `allocated` is an atomic.
-unsafe impl<T: Send + Sync> Sync for Overflow<T> {}
 
 impl<T: PoolNode> Overflow<T> {
     /// An empty list; allocates nothing.
@@ -207,14 +204,14 @@ impl<T: PoolNode> Overflow<T> {
     /// A panic cannot leave the `Vec` half-updated (only `push`, `pop` and
     /// `extend` run under the guard), so a poisoned list is still valid —
     /// and `NodeCache::drop` must not panic.
-    fn list(&self) -> MutexGuard<'_, Vec<NonNull<T>>> {
+    fn list(&self) -> MutexGuard<'_, Vec<&'static T>> {
         self.spare.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The only place a node is created; it is never freed.
-    fn allocate(&self) -> NonNull<T> {
+    fn allocate(&self) -> &'static T {
         self.allocated.fetch_add(1, Ordering::Relaxed);
-        NonNull::from(Box::leak(Box::new(Block(T::fresh())))).cast()
+        &Box::leak(Box::new(Block(T::fresh()))).0
     }
 }
 
@@ -224,7 +221,7 @@ impl<T: PoolNode> Overflow<T> {
 /// The node may hold stale field values; re-initialize it before
 /// publishing.
 #[inline]
-pub fn acquire<T: PoolNode>() -> NonNull<T> {
+pub fn acquire<T: PoolNode>() -> &'static T {
     T::cache().try_with(NodeCache::take).unwrap_or_else(|_| {
         // This thread's cache is already destroyed (we are running inside
         // a later TLS destructor): go to the shared list directly.
@@ -238,10 +235,12 @@ pub fn acquire<T: PoolNode>() -> NonNull<T> {
 /// # Safety
 ///
 /// `node` must come from [`acquire`], must not be released twice, and
-/// must be *quiescent*: no other thread may still dereference it — except
-/// for reads that tolerate finding a recycled node of the same type.
+/// must be *quiescent*: no other thread may still use it — except for
+/// reads that tolerate finding a recycled node of the same type. A node
+/// that breaks this goes to two holders at once, which breaks a lock's
+/// exclusion (the node itself stays valid either way).
 #[inline]
-pub unsafe fn release<T: PoolNode>(node: NonNull<T>) {
+pub unsafe fn release<T: PoolNode>(node: &'static T) {
     if T::cache().try_with(|cache| cache.put(node)).is_err() {
         T::overflow().list().push(node);
     }
@@ -268,6 +267,7 @@ pub fn allocated<T: PoolNode>() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ptr;
     use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
 
@@ -295,7 +295,7 @@ mod tests {
         unsafe { release(a) };
         assert_eq!(cached::<N>(), 1);
         let b = acquire::<N>();
-        assert_eq!(a, b, "free node should be recycled");
+        assert!(ptr::eq(a, b), "free node should be recycled");
         unsafe { release(b) };
         for _ in 0..1_000 {
             unsafe { release(acquire::<N>()) };
@@ -308,7 +308,7 @@ mod tests {
         test_node!(N);
         let a = acquire::<N>();
         let b = acquire::<N>();
-        assert_ne!(a, b);
+        assert!(!ptr::eq(a, b));
         assert_eq!(allocated::<N>(), 2);
         unsafe {
             release(a);
@@ -322,8 +322,8 @@ mod tests {
         test_node!(N);
         assert_eq!(std::mem::size_of::<Block<N>>(), 128);
         // One node handed to this thread, one to another.
-        let mine = acquire::<N>().as_ptr() as usize;
-        let theirs = on_new_thread(|| acquire::<N>().as_ptr() as usize);
+        let mine = ptr::from_ref(acquire::<N>()).addr();
+        let theirs = on_new_thread(|| ptr::from_ref(acquire::<N>()).addr());
         for p in [mine, theirs] {
             assert_eq!(p % 128, 0, "node at {p:#x} is not block-aligned");
         }
@@ -349,15 +349,15 @@ mod tests {
         // on one thread and released on another, which never acquires.
         test_node!(N);
         const ROUNDS: usize = 100_000;
-        let (tx, rx) = mpsc::sync_channel::<usize>(2);
+        let (tx, rx) = mpsc::sync_channel::<&'static N>(2);
         let releaser = std::thread::spawn(move || {
-            for p in rx {
-                unsafe { release(NonNull::new(p as *mut N).unwrap()) };
+            for n in rx {
+                unsafe { release(n) };
             }
             fresh_allocations::<N>()
         });
         for _ in 0..ROUNDS {
-            tx.send(acquire::<N>().as_ptr() as usize).unwrap();
+            tx.send(acquire::<N>()).unwrap();
         }
         drop(tx);
         assert_eq!(releaser.join().unwrap(), 0);
@@ -376,7 +376,7 @@ mod tests {
         test_node!(N);
         let first = on_new_thread(|| {
             let held: Vec<_> = (0..3).map(|_| acquire::<N>()).collect();
-            let addrs: Vec<_> = held.iter().map(|n| n.as_ptr() as usize).collect();
+            let addrs: Vec<_> = held.iter().map(|&n| ptr::from_ref(n).addr()).collect();
             for n in held {
                 unsafe { release(n) };
             }
@@ -386,7 +386,7 @@ mod tests {
         assert_eq!(N::overflow().list().len(), 3, "TLS destructor flushed");
         on_new_thread(move || {
             let n = acquire::<N>();
-            assert!(first.contains(&(n.as_ptr() as usize)), "reused a node");
+            assert!(first.contains(&ptr::from_ref(n).addr()), "reused a node");
             assert_eq!(fresh_allocations::<N>(), 0);
             assert_eq!(cached::<N>(), 2, "refill took the rest of the batch");
         });
@@ -436,7 +436,7 @@ mod tests {
                 std::thread::spawn(|| {
                     for _ in 0..1_000 {
                         let n = acquire::<N>();
-                        unsafe { n.as_ref().0.fetch_add(1, Ordering::Relaxed) };
+                        n.0.fetch_add(1, Ordering::Relaxed);
                         unsafe { release(n) };
                     }
                     fresh_allocations::<N>()

@@ -47,6 +47,9 @@ impl TicketLock {
     }
 }
 
+// SAFETY: tickets are unique (`fetch_add`), and only the holder of
+// ticket `grant` runs; `unlock` advances `grant` (`Release`, read with
+// `Acquire`) once per ticket.
 unsafe impl RawLock for TicketLock {
     /// The ticket number; needed by `unlock` to advance `grant`.
     type Token = u64;

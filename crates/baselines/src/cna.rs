@@ -29,38 +29,38 @@
 //! Like the cohort locks, `Unbounded` is deeply unfair here: a sustained
 //! local stream can starve the secondary queue indefinitely. Every
 //! bounded policy re-splices it after finitely many local handoffs.
+#![deny(unsafe_op_in_unsafe_fn)]
 
+use base_locks::link::{Link, Word};
 use base_locks::{pool, RawLock, SpinWait, Wait};
 use cohort::policy::wall_ns;
 use cohort::{CohortStats, Introspect, PolicySpec, Tenures};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, ClusterId, Topology};
-use std::ptr::{self, NonNull};
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// `spin` value of a waiter still spinning.
+/// `spin` tag of a waiter still spinning.
 const SPIN_WAIT: usize = 0;
-/// `spin` value of a holder with an **empty** secondary queue. Any other
-/// value is the (aligned, hence never 0 or 1) pointer to the secondary
-/// queue's head node.
+/// `spin` tag of a holder with an **empty** secondary queue. A holder
+/// with a non-empty one holds its head node instead.
 const SPIN_GRANTED: usize = 1;
 
 /// One CNA queue entry. Pool-owned; never on a thread's stack.
 #[derive(Debug)]
 pub struct CnaNode {
-    next: AtomicPtr<CnaNode>,
-    /// [`SPIN_WAIT`] while queued; [`SPIN_GRANTED`] or a secondary-queue
-    /// head pointer once the lock is granted. The grant store (`Release`)
+    next: Link<CnaNode>,
+    /// [`SPIN_WAIT`] while queued; [`SPIN_GRANTED`] or the secondary-queue
+    /// head node once the lock is granted. The grant store (`Release`)
     /// publishes `streak` and the secondary-queue fields to the new
     /// holder's `Acquire` load.
-    spin: AtomicUsize,
+    spin: Link<CnaNode>,
     /// NUMA cluster of the enqueuing thread, written before the node is
     /// published via the tail swap.
     cluster: AtomicU32,
     /// Tail of the secondary queue; meaningful only while this node is a
     /// secondary-queue head.
-    sec_tail: AtomicPtr<CnaNode>,
+    sec_tail: Link<CnaNode>,
     /// Consecutive deliberate local handoffs inherited with the grant
     /// (0 on a fresh tenure).
     streak: AtomicU64,
@@ -69,12 +69,30 @@ pub struct CnaNode {
 impl CnaNode {
     fn new() -> Self {
         CnaNode {
-            next: AtomicPtr::new(ptr::null_mut()),
-            spin: AtomicUsize::new(SPIN_WAIT),
+            next: Link::new(None),
+            spin: Link::new(None),
             cluster: AtomicU32::new(0),
-            sec_tail: AtomicPtr::new(ptr::null_mut()),
+            sec_tail: Link::new(None),
             streak: AtomicU64::new(0),
         }
+    }
+
+    /// A node from the pool, reset for `cluster` with its `spin` tag.
+    #[inline]
+    fn acquire(cluster: ClusterId, spin: usize) -> &'static CnaNode {
+        let n = pool::acquire::<CnaNode>();
+        n.next.store(None, Ordering::Relaxed);
+        n.spin.store_word(Word::Tag(spin), Ordering::Relaxed);
+        n.cluster.store(cluster.as_u32(), Ordering::Relaxed);
+        n.sec_tail.store(None, Ordering::Relaxed);
+        n.streak.store(0, Ordering::Relaxed);
+        n
+    }
+
+    /// The tail of the secondary queue this node heads.
+    fn sec_tail(&self) -> &'static CnaNode {
+        let tail = self.sec_tail.load(Ordering::Relaxed);
+        tail.expect("a secondary head holds its tail")
     }
 }
 
@@ -86,11 +104,7 @@ base_locks::pooled_node!(CnaNode, CnaNode::new);
 /// acquirer's cluster travels in the node), making the lock
 /// thread-oblivious like the global locks of the cohort family.
 #[derive(Debug)]
-pub struct CnaToken(NonNull<CnaNode>);
-
-// SAFETY: the node is pool-owned and only manipulated through atomics;
-// the token is a unique capability to release it.
-unsafe impl Send for CnaToken {}
+pub struct CnaToken(&'static CnaNode);
 
 /// The Compact NUMA-Aware lock: an MCS-shaped queue lock whose release
 /// path splices remote-cluster waiters onto a secondary queue so the lock
@@ -116,7 +130,7 @@ unsafe impl Send for CnaToken {}
 /// assert_eq!(lock.policy().spec(), PolicySpec::Count { bound: 8 });
 /// ```
 pub struct CnaLock {
-    tail: CachePadded<AtomicPtr<CnaNode>>,
+    tail: CachePadded<Link<CnaNode>>,
     topo: Arc<Topology>,
     policy: Tenures,
     /// How many main-queue waiters a release may inspect while looking
@@ -148,7 +162,7 @@ impl CnaLock {
     pub fn with_policy(topo: Arc<Topology>, spec: PolicySpec) -> Self {
         let policy = Tenures::new(spec, topo.clusters(), wall_ns);
         CnaLock {
-            tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
+            tail: CachePadded::new(Link::new(None)),
             topo,
             policy,
             scan_limit: CnaLock::DEFAULT_SCAN_LIMIT,
@@ -189,64 +203,144 @@ impl CnaLock {
 
     /// True if held or contended (racy snapshot; for monitoring only).
     pub fn has_waiters_or_holder(&self) -> bool {
-        !self.tail.load(Ordering::Relaxed).is_null()
+        self.tail.load(Ordering::Relaxed).is_some()
     }
 
     /// Scans up to `scan_limit` main-queue waiters starting at `next`
-    /// (the releaser's non-null successor) for one on `cluster`. On a hit,
-    /// the skipped remote prefix is appended to the secondary queue
-    /// (`sec`, updated in place) and the local waiter returned; on a miss
-    /// nothing is changed.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the lock via the node preceding `next`.
-    unsafe fn find_local_successor(
+    /// (the releaser's successor) for one on `cluster`. On a hit, the
+    /// skipped remote prefix is appended to the secondary queue (`sec`,
+    /// updated in place) and the local waiter returned; on a miss nothing
+    /// is changed. Only the holder, through the node preceding `next`,
+    /// calls it.
+    fn find_local_successor(
         &self,
         cluster: u32,
-        next: *mut CnaNode,
-        sec: &mut usize,
-    ) -> Option<*mut CnaNode> {
-        if (*next).cluster.load(Ordering::Relaxed) == cluster {
+        next: &'static CnaNode,
+        sec: &mut Word<CnaNode>,
+    ) -> Option<&'static CnaNode> {
+        if next.cluster.load(Ordering::Relaxed) == cluster {
             return Some(next);
         }
         // Walk the queue, remembering the skipped remote run [next..=prev].
         let mut prev = next;
-        let mut cur = (*next).next.load(Ordering::Acquire);
+        let mut cur = next.next.load(Ordering::Acquire);
         let mut scanned = 1usize;
-        while !cur.is_null() && scanned < self.scan_limit {
-            if (*cur).cluster.load(Ordering::Relaxed) == cluster {
+        while let Some(c) = cur.filter(|_| scanned < self.scan_limit) {
+            if c.cluster.load(Ordering::Relaxed) == cluster {
                 // Commit: detach the remote prefix from the main queue and
                 // append it to the secondary queue. `prev` is interior
-                // (cur follows it), so no enqueuer writes its `next` again.
-                (*prev).next.store(ptr::null_mut(), Ordering::Relaxed);
-                if *sec == SPIN_GRANTED {
-                    (*next).sec_tail.store(prev, Ordering::Relaxed);
-                    *sec = next as usize;
-                } else {
-                    let head = *sec as *mut CnaNode;
-                    let old_tail = (*head).sec_tail.load(Ordering::Relaxed);
-                    (*old_tail).next.store(next, Ordering::Relaxed);
-                    (*head).sec_tail.store(prev, Ordering::Relaxed);
+                // (c follows it), so no enqueuer writes its `next` again.
+                prev.next.store(None, Ordering::Relaxed);
+                match *sec {
+                    Word::Node(head) => {
+                        head.sec_tail().next.store(Some(next), Ordering::Relaxed);
+                        head.sec_tail.store(Some(prev), Ordering::Relaxed);
+                    }
+                    Word::Tag(_) => {
+                        next.sec_tail.store(Some(prev), Ordering::Relaxed);
+                        *sec = Word::Node(next);
+                    }
                 }
-                return Some(cur);
+                return Some(c);
             }
-            prev = cur;
-            cur = (*cur).next.load(Ordering::Acquire);
+            prev = c;
+            cur = c.next.load(Ordering::Acquire);
             scanned += 1;
         }
         None
     }
 
-    /// Grants the lock to `succ` with secondary-queue state `sec` and an
-    /// inherited `streak`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold the lock and `succ` must be a queued waiter.
-    unsafe fn grant(&self, succ: *mut CnaNode, sec: usize, streak: u64) {
-        (*succ).streak.store(streak, Ordering::Relaxed);
-        (*succ).spin.store(sec, Ordering::Release);
+    /// Grants the lock to the queued waiter `succ` with secondary-queue
+    /// state `sec` and an inherited `streak`. Only the holder calls it.
+    fn grant(succ: &'static CnaNode, sec: Word<CnaNode>, streak: u64) {
+        succ.streak.store(streak, Ordering::Relaxed);
+        succ.spin.store_word(sec, Ordering::Release);
+    }
+
+    /// The holder's release, up to recycling its node `me`: ends or
+    /// continues the streak and grants the lock to a successor, if any.
+    fn pass_on(&self, me: &'static CnaNode) {
+        let cluster = ClusterId::new(me.cluster.load(Ordering::Relaxed));
+        let streak = me.streak.load(Ordering::Relaxed);
+        let mut sec = me.spin.load_word(Ordering::Relaxed);
+        debug_assert!(
+            !matches!(sec, Word::Tag(SPIN_WAIT)),
+            "unlock by a non-holder"
+        );
+
+        // No known successor and no secondary queue: the tenure ends here.
+        // Book it while still the holder, before the tail CAS below can
+        // leave the lock free to an arrival that books into the same slot.
+        let next = me.next.load(Ordering::Acquire);
+        let booked = next.is_none() && matches!(sec, Word::Tag(_));
+        let next = match next {
+            Some(next) => next,
+            None => {
+                match sec {
+                    Word::Tag(_) => {
+                        self.policy.ended(cluster, streak);
+                        if self
+                            .tail
+                            .compare_exchange(Some(me), None, Ordering::AcqRel, Ordering::Relaxed)
+                            .is_ok()
+                        {
+                            return;
+                        }
+                    }
+                    Word::Node(sec_head) => {
+                        // The secondary queue must not be stranded: promote
+                        // it to the main queue (its tail becomes the lock
+                        // tail — the chain already ends in an empty `next`).
+                        let sec_tail = Some(sec_head.sec_tail());
+                        if self
+                            .tail
+                            .compare_exchange(
+                                Some(me),
+                                sec_tail,
+                                Ordering::AcqRel,
+                                Ordering::Relaxed,
+                            )
+                            .is_ok()
+                        {
+                            self.policy.ended(cluster, streak);
+                            Self::grant(sec_head, Word::Tag(SPIN_GRANTED), 0);
+                            return;
+                        }
+                    }
+                }
+                // An enqueuer swapped the tail after us but has not linked
+                // yet: wait for the link, then take the normal path.
+                me.next.wait_for_node(Ordering::Acquire)
+            }
+        };
+
+        // A main-queue successor exists. Unless booked, try a deliberate
+        // local handoff while the policy allows the streak to continue.
+        if !booked && self.policy.may_pass_local(cluster, streak) {
+            if let Some(local) = self.find_local_successor(cluster.as_u32(), next, &mut sec) {
+                // The successor's streak carries this handoff to `ended`.
+                Self::grant(local, sec, streak + 1);
+                return;
+            }
+        }
+
+        // Streak over (threshold hit, no local waiter in the scanned
+        // prefix, or booked before a failed tail CAS): book it, re-splice
+        // the secondary queue ahead of the main queue, reset the streak.
+        if !booked {
+            self.policy.ended(cluster, streak);
+        }
+        let succ = match sec {
+            Word::Node(sec_head) => {
+                sec_head
+                    .sec_tail()
+                    .next
+                    .store(Some(next), Ordering::Relaxed);
+                sec_head
+            }
+            Word::Tag(_) => next,
+        };
+        Self::grant(succ, Word::Tag(SPIN_GRANTED), 0);
     }
 }
 
@@ -283,34 +377,24 @@ unsafe impl RawLock for CnaLock {
 
     fn lock(&self) -> CnaToken {
         let cluster = current_cluster_in(&self.topo);
-        let node = pool::acquire::<CnaNode>();
-        // SAFETY: freshly acquired node, not yet published.
-        unsafe {
-            let n = node.as_ref();
-            n.next.store(ptr::null_mut(), Ordering::Relaxed);
-            n.spin.store(SPIN_WAIT, Ordering::Relaxed);
-            n.cluster.store(cluster.as_u32(), Ordering::Relaxed);
-            n.sec_tail.store(ptr::null_mut(), Ordering::Relaxed);
-            n.streak.store(0, Ordering::Relaxed);
-        }
-        let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        if pred.is_null() {
+        let node = CnaNode::acquire(cluster, SPIN_WAIT);
+        let Some(pred) = self.tail.swap(Some(node), Ordering::AcqRel) else {
             // Uncontended: granted immediately, empty secondary queue.
-            // SAFETY: the node is ours and unpublished to predecessors.
-            unsafe { node.as_ref().spin.store(SPIN_GRANTED, Ordering::Relaxed) };
+            node.spin
+                .store_word(Word::Tag(SPIN_GRANTED), Ordering::Relaxed);
             self.policy.began(cluster);
             return CnaToken(node);
-        }
-        // SAFETY: pred stays valid until *we* are granted the lock — its
+        };
+        // pred is not recycled before *we* are granted the lock — its
         // owner cannot finish `unlock` before our grant store.
-        unsafe { (*pred).next.store(node.as_ptr(), Ordering::Release) };
+        pred.next.store(Some(node), Ordering::Release);
         let mut wait = SpinWait::new();
-        // SAFETY: our own node; spinning on our private flag.
-        while unsafe { node.as_ref().spin.load(Ordering::Acquire) } == SPIN_WAIT {
+        // Our own node; spinning on our private flag.
+        while matches!(node.spin.load_word(Ordering::Acquire), Word::Tag(SPIN_WAIT)) {
             wait.snooze();
         }
-        // SAFETY: granted; streak was published by the releaser's grant.
-        if unsafe { node.as_ref().streak.load(Ordering::Relaxed) } == 0 {
+        // Granted; streak was published by the releaser's grant.
+        if node.streak.load(Ordering::Relaxed) == 0 {
             self.policy.began(cluster);
         }
         CnaToken(node)
@@ -318,22 +402,11 @@ unsafe impl RawLock for CnaLock {
 
     fn try_lock(&self) -> Option<CnaToken> {
         let cluster = current_cluster_in(&self.topo);
-        let node = pool::acquire::<CnaNode>();
-        // SAFETY: freshly acquired node, not yet published.
-        unsafe {
-            let n = node.as_ref();
-            n.next.store(ptr::null_mut(), Ordering::Relaxed);
-            n.spin.store(SPIN_GRANTED, Ordering::Relaxed);
-            n.cluster.store(cluster.as_u32(), Ordering::Relaxed);
-            n.sec_tail.store(ptr::null_mut(), Ordering::Relaxed);
-            n.streak.store(0, Ordering::Relaxed);
-        }
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
+        let node = CnaNode::acquire(cluster, SPIN_GRANTED);
+        match self
+            .tail
+            .compare_exchange(None, Some(node), Ordering::AcqRel, Ordering::Relaxed)
+        {
             Ok(_) => {
                 self.policy.began(cluster);
                 Some(CnaToken(node))
@@ -347,84 +420,11 @@ unsafe impl RawLock for CnaLock {
     }
 
     unsafe fn unlock(&self, token: CnaToken) {
-        let me = token.0.as_ptr();
-        let cluster = ClusterId::new((*me).cluster.load(Ordering::Relaxed));
-        let streak = (*me).streak.load(Ordering::Relaxed);
-        let mut sec = (*me).spin.load(Ordering::Relaxed);
-        debug_assert_ne!(sec, SPIN_WAIT, "unlock by a non-holder");
-
-        let mut next = (*me).next.load(Ordering::Acquire);
-        // No known successor and no secondary queue: the tenure ends here.
-        // Book it while still the holder, before the tail CAS below can
-        // leave the lock free to an arrival that books into the same slot.
-        let booked = next.is_null() && sec == SPIN_GRANTED;
-        if next.is_null() {
-            if booked {
-                self.policy.ended(cluster, streak);
-                if self
-                    .tail
-                    .compare_exchange(me, ptr::null_mut(), Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    pool::release(NonNull::new_unchecked(me));
-                    return;
-                }
-            } else {
-                // The secondary queue must not be stranded: promote it to
-                // the main queue (its tail becomes the lock tail — the
-                // chain already ends in a null `next`).
-                let sec_head = sec as *mut CnaNode;
-                let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);
-                if self
-                    .tail
-                    .compare_exchange(me, sec_tail, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    self.policy.ended(cluster, streak);
-                    self.grant(sec_head, SPIN_GRANTED, 0);
-                    pool::release(NonNull::new_unchecked(me));
-                    return;
-                }
-            }
-            // An enqueuer swapped the tail after us but has not linked
-            // yet: wait for the link, then take the normal path.
-            let mut wait = SpinWait::new();
-            loop {
-                next = (*me).next.load(Ordering::Acquire);
-                if !next.is_null() {
-                    break;
-                }
-                wait.snooze();
-            }
-        }
-
-        // A main-queue successor exists. Unless booked, try a deliberate
-        // local handoff while the policy allows the streak to continue.
-        if !booked && self.policy.may_pass_local(cluster, streak) {
-            if let Some(local) = self.find_local_successor(cluster.as_u32(), next, &mut sec) {
-                // The successor's streak carries this handoff to `ended`.
-                self.grant(local, sec, streak + 1);
-                pool::release(NonNull::new_unchecked(me));
-                return;
-            }
-        }
-
-        // Streak over (threshold hit, no local waiter in the scanned
-        // prefix, or booked before a failed tail CAS): book it, re-splice
-        // the secondary queue ahead of the main queue, reset the streak.
-        if !booked {
-            self.policy.ended(cluster, streak);
-        }
-        let succ = if sec != SPIN_GRANTED {
-            let sec_head = sec as *mut CnaNode;
-            let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);
-            (*sec_tail).next.store(next, Ordering::Relaxed);
-            sec_head
-        } else {
-            next
-        };
-        self.grant(succ, SPIN_GRANTED, 0);
-        pool::release(NonNull::new_unchecked(me));
+        self.pass_on(token.0);
+        // SAFETY: the token is this lock's holder's (the `unlock`
+        // contract), and its node is quiescent: the queue no longer ends at
+        // it, and the successor it granted spins on its own node.
+        unsafe { pool::release(token.0) };
     }
 }
 
@@ -433,6 +433,23 @@ mod tests {
     use super::*;
     use numa_topology::{bind_current_thread, reset_thread_binding};
     use std::sync::atomic::AtomicU64 as Counter;
+
+    #[test]
+    fn spin_word_decodes_its_sentinels_as_tags_and_a_head_as_itself() {
+        let (node, head) = (pool::acquire::<CnaNode>(), pool::acquire::<CnaNode>());
+        for tag in [SPIN_WAIT, SPIN_GRANTED] {
+            node.spin.store_word(Word::Tag(tag), Ordering::Relaxed);
+            assert!(matches!(node.spin.load_word(Ordering::Relaxed), Word::Tag(t) if t == tag));
+        }
+        node.spin.store_word(Word::Node(head), Ordering::Relaxed);
+        let seen = node.spin.load(Ordering::Relaxed);
+        assert!(seen.is_some_and(|n| std::ptr::eq(n, head)));
+        // SAFETY: neither node was published to a lock.
+        unsafe {
+            pool::release(node);
+            pool::release(head);
+        }
+    }
 
     fn topo() -> Arc<Topology> {
         Arc::new(Topology::new(4))

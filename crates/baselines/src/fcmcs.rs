@@ -73,11 +73,6 @@ pub struct FcMcsLock {
     id: usize,
 }
 
-// SAFETY: slots are shared through atomics only; registration is a CAS
-// push onto a publication list.
-unsafe impl Send for FcMcsLock {}
-unsafe impl Sync for FcMcsLock {}
-
 static LOCK_IDS: AtomicU32 = AtomicU32::new(1);
 
 thread_local! {
@@ -119,6 +114,7 @@ impl FcMcsLock {
         let head = &self.clusters[cluster].slots;
         let mut cur = head.load(Ordering::Relaxed);
         loop {
+            // SAFETY: just leaked, so live; unpublished until the CAS.
             unsafe { slot.as_ref().reg_next.store(cur, Ordering::Relaxed) };
             match head.compare_exchange_weak(
                 cur,
@@ -224,6 +220,7 @@ unsafe impl RawLock for FcMcsLock {
         let mut rounds = 0u32;
         loop {
             // Granted?
+            // SAFETY: our slot, live until the lock drops.
             if !unsafe { slot.as_ref().locked.load(Ordering::Acquire) } {
                 return FcMcsToken(slot);
             }
@@ -231,6 +228,7 @@ unsafe impl RawLock for FcMcsLock {
             // The grace period (a few scheduler rounds) is what lets other
             // publishers accumulate so a combine pass collects a real
             // batch instead of just ourselves.
+            // SAFETY: our slot, live until the lock drops.
             if rounds >= 2 && unsafe { slot.as_ref().state.load(Ordering::Relaxed) } == PENDING {
                 if let Some(t) = self.clusters[cluster].combiner.try_lock() {
                     self.combine(cluster);

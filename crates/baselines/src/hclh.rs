@@ -23,13 +23,14 @@
 //! Reclamation follows CLH custom: every node is recycled by the unique
 //! thread that consumed its grant (intra-batch successor, or the master
 //! spinning on it from the global queue).
+#![deny(unsafe_op_in_unsafe_fn)]
 
+use base_locks::link::Link;
 use base_locks::{pool, RawLock, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, Topology};
 use std::ptr;
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MUST_WAIT: u64 = 1 << 32;
@@ -58,12 +59,12 @@ base_locks::pooled_node!(HclhNode, HclhNode::new);
 
 /// Acquisition token: the thread's node, released through `unlock`.
 #[derive(Debug)]
-pub struct HclhToken(NonNull<HclhNode>);
+pub struct HclhToken(&'static HclhNode);
 
 /// The hierarchical CLH lock.
 pub struct HclhLock {
-    local_tails: Box<[CachePadded<AtomicPtr<HclhNode>>]>,
-    global_tail: CachePadded<AtomicPtr<HclhNode>>,
+    local_tails: Box<[CachePadded<Link<HclhNode>>]>,
+    global_tail: CachePadded<Link<HclhNode>>,
     topo: Arc<Topology>,
     /// Spin budget the master spends letting the local queue grow before
     /// splicing (the original's "combining delay").
@@ -75,67 +76,69 @@ impl HclhLock {
     pub fn new(topo: Arc<Topology>) -> Self {
         // Global queue starts with one released dummy.
         let dummy = pool::acquire::<HclhNode>();
-        // SAFETY: fresh node, unpublished.
-        unsafe {
-            dummy
-                .as_ref()
-                .state
-                .store(pack(false, false, u32::MAX), Ordering::Relaxed)
-        };
+        dummy
+            .state
+            .store(pack(false, false, u32::MAX), Ordering::Relaxed);
         let local_tails = (0..topo.clusters())
-            .map(|_| CachePadded::new(AtomicPtr::new(ptr::null_mut())))
+            .map(|_| CachePadded::new(Link::new(None)))
             .collect();
         HclhLock {
             local_tails,
-            global_tail: CachePadded::new(AtomicPtr::new(dummy.as_ptr())),
+            global_tail: CachePadded::new(Link::new(Some(dummy))),
             topo,
             combine_spins: 0,
         }
     }
 
     /// Master path: detach the local segment, splice it globally, wait for
-    /// the old global tail's grant.
-    ///
-    /// SAFETY: `node` is our published node, currently head of an
-    /// undetached local segment.
-    unsafe fn master_splice(&self, node: NonNull<HclhNode>, cluster: usize) -> HclhToken {
+    /// the old global tail's grant. `node` is our published node, head of
+    /// an undetached local segment.
+    fn master_splice(&self, node: &'static HclhNode, cluster: usize) -> HclhToken {
         // Let cluster-mates pile in briefly (the combining window). The
         // window is measured in scheduler rounds so it works on an
         // oversubscribed host too: each yield lets runnable cluster-mates
         // reach their enqueue.
         let mut budget = self.combine_spins;
-        while budget > 0 && self.local_tails[cluster].load(Ordering::Relaxed) == node.as_ptr() {
+        while budget > 0
+            && self.local_tails[cluster]
+                .load(Ordering::Relaxed)
+                .is_some_and(|tail| ptr::eq(tail, node))
+        {
             std::thread::yield_now();
             budget -= 1;
         }
         // Detach the local queue. Everything from our node to the returned
         // tail forms this batch.
-        let batch_tail = self.local_tails[cluster].swap(ptr::null_mut(), Ordering::AcqRel);
-        debug_assert!(!batch_tail.is_null(), "our node is in that queue");
+        let batch_tail = self.local_tails[cluster]
+            .swap(None, Ordering::AcqRel)
+            .expect("our node is in that queue");
         // Flag the batch tail BEFORE it becomes globally reachable: its
         // local successor must take the master path, and until the flag is
         // set it is protected by the tail owner's must_wait bit.
-        (*batch_tail).state.fetch_or(SPLICED, Ordering::AcqRel);
+        batch_tail.state.fetch_or(SPLICED, Ordering::AcqRel);
         // Splice into the global queue and wait for our global
         // predecessor to pass the lock.
-        let gpred = self.global_tail.swap(batch_tail, Ordering::AcqRel);
-        debug_assert!(!gpred.is_null());
+        let gpred = self
+            .global_tail
+            .swap(Some(batch_tail), Ordering::AcqRel)
+            .expect("the global queue always holds a node");
         let mut wait = SpinWait::new();
-        while (*gpred).state.load(Ordering::Acquire) & MUST_WAIT != 0 {
+        while gpred.state.load(Ordering::Acquire) & MUST_WAIT != 0 {
             wait.snooze();
         }
-        // We consumed gpred's grant: recycle it.
-        pool::release(NonNull::new_unchecked(gpred));
+        // SAFETY: we consumed gpred's grant, and a node's grant has one
+        // consumer: nobody else reads it again.
+        unsafe { pool::release(gpred) };
         HclhToken(node)
     }
 }
 
 impl Drop for HclhLock {
     /// Hands the node resident at the global tail back to the pool (the
-    /// local tails of an idle lock are null: every master detaches its
+    /// local tails of an idle lock are empty: every master detaches its
     /// batch).
     fn drop(&mut self) {
-        if let Some(tail) = NonNull::new(*self.global_tail.get_mut()) {
+        if let Some(tail) = self.global_tail.get_mut() {
             // SAFETY: `&mut self` — no holder, no waiter; the last holder
             // released through this node and nobody else can reach it.
             unsafe { pool::release(tail) };
@@ -162,35 +165,28 @@ unsafe impl RawLock for HclhLock {
     fn lock(&self) -> HclhToken {
         let cluster = current_cluster_in(&self.topo).as_usize();
         let node = pool::acquire::<HclhNode>();
-        // SAFETY: ours until published.
-        unsafe {
-            node.as_ref()
-                .state
-                .store(pack(true, false, cluster as u32), Ordering::Relaxed)
-        };
-        let pred = self.local_tails[cluster].swap(node.as_ptr(), Ordering::AcqRel);
-        if pred.is_null() {
+        node.state
+            .store(pack(true, false, cluster as u32), Ordering::Relaxed);
+        let Some(pred) = self.local_tails[cluster].swap(Some(node), Ordering::AcqRel) else {
             // Head of a fresh local queue: we are the master.
-            // SAFETY: node is published as that queue's head.
-            return unsafe { self.master_splice(node, cluster) };
-        }
+            return self.master_splice(node, cluster);
+        };
         let mut wait = SpinWait::new();
         loop {
-            // SAFETY: pred is recycled only by the unique consumer of its
-            // grant, which (while we spin on it) can only be us.
-            let s = unsafe { (*pred).state.load(Ordering::Acquire) };
+            // pred is recycled only by the unique consumer of its grant,
+            // which (while we spin on it) can only be us.
+            let s = pred.state.load(Ordering::Acquire);
             if s & SPLICED != 0 {
                 // Predecessor was spliced as a batch tail: we head the
                 // next batch. pred's grant will be consumed by a master
                 // spinning on it from the global queue — not by us, so we
                 // must NOT recycle it.
-                // SAFETY: our node heads the remaining local segment.
-                return unsafe { self.master_splice(node, cluster) };
+                return self.master_splice(node, cluster);
             }
             if s & MUST_WAIT == 0 && (s as u32) as usize == cluster {
                 // Intra-batch grant from a cluster-mate.
                 // SAFETY: we are pred's unique grant consumer.
-                unsafe { pool::release(NonNull::new_unchecked(pred)) };
+                unsafe { pool::release(pred) };
                 return HclhToken(node);
             }
             wait.snooze();
@@ -209,11 +205,7 @@ unsafe impl RawLock for HclhLock {
         // Clear must_wait, preserving cluster and spliced bits — the
         // successor's checks depend on them. fetch_and keeps the update
         // atomic against a master concurrently setting SPLICED.
-        token
-            .0
-            .as_ref()
-            .state
-            .fetch_and(!MUST_WAIT, Ordering::Release);
+        token.0.state.fetch_and(!MUST_WAIT, Ordering::Release);
     }
 }
 

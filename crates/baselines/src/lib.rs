@@ -21,6 +21,7 @@
 //! [`Tenures`](cohort::Tenures) book [`CnaLock`] reuses outright).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 mod cna;
 mod fcmcs;

@@ -97,6 +97,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 mod abortable;
 pub mod fast_path;

@@ -23,36 +23,38 @@
 //! simultaneously aborting. When the flag is found set, the releaser
 //! conservatively releases the global lock first and only then publishes
 //! `AVAIL_GLOBAL` (the §3.6.2 ordering).
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::traits::{AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, Release};
+use base_locks::link::{Link, Word};
 use base_locks::{pool, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// Word encodings. Node pointers are ≥8-aligned, so the sentinels below
-/// (and bit 0 as the successor-aborted flag) never collide with one.
+/// Word tags, all below the node alignment, so a node is never one
+/// (bit 0 is the successor-aborted flag).
 const WAITING: usize = 0;
 const AVAIL_LOCAL: usize = 2;
 const AVAIL_GLOBAL: usize = 4;
 const SA_BIT: usize = 1;
 
 #[inline]
-fn base_of(word: usize) -> usize {
-    word & !SA_BIT
+fn base_of(tag: usize) -> usize {
+    tag & !SA_BIT
 }
 
 /// Queue node: one packed word (see module docs).
 #[derive(Debug)]
 pub struct AClhNode {
-    word: AtomicUsize,
+    word: Link<AClhNode>,
 }
 
 impl AClhNode {
     fn new() -> Self {
         AClhNode {
-            word: AtomicUsize::new(WAITING),
+            word: Link::new(None),
         }
     }
 }
@@ -61,11 +63,11 @@ base_locks::pooled_node!(AClhNode, AClhNode::new);
 
 /// Acquisition token: the thread's queue node.
 #[derive(Debug)]
-pub struct AClhToken(NonNull<AClhNode>);
+pub struct AClhToken(&'static AClhNode);
 
 /// The abortable local CLH lock of A-C-BO-CLH.
 pub struct LocalAClhLock {
-    tail: CachePadded<AtomicPtr<AClhNode>>,
+    tail: CachePadded<Link<AClhNode>>,
 }
 
 impl LocalAClhLock {
@@ -73,73 +75,66 @@ impl LocalAClhLock {
     /// `AVAIL_GLOBAL` state: the first acquirer must take the global lock.
     pub fn new() -> Self {
         let dummy = pool::acquire::<AClhNode>();
-        // SAFETY: fresh, unpublished.
-        unsafe { dummy.as_ref().word.store(AVAIL_GLOBAL, Ordering::Relaxed) };
+        dummy
+            .word
+            .store_word(Word::Tag(AVAIL_GLOBAL), Ordering::Relaxed);
         LocalAClhLock {
-            tail: CachePadded::new(AtomicPtr::new(dummy.as_ptr())),
+            tail: CachePadded::new(Link::new(Some(dummy))),
         }
     }
 
     /// Shared wait loop. `deadline == None` blocks forever.
     fn acquire(&self, deadline: Option<Instant>) -> LocalAbortResult<AClhToken> {
         let node = pool::acquire::<AClhNode>();
-        // SAFETY: recycled nodes may carry stale words; reset before
-        // publishing (fresh WAITING, successor-aborted clear).
-        unsafe { node.as_ref().word.store(WAITING, Ordering::Relaxed) };
-        let mut pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        debug_assert!(!pred.is_null());
+        // Recycled nodes may carry stale words; reset before publishing
+        // (fresh WAITING, successor-aborted clear).
+        node.word.store_word(Word::Tag(WAITING), Ordering::Relaxed);
+        let mut pred = self
+            .tail
+            .swap(Some(node), Ordering::AcqRel)
+            .expect("A-CLH tail always points at a node");
         let mut wait = SpinWait::new();
         loop {
-            // SAFETY: a node is recycled only by its unique direct
-            // successor; until we acquire or abort, that is us.
-            let w = unsafe { (*pred).word.load(Ordering::Acquire) };
-            match base_of(w) {
-                AVAIL_LOCAL => {
-                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
-                    return LocalAbortResult::Acquired(AClhToken(node), Release::Local);
-                }
-                AVAIL_GLOBAL => {
-                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
-                    return LocalAbortResult::Acquired(AClhToken(node), Release::Global);
-                }
-                WAITING => {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            // Abort: first tell the predecessor (CAS so we
-                            // cannot race its release), then make it
-                            // explicit for our successor.
-                            match unsafe {
-                                (*pred).word.compare_exchange(
-                                    w,
-                                    w | SA_BIT,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                            } {
-                                Ok(_) => {
-                                    // SAFETY: our node; successors read it.
-                                    unsafe {
-                                        node.as_ref().word.store(pred as usize, Ordering::Release)
-                                    };
-                                    return LocalAbortResult::TimedOut;
-                                }
-                                Err(_) => {
-                                    // Predecessor changed under us (it
-                                    // released or aborted): re-examine —
-                                    // we may be obliged to acquire.
-                                    continue;
-                                }
-                            }
+            // A node is recycled only by its unique direct successor;
+            // until we acquire or abort, that is us.
+            let w = pred.word.load_word(Ordering::Acquire);
+            if let Word::Tag(tag) = w {
+                if base_of(tag) == WAITING {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        // Abort: first tell the predecessor (CAS so we
+                        // cannot race its release), then make it explicit
+                        // for our successor.
+                        let flagged = Word::Tag(tag | SA_BIT);
+                        if pred
+                            .word
+                            .compare_exchange_word(w, flagged, Ordering::AcqRel, Ordering::Acquire)
+                            .is_ok()
+                        {
+                            node.word.store_word(Word::Node(pred), Ordering::Release);
+                            return LocalAbortResult::TimedOut;
                         }
+                        // Predecessor changed under us (it released or
+                        // aborted): re-examine — we may be obliged to
+                        // acquire.
+                        continue;
                     }
                     wait.snooze();
+                    continue;
                 }
-                abandoned => {
-                    // Predecessor aborted; adopt *its* predecessor and
-                    // recycle the abandoned node (we are its only reader).
-                    let pp = abandoned as *mut AClhNode;
-                    unsafe { pool::release(NonNull::new_unchecked(pred)) };
-                    pred = pp;
+            }
+            // SAFETY: pred released or aborted, and we are its only
+            // reader from here on.
+            unsafe { pool::release(pred) };
+            match w {
+                // Predecessor aborted: adopt *its* predecessor.
+                Word::Node(pp) => pred = pp,
+                Word::Tag(tag) => {
+                    let rel = if base_of(tag) == AVAIL_LOCAL {
+                        Release::Local
+                    } else {
+                        Release::Global
+                    };
+                    return LocalAbortResult::Acquired(AClhToken(node), rel);
                 }
             }
         }
@@ -151,15 +146,12 @@ impl Drop for LocalAClhLock {
     /// node the last holder released through, preceded by the nodes of
     /// waiters that aborted behind it and that no successor ever bypassed.
     fn drop(&mut self) {
-        let mut node = *self.tail.get_mut();
-        while let Some(n) = NonNull::new(node) {
+        let mut node = self.tail.get_mut();
+        while let Some(n) = node {
+            node = n.word.load(Ordering::Relaxed);
             // SAFETY: `&mut self` — no holder, no waiter: every node still
             // reachable from the tail is quiescent, and each is reachable
             // through exactly one predecessor link, so it is released once.
-            node = match base_of(unsafe { n.as_ref().word.load(Ordering::Relaxed) }) {
-                WAITING | AVAIL_LOCAL | AVAIL_GLOBAL => std::ptr::null_mut(),
-                pred => pred as *mut AClhNode,
-            };
             unsafe { pool::release(n) };
         }
     }
@@ -216,8 +208,11 @@ unsafe impl LocalCohortLock for LocalAClhLock {
         // CAS, which then fails against the committed abort (same-word
         // RMW ordering) and falls back to the global release. Neither
         // stale direction can commit a handoff to a missing successor.
-        let w = unsafe { token.0.as_ref().word.load(Ordering::Relaxed) };
-        self.tail.load(Ordering::Relaxed) == token.0.as_ptr() || (w & SA_BIT) != 0
+        let w = token.0.word.load_word(Ordering::Relaxed);
+        self.tail
+            .load(Ordering::Relaxed)
+            .is_some_and(|tail| ptr::eq(tail, token.0))
+            || matches!(w, Word::Tag(tag) if tag & SA_BIT != 0)
     }
 
     unsafe fn unlock_local(
@@ -230,9 +225,13 @@ unsafe impl LocalCohortLock for LocalAClhLock {
         if pass_local && !self.alone(&token) {
             // Single-CAS local handoff: commits only if no abort raced us.
             if node
-                .as_ref()
                 .word
-                .compare_exchange(WAITING, AVAIL_LOCAL, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange_word(
+                    Word::Tag(WAITING),
+                    Word::Tag(AVAIL_LOCAL),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                )
                 .is_ok()
             {
                 // Successor recycles our node.
@@ -245,7 +244,8 @@ unsafe impl LocalCohortLock for LocalAClhLock {
         // release-global (overwriting any successor-aborted bit — the
         // obligation it signalled is discharged by releasing globally).
         release_global();
-        node.as_ref().word.store(AVAIL_GLOBAL, Ordering::Release);
+        node.word
+            .store_word(Word::Tag(AVAIL_GLOBAL), Ordering::Release);
     }
 }
 
@@ -263,6 +263,26 @@ unsafe impl AbortableLocalCohortLock for LocalAClhLock {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn word_decodes_its_sentinels_and_the_sa_bit_as_tags_and_a_node_as_itself() {
+        let (node, pred) = (pool::acquire::<AClhNode>(), pool::acquire::<AClhNode>());
+        for tag in [WAITING, AVAIL_LOCAL, AVAIL_GLOBAL] {
+            for flagged in [tag, tag | SA_BIT] {
+                node.word.store_word(Word::Tag(flagged), Ordering::Relaxed);
+                let seen = node.word.load_word(Ordering::Relaxed);
+                assert!(matches!(seen, Word::Tag(t) if t == flagged && base_of(t) == tag));
+            }
+        }
+        node.word.store_word(Word::Node(pred), Ordering::Relaxed);
+        let seen = node.word.load(Ordering::Relaxed);
+        assert!(seen.is_some_and(|n| ptr::eq(n, pred)));
+        // SAFETY: neither node was published to a lock.
+        unsafe {
+            pool::release(node);
+            pool::release(pred);
+        }
+    }
 
     #[test]
     fn first_acquire_is_global() {

@@ -8,13 +8,13 @@
 //! the global lock?" bit. A thread whose `swap` on the tail returns null
 //! is first in the queue and — as Figure 1 shows — must go acquire the
 //! global lock.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::traits::{LocalCohortLock, Release};
+use base_locks::link::Link;
 use base_locks::{pool, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
-use std::ptr;
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 const BUSY: u32 = 0;
 const RELEASE_LOCAL: u32 = 1;
@@ -23,14 +23,14 @@ const RELEASE_GLOBAL: u32 = 2;
 /// Queue node with the tri-state wait flag.
 #[derive(Debug)]
 pub struct CohortMcsNode {
-    next: AtomicPtr<CohortMcsNode>,
+    next: Link<CohortMcsNode>,
     state: AtomicU32,
 }
 
 impl CohortMcsNode {
     fn new() -> Self {
         CohortMcsNode {
-            next: AtomicPtr::new(ptr::null_mut()),
+            next: Link::new(None),
             state: AtomicU32::new(BUSY),
         }
     }
@@ -40,18 +40,18 @@ base_locks::pooled_node!(CohortMcsNode, CohortMcsNode::new);
 
 /// Acquisition token: the thread's queue node.
 #[derive(Debug)]
-pub struct CohortMcsToken(NonNull<CohortMcsNode>);
+pub struct CohortMcsToken(&'static CohortMcsNode);
 
 /// The local MCS lock of C-BO-MCS, C-TKT-MCS and C-MCS-MCS.
 pub struct LocalMcsLock {
-    tail: CachePadded<AtomicPtr<CohortMcsNode>>,
+    tail: CachePadded<Link<CohortMcsNode>>,
 }
 
 impl LocalMcsLock {
     /// Creates a free lock (empty queue).
     pub fn new() -> Self {
         LocalMcsLock {
-            tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
+            tail: CachePadded::new(Link::new(None)),
         }
     }
 }
@@ -76,23 +76,19 @@ unsafe impl LocalCohortLock for LocalMcsLock {
 
     fn lock_local(&self) -> (CohortMcsToken, Release) {
         let node = pool::acquire::<CohortMcsNode>();
-        // SAFETY: fresh/recycled node, unpublished.
-        unsafe {
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-            node.as_ref().state.store(BUSY, Ordering::Relaxed);
-        }
-        let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
-        if pred.is_null() {
+        node.next.store(None, Ordering::Relaxed);
+        node.state.store(BUSY, Ordering::Relaxed);
+        let Some(pred) = self.tail.swap(Some(node), Ordering::AcqRel) else {
             // First in queue: Figure 1's "sees tail is null" case — the
             // acquirer must take the global lock.
             return (CohortMcsToken(node), Release::Global);
-        }
-        // SAFETY: pred is valid until its owner hands off to us.
-        unsafe { (*pred).next.store(node.as_ptr(), Ordering::Release) };
+        };
+        // pred is not recycled before its owner hands off to us.
+        pred.next.store(Some(node), Ordering::Release);
         let mut wait = SpinWait::new();
         loop {
-            // SAFETY: our own node; spinning on our private flag.
-            let s = unsafe { node.as_ref().state.load(Ordering::Acquire) };
+            // Our own node; spinning on our private flag.
+            let s = node.state.load(Ordering::Acquire);
             if s != BUSY {
                 let rel = if s == RELEASE_LOCAL {
                     Release::Local
@@ -108,21 +104,16 @@ unsafe impl LocalCohortLock for LocalMcsLock {
     fn try_lock_local(&self) -> Option<(CohortMcsToken, Release)> {
         // Look before taking: a visibly non-empty queue costs one shared
         // read — no node, no read-for-ownership of the tail line.
-        if !self.tail.load(Ordering::Relaxed).is_null() {
+        if self.tail.load(Ordering::Relaxed).is_some() {
             return None;
         }
         let node = pool::acquire::<CohortMcsNode>();
-        // SAFETY: fresh/recycled node, unpublished.
-        unsafe {
-            node.as_ref().next.store(ptr::null_mut(), Ordering::Relaxed);
-            node.as_ref().state.store(BUSY, Ordering::Relaxed);
-        }
-        match self.tail.compare_exchange(
-            ptr::null_mut(),
-            node.as_ptr(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
+        node.next.store(None, Ordering::Relaxed);
+        node.state.store(BUSY, Ordering::Relaxed);
+        match self
+            .tail
+            .compare_exchange(None, Some(node), Ordering::AcqRel, Ordering::Relaxed)
+        {
             Ok(_) => Some((CohortMcsToken(node), Release::Global)),
             Err(_) => {
                 // SAFETY: never published.
@@ -133,8 +124,7 @@ unsafe impl LocalCohortLock for LocalMcsLock {
     }
 
     fn alone(&self, token: &CohortMcsToken) -> bool {
-        // SAFETY: we hold the lock; our node is valid.
-        unsafe { token.0.as_ref().next.load(Ordering::Acquire).is_null() }
+        token.0.next.load(Ordering::Acquire).is_none()
     }
 
     unsafe fn unlock_local(
@@ -144,52 +134,39 @@ unsafe impl LocalCohortLock for LocalMcsLock {
         release_global: impl FnOnce(),
     ) {
         let node = token.0;
-        let next = node.as_ref().next.load(Ordering::Acquire);
-
-        if pass_local && !next.is_null() {
+        match node.next.load(Ordering::Acquire) {
             // Intra-cluster handoff: successor inherits the global lock.
-            (*next).state.store(RELEASE_LOCAL, Ordering::Release);
-            pool::release(node);
-            return;
-        }
-
-        // Ending the cohort's tenure: global release first (§2.1), then
-        // dispose of the queue position.
-        release_global();
-        if next.is_null() {
-            if self
-                .tail
-                .compare_exchange(
-                    node.as_ptr(),
-                    ptr::null_mut(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                // Queue empty: the next arriver will see a null tail and
-                // go claim the global lock itself.
-                pool::release(node);
-                return;
-            }
-            // A late successor is linking; wait for the pointer, yielding
-            // once the spin budget is spent — on a shared CPU the
-            // successor was preempted between its swap and its link.
-            let mut wait = SpinWait::new();
-            let mut n;
-            loop {
-                n = node.as_ref().next.load(Ordering::Acquire);
-                if !n.is_null() {
-                    break;
+            Some(next) if pass_local => next.state.store(RELEASE_LOCAL, Ordering::Release),
+            next => {
+                // Ending the cohort's tenure: global release first (§2.1),
+                // then dispose of the queue position.
+                release_global();
+                // No successor: swing the tail back to empty (the next
+                // arriver sees a null tail and claims the global lock
+                // itself), or wait for a late successor's link, yielding
+                // once the spin budget is spent — on a shared CPU it was
+                // preempted between its swap and its link.
+                let next = next.or_else(|| {
+                    match self.tail.compare_exchange(
+                        Some(node),
+                        None,
+                        Ordering::AcqRel,
+                        Ordering::Relaxed,
+                    ) {
+                        Ok(_) => None,
+                        Err(_) => Some(node.next.wait_for_node(Ordering::Acquire)),
+                    }
+                });
+                if let Some(next) = next {
+                    next.state.store(RELEASE_GLOBAL, Ordering::Release);
                 }
-                wait.snooze();
             }
-            (*n).state.store(RELEASE_GLOBAL, Ordering::Release);
-            pool::release(node);
-            return;
         }
-        (*next).state.store(RELEASE_GLOBAL, Ordering::Release);
-        pool::release(node);
+        // SAFETY: the token is this lock's holder's (the `unlock_local`
+        // contract), and its node is quiescent: the queue no longer ends at
+        // it, and a successor linked to it already and spins on its own
+        // node from here on.
+        unsafe { pool::release(node) };
     }
 }
 

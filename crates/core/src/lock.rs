@@ -90,8 +90,8 @@ pub struct CohortLock<G: ThreadOblivious, L: LocalCohortLock> {
 
 // SAFETY: `holder` is only accessed while holding the lock (see
 // HolderState docs); everything else is Sync by construction (`policy` is
-// relaxed atomics plus a `Copy` spec).
-unsafe impl<G: ThreadOblivious, L: LocalCohortLock> Send for CohortLock<G, L> {}
+// relaxed atomics plus a `Copy` spec). `Send` needs no impl: the global
+// token in `holder` is `Send` (`ThreadOblivious`), and so is every field.
 unsafe impl<G: ThreadOblivious, L: LocalCohortLock> Sync for CohortLock<G, L> {}
 
 impl<G, L> CohortLock<G, L>

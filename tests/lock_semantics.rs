@@ -2,14 +2,44 @@
 //! tokens crossing threads, guards over cohort locks (including a panic
 //! inside one), registry coverage, threads far beyond the CPUs.
 
-use base_locks::{RawLock, SpinMutex};
-use cohort::{CBoMcs, CTktTkt, FisBoMcs, GcrCBoMcs, Introspect, ThreadOblivious};
+use base_locks::{AbortableClhLock, ClhLock, McsLock, RawLock, SpinMutex};
+use cohort::{
+    AClhToken, CBoMcs, CTktTkt, CohortMcsToken, FisBoMcs, GcrCBoMcs, Introspect, LocalAClhLock,
+    LocalMcsLock, ThreadOblivious,
+};
 use lbench::{AnyLockKind, LockKind};
-use numa_baselines::CnaLock;
+use numa_baselines::{CnaLock, CnaToken, HclhLock, HclhToken};
 use numa_topology::Topology;
 use std::cell::UnsafeCell;
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
+
+/// The seven queue locks on pool nodes hold their nodes as `&'static`
+/// references, so they and their tokens are `Send`/`Sync` with no
+/// `unsafe impl`. Checked when this file compiles: a raw-pointer node
+/// field in a token or a lock fails the build here.
+#[test]
+fn pool_node_locks_and_tokens_are_send_and_sync_without_manual_impls() {
+    fn send<T: Send>() {}
+    fn send_sync<T: Send + Sync>() {}
+    send::<<McsLock as RawLock>::Token>();
+    send::<<ClhLock as RawLock>::Token>();
+    send::<<AbortableClhLock as RawLock>::Token>();
+    send::<CohortMcsToken>();
+    send::<AClhToken>();
+    send::<CnaToken>();
+    send::<HclhToken>();
+    send_sync::<McsLock>();
+    send_sync::<ClhLock>();
+    send_sync::<AbortableClhLock>();
+    send_sync::<LocalMcsLock>();
+    send_sync::<LocalAClhLock>();
+    send_sync::<CnaLock>();
+    send_sync::<HclhLock>();
+    // And the two wrappers over them, `Send` with no manual impl either.
+    send::<CBoMcs>();
+    send::<SpinMutex<u64, McsLock>>();
+}
 
 #[test]
 fn spin_mutex_over_cohort_lock_guards_properly() {
