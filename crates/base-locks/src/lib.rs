@@ -4,23 +4,31 @@
 //! NUMA-aware locks out of ordinary spin locks. This crate provides those
 //! ordinary locks, faithful to the originals the paper cites:
 //!
-//! | Type | Origin | Notes |
-//! |---|---|---|
-//! | [`TatasLock`] = `TasLock<YieldEvery64>` | test-and-test-and-set | spin, yield every 64th probe |
-//! | [`BackoffLock`] = `TasLock<Backoff>` | Agarwal & Cherian '89 | exponential backoff ("BO" in the paper) |
-//! | [`FibBackoffLock`] = `TasLock<FibBackoff>` | Table 1's "Fib-BO" | Fibonacci backoff |
-//! | [`GlobalBoLock`] = `TasLock<SpinWait>` | §4.1.1's global BO lock | no backoff: 64 spins, then yield |
-//! | [`TicketLock`] | Mellor-Crummey & Scott '91 | FIFO, request/grant counters |
-//! | [`McsLock`] | Mellor-Crummey & Scott '91 | FIFO queue lock, local spinning |
-//! | [`ClhLock`] | Craig '93; Magnussen et al. | implicit-predecessor queue lock |
-//! | [`AbortableClhLock`] | Scott PODC '02 ("CLH-NB try") | timeout-capable CLH |
-//! | [`ReciprocatingLock`] | Dice & Kogan, arXiv:2501.02380 | palindromic admission, constant-coherence handover |
+//! | Type | Origin | Notes | Roles |
+//! |---|---|---|---|
+//! | [`TatasLock`] = `TasLock<YieldEvery64>` | test-and-test-and-set | spin, yield every 64th probe | plain, global |
+//! | [`BackoffLock`] = `TasLock<Backoff>` | Agarwal & Cherian '89 | exponential backoff ("BO" in the paper) | plain, global |
+//! | [`FibBackoffLock`] = `TasLock<FibBackoff>` | Table 1's "Fib-BO" | Fibonacci backoff | plain, global |
+//! | [`GlobalBoLock`] = `TasLock<SpinWait>` | §4.1.1's global BO lock | no backoff: 64 spins, then yield | plain, global |
+//! | [`TicketLock`] | Mellor-Crummey & Scott '91 | FIFO, request/grant counters, `top-granted` | plain, global, local |
+//! | [`McsLock`] | Mellor-Crummey & Scott '91 | FIFO queue lock, local spinning, tri-state flag | plain, global, local |
+//! | [`ClhLock`] | Craig '93; Magnussen et al. | implicit-predecessor queue lock | plain |
+//! | [`AbortableClhLock`] | Scott PODC '02 ("CLH-NB try") | timeout-capable CLH, successor-aborted bit | plain, abortable local |
+//! | [`ReciprocatingLock`] | Dice & Kogan, arXiv:2501.02380 | palindromic admission, constant-coherence handover | plain, global |
 //!
 //! The four TATAS rows are one type, [`TasLock<W>`], under a [`Wait`]
 //! schedule from [`backoff`]. Every lock implements [`RawLock`];
 //! timeout-capable ones also implement [`RawAbortableLock`]. The
 //! [`SpinMutex`] wrapper turns any `RawLock` into an RAII mutex protecting
 //! a value.
+//!
+//! A *global* lock is a cohort lock's shared lock: a `RawLock` whose
+//! release is sound from any thread (the `cohort` crate marks it
+//! `ThreadOblivious`). A *local* lock is one cluster's lock with cohort
+//! detection, [`LocalCohortLock`] (abortable: [`AbortableLocalCohortLock`]);
+//! the MCS, ticket and abortable CLH locks implement it on the same type,
+//! queue and acquire loop as their plain role, which is the cohort release
+//! that never passes locally and has no global lock to release.
 //!
 //! Two design points worth knowing about:
 //!
@@ -39,9 +47,9 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
+mod aclh;
 pub mod backoff;
 mod clh;
-mod clh_nb;
 pub mod link;
 mod mcs;
 mod mutex;
@@ -51,15 +59,26 @@ mod recip;
 mod tatas;
 mod ticket;
 
+pub use aclh::AbortableClhLock;
 pub use backoff::{Backoff, SpinWait, Wait};
 pub use clh::ClhLock;
-pub use clh_nb::AbortableClhLock;
-pub use mcs::McsLock;
+pub use mcs::{McsLock, McsNode};
 pub use mutex::{SpinMutex, SpinMutexGuard};
-pub use raw::{RawAbortableLock, RawLock};
+pub use raw::{
+    AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, RawAbortableLock, RawLock, Release,
+};
 pub use recip::{RecipToken, ReciprocatingLock};
 pub use tatas::{BackoffLock, FibBackoffLock, GlobalBoLock, TasLock, TatasLock};
 pub use ticket::TicketLock;
+
+// Each lock's module tests its plain and global roles; these test its
+// cohort-local role.
+#[cfg(test)]
+mod local_aclh;
+#[cfg(test)]
+mod local_mcs;
+#[cfg(test)]
+mod local_ticket;
 
 #[cfg(test)]
 pub(crate) mod test_util {

@@ -2,11 +2,19 @@
 //!
 //! Waiters form an explicit linked queue; each spins only on a flag in its
 //! **own** node ("local spinning"), so a release touches exactly one remote
-//! cache line. The paper uses MCS in three roles:
+//! cache line. The paper uses MCS in three roles, and this one type plays
+//! all of them:
 //!
-//! * baseline NUMA-oblivious lock in every experiment;
-//! * local cohort lock (C-BO-MCS, C-TKT-MCS, C-MCS-MCS) — that variant,
-//!   with the tri-state release field, lives in the `cohort` crate;
+//! * baseline NUMA-oblivious lock in every experiment ([`RawLock`]);
+//! * **local** cohort lock of C-BO-MCS, C-TKT-MCS and C-MCS-MCS
+//!   ([`LocalCohortLock`], §3.3 and Figure 1). MCS detects cohorts by
+//!   design: a releaser's node has a `next` iff a cluster-mate is waiting.
+//!   The paper's only change is the wait flag: instead of busy/released, a
+//!   node's state is **busy / release-local / release-global**, so the
+//!   handoff itself carries the "do you need the global lock?" bit. A
+//!   thread whose `swap` on the tail returns null is first in the queue
+//!   and must go acquire the global lock. The plain `unlock` is the local
+//!   release that never passes locally and has no global lock to release;
 //! * **global** lock of C-MCS-MCS, which requires thread-obliviousness:
 //!   the node a thread enqueues must be releasable by a *different* thread.
 //!   §3.4 solves this by circulating nodes through thread-local pools, and
@@ -15,21 +23,26 @@
 //!   cache of whichever thread releases, so the token (and therefore the
 //!   release capability) can cross threads. Nodes are immortal `&'static`
 //!   references, so a waiter's `pred` and a releaser's `next` never
-//!   dangle.
+//!   dangle. The global and local roles share one node pool.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::backoff::{SpinWait, Wait};
 use crate::link::Link;
 use crate::pool;
-use crate::raw::RawLock;
+use crate::raw::{LocalCohortLock, RawLock, Release};
 use crossbeam_utils::CachePadded;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// One queue entry. Pool-owned; never on a thread's stack.
+const BUSY: u32 = 0;
+const RELEASE_LOCAL: u32 = 1;
+const RELEASE_GLOBAL: u32 = 2;
+
+/// One queue entry with the tri-state wait flag. Pool-owned; never on a
+/// thread's stack.
 #[derive(Debug)]
 pub struct McsNode {
     next: Link<McsNode>,
-    locked: AtomicBool,
+    state: AtomicU32,
 }
 
 crate::pooled_node!(McsNode, McsNode::new);
@@ -38,7 +51,7 @@ impl McsNode {
     fn new() -> Self {
         McsNode {
             next: Link::new(None),
-            locked: AtomicBool::new(false),
+            state: AtomicU32::new(BUSY),
         }
     }
 }
@@ -84,28 +97,60 @@ impl std::fmt::Debug for McsLock {
 }
 
 // SAFETY: a thread enters only by swapping into an empty tail or once
-// its predecessor clears its `locked` flag, which each holder does for
-// one successor, once, in `unlock` (`Release`, read with `Acquire`).
+// its predecessor moves its node off BUSY, which each holder does for one
+// successor, once, in `unlock_local` (`Release`, read with `Acquire`).
 unsafe impl RawLock for McsLock {
     type Token = McsToken;
 
     fn lock(&self) -> McsToken {
-        let node = pool::acquire::<McsNode>();
-        node.next.store(None, Ordering::Relaxed);
-        node.locked.store(true, Ordering::Relaxed);
-        if let Some(pred) = self.tail.swap(Some(node), Ordering::AcqRel) {
-            // pred's owner cannot complete `unlock` before writing our
-            // flag, so it does not recycle pred before this link lands.
-            pred.next.store(Some(node), Ordering::Release);
-            let mut wait = SpinWait::new();
-            while node.locked.load(Ordering::Acquire) {
-                wait.snooze();
-            }
-        }
-        McsToken(node)
+        self.lock_local().0
     }
 
     fn try_lock(&self) -> Option<McsToken> {
+        self.try_lock_local().map(|(token, _)| token)
+    }
+
+    unsafe fn unlock(&self, token: McsToken) {
+        // SAFETY: the `unlock` contract is `unlock_local`'s, and this
+        // lock's plain role has no global lock to release.
+        unsafe { self.unlock_local(token, false, || {}) }
+    }
+}
+
+// SAFETY: standard MCS exclusion; `alone?` (null `next`) cannot
+// incorrectly claim company — a non-null `next` is installed only by a
+// waiter that, being non-abortable, will stay until served.
+unsafe impl LocalCohortLock for McsLock {
+    type Token = McsToken;
+
+    fn lock_local(&self) -> (McsToken, Release) {
+        let node = pool::acquire::<McsNode>();
+        node.next.store(None, Ordering::Relaxed);
+        node.state.store(BUSY, Ordering::Relaxed);
+        let Some(pred) = self.tail.swap(Some(node), Ordering::AcqRel) else {
+            // First in queue: Figure 1's "sees tail is null" case — the
+            // acquirer must take the global lock.
+            return (McsToken(node), Release::Global);
+        };
+        // pred is not recycled before its owner hands off to us.
+        pred.next.store(Some(node), Ordering::Release);
+        let mut wait = SpinWait::new();
+        loop {
+            // Our own node; spinning on our private flag.
+            let s = node.state.load(Ordering::Acquire);
+            if s != BUSY {
+                let rel = if s == RELEASE_LOCAL {
+                    Release::Local
+                } else {
+                    Release::Global
+                };
+                return (McsToken(node), rel);
+            }
+            wait.snooze();
+        }
+    }
+
+    fn try_lock_local(&self) -> Option<(McsToken, Release)> {
         // Look before taking: a visibly non-empty queue costs one shared
         // read — no node, no read-for-ownership of the tail line.
         if self.tail.load(Ordering::Relaxed).is_some() {
@@ -113,12 +158,12 @@ unsafe impl RawLock for McsLock {
         }
         let node = pool::acquire::<McsNode>();
         node.next.store(None, Ordering::Relaxed);
-        node.locked.store(true, Ordering::Relaxed);
+        node.state.store(BUSY, Ordering::Relaxed);
         match self
             .tail
             .compare_exchange(None, Some(node), Ordering::AcqRel, Ordering::Relaxed)
         {
-            Ok(_) => Some(McsToken(node)),
+            Ok(_) => Some((McsToken(node), Release::Global)),
             Err(_) => {
                 // SAFETY: never published.
                 unsafe { pool::release(node) };
@@ -127,25 +172,46 @@ unsafe impl RawLock for McsLock {
         }
     }
 
-    unsafe fn unlock(&self, token: McsToken) {
+    fn alone(&self, token: &McsToken) -> bool {
+        token.0.next.load(Ordering::Acquire).is_none()
+    }
+
+    unsafe fn unlock_local(
+        &self,
+        token: McsToken,
+        pass_local: bool,
+        release_global: impl FnOnce(),
+    ) {
         let node = token.0;
-        // No known successor: try to swing tail back to empty. If a
-        // successor swapped tail but has not linked yet, wait for its link,
-        // yielding once the spin budget is spent — on a shared CPU the
-        // successor was preempted between its swap and its link.
-        let next = node.next.load(Ordering::Acquire).or_else(|| {
-            match self
-                .tail
-                .compare_exchange(Some(node), None, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => None,
-                Err(_) => Some(node.next.wait_for_node(Ordering::Acquire)),
+        match node.next.load(Ordering::Acquire) {
+            // Intra-cluster handoff: successor inherits the global lock.
+            Some(next) if pass_local => next.state.store(RELEASE_LOCAL, Ordering::Release),
+            next => {
+                // Ending the cohort's tenure: global release first (§2.1),
+                // then dispose of the queue position.
+                release_global();
+                // No successor: swing the tail back to empty (the next
+                // arriver sees a null tail and claims the global lock
+                // itself), or wait for a late successor's link, yielding
+                // once the spin budget is spent — on a shared CPU it was
+                // preempted between its swap and its link.
+                let next = next.or_else(|| {
+                    match self.tail.compare_exchange(
+                        Some(node),
+                        None,
+                        Ordering::AcqRel,
+                        Ordering::Relaxed,
+                    ) {
+                        Ok(_) => None,
+                        Err(_) => Some(node.next.wait_for_node(Ordering::Acquire)),
+                    }
+                });
+                if let Some(next) = next {
+                    next.state.store(RELEASE_GLOBAL, Ordering::Release);
+                }
             }
-        });
-        if let Some(next) = next {
-            next.locked.store(false, Ordering::Release);
         }
-        // SAFETY: the token is this lock's holder's (the `unlock`
+        // SAFETY: the token is this lock's holder's (the `unlock_local`
         // contract), and its node is quiescent: the queue no longer ends at
         // it, and a successor linked to it already and spins on its own
         // node from here on.

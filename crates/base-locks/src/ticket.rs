@@ -7,20 +7,24 @@
 //! paper), so this lock serves as the global lock of C-TKT-TKT and
 //! C-TKT-MCS.
 //!
-//! The token returned by `lock` is the ticket number; it also gives the
-//! paper's *cohort detection* for free (`request != grant+1` while
-//! holding means someone is waiting) — the cohort crate builds on exactly
-//! that observation with its own local-ticket variant.
+//! It is the local lock of C-TKT-TKT too ([`LocalCohortLock`], §3.2):
+//! cohort detection comes free — while holding ticket `t` (so
+//! `grant == t`), cluster-mates are waiting iff `request > t + 1`. Local
+//! handoff uses the paper's `top-granted` field: the releaser sets it
+//! before incrementing `grant`; the next owner finds it set, learns it
+//! inherited the global lock, and resets it (footnote 3). Only
+//! `lock_local` reads it, so the plain `lock` keeps the classic loads.
 
-use crate::raw::RawLock;
+use crate::raw::{LocalCohortLock, RawLock, Release};
 use crossbeam_utils::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// FIFO ticket lock.
 #[derive(Debug, Default)]
 pub struct TicketLock {
     request: CachePadded<AtomicU64>,
     grant: CachePadded<AtomicU64>,
+    pub(crate) top_granted: CachePadded<AtomicBool>,
 }
 
 impl TicketLock {
@@ -29,21 +33,23 @@ impl TicketLock {
         Self::default()
     }
 
-    /// Current request counter (monitoring/tests).
-    pub fn request_count(&self) -> u64 {
-        self.request.load(Ordering::Relaxed)
-    }
-
-    /// Current grant counter (monitoring/tests).
-    pub fn grant_count(&self) -> u64 {
-        self.grant.load(Ordering::Relaxed)
-    }
-
     /// Number of threads waiting or holding (racy snapshot).
     pub fn queue_len(&self) -> u64 {
         self.request
             .load(Ordering::Relaxed)
             .saturating_sub(self.grant.load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn consume_top_granted(&self) -> Release {
+        // The new owner checks whether the previous one passed the global
+        // lock along, and resets the marker (it is per-handoff).
+        if self.top_granted.load(Ordering::Relaxed) {
+            self.top_granted.store(false, Ordering::Relaxed);
+            Release::Local
+        } else {
+            Release::Global
+        }
     }
 }
 
@@ -84,8 +90,45 @@ unsafe impl RawLock for TicketLock {
     }
 
     unsafe fn unlock(&self, token: u64) {
-        debug_assert_eq!(self.grant.load(Ordering::Relaxed), token);
-        self.grant.store(token + 1, Ordering::Release);
+        // SAFETY: the `unlock` contract is `unlock_local`'s, and this
+        // lock's plain role has no global lock to release.
+        unsafe { self.unlock_local(token, false, || {}) }
+    }
+}
+
+// SAFETY: a ticket lock admits exactly one holder per grant value; the
+// `alone?` predicate (`request != t + 1`) can only claim company when a
+// request counter increment — made by a thread that, being non-abortable,
+// will wait for its turn — has happened.
+unsafe impl LocalCohortLock for TicketLock {
+    /// The ticket number (needed to advance `grant` on release).
+    type Token = u64;
+
+    fn lock_local(&self) -> (u64, Release) {
+        (self.lock(), self.consume_top_granted())
+    }
+
+    fn try_lock_local(&self) -> Option<(u64, Release)> {
+        self.try_lock().map(|me| (me, self.consume_top_granted()))
+    }
+
+    fn alone(&self, me: &u64) -> bool {
+        // While we hold ticket `me`, waiters exist iff further requests
+        // were issued (§3.2: "determine if the request and grant counters
+        // match").
+        self.request.load(Ordering::Relaxed) == me + 1
+    }
+
+    unsafe fn unlock_local(&self, me: u64, pass_local: bool, release_global: impl FnOnce()) {
+        debug_assert_eq!(self.grant.load(Ordering::Relaxed), me);
+        if pass_local && !self.alone(&me) {
+            // Inform the next-in-line that it inherits the global lock,
+            // *then* open the gate.
+            self.top_granted.store(true, Ordering::Relaxed);
+        } else {
+            release_global();
+        }
+        self.grant.store(me + 1, Ordering::Release);
     }
 }
 

@@ -5,7 +5,7 @@
 //! "trivially abortable": any [`RawAbortableLock`] will do); the local
 //! side carries the strengthened
 //! cohort-detection obligation encoded in
-//! [`AbortableLocalCohortLock`](crate::traits::AbortableLocalCohortLock).
+//! [`AbortableLocalCohortLock`].
 //!
 //! This module adds [`CohortLock::lock_with_patience`] for such
 //! compositions, and wires it into `base_locks`'
@@ -14,8 +14,8 @@
 //! like any other timeout-capable lock.
 
 use crate::lock::{CohortLock, CohortToken};
-use crate::traits::{AbortableLocalCohortLock, LocalAbortResult, Release, ThreadOblivious};
-use base_locks::RawAbortableLock;
+use crate::ThreadOblivious;
+use base_locks::{AbortableLocalCohortLock, LocalAbortResult, RawAbortableLock, Release};
 use numa_topology::current_cluster_in;
 use std::time::Instant;
 

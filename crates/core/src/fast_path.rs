@@ -40,8 +40,8 @@
 
 use crate::lock::{CohortLock, CohortToken};
 use crate::policy::{add_held, CohortStats, Introspect, PolicySpec, Tenures};
-use crate::traits::{LocalCohortLock, ThreadOblivious};
-use base_locks::{RawLock, SpinWait, Wait};
+use crate::ThreadOblivious;
+use base_locks::{LocalCohortLock, RawLock, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{global_topology, Topology};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -374,11 +374,11 @@ impl<G: ThreadOblivious, L: LocalCohortLock> std::fmt::Debug for FissileLock<G, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local_mcs::LocalMcsLock;
     use crate::GlobalBoLock;
+    use base_locks::McsLock;
     use std::sync::atomic::AtomicU64;
 
-    type Fis = FissileLock<GlobalBoLock, LocalMcsLock>;
+    type Fis = FissileLock<GlobalBoLock, McsLock>;
 
     fn topo() -> Arc<Topology> {
         Arc::new(Topology::new(4))

@@ -1,5 +1,13 @@
-//! The base locks the paper uses in the global position, each marked
-//! [`ThreadOblivious`] with the reason it is.
+//! The global-lock property of §2 and the base locks that have it.
+//!
+//! The paper requires exactly two properties of the component locks: the
+//! **global** lock must be *thread-oblivious* — acquired by one thread,
+//! releasable by another, as ownership of the global lock travels silently
+//! between cohort members — and each **local** lock must provide *cohort
+//! detection* ([`LocalCohortLock`](base_locks::LocalCohortLock)). The
+//! first is a property of an ordinary [`RawLock`], so it is a marker,
+//! [`ThreadOblivious`], and each lock the paper uses in the global
+//! position is marked here with the reason it is:
 //!
 //! * **TATAS family** (BO, global BO, TATAS, Fib-BO) — used by C-BO-BO,
 //!   C-BO-MCS, A-C-BO-BO, A-C-BO-CLH.
@@ -7,8 +15,18 @@
 //! * **MCS** — used by C-MCS-MCS.
 //! * **Reciprocating** — used by C-Recip-MCS.
 
-use crate::traits::ThreadOblivious;
-use base_locks::{McsLock, ReciprocatingLock, TasLock, TicketLock, Wait};
+use base_locks::{McsLock, RawLock, ReciprocatingLock, TasLock, TicketLock, Wait};
+
+/// A [`RawLock`] usable in the global position of a cohort lock: its
+/// release is sound from any thread.
+///
+/// # Safety
+///
+/// `unlock(token)` must be sound from any thread, given the token of the
+/// current acquisition (which is why the token is `Send`). TATAS and
+/// ticket locks have the property trivially; MCS gains it through
+/// pool-circulated queue nodes — §3.4 of the paper.
+pub unsafe trait ThreadOblivious: RawLock<Token: Send> {}
 
 // SAFETY: the lock word is one flag carrying no owner identity, and
 // `unlock` is a plain store.

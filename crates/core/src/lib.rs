@@ -104,54 +104,47 @@ pub mod fast_path;
 pub mod gcr;
 mod global;
 mod local_abo;
-mod local_aclh;
 mod local_bo;
-mod local_mcs;
-mod local_ticket;
 mod lock;
 pub mod policy;
 pub mod rwlock;
-mod traits;
 
 pub use fast_path::{FissileLock, FissileToken, FissileTuning};
 pub use gcr::{GcrLock, GcrToken};
+pub use global::ThreadOblivious;
 pub use local_abo::LocalAboLock;
-pub use local_aclh::{AClhToken, LocalAClhLock};
 pub use local_bo::LocalBoLock;
-pub use local_mcs::{CohortMcsToken, LocalMcsLock};
-pub use local_ticket::LocalTicketLock;
 pub use lock::{CohortLock, CohortToken};
 pub use policy::{ClusterStats, CohortStats, Introspect, PolicySpec, Tenures};
 pub use rwlock::{CohortRwLock, RwFairness, RwReadGuard, RwReadToken, RwWriteGuard, RwWriteToken};
-pub use traits::{
-    AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, Release, ThreadOblivious,
-};
 
-pub use base_locks::GlobalBoLock;
-use base_locks::{McsLock, ReciprocatingLock, SpinMutex, TicketLock};
+use base_locks::{AbortableClhLock, McsLock, ReciprocatingLock, SpinMutex, TicketLock};
+pub use base_locks::{
+    AbortableLocalCohortLock, GlobalBoLock, LocalAbortResult, LocalCohortLock, Release,
+};
 
 /// C-BO-BO (§3.1): global BO lock, local BO locks with `successor-exists`.
 pub type CBoBo = CohortLock<GlobalBoLock, LocalBoLock>;
 
 /// C-TKT-TKT (§3.2): ticket locks at both levels, `top-granted` handoff.
-pub type CTktTkt = CohortLock<TicketLock, LocalTicketLock>;
+pub type CTktTkt = CohortLock<TicketLock, TicketLock>;
 
 /// C-BO-MCS (§3.3, Figure 1): global BO lock, local MCS queues.
-pub type CBoMcs = CohortLock<GlobalBoLock, LocalMcsLock>;
+pub type CBoMcs = CohortLock<GlobalBoLock, McsLock>;
 
 /// C-TKT-MCS (§3.5): "the best of C-TKT-TKT and C-MCS-MCS".
-pub type CTktMcs = CohortLock<TicketLock, LocalMcsLock>;
+pub type CTktMcs = CohortLock<TicketLock, McsLock>;
 
 /// C-MCS-MCS (§3.4): MCS at both levels; the global side circulates queue
 /// nodes through pools to become thread-oblivious.
-pub type CMcsMcs = CohortLock<McsLock, LocalMcsLock>;
+pub type CMcsMcs = CohortLock<McsLock, McsLock>;
 
 /// A-C-BO-BO (§3.6.1): the abortable C-BO-BO.
 pub type AcBoBo = CohortLock<GlobalBoLock, LocalAboLock>;
 
 /// A-C-BO-CLH (§3.6.2): abortable CLH cohorts under a global BO lock —
 /// the paper's flagship abortable NUMA lock.
-pub type AcBoClh = CohortLock<GlobalBoLock, LocalAClhLock>;
+pub type AcBoClh = CohortLock<GlobalBoLock, AbortableClhLock>;
 
 /// RAII mutex over a cohort lock: `CohortMutex<T, CBoMcs>` etc.
 pub type CohortMutex<T, CL> = SpinMutex<T, CL>;
@@ -159,20 +152,20 @@ pub type CohortMutex<T, CL> = SpinMutex<T, CL>;
 /// C-RW-BO-MCS: the cohort reader-writer lock over the paper's
 /// best-performing writer composition (global BO, local MCS). See
 /// [`rwlock`] for the protocol and the fairness flavors.
-pub type CRwBoMcs = CohortRwLock<GlobalBoLock, LocalMcsLock>;
+pub type CRwBoMcs = CohortRwLock<GlobalBoLock, McsLock>;
 
 /// C-RW-TKT-MCS: the cohort reader-writer lock with a ticket global lock
 /// on the writer side.
-pub type CRwTktMcs = CohortRwLock<TicketLock, LocalMcsLock>;
+pub type CRwTktMcs = CohortRwLock<TicketLock, McsLock>;
 
 /// Fis-BO-MCS: the fissile fast-path lock over [`CBoMcs`] — a TATAS word
 /// tried first, the paper's best cohort composition underneath (see
 /// [`fast_path`]). Uncontended acquisition is one CAS; saturation gets
 /// full cohort behavior.
-pub type FisBoMcs = FissileLock<GlobalBoLock, LocalMcsLock>;
+pub type FisBoMcs = FissileLock<GlobalBoLock, McsLock>;
 
 /// Fis-TKT-MCS: the fissile fast-path lock over [`CTktMcs`].
-pub type FisTktMcs = FissileLock<TicketLock, LocalMcsLock>;
+pub type FisTktMcs = FissileLock<TicketLock, McsLock>;
 
 /// GCR-MCS: the concurrency-restriction admission layer over a plain MCS
 /// queue lock — the minimal demonstration that GCR is lock-agnostic (see
@@ -192,7 +185,7 @@ pub type GcrFisBoMcs = GcrLock<FisBoMcs>;
 /// token is two plain words, so it is trivially thread-oblivious — the
 /// §3.4 requirement — and its constant-coherence handover makes the
 /// inter-cluster hop as cheap as the intra-cluster one.
-pub type CRecipMcs = CohortLock<ReciprocatingLock, LocalMcsLock>;
+pub type CRecipMcs = CohortLock<ReciprocatingLock, McsLock>;
 
 #[cfg(test)]
 mod tests {
@@ -233,6 +226,46 @@ mod tests {
 
     fn topo() -> Arc<Topology> {
         Arc::new(Topology::new(4))
+    }
+
+    #[test]
+    fn c_mcs_mcs_node_pool_stays_bounded() {
+        // C-MCS-MCS takes its global and its local nodes from one pool,
+        // and a tenure's global node is released by whichever cohort
+        // member ends it: with one cluster, short tenures and a holder
+        // that yields to the waiters, a thread often releases a node
+        // another thread took.
+        let spec = PolicySpec::Count { bound: 4 };
+        let lock = Arc::new(CMcsMcs::with_policy(Arc::new(Topology::new(1)), spec));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let lock = Arc::clone(&lock);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..1_000 {
+                        let t = lock.lock();
+                        std::thread::yield_now();
+                        unsafe { lock.unlock(t) };
+                    }
+                    base_locks::pool::fresh_allocations::<base_locks::McsNode>()
+                })
+            })
+            .collect();
+        for h in handles {
+            // Unbalanced threads refill from the overflow list that the
+            // others spill to; other tests' threads share it too.
+            let fresh = h.join().unwrap();
+            assert!(
+                fresh <= 4 * base_locks::pool::CACHE_CAP,
+                "{fresh} fresh nodes"
+            );
+        }
+        assert!(
+            lock.cohort_stats().local_handoffs() > 0,
+            "tenures passed locally"
+        );
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! {releaser-revoke, rescuer, legitimate acquirer} wins.
 
 use crate::local_bo::{BUSY, GLOBAL_RELEASE, LOCAL_RELEASE};
-use crate::traits::{AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, Release};
-use base_locks::{Backoff, Wait};
+use base_locks::{
+    AbortableLocalCohortLock, Backoff, LocalAbortResult, LocalCohortLock, Release, Wait,
+};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};

@@ -10,8 +10,7 @@
 //! the non-abortable lock here, a `true` reading is always backed by a
 //! waiter that cannot disappear.
 
-use crate::traits::{LocalCohortLock, Release};
-use base_locks::{Backoff, Wait};
+use base_locks::{Backoff, LocalCohortLock, Release, Wait};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 

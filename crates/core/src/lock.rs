@@ -1,8 +1,8 @@
 //! The generic cohort lock — the paper's §2 transformation as one type.
 
 use crate::policy::{wall_ns, CohortStats, Introspect, PolicySpec, Tenures};
-use crate::traits::{LocalCohortLock, Release, ThreadOblivious};
-use base_locks::RawLock;
+use crate::ThreadOblivious;
+use base_locks::{LocalCohortLock, RawLock, Release};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, global_topology, ClusterId, Topology};
 use std::cell::UnsafeCell;
@@ -53,13 +53,13 @@ impl<LT> CohortToken<LT> {
 /// [`CTktTkt`], [`CBoMcs`], [`CTktMcs`], [`CMcsMcs`].
 ///
 /// ```
-/// use cohort::{CohortLock, GlobalBoLock, LocalMcsLock, PolicySpec};
-/// use base_locks::RawLock; // lock/unlock live on the RawLock trait
+/// use cohort::{CohortLock, GlobalBoLock, PolicySpec};
+/// use base_locks::{McsLock, RawLock}; // lock/unlock live on the RawLock trait
 /// use numa_topology::Topology;
 /// use std::sync::Arc;
 ///
 /// let topo = Arc::new(Topology::new(4));
-/// let lock: CohortLock<GlobalBoLock, LocalMcsLock> =
+/// let lock: CohortLock<GlobalBoLock, McsLock> =
 ///     CohortLock::with_policy(topo, PolicySpec::Count { bound: 8 });
 ///
 /// let token = lock.lock();
@@ -335,7 +335,8 @@ impl<G: ThreadOblivious, L: LocalCohortLock> std::fmt::Debug for CohortLock<G, L
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GlobalBoLock, LocalMcsLock};
+    use crate::GlobalBoLock;
+    use base_locks::McsLock;
     use std::mem::{align_of, offset_of, size_of};
 
     /// Every new holder writes `holder.streak`; every arrival reads `topo`
@@ -343,7 +344,7 @@ mod tests {
     /// `global`. None of them may sit on the holder's 128-byte block.
     #[test]
     fn holder_line_is_shared_with_no_other_field() {
-        type C = CohortLock<GlobalBoLock, LocalMcsLock>;
+        type C = CohortLock<GlobalBoLock, McsLock>;
         const LINE: usize = 128;
         assert!(align_of::<C>() >= LINE, "offsets map onto lines");
         let start = offset_of!(C, holder) / LINE * LINE;
@@ -353,7 +354,7 @@ mod tests {
             (
                 "locals",
                 offset_of!(C, locals),
-                size_of::<Box<[CachePadded<LocalMcsLock>]>>(),
+                size_of::<Box<[CachePadded<McsLock>]>>(),
             ),
             ("global", offset_of!(C, global), size_of::<GlobalBoLock>()),
             ("policy", offset_of!(C, policy), size_of::<Tenures>()),

@@ -43,8 +43,8 @@
 
 use crate::lock::{CohortLock, CohortToken};
 use crate::policy::{CohortStats, PolicySpec, Tenures};
-use crate::traits::{LocalCohortLock, ThreadOblivious};
-use base_locks::{RawLock, SpinWait, Wait};
+use crate::ThreadOblivious;
+use base_locks::{LocalCohortLock, RawLock, SpinWait, Wait};
 use crossbeam_utils::CachePadded;
 use numa_topology::{current_cluster_in, ClusterId, Topology};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -496,12 +496,12 @@ impl<G: ThreadOblivious, L: LocalCohortLock> Drop for RwWriteGuard<'_, G, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local_mcs::LocalMcsLock;
     use crate::GlobalBoLock;
+    use base_locks::McsLock;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    type Rw = CohortRwLock<GlobalBoLock, LocalMcsLock>;
+    type Rw = CohortRwLock<GlobalBoLock, McsLock>;
 
     fn topo() -> Arc<Topology> {
         Arc::new(Topology::new(4))
@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn single_cluster_topology_works() {
-        let rw = Arc::new(CohortRwLock::<GlobalBoLock, LocalMcsLock>::new(Arc::new(
+        let rw = Arc::new(CohortRwLock::<GlobalBoLock, McsLock>::new(Arc::new(
             Topology::new(1),
         )));
         let (violations, writes) = stress(rw, 4, 400, 2);

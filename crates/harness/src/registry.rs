@@ -17,8 +17,8 @@ use base_locks::{
 };
 use cohort::{
     AbortableLocalCohortLock, CBoMcs, CohortLock, CohortRwLock, FisBoMcs, FissileLock, GcrLock,
-    Introspect, LocalAClhLock, LocalAboLock, LocalBoLock, LocalCohortLock, LocalMcsLock,
-    LocalTicketLock, PolicySpec, RwFairness, ThreadOblivious,
+    Introspect, LocalAboLock, LocalBoLock, LocalCohortLock, PolicySpec, RwFairness,
+    ThreadOblivious,
 };
 use numa_baselines::{CnaLock, FcMcsLock, HboLock, HboParams, HclhLock};
 use numa_topology::Topology;
@@ -277,7 +277,7 @@ impl LockKind {
         use ModelledAdmission::{Fifo, ReciprocatingStack};
         type Bo = GlobalBoLock;
         type Tkt = TicketLock;
-        type Mcs = LocalMcsLock;
+        type Mcs = McsLock;
         const TIGHT: u64 = LockKind::CNA_TIGHT_THRESHOLD;
         match self {
             LockKind::Pthread => Row::new("pthread", Fifo, raw::<PthreadLock>),
@@ -300,10 +300,10 @@ impl LockKind {
             LockKind::Cna => Row::new("CNA", PAPER, |t, p| cna(t, p, PolicySpec::PAPER_BOUND)),
             LockKind::CnaTight => Row::new("CNA (t=4)", batched(TIGHT), |t, p| cna(t, p, TIGHT)),
             LockKind::CBoBo => Row::new("C-BO-BO", PAPER, cohort::<Bo, LocalBoLock>),
-            LockKind::CTktTkt => Row::new("C-TKT-TKT", PAPER, cohort::<Tkt, LocalTicketLock>),
+            LockKind::CTktTkt => Row::new("C-TKT-TKT", PAPER, cohort::<Tkt, Tkt>),
             LockKind::CBoMcs => Row::new("C-BO-MCS", PAPER, cohort::<Bo, Mcs>),
             LockKind::CTktMcs => Row::new("C-TKT-MCS", PAPER, cohort::<Tkt, Mcs>),
-            LockKind::CMcsMcs => Row::new("C-MCS-MCS", PAPER, cohort::<McsLock, Mcs>),
+            LockKind::CMcsMcs => Row::new("C-MCS-MCS", PAPER, cohort::<Mcs, Mcs>),
             LockKind::FisBoMcs => Row::new("Fis-BO-MCS", PAPER, fissile::<Bo, Mcs>),
             LockKind::FisTktMcs => Row::new("Fis-TKT-MCS", PAPER, fissile::<Tkt, Mcs>),
             LockKind::GcrMcs => Row::new("GCR-MCS", Fifo, |t, _| gcr_over(t, McsLock::new())),
@@ -316,7 +316,7 @@ impl LockKind {
             }),
             LockKind::AHbo => Row::new("A-HBO", Fifo, |t, _| erase_abortable(hbo(t))),
             LockKind::ACBoBo => Row::new("A-C-BO-BO", PAPER, abortable::<Bo, LocalAboLock>),
-            LockKind::ACBoClh => Row::new("A-C-BO-CLH", PAPER, abortable::<Bo, LocalAClhLock>),
+            LockKind::ACBoClh => Row::new("A-C-BO-CLH", PAPER, abortable::<Bo, AbortableClhLock>),
         }
     }
 
@@ -464,7 +464,7 @@ impl RwLockKind {
     fn row(self) -> Row {
         type Bo = GlobalBoLock;
         type Tkt = TicketLock;
-        type Mcs = LocalMcsLock;
+        type Mcs = McsLock;
         match self {
             RwLockKind::StdRw => Row::new("std-RwLock", ModelledAdmission::Fifo, |_, _| {
                 Arc::new(StdRwAdapter::new())

@@ -4,10 +4,10 @@
 //! is validated with a torn-counter detector; policy invariants are
 //! validated against the [`CohortStats`] counters.
 
-use base_locks::{McsLock, RawLock, ReciprocatingLock, TicketLock};
+use base_locks::{AbortableClhLock, McsLock, RawLock, ReciprocatingLock, TicketLock};
 use cohort::{
-    CBoMcs, CohortLock, CohortStats, FisBoMcs, GcrLock, GlobalBoLock, LocalAClhLock, LocalAboLock,
-    LocalBoLock, LocalCohortLock, LocalMcsLock, LocalTicketLock, PolicySpec, ThreadOblivious,
+    CBoMcs, CohortLock, CohortStats, FisBoMcs, GcrLock, GlobalBoLock, LocalAboLock, LocalBoLock,
+    LocalCohortLock, PolicySpec, ThreadOblivious,
 };
 use numa_baselines::CnaLock;
 use numa_topology::{ClusterId, Topology};
@@ -60,26 +60,26 @@ macro_rules! matrix_test {
 
 // The paper's compositions…
 matrix_test!(bo_over_bo, GlobalBoLock, LocalBoLock);
-matrix_test!(tkt_over_tkt, TicketLock, LocalTicketLock);
-matrix_test!(bo_over_mcs, GlobalBoLock, LocalMcsLock);
-matrix_test!(tkt_over_mcs, TicketLock, LocalMcsLock);
-matrix_test!(mcs_over_mcs, McsLock, LocalMcsLock);
+matrix_test!(tkt_over_tkt, TicketLock, TicketLock);
+matrix_test!(bo_over_mcs, GlobalBoLock, McsLock);
+matrix_test!(tkt_over_mcs, TicketLock, McsLock);
+matrix_test!(mcs_over_mcs, McsLock, McsLock);
 matrix_test!(bo_over_abo, GlobalBoLock, LocalAboLock);
-matrix_test!(bo_over_aclh, GlobalBoLock, LocalAClhLock);
+matrix_test!(bo_over_aclh, GlobalBoLock, AbortableClhLock);
 // …and the ones it never built (the transformation is general).
 matrix_test!(tkt_over_bo, TicketLock, LocalBoLock);
 matrix_test!(mcs_over_bo, McsLock, LocalBoLock);
-matrix_test!(mcs_over_tkt, McsLock, LocalTicketLock);
-matrix_test!(bo_over_tkt, GlobalBoLock, LocalTicketLock);
-matrix_test!(tkt_over_aclh, TicketLock, LocalAClhLock);
-matrix_test!(mcs_over_aclh, McsLock, LocalAClhLock);
+matrix_test!(mcs_over_tkt, McsLock, TicketLock);
+matrix_test!(bo_over_tkt, GlobalBoLock, TicketLock);
+matrix_test!(tkt_over_aclh, TicketLock, AbortableClhLock);
+matrix_test!(mcs_over_aclh, McsLock, AbortableClhLock);
 matrix_test!(tkt_over_abo, TicketLock, LocalAboLock);
 matrix_test!(mcs_over_abo, McsLock, LocalAboLock);
 // …and the reciprocating global (C-Recip-MCS plus an unnamed sibling):
 // its two-plain-word token is thread-oblivious by construction, so the
 // §3.4 requirement costs it nothing.
-matrix_test!(recip_over_mcs, ReciprocatingLock, LocalMcsLock);
-matrix_test!(recip_over_tkt, ReciprocatingLock, LocalTicketLock);
+matrix_test!(recip_over_mcs, ReciprocatingLock, McsLock);
+matrix_test!(recip_over_tkt, ReciprocatingLock, TicketLock);
 
 // ---------------------------------------------------------------------------
 // The policy matrix: every PolicySpec family keeps mutual exclusion
@@ -138,7 +138,7 @@ where
 
 /// The C-BO-MCS shorthand used by the single-policy invariant tests.
 fn policy_stress(policy: PolicySpec, threads: u64, iters: u64) -> CohortStats {
-    policy_stress_on::<GlobalBoLock, LocalMcsLock>(policy, threads, iters)
+    policy_stress_on::<GlobalBoLock, McsLock>(policy, threads, iters)
 }
 
 #[test]
@@ -167,12 +167,12 @@ fn all_seven_paper_compositions_under_every_policy_family() {
     }
     under_every_policy!(
         GlobalBoLock, LocalBoLock;      // C-BO-BO
-        TicketLock, LocalTicketLock;    // C-TKT-TKT
-        GlobalBoLock, LocalMcsLock;     // C-BO-MCS
-        TicketLock, LocalMcsLock;       // C-TKT-MCS
-        McsLock, LocalMcsLock;          // C-MCS-MCS
+        TicketLock, TicketLock;         // C-TKT-TKT
+        GlobalBoLock, McsLock;          // C-BO-MCS
+        TicketLock, McsLock;            // C-TKT-MCS
+        McsLock, McsLock;               // C-MCS-MCS
         GlobalBoLock, LocalAboLock;     // A-C-BO-BO
-        GlobalBoLock, LocalAClhLock;    // A-C-BO-CLH
+        GlobalBoLock, AbortableClhLock; // A-C-BO-CLH
     );
 }
 

@@ -2,10 +2,12 @@
 //! tokens crossing threads, guards over cohort locks (including a panic
 //! inside one), registry coverage, threads far beyond the CPUs.
 
-use base_locks::{AbortableClhLock, ClhLock, McsLock, RawLock, SpinMutex};
+use base_locks::{
+    AbortableClhLock, ClhLock, McsLock, RawAbortableLock, RawLock, SpinMutex, TicketLock,
+};
 use cohort::{
-    AClhToken, CBoMcs, CTktTkt, CohortMcsToken, FisBoMcs, GcrCBoMcs, Introspect, LocalAClhLock,
-    LocalMcsLock, ThreadOblivious,
+    AbortableLocalCohortLock, CBoMcs, CTktTkt, FisBoMcs, GcrCBoMcs, Introspect, LocalCohortLock,
+    ThreadOblivious,
 };
 use lbench::{AnyLockKind, LockKind};
 use numa_baselines::{CnaLock, CnaToken, HclhLock, HclhToken};
@@ -14,7 +16,7 @@ use std::cell::UnsafeCell;
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
-/// The seven queue locks on pool nodes hold their nodes as `&'static`
+/// The five queue locks on pool nodes hold their nodes as `&'static`
 /// references, so they and their tokens are `Send`/`Sync` with no
 /// `unsafe impl`. Checked when this file compiles: a raw-pointer node
 /// field in a token or a lock fails the build here.
@@ -25,20 +27,28 @@ fn pool_node_locks_and_tokens_are_send_and_sync_without_manual_impls() {
     send::<<McsLock as RawLock>::Token>();
     send::<<ClhLock as RawLock>::Token>();
     send::<<AbortableClhLock as RawLock>::Token>();
-    send::<CohortMcsToken>();
-    send::<AClhToken>();
     send::<CnaToken>();
     send::<HclhToken>();
     send_sync::<McsLock>();
     send_sync::<ClhLock>();
     send_sync::<AbortableClhLock>();
-    send_sync::<LocalMcsLock>();
-    send_sync::<LocalAClhLock>();
     send_sync::<CnaLock>();
     send_sync::<HclhLock>();
     // And the two wrappers over them, `Send` with no manual impl either.
     send::<CBoMcs>();
     send::<SpinMutex<u64, McsLock>>();
+}
+
+/// MCS, ticket and abortable CLH are each one type in every role the
+/// paper gives them: plain, global and cohort-local. Checked when this
+/// file compiles.
+#[test]
+fn one_lock_per_algorithm_serves_every_role() {
+    fn plain_global_and_local<L: RawLock + ThreadOblivious + LocalCohortLock>() {}
+    fn abortable_plain_and_local<L: RawAbortableLock + AbortableLocalCohortLock>() {}
+    plain_global_and_local::<McsLock>();
+    plain_global_and_local::<TicketLock>();
+    abortable_plain_and_local::<AbortableClhLock>();
 }
 
 #[test]

@@ -20,9 +20,8 @@
 //!    (`max_streak <= bound`): the word graft must not let the cohort
 //!    layer exceed its configured fairness.
 
-use lock_cohorting::base_locks::RawLock;
-use lock_cohorting::cohort::{FissileLock, FissileTuning, PolicySpec};
-use lock_cohorting::cohort::{GlobalBoLock, LocalMcsLock};
+use lock_cohorting::base_locks::{McsLock, RawLock};
+use lock_cohorting::cohort::{FissileLock, FissileTuning, GlobalBoLock, PolicySpec};
 use lock_cohorting::numa_topology::{
     bind_current_thread, reset_thread_binding, ClusterId, Topology,
 };
@@ -30,7 +29,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-type Fis = FissileLock<GlobalBoLock, LocalMcsLock>;
+type Fis = FissileLock<GlobalBoLock, McsLock>;
 
 /// Outcome of one randomized run, aggregated across its worker threads.
 struct RunOutcome {

@@ -11,13 +11,14 @@
 //! 4. **bounded writer streaks** — no writer tenure exceeds the
 //!    configured handoff-policy bound.
 
-use lock_cohorting::cohort::{CohortRwLock, GlobalBoLock, LocalMcsLock, PolicySpec, RwFairness};
+use lock_cohorting::base_locks::McsLock;
+use lock_cohorting::cohort::{CohortRwLock, GlobalBoLock, PolicySpec, RwFairness};
 use lock_cohorting::numa_topology::Topology;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-type Rw = CohortRwLock<GlobalBoLock, LocalMcsLock>;
+type Rw = CohortRwLock<GlobalBoLock, McsLock>;
 
 /// Outcome of one randomized run, aggregated across its worker threads.
 struct RunOutcome {
