@@ -42,7 +42,7 @@ mod model;
 mod pricing;
 mod stats;
 
-pub use directory::{Directory, LineState};
+pub use directory::{Directory, LineState, MAX_DIR_CLUSTERS};
 pub use handoff::{AcquireInfo, BatchHistogram, HandoffChannel};
 pub use model::CostModel;
 pub use pricing::{Free, Pricing};

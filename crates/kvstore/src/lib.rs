@@ -37,6 +37,7 @@
 //!   normalizes its numbers into speedups.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 mod sharded;
 mod shared;

@@ -108,14 +108,24 @@ impl<P: Pricing> ShardedKvStore<P> {
     /// at one shard this is exactly the legacy driver's single
     /// `with_lock` populate, which the `NeverPass` tenure-count parity
     /// test depends on.
+    ///
+    /// Each key's shard is computed once: one pass tags every key with
+    /// its shard, and a scan of the tags hands each shard's keys to the
+    /// store's bulk `set_all` (the same [`KvStore::set`]s, with bucket
+    /// heads prefetched ahead). The tags are dropped before `warm` returns.
     pub fn warm(&self, keyspace: u64) {
         let c0 = ClusterId::new(0);
+        assert!(
+            u32::try_from(self.shards.len()).is_ok(),
+            "a shard index must fit a u32 tag"
+        );
+        let tags: Vec<u32> = (0..keyspace).map(|k| self.shard_of(k) as u32).collect();
         for (idx, shard) in self.shards.iter().enumerate() {
-            shard.store.with_lock(|s| {
-                for k in (0..keyspace).filter(|&k| self.shard_of(k) == idx) {
-                    s.set(k, k, c0);
-                }
-            });
+            let keys = (0..keyspace)
+                .zip(&tags)
+                .filter(|&(_, &t)| t as usize == idx);
+            let items = keys.map(|(k, _)| (k, k));
+            shard.store.with_lock(|s| s.set_all(items, c0));
         }
     }
 
@@ -286,6 +296,7 @@ impl KeyedService for KvService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Dump;
 
     fn store(shards: usize, lock: ShardLockSpec) -> ShardedKvStore<Arc<Directory>> {
         let topo = Arc::new(Topology::new(4));
@@ -358,8 +369,83 @@ mod tests {
         for k in 0..200u64 {
             s.op(k, true, 0, cl, 0, u64::MAX, &stop);
         }
-        assert_eq!(s.stats().hits, 200, "rw_hits folded in via merge");
+        assert_eq!(s.stats().hits, 200, "read-path hits folded in via merge");
         assert_eq!(s.report().acquisitions, 0, "shared gets bypass the channel");
+    }
+
+    /// The loop `warm` replaced: each shard's lock once, in shard order,
+    /// every key re-hashed per shard and its own `set` in ascending order.
+    fn warm_by_reference<P: Pricing>(s: &ShardedKvStore<P>, keyspace: u64) {
+        let c0 = ClusterId::new(0);
+        for (idx, shard) in s.shards.iter().enumerate() {
+            shard.store.with_lock(|st| {
+                for k in (0..keyspace).filter(|&k| s.shard_of(k) == idx) {
+                    st.set(k, k, c0);
+                }
+            });
+        }
+    }
+
+    /// Warms a fresh store with `warm` or with `reference`, and returns
+    /// every shard's canonical dump with the thread's directory counters
+    /// and virtual clock over the warm.
+    fn warmed<P: Pricing>(
+        shards: usize,
+        keyspace: u64,
+        reference: bool,
+    ) -> (Vec<Dump>, coherence_sim::ThreadStats, u64) {
+        // Few buckets and a small capacity: chains collide and the larger
+        // keyspaces evict.
+        let cfg = KvConfig {
+            buckets: 8,
+            capacity: 16,
+            ..Default::default()
+        };
+        let topo = Arc::new(Topology::new(4));
+        let lock = ShardLockSpec::Excl(LockKind::CBoMcs);
+        let s = ShardedKvStore::<P>::build(shards, lock, &topo, None, cfg, CostModel::t5440());
+        numa_topology::vclock::reset();
+        coherence_sim::take_thread_stats();
+        if reference {
+            warm_by_reference(&s, keyspace);
+        } else {
+            s.warm(keyspace);
+        }
+        let charged = (
+            coherence_sim::take_thread_stats(),
+            numa_topology::vclock::now(),
+        );
+        numa_topology::vclock::reset();
+        let dumps = s
+            .shards
+            .iter()
+            .map(|sh| sh.store.with_lock(|st| st.canonical_dump()))
+            .collect();
+        (dumps, charged.0, charged.1)
+    }
+
+    /// `warm` leaves every shard field for field as the per-shard `set`
+    /// loop does, and charges a priced store exactly what the loop does:
+    /// around the prefetch distance (15, 16, 17 keys on one shard), with
+    /// nothing to set, and past capacity, where inserts evict.
+    #[test]
+    fn warm_matches_the_per_shard_set_loop() {
+        for shards in [1, 3, 4, 8] {
+            for keyspace in [0, 1, 15, 16, 17, 40 * shards as u64] {
+                let case = format!("{shards} shards, {keyspace} keys");
+                let free = warmed::<Free>(shards, keyspace, false);
+                assert_eq!(free, warmed::<Free>(shards, keyspace, true), "{case}");
+                let priced = warmed::<Arc<Directory>>(shards, keyspace, false);
+                let by_loop = warmed::<Arc<Directory>>(shards, keyspace, true);
+                assert_eq!(priced, by_loop, "{case}, priced");
+                assert_eq!(priced.0, free.0, "{case}: one body at both prices");
+                let inserted: u64 = free.0.iter().map(|d| d.4.inserts).sum();
+                assert_eq!(inserted, keyspace, "{case}");
+                if keyspace == 40 * shards as u64 {
+                    assert!(free.0.iter().any(|d| d.4.evictions > 0), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The store behind an injected lock — the paper's interpose library.
 
 use crate::store::{KvStats, KvStore};
-use coherence_sim::{Free, Pricing};
+use coherence_sim::{Free, Pricing, MAX_DIR_CLUSTERS};
 use lbench::BenchRwLock;
 use numa_topology::ClusterId;
 use std::cell::UnsafeCell;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// setup) every operation takes the exclusive side. Under a lock with a
 /// shared read side (the C-RW extension) `get`s run under the read side
 /// (via the LRU-free [`KvStore::peek`], with hit/miss counts kept in
-/// atomics) and everything else under the write side.
+/// per-cluster atomics) and everything else under the write side.
 ///
 /// `P` prices the store inside (see [`KvStore`]); the locking is the same
 /// for both prices.
@@ -29,16 +29,28 @@ pub struct SharedKvStore<P = Free> {
     gets_read: bool,
     store: UnsafeCell<KvStore<P>>,
     /// Read-path hit/miss counts (`gets_read` only; `peek` cannot touch
-    /// the store's own counters from under a shared lock).
-    rw_hits: AtomicU64,
-    rw_misses: AtomicU64,
+    /// the store's own counters from under a shared lock), one pair per
+    /// cluster slot so readers of different clusters write no common
+    /// line — the split the C-RW reader indicator makes for its own
+    /// counts. Cluster `c` counts in slot `c % MAX_DIR_CLUSTERS`.
+    read_counts: [ReadCounts; MAX_DIR_CLUSTERS],
+}
+
+/// One cluster slot's read-path hit and miss counts, on a 128-byte block
+/// of its own (an adjacent-line prefetcher pulls lines in pairs).
+#[derive(Default)]
+#[repr(align(128))]
+struct ReadCounts {
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 // SAFETY: `store` is touched exclusively (&mut) only under the write side
-// of the lock, and shared (&) only under the read side — so the sink moves
-// between threads with the store (`Send`) and is shared by concurrent
-// readers (`Sync`).
+// of the lock, and shared (&) only under the read side, so the store and
+// its sink may move to another thread with the `SharedKvStore`.
 unsafe impl<P: Send> Send for SharedKvStore<P> {}
+// SAFETY: as for `Send`; concurrent readers share the sink through `&`,
+// hence `P: Sync`.
 unsafe impl<P: Send + Sync> Sync for SharedKvStore<P> {}
 
 impl<P: Pricing> SharedKvStore<P> {
@@ -49,8 +61,7 @@ impl<P: Pricing> SharedKvStore<P> {
             gets_read: !lock.read_is_exclusive(),
             lock,
             store: UnsafeCell::new(store),
-            rw_hits: AtomicU64::new(0),
-            rw_misses: AtomicU64::new(0),
+            read_counts: std::array::from_fn(|_| ReadCounts::default()),
         }
     }
 
@@ -75,9 +86,10 @@ impl<P: Pricing> SharedKvStore<P> {
         // `&KvStore`, so concurrent readers are fine.
         let r = unsafe { (*self.store.get()).peek(key, cluster) };
         self.lock.release_read();
+        let counts = &self.read_counts[cluster.as_usize() % MAX_DIR_CLUSTERS];
         match r {
-            Some(_) => self.rw_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.rw_misses.fetch_add(1, Ordering::Relaxed),
+            Some(_) => counts.hits.fetch_add(1, Ordering::Relaxed),
+            None => counts.misses.fetch_add(1, Ordering::Relaxed),
         };
         r
     }
@@ -88,15 +100,17 @@ impl<P: Pricing> SharedKvStore<P> {
     }
 
     /// Statistics snapshot: the store's own counters merged (via
-    /// [`KvStats::merge`]) with the read-path hit/miss counts kept
-    /// outside the store when `get`s run under the read side.
+    /// [`KvStats::merge`]) with every cluster slot's read-path hit/miss
+    /// counts, kept outside the store when `get`s run under the read side.
     pub fn stats(&self) -> KvStats {
         let mut stats = self.with_lock(|s| s.stats());
-        stats.merge(&KvStats {
-            hits: self.rw_hits.load(Ordering::Relaxed),
-            misses: self.rw_misses.load(Ordering::Relaxed),
-            ..KvStats::default()
-        });
+        for counts in &self.read_counts {
+            stats.merge(&KvStats {
+                hits: counts.hits.load(Ordering::Relaxed),
+                misses: counts.misses.load(Ordering::Relaxed),
+                ..KvStats::default()
+            });
+        }
         stats
     }
 
@@ -228,6 +242,74 @@ mod tests {
         let cs = s.lock().cohort_stats().expect("cohort stats in RW mode");
         assert_eq!(cs.tenures() + cs.local_handoffs(), 1200 + 1);
         assert_eq!(s.lock().policy_label().as_deref(), Some("count(64)"));
+    }
+
+    /// Each cluster slot's hit/miss pair fills a 128-byte block of its
+    /// own, and no slot shares the store's hot block: readers of two
+    /// clusters, or a reader and the writer, write no common line.
+    #[test]
+    fn read_counts_sit_on_blocks_of_their_own() {
+        use std::mem::{align_of, offset_of, size_of};
+        type Sh = SharedKvStore<Free>;
+        const BLOCK: usize = 128;
+        assert_eq!(
+            (size_of::<ReadCounts>(), align_of::<ReadCounts>()),
+            (BLOCK, BLOCK)
+        );
+        // Offsets map onto blocks.
+        assert!(align_of::<Sh>() >= BLOCK);
+        let hot = (offset_of!(Sh, store) + crate::store::hot_offset()) / BLOCK;
+        for slot in 0..MAX_DIR_CLUSTERS {
+            let at = offset_of!(Sh, read_counts) + slot * size_of::<ReadCounts>();
+            assert_eq!(at % BLOCK, 0, "slot {slot} at {at} starts mid-block");
+            assert_ne!(at / BLOCK, hot, "slot {slot} shares the hot block");
+        }
+    }
+
+    /// Four readers on four clusters: every hit and miss is counted, each
+    /// in its own cluster's slot, and `stats` sums the slots exactly.
+    #[test]
+    fn readers_of_four_clusters_count_in_their_own_slots() {
+        const KEYS: u64 = 100;
+        const ROUNDS: u64 = 50;
+        let topo = Arc::new(Topology::new(4));
+        let s = shared::<Free>(RwLockKind::CRwWpBoMcs.make(&topo, None));
+        assert!(s.reads_are_shared());
+        for k in 0..KEYS {
+            s.set(k, k, ClusterId::new(0));
+        }
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    let cl = ClusterId::new(t);
+                    for _ in 0..ROUNDS {
+                        for k in 0..KEYS {
+                            assert_eq!(s.get(k, cl), Some(k));
+                        }
+                        // Half as many misses as hits.
+                        for k in KEYS..KEYS + KEYS / 2 {
+                            assert_eq!(s.get(k, cl), None);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        for (slot, counts) in s.read_counts.iter().enumerate() {
+            let (hits, misses) = if slot < 4 {
+                (ROUNDS * KEYS, ROUNDS * KEYS / 2)
+            } else {
+                (0, 0)
+            };
+            assert_eq!(counts.hits.load(Ordering::Relaxed), hits, "slot {slot}");
+            assert_eq!(counts.misses.load(Ordering::Relaxed), misses, "slot {slot}");
+        }
+        let st = s.stats();
+        assert_eq!((st.hits, st.misses), (4 * ROUNDS * KEYS, 2 * ROUNDS * KEYS));
+        assert_eq!(st.inserts, KEYS);
     }
 
     #[test]
