@@ -35,6 +35,7 @@
 //! pays mostly local charges — the same causal chain the paper measures.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 mod directory;
 mod handoff;

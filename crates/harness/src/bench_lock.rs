@@ -33,6 +33,7 @@ pub struct RawAdapter<L: RawLock + Introspect> {
 // SAFETY: the slot is holder-private (see field docs); `lock` is Sync by
 // the RawLock bound and `timed` is a plain function pointer.
 unsafe impl<L: RawLock + Introspect> Send for RawAdapter<L> {}
+// SAFETY: as for `Send`: only the holder touches the slot.
 unsafe impl<L: RawLock + Introspect> Sync for RawAdapter<L> {}
 
 impl<L: RawLock + Introspect> RawAdapter<L> {

@@ -88,6 +88,8 @@ pub struct CohortRwAdapter<G: ThreadOblivious, L: LocalCohortLock> {
 // SAFETY: the write slot is holder-private (see field docs); the lock
 // itself is Sync.
 unsafe impl<G: ThreadOblivious, L: LocalCohortLock> Send for CohortRwAdapter<G, L> {}
+// SAFETY: as for `Send`: only the writer holding the lock touches the
+// write slot.
 unsafe impl<G: ThreadOblivious, L: LocalCohortLock> Sync for CohortRwAdapter<G, L> {}
 
 impl<G: ThreadOblivious, L: LocalCohortLock> CohortRwAdapter<G, L> {
@@ -162,6 +164,8 @@ pub struct StdRwAdapter {
 // SAFETY: the write slot is holder-private; write guards are released on
 // the acquiring thread per the harness protocol.
 unsafe impl Send for StdRwAdapter {}
+// SAFETY: as for `Send`: only the writer holding the lock touches the
+// write slot.
 unsafe impl Sync for StdRwAdapter {}
 
 impl Default for StdRwAdapter {

@@ -47,6 +47,7 @@
 //! as [`AnyLockKind::modelled_admission`] ([`ModelledAdmission`]).
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 mod bench_lock;
 mod bench_rwlock;

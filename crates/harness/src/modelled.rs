@@ -74,6 +74,20 @@
 //!   `now`**, so `EventQueue` serves it from a FIFO lane and keeps the
 //!   heap for the future.
 //!
+//! Two more rules push fewer events. Every thread starts at t = 0 in tid
+//! order — the order the lane would serve their `Start`s — so `simulate`
+//! calls the handler directly instead of pushing them; and a thread whose
+//! next start falls at or past the window is not rescheduled
+//! (`Sim::restart`): its `Start` would pop only to retire it. The events
+//! left keep their relative order: keys order by push sequence within a
+//! timestamp, and a push that does not happen only closes a gap in the
+//! sequence, shifting every later number down alike, while every event a
+//! start pushes at t = 0 still lands behind all the starts. Neither rule
+//! moves anything but the livelock guard's count, which can only fall.
+//!
+//! A thread record is one cache line (`Th`), and a waiting entry one
+//! word (`Waiter`), laid out as an event key is.
+//!
 //! The obviously-right forms — a linear scan per question, one heap
 //! keyed `(time, push order)` — are the references of seeded
 //! differential tests in the test module.
@@ -108,6 +122,10 @@ enum Ev {
 /// the [`Ev`], the 40 above those the push sequence number.
 const TID_BITS: u32 = 22;
 const EV_BITS: u32 = 2;
+/// Bits of a [`Waiter`] above its thread id, which hold the arrival: a
+/// waiter arrived before the window closed, so `simulate` refuses a
+/// window of 2^42 ns (73 virtual minutes) or more.
+const ARRIVAL_BITS: u32 = 64 - TID_BITS;
 
 /// Events ordered by `(time, push order)`. An event's key is
 /// `(seq << 2 | ev) << 22 | tid`: the push sequence number decides among
@@ -174,27 +192,75 @@ impl EventQueue {
     }
 }
 
-/// A pending serialized acquisition.
-#[derive(Clone, Copy)]
-struct Waiting {
-    arrival: u64,
-    is_read: bool,
+/// A queued serialized acquisition, `arrival << TID_BITS | tid` — the
+/// layout of an event key — so comparing two waiters compares their
+/// `(arrival, tid)` pairs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Waiter(u64);
+
+impl Waiter {
+    fn new(arrival: u64, tid: usize) -> Self {
+        debug_assert!(arrival < 1 << ARRIVAL_BITS && tid < 1 << TID_BITS);
+        Waiter(arrival << TID_BITS | tid as u64)
+    }
+
+    fn arrival(self) -> u64 {
+        self.0 >> TID_BITS
+    }
+
+    fn tid(self) -> usize {
+        (self.0 & ((1 << TID_BITS) - 1)) as usize
+    }
+}
+
+/// Whether a thread waits, in one word: 0 while it does not, else
+/// `abort << 2 | is_read << 1 | 1`, where `abort` is the sequence number
+/// of the one `Ev::Abort` that may still end the wait (0 without
+/// patience; sequence numbers stay below 2^40). The wait's arrival is
+/// the thread's clock.
+#[derive(Clone, Copy, Default)]
+struct Wait(u64);
+
+impl Wait {
+    fn new(is_read: bool, abort: u64) -> Self {
+        Wait(abort << 2 | u64::from(is_read) << 1 | 1)
+    }
+
+    fn is_waiting(self) -> bool {
+        self.0 & 1 != 0
+    }
+
+    fn is_read(self) -> bool {
+        self.0 & 2 != 0
+    }
+
+    /// Whether the `Ev::Abort` numbered `seq` ends this wait; any other
+    /// is stale, its waiter granted or gone.
+    fn expires_at(self, seq: u64) -> bool {
+        self.is_waiting() && self.0 >> 2 == seq
+    }
 }
 
 /// One logical thread: the program's client plus where the simulation
-/// has it.
+/// has it, in one cache line. Its latency-sample count is derived from
+/// its op counts (`offers`) and its aborts are the simulation's to count.
+#[repr(align(64))]
 struct Th {
     client: Client,
     /// The arrival of the op it waits with, else when it starts its next.
     clock: u64,
-    /// Latency samples offered so far (see `Sim::lat_log`).
-    ticks: u64,
     /// The key of the op in flight, which names its admission unit.
     key: u64,
-    waiting: Option<Waiting>,
-    /// Sequence number of the one `Ev::Abort` that may still fire for
-    /// this thread; 0 once its wait has ended (grant or abort).
-    live_abort: u64,
+    wait: Wait,
+}
+
+const _: () = assert!(size_of::<Th>() == 64, "a thread record is one cache line");
+
+/// The latency samples client `c` has offered (see `Sim::lat_log`): one
+/// per op that held its unit — every write, and every read where reads
+/// serialize — or per op a service counted, shared reads included.
+fn offers(c: &Client, reads_offer: bool) -> u64 {
+    c.writes + if reads_offer { c.reads } else { 0 }
 }
 
 /// One admission unit — the lock of an LBench run, or one shard of a
@@ -210,14 +276,14 @@ struct Admission {
     /// `waiting[c]` holds cluster `c`'s queued serialized ops. A waiter
     /// enters in `enqueue` and leaves through `pick` (granted, or frozen
     /// into a reciprocating segment) or `withdraw` (patience expired).
-    waiting: Vec<VecDeque<(u64, usize)>>,
+    waiting: Vec<VecDeque<Waiter>>,
     /// [`ModelledAdmission::ClusterBatched`] only.
     batch: Option<Batch>,
     /// [`ModelledAdmission::ReciprocatingStack`] only: the detached
     /// segment, sorted ascending by `(arrival, tid)` and admitted from
     /// the back (newest first — the palindromic reversal). Threads
     /// arriving after the detach wait for the next segment.
-    recip_segment: Vec<(u64, usize)>,
+    recip_segment: Vec<Waiter>,
     /// True between a segment detach and the grant that consumes it:
     /// that grant touched the shared arrivals word as well as the gate.
     recip_detached: bool,
@@ -228,8 +294,8 @@ impl Admission {
     fn new(
         class: ModelledAdmission,
         clusters: usize,
-        mut waiting: Vec<VecDeque<(u64, usize)>>,
-        recip_segment: Vec<(u64, usize)>,
+        mut waiting: Vec<VecDeque<Waiter>>,
+        recip_segment: Vec<Waiter>,
     ) -> Self {
         waiting.resize_with(clusters, VecDeque::new);
         Admission {
@@ -247,9 +313,9 @@ impl Admission {
     /// of waiters that arrived at the same instant.
     fn enqueue(&mut self, cluster: ClusterId, arrival: u64, tid: usize) {
         let queue = &mut self.waiting[cluster.as_usize()];
-        let key = (arrival, tid);
+        let key = Waiter::new(arrival, tid);
         debug_assert!(
-            queue.back().is_none_or(|b| b.0 <= arrival),
+            queue.back().is_none_or(|b| b.arrival() <= arrival),
             "arrival out of order"
         );
         if queue.back().is_none_or(|&back| back < key) {
@@ -265,7 +331,7 @@ impl Admission {
     /// cluster's queue it sits.
     fn withdraw(&mut self, cluster: ClusterId, arrival: u64, tid: usize) {
         let queue = &mut self.waiting[cluster.as_usize()];
-        let at = queue.binary_search(&(arrival, tid));
+        let at = queue.binary_search(&Waiter::new(arrival, tid));
         queue.remove(at.expect("a withdrawing thread waits in its cluster's queue"));
     }
 
@@ -301,12 +367,12 @@ impl Admission {
                 }
             }
         };
-        pick.map(|(arrival, tid)| (arrival, tid, via_local))
+        pick.map(|w| (w.arrival(), w.tid(), via_local))
     }
 
-    /// Removes and returns the earliest `(arrival, tid)` over all
-    /// clusters: the minimum of the per-cluster heads.
-    fn pop_earliest(&mut self) -> Option<(u64, usize)> {
+    /// Removes and returns the earliest waiter over all clusters: the
+    /// minimum of the per-cluster heads.
+    fn pop_earliest(&mut self) -> Option<Waiter> {
         let queue = self
             .waiting
             .iter_mut()
@@ -395,18 +461,23 @@ struct Sim<'a> {
     dir: Directory,
     handoff: HandoffChannel,
     q: &'a mut EventQueue,
-    ths: &'a mut Vec<Th>,
+    ths: &'a mut [Th],
     /// One admission unit per shard of the service, or one for the lock.
     units: Vec<Admission>,
     serial_reads: bool,
     abortable: bool,
+    /// Whether a thread's reads offer latency samples (see [`offers`]).
+    reads_offer: bool,
+    /// Patience aborts, summed over threads.
+    aborts: u64,
     /// Succession census: coherence transitions the release-side
     /// admission decisions fan out to, summed over serialized grants
     /// (see [`ScenarioResult::succ_transitions`]). Accounting only —
     /// never advances the vclock.
     succ_transitions: u64,
-    /// `(sample, tick)` of each thread's `tick`-th latency sample, where
-    /// the reservoir it used to own would have retained it on arrival.
+    /// `(sample, tick)` of each thread's `tick`-th latency sample (from
+    /// 0), where the reservoir it used to own would have retained it on
+    /// arrival.
     lat_log: &'a mut Vec<(u64, u64)>,
 }
 
@@ -450,19 +521,23 @@ impl Sim<'_> {
         self.service.map_or(0, |service| service.shard_of(key))
     }
 
-    fn on_start(&mut self, tid: usize) {
-        let (cfg, th) = (self.program.cfg, &mut self.ths[tid]);
-        // A thread retires by scheduling nothing further.
-        if th.clock >= cfg.window_ns {
-            return;
+    /// Schedules `tid`'s next start at its clock — unless that is at or
+    /// past the window, where the thread retires by scheduling nothing.
+    fn restart(&mut self, tid: usize) {
+        let clock = self.ths[tid].clock;
+        if clock < self.program.cfg.window_ns {
+            self.q.push(clock, Ev::Start, tid);
         }
+    }
+
+    /// `tid` begins its next op, its clock inside the window.
+    fn on_start(&mut self, tid: usize) {
+        let th = &mut self.ths[tid];
         let op = match th.client.draw(self.program, th.clock) {
             // Load-shape gating: idle through the off-window.
             Draw::Gap(gap) => {
                 th.clock += gap;
-                if th.clock < cfg.window_ns {
-                    self.q.push(th.clock, Ev::Start, tid);
-                }
+                self.restart(tid);
                 return;
             }
             Draw::Op(op) => op,
@@ -473,7 +548,7 @@ impl Sim<'_> {
         if is_read && !self.serial_reads {
             // Genuinely shared read: runs at once, without queueing.
             self.op(tid, arrival, None);
-            self.q.push(self.ths[tid].clock, Ev::Start, tid);
+            self.restart(tid);
             return;
         }
 
@@ -484,15 +559,14 @@ impl Sim<'_> {
             // so this is an immediate grant opening a fresh tenure.
             self.grant(tid, unit, arrival, is_read, false);
         } else {
-            th.waiting = Some(Waiting { arrival, is_read });
             self.units[unit].enqueue(th.client.cluster, arrival, tid);
             // Patience applies to writes only, and only where the lock
             // can actually abort — same gate as the real-time path.
-            if !is_read && self.abortable {
-                if let Some(p) = self.program.scenario.patience_ns {
-                    th.live_abort = self.q.push(arrival + p, Ev::Abort, tid);
-                }
-            }
+            let abort = match self.program.scenario.patience_ns {
+                Some(p) if !is_read && self.abortable => self.q.push(arrival + p, Ev::Abort, tid),
+                _ => 0,
+            };
+            th.wait = Wait::new(is_read, abort);
         }
     }
 
@@ -547,8 +621,8 @@ impl Sim<'_> {
             }
         };
         if let Some(sample) = sample {
-            let tick = th.ticks;
-            th.ticks += 1;
+            // The op is booked, so its sample is the thread's last offer.
+            let tick = offers(&th.client, self.reads_offer) - 1;
             if tick & (LatReservoir::stride_at(tick) - 1) == 0 {
                 self.lat_log.push((sample, tick));
             }
@@ -558,43 +632,43 @@ impl Sim<'_> {
 
     fn on_release(&mut self, tid: usize, t: u64) {
         let unit = self.unit_of(self.ths[tid].key);
-        self.q.push(self.ths[tid].clock, Ev::Start, tid);
+        self.restart(tid);
         let adm = &mut self.units[unit];
         let holder = adm.holder.take().expect("release without holder");
         debug_assert_eq!(holder, tid);
         if let Some((arrival, next, via_local)) = adm.pick(t) {
-            let w = self.ths[next].waiting.take().expect("picked a non-waiter");
-            self.ths[next].live_abort = 0;
-            debug_assert_eq!(w.arrival, arrival);
-            self.grant(next, unit, arrival, w.is_read, via_local);
+            let th = &mut self.ths[next];
+            let wait = take(&mut th.wait);
+            assert!(wait.is_waiting(), "picked a non-waiter");
+            debug_assert_eq!(th.clock, arrival);
+            self.grant(next, unit, arrival, wait.is_read(), via_local);
         }
     }
 
     fn on_abort(&mut self, tid: usize, seq: u64) {
         let unit = self.unit_of(self.ths[tid].key);
         let th = &mut self.ths[tid];
-        if th.live_abort != seq || th.waiting.is_none() {
+        if !th.wait.expires_at(seq) {
             return; // stale: the waiter was granted (or already gone)
         }
-        let w = th.waiting.take().expect("checked above");
-        self.units[unit].withdraw(th.client.cluster, w.arrival, tid);
-        th.live_abort = 0;
-        th.client.aborts += 1;
+        th.wait = Wait::default();
+        self.units[unit].withdraw(th.client.cluster, th.clock, tid);
+        self.aborts += 1;
         // The wait consumed the patience — mirrors the real-time body,
         // which advances the aborter's vclock by `p` (and, like it, draws
         // no idle after an abort, keeping the RNG program identical).
-        th.clock = w.arrival + self.program.scenario.patience_ns.unwrap_or(0);
-        self.q.push(th.clock, Ev::Start, tid);
+        th.clock += self.program.scenario.patience_ns.unwrap_or(0);
+        self.restart(tid);
     }
 }
 
 /// A simulation's buffers, kept on the OS thread that ran it for its
 /// next cell, so a warm cell allocates nothing per logical thread and
 /// costs the same wherever the heap's trim and mmap thresholds sit. A
-/// cell above 2¹⁶ logical threads (the substrate admits 2²², 370 MB of
-/// thread table) or one that grew them past 32 MiB — three times what a
-/// 2¹⁶-thread cell touches — frees them, as every cell used to: that is
-/// the most an OS thread retains.
+/// cell above 2¹⁶ logical threads (the substrate admits 2²², 256 MiB of
+/// thread table) or one that grew them past 32 MiB — about five times
+/// the 6.8 MB a saturated 2¹⁶-thread cell holds — frees them, as every
+/// cell used to: that is the most an OS thread retains.
 #[derive(Default)]
 struct Scratch {
     ths: Vec<Th>,
@@ -610,27 +684,54 @@ thread_local! {
     static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
+/// The heap bytes a buffer holds at its capacity.
+trait Held {
+    fn held(&self) -> usize;
+}
+
+impl<T> Held for Vec<T> {
+    fn held(&self) -> usize {
+        self.capacity() * size_of::<T>()
+    }
+}
+
+impl<T> Held for VecDeque<T> {
+    fn held(&self) -> usize {
+        self.capacity() * size_of::<T>()
+    }
+}
+
+impl<T: Ord> Held for BinaryHeap<T> {
+    fn held(&self) -> usize {
+        self.capacity() * size_of::<T>()
+    }
+}
+
 impl Scratch {
+    /// The heap bytes all the buffers hold.
+    fn bytes(&self) -> usize {
+        let queued = |adm: &Admission| {
+            adm.waiting.held()
+                + adm.waiting.iter().map(Held::held).sum::<usize>()
+                + adm.recip_segment.held()
+        };
+        self.ths.held()
+            + self.q.future.held()
+            + self.q.lane.held()
+            + self.units.held()
+            + self.units.iter().map(queued).sum::<usize>()
+            + self.lat_log.held()
+    }
+
     /// Empties the buffers of a cell of `threads` logical threads and
-    /// leaves them to this OS thread's next cell, within the bound (heap,
-    /// queue, segment and log entries are 16 B pairs, lane keys 8 B).
+    /// leaves them to this OS thread's next cell, within the bound.
     fn keep(mut self, threads: usize) {
         self.ths.clear();
         self.q.future.clear();
         self.q.lane.clear();
         (self.q.now, self.q.seq) = (0, 0);
         self.lat_log.clear();
-        let queued = |adm: &Admission| {
-            adm.waiting.iter().map(VecDeque::capacity).sum::<usize>() + adm.recip_segment.capacity()
-        };
-        let pairs = self.q.future.capacity()
-            + self.units.iter().map(queued).sum::<usize>()
-            + self.lat_log.capacity();
-        let bytes = self.ths.capacity() * size_of::<Th>()
-            + self.units.capacity() * size_of::<Admission>()
-            + pairs * 16
-            + self.q.lane.capacity() * 8;
-        if threads <= 1 << 16 && bytes <= 32 << 20 {
+        if threads <= 1 << 16 && self.bytes() <= 32 << 20 {
             SCRATCH.set(self);
         }
     }
@@ -641,6 +742,9 @@ impl Scratch {
 /// simulated lock side reports. A lock supplies metadata only and is
 /// never locked; its critical section is priced under `model`. A service
 /// runs its own ops at its own prices, one admission unit per shard.
+/// Refuses, before it builds anything, a cell whose thread ids or
+/// arrivals overflow their packed bits: over 2^22 threads, or a window
+/// of 2^42 ns or more.
 pub(crate) fn simulate(
     kind: AnyLockKind,
     subject: &Subject,
@@ -649,6 +753,15 @@ pub(crate) fn simulate(
     model: CostModel,
 ) -> (Counts, LockReport) {
     let cfg = program.cfg;
+    assert!(
+        cfg.threads <= 1 << TID_BITS,
+        "the modelled substrate packs thread ids into {TID_BITS} bits"
+    );
+    assert!(
+        cfg.window_ns < 1 << ARRIVAL_BITS,
+        "the modelled substrate packs arrivals into {ARRIVAL_BITS} bits: \
+         window_ns must be below 2^{ARRIVAL_BITS}"
+    );
     let (lock, service) = match subject {
         Subject::Lock(lock) => (Arc::clone(lock), None),
         // The service builds its own locks; this one answers whether the
@@ -662,18 +775,12 @@ pub(crate) fn simulate(
     vclock::reset();
     let _ = take_thread_stats();
 
-    assert!(
-        cfg.threads <= 1 << TID_BITS,
-        "the modelled substrate packs thread ids into {TID_BITS} bits"
-    );
     let mut scratch = SCRATCH.take();
-    scratch.ths.extend((0..cfg.threads).map(|i| Th {
-        client: Client::new(program, i),
+    scratch.ths.extend(program.clients().map(|client| Th {
+        client,
         clock: 0,
-        ticks: 0,
         key: 0,
-        waiting: None,
-        live_abort: 0,
+        wait: Wait::default(),
     }));
     let (class, mut units) = (
         kind.modelled_admission(cfg.policy),
@@ -685,6 +792,7 @@ pub(crate) fn simulate(
         let (waiting, segment) = (take(&mut adm.waiting), take(&mut adm.recip_segment));
         *adm = Admission::new(class, cfg.clusters, waiting, segment);
     }
+    let serial_reads = lock.read_is_exclusive();
     let mut sim = Sim {
         program,
         service,
@@ -694,17 +802,24 @@ pub(crate) fn simulate(
         q: &mut scratch.q,
         ths: &mut scratch.ths,
         units,
-        serial_reads: lock.read_is_exclusive(),
+        serial_reads,
         abortable: lock.is_abortable(),
+        reads_offer: service.is_some() || serial_reads,
+        aborts: 0,
         succ_transitions: 0,
         lat_log: &mut scratch.lat_log,
     };
-    for i in 0..cfg.threads {
-        sim.q.push(0, Ev::Start, i);
+    // Every thread starts at t = 0, in the order the lane would serve
+    // their `Start`s (see "Cost per event" in the module docs).
+    if cfg.window_ns > 0 {
+        for tid in 0..cfg.threads {
+            sim.on_start(tid);
+        }
     }
     sim.run();
 
     let mut counts = Counts::new(cfg.threads, take_thread_stats().remote_misses);
+    counts.aborts = sim.aborts;
     vclock::set(saved_clock);
 
     // The simulated tenure books report as the locks' would (every tenure
@@ -726,7 +841,7 @@ pub(crate) fn simulate(
     let mut most_offers = 0;
     for th in sim.ths.iter() {
         counts.client(&th.client);
-        most_offers = most_offers.max(th.ticks);
+        most_offers = most_offers.max(offers(&th.client, sim.reads_offer));
     }
     counts.lat(LatReservoir::from_log(sim.lat_log, most_offers));
     scratch.units = sim.units;
@@ -1064,6 +1179,167 @@ mod tests {
         q.push(10, Ev::Start, 0);
         assert_eq!(q.pop(), Some((10, 1, Ev::Start, 0)));
         q.push(9, Ev::Start, 0);
+    }
+
+    /// A waiting entry orders exactly as its `(arrival, tid)` pair: an
+    /// arrival tie goes to the smaller tid, and neither the largest tid
+    /// nor the largest arrival spills into the other's bits.
+    #[test]
+    fn waiters_order_like_their_arrival_tid_pairs() {
+        let (last_tid, last_arrival) = ((1 << TID_BITS) - 1, (1u64 << ARRIVAL_BITS) - 1);
+        let mut rng = StdRng::seed_from_u64(0x3A17);
+        let mut pairs = vec![
+            (0, 0),
+            (0, last_tid),
+            (1, 0),
+            (1, last_tid),
+            (7, 3),
+            (7, 4),
+            (last_arrival - 1, last_tid),
+            (last_arrival, 0),
+            (last_arrival, last_tid),
+        ];
+        // Few arrivals, so most pairs tie on one; then anything.
+        pairs.extend((0..400).map(|_| (rng.gen_range(0..8), rng.gen_range(0..=last_tid))));
+        pairs.extend(
+            (0..400).map(|_| (rng.gen_range(0..=last_arrival), rng.gen_range(0..=last_tid))),
+        );
+        for &(arrival, tid) in &pairs {
+            let w = Waiter::new(arrival, tid);
+            assert_eq!((w.arrival(), w.tid()), (arrival, tid));
+            for &other in &pairs {
+                let v = Waiter::new(other.0, other.1);
+                assert_eq!(
+                    w.cmp(&v),
+                    (arrival, tid).cmp(&other),
+                    "{:?} vs {other:?}",
+                    (arrival, tid)
+                );
+            }
+        }
+    }
+
+    /// A window of 2^42 ns would let an arrival spill out of its waiter's
+    /// bits, so `simulate` refuses it on entry — before it takes the
+    /// scratch, let alone builds a thread record: the buffers a warm cell
+    /// left on this OS thread are still there after the refusal.
+    #[test]
+    #[should_panic(expected = "window_ns must be below 2^42")]
+    fn a_window_of_2_42_ns_is_refused_before_the_thread_table() {
+        let kind = AnyLockKind::Excl(LockKind::Mcs);
+        let _ = run_scenario(kind, &modelled(), &cfg(64));
+        let kept_records = || {
+            let scratch = SCRATCH.take();
+            let records = scratch.ths.capacity();
+            SCRATCH.set(scratch);
+            records
+        };
+        let warm = kept_records();
+        assert!(warm >= 64, "the warm cell kept its thread table");
+        let far = LBenchConfig {
+            window_ns: 1 << ARRIVAL_BITS,
+            ..cfg(64)
+        };
+        let refused = std::panic::catch_unwind(|| run_scenario(kind, &modelled(), &far));
+        assert_eq!(
+            kept_records(),
+            warm,
+            "the refusal came after the scratch was taken"
+        );
+        std::panic::resume_unwind(refused.expect_err("a 2^42 ns window ran"));
+    }
+
+    #[test]
+    fn a_thread_record_is_one_cache_line() {
+        assert_eq!((size_of::<Th>(), align_of::<Th>()), (64, 64));
+    }
+
+    /// `Scratch::keep` counts each buffer at its own element size: one
+    /// buffer of 32 MiB is kept and one element more is not, whether its
+    /// elements are thread records, heap entries, lane keys, log entries
+    /// or waiters.
+    #[test]
+    fn the_scratch_bound_counts_each_buffer_by_its_element_size() {
+        const BOUND: usize = 32 << 20;
+        let kept = |scratch: Scratch| {
+            let saved = SCRATCH.take();
+            scratch.keep(1);
+            let kept = SCRATCH.take().bytes() > 0;
+            SCRATCH.set(saved);
+            kept
+        };
+        let unit = |room: usize| {
+            let base = size_of::<Admission>() + size_of::<VecDeque<Waiter>>();
+            let waiting = VecDeque::with_capacity((BOUND - base) / size_of::<Waiter>() + room);
+            let segment = Vec::with_capacity((BOUND - base) / size_of::<Waiter>() + room);
+            [
+                Admission::new(ModelledAdmission::Fifo, 1, vec![waiting], Vec::new()),
+                Admission::new(ModelledAdmission::Fifo, 1, vec![VecDeque::new()], segment),
+            ]
+        };
+        for (extra, fits) in [(0, true), (1, false)] {
+            let n = |size: usize| BOUND / size + extra;
+            let [queue, segment] = unit(extra);
+            let buffers = [
+                (
+                    "thread table",
+                    Scratch {
+                        ths: Vec::with_capacity(n(size_of::<Th>())),
+                        ..Scratch::default()
+                    },
+                ),
+                (
+                    "event heap",
+                    Scratch {
+                        q: EventQueue {
+                            future: BinaryHeap::with_capacity(n(size_of::<Reverse<(u64, u64)>>())),
+                            ..EventQueue::default()
+                        },
+                        ..Scratch::default()
+                    },
+                ),
+                (
+                    "event lane",
+                    Scratch {
+                        q: EventQueue {
+                            lane: VecDeque::with_capacity(n(size_of::<u64>())),
+                            ..EventQueue::default()
+                        },
+                        ..Scratch::default()
+                    },
+                ),
+                (
+                    "latency log",
+                    Scratch {
+                        lat_log: Vec::with_capacity(n(size_of::<(u64, u64)>())),
+                        ..Scratch::default()
+                    },
+                ),
+                (
+                    "waiting queue",
+                    Scratch {
+                        units: vec![queue],
+                        ..Scratch::default()
+                    },
+                ),
+                (
+                    "segment",
+                    Scratch {
+                        units: vec![segment],
+                        ..Scratch::default()
+                    },
+                ),
+            ];
+            for (name, scratch) in buffers {
+                assert_eq!(
+                    scratch.bytes() <= BOUND,
+                    fits,
+                    "{name}: {} bytes",
+                    scratch.bytes()
+                );
+                assert_eq!(kept(scratch), fits, "{name}");
+            }
+        }
     }
 
     #[test]

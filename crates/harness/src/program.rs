@@ -30,9 +30,7 @@
 use crate::keyed::{KeyDist, KeyedOp};
 use crate::pace::{kappa_for, spin_wall};
 use crate::registry::AnyLockKind;
-use crate::scenario::{
-    cluster_for, CostMode, LBenchConfig, LatReservoir, LoadShape, Scenario, TimeMode,
-};
+use crate::scenario::{CostMode, LBenchConfig, LatReservoir, LoadShape, Scenario, TimeMode};
 use coherence_sim::Directory;
 use numa_topology::{vclock, ClusterId};
 use rand::rngs::StdRng;
@@ -92,6 +90,22 @@ impl<'a> Program<'a> {
             },
         }
     }
+
+    /// The run's logical threads in thread order, thread `i` on cluster
+    /// `i % clusters` (spread, as an OS scheduler distributes threads over
+    /// sockets) — counted round, not divided out per thread.
+    pub(crate) fn clients(&self) -> impl Iterator<Item = Client> + '_ {
+        assert!(self.cfg.clusters > 0, "a run needs at least one cluster");
+        let (clusters, mut next) = (self.cfg.clusters as u32, 0);
+        // A `map` over a range has an exact length, so extending a `Vec`
+        // writes the records in place; a `scan` pushed them one by one,
+        // five times slower at 4096 threads.
+        (0..self.cfg.threads).map(move |i| {
+            let cluster = ClusterId::new(next);
+            next = if next + 1 == clusters { 0 } else { next + 1 };
+            Client::new(self, i, cluster)
+        })
+    }
 }
 
 /// What a [`Client`] does next.
@@ -103,7 +117,8 @@ pub(crate) enum Draw {
 }
 
 /// One logical thread of a run — a real worker or a row of a simulator's
-/// thread table.
+/// thread table. Its executor counts its aborted acquisitions: a run
+/// reports only their sum.
 pub(crate) struct Client {
     pub(crate) cluster: ClusterId,
     /// Seeded `seed ^ i`. Only [`draw`](Self::draw), [`idle`](Self::idle)
@@ -112,20 +127,18 @@ pub(crate) struct Client {
     pub(crate) rng: StdRng,
     pub(crate) reads: u64,
     pub(crate) writes: u64,
-    pub(crate) aborts: u64,
     /// Upper bound of [`idle`](Self::idle), under the asymmetry knob.
     noncs_max: u64,
 }
 
 impl Client {
-    /// Thread `i` of a run of `p`.
-    pub(crate) fn new(p: &Program<'_>, i: usize) -> Self {
+    /// Thread `i` of a run of `p`, on `cluster`.
+    fn new(p: &Program<'_>, i: usize, cluster: ClusterId) -> Self {
         Client {
-            cluster: cluster_for(i, p.cfg),
+            cluster,
             rng: StdRng::seed_from_u64(p.seed ^ i as u64),
             reads: 0,
             writes: 0,
-            aborts: 0,
             noncs_max: p
                 .scenario
                 .noncs_max_for(i, p.cfg.threads, p.cfg.noncs_max_ns),
@@ -202,6 +215,8 @@ pub(crate) struct Exec<'a> {
     /// Latency samples of the ops this thread executed, in execution
     /// order.
     pub(crate) lat: LatReservoir,
+    /// Acquisitions this thread gave up on.
+    pub(crate) aborts: u64,
 }
 
 /// What one op does between two draws: acquire, critical section,

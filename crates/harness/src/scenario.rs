@@ -42,7 +42,7 @@ use crate::program::{charge_cs, step, Body, Client, Exec, Program};
 use crate::registry::AnyLockKind;
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
 use cohort::{CohortStats, PolicySpec};
-use numa_topology::{bind_current_thread, vclock, ClusterId, Topology};
+use numa_topology::{bind_current_thread, vclock, Topology};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -602,12 +602,6 @@ impl ScenarioResult {
     }
 }
 
-/// Thread → cluster assignment: thread `i` on cluster `i % clusters`
-/// (spread, as an OS scheduler distributes threads over sockets).
-pub(crate) fn cluster_for(i: usize, cfg: &LBenchConfig) -> ClusterId {
-    ClusterId::new((i % cfg.clusters) as u32)
-}
-
 /// Per-thread cap on retained latency samples. Long measurement windows
 /// used to grow the sample `Vec` without bound mid-measurement: every
 /// doubling realloc is a pause charged to whatever acquisition happens
@@ -667,7 +661,12 @@ impl LatReservoir {
     pub(crate) fn from_log(log: &[(u64, u64)], most_offers: u64) -> Self {
         let stride = most_offers.checked_sub(1).map_or(1, Self::stride_at);
         let mut samples = Vec::with_capacity(log.len());
-        samples.extend(log.iter().filter(|e| e.1 & (stride - 1) == 0).map(|e| e.0));
+        if stride == 1 {
+            // No thread decimated: every logged sample survives.
+            samples.extend(log.iter().map(|e| e.0));
+        } else {
+            samples.extend(log.iter().filter(|e| e.1 & (stride - 1) == 0).map(|e| e.0));
+        }
         LatReservoir {
             samples,
             stride,
@@ -730,16 +729,26 @@ fn merge_lat_reservoirs(mut parts: Vec<(Vec<u64>, u64)>) -> Vec<u64> {
     merged
 }
 
-/// Nearest-rank percentile of a sample set in any order (0 for an empty
-/// set), by selection: a result reads two order statistics, which is not
-/// worth a sort. Reorders `samples`.
-fn select_percentile(samples: &mut [u64], pct: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
+/// The nearest-rank p50 and p99 of a sample set in any order (0 for an
+/// empty set), by selection: a result reads two order statistics, which
+/// is not worth a sort. The p99 is selected inside the upper partition
+/// the p50 selection leaves, where its rank lies. Reorders `samples`.
+fn select_p50_p99(samples: &mut [u64]) -> (u64, u64) {
+    let len = samples.len();
+    if len == 0 {
+        return (0, 0);
     }
-    let rank = ((pct / 100.0) * samples.len() as f64).ceil() as usize;
-    let at = rank.saturating_sub(1).min(samples.len() - 1);
-    *samples.select_nth_unstable(at).1
+    let index = |pct: f64| {
+        let rank = ((pct / 100.0) * len as f64).ceil() as usize;
+        rank.saturating_sub(1).min(len - 1)
+    };
+    let (at50, at99) = (index(50.0), index(99.0));
+    let (_, &mut p50, upper) = samples.select_nth_unstable(at50);
+    let p99 = match at99 - at50 {
+        0 => p50,
+        above => *upper.select_nth_unstable(above - 1).1,
+    };
+    (p50, p99)
 }
 
 /// What the threads of a run counted — real workers or the simulators'
@@ -751,8 +760,8 @@ pub(crate) struct Counts {
     per_thread_ops: Vec<u64>,
     read_ops: u64,
     write_ops: u64,
-    /// Timed-out acquisitions, summed over threads.
-    aborts: u64,
+    /// Timed-out acquisitions, summed over threads by the executor.
+    pub(crate) aborts: u64,
     /// Cross-cluster data transfers the directory charged, summed over
     /// threads.
     pub(crate) remote_misses: u64,
@@ -776,7 +785,6 @@ impl Counts {
         self.per_thread_ops.push(c.reads + c.writes);
         self.read_ops += c.reads;
         self.write_ops += c.writes;
-        self.aborts += c.aborts;
     }
 
     /// Adds a reservoir an executor filled: one per thread, or one for a
@@ -857,6 +865,7 @@ pub(crate) fn assemble(
         (counts.per_thread_ops, counts.read_ops, counts.write_ops);
     let total_ops = read_ops + write_ops;
     let mut lat = merge_lat_reservoirs(counts.lat_parts);
+    let (lat_p50_ns, lat_p99_ns) = select_p50_p99(&mut lat);
     let (acquisitions, migrations) = (lock.acquisitions, lock.migrations);
     let (aborts, remote_misses) = (counts.aborts, counts.remote_misses);
     let window_s = cfg.window_ns as f64 / 1e9;
@@ -904,8 +913,8 @@ pub(crate) fn assemble(
         promotions: cstats.promotions,
         succ_transitions: lock.succ_transitions,
         batch_hist: lock.batch_hist,
-        lat_p50_ns: select_percentile(&mut lat, 50.0),
-        lat_p99_ns: select_percentile(&mut lat, 99.0),
+        lat_p50_ns,
+        lat_p99_ns,
         per_thread_ops,
         wall: started.elapsed(),
     }
@@ -925,9 +934,9 @@ pub(crate) fn run_workers<B: Body + ?Sized>(topo: &Topology, p: &Program<'_>, bo
     let stop = AtomicBool::new(false);
     let barrier = Barrier::new(cfg.threads);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|i| {
-                let mut client = Client::new(p, i);
+        let handles: Vec<_> = p
+            .clients()
+            .map(|mut client| {
                 let cluster = client.cluster;
                 let (stop, barrier) = (&stop, &barrier);
                 s.spawn(move || {
@@ -940,6 +949,7 @@ pub(crate) fn run_workers<B: Body + ?Sized>(topo: &Topology, p: &Program<'_>, bo
                         stop,
                         wall_start: Instant::now(),
                         lat,
+                        aborts: 0,
                     };
                     let mut iters = 0u32;
                     while !stop.load(Ordering::Relaxed) {
@@ -949,16 +959,17 @@ pub(crate) fn run_workers<B: Body + ?Sized>(topo: &Topology, p: &Program<'_>, bo
                             stop.store(true, Ordering::Relaxed);
                         }
                     }
-                    (client, x.lat, take_thread_stats().remote_misses)
+                    (client, x.lat, x.aborts, take_thread_stats().remote_misses)
                 })
             })
             .collect();
         let mut counts = Counts::new(cfg.threads, 0);
         counts.lat_parts.reserve(cfg.threads); // the one executor with a part per thread
         for h in handles {
-            let (client, lat, misses) = h.join().expect("scenario worker panicked");
+            let (client, lat, aborts, misses) = h.join().expect("scenario worker panicked");
             counts.client(&client);
             counts.lat(lat);
+            counts.aborts += aborts;
             counts.remote_misses += misses;
         }
         counts
@@ -994,7 +1005,7 @@ impl Body for CriticalSection<'_> {
             // Patience is virtual; scale it into the paced wall-clock
             // frame waiters live in.
             if !lock.acquire_write_with_patience(patience * p.pace.max(1)) {
-                c.aborts += 1;
+                x.aborts += 1;
                 if virtual_time {
                     // The wait consumed the patience.
                     vclock::advance(patience);
@@ -1237,7 +1248,7 @@ mod tests {
 
     /// Nearest-rank percentile of an ascending-sorted sample set (0 for
     /// an empty set): what `assemble` read after a full sort, and the
-    /// reference [`select_percentile`] is held to.
+    /// reference [`select_p50_p99`] is held to.
     fn percentile(sorted: &[u64], pct: f64) -> u64 {
         if sorted.is_empty() {
             return 0;
@@ -1327,13 +1338,11 @@ mod tests {
             let parts = reservoirs.into_iter().map(LatReservoir::into_parts);
             let mut merged = merge_lat_reservoirs(parts.collect());
             let ctx = format!("seed {seed}, offers {offers:?}");
-            for pct in [50.0, 99.0] {
-                assert_eq!(
-                    select_percentile(&mut from_log, pct),
-                    select_percentile(&mut merged, pct),
-                    "p{pct}: {ctx}"
-                );
-            }
+            assert_eq!(
+                select_p50_p99(&mut from_log),
+                select_p50_p99(&mut merged),
+                "p50, p99: {ctx}"
+            );
             let merged = sorted(merged);
             assert_eq!(sorted(from_log), merged, "{ctx}");
 
@@ -1354,18 +1363,27 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5E1EC7);
-        let random: Vec<u64> = (0..10_000).map(|_| rng.gen_range(0u64..5_000)).collect();
-        for set in [vec![], vec![7], vec![3; 100], random] {
+        let mut random = |len| (0..len).map(|_| rng.gen_range(0u64..5_000)).collect();
+        let (big, small): (Vec<u64>, Vec<u64>) = (random(10_000), random(101));
+        // Lengths where p99 shares p50's index (1), sits right above it
+        // (2, 3) or far above it, and a set of ties.
+        for set in [
+            vec![],
+            vec![7],
+            vec![9, 2],
+            vec![5, 1, 3],
+            vec![3; 100],
+            small,
+            big,
+        ] {
             let mut sorted = set.clone();
             sorted.sort_unstable();
-            for pct in [0.0, 50.0, 99.0, 100.0] {
-                assert_eq!(
-                    select_percentile(&mut set.clone(), pct),
-                    percentile(&sorted, pct),
-                    "p{pct} of {} samples",
-                    set.len()
-                );
-            }
+            assert_eq!(
+                select_p50_p99(&mut set.clone()),
+                (percentile(&sorted, 50.0), percentile(&sorted, 99.0)),
+                "{} samples",
+                set.len()
+            );
         }
     }
 

@@ -15,11 +15,12 @@
 //! ([`lbench::ScenarioResult::first_divergence`]) rather than a blob of
 //! two full results.
 //!
-//! Re-run identity cannot see a change that moves *both* runs, so two
+//! Re-run identity cannot see a change that moves *both* runs, so three
 //! tests also pin absolute numbers — the benchmark's `des_4096` cell
-//! (4096 logical threads) for four lock kinds, and thirteen cells over
-//! the regimes it never reaches (bursts, idle draws, three clusters,
-//! patience under bursts, read mixes) —
+//! (4096 logical threads) for four lock kinds, thirteen cells over the
+//! regimes it never reaches (bursts, idle draws, three clusters,
+//! patience under bursts, read mixes), and eight at the edges of a
+//! thread's life (the window's end, stale aborts, keyed shared reads) —
 //! and the 126 modelled rows of the committed `results/fig_recip.csv`
 //! are re-simulated (the other two modelled CSVs are `cmp`'d in CI).
 //!
@@ -272,6 +273,111 @@ fn des_regime_cells_match_their_pinned_numbers() {
              (tenures, local_handoffs, max_streak)",
             kind.name(),
             scenario.shape
+        );
+    }
+}
+
+/// The edges of a thread's life in the simulator, values printed by
+/// `f2eb002` — 4 clusters, disaggregated:
+///
+/// * **window edge** (`bursty(100 µs, 100 µs)`, 1 ms): a thread that
+///   finishes an op in the last off-window idles to exactly `window_ns`
+///   and must retire there, not start one more op;
+/// * **gap across the window** (the same shape, 950 µs): the off-gap
+///   carries the thread past the window's end;
+/// * **stale aborts** (20 µs patience, 1 µs idle): most waiters are
+///   granted before their `Abort` fires, which must then do nothing, and
+///   an aborter's clock can land exactly on the window;
+/// * **keyed shared reads** (64 KV clients, 90 % gets): an RW kind's gets
+///   run at once beside the queue, a mutex kind's gets queue.
+#[test]
+fn des_edge_cells_match_their_pinned_numbers() {
+    let excl = AnyLockKind::Excl;
+    let burst = || Scenario::bursty(100_000, 100_000);
+    let impatient = || Scenario::steady().with_patience(20_000);
+    // (kind, scenario, window_ns, noncs_max_ns, (acquisitions, migrations,
+    //  total_ops, aborts, succ_transitions, lat_p50_ns, lat_p99_ns),
+    //  (tenures, local_handoffs, max_streak)), all at 256 threads
+    #[rustfmt::skip]
+    let golden = [
+        (excl(LockKind::CBoMcs),  burst(),     1_000_000,     0, (3178,  47, 3178,      0, 160_886,    69_900,    70_428), (50, 3128, 64)),
+        (excl(LockKind::Mcs),     burst(),     1_000_000,     0, ( 396, 395,  396,      0,  67_876, 1_261_952, 1_638_480), ( 0,    0,  0)),
+        (excl(LockKind::Recip),   burst(),       950_000,   500, ( 396, 390,  396,      0,     398, 1_063_056, 2_460_566), ( 0,    0,  0)),
+        (excl(LockKind::ACBoClh), impatient(), 1_000_000, 1_000, (3736,  58, 3736, 10_139, 225_373,    14_646,    22_268), (59, 3677, 64)),
+        (excl(LockKind::AClh),    impatient(), 1_000_000, 1_000, ( 167, 159,  167, 12_595,  41_568,    21_225,    22_384), ( 0,    0,  0)),
+    ];
+    for (kind, scenario, window_ns, noncs_max_ns, counts, tenure) in golden {
+        let cfg = LBenchConfig {
+            threads: 256,
+            clusters: 4,
+            window_ns,
+            noncs_max_ns,
+            ..Default::default()
+        };
+        let r = run_scenario(kind, &scenario.modelled(CostModel::disaggregated()), &cfg);
+        assert_eq!(
+            (
+                (
+                    r.acquisitions,
+                    r.migrations,
+                    r.total_ops,
+                    r.aborts,
+                    r.succ_transitions,
+                    r.lat_p50_ns,
+                    r.lat_p99_ns
+                ),
+                (r.tenures, r.local_handoffs, r.max_streak)
+            ),
+            (counts, tenure),
+            "[{} window={window_ns} noncs={noncs_max_ns}] (acquisitions, migrations, \
+             total_ops, aborts, succ_transitions, lat_p50_ns, lat_p99_ns), \
+             (tenures, local_handoffs, max_streak)",
+            kind.name()
+        );
+    }
+
+    // (kind, shards, (acquisitions, migrations, read_ops, total_ops,
+    //  succ_transitions, lat_p50_ns, lat_p99_ns), (tenures,
+    //  local_handoffs, max_streak))
+    let crw = AnyLockKind::Rw(RwLockKind::CRwWpBoMcs);
+    #[rustfmt::skip]
+    let keyed = [
+        (crw,                    2, (236, 27, 2246, 2482, 1000, 6120,   354_540), (29, 207, 16)),
+        (crw,                    1, (134,  6, 1298, 1432,  943, 6170, 1_124_750), ( 7, 127, 64)),
+        (excl(LockKind::CBoMcs), 2, (249, 14,  219,  249, 1707, 273_880, 822_990), (16, 233, 37)),
+    ];
+    for (kind, shards, counts, tenure) in keyed {
+        let w = KvWorkload {
+            threads: 64,
+            shards,
+            window_ns: 1_000_000,
+            cost: CostModel::disaggregated(),
+            ..Default::default()
+        };
+        let r = run_scenario(kind, &w.scenario().modelled(w.cost), &w.lbench_config());
+        assert_eq!(
+            (
+                (
+                    r.acquisitions,
+                    r.migrations,
+                    r.read_ops,
+                    r.total_ops,
+                    r.succ_transitions,
+                    r.lat_p50_ns,
+                    r.lat_p99_ns
+                ),
+                (r.tenures, r.local_handoffs, r.max_streak)
+            ),
+            (counts, tenure),
+            "[kv {} shards={shards}] (acquisitions, migrations, read_ops, total_ops, \
+             succ_transitions, lat_p50_ns, lat_p99_ns), (tenures, local_handoffs, max_streak)",
+            kind.name()
+        );
+        assert_eq!(
+            r.aborts,
+            0,
+            "[kv {}] keyed runs have no patience",
+            kind.name()
         );
     }
 }
