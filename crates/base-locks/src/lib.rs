@@ -10,6 +10,7 @@
 //! | [`BackoffLock`] = `TasLock<Backoff>` | Agarwal & Cherian '89 | exponential backoff ("BO" in the paper) | plain, global |
 //! | [`FibBackoffLock`] = `TasLock<FibBackoff>` | Table 1's "Fib-BO" | Fibonacci backoff | plain, global |
 //! | [`GlobalBoLock`] = `TasLock<SpinWait>` | §4.1.1's global BO lock | no backoff: 64 spins, then yield | plain, global |
+//! | [`LocalBoLock`] | §3.1, §3.6.1 | three-state TATAS word, `successor-exists` flag, abort rescue | local, abortable local |
 //! | [`TicketLock`] | Mellor-Crummey & Scott '91 | FIFO, request/grant counters, `top-granted` | plain, global, local |
 //! | [`McsLock`] | Mellor-Crummey & Scott '91 | FIFO queue lock, local spinning, tri-state flag | plain, global, local |
 //! | [`ClhLock`] | Craig '93; Magnussen et al. | implicit-predecessor queue lock | plain |
@@ -17,8 +18,8 @@
 //! | [`ReciprocatingLock`] | Dice & Kogan, arXiv:2501.02380 | palindromic admission, constant-coherence handover | plain, global |
 //!
 //! The four TATAS rows are one type, [`TasLock<W>`], under a [`Wait`]
-//! schedule from [`backoff`]. Every lock implements [`RawLock`];
-//! timeout-capable ones also implement [`RawAbortableLock`]. The
+//! schedule from [`backoff`]. Every lock but [`LocalBoLock`] implements
+//! [`RawLock`]; timeout-capable ones also implement [`RawAbortableLock`]. The
 //! [`SpinMutex`] wrapper turns any `RawLock` into an RAII mutex protecting
 //! a value.
 //!
@@ -29,6 +30,8 @@
 //! the MCS, ticket and abortable CLH locks implement it on the same type,
 //! queue and acquire loop as their plain role, which is the cohort release
 //! that never passes locally and has no global lock to release.
+//! [`LocalBoLock`] has only the local roles, blocking and abortable, on one
+//! acquire loop and one release.
 //!
 //! Two design points worth knowing about:
 //!
@@ -68,13 +71,15 @@ pub use raw::{
     AbortableLocalCohortLock, LocalAbortResult, LocalCohortLock, RawAbortableLock, RawLock, Release,
 };
 pub use recip::{RecipToken, ReciprocatingLock};
-pub use tatas::{BackoffLock, FibBackoffLock, GlobalBoLock, TasLock, TatasLock};
+pub use tatas::{BackoffLock, FibBackoffLock, GlobalBoLock, LocalBoLock, TasLock, TatasLock};
 pub use ticket::TicketLock;
 
 // Each lock's module tests its plain and global roles; these test its
 // cohort-local role.
 #[cfg(test)]
 mod local_aclh;
+#[cfg(test)]
+mod local_bo;
 #[cfg(test)]
 mod local_mcs;
 #[cfg(test)]

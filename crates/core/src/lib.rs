@@ -31,8 +31,11 @@
 //! | [`CBoMcs`]  | BO | MCS, tri-state handoff | 3.3 |
 //! | [`CMcsMcs`] | MCS (pooled nodes) | MCS | 3.4 |
 //! | [`CTktMcs`] | ticket | MCS | 3.5 |
-//! | [`AcBoBo`]  | BO | abortable BO | 3.6.1 |
+//! | [`AcBoBo`]  | BO | the same BO local lock, abortable | 3.6.1 |
 //! | [`AcBoClh`] | BO | abortable CLH, colocated flag | 3.6.2 |
+//!
+//! [`CBoBo`] and [`AcBoBo`] are one type, `CohortLock<GlobalBoLock,
+//! LocalBoLock>`: [`LocalBoLock`] is blocking and abortable at once.
 //!
 //! Beyond the paper's compositions, the [`fast_path`] module grafts a
 //! TATAS **fast path** onto the cohort slow path in the style of
@@ -103,8 +106,6 @@ mod abortable;
 pub mod fast_path;
 pub mod gcr;
 mod global;
-mod local_abo;
-mod local_bo;
 mod lock;
 pub mod policy;
 pub mod rwlock;
@@ -112,18 +113,17 @@ pub mod rwlock;
 pub use fast_path::{FissileLock, FissileToken, FissileTuning};
 pub use gcr::{GcrLock, GcrToken};
 pub use global::ThreadOblivious;
-pub use local_abo::LocalAboLock;
-pub use local_bo::LocalBoLock;
 pub use lock::{CohortLock, CohortToken};
 pub use policy::{ClusterStats, CohortStats, Introspect, PolicySpec, Tenures};
 pub use rwlock::{CohortRwLock, RwFairness, RwReadGuard, RwReadToken, RwWriteGuard, RwWriteToken};
 
 use base_locks::{AbortableClhLock, McsLock, ReciprocatingLock, SpinMutex, TicketLock};
 pub use base_locks::{
-    AbortableLocalCohortLock, GlobalBoLock, LocalAbortResult, LocalCohortLock, Release,
+    AbortableLocalCohortLock, GlobalBoLock, LocalAbortResult, LocalBoLock, LocalCohortLock, Release,
 };
 
 /// C-BO-BO (§3.1): global BO lock, local BO locks with `successor-exists`.
+/// The same type as [`AcBoBo`]: its local lock is abortable as well.
 pub type CBoBo = CohortLock<GlobalBoLock, LocalBoLock>;
 
 /// C-TKT-TKT (§3.2): ticket locks at both levels, `top-granted` handoff.
@@ -139,8 +139,9 @@ pub type CTktMcs = CohortLock<TicketLock, McsLock>;
 /// nodes through pools to become thread-oblivious.
 pub type CMcsMcs = CohortLock<McsLock, McsLock>;
 
-/// A-C-BO-BO (§3.6.1): the abortable C-BO-BO.
-pub type AcBoBo = CohortLock<GlobalBoLock, LocalAboLock>;
+/// A-C-BO-BO (§3.6.1): the abortable C-BO-BO — the same type as
+/// [`CBoBo`], named for the role in which its timed acquire is used.
+pub type AcBoBo = CohortLock<GlobalBoLock, LocalBoLock>;
 
 /// A-C-BO-CLH (§3.6.2): abortable CLH cohorts under a global BO lock —
 /// the paper's flagship abortable NUMA lock.

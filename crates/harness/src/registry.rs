@@ -17,8 +17,7 @@ use base_locks::{
 };
 use cohort::{
     AbortableLocalCohortLock, CBoMcs, CohortLock, CohortRwLock, FisBoMcs, FissileLock, GcrLock,
-    Introspect, LocalAboLock, LocalBoLock, LocalCohortLock, PolicySpec, RwFairness,
-    ThreadOblivious,
+    Introspect, LocalBoLock, LocalCohortLock, PolicySpec, RwFairness, ThreadOblivious,
 };
 use numa_baselines::{CnaLock, FcMcsLock, HboLock, HboParams, HclhLock};
 use numa_topology::Topology;
@@ -315,7 +314,7 @@ impl LockKind {
                 erase_abortable(AbortableClhLock::new())
             }),
             LockKind::AHbo => Row::new("A-HBO", Fifo, |t, _| erase_abortable(hbo(t))),
-            LockKind::ACBoBo => Row::new("A-C-BO-BO", PAPER, abortable::<Bo, LocalAboLock>),
+            LockKind::ACBoBo => Row::new("A-C-BO-BO", PAPER, abortable::<Bo, LocalBoLock>),
             LockKind::ACBoClh => Row::new("A-C-BO-CLH", PAPER, abortable::<Bo, AbortableClhLock>),
         }
     }

@@ -6,8 +6,8 @@
 
 use base_locks::{AbortableClhLock, McsLock, RawLock, ReciprocatingLock, TicketLock};
 use cohort::{
-    CBoMcs, CohortLock, CohortStats, FisBoMcs, GcrLock, GlobalBoLock, LocalAboLock, LocalBoLock,
-    LocalCohortLock, PolicySpec, ThreadOblivious,
+    CBoMcs, CohortLock, CohortStats, FisBoMcs, GcrLock, GlobalBoLock, LocalBoLock, LocalCohortLock,
+    PolicySpec, ThreadOblivious,
 };
 use numa_baselines::CnaLock;
 use numa_topology::{ClusterId, Topology};
@@ -64,7 +64,6 @@ matrix_test!(tkt_over_tkt, TicketLock, TicketLock);
 matrix_test!(bo_over_mcs, GlobalBoLock, McsLock);
 matrix_test!(tkt_over_mcs, TicketLock, McsLock);
 matrix_test!(mcs_over_mcs, McsLock, McsLock);
-matrix_test!(bo_over_abo, GlobalBoLock, LocalAboLock);
 matrix_test!(bo_over_aclh, GlobalBoLock, AbortableClhLock);
 // …and the ones it never built (the transformation is general).
 matrix_test!(tkt_over_bo, TicketLock, LocalBoLock);
@@ -73,8 +72,6 @@ matrix_test!(mcs_over_tkt, McsLock, TicketLock);
 matrix_test!(bo_over_tkt, GlobalBoLock, TicketLock);
 matrix_test!(tkt_over_aclh, TicketLock, AbortableClhLock);
 matrix_test!(mcs_over_aclh, McsLock, AbortableClhLock);
-matrix_test!(tkt_over_abo, TicketLock, LocalAboLock);
-matrix_test!(mcs_over_abo, McsLock, LocalAboLock);
 // …and the reciprocating global (C-Recip-MCS plus an unnamed sibling):
 // its two-plain-word token is thread-oblivious by construction, so the
 // §3.4 requirement costs it nothing.
@@ -166,12 +163,11 @@ fn all_seven_paper_compositions_under_every_policy_family() {
         )+};
     }
     under_every_policy!(
-        GlobalBoLock, LocalBoLock;      // C-BO-BO
+        GlobalBoLock, LocalBoLock;      // C-BO-BO and A-C-BO-BO
         TicketLock, TicketLock;         // C-TKT-TKT
         GlobalBoLock, McsLock;          // C-BO-MCS
         TicketLock, McsLock;            // C-TKT-MCS
         McsLock, McsLock;               // C-MCS-MCS
-        GlobalBoLock, LocalAboLock;     // A-C-BO-BO
         GlobalBoLock, AbortableClhLock; // A-C-BO-CLH
     );
 }
